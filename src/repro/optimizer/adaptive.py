@@ -31,19 +31,19 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Protocol, Sequence, Tuple
 
 from ..core.plan import JoinPlanSpec
 from ..core.preferences import QualityRequirement
 from ..core.relation import JoinState
 from ..extraction.characterization import KnobCharacterization
-from ..estimation.mle import ObservationContext
+from ..estimation.mle import EstimatedParameters, ObservationContext
 from ..estimation.online import SideEstimate, estimate_overlap, estimate_side
 from ..joins.base import Budgets, JoinAlgorithm, JoinExecution
 from ..joins.idjn import IndependentJoin
 from ..joins.base import JoinInputs
 from ..joins.stats_collector import RelationObservations
-from ..models.parameters import SideStatistics
+from ..models.parameters import SideStatistics, ValueOverlapModel
 from ..observability.context import ensure_observability
 from ..observability.tracer import SpanKind
 from ..retrieval.scan import ScanRetriever
@@ -120,6 +120,26 @@ class PosteriorQuality:
         return self._good, total - self._good
 
 
+class SharedOptimizer(Protocol):
+    """An optimizer shared across runs, over statistics fixed in advance.
+
+    The serving layer's plan cache provides one per statistics
+    generation: optimizer, curves and per-requirement results are built
+    once and answer every run whose refit lands on the same statistics.
+    """
+
+    #: (side-1 parameters, side-2 parameters, overlap classes) it was built on
+    statistics: Tuple[
+        EstimatedParameters, EstimatedParameters, ValueOverlapModel
+    ]
+
+    def optimize(
+        self, plans: Sequence[JoinPlanSpec], requirement: QualityRequirement
+    ) -> OptimizationResult: ...
+
+    def curve_points(self, plan: JoinPlanSpec) -> Any: ...
+
+
 @dataclass(frozen=True)
 class PilotWarmStart:
     """Prior pilot state from an earlier run over the *same* corpus.
@@ -139,6 +159,10 @@ class PilotWarmStart:
     snapshot: Dict[str, Any]
     documents: int
     rounds: int = 1
+    #: optimizer over the statistics this pilot was fitted into; answers
+    #: the first round of a run that restores the pilot without pulling a
+    #: fresh document (see :meth:`AdaptiveJoinExecutor._shared_optimizer`)
+    shared: Optional[SharedOptimizer] = None
 
 
 @dataclass
@@ -573,7 +597,7 @@ class AdaptiveJoinExecutor:
     def _record_drift(
         self,
         label: str,
-        optimizer: JoinOptimizer,
+        optimizer: Any,
         chosen: Optional[PlanEvaluation],
         execution: JoinExecution,
     ) -> None:
@@ -582,7 +606,8 @@ class AdaptiveJoinExecutor:
         Observed counts come from the oracle composition of the live state
         (telemetry only — the estimators never read labels); predictions
         from the chosen evaluation's operating point, plus the engine's
-        effort curve when one was built.
+        effort curve when one was built.  *optimizer* is the
+        :class:`JoinOptimizer` or :class:`SharedOptimizer` that chose.
         """
         observability = self.observability
         if not observability.enabled:
@@ -616,6 +641,30 @@ class AdaptiveJoinExecutor:
                 predicted_bad=0.0,
             )
 
+    def _shared_optimizer(
+        self,
+        warm: Optional[PilotWarmStart],
+        estimates: Tuple[SideEstimate, SideEstimate],
+        catalog: StatisticsCatalog,
+    ) -> Optional[SharedOptimizer]:
+        """The warm start's shared optimizer, when it may answer this round.
+
+        Only for a pilot restored whole (no fresh document pulled), and
+        only when this refit reproduced the shared optimizer's statistics
+        exactly — then both optimizers see the same catalog and return the
+        same evaluations, so sharing changes no answer.
+        """
+        if warm is None or warm.shared is None:
+            return None
+        if warm.documents < self.pilot_documents:
+            return None
+        refit = (
+            estimates[0].parameters,
+            estimates[1].parameters,
+            catalog.overlap,
+        )
+        return warm.shared if refit == warm.shared.statistics else None
+
     # -- the driver -----------------------------------------------------------------
 
     def run(self, requirement: QualityRequirement) -> AdaptiveResult:
@@ -632,6 +681,7 @@ class AdaptiveJoinExecutor:
             pilot, pilot_executor = self._run_pilot(documents)
             rounds = 0
         optimization: Optional[OptimizationResult] = None
+        first_round = True
         while True:
             rounds += 1
             try:
@@ -649,15 +699,36 @@ class AdaptiveJoinExecutor:
                 pilot.observations.side(1),
                 pilot.observations.side(2),
             )
-            optimizer = JoinOptimizer(
-                catalog,
-                costs=self.environment.costs,
-                feasibility_margin=self.feasibility_margin,
-                observability=self.environment.observability,
-                prune=True,
+            shared = (
+                self._shared_optimizer(warm, (estimate1, estimate2), catalog)
+                if first_round
+                else None
             )
-            with self.observability.phase("optimize"):
-                optimization = optimizer.optimize(self.plans, requirement)
+            first_round = False
+            optimizer: Any
+            if shared is not None:
+                optimizer = shared
+                with self.observability.phase(
+                    "optimize"
+                ), self.observability.span(
+                    SpanKind.OPTIMIZE,
+                    "optimize",
+                    plans=len(self.plans),
+                    tau_good=requirement.tau_good,
+                    tau_bad=requirement.tau_bad,
+                    shared=True,
+                ):
+                    optimization = shared.optimize(self.plans, requirement)
+            else:
+                optimizer = JoinOptimizer(
+                    catalog,
+                    costs=self.environment.costs,
+                    feasibility_margin=self.feasibility_margin,
+                    observability=self.environment.observability,
+                    prune=True,
+                )
+                with self.observability.phase("optimize"):
+                    optimization = optimizer.optimize(self.plans, requirement)
             self._record_drift(
                 f"pilot-round-{rounds}", optimizer, optimization.chosen, pilot
             )

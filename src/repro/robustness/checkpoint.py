@@ -27,7 +27,7 @@ import os
 import pathlib
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..core.quality import TimeBreakdown
 from ..core.types import ExtractedTuple
@@ -74,20 +74,33 @@ def _tuple_from_dict(data: Dict[str, Any]) -> ExtractedTuple:
 
 
 def _observations_to_dict(obs: RelationObservations) -> Dict[str, Any]:
+    # The per-value tallies are [key, value] pairs, not JSON objects: a
+    # store that writes sorted keys would otherwise reorder them, and the
+    # MLE refit sums in this order, so a restored pilot would refit
+    # estimates a rounding error away from the run that recorded it.
     return {
         "relation": obs.relation,
         "attribute_index": obs.attribute_index,
         "documents_processed": obs.documents_processed,
         "productive_documents": obs.productive_documents,
         "unproductive_documents": obs.unproductive_documents,
-        "sample_frequency": dict(obs.sample_frequency),
-        "tuples_per_document": {
-            str(k): v for k, v in obs.tuples_per_document.items()
-        },
-        "value_confidences": {
-            value: list(confs) for value, confs in obs.value_confidences.items()
-        },
+        "sample_frequency": [
+            [value, count] for value, count in obs.sample_frequency.items()
+        ],
+        "tuples_per_document": [
+            [k, v] for k, v in obs.tuples_per_document.items()
+        ],
+        "value_confidences": [
+            [value, list(confs)]
+            for value, confs in obs.value_confidences.items()
+        ],
     }
+
+
+def _pairs(data: Any) -> List[Tuple[Any, Any]]:
+    """Key/value pairs of a snapshot tally: a pair list, or (older
+    snapshots) a JSON object."""
+    return list(data.items()) if isinstance(data, dict) else list(data)
 
 
 def _restore_observations(
@@ -107,14 +120,17 @@ def _restore_observations(
         data["documents_processed"] - data["productive_documents"],
     )
     obs.sample_frequency.clear()
-    obs.sample_frequency.update(data["sample_frequency"])
+    obs.sample_frequency.update(dict(_pairs(data["sample_frequency"])))
     obs.tuples_per_document.clear()
     obs.tuples_per_document.update(
-        {int(k): v for k, v in data["tuples_per_document"].items()}
+        {int(k): v for k, v in _pairs(data["tuples_per_document"])}
     )
     obs.value_confidences.clear()
     obs.value_confidences.update(
-        {value: list(confs) for value, confs in data["value_confidences"].items()}
+        {
+            value: list(confs)
+            for value, confs in _pairs(data["value_confidences"])
+        }
     )
 
 

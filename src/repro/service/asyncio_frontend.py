@@ -327,10 +327,12 @@ class AsyncServiceServer:
                 )
                 content_type, extra, force_close = JSON_CONTENT_TYPE, (), False
             close = close or force_close
+            # Counted before the write: a client can read its response
+            # while drain() is still pending on this side.
+            self.requests_served += 1
             await self._write(
                 writer, status, body, content_type, extra, close
             )
-            self.requests_served += 1
             if close:
                 return
 

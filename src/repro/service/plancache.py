@@ -23,6 +23,12 @@ changed — and must never reuse one whose statistics have.
 Within one live key the cache further memoizes full
 :class:`~repro.optimizer.optimizer.OptimizationResult` objects per
 requirement, so a repeated (task, τg, τb) costs a dict lookup.
+
+The service's plan-mode and warm execute-mode requests share one cache:
+both build their optimizer from the same stored statistics under the
+same key.  Per-entry bookkeeping (tallies already published as metrics,
+probe triples already persisted) lives on the entry itself, so eviction
+and invalidation drop it together with the optimizer.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 from ..core.plan import JoinPlanSpec
 from ..core.preferences import QualityRequirement
@@ -67,6 +73,12 @@ class _Entry:
         self.results: Dict[
             Tuple[float, float], OptimizationResult
         ] = {}
+        #: pruning tallies already handed out by :meth:`PlanCache.unpublished`
+        self.published: Dict[str, int] = {}
+        #: probe triples the statistics store holds for this optimizer:
+        #: whatever it imported at build time, then the last export
+        probe_count = getattr(optimizer, "probe_count", None)
+        self.persisted_probes = probe_count() if probe_count else 0
 
 
 class PlanCache:
@@ -156,12 +168,72 @@ class PlanCache:
         """The live cached optimizer for *key*, or None.
 
         A peek, not a use: the entry's LRU position is left alone.  The
-        service uses this to export freshly computed probe curves after an
-        optimization went through :meth:`optimize`.
+        service uses this to reach a cached multiway planner's model after
+        an optimization went through :meth:`optimize`.
         """
         with self._lock:
             entry = self._entries.get(key)
             return entry.optimizer if entry is not None else None
+
+    def curve_points(
+        self,
+        key: PlanCacheKey,
+        plan: JoinPlanSpec,
+        optimizer_factory: Callable[[], JoinOptimizer],
+    ) -> Any:
+        """*key*'s effort curve for *plan*, built under the cache lock.
+
+        ``JoinOptimizer.curve_points`` builds engine curves on demand, and
+        two threads building curves on one optimizer would race.  An entry
+        evicted since its optimization is rebuilt from *optimizer_factory*
+        for this one curve (same statistics, so the same curve) and not
+        cached again.
+        """
+        with self._lock:
+            entry = self._entries.get(key)
+            optimizer = (
+                entry.optimizer if entry is not None else optimizer_factory()
+            )
+            return optimizer.curve_points(plan)
+
+    def unpublished(self, key: PlanCacheKey) -> Dict[str, int]:
+        """Pruning-tally growth of *key*'s optimizer since the last call.
+
+        Each increment is handed out once, so callers folding the deltas
+        into monotone counters never count one twice; {} for a key with
+        no live entry.
+        """
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None:
+                return {}
+            tallies = entry.optimizer.pruning.as_dict()
+            delta = {
+                name: value - entry.published.get(name, 0)
+                for name, value in tallies.items()
+                if value > entry.published.get(name, 0)
+            }
+            entry.published = tallies
+            return delta
+
+    def unpersisted_probes(
+        self, key: PlanCacheKey
+    ) -> Optional[Dict[str, dict]]:
+        """*key*'s probe export if it holds probes the store lacks, else None.
+
+        The returned probes count as persisted from then on; the caller
+        writes them to the store.
+        """
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None:
+                return None
+            payload = entry.optimizer.export_probes()
+            count = sum(len(record["probes"]) for record in payload.values())
+            if count <= entry.persisted_probes:
+                return None
+            entry.persisted_probes = count
+            return payload
 
     def aggregate_counters(self) -> Dict[str, int]:
         """Pruning/curve-reuse tallies summed over all optimizers ever cached.

@@ -30,7 +30,8 @@ requests through a fixed worker pool:
   replays stored observations instead of re-scanning the databases.
   After any run that pulled fresh pilot documents, the store is updated
   (atomically) for the next request;
-* **plan caching** — ``plan``-mode requests are answered from the
+* **plan caching** — ``plan``-mode requests, and the first round of
+  fully-warm ``execute``-mode requests, are answered from one
   :class:`~repro.service.plancache.PlanCache` over an optimizer built
   purely from *stored* statistics: repeated τ levels cost a dict lookup,
   new τ levels reuse the cached effort curves, and any statistics update
@@ -83,6 +84,12 @@ from .coalesce import RequestCoalescer
 from .plancache import PlanCache, PlanCacheKey
 from .shards import ShardedStatisticsStore
 from .store import WarmStartPolicy, task_signature
+
+#: (side-1 parameters, side-2 parameters, overlap classes) read from the
+#: store — everything the stored-statistics catalog is built from
+StoredStatistics = Tuple[
+    EstimatedParameters, EstimatedParameters, ValueOverlapModel
+]
 
 
 class ServiceBusyError(RuntimeError):
@@ -234,6 +241,36 @@ class _MultiwayPlannerAdapter:
         return result
 
 
+class _CachedOptimizer:
+    """One plan-cache key as the adaptive driver's shared optimizer.
+
+    Implements :class:`~repro.optimizer.adaptive.SharedOptimizer`: a
+    fully-warm execute request optimizes through the same cache entry,
+    key and factory a plan-mode request would use.
+    """
+
+    def __init__(
+        self,
+        cache: PlanCache,
+        key: PlanCacheKey,
+        factory: Callable[[], JoinOptimizer],
+        statistics: StoredStatistics,
+    ) -> None:
+        self.cache = cache
+        self.key = key
+        self.factory = factory
+        self.statistics = statistics
+
+    def optimize(self, plans, requirement) -> OptimizationResult:
+        result, _ = self.cache.optimize(
+            self.key, plans, requirement, self.factory
+        )
+        return result
+
+    def curve_points(self, plan):
+        return self.cache.curve_points(self.key, plan, self.factory)
+
+
 class JoinService:
     """Worker pool + statistics store + plan cache around one join task."""
 
@@ -349,18 +386,13 @@ class JoinService:
         )
         #: access paths the optimizer degraded around in past requests
         self._unavailable_paths: List[str] = []
-        #: curve-store bookkeeping: whether a fresh plan-mode optimizer
+        #: curve-store bookkeeping: whether a fresh plan-cache optimizer
         #: found persisted probes (hits/misses are per optimizer build,
-        #: serialized by the plan cache's own lock), how many probes each
-        #: cached optimizer had when last persisted, and how many exports
+        #: serialized by the plan cache's own lock) and how many exports
         #: were written
         self._curve_store_hits = 0
         self._curve_store_misses = 0
         self._curve_exports = 0
-        self._curve_probe_counts: Dict[PlanCacheKey, int] = {}
-        #: per-key pruning tallies already folded into the service
-        #: counters (guarded by ``_metrics_lock``)
-        self._pruning_published: Dict[PlanCacheKey, Dict[str, int]] = {}
         #: request id -> Deadline, registered at admission, claimed by
         #: the worker that picks the request up
         self._deadlines: Dict[int, Deadline] = {}
@@ -373,7 +405,7 @@ class JoinService:
         )
         self._closed = threading.Event()
         #: can a degraded (plan-only) answer be served right now?
-        self._warm_available = self._stored_catalog() is not None
+        self._warm_available = self._stored_statistics() is not None
         self._workers = [
             threading.Thread(
                 target=self._worker, name=f"join-service-{n}", daemon=True
@@ -852,11 +884,24 @@ class JoinService:
         deadline: Optional[Deadline] = None,
         observability: Optional[ObservabilityContext] = None,
     ) -> Dict[str, Any]:
+        key: Optional[PlanCacheKey] = None
+        # One lock section: the warm start, the stored statistics and the
+        # plan-cache key all describe the same store generation.
         with self._store_lock:
             warm = self.store.warm_start_for(
                 self.signature,
                 (self.task.database1, self.task.database2),
                 policy=self.warm_policy,
+            )
+            stored = self._stored_statistics() if warm is not None else None
+            if stored is not None:
+                key, factory = self._plan_source(stored)
+        if key is not None:
+            # The driver answers its first round from the plan cache when
+            # the refit reproduces the stored statistics (DESIGN §6.4).
+            warm = replace(
+                warm,
+                shared=_CachedOptimizer(self.plan_cache, key, factory, stored),
             )
         environment = self.task.environment()
         environment.observability = observability
@@ -893,6 +938,8 @@ class JoinService:
             warm=warm is not None,
         ):
             result = driver.run(request.requirement)
+        if key is not None:
+            self._publish_plan_counters(key)
         self._absorb(result, observability)
         if observability is not None:
             # Trace files are written later, only for events the tail
@@ -943,7 +990,7 @@ class JoinService:
                 drift_snapshots=drift,
             )
             # Fresh statistics may have just unlocked the degrade rung.
-            self._warm_available = self._stored_catalog() is not None
+            self._warm_available = self._stored_statistics() is not None
 
     def _response(
         self, request: JoinRequest, result: AdaptiveResult
@@ -995,28 +1042,46 @@ class JoinService:
     # -- plan-only mode (stored statistics + plan cache) -----------------------
 
     def _handle_plan(self, request: JoinRequest) -> Dict[str, Any]:
-        databases = (self.task.database1, self.task.database2)
         with self._store_lock:
-            catalog = self._stored_catalog()
-            generation = self.store.generation
-            paths = tuple(self._unavailable_paths)
-            stored_curves = (
-                self.store.curves_for(self.signature, databases, generation)
-                if catalog is not None
-                else None
-            )
-        if catalog is None:
+            stored = self._stored_statistics()
+            if stored is not None:
+                key, factory = self._plan_source(stored)
+        if stored is None:
             raise ValueError(
                 "no fresh statistics stored for this task; run an "
                 "execute-mode request first"
             )
-        key = PlanCacheKey.of(self.signature, generation, paths)
+        result, _ = self.plan_cache.optimize(
+            key, self.plans, request.requirement, factory
+        )
+        self._persist_curves(key)
+        self._publish_plan_counters(key)
+        return self._plan_response(request, result)
+
+    def _plan_source(
+        self, stored: StoredStatistics
+    ) -> Tuple[PlanCacheKey, Callable[[], JoinOptimizer]]:
+        """The plan-cache key and optimizer factory for *stored*.
+
+        Shared by plan mode and warm execute mode.  The caller holds
+        ``_store_lock``, so the key's generation, the unavailable paths
+        and the persisted curves describe the same statistics as *stored*.
+        """
+        generation = self.store.generation
+        key = PlanCacheKey.of(
+            self.signature, generation, self._unavailable_paths
+        )
+        stored_curves = self.store.curves_for(
+            self.signature,
+            (self.task.database1, self.task.database2),
+            generation,
+        )
 
         def factory() -> JoinOptimizer:
             # Called under the plan cache's lock, so the plain-int curve
             # tallies below are serialized without taking another lock.
             optimizer = JoinOptimizer(
-                catalog,
+                self._stored_catalog(stored),
                 costs=self.task.costs,
                 feasibility_margin=self.margin,
                 prune=True,
@@ -1030,81 +1095,57 @@ class JoinService:
                 self._curve_store_hits += 1
             else:
                 self._curve_store_misses += 1
-            # Probes the store already holds need no re-export.
-            self._curve_probe_counts[key] = optimizer.probe_count()
             return optimizer
 
-        result, _ = self.plan_cache.optimize(
-            key, self.plans, request.requirement, factory
-        )
-        self._persist_curves(key, databases, generation)
-        self._publish_plan_counters(key)
-        return self._plan_response(request, result)
+        return key, factory
 
-    def _persist_curves(
-        self,
-        key: PlanCacheKey,
-        databases: Tuple[Any, Any],
-        generation: int,
-    ) -> None:
+    def _persist_curves(self, key: PlanCacheKey) -> None:
         """Write the cached optimizer's probe curves back to the store.
 
         Only when the optimizer computed probes the store does not hold
         yet — repeated requirements over a warm store are read-only, so
         their responses stay independent of request order.
         """
-        optimizer = self.plan_cache.optimizer_for(key)
-        if optimizer is None:
-            return  # evicted between optimize and now; nothing to export
-        count = optimizer.probe_count()
-        if count <= self._curve_probe_counts.get(key, 0):
-            return
-        payload = optimizer.export_probes()
+        payload = self.plan_cache.unpersisted_probes(key)
+        if payload is None:
+            return  # nothing new, or evicted since the optimization
         with self._store_lock:
-            if self.store.generation != generation:
+            if self.store.generation != key.generation:
                 # Statistics moved on while we optimized; these probes
                 # describe curves of a superseded generation.
                 return
             self.store.record_curves(
-                self.signature, databases, generation, payload
+                self.signature,
+                (self.task.database1, self.task.database2),
+                key.generation,
+                payload,
             )
             self.store.save()
-        self._curve_probe_counts[key] = count
         self._curve_exports += 1
 
     def _publish_plan_counters(self, key: PlanCacheKey) -> None:
         """Fold the cached optimizer's pruning tallies into the metrics.
 
-        Deltas against the last published snapshot per key, so the
+        The plan cache hands out each tally increment once, so the
         service-level ``repro_plans_pruned_total`` and
         ``repro_curve_cache_hits_total`` counters stay monotone however
         many requests share one optimizer.
         """
-        optimizer = self.plan_cache.optimizer_for(key)
-        if optimizer is None:
-            return
-        tallies = optimizer.pruning.as_dict()
+        delta = self.plan_cache.unpublished(key)
         with self._metrics_lock:
-            published = self._pruning_published.setdefault(key, {})
             for reason in (
                 "infeasible_bound",
                 "infeasible_tau_bad",
                 "dominated",
             ):
-                delta = tallies[reason] - published.get(reason, 0)
-                if delta > 0:
+                if delta.get(reason):
                     self.metrics.counter(
                         "repro_plans_pruned_total", reason=reason
-                    ).inc(delta)
-                    published[reason] = tallies[reason]
-            delta = tallies["curve_import_hits"] - published.get(
-                "curve_import_hits", 0
-            )
-            if delta > 0:
+                    ).inc(delta[reason])
+            if delta.get("curve_import_hits"):
                 self.metrics.counter(
                     "repro_curve_cache_hits_total", source="store"
-                ).inc(delta)
-                published["curve_import_hits"] = tallies["curve_import_hits"]
+                ).inc(delta["curve_import_hits"])
 
     def _plan_response(
         self, request: JoinRequest, result: OptimizationResult
@@ -1302,24 +1343,17 @@ class JoinService:
 
     def _publish_multiway_counters(self, key: PlanCacheKey) -> None:
         """Delta-publish the cached planner's search tallies as counters."""
-        adapter = self.plan_cache.optimizer_for(key)
-        if adapter is None:
-            return
-        tallies = adapter.pruning.as_dict()
+        delta = self.plan_cache.unpublished(key)
         with self._metrics_lock:
-            published = self._pruning_published.setdefault(key, {})
-            for name, value in sorted(tallies.items()):
-                delta = value - published.get(name, 0)
-                if delta > 0:
-                    event = (
-                        name[len("planner_"):]
-                        if name.startswith("planner_")
-                        else name
-                    )
-                    self.metrics.counter(
-                        "repro_planner_events_total", event=event
-                    ).inc(delta)
-                    published[name] = value
+            for name, value in sorted(delta.items()):
+                event = (
+                    name[len("planner_"):]
+                    if name.startswith("planner_")
+                    else name
+                )
+                self.metrics.counter(
+                    "repro_planner_events_total", event=event
+                ).inc(value)
 
     def _multiway_facts(self, result: PlannerResult) -> Dict[str, Any]:
         """Planning facts alone — the store-journaled (and cacheable) part."""
@@ -1402,14 +1436,13 @@ class JoinService:
             ).inc()
         return response
 
-    def _stored_catalog(self) -> Optional[StatisticsCatalog]:
-        """A statistics catalog built purely from the store, or None.
+    def _stored_statistics(self) -> Optional[StoredStatistics]:
+        """The task's stored MLE parameters and overlap classes, or None.
 
-        Mirrors the adaptive driver's catalog construction, substituting
-        the stored MLE parameters and overlap-class sizes for a live
-        pilot's — for an unchanged corpus these are the exact values the
-        warm-started driver would refit, so cached plan answers agree
-        with what an execute-mode request would choose.
+        For an unchanged corpus these are the exact values the
+        warm-started driver would refit from the stored pilot; the driver
+        checks that before it shares a plan-cache optimizer.  Caller holds
+        ``_store_lock`` (or is the constructor).
         """
         record = self.store.task_record(
             self.signature, (self.task.database1, self.task.database2)
@@ -1418,30 +1451,32 @@ class JoinService:
             return None
         if not self.warm_policy.fresh(record, now=self.store.clock()):
             return None
-        sides = []
-        for database, extractor, characterization in (
-            (
-                self.task.database1,
-                self.task.extractor1.name,
-                self.task.characterization1,
-            ),
-            (
-                self.task.database2,
-                self.task.extractor2.name,
-                self.task.characterization2,
-            ),
+        parameters = []
+        for database, extractor in (
+            (self.task.database1, self.task.extractor1.name),
+            (self.task.database2, self.task.extractor2.name),
         ):
-            parameters = self.store.side_parameters(
+            side = self.store.side_parameters(
                 database, extractor, self.pilot_theta
             )
-            if parameters is None:
+            if side is None:
                 return None
-            sides.append((database, characterization, parameters))
+            parameters.append(side)
         overlap = ValueOverlapModel(**record["overlap"])
+        return parameters[0], parameters[1], overlap
 
-        def builder(entry):
-            database, characterization, parameters = entry
+    def _stored_catalog(self, stored: StoredStatistics) -> StatisticsCatalog:
+        """A statistics catalog built purely from stored statistics.
 
+        Mirrors the adaptive driver's catalog construction, substituting
+        the stored MLE parameters and overlap-class sizes for a live
+        pilot's — for an unchanged corpus these are the exact values the
+        warm-started driver would refit, so cached plan answers agree
+        with what an execute-mode request would choose.
+        """
+        parameters1, parameters2, overlap = stored
+
+        def builder(database, characterization, parameters):
             def build(theta: float) -> SideStatistics:
                 return _side_statistics(
                     database, characterization, parameters, theta
@@ -1450,8 +1485,12 @@ class JoinService:
             return build
 
         return StatisticsCatalog(
-            side_builder1=builder(sides[0]),
-            side_builder2=builder(sides[1]),
+            side_builder1=builder(
+                self.task.database1, self.task.characterization1, parameters1
+            ),
+            side_builder2=builder(
+                self.task.database2, self.task.characterization2, parameters2
+            ),
             classifier1=self.task.offline_classifier_profile1,
             classifier2=self.task.offline_classifier_profile2,
             queries1=tuple(self.task.offline_query_stats1),

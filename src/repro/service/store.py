@@ -29,7 +29,6 @@ rather than crashing the service.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import math
 import os
@@ -84,20 +83,12 @@ class StoreError(RuntimeError):
 def corpus_fingerprint(database: TextDatabase) -> str:
     """A stable digest of a corpus's identity and contents.
 
-    Covers the database name, search-interface cap, scan/rank seed, and
-    each document's (id, token count) pair — cheap to compute, yet any
-    regeneration that changes the document set, their sizes, or the scan
-    order produces a different digest.
+    :attr:`TextDatabase.fingerprint`: the database name, search-interface
+    cap, scan/rank seed, and each document's (id, token count) pair.  The
+    digest is computed once per database object, so the fingerprint check
+    on every store lookup costs an attribute read.
     """
-    digest = hashlib.blake2b(digest_size=16)
-    digest.update(
-        f"{database.name}|{len(database)}|{database.max_results}|"
-        f"{database.rank_seed}".encode()
-    )
-    for document in database.documents:
-        n_tokens = sum(len(sentence) for sentence in document.sentences)
-        digest.update(f"|{document.doc_id}:{n_tokens}".encode())
-    return digest.hexdigest()
+    return database.fingerprint
 
 
 def task_signature(

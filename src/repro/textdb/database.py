@@ -22,6 +22,7 @@ sequential (Scan/Filtered-Scan) access.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import random
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -64,6 +65,25 @@ class TextDatabase:
         """Deterministic per-(query, document) rank for top-k truncation."""
         payload = f"{self._rank_seed}|{'|'.join(tokens)}|{doc_id}".encode()
         return int.from_bytes(hashlib.blake2b(payload, digest_size=8).digest(), "big")
+
+    @functools.cached_property
+    def fingerprint(self) -> str:
+        """A stable digest of the corpus's identity and contents.
+
+        Covers the database name, search-interface cap, scan/rank seed, and
+        each document's (id, token count) pair — any regeneration that
+        changes the document set, their sizes, or the scan order produces
+        a different digest.  Computed once: the database is immutable.
+        """
+        digest = hashlib.blake2b(digest_size=16)
+        digest.update(
+            f"{self.name}|{len(self)}|{self.max_results}|"
+            f"{self.rank_seed}".encode()
+        )
+        for document in self.documents:
+            n_tokens = sum(len(sentence) for sentence in document.sentences)
+            digest.update(f"|{document.doc_id}:{n_tokens}".encode())
+        return digest.hexdigest()
 
     def __len__(self) -> int:
         return len(self._documents)

@@ -9,6 +9,7 @@ with the same ``request_json`` client the threaded tests use.
 
 from __future__ import annotations
 
+import asyncio
 import json
 import socket
 import threading
@@ -132,6 +133,32 @@ class TestAsyncProtocol:
                 assert headers.get("connection") != "close"
                 assert json.loads(body)["status"] == "ok"
         assert server.requests_served >= 3
+
+    def test_request_counted_before_a_slow_drain(self):
+        # The response bytes reach the client while drain() still waits;
+        # the request must already be counted when the client reads it.
+        class SlowDrainServer(AsyncServiceServer):
+            async def _write(self, writer, *args, **kwargs):
+                drain = writer.drain
+
+                async def slow_drain():
+                    await asyncio.sleep(1.0)
+                    await drain()
+
+                writer.drain = slow_drain
+                await super()._write(writer, *args, **kwargs)
+
+        server = SlowDrainServer(
+            StubService(), request_timeout=2.0, executor_workers=2
+        ).start()
+        try:
+            with _connect(server) as sock:
+                _send_request(sock, "GET", "/v1/healthz")
+                status, _, _ = _read_response(sock)
+                assert status == 200
+                assert server.requests_served == 1
+        finally:
+            server.shutdown()
 
     def test_post_join_round_trip(self, stub_async):
         service, server = stub_async

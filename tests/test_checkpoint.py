@@ -2,6 +2,7 @@
 fresh executor must finish with exactly the report of the uninterrupted
 run."""
 
+import json
 import time
 
 import pytest
@@ -97,6 +98,56 @@ class TestIndependentJoinCheckpoint:
         assert fresh.session.time.total == pytest.approx(
             executor.session.time.total
         )
+
+
+    def test_observation_order_survives_a_sorted_json_round_trip(
+        self, inputs
+    ):
+        # Stores write sorted JSON keys; the MLE sums observations in
+        # insertion order, so a restored pilot must keep that order.
+        executor = _idjn(inputs)
+        executor.run(budgets=Budgets(max_documents1=40, max_documents2=40))
+        stored = json.loads(
+            json.dumps(checkpoint_execution(executor), sort_keys=True)
+        )
+        fresh = _idjn(inputs)
+        restore_execution(fresh, stored)
+        for side in (1, 2):
+            live = executor.session.collector.side(side)
+            restored = fresh.session.collector.side(side)
+            assert live.sample_frequency  # the order check is not vacuous
+            for name in (
+                "sample_frequency",
+                "tuples_per_document",
+                "value_confidences",
+            ):
+                assert list(getattr(restored, name).items()) == list(
+                    getattr(live, name).items()
+                )
+
+    def test_restores_object_shaped_tallies_of_older_snapshots(
+        self, inputs
+    ):
+        executor = _idjn(inputs)
+        executor.run(budgets=Budgets(max_documents1=25, max_documents2=25))
+        snapshot = checkpoint_execution(executor)
+        for observations in snapshot["observations"].values():
+            for name in (
+                "sample_frequency",
+                "tuples_per_document",
+                "value_confidences",
+            ):
+                observations[name] = {
+                    str(key): value for key, value in observations[name]
+                }
+        fresh = _idjn(inputs)
+        restore_execution(fresh, snapshot)
+        for side in (1, 2):
+            live = executor.session.collector.side(side)
+            restored = fresh.session.collector.side(side)
+            assert restored.sample_frequency == live.sample_frequency
+            assert restored.tuples_per_document == live.tuples_per_document
+            assert restored.value_confidences == live.value_confidences
 
 
 class TestOuterInnerJoinCheckpoint:

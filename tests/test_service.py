@@ -13,12 +13,15 @@ The acceptance contracts from the serving subsystem's design:
   responses to serial execution of the same request sequence.
 """
 
+import json
 import os
 import pathlib
+import shutil
 import subprocess
 import sys
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -188,6 +191,27 @@ class TestStatisticsStore:
         )
         assert key not in store.sides
         assert store.generation > generation
+
+    def test_fingerprint_is_memoized_and_equals_a_fresh_digest(
+        self, hq_ex_task, monkeypatch
+    ):
+        database = hq_ex_task.database1
+        memoized = corpus_fingerprint(database)
+        # An identical corpus in a new object is digested from scratch.
+        twin = TextDatabase(
+            name=database.name,
+            documents=list(database.documents),
+            max_results=database.max_results,
+            rank_seed=database.rank_seed,
+        )
+        assert corpus_fingerprint(twin) == memoized
+        # The second lookup on an object never re-reads its documents.
+        monkeypatch.setattr(
+            TextDatabase,
+            "documents",
+            property(lambda _: pytest.fail("documents re-hashed")),
+        )
+        assert corpus_fingerprint(database) == memoized
 
     def test_stale_fingerprint_rejects_warm_start(
         self, populated_store, hq_ex_task
@@ -463,6 +487,17 @@ class _StubOptimizer:
         return (requirement.tau_good, requirement.tau_bad, self.calls)
 
 
+class _TalliedStub(_StubOptimizer):
+    """A stub whose pruning tallies grow by one per optimization."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.pruning = self
+
+    def as_dict(self):
+        return {"dominated": self.calls}
+
+
 class TestPlanCache:
     def _cache_and_factory(self, **kwargs):
         cache = PlanCache(**kwargs)
@@ -538,6 +573,51 @@ class TestPlanCache:
     def test_validates_capacity(self):
         with pytest.raises(ValueError):
             PlanCache(max_entries=0)
+
+    def test_unpublished_hands_out_each_increment_once(self):
+        cache = PlanCache()
+        key = PlanCacheKey.of("sig", 1)
+        cache.optimize(key, ["p"], QualityRequirement(1, 2), _TalliedStub)
+        assert cache.unpublished(key) == {"dominated": 1}
+        assert cache.unpublished(key) == {}
+        cache.optimize(key, ["p"], QualityRequirement(3, 2), _TalliedStub)
+        assert cache.unpublished(key) == {"dominated": 1}
+        assert cache.unpublished(PlanCacheKey.of("sig", 9)) == {}
+
+    def test_curve_points_survive_eviction_without_recaching(self):
+        class Curved(_StubOptimizer):
+            def curve_points(self, plan):
+                return plan, self
+
+        cache = PlanCache(max_entries=1)
+        built = []
+
+        def factory():
+            built.append(Curved())
+            return built[-1]
+
+        key = PlanCacheKey.of("one", 1)
+        requirement = QualityRequirement(1, 2)
+        cache.optimize(key, ["p"], requirement, factory)
+        assert cache.curve_points(key, "p", factory) == ("p", built[0])
+        cache.optimize(PlanCacheKey.of("two", 1), ["p"], requirement, factory)
+        assert cache.curve_points(key, "p", factory) == ("p", built[2])
+        assert cache.optimizer_for(key) is None and len(cache) == 1
+
+    def test_per_key_tallies_leave_with_their_entry(self):
+        cache = PlanCache(max_entries=2)
+        requirement = QualityRequirement(1, 2)
+        for generation in range(1, 6):
+            for paths in ((), ("aqg:1",), ("aqg:2",)):
+                key = PlanCacheKey.of("sig", generation, paths)
+                cache.optimize(key, ["p"], requirement, _TalliedStub)
+                assert cache.unpublished(key) == {"dominated": 1}
+            assert len(cache) <= 2
+        # A key rebuilt after eviction starts its tallies from scratch.
+        first = PlanCacheKey.of("sig", 5)
+        assert cache.optimizer_for(first) is None
+        cache.optimize(first, ["p"], requirement, _TalliedStub)
+        assert cache.unpublished(first) == {"dominated": 1}
 
 
 class TestHTTPService:
@@ -1226,3 +1306,198 @@ class TestServiceIntrospection:
         finally:
             plain.close()
             instrumented.close()
+
+
+def _store_copy(service, target):
+    """A private copy of *service*'s store directory."""
+    shutil.copytree(service.store.root, target)
+    return str(target)
+
+
+def _drift_recorder(service):
+    """Record every execute request's drift snapshots, by requirement."""
+    recorded = []
+    absorb = service._absorb
+
+    def recording(result, observability):
+        snapshots = [s.to_dict() for s in observability.drift.snapshots]
+        recorded.append(
+            (
+                result.requirement.tau_good,
+                result.requirement.tau_bad,
+                json.dumps(snapshots, sort_keys=True),
+            )
+        )
+        absorb(result, observability)
+
+    service._absorb = recording
+    return recorded
+
+
+#: the execute-request grid the shared-optimizer tests sweep
+SHARED_GRID = [
+    (good, bad)
+    for good in (10, 20, 40, 80, 150, 300, 600)
+    for bad in (15, 60, TAU_BAD)
+]
+
+
+@pytest.fixture(scope="module")
+def two_round_service(hq_ex_task, tmp_path_factory):
+    """A service seeded by a cold execute that ran both pilot rounds, so
+    every later execute restores a converged pilot and stays read-only."""
+    root = tmp_path_factory.mktemp("two-round-store")
+    service = JoinService(
+        hq_ex_task, str(root), workers=1, pilot_documents=PILOT
+    )
+    cold = service.execute(JoinRequest(tau_good=20, tau_bad=40))
+    assert cold["rounds"] == 2
+    yield service
+    service.close()
+
+
+class TestSharedPlanCache:
+    """Warm execute requests optimize through the plan-mode cache."""
+
+    def test_plan_cache_optimizer_equals_a_fresh_refit(
+        self, two_round_service, hq_ex_task
+    ):
+        service = two_round_service
+        with service._store_lock:
+            warm = service.store.warm_start_for(
+                service.signature,
+                (hq_ex_task.database1, hq_ex_task.database2),
+                policy=service.warm_policy,
+            )
+            stored = service._stored_statistics()
+            key, factory = service._plan_source(stored)
+        assert warm is not None and warm.documents >= PILOT
+        assert warm.rounds == 2  # the driver stops after one refit
+
+        def evaluations(result):
+            return [
+                (
+                    e.plan.describe(),
+                    e.feasible,
+                    e.pruned,
+                    e.effort_fraction,
+                    e.prediction.n_good if e.prediction else None,
+                    e.prediction.n_bad if e.prediction else None,
+                    e.predicted_time,
+                )
+                for e in result.evaluations
+            ]
+
+        for good, bad in SHARED_GRID:
+            requirement = QualityRequirement(tau_good=good, tau_bad=bad)
+            fresh = _driver(hq_ex_task, warm_start=warm).run(requirement)
+            assert fresh.rounds == 2 and fresh.pilot_fresh_documents == 0
+            assert fresh.estimates[0].parameters == stored[0]
+            assert fresh.estimates[1].parameters == stored[1]
+            cached, _ = service.plan_cache.optimize(
+                key, service.plans, requirement, factory
+            )
+            assert evaluations(cached) == evaluations(fresh.optimization)
+
+    def test_warm_execute_and_plan_requests_share_one_entry(
+        self, two_round_service, hq_ex_task, tmp_path
+    ):
+        warmed = two_round_service
+        with JoinService(
+            hq_ex_task,
+            _store_copy(warmed, tmp_path / "store"),
+            workers=1,
+            pilot_documents=PILOT,
+        ) as service:
+            execute = JoinRequest(tau_good=TAU_GOOD + 7, tau_bad=TAU_BAD)
+            answer = service.execute(execute)
+            assert answer["warm_started"]
+            assert answer["pilot_fresh_documents"] == 0
+            stats = service.plan_cache.stats()
+            assert stats["entries"] == 1 and stats["optimizer_misses"] == 1
+            # The plan request for the same requirement is a result hit.
+            plan = service.execute(replace(execute, mode="plan"))
+            assert plan["plan"] == answer["plan"]
+            after = service.plan_cache.stats()
+            assert after["hits"] == stats["hits"] + 1
+            assert after["optimizer_misses"] == 1
+            assert "repro_plans_pruned_total" in service.render_metrics()
+
+    def test_interleaved_workers_match_a_serial_run(
+        self, two_round_service, hq_ex_task, tmp_path
+    ):
+        warmed = two_round_service
+        requests = [
+            JoinRequest(tau_good=good, tau_bad=bad, mode=mode)
+            for good, bad in SHARED_GRID[::4]
+            for mode in ("plan", "execute", "execute")
+        ]
+
+        def serve(root, concurrent):
+            # A queue deep enough that admission never degrades.
+            with JoinService(
+                hq_ex_task,
+                root,
+                workers=2,
+                queue_limit=2 * len(requests),
+                pilot_documents=PILOT,
+            ) as service:
+                drift = _drift_recorder(service)
+                if concurrent:
+                    futures = [service.submit(r) for r in requests]
+                    responses = [f.result(timeout=600) for f in futures]
+                else:
+                    responses = [service.execute(r) for r in requests]
+                return (
+                    [response_json(r) for r in responses],
+                    sorted(drift),
+                    service.plan_cache.stats(),
+                )
+
+        serial, serial_drift, _ = serve(
+            _store_copy(warmed, tmp_path / "serial"), concurrent=False
+        )
+        concurrent, concurrent_drift, stats = serve(
+            _store_copy(warmed, tmp_path / "concurrent"), concurrent=True
+        )
+        assert concurrent == serial
+        assert concurrent_drift == serial_drift
+        assert len(serial_drift) == 2 * len(SHARED_GRID[::4])
+        for encoded in serial:
+            assert (
+                '"pilot_fresh_documents":0' in encoded
+                or '"mode":"plan"' in encoded
+            )
+        # One optimizer served every request; each requirement was
+        # optimized once and answered from the memo afterwards.
+        assert stats["optimizer_misses"] == 1
+        assert stats["misses"] == len(SHARED_GRID[::4])
+
+    def test_store_write_retires_the_shared_optimizer(
+        self, two_round_service, hq_ex_task, tmp_path
+    ):
+        warmed = two_round_service
+        with JoinService(
+            hq_ex_task,
+            _store_copy(warmed, tmp_path / "store"),
+            workers=1,
+            pilot_documents=PILOT,
+        ) as service:
+            request = JoinRequest(tau_good=TAU_GOOD, tau_bad=TAU_BAD)
+            assert service.execute(request)["pilot_fresh_documents"] == 0
+            generation = service.store.generation
+            (old_key,) = list(service.plan_cache._entries)
+            old = service.plan_cache.optimizer_for(old_key)
+            # Forget the task record: the next execute runs cold and
+            # writes the store, bumping the generation.
+            with service._store_lock:
+                del service.store.tasks[service.signature]
+            cold = service.execute(request)
+            assert cold["warm_started"] is False
+            assert service.store.generation > generation
+            warm = service.execute(request)
+            assert warm["warm_started"] and warm["pilot_fresh_documents"] == 0
+            (new_key,) = list(service.plan_cache._entries)
+            assert new_key.generation == service.store.generation
+            assert service.plan_cache.optimizer_for(new_key) is not old
+            assert service.plan_cache.stats()["invalidations"] >= 1
