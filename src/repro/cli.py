@@ -557,7 +557,7 @@ def _cmd_adaptive(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     from .robustness.checkpoint import CheckpointManager
     from .service import JoinService
-    from .service.http import serve, shutdown
+    from .service.asyncio_frontend import serve_async, shutdown_async
 
     _, task = _testbed_task(args)
     checkpoints = None
@@ -595,29 +595,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             "Pruned %d stale checkpoint(s) at startup",
             len(service.pruned_checkpoints),
         )
-    if args.frontend == "async":
-        from .service.asyncio_frontend import serve_async, shutdown_async
-
-        async_server = serve_async(
-            service,
-            host=args.host,
-            port=args.port,
-            request_timeout=args.request_timeout,
-        )
-        host, port = async_server.server_address[:2]
-        print(
-            f"Serving {task.name} on http://{host}:{port} "
-            f"(store: {service.store.root}) [frontend=async]",
-            flush=True,
-        )
-        try:
-            async_server.serve_forever()
-        except KeyboardInterrupt:
-            _LOG.info("Interrupted; draining the request queue")
-        finally:
-            shutdown_async(async_server)
-        return 0
-    server = serve(
+    server = serve_async(
         service,
         host=args.host,
         port=args.port,
@@ -634,7 +612,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     except KeyboardInterrupt:
         _LOG.info("Interrupted; draining the request queue")
     finally:
-        shutdown(server)
+        shutdown_async(server)
     return 0
 
 
@@ -814,7 +792,6 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
 
     from .service.loadtest import (
         LoadTestConfig,
-        run_frontend_benchmark,
         run_http_loadtest,
         run_local_loadtest,
     )
@@ -836,18 +813,11 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
         prewarm=not args.no_prewarm,
         timeout=args.timeout,
         idle_connections=args.idle_connections,
-        idle_scaling=args.idle_scaling,
         duplicate_burst=args.duplicate_burst,
         burst_rounds=args.burst_rounds,
     )
     if args.slo is not None:
         config.slo = args.slo
-    if args.frontend_bench:
-        # The comparison needs both sections to say anything.
-        if config.idle_connections <= 0:
-            config.idle_connections = 25
-        if config.duplicate_burst <= 0:
-            config.duplicate_burst = 8
     if args.url is not None:
         _LOG.info("Load-testing %s: %d requests", args.url, config.requests)
         payload = run_http_loadtest(args.url, config)
@@ -863,19 +833,6 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
             " with chaos" if config.chaos else "",
         )
         payload = run_local_loadtest(task, store, config)
-        if args.frontend_bench:
-            bench_store = (
-                f"{args.store}-frontend"
-                if args.store is not None
-                else tempfile.mkdtemp(prefix="repro-frontend-bench-")
-            )
-            _LOG.info(
-                "Front-end benchmark (threads vs async), store %s",
-                bench_store,
-            )
-            payload.update(
-                run_frontend_benchmark(task, bench_store, config)
-            )
     with open(args.out, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
@@ -911,22 +868,12 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
                 for name, entries in sorted(windows.items())
             )
             print(f"  priority={priority}: worst burn {burns}")
-    scaling = payload.get("connection_scaling")
-    if scaling is not None:
-        threads_side = scaling["threads"]["idle"]
-        async_side = scaling["async"]["idle"]
+    idle = payload.get("idle_connections")
+    if idle is not None:
         print(
-            f"Idle connections: threads={threads_side['live_at_open']}"
-            f"/{threads_side['target']} "
-            f"async={async_side['live_at_open']}/{async_side['target']} "
-            f"(ratio {scaling['idle_ratio']}x)"
-        )
-        print(
-            f"Mix p99 while parked: "
-            f"threads={scaling['threads']['p99_seconds'] * 1000:.1f}ms "
-            f"async={scaling['async']['p99_seconds'] * 1000:.1f}ms "
-            f"(equal within {scaling['equal_p99_tolerance']}x: "
-            f"{scaling['equal_p99']})"
+            f"Idle connections: {idle['live_at_open']}/{idle['target']} "
+            f"live at open, {idle['live_after_mix']} after the mix "
+            f"(thread cost {idle['thread_cost']})"
         )
     coalescing = payload.get("coalescing")
     if coalescing is not None:
@@ -1106,17 +1053,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--port", type=int, default=8023, help="port to bind (0 = any free)"
     )
     serve.add_argument(
-        "--frontend",
-        choices=("threads", "async"),
-        default="threads",
-        help=(
-            "connection handling: 'threads' (stdlib thread-per-"
-            "connection, the tested reference) or 'async' (event loop: "
-            "idle keep-alive connections cost a socket instead of a "
-            "thread, and duplicate in-flight plan requests coalesce)"
-        ),
-    )
-    serve.add_argument(
         "--store",
         default=".repro-service",
         help="statistics store directory (default .repro-service)",
@@ -1226,8 +1162,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=30.0,
         help=(
-            "per-connection socket timeout in seconds; a client that "
-            "stalls mid-request gets a 408 (default 30)"
+            "seconds a request may take: a client that stalls "
+            "mid-request gets a 408, a join without a deadline that "
+            "runs longer a 504 (default 30)"
         ),
     )
     serve.add_argument(
@@ -1484,16 +1421,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help=(
             "hold this many verified idle keep-alive connections open "
-            "for the duration of the run (0 disables)"
-        ),
-    )
-    loadtest.add_argument(
-        "--idle-scaling",
-        type=int,
-        default=10,
-        help=(
-            "frontend benchmark: the async front end holds "
-            "idle-connections * this many (default 10)"
+            "for the duration of the run (0 disables; in-process mode "
+            "boots an HTTP front end over a separate service for this "
+            "and --duplicate-burst)"
         ),
     )
     loadtest.add_argument(
@@ -1511,16 +1441,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=3,
         help="duplicate-burst rounds, each at a fresh requirement",
-    )
-    loadtest.add_argument(
-        "--frontend-bench",
-        action="store_true",
-        help=(
-            "in-process mode: additionally benchmark the threaded vs "
-            "async front ends over one shared service (idle keep-alive "
-            "scaling + duplicate-burst coalescing) and merge the "
-            "connection_scaling/coalescing sections into the report"
-        ),
     )
     loadtest.add_argument(
         "--out",

@@ -25,13 +25,13 @@ package turns it into a long-lived *service*:
   bounded-queue worker pool with admission control, end-to-end request
   deadlines, per-request resilience and observability contexts,
   warm-started adaptive runs, and graceful drain;
-* :mod:`~repro.service.http` — a stdlib ``ThreadingHTTPServer`` JSON API
-  (``/v1/join``, ``/v1/stats``, ``/v1/healthz``, ``/v1/metrics``)
-  exposed as ``repro serve`` / ``repro submit``;
-* :mod:`~repro.service.asyncio_frontend` — the event-loop front end
-  (``repro serve --frontend async``): thousands of idle keep-alive
-  connections without a thread each, join work dispatched to the same
-  bounded worker pool;
+* :mod:`~repro.service.asyncio_frontend` — the HTTP front end
+  (``repro serve``): an event loop holding thousands of idle keep-alive
+  connections without a thread each, join work dispatched to the
+  service's bounded worker pool;
+* :mod:`~repro.service.http` — the JSON API's read-only route table
+  (``/v1/stats``, ``/v1/healthz``, ``/v1/metrics``, ``/v1/debug/*``) and
+  the clients behind ``repro submit``;
 * :mod:`~repro.service.coalesce` — cross-request singleflight for
   plan-mode requests: duplicates of an in-flight computation attach as
   waiters and share its one result;

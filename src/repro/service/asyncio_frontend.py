@@ -1,44 +1,43 @@
-"""Asyncio front end for the join service (``repro serve --frontend async``).
+"""The HTTP front end of the join service (``repro serve``).
 
-The threaded front end (:mod:`~repro.service.http`) holds one thread per
-*connection*; a fleet of clients that keep idle keep-alive connections
-open therefore costs a thread each before any of them sends a request.
-This module replaces connection handling with a single-threaded asyncio
-event loop: thousands of idle connections are just registered sockets,
-request heads are parsed on the loop, and only *work* consumes threads —
-join requests dispatch to the service's bounded worker pool (via a small
+An asyncio event loop on one daemon thread handles every connection:
+idle keep-alive connections are just registered sockets, request heads
+are parsed on the loop, and only *work* consumes threads — join requests
+dispatch to the service's bounded worker pool (via a small
 ``run_in_executor`` bridge sized to the pool + admission queue, so the
-event loop never blocks on a lock or a store write).
+event loop never blocks on a lock or a store write).  The API itself is
+described in :mod:`~repro.service.http`, which also holds the read-only
+route table this server answers GETs through.
 
-Everything the threaded path promises is preserved:
+What the service promises survives the trip over HTTP:
 
 * the **admission ladder** runs unchanged inside ``service.submit`` —
   admits queue, degrades answer synchronously, sheds map to 503 with a
   jittered ``Retry-After`` header;
 * **deadlines** still start at admission, so queue wait counts against
-  the budget, and a service-side expiry maps to the same 504 carrying
-  partial progress;
-* requests without a deadline are still bounded by the front end's
+  the budget, and a service-side expiry maps to a 504 carrying partial
+  progress;
+* requests without a deadline are bounded by the front end's
   ``request_timeout`` backstop (504, connection closed), so a wedged
-  worker can never pin a connection forever;
-* the read-only API (``/v1/stats``, ``/v1/metrics``, ``/v1/debug/*``)
-  is answered through the same :func:`~repro.service.http.route_get`
-  table as the threaded handler, so the two front ends cannot drift.
+  worker can never pin a connection forever.
 
 On top of this the front end adds **cross-request coalescing**
 (:mod:`~repro.service.coalesce`): plan-mode requests — pure functions of
 ``(signature, store generation, requirement)`` — that duplicate an
 in-flight computation attach as waiters and share its one result.  A
 waiter's own deadline expiring detaches it (504) without disturbing the
-shared flight; the last waiter detaching cancels the flight.  The
-threaded front end deliberately does *not* coalesce: it remains the
-uncoalesced reference that byte-identity tests compare against.
+shared flight; the last waiter detaching cancels the flight.  A lone
+request never coalesces, so ``service.submit`` is the uncoalesced
+reference that byte-identity tests compare against.
 
-Connection-handling discipline (the same keep-alive hygiene the threaded
-``do_POST`` bug sweep pinned down): any request whose body cannot be
-fully consumed — oversized, truncated, bad ``Content-Length``, stalled
-mid-read — is answered with ``Connection: close`` and the connection is
-torn down, never left desynchronized with body bytes pending.
+Connection-handling discipline: any request whose body cannot be fully
+consumed — oversized, truncated, bad ``Content-Length``, stalled
+mid-read, ``Transfer-Encoding`` (411), or a body on a method that takes
+none — is answered with ``Connection: close`` and the connection is torn
+down, never left desynchronized with body bytes pending.  Keep-alive
+follows the request's protocol version: HTTP/1.1 connections persist
+unless the client sends ``Connection: close``; HTTP/1.0 connections
+close unless the client sends ``Connection: keep-alive``.
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ from http.client import responses as _STATUS_REASONS
 from typing import Any, Dict, Optional, Tuple
 
 from ..robustness.deadline import DeadlineExceeded
-from .coalesce import FlightCancelled, Waiter, submit_coalesced
+from .coalesce import FlightCancelled, submit_coalesced
 from .http import (
     DEFAULT_REQUEST_TIMEOUT,
     JSON_CONTENT_TYPE,
@@ -73,6 +72,9 @@ _READ_LIMIT = MAX_BODY_BYTES + 64 * 1024
 
 #: maximum number of request headers accepted
 _MAX_HEADERS = 100
+
+#: listen backlog: connections the kernel queues before accept
+_BACKLOG = 512
 
 #: extra executor threads beyond workers + queue: GET routes and
 #: admission probes that overlap in-flight joins
@@ -102,6 +104,14 @@ def _prespawn_workers(pool: ThreadPoolExecutor) -> None:
 
     for future in [pool.submit(_park) for _ in range(count)]:
         future.result(timeout=30.0)
+
+
+def _declares_body(headers: Dict[str, str]) -> bool:
+    """Whether the request announces body bytes via ``Content-Length``."""
+    try:
+        return int(headers.get("content-length", "0")) != 0
+    except ValueError:
+        return True
 
 
 class _HTTPError(Exception):
@@ -139,11 +149,12 @@ class AsyncServiceServer:
     """An asyncio HTTP server owning its event loop on a daemon thread.
 
     ``start()`` binds the socket and returns once ``server_address`` is
-    known (``port=0`` picks a free port, like the threaded server);
-    ``serve_forever()`` blocks the calling thread (the CLI path);
-    ``shutdown()`` stops accepting, cancels connection handlers, and
-    joins the loop thread.  The service itself is drained separately via
-    :func:`shutdown_async`, mirroring :func:`~repro.service.http.shutdown`.
+    known (``port=0`` picks a free port); ``serve_forever()`` blocks the
+    calling thread (the CLI path); ``shutdown()`` stops accepting,
+    cancels connection handlers, and joins the loop thread.  The service
+    itself is drained separately via :func:`shutdown_async`.
+    ``executor_workers`` overrides the bridge pool's size (tests use a
+    small fixed pool); by default it fits the service's workers + queue.
     """
 
     def __init__(
@@ -152,9 +163,6 @@ class AsyncServiceServer:
         host: str = "127.0.0.1",
         port: int = 0,
         request_timeout: Optional[float] = DEFAULT_REQUEST_TIMEOUT,
-        idle_timeout: Optional[float] = None,
-        backlog: int = 512,
-        coalesce: bool = True,
         executor_workers: Optional[int] = None,
     ) -> None:
         self.service = service
@@ -162,14 +170,9 @@ class AsyncServiceServer:
         self.port = port
         #: bounds reads *within* a request and the no-deadline wait on a
         #: submitted join; an idle connection between requests is not a
-        #: request and is governed by ``idle_timeout`` instead
+        #: request — it parks for as long as the client keeps it, at the
+        #: cost of a socket, not a thread
         self.request_timeout = request_timeout
-        #: how long a keep-alive connection may sit idle between
-        #: requests; None (the default) lets idle connections park —
-        #: they cost a socket, not a thread
-        self.idle_timeout = idle_timeout
-        self.backlog = backlog
-        self.coalesce = coalesce
         if executor_workers is None:
             workers = len(getattr(service, "_workers", ())) or 2
             queue = getattr(service, "_queue", None)
@@ -242,7 +245,7 @@ class AsyncServiceServer:
             self._handle_connection,
             self.host,
             self.port,
-            backlog=self.backlog,
+            backlog=_BACKLOG,
             limit=_READ_LIMIT,
         )
         self.server_address = server.sockets[0].getsockname()[:2]
@@ -303,9 +306,9 @@ class AsyncServiceServer:
                 )
                 return
             if head is None:
-                return  # clean EOF or idle timeout
-            method, target, headers = head
-            close = self._wants_close(headers)
+                return  # clean EOF
+            method, target, version, headers = head
+            close = self._wants_close(version, headers)
             try:
                 status, body, content_type, extra, force_close = (
                     await self._respond(method, target, reader, headers)
@@ -337,8 +340,16 @@ class AsyncServiceServer:
                 return
 
     @staticmethod
-    def _wants_close(headers: Dict[str, str]) -> bool:
-        return headers.get("connection", "").lower() == "close"
+    def _wants_close(version: str, headers: Dict[str, str]) -> bool:
+        """HTTP/1.1 keeps the connection unless told to close; HTTP/1.0
+        closes it unless asked to keep it alive."""
+        tokens = {
+            token.strip().lower()
+            for token in headers.get("connection", "").split(",")
+        }
+        if version == "HTTP/1.0":
+            return "keep-alive" not in tokens
+        return "close" in tokens
 
     async def _write(
         self,
@@ -364,19 +375,12 @@ class AsyncServiceServer:
 
     async def _read_request(
         self, reader: asyncio.StreamReader
-    ) -> Optional[Tuple[str, str, Dict[str, str]]]:
-        """Read one request head; None on clean EOF or idle expiry."""
+    ) -> Optional[Tuple[str, str, str, Dict[str, str]]]:
+        """Read one request head; None on clean EOF."""
         line = b""
         for _ in range(3):  # tolerate stray CRLFs between requests
             try:
-                if self.idle_timeout is not None:
-                    line = await asyncio.wait_for(
-                        reader.readline(), self.idle_timeout
-                    )
-                else:
-                    line = await reader.readline()
-            except asyncio.TimeoutError:
-                return None
+                line = await reader.readline()
             except ValueError as error:
                 raise _HTTPError(400, "request line too long") from error
             if line.strip():
@@ -388,14 +392,14 @@ class AsyncServiceServer:
         parts = line.decode("latin-1", "replace").split()
         if len(parts) != 3 or not parts[2].startswith("HTTP/"):
             raise _HTTPError(400, "malformed request line")
-        method, target, _version = parts
+        method, target, version = parts
         try:
             headers = await asyncio.wait_for(
                 self._read_headers(reader), self.request_timeout
             )
         except asyncio.TimeoutError as error:
             raise _HTTPError(408, "request head read timed out") from error
-        return method, target, headers
+        return method, target, version, headers
 
     async def _read_headers(
         self, reader: asyncio.StreamReader
@@ -447,6 +451,10 @@ class AsyncServiceServer:
         headers: Dict[str, str],
     ) -> Tuple[int, str, str, Tuple[Tuple[str, str], ...], bool]:
         """Returns ``(status, body, content type, headers, force_close)``."""
+        if "transfer-encoding" in headers:
+            # Coded (e.g. chunked) bodies are not decoded here; their
+            # bytes must never be parsed as the next request.
+            raise _HTTPError(411, "Transfer-Encoding is not supported")
         loop = asyncio.get_running_loop()
         if method == "GET":
             # route_get takes service locks and may block (profile);
@@ -454,7 +462,8 @@ class AsyncServiceServer:
             status, body, content_type = await loop.run_in_executor(
                 self._pool, route_get, self.service, target
             )
-            return status, body, content_type, (), False
+            # A body on a GET is never read: answer, then close.
+            return status, body, content_type, (), _declares_body(headers)
         if method != "POST":
             return (
                 501,
@@ -495,22 +504,16 @@ class AsyncServiceServer:
 
     # -- join handling ---------------------------------------------------------
 
-    def _begin(
-        self, request: JoinRequest
-    ) -> Tuple["Future[Dict[str, Any]]", Optional[Waiter]]:
-        """Submit (possibly coalesced) on an executor thread."""
-        if self.coalesce and hasattr(self.service, "coalesce_key"):
-            return submit_coalesced(self.service, request)
-        return self.service.submit(request), None
-
     async def _answer_join(
         self, request: JoinRequest
     ) -> Tuple[int, Dict[str, Any], Tuple[Tuple[str, str], ...], bool]:
         loop = asyncio.get_running_loop()
         arrived = loop.time()
         try:
+            # Submit (possibly coalesced) on an executor thread: admission
+            # takes service locks.
             future, waiter = await loop.run_in_executor(
-                self._pool, self._begin, request
+                self._pool, submit_coalesced, self.service, request
             )
         except ServiceBusyError as busy:
             return (
@@ -552,8 +555,8 @@ class AsyncServiceServer:
                     (),
                     False,
                 )
-            # request_timeout backstop (parity with the threaded fix):
-            # cancel what we can and close the connection.
+            # request_timeout backstop: cancel what we can and close the
+            # connection.
             if waiter is not None:
                 waiter.detach()
             else:
@@ -641,17 +644,10 @@ def serve_async(
     host: str = "127.0.0.1",
     port: int = 0,
     request_timeout: Optional[float] = DEFAULT_REQUEST_TIMEOUT,
-    idle_timeout: Optional[float] = None,
-    coalesce: bool = True,
 ) -> AsyncServiceServer:
     """Start an asyncio front end for *service*; returns once bound."""
     return AsyncServiceServer(
-        service,
-        host=host,
-        port=port,
-        request_timeout=request_timeout,
-        idle_timeout=idle_timeout,
-        coalesce=coalesce,
+        service, host=host, port=port, request_timeout=request_timeout
     ).start()
 
 

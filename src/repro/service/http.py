@@ -1,7 +1,8 @@
-"""Stdlib HTTP front end for the join service.
+"""HTTP API shared pieces: the route table, the 504 body, and the clients.
 
-A ``ThreadingHTTPServer`` exposing the :class:`~repro.service.service.JoinService`
-as a small JSON API:
+The :class:`~repro.service.service.JoinService` is served over HTTP by
+the asyncio front end (:mod:`~repro.service.asyncio_frontend`,
+``repro serve``) as a small JSON API:
 
 * ``POST /v1/join`` — body ``{"tau_good": .., "tau_bad": .., "mode": ..,
   "deadline_ms": .., "priority": ..}``; replies with the service's JSON
@@ -21,61 +22,43 @@ as a small JSON API:
 * ``GET /v1/debug/profile?seconds=N`` — collapsed-stack sampling
   profile of the service threads (text/plain, flamegraph-ready).
 
-Connection handling is thread-per-request (stdlib), but join work itself
-runs on the service's bounded worker pool — the HTTP thread just blocks
-on the request's future, so concurrency and admission are governed by
-the pool, not by socket accidents.  Each connection's socket carries a
-timeout (``request_timeout``), so a client that opens a connection and
-never finishes its request cannot pin an HTTP thread forever: a stalled
-read maps to a clean ``408`` and the connection is closed.
-
-The module also hosts the matching clients: :func:`request_json` (one
-call) and :func:`submit_with_retries` (a submit loop that honours 503
-``Retry-After`` hints with decorrelated jitter), used by ``repro submit``
-so driving a server needs no extra tooling.
+This module holds what does not depend on how connections are handled:
+the read-only routes (:func:`route_get`), the deadline 504 body, the
+size and timeout limits, and the matching clients — :func:`request_json`
+(one call) and :func:`submit_with_retries` (a submit loop that honours
+503 ``Retry-After`` hints with decorrelated jitter), used by ``repro
+submit`` so driving a server needs no extra tooling.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import socket
-import threading
 import time
 import urllib.error
 import urllib.parse
 import urllib.request
-from concurrent.futures import TimeoutError as FutureTimeoutError
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..robustness.deadline import DeadlineExceeded
 from ..robustness.retry import RetryPolicy
-from .service import (
-    JoinRequest,
-    JoinService,
-    ServiceBusyError,
-    ServiceClosedError,
-    response_json,
-)
+from .service import JoinService, response_json
 
 #: maximum accepted request-body size; joins need a few dozen bytes
 MAX_BODY_BYTES = 64 * 1024
 
-#: default per-connection socket timeout, seconds
+#: default bound on reads within a request and on the wait for a join
+#: without a deadline, seconds
 DEFAULT_REQUEST_TIMEOUT = 30.0
 
 JSON_CONTENT_TYPE = "application/json"
 METRICS_CONTENT_TYPE = "text/plain; version=0.0.4"
 
 
-# -- shared routing ------------------------------------------------------------
+# -- routing -------------------------------------------------------------------
 #
-# Both front ends (the threaded handler below and the asyncio server in
-# :mod:`~repro.service.asyncio_frontend`) answer the read-only API through
-# these functions, so the two cannot drift apart: a route returns
-# ``(status, body text, content type)`` and the front end only decides how
-# the bytes reach the socket.
+# A route returns ``(status, body text, content type)``; the front end only
+# decides how the bytes reach the socket.
 
 
 def _single_param(params: Dict[str, list], name: str) -> Optional[str]:
@@ -195,221 +178,9 @@ def deadline_payload(expired: DeadlineExceeded) -> Dict[str, Any]:
     }
 
 
-class ServiceRequestHandler(BaseHTTPRequestHandler):
-    """Routes the /v1 API onto the owning server's JoinService."""
-
-    protocol_version = "HTTP/1.1"
-    server_version = "repro-join-service/1.0"
-
-    # -- plumbing -------------------------------------------------------------
-
-    @property
-    def service(self) -> JoinService:
-        return self.server.service  # type: ignore[attr-defined]
-
-    def setup(self) -> None:
-        # StreamRequestHandler applies ``self.timeout`` via settimeout in
-        # its setup; installing the server's request_timeout here bounds
-        # every socket read/write, so a silent client cannot hold an HTTP
-        # thread open forever.
-        self.timeout = getattr(self.server, "request_timeout", None)
-        super().setup()
-
-    def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
-        return  # request logging belongs to tracing, not stderr
-
-    def _send(
-        self,
-        status: int,
-        body: str,
-        content_type: str = "application/json",
-        extra_headers: Tuple[Tuple[str, str], ...] = (),
-    ) -> None:
-        payload = body.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(payload)))
-        if self.close_connection:
-            # Error paths that could not (or chose not to) consume the
-            # rest of the request must tell the client the connection is
-            # done — setting the attribute alone closes our side but
-            # leaves a keep-alive client waiting on a dead socket.
-            self.send_header("Connection", "close")
-        for name, value in extra_headers:
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(payload)
-
-    def _send_json(
-        self,
-        status: int,
-        payload: Dict[str, Any],
-        extra_headers: Tuple[Tuple[str, str], ...] = (),
-    ) -> None:
-        self._send(status, response_json(payload), extra_headers=extra_headers)
-
-    def _send_error(self, status: int, message: str, **extra: Any) -> None:
-        self._send_json(status, {"error": message, **extra})
-
-    # -- GET ------------------------------------------------------------------
-
-    def do_GET(self) -> None:  # noqa: N802 — BaseHTTPRequestHandler API
-        status, body, content_type = route_get(self.service, self.path)
-        self._send(status, body, content_type=content_type)
-
-    # -- POST -----------------------------------------------------------------
-
-    def _read_body(self, length: int) -> Optional[bytes]:
-        """Read exactly *length* body bytes, or None on a short read.
-
-        ``rfile`` is a buffered socket file: one ``read(n)`` may return
-        fewer than *n* bytes when the peer half-closes mid-body, so the
-        read must loop.  A short final read means the body can never
-        arrive — the caller answers 400 and closes.
-        """
-        chunks = []
-        remaining = length
-        while remaining > 0:
-            chunk = self.rfile.read(remaining)
-            if not chunk:
-                return None
-            chunks.append(chunk)
-            remaining -= len(chunk)
-        return b"".join(chunks)
-
-    def do_POST(self) -> None:  # noqa: N802 — BaseHTTPRequestHandler API
-        path = self.path.split("?", 1)[0]
-        if path != "/v1/join":
-            self._send_error(404, f"unknown path {path}")
-            return
-        try:
-            length = int(self.headers.get("Content-Length", "0"))
-        except ValueError:
-            # The body length is unknowable, so the body cannot be
-            # drained — under keep-alive its bytes would be parsed as
-            # the next request line.  Close instead.
-            self.close_connection = True
-            self._send_error(400, "bad Content-Length")
-            return
-        if length < 0 or length > MAX_BODY_BYTES:
-            # Same keep-alive hazard: the oversized body is unread, and
-            # draining up to 64 KiB of it buys nothing.  Close.
-            self.close_connection = True
-            self._send_error(413, "request body too large")
-            return
-        try:
-            raw = self._read_body(length)
-        except (TimeoutError, socket.timeout):
-            # The client went quiet mid-body; free the thread cleanly.
-            self.close_connection = True
-            self._send_error(408, "request body read timed out")
-            return
-        if raw is None:
-            # Half-closed peer: the declared body never fully arrived.
-            self.close_connection = True
-            self._send_error(400, "truncated request body")
-            return
-        try:
-            payload = json.loads(raw or b"{}")
-            request = JoinRequest.from_payload(payload)
-        except ValueError as error:
-            self._send_error(400, str(error))
-            return
-        try:
-            future = self.service.submit(request)
-        except ServiceBusyError as busy:
-            self._send_json(
-                503,
-                {"error": "overloaded", "retry_after": busy.retry_after},
-                extra_headers=(
-                    ("Retry-After", _retry_after_header(busy.retry_after)),
-                ),
-            )
-            return
-        except ServiceClosedError:
-            self._send_error(503, "service is draining")
-            return
-        try:
-            # Bounded wait: requests without a deadline must still not
-            # pin this HTTP thread forever if a worker wedges.  The
-            # service's own deadline machinery interrupts deadlined
-            # requests far earlier; this is the backstop.
-            timeout = getattr(self.server, "request_timeout", None)
-            self._send_json(200, future.result(timeout=timeout))
-        except FutureTimeoutError:
-            future.cancel()
-            self.close_connection = True
-            self._send_json(
-                504,
-                {
-                    "error": "request timed out in service",
-                    "timeout_seconds": timeout,
-                },
-            )
-        except DeadlineExceeded as expired:
-            # The contract: a deadlined request never hangs — it returns
-            # whatever progress it made as a 504.
-            self._send_json(504, deadline_payload(expired))
-        except ValueError as error:
-            self._send_error(409, str(error))
-        except Exception as error:  # noqa: BLE001 — surface, don't kill thread
-            self._send_error(500, f"{type(error).__name__}: {error}")
-
-
 def _retry_after_header(retry_after: float) -> str:
     """HTTP Retry-After is integer seconds; round up, never below 1."""
     return str(max(1, int(math.ceil(retry_after))))
-
-
-class ServiceHTTPServer(ThreadingHTTPServer):
-    """A ThreadingHTTPServer that owns a JoinService."""
-
-    daemon_threads = True
-
-    def __init__(
-        self,
-        address: Tuple[str, int],
-        service: JoinService,
-        request_timeout: Optional[float] = DEFAULT_REQUEST_TIMEOUT,
-    ) -> None:
-        super().__init__(address, ServiceRequestHandler)
-        self.service = service
-        #: per-connection socket timeout applied in handler setup()
-        self.request_timeout = request_timeout
-
-
-def serve(
-    service: JoinService,
-    host: str = "127.0.0.1",
-    port: int = 8023,
-    request_timeout: Optional[float] = DEFAULT_REQUEST_TIMEOUT,
-) -> ServiceHTTPServer:
-    """Bind a server for *service* (``port=0`` picks a free port)."""
-    return ServiceHTTPServer(
-        (host, port), service, request_timeout=request_timeout
-    )
-
-
-def serve_in_background(
-    service: JoinService,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    request_timeout: Optional[float] = DEFAULT_REQUEST_TIMEOUT,
-) -> Tuple[ServiceHTTPServer, threading.Thread]:
-    """Start a server thread; returns (server, thread) for tests/tools."""
-    server = serve(service, host=host, port=port, request_timeout=request_timeout)
-    thread = threading.Thread(
-        target=server.serve_forever, name="join-service-http", daemon=True
-    )
-    thread.start()
-    return server, thread
-
-
-def shutdown(server: ServiceHTTPServer) -> None:
-    """Graceful drain: stop accepting, finish queued joins, close."""
-    server.shutdown()
-    server.server_close()
-    server.service.close(wait=True)
 
 
 # -- client -------------------------------------------------------------------
@@ -503,13 +274,8 @@ __all__ = [
     "JSON_CONTENT_TYPE",
     "MAX_BODY_BYTES",
     "METRICS_CONTENT_TYPE",
-    "ServiceHTTPServer",
-    "ServiceRequestHandler",
     "deadline_payload",
     "request_json",
     "route_get",
-    "serve",
-    "serve_in_background",
-    "shutdown",
     "submit_with_retries",
 ]

@@ -6,7 +6,9 @@ used by tests and the CI chaos smoke) or a running HTTP server
 (``--url``), and reduces the outcomes into a ``BENCH_service.json``
 payload: p50/p90/p99 latency, throughput, and the shed/degrade/deadline
 rates that tell you how the degrade ladder actually behaved under the
-offered load.
+offered load.  Held idle keep-alive connections and duplicate-burst
+coalescing are HTTP properties, so local mode measures those two
+sections against an HTTP front end it boots over a separate service.
 
 Chaos mode (``--chaos``) layers in every controlled failure the repo can
 inject deterministically:
@@ -35,6 +37,7 @@ import dataclasses
 import http.client
 import json
 import socket
+import tempfile
 import threading
 import time
 import urllib.error
@@ -54,6 +57,7 @@ from ..validation.invariants import (
     active_checker,
     install_checker,
 )
+from .asyncio_frontend import serve_async, shutdown_async
 from .http import request_json
 from .service import (
     JoinRequest,
@@ -105,12 +109,10 @@ class LoadTestConfig:
     #: SLO spec evaluated per priority class in the bench payload; empty
     #: string disables the section
     slo: str = DEFAULT_SLO_SPEC
-    #: keep-alive connections held open and idle for the whole run (HTTP
-    #: and frontend-benchmark modes); 0 disables the section
+    #: keep-alive connections held open and idle for the whole run
+    #: (over HTTP; local mode boots a front end for it); 0 disables the
+    #: section
     idle_connections: int = 0
-    #: the async front end is asked to hold ``idle_connections *
-    #: idle_scaling`` — the connection-scaling claim of the benchmark
-    idle_scaling: int = 10
     #: size of each duplicate-burst round (identical concurrent
     #: plan-mode requests); 0 disables the coalescing section
     duplicate_burst: int = 0
@@ -394,9 +396,44 @@ def run_local_loadtest(
         "tasks": len(service.store.tasks),
         "layout": "sharded",
     }
-    return _bench_payload(
+    payload = _bench_payload(
         "local", config, samples, wall, recovery, store=store_summary
     )
+    if config.idle_connections > 0 or config.duplicate_burst > 0:
+        payload.update(_front_end_sections(task, config))
+    return payload
+
+
+def _front_end_sections(task, config: LoadTestConfig) -> Dict[str, Any]:
+    """The idle-connection and coalescing sections, measured over HTTP.
+
+    Both need a live front end, so local mode boots one over its own
+    un-faulted service on a throwaway store — the chaos run's faults and
+    torn journal never reach these sections — and runs the HTTP harness
+    against it.
+    """
+    with tempfile.TemporaryDirectory(prefix="repro-loadtest-http-") as root:
+        service = JoinService(
+            task,
+            root,
+            workers=config.workers,
+            queue_limit=config.queue_limit,
+            pilot_documents=config.pilot_documents,
+        )
+        server = serve_async(service)
+        try:
+            if config.prewarm:
+                service.execute(
+                    JoinRequest(
+                        tau_good=config.tau_good, tau_bad=config.tau_bad
+                    )
+                )
+            url = f"http://127.0.0.1:{server.server_address[1]}"
+            report = run_http_loadtest(url, config)
+        finally:
+            shutdown_async(server)
+    sections = ("idle_connections", "coalescing")
+    return {key: report[key] for key in sections if key in report}
 
 
 def _tear_and_recover(store_root: str, seed: int) -> Dict[str, Any]:
@@ -614,9 +651,9 @@ class _IdleConnections:
             "live_at_open": self.live_at_open,
             "live_after_mix": live_after,
             #: threads the process gained parking the connections beyond
-            #: the first (warm-up) one — ~0 for a remote server; against
-            #: an in-process threaded front end this exposes the
-            #: thread-per-connection cost the async front end avoids
+            #: the first (warm-up) one — ~0 for a remote server, and for
+            #: an in-process front end, whose idle connections cost a
+            #: socket each, not a thread
             "thread_cost": self.threads_during - self.threads_before,
         }
 
@@ -644,9 +681,7 @@ def _canonical(body: Any) -> str:
     return json.dumps(body, sort_keys=True, separators=(",", ":"))
 
 
-def _duplicate_burst_http(
-    url: str, config: LoadTestConfig, reference_url: Optional[str] = None
-) -> Dict[str, Any]:
+def _duplicate_burst_http(url: str, config: LoadTestConfig) -> Dict[str, Any]:
     """Rounds of identical concurrent plan-mode requests, tallied.
 
     Each round uses a fresh requirement (``tau_good`` offset by the
@@ -659,13 +694,9 @@ def _duplicate_burst_http(
     computation, whether by attaching to the flight or by hitting the
     memoized result it produced.
 
-    ``reference_url`` (the frontend benchmark passes the threaded,
-    uncoalesced front end) answers one reference request per round for
-    the byte-identity check; by default the burst's own server is asked
-    again after the flight resolved, which is equivalent — a lone
-    request never coalesces with anything.
+    The byte-identity reference is the same server asked again after
+    the flight resolved: a lone request never coalesces with anything.
     """
-    reference_url = reference_url or url
     flights_before = _scrape_section(url, "coalescing")
     cache_before = _scrape_section(url, "plan_cache")
     rounds: List[Dict[str, Any]] = []
@@ -701,7 +732,7 @@ def _duplicate_burst_http(
             _canonical(a[1]) for a in answers if a and a[0] == 200
         }
         ref_status, reference = request_json(
-            reference_url, "join", payload, timeout=config.timeout
+            url, "join", payload, timeout=config.timeout
         )
         identical = (
             all(status == 200 for status in statuses)
@@ -770,125 +801,11 @@ def _await_recovery(
     return {"recovered": False, "recovery_seconds": None}
 
 
-# -- frontend benchmark (threads vs async) -------------------------------------
-
-
-def run_frontend_benchmark(
-    task, store_root: str, config: LoadTestConfig
-) -> Dict[str, Any]:
-    """Threaded vs asyncio front end over one shared service.
-
-    Produces the ``connection_scaling`` and ``coalescing`` sections of
-    ``BENCH_service.json``:
-
-    * **coalescing** — duplicate bursts against the async front end
-      (the only one that coalesces), byte-identity checked against the
-      threaded front end answering the same request uncoalesced;
-    * **connection_scaling** — each front end holds a pool of verified
-      idle keep-alive connections (the async one ``idle_scaling`` times
-      more) while the seeded request mix runs against it; the section
-      records live connection counts, the process thread cost of
-      holding them, and the mix p99 so "10x the idle connections at
-      equal p99" is a measured claim, not a slogan.
-    """
-    from .asyncio_frontend import serve_async
-    from .http import serve_in_background
-
-    service = JoinService(
-        task,
-        store_root,
-        workers=config.workers,
-        queue_limit=config.queue_limit,
-        pilot_documents=config.pilot_documents,
-    )
-    threaded_server, threaded_thread = serve_in_background(service)
-    async_server = serve_async(service)
-    threaded_url = f"http://127.0.0.1:{threaded_server.server_address[1]}"
-    async_url = f"http://127.0.0.1:{async_server.server_address[1]}"
-    try:
-        if config.prewarm:
-            service.execute(
-                JoinRequest(
-                    tau_good=config.tau_good, tau_bad=config.tau_bad
-                )
-            )
-        coalescing = None
-        if config.duplicate_burst > 0:
-            coalescing = _duplicate_burst_http(
-                async_url, config, reference_url=threaded_url
-            )
-        connection_scaling = None
-        if config.idle_connections > 0:
-            threaded_side = _frontend_side(
-                threaded_url, config.idle_connections, config
-            )
-            async_side = _frontend_side(
-                async_url,
-                config.idle_connections * config.idle_scaling,
-                config,
-            )
-            threads_live = max(threaded_side["idle"]["live_at_open"], 1)
-            threads_p99 = max(threaded_side["p99_seconds"], 1e-9)
-            ratio = async_side["p99_seconds"] / threads_p99
-            connection_scaling = {
-                "threads": threaded_side,
-                "async": async_side,
-                "idle_ratio": round(
-                    async_side["idle"]["live_at_open"] / threads_live, 3
-                ),
-                "p99_ratio": round(ratio, 3),
-                #: "equal p99" within CI noise: neither front end may be
-                #: more than 2x slower than the other at the tail
-                "equal_p99_tolerance": 2.0,
-                "equal_p99": bool(max(ratio, 1.0 / ratio) <= 2.0),
-            }
-        sections: Dict[str, Any] = {}
-        if connection_scaling is not None:
-            sections["connection_scaling"] = connection_scaling
-        if coalescing is not None:
-            sections["coalescing"] = coalescing
-        return sections
-    finally:
-        async_server.shutdown()
-        threaded_server.shutdown()
-        threaded_server.server_close()
-        threaded_thread.join(timeout=10)
-        service.close(wait=True)
-
-
-def _frontend_side(
-    url: str, idle_target: int, config: LoadTestConfig
-) -> Dict[str, Any]:
-    """One front end's half of the connection-scaling comparison."""
-    idle = _IdleConnections(url, idle_target)
-    idle.open()
-    try:
-        samples, wall, _ = _run_http_mix(url, config)
-        live_after = idle.verify()
-        report = idle.report(live_after)
-    finally:
-        idle.close()
-    latencies = [s.latency for s in samples]
-    outcomes = {name: 0 for name in OUTCOMES}
-    for sample in samples:
-        outcomes[sample.outcome] += 1
-    return {
-        "url": url,
-        "idle": report,
-        "requests": len(samples),
-        "outcomes": outcomes,
-        "wall_seconds": round(wall, 6),
-        "p50_seconds": round(percentile(latencies, 0.50), 6),
-        "p99_seconds": round(percentile(latencies, 0.99), 6),
-    }
-
-
 __all__ = [
     "ChaosClock",
     "DEFAULT_CHAOS_FAULTS",
     "LoadTestConfig",
     "OUTCOMES",
-    "run_frontend_benchmark",
     "run_http_loadtest",
     "run_local_loadtest",
 ]

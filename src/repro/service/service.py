@@ -307,8 +307,8 @@ class JoinService:
         self.store = ShardedStatisticsStore(store_root, clock=clock)
         self.plan_cache = PlanCache()
         #: cross-request singleflight for side-effect-free (plan-mode)
-        #: requests; the async front end routes duplicates through it,
-        #: the threaded front end stays the uncoalesced reference
+        #: requests; the HTTP front end routes duplicates through it,
+        #: while ``submit`` itself never coalesces
         self.coalescer = RequestCoalescer()
         #: multiway bindings (duck-typed scenario exposing ``catalog()``,
         #: ``environment()`` and ``database_of(alias)``); None rejects

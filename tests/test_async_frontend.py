@@ -1,10 +1,11 @@
-"""Asyncio front end tests: protocol hygiene, parity with the threaded
-front end, idle keep-alive scaling, and coalesced serving over HTTP.
+"""HTTP front end tests: request handling, idle keep-alive scaling, and
+coalesced serving over HTTP.
 
 Protocol tests run against a stub service (they exercise only the event
 loop's HTTP handling); the end-to-end tests boot the real warmed
 :class:`JoinService` behind :class:`AsyncServiceServer` and drive it
-with the same ``request_json`` client the threaded tests use.
+with the ``request_json`` client, comparing against in-process
+``service.submit`` as the uncoalesced reference.
 """
 
 from __future__ import annotations
@@ -102,6 +103,9 @@ class StubService:
         if not self.never_resolve:
             future.set_result(dict(self.resolve_with))
         return future
+
+    def coalesce_key(self, request):
+        return None  # nothing coalesces: every join reaches submit()
 
     def health(self):
         return {"status": "ok"}
@@ -265,8 +269,8 @@ class TestAsyncProtocol:
         threads_before = threading.active_count()
         idle = [_connect(server) for _ in range(64)]
         try:
-            # Idle sockets must not have spawned threads (the threaded
-            # front end would hold one per connection here).
+            # Idle sockets must not have spawned threads: a parked
+            # connection costs a socket, not a thread.
             assert threading.active_count() - threads_before < 8
             # The loop still answers while 64 connections sit parked.
             with _connect(server) as sock:

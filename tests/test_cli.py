@@ -183,7 +183,7 @@ class TestMultiwayCommands:
 class TestIntrospectionCommands:
     def _served(self, hq_ex_task, tmp_path):
         from repro.service import JoinService
-        from repro.service.http import serve_in_background
+        from repro.service.asyncio_frontend import serve_async
 
         service = JoinService(
             hq_ex_task,
@@ -192,16 +192,16 @@ class TestIntrospectionCommands:
             pilot_documents=60,
             trace_sample=1,
         )
-        server, thread = serve_in_background(service)
-        return service, server, thread
+        server = serve_async(service)
+        return service, server
 
     def test_top_and_tail_against_a_live_service(
         self, capsys, hq_ex_task, tmp_path
     ):
         from repro.service import JoinRequest
-        from repro.service.http import shutdown
+        from repro.service.asyncio_frontend import shutdown_async
 
-        service, server, thread = self._served(hq_ex_task, tmp_path)
+        service, server = self._served(hq_ex_task, tmp_path)
         base = f"http://127.0.0.1:{server.server_address[1]}"
         try:
             service.execute(JoinRequest(tau_good=40, tau_bad=10**6))
@@ -231,8 +231,7 @@ class TestIntrospectionCommands:
             slo_out = capsys.readouterr().out
             assert '"burn_rate"' in slo_out
         finally:
-            shutdown(server)
-            thread.join(timeout=10)
+            shutdown_async(server)
 
     def test_tail_unreachable_server_fails_cleanly(self):
         assert main(["tail", "--url", "http://127.0.0.1:9"]) == 1

@@ -1,40 +1,40 @@
-"""Keep-alive hygiene regression tests for the threaded HTTP front end.
+"""Keep-alive hygiene regression tests for the HTTP front end.
 
-Each test pins one of the ``do_POST`` connection-handling bugs from the
-PR-10 sweep; all three fail against the pre-fix handler:
+Every test sends raw bytes — pipelined requests, half-closed bodies,
+protocol variants urllib cannot produce — and asserts the exact response
+stream: the right answers, ``Connection: close`` where the server cannot
+keep the connection in sync, then EOF.  The rule under test is that a
+request body the server does not consume closes the connection; left
+open, its bytes would be parsed as the next request line and a pipelined
+client would see phantom responses on a desynchronized stream.
 
-1. 413/400 answered *without consuming the request body* — under
-   HTTP/1.1 keep-alive the unread body bytes were then parsed as the
-   next request line, so a pipelined client saw phantom responses on a
-   desynchronized connection.  Fixed by closing the connection whenever
-   the body cannot be consumed.
-2. a single ``rfile.read(length)`` returning short on a half-closed
-   connection — the truncated body surfaced as a confusing JSON-parse
-   400.  Fixed by looping the read and mapping a short read to 400
-   ``"truncated request body"`` + close.
-3. ``future.result()`` with no timeout — a request with no deadline
-   could pin an HTTP thread forever behind a wedged worker.  Fixed by
-   bounding the wait with the server's ``request_timeout`` and mapping
-   expiry to a clean 504 + close.
+1. 413/400 answered *without consuming the request body* (oversized,
+   unparseable ``Content-Length``) close the connection.
+2. a half-closed body is named: 400 ``"truncated request body"`` +
+   close, not a confusing JSON-parse error.
+3. a request with no deadline is bounded by ``request_timeout``: a
+   wedged worker maps to a clean 504 + close instead of a hang.
+4. bodies the server never reads — a body on a GET, any
+   ``Transfer-Encoding`` (411) — close instead of desyncing, and an
+   HTTP/1.0 request closes unless it asks for keep-alive.
 
-The tests drive raw sockets (urllib cannot pipeline or half-close) and a
-stub service, so they exercise exactly the HTTP layer.
+A stub service stands behind the server, so only the HTTP layer runs.
 """
 
 from __future__ import annotations
 
 import json
 import socket
-import threading
 from concurrent.futures import Future
 
 import pytest
 
-from repro.service.http import MAX_BODY_BYTES, ServiceHTTPServer
+from repro.service.asyncio_frontend import AsyncServiceServer
+from repro.service.http import MAX_BODY_BYTES
 
 
 class StubService:
-    """The minimal surface the HTTP handler touches."""
+    """The minimal surface the HTTP front end touches."""
 
     def __init__(self):
         self.submitted = []
@@ -48,7 +48,10 @@ class StubService:
             future.set_result(self.resolve_with)
         return future
 
-    def healthz(self):  # pragma: no cover — not reached by these tests
+    def coalesce_key(self, request):
+        return None  # nothing coalesces: every join reaches submit()
+
+    def health(self):
         return {"status": "ok"}
 
     def close(self, wait=True):
@@ -58,15 +61,13 @@ class StubService:
 @pytest.fixture()
 def stub_server():
     service = StubService()
-    server = ServiceHTTPServer(("127.0.0.1", 0), service, request_timeout=1.0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
+    server = AsyncServiceServer(
+        service, request_timeout=1.0, executor_workers=4
+    ).start()
     try:
         yield service, server
     finally:
         server.shutdown()
-        server.server_close()
-        thread.join(timeout=10)
 
 
 def _connect(server) -> socket.socket:
@@ -124,11 +125,10 @@ class TestKeepAliveBodyHandling:
         """Bug 1: a 413 with the body unread must close the connection.
 
         A pipelined client sends the oversized POST (body included) and a
-        follow-up GET back-to-back.  Pre-fix, the server kept the
-        connection open and parsed the unread body as more requests —
-        the stream desynchronized into phantom responses.  Post-fix the
-        client sees exactly one 413 carrying ``Connection: close``, then
-        EOF.
+        follow-up GET back-to-back.  A server that kept the connection
+        open would parse the unread body as more requests — the stream
+        desynchronizes into phantom responses.  The client must see
+        exactly one 413 carrying ``Connection: close``, then EOF.
         """
         service, server = stub_server
         body = b"x" * (MAX_BODY_BYTES + 1)
@@ -176,10 +176,9 @@ class TestKeepAliveBodyHandling:
         """Bug 2: a short body read is named, not blamed on JSON.
 
         The client declares 100 body bytes, sends 40, and half-closes.
-        Pre-fix the 40 bytes went straight to ``json.loads`` and the
-        client got a JSON-parse error for a transport problem; post-fix
-        the read loops to EOF and answers 400 "truncated request body"
-        with the connection closed.
+        Handing the 40 bytes to ``json.loads`` would answer a JSON-parse
+        error for a transport problem; the server must instead answer
+        400 "truncated request body" with the connection closed.
         """
         service, server = stub_server
         head = (
@@ -205,10 +204,9 @@ class TestRequestTimeoutBackstop:
         """Bug 3: a never-resolving future answers 504, not a hang.
 
         The stub returns a future that never resolves — the wedged-worker
-        case.  With ``request_timeout=1.0`` the handler must answer a
+        case.  With ``request_timeout=1.0`` the server must answer a
         504 within the timeout (plus slack) and close the connection;
-        pre-fix it blocked in ``future.result()`` forever and this test
-        timed out on the socket read.
+        an unbounded wait would hang and time out the socket read.
         """
         service, server = stub_server
         service.never_resolve = True
@@ -230,3 +228,76 @@ class TestRequestTimeoutBackstop:
         assert body["error"] == "request timed out in service"
         assert body["timeout_seconds"] == 1.0
         assert len(service.submitted) == 1
+
+
+_PIPELINED_GET = b"GET /v1/healthz HTTP/1.1\r\nHost: t\r\n\r\n"
+
+
+class TestConnectionCloseRules:
+    @pytest.mark.parametrize(
+        "request_bytes, status, error",
+        [
+            pytest.param(
+                b"GET /v1/healthz HTTP/1.0\r\n\r\n",
+                200,
+                None,
+                id="http10-without-keep-alive",
+            ),
+            pytest.param(
+                b"GET /v1/healthz HTTP/1.1\r\n"
+                b"Host: t\r\n"
+                b"Content-Length: 9\r\n\r\n"
+                b"x = 1 2 3",
+                200,
+                None,
+                id="get-with-body",
+            ),
+            pytest.param(
+                b"POST /v1/join HTTP/1.1\r\n"
+                b"Host: t\r\n"
+                b"Content-Type: application/json\r\n"
+                b"Transfer-Encoding: chunked\r\n\r\n"
+                b"1e\r\n"
+                b'{"tau_good": 4, "tau_bad": 99}\r\n'
+                b"0\r\n\r\n",
+                411,
+                "Transfer-Encoding is not supported",
+                id="chunked-post",
+            ),
+        ],
+    )
+    def test_answers_once_then_closes(
+        self, stub_server, request_bytes, status, error
+    ):
+        """One response with ``Connection: close``, then EOF.
+
+        An HTTP/1.0 request without ``Connection: keep-alive`` ends its
+        connection.  A body the server never reads — on a GET, or coded
+        with ``Transfer-Encoding`` — must not stay on the stream: left
+        there, its bytes were parsed as the next request line (a phantom
+        400 on the pipelined stream), and the chunked POST itself got a
+        misleading 400 about its empty payload.  A chunked join is never
+        submitted.
+        """
+        service, server = stub_server
+        with _connect(server) as sock:
+            sock.sendall(request_bytes + _PIPELINED_GET)
+            responses = _parse_responses(_read_until_eof(sock))
+        assert len(responses) == 1, responses
+        got_status, headers, raw = responses[0]
+        assert got_status == status
+        assert headers.get("connection") == "close"
+        if error is not None:
+            assert json.loads(raw)["error"] == error
+        assert service.submitted == []
+
+    def test_http10_keep_alive_is_honoured(self, stub_server):
+        _service, server = stub_server
+        request = b"GET /v1/healthz HTTP/1.0\r\nConnection: keep-alive\r\n\r\n"
+        last = b"GET /v1/healthz HTTP/1.0\r\n\r\n"
+        with _connect(server) as sock:
+            sock.sendall(request + last)
+            responses = _parse_responses(_read_until_eof(sock))
+        assert [status for status, _, _ in responses] == [200, 200]
+        assert responses[0][1].get("connection") != "close"
+        assert responses[1][1].get("connection") == "close"

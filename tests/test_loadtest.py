@@ -148,6 +148,9 @@ class TestLocalChaosRun:
             # A mid-record tear was injected; recovery must have dropped
             # the torn tail rather than serving it.
             assert facts["torn_records_dropped"] >= 0
+        # No HTTP option given: no front end is booted.
+        assert "idle_connections" not in payload
+        assert "coalescing" not in payload
         json.dumps(payload)
 
     def test_chaos_defaults_to_the_standard_fault_profile(self):
@@ -208,17 +211,14 @@ class TestSLOReport:
         assert "slo" not in payload
 
 
-class TestFrontendBenchmark:
-    def test_sections_measure_scaling_and_coalescing(
+class TestLocalFrontEndSections:
+    def test_local_run_measures_idle_connections_and_coalescing(
         self, hq_ex_task, tmp_path
     ):
-        """One shared service behind both front ends: the async side
-        holds idle_scaling times the idle connections (all verified
-        live), and duplicate bursts resolve from a single computation
-        with answers byte-identical to the threaded (uncoalesced)
-        reference."""
-        from repro.service.loadtest import run_frontend_benchmark
-
+        """Local mode boots an HTTP front end over its own service: every
+        parked keep-alive connection verifies live through the HTTP mix
+        at no thread cost, and duplicate bursts resolve from a single
+        computation with answers byte-identical to a lone request."""
         config = LoadTestConfig(
             requests=10,
             concurrency=4,
@@ -228,33 +228,26 @@ class TestFrontendBenchmark:
             plan_fraction=1.0,
             seed=3,
             timeout=120.0,
-            idle_connections=6,
-            idle_scaling=10,
+            idle_connections=60,
             duplicate_burst=5,
             burst_rounds=2,
         )
-        sections = run_frontend_benchmark(
+        payload = run_local_loadtest(
             hq_ex_task, str(tmp_path / "store"), config
         )
-        scaling = sections["connection_scaling"]
-        threads_side, async_side = scaling["threads"], scaling["async"]
-        assert threads_side["idle"]["live_at_open"] == 6
-        assert async_side["idle"]["target"] == 60
-        assert async_side["idle"]["live_at_open"] == 60, (
-            "every parked async connection must verify live"
-        )
-        assert scaling["idle_ratio"] >= config.idle_scaling
-        assert threads_side["p99_seconds"] > 0
-        assert async_side["p99_seconds"] > 0
-        assert scaling["equal_p99_tolerance"] == 2.0
-        assert isinstance(scaling["equal_p99"], bool)
-        # The threaded front end pays a thread per parked connection;
-        # the event loop pays none (its handler runs on the loop).
-        assert async_side["idle"]["thread_cost"] <= 2
-        assert sum(threads_side["outcomes"].values()) == config.requests
-        assert sum(async_side["outcomes"].values()) == config.requests
+        assert sum(payload["outcomes"].values()) == config.requests
+        assert payload["config"]["idle_connections"] == 60
 
-        coalescing = sections["coalescing"]
+        idle = payload["idle_connections"]
+        assert idle["target"] == idle["opened"] == 60
+        assert idle["live_at_open"] == 60, (
+            "every parked connection must verify live"
+        )
+        assert idle["live_after_mix"] == 60
+        # Parked connections cost a socket each, not a thread.
+        assert idle["thread_cost"] <= 2
+
+        coalescing = payload["coalescing"]
         assert coalescing["requests"] == 10
         assert coalescing["computations"] == config.burst_rounds, (
             "one optimizer computation per burst round"
@@ -264,4 +257,4 @@ class TestFrontendBenchmark:
         for entry in coalescing["rounds_detail"]:
             assert entry["ok"] == config.duplicate_burst
             assert entry["distinct_answers"] == 1
-        json.dumps(sections)
+        json.dumps(payload)

@@ -39,7 +39,8 @@ from repro.service import (
     corpus_fingerprint,
     task_signature,
 )
-from repro.service.http import request_json, serve_in_background, shutdown
+from repro.service.asyncio_frontend import serve_async, shutdown_async
+from repro.service.http import request_json
 from repro.service.plancache import PlanCacheKey
 from repro.service.service import response_json
 from repro.textdb import TextDatabase
@@ -635,7 +636,7 @@ class TestHTTPService:
             pilot_documents=PILOT,
             trace_dir=str(trace_dir),
         )
-        server, thread = serve_in_background(service)
+        server = serve_async(service)
         base = f"http://127.0.0.1:{server.server_address[1]}"
         try:
             status, health = request_json(base, "healthz")
@@ -673,8 +674,7 @@ class TestHTTPService:
             traces = sorted(trace_dir.glob("request-*.jsonl"))
             assert traces, "per-request traces should have been written"
         finally:
-            shutdown(server)
-            thread.join(timeout=10)
+            shutdown_async(server)
         assert service.closed
         with pytest.raises(ServiceClosedError):
             service.submit(JoinRequest(tau_good=1, tau_bad=1))
@@ -885,7 +885,7 @@ class TestServiceDeadlines:
             pilot_documents=PILOT,
             clock=_TickingClock(step=1.0),
         )
-        server, thread = serve_in_background(service)
+        server = serve_async(service)
         base = f"http://127.0.0.1:{server.server_address[1]}"
         try:
             status, body = request_json(
@@ -903,8 +903,7 @@ class TestServiceDeadlines:
             assert body["deadline_ms"] == pytest.approx(500.0)
             assert isinstance(body["partial"], dict)
         finally:
-            shutdown(server)
-            thread.join(timeout=10)
+            shutdown_async(server)
 
 
 class TestSubmitWithRetries:
@@ -977,7 +976,7 @@ class TestServiceIntrospection:
             slo="p99=2s,availability=99.5",
             flight_spill=str(spill),
         )
-        server, thread = serve_in_background(service)
+        server = serve_async(service)
         base = f"http://127.0.0.1:{server.server_address[1]}"
         try:
             status, reply = request_json(
@@ -1058,8 +1057,7 @@ class TestServiceIntrospection:
             assert 'store_generation="' in metrics_text
             assert metrics_text.count("# TYPE repro_build_info gauge") == 1
         finally:
-            shutdown(server)
-            thread.join(timeout=10)
+            shutdown_async(server)
         # the spill validates against the committed wide-event schema
         import pathlib as _pathlib
         import sys as _sys

@@ -12,7 +12,8 @@ import pytest
 
 from repro.experiments import build_multiway_testbed
 from repro.service import JoinRequest, JoinService
-from repro.service.http import request_json, serve_in_background, shutdown
+from repro.service.asyncio_frontend import serve_async, shutdown_async
+from repro.service.http import request_json
 
 TAU_GOOD = 40
 TAU_BAD = 120
@@ -202,11 +203,10 @@ class TestMultiwayHTTP:
     @pytest.fixture(scope="class")
     def served(self, multiway_service):
         service, scenario, _ = multiway_service
-        server, thread = serve_in_background(service)
+        server = serve_async(service)
         base = f"http://127.0.0.1:{server.server_address[1]}"
         yield base, scenario
-        shutdown(server)
-        thread.join(timeout=10)
+        shutdown_async(server)
 
     def test_plan_round_trip(self, served):
         base, scenario = served
