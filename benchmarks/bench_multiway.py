@@ -1,56 +1,50 @@
 """Extension benchmark: three-way join HQ ⋈ EX ⋈ MG.
 
 Higher-order joins are the paper's declared future work; this bench
-exercises the library's n-way extension end-to-end — model prediction,
-balanced-effort operating point, execution — and reports the model-vs-
-actual composition at three coverage levels, plus how error compounds with
-join arity (a bad tuple anywhere poisons the whole dossier, so n-way
-precision is below binary precision).
+exercises the library's n-way extension end-to-end on the seeded
+``star3`` scenario — model prediction, execution — and reports the
+model-vs-actual composition at three coverage levels, plus how error
+compounds with join arity (a bad tuple anywhere poisons the whole
+dossier, so n-way precision is below binary precision).
 """
 
 import pytest
 
-from repro.core import QualityRequirement, RetrievalKind
-from repro.experiments import format_table
-from repro.models import SideStatistics
-from repro.multiway import (
-    MultiwayIDJNModel,
-    MultiwayIndependentJoin,
-    MultiwaySide,
-)
+from repro.core import RetrievalKind
+from repro.experiments import build_multiway_testbed, format_table
+from repro.multiway import MultiwayIndependentJoin, MultiwaySide
+from repro.planner.model import GraphCompositionModel
+from repro.planner.plan import RelationConfig
 from repro.retrieval import ScanRetriever
-from repro.textdb import profile_database
 
-LAYOUT = (("HQ", "nyt96"), ("EX", "nyt95"), ("MG", "wsj"))
+THETA = 0.4
 
 
 @pytest.fixture(scope="module")
-def three_way(testbed):
-    databases = [testbed.databases[db] for _, db in LAYOUT]
-    extractors = [testbed.extractors[rel].with_theta(0.4) for rel, _ in LAYOUT]
-    stats = []
-    for (rel, _), db in zip(LAYOUT, databases):
-        char = testbed.characterizations[rel]
-        stats.append(
-            SideStatistics.from_profile(
-                profile_database(db, rel),
-                tp=char.tp_at(0.4),
-                fp=char.fp_at(0.4),
-                top_k=db.max_results,
-            )
-        )
-    return databases, extractors, stats
+def three_way():
+    scenario = build_multiway_testbed().scenario("star3")
+    environment = scenario.environment()
+    names = scenario.graph.names
+    databases = [environment.database(name) for name in names]
+    extractors = [environment.extractor_at(name, THETA) for name in names]
+    model = GraphCompositionModel(scenario.graph, scenario.catalog())
+    configs = {
+        name: RelationConfig(name=name, theta=THETA, retrieval=RetrievalKind.SCAN)
+        for name in names
+    }
+    return databases, extractors, model, configs
 
 
 def test_three_way_accuracy(benchmark, three_way, report_sink):
-    databases, extractors, stats = three_way
-    model = MultiwayIDJNModel(stats, [RetrievalKind.SCAN] * 3)
+    databases, extractors, model, configs = three_way
 
     def run():
         rows = []
         for percent in (25, 50, 100):
             efforts = [len(db) * percent // 100 for db in databases]
-            predicted, predicted_time = model.predict(efforts)
+            by_name = dict(zip(model.graph.names, efforts))
+            predicted_total, predicted_good = model.compose(configs, by_name)
+            predicted_time = model.side_time(configs, by_name)
             sides = [
                 MultiwaySide(db, ex, ScanRetriever(db), max_documents=n)
                 for db, ex, n in zip(databases, extractors, efforts)
@@ -59,9 +53,9 @@ def test_three_way_accuracy(benchmark, three_way, report_sink):
             rows.append(
                 (
                     percent,
-                    predicted.n_good,
+                    round(predicted_good),
                     actual.state.composition.n_good,
-                    predicted.n_bad,
+                    round(predicted_total - predicted_good),
                     actual.state.composition.n_bad,
                     f"{predicted_time.total:.0f}",
                     f"{actual.report.time.total:.0f}",
@@ -89,7 +83,7 @@ def test_three_way_accuracy(benchmark, three_way, report_sink):
 def test_arity_compounds_error(benchmark, three_way, report_sink):
     """Precision decreases with join arity — the paper's core hazard,
     amplified: every additional noisy relation multiplies in its errors."""
-    databases, extractors, _ = three_way
+    databases, extractors, _, _ = three_way
 
     def run():
         rows = []

@@ -9,16 +9,17 @@ acquirer's CEO live?" — a chain
 
 The example builds a world where RES's CEO domain chains off EX's CEO
 pool, extracts all three relations from separate corpora, and counts the
-chain composition with the DP-based :class:`~repro.multiway.ChainJoinState`
-— including the expected composition from per-layer factors, the chain
-analogue of the paper's Equation 1.
+chain composition with the incremental :class:`~repro.multiway.TreeJoinState`
+— including the composition from per-relation key factors by the
+planner model's tree DP, the chain analogue of the paper's Equation 1.
 
 Run:  python examples/chain_join.py
 """
 
 from repro.core import RelationSchema
 from repro.extraction import SnowballExtractor
-from repro.multiway import ChainEdge, ChainJoinState, chain_expected_composition
+from repro.multiway import TreeEdge, TreeJoinState
+from repro.planner import JoinGraph, RelationNode, compose_factors
 from repro.textdb import (
     CorpusConfig,
     HostedRelation,
@@ -78,9 +79,10 @@ for relation, database in zip(("MG", "EX", "RES"), databases):
 
 # -- extract and join ------------------------------------------------------------
 
-state = ChainJoinState(
-    [world.schemas["MG"], world.schemas["EX"], world.schemas["RES"]],
-    [ChainEdge("Company", "Company"), ChainEdge("CEO", "CEO")],
+schemas = [world.schemas["MG"], world.schemas["EX"], world.schemas["RES"]]
+state = TreeJoinState(
+    schemas,
+    [TreeEdge(0, "Company", 1, "Company"), TreeEdge(1, "CEO", 2, "CEO")],
 )
 for side, (database, extractor) in enumerate(zip(databases, extractors), 1):
     for document in database.documents:
@@ -89,12 +91,20 @@ for side, (database, extractor) in enumerate(zip(databases, extractors), 1):
 composition = state.composition
 print(f"\nChain composition: {composition.n_good} good / "
       f"{composition.n_bad} bad results")
-assert composition.n_good == state.verify_composition().n_good  # DP is exact
+assert composition == state.verify_composition()  # counters are exact
 
-# Expected composition from the exact per-layer pair counts collapses to
-# the same numbers — with *model* factors it becomes a prediction.
-factor_pairs = [state.pair_factors(side) for side in (1, 2, 3)]
-expected_good, expected_total = chain_expected_composition(factor_pairs)
+# The planner model's tree DP over the exact per-relation key counts
+# collapses to the same numbers — with *model* factors it becomes a
+# prediction.
+graph = JoinGraph.chain(
+    [RelationNode(name=s.name, attributes=s.attributes) for s in schemas],
+    [("Company", "Company"), ("CEO", "CEO")],
+)
+expected_total, expected_good = compose_factors(
+    graph,
+    frozenset(graph.names),
+    lambda name, _: state.key_factors(graph.names.index(name) + 1),
+)
 print(f"DP on expected factors: {expected_good:.0f} good / "
       f"{expected_total - expected_good:.0f} bad (matches, as factors are exact)")
 
@@ -102,5 +112,7 @@ print("\nSample answers (Company, MergedWith, CEO, City):")
 for i, result in enumerate(state.iter_results()):
     if i >= 5:
         break
+    merger, executive, residence = result.parts
+    values = merger.values + (executive.values[1], residence.values[1])
     flag = "good" if result.is_good else "BAD"
-    print(f"  {result.values}  [{flag}]")
+    print(f"  {values}  [{flag}]")

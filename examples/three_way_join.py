@@ -2,67 +2,60 @@
 
 The paper restricts itself to binary joins and leaves higher-order joins
 as future work (Section III-C).  This example runs the library's n-way
-extension: full company dossiers — headquarters location, CEO, and merger
-partner — assembled from three extracted relations hosted on three
-different corpora, with the quality contract enforced by the same
-estimate-driven stopping machinery.
+extension on the seeded ``star3`` scenario: full company dossiers —
+headquarters location, CEO, and merger partner — assembled from three
+extracted relations hosted on three different corpora, with the quality
+contract enforced by the same estimate-driven stopping machinery.
 
 Run:  python examples/three_way_join.py
 """
 
 from repro.core import QualityRequirement, RetrievalKind
-from repro.experiments import TestbedConfig, build_testbed
-from repro.extraction import characterize
-from repro.models import SideStatistics
-from repro.multiway import (
-    MultiwayIDJNModel,
-    MultiwayIndependentJoin,
-    MultiwaySide,
-)
+from repro.experiments import build_multiway_testbed
+from repro.multiway import MultiwayIndependentJoin, MultiwaySide
+from repro.planner.model import GraphCompositionModel
+from repro.planner.plan import RelationConfig
 from repro.retrieval import ScanRetriever
-from repro.textdb import profile_database
 
-testbed = build_testbed(TestbedConfig(scale=0.6))
-layout = [
-    ("HQ", "nyt96"),
-    ("EX", "nyt95"),
-    ("MG", "wsj"),
-]
-databases = [testbed.databases[db] for _, db in layout]
-extractors = [
-    testbed.extractors[rel].with_theta(0.4) for rel, _ in layout
-]
+THETA = 0.4
+
+scenario = build_multiway_testbed().scenario("star3")
+graph = scenario.graph
+environment = scenario.environment()
 print("Three-way star join on Company:")
-for (rel, db_name), db in zip(layout, databases):
-    print(f"  {rel:<3} from {db_name:<6} ({len(db)} documents)")
+for name in graph.names:
+    _, db_name = scenario.bindings[name]
+    print(
+        f"  {name:<3} from {db_name:<6} "
+        f"({len(environment.database(name))} documents)"
+    )
 
 # Analytical model: predict the composition before running anything.
-stats = []
-for (rel, _), db, extractor in zip(layout, databases, extractors):
-    char = testbed.characterizations[rel]
-    stats.append(
-        SideStatistics.from_profile(
-            profile_database(db, rel),
-            tp=char.tp_at(0.4),
-            fp=char.fp_at(0.4),
-            top_k=db.max_results,
-        )
-    )
-model = MultiwayIDJNModel(stats, [RetrievalKind.SCAN] * 3)
-full, time = model.predict([len(db) for db in databases])
+model = GraphCompositionModel(graph, scenario.catalog())
+configs = {
+    name: RelationConfig(name=name, theta=THETA, retrieval=RetrievalKind.SCAN)
+    for name in graph.names
+}
+full_efforts = model.balanced_efforts(configs, 1.0)
+total, good = model.compose(configs, full_efforts)
+time = model.side_time(configs, full_efforts)
 print(f"\nModel prediction at full coverage: "
-      f"{full.n_good} good / {full.n_bad} bad dossiers, {time.total:.0f}s")
+      f"{good:.0f} good / {total - good:.0f} bad dossiers, {time.total:.0f}s")
 
 # Operating point for a modest contract, via the balanced-effort search.
 requirement = QualityRequirement(tau_good=25, tau_bad=10**6)
-fraction = model.minimal_balanced_effort(requirement.tau_good * 1.3)
+fraction = model.balanced_effort_fraction(configs, requirement.tau_good * 1.3)
 print(f"Balanced effort fraction for tau_g={requirement.tau_good}: "
       f"{fraction:.2f}")
 
 # Execute.
 sides = [
-    MultiwaySide(db, extractor, ScanRetriever(db))
-    for db, extractor in zip(databases, extractors)
+    MultiwaySide(
+        environment.database(name),
+        environment.extractor_at(name, THETA),
+        ScanRetriever(environment.database(name)),
+    )
+    for name in graph.names
 ]
 execution = MultiwayIndependentJoin(sides).run(requirement)
 report = execution.report
@@ -72,10 +65,11 @@ print(f"\nExecution: {comp.n_good} good / {comp.n_bad} bad dossiers in "
       f"(docs processed: {dict(report.documents_processed)})")
 
 print("\nSample dossiers (Company, Location, CEO, MergedWith):")
-shown = 0
-for dossier in execution.state.iter_results():
-    flag = "good" if dossier.is_good else "BAD"
-    print(f"  {dossier.values}  [{flag}]")
-    shown += 1
+for shown, dossier in enumerate(execution.state.iter_results()):
     if shown >= 5:
         break
+    # Company leads every schema; each part adds its other attribute.
+    hq, ex, mg = dossier.parts
+    values = (hq.values[0], hq.values[1], ex.values[1], mg.values[1])
+    flag = "good" if dossier.is_good else "BAD"
+    print(f"  {values}  [{flag}]")

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import signal
 import sys
 import traceback
 from typing import Optional, Sequence
@@ -602,6 +603,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         request_timeout=args.request_timeout,
     )
     host, port = server.server_address[:2]
+
+    def _drain_on_signal(signum, frame):
+        raise KeyboardInterrupt(signal.Signals(signum).name)
+
+    # SIGTERM's default action kills without draining, and a server
+    # started with ``&`` from a non-interactive shell inherits SIGINT as
+    # ignored: route both to the drain below.
+    for signum in (signal.SIGINT, signal.SIGTERM):
+        signal.signal(signum, _drain_on_signal)
     print(
         f"Serving {task.name} on http://{host}:{port} "
         f"(store: {service.store.root})",
@@ -609,8 +619,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
     try:
         server.serve_forever()
-    except KeyboardInterrupt:
-        _LOG.info("Interrupted; draining the request queue")
+    except KeyboardInterrupt as stop:
+        _LOG.info("%s; draining the request queue", stop)
     finally:
         shutdown_async(server)
     return 0

@@ -1,44 +1,26 @@
-"""N-way (star) joins over a shared attribute — the paper's future work.
+"""N-ary joins over an acyclic join graph — the paper's future work.
 
-Generalizes the binary machinery: an incremental n-way join state with
-O(1)-per-tuple composition maintenance, a ripple-style n-way IDJN
-executor, and the analytical quality/time model with a balanced-effort
-operating-point search.
+Generalizes the binary machinery: one incremental n-ary join state with
+exact delta-rule composition maintenance for any join tree (stars and
+chains included), and a ripple-style n-way IDJN executor with a
+time-interleaved variant.  The analytical model lives in
+:mod:`repro.planner.model`.
 """
 
-from .chain import (
-    ChainEdge,
-    ChainJoinState,
-    ChainJoinTuple,
-    chain_expected_composition,
-)
 from .executor import (
     ActualMultiQuality,
+    InterleavedNaryJoin,
     MultiwayExecution,
     MultiwayIndependentJoin,
     MultiwaySide,
 )
-from .interleaved import (
-    InterleavedNaryJoin,
-    TreeEdge,
-    TreeJoinState,
-    TreeJoinTuple,
-)
-from .model import MultiwayIDJNModel
-from .state import MultiJoinComposition, MultiJoinState, MultiJoinTuple
+from .state import MultiJoinComposition, TreeEdge, TreeJoinState, TreeJoinTuple
 
 __all__ = [
     "ActualMultiQuality",
-    "ChainEdge",
-    "ChainJoinState",
-    "ChainJoinTuple",
-    "chain_expected_composition",
     "InterleavedNaryJoin",
     "MultiJoinComposition",
-    "MultiJoinState",
-    "MultiJoinTuple",
     "MultiwayExecution",
-    "MultiwayIDJNModel",
     "MultiwayIndependentJoin",
     "MultiwaySide",
     "TreeEdge",

@@ -2,9 +2,15 @@
 
 Generalizes IDJN (Figure 3) to n relations: every side retrieves documents
 through its own strategy, extracted tuples ripple into the shared
-:class:`~repro.multiway.state.MultiJoinState`, and execution stops when the
+:class:`~repro.multiway.state.TreeJoinState`, and execution stops when the
 estimated quality meets the (τg, τb) contract, budgets bind, or every side
 is exhausted.  Like the binary executors, it is resumable.
+
+:class:`InterleavedNaryJoin` is the ZGJN-flavoured strategy (cf. Leapfrog
+Triejoin): instead of advancing every side each round, it advances only
+the side with the least accumulated simulated time, so all n relations
+stay in lockstep on the time axis and no binary intermediate result is
+ever materialized.
 """
 
 from __future__ import annotations
@@ -23,19 +29,19 @@ from ..observability.context import ObservabilityContext, ensure_observability
 from ..observability.tracer import SpanKind
 from ..retrieval.base import DocumentRetriever
 from ..textdb.database import TextDatabase
-from .state import MultiJoinState
+from .state import TreeJoinState
 
 
 class MultiQualityEstimator(Protocol):
     """Estimates good/bad counts of the accumulated n-way join."""
 
-    def estimate(self, state: MultiJoinState) -> Tuple[float, float]: ...
+    def estimate(self, state: TreeJoinState) -> Tuple[float, float]: ...
 
 
 class ActualMultiQuality:
     """Oracle estimator over the incrementally maintained composition."""
 
-    def estimate(self, state: MultiJoinState) -> Tuple[float, float]:
+    def estimate(self, state: TreeJoinState) -> Tuple[float, float]:
         comp = state.composition
         return float(comp.n_good), float(comp.n_bad)
 
@@ -60,7 +66,7 @@ class MultiwaySide:
 class MultiwayExecution:
     """Result of a multiway run."""
 
-    state: MultiJoinState
+    state: TreeJoinState
     report: ExecutionReport
     observations: List[RelationObservations]
 
@@ -75,34 +81,28 @@ class MultiwayIndependentJoin:
         sides: Sequence[MultiwaySide],
         join_attribute: Optional[str] = None,
         estimator: Optional[MultiQualityEstimator] = None,
-        state=None,
+        state: Optional[TreeJoinState] = None,
         observability: Optional[ObservabilityContext] = None,
     ) -> None:
-        """``state`` defaults to a star :class:`MultiJoinState`; pass a
-        :class:`~repro.multiway.chain.ChainJoinState` (or any object with
-        the same ``add``/``composition``/``relation`` protocol) to run the
-        same ripple executor over a chain join."""
+        """``state`` defaults to a star :class:`TreeJoinState` on
+        ``join_attribute``; pass any tree state to run the same ripple
+        executor over a chain or another join tree."""
         if len(sides) < 2:
             raise ValueError("a multiway join needs at least two sides")
         self.sides = list(sides)
         self.estimator = estimator or ActualMultiQuality()
         if state is None:
-            state = MultiJoinState(
+            state = TreeJoinState.star(
                 [side.extractor.schema for side in sides],
                 join_attribute=join_attribute,
             )
-        elif getattr(state, "arity", None) != len(sides):
+        elif state.arity != len(sides):
             raise ValueError("state arity must match the number of sides")
         self.state = state
-        join_indexes = getattr(
-            self.state, "join_indexes", [0] * len(sides)
-        )
         self.observations = [
             RelationObservations(
                 relation=side.extractor.relation,
-                attribute_index=(
-                    join_indexes[i] if join_indexes[i] is not None else 0
-                ),
+                attribute_index=state.join_indexes[i],
             )
             for i, side in enumerate(sides)
         ]
@@ -114,7 +114,7 @@ class MultiwayIndependentJoin:
         self.observability = ensure_observability(observability)
         self.processed: Dict[int, int] = {i + 1: 0 for i in range(len(sides))}
         self.on_progress: Optional[
-            Callable[[MultiJoinState, TimeBreakdown], None]
+            Callable[[TreeJoinState, TimeBreakdown], None]
         ] = None
 
     def _side_open(self, index: int) -> bool:
@@ -258,3 +258,19 @@ class MultiwayIndependentJoin:
         return MultiwayExecution(
             state=self.state, report=report, observations=self.observations
         )
+
+
+class InterleavedNaryJoin(MultiwayIndependentJoin):
+    """Fully-interleaved n-ary join: one side per round, time-balanced.
+
+    Each round advances only the open side with the least accumulated
+    simulated time (ties break on side order), so every relation's
+    cursor moves in lockstep along the time axis — the scheduling
+    analogue of Leapfrog Triejoin's iterator interleaving, under the
+    same stop-as-soon-as-(τg, τb)-is-met contract as the ripple join.
+    """
+
+    algorithm = "interleaved"
+
+    def _round_sides(self, open_sides: List[int]) -> List[int]:
+        return [min(open_sides, key=lambda i: (self.side_time[i + 1], i))]

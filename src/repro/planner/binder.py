@@ -2,13 +2,12 @@
 
 The planner reasons over :class:`MultiwayPlan` descriptors; this module
 turns a chosen plan into a runnable executor against concrete per-alias
-databases, extractors, classifiers, and learned queries.  Star graphs
-bind to the existing :class:`MultiJoinState`; general trees bind to
-:class:`TreeJoinState`.  The ``INTERLEAVED`` strategy binds to
-:class:`InterleavedNaryJoin`; ``PIPELINE`` runs the ripple executor (the
-join tree is the planner's cost artifact — the n-ary state makes the
-materialization order immaterial to the result, which is exactly why the
-quality contract is order-independent).
+databases, extractors, classifiers, and learned queries.  Every graph
+binds to one :class:`TreeJoinState` over its edges.  The ``INTERLEAVED``
+strategy binds to :class:`InterleavedNaryJoin`; ``PIPELINE`` runs the
+ripple executor (the join tree is the planner's cost artifact — the
+n-ary state makes the materialization order immaterial to the result,
+which is exactly why the quality contract is order-independent).
 
 Per-side document caps come from the model's predicted events at the
 plan's operating point with a slack factor — the (τg, τb) stopping
@@ -26,12 +25,12 @@ from ..core.plan import RetrievalKind
 from ..extraction.base import Extractor
 from ..joins.costs import SideCosts
 from ..multiway.executor import (
+    InterleavedNaryJoin,
     MultiQualityEstimator,
     MultiwayIndependentJoin,
     MultiwaySide,
 )
-from ..multiway.interleaved import InterleavedNaryJoin, TreeEdge, TreeJoinState
-from ..multiway.state import MultiJoinState
+from ..multiway.state import TreeEdge, TreeJoinState
 from ..observability.context import ObservabilityContext
 from ..retrieval.aqg import AQGRetriever, LearnedQuery
 from ..retrieval.base import DocumentRetriever
@@ -137,23 +136,19 @@ def bind_multiway_plan(
         )
         for name, extractor in zip(graph.names, extractors)
     ]
-    if graph.is_star():
-        attribute = graph.edges[0].left_attribute
-        state = MultiJoinState(schemas, join_attribute=attribute)
-    else:
-        index_of = {name: i for i, name in enumerate(graph.names)}
-        state = TreeJoinState(
-            schemas,
-            [
-                TreeEdge(
-                    left=index_of[edge.left],
-                    left_attribute=edge.left_attribute,
-                    right=index_of[edge.right],
-                    right_attribute=edge.right_attribute,
-                )
-                for edge in graph.edges
-            ],
-        )
+    index_of = {name: i for i, name in enumerate(graph.names)}
+    state = TreeJoinState(
+        schemas,
+        [
+            TreeEdge(
+                left=index_of[edge.left],
+                left_attribute=edge.left_attribute,
+                right=index_of[edge.right],
+                right_attribute=edge.right_attribute,
+            )
+            for edge in graph.edges
+        ],
+    )
     executor_type = (
         InterleavedNaryJoin
         if plan.strategy is ExecutionStrategy.INTERLEAVED

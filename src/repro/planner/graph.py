@@ -215,13 +215,6 @@ class JoinGraph:
         used = {edge.attribute_of(name) for edge in self.incident(name)}
         return tuple(a for a in self.relation(name).attributes if a in used)
 
-    def is_star(self) -> bool:
-        """True when every edge equates the same single attribute name."""
-        attributes = {e.left_attribute for e in self.edges} | {
-            e.right_attribute for e in self.edges
-        }
-        return len(attributes) == 1
-
     def is_chain(self) -> bool:
         degrees = {name: len(self.incident(name)) for name in self.names}
         return max(degrees.values()) <= 2

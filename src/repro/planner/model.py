@@ -8,10 +8,10 @@ relation contributes per-key expected occurrence factors
 exactly as in the binary scheme (``models/scheme.py``), except that the
 key ``k`` is the tuple of the relation's join-attribute values (the
 joint :class:`KeyProfile`).  Expected composition of any connected
-subset is obtained by message passing over the join tree — the same
-dynamic program as ``multiway.chain.chain_expected_composition``
+subset is obtained by message passing over the join tree — the
+layer-by-layer chain DP (``validation.differential.chain_expected_composition``)
 generalized from paths to arbitrary trees; on a star it degenerates to
-the ``MultiwayIDJNModel`` product-of-factors sum.
+the product-of-factors sum Σ_a Π_i (E[gr_i(a)] + E[br_i(a)]).
 
 The model also produces the tier-A quality ceiling of an assignment:
 setting every coverage factor ρ to its cap 1 bounds each per-key factor
@@ -70,9 +70,11 @@ def compose_factors(
 ) -> Tuple[float, float]:
     """(E[total], E[good]) of joining *subset* given per-relation factors.
 
-    The chain DP of ``multiway.chain.chain_expected_composition``
+    The chain DP (``validation.differential.chain_expected_composition``)
     generalized to trees: messages flow upward from the leaves, each a
     mapping join-value → (total, good) of the subtree hanging below.
+    Over a :class:`~repro.multiway.TreeJoinState`'s exact key factors it
+    reproduces the state's delta-maintained counters exactly.
     """
     if not subset:
         raise ValueError("cannot compose an empty subset")
@@ -270,9 +272,9 @@ class GraphCompositionModel:
     ) -> Optional[float]:
         """Smallest common effort fraction t with E[good] ≥ target.
 
-        The square-traversal heuristic generalized to n relations, as in
-        ``MultiwayIDJNModel.minimal_balanced_effort``.  Returns None when
-        even full effort cannot reach the target.
+        The square-traversal heuristic generalized to n relations: every
+        side advances along the same fraction of its own effort axis.
+        Returns None when even full effort cannot reach the target.
         """
 
         def good_at(fraction: float) -> float:

@@ -601,9 +601,45 @@ def _multiway_realized_factors(graph, environment, configs):
     return realized
 
 
+def chain_expected_composition(
+    factor_pairs: Sequence[Dict[Tuple, Tuple[float, float]]],
+) -> Tuple[float, float]:
+    """Expected (good, total) chains from per-layer expected pair factors.
+
+    ``factor_pairs[i]`` maps (left key, right key) -> (E[total occurrences],
+    E[good occurrences]) for layer i.  The layer-by-layer chain DP
+
+        v_1[k']  = Σ_k c_1[(k, k')]
+        v_i[k']  = Σ_{(k, k')} c_i[(k, k')] · v_{i-1}[k]
+        total    = Σ_{k'} v_n[k']
+
+    (with a parallel good-only DP) is an independent reference for the
+    planner's tree message passing restricted to paths.
+    """
+    v: Dict = {}
+    for (_, right), (total, good) in factor_pairs[0].items():
+        slot = v.setdefault(right, [0.0, 0.0])
+        slot[0] += total
+        slot[1] += good
+    for layer in range(1, len(factor_pairs)):
+        nxt: Dict = {}
+        for (left, right), (total, good) in factor_pairs[layer].items():
+            upstream = v.get(left)
+            if upstream is None:
+                continue
+            slot = nxt.setdefault(right, [0.0, 0.0])
+            slot[0] += total * upstream[0]
+            slot[1] += good * upstream[1]
+        v = nxt
+        if not v:
+            break
+    total = sum(slot[0] for slot in v.values())
+    good = sum(slot[1] for slot in v.values())
+    return good, total
+
+
 def _check_multiway_chain_reference(report, scenario, model, configs, efforts):
     """Tree message passing vs the chain DP — same math, two code paths."""
-    from ..multiway.chain import chain_expected_composition
     from ..planner.model import compose_factors, subset_attributes
 
     graph = model.graph

@@ -1,4 +1,5 @@
-"""Tests for the chain-join extension (DP composition counting)."""
+"""Tests for chain joins: the chain form of the tree join state, and the
+layer-by-layer chain DP that ``repro validate`` uses as a reference."""
 
 import pytest
 from hypothesis import given, settings
@@ -6,16 +7,13 @@ from hypothesis import strategies as st
 
 from repro.core import RelationSchema
 from repro.core.types import ExtractedTuple
-from repro.multiway import (
-    ChainEdge,
-    ChainJoinState,
-    chain_expected_composition,
-)
+from repro.multiway import TreeEdge, TreeJoinState
+from repro.validation.differential import chain_expected_composition
 
 MG = RelationSchema("MG", ("Company", "MergedWith"))
 EX = RelationSchema("EX", ("Company", "CEO"))
 RES = RelationSchema("RES", ("CEO", "City"))
-EDGES = [ChainEdge("Company", "Company"), ChainEdge("CEO", "CEO")]
+EDGES = [TreeEdge(0, "Company", 1, "Company"), TreeEdge(1, "CEO", 2, "CEO")]
 
 
 def tup(rel, values, good, doc):
@@ -23,18 +21,20 @@ def tup(rel, values, good, doc):
 
 
 def build_state():
-    return ChainJoinState([MG, EX, RES], EDGES)
+    return TreeJoinState([MG, EX, RES], EDGES)
 
 
 class TestChainJoinState:
+    """The chain form of :class:`TreeJoinState` (one attribute per edge)."""
+
     def test_structure_validation(self):
         with pytest.raises(ValueError):
-            ChainJoinState([MG], [])
+            TreeJoinState([MG], [])
         with pytest.raises(ValueError):
-            ChainJoinState([MG, EX], EDGES)  # wrong edge count
-        with pytest.raises(KeyError):
-            ChainJoinState(
-                [MG, EX], [ChainEdge("Nonexistent", "Company")]
+            TreeJoinState([MG, EX], EDGES)  # wrong edge count
+        with pytest.raises(ValueError):
+            TreeJoinState(
+                [MG, EX], [TreeEdge(0, "Nonexistent", 1, "Company")]
             )
 
     def test_simple_chain(self):
@@ -75,7 +75,9 @@ class TestChainJoinState:
         state.add(2, [tup("EX", ("m", "b"), True, 1)])
         state.add(3, [tup("RES", ("b", "c"), True, 1)])
         [result] = list(state.iter_results())
-        assert result.values == ("m", "s", "b", "c")
+        assert [part.values for part in result.parts] == [
+            ("m", "s"), ("m", "b"), ("b", "c")
+        ]
         assert result.is_good
 
     def test_lazy_recompute(self):
@@ -84,7 +86,7 @@ class TestChainJoinState:
         state.add(2, [tup("EX", ("m", "b"), True, 1)])
         state.add(3, [tup("RES", ("b", "c"), True, 1)])
         first = state.composition
-        assert state.composition is first  # cached until the next insert
+        assert state.composition is first  # unchanged until the next insert
         state.add(3, [tup("RES", ("b", "c2"), True, 2)])
         assert state.composition.n_good == 2
 
@@ -118,13 +120,14 @@ class TestChainStarEquivalence:
     executor must drive a chain state end to end."""
 
     def test_counts_match_star(self):
-        from repro.multiway import MultiJoinState
-
         HQ2 = RelationSchema("HQ", ("Company", "Location"))
-        star = MultiJoinState([MG, EX, HQ2])
-        chain = ChainJoinState(
+        star = TreeJoinState.star([MG, EX, HQ2])
+        chain = TreeJoinState(
             [MG, EX, HQ2],
-            [ChainEdge("Company", "Company"), ChainEdge("Company", "Company")],
+            [
+                TreeEdge(0, "Company", 1, "Company"),
+                TreeEdge(1, "Company", 2, "Company"),
+            ],
         )
         inserts = [
             (1, tup("MG", ("m", "s"), True, 1)),
@@ -145,9 +148,9 @@ class TestChainStarEquivalence:
         from repro.multiway import MultiwayIndependentJoin, MultiwaySide
         from repro.retrieval import ScanRetriever
 
-        chain = ChainJoinState(
+        chain = TreeJoinState(
             [mini_world.schemas["HQ"], mini_world.schemas["EX"]],
-            [ChainEdge("Company", "Company")],
+            [TreeEdge(0, "Company", 1, "Company")],
         )
         sides = [
             MultiwaySide(mini_db1, mini_extractor1, ScanRetriever(mini_db1),
@@ -165,9 +168,7 @@ class TestChainStarEquivalence:
         from repro.multiway import MultiwayIndependentJoin, MultiwaySide
         from repro.retrieval import ScanRetriever
 
-        chain = ChainJoinState(
-            [MG, EX, RES], EDGES
-        )
+        chain = TreeJoinState([MG, EX, RES], EDGES)
         sides = [
             MultiwaySide(mini_db1, mini_extractor1, ScanRetriever(mini_db1)),
             MultiwaySide(mini_db1, mini_extractor1, ScanRetriever(mini_db1)),
@@ -185,7 +186,12 @@ class TestChainExpectedComposition:
                       tup("MG", ("m", "x"), False, 2)])
         state.add(2, [tup("EX", ("m", "b"), True, 1)])
         state.add(3, [tup("RES", ("b", "c"), True, 1)])
-        factor_pairs = [state.pair_factors(side) for side in (1, 2, 3)]
+        # Per-layer (left key, right key) pairs from the joint-key counts.
+        factor_pairs = [
+            {(None,) + key: f for key, f in state.key_factors(1).items()},
+            state.key_factors(2),
+            {key + (None,): f for key, f in state.key_factors(3).items()},
+        ]
         good, total = chain_expected_composition(factor_pairs)
         assert good == pytest.approx(state.composition.n_good)
         assert total == pytest.approx(state.composition.n_total)

@@ -70,7 +70,7 @@ class TestRelationNode:
 
 class TestJoinGraphValidation:
     def test_accepts_star_and_chain(self):
-        assert star3().is_star()
+        assert star3().neighbours("HQ") == ("EX", "MG")
         chain = JoinGraph.chain(
             [MG, EX, HQ], [("Company", "Company"), ("CEO", "Company")]
         )

@@ -17,6 +17,7 @@ import json
 import os
 import pathlib
 import shutil
+import signal
 import subprocess
 import sys
 import threading
@@ -697,6 +698,34 @@ class TestModuleEntryPoint:
         assert result.returncode == 0
         assert "serve" in result.stdout
         assert "submit" in result.stdout
+
+    @pytest.mark.parametrize("stop_signal", ["SIGTERM", "SIGINT"])
+    def test_background_serve_drains_on_signal(self, tmp_path, stop_signal):
+        """A server launched with SIGINT ignored (``&`` in a script) still
+        drains and exits cleanly on TERM, and on INT."""
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(src), env.get("PYTHONPATH", "")) if p
+        )
+        server = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--store", str(tmp_path / "store")],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_IGN),
+        )
+        try:
+            assert "Serving" in server.stdout.readline()
+            server.send_signal(getattr(signal, stop_signal))
+            assert server.wait(timeout=10) == 0
+        finally:
+            if server.poll() is None:
+                server.kill()
+                server.wait()
+        assert "draining the request queue" in server.stderr.read()
 
 
 class _TickingClock:
