@@ -638,6 +638,97 @@ def chain_expected_composition(
     return good, total
 
 
+def reference_compose_factors(graph, subset, factors_for) -> Tuple[float, float]:
+    """(E[total], E[good]) of *subset* by per-key dict message passing.
+
+    The reference for the planner's array composition kernel
+    (``planner.model.compose_factors``): messages flow upward from the
+    leaves, each a mapping join-value → (total, good) of the subtree
+    hanging below, built by plain dict loops in the factor mappings'
+    iteration order.  Same float64 operations in the same order, so the
+    kernel must match it exactly.
+    """
+    from ..planner.model import subset_attributes
+
+    def message(name, parent):
+        children = [
+            edge.other(name)
+            for edge in graph.incident(name)
+            if edge.other(name) in subset and edge.other(name) != parent
+        ]
+        attributes = subset_attributes(graph, name, subset)
+        factors = factors_for(name, attributes)
+        child_messages = {child: message(child, name) for child in children}
+        child_slots = [
+            (
+                attributes.index(
+                    graph.edge_between(name, child).attribute_of(name)
+                ),
+                child,
+            )
+            for child in children
+        ]
+        parent_slot = (
+            attributes.index(graph.edge_between(name, parent).attribute_of(name))
+            if parent is not None
+            else None
+        )
+        out: Dict[Optional[str], Tuple[float, float]] = {}
+        for key, (total, good) in factors.items():
+            for slot, child in child_slots:
+                upstream = child_messages[child].get(key[slot])
+                if upstream is None:
+                    total = good = 0.0
+                    break
+                total *= upstream[0]
+                good *= upstream[1]
+            if total == 0.0 and good == 0.0:
+                continue
+            out_key = None if parent_slot is None else key[parent_slot]
+            accumulated = out.get(out_key, (0.0, 0.0))
+            out[out_key] = (accumulated[0] + total, accumulated[1] + good)
+        return out
+
+    if not subset:
+        raise ValueError("cannot compose an empty subset")
+    root = next(name for name in graph.names if name in subset)
+    aggregate = message(root, None)
+    total = sum(pair[0] for pair in aggregate.values())
+    good = sum(pair[1] for pair in aggregate.values())
+    return total, good
+
+
+def _check_multiway_kernel_reference(report, scenario, model, configs, efforts):
+    """Array composition kernel vs the dict message passing — exact."""
+    graph = model.graph
+    full = frozenset(graph.names)
+    kernel_total, kernel_good = model.compose(configs, efforts)
+    reference_total, reference_good = reference_compose_factors(
+        graph,
+        full,
+        lambda name, attributes: model.key_factors(
+            configs[name], attributes, efforts[name]
+        ),
+    )
+    for channel, observed, expected in (
+        ("good", kernel_good, reference_good),
+        ("total", kernel_total, reference_total),
+    ):
+        report.add(
+            CheckResult(
+                name=f"multiway-diff/{scenario.name}/kernel-vs-reference/{channel}",
+                ok=observed == expected,
+                observed=float(observed),
+                expected=float(expected),
+                band=0.0,
+                detail=(
+                    "np.bincount kernel vs per-key dict DP: same float64 "
+                    "operations in the same order, so bit-equal"
+                ),
+            )
+        )
+
+
 def _check_multiway_chain_reference(report, scenario, model, configs, efforts):
     """Tree message passing vs the chain DP — same math, two code paths."""
     from ..planner.model import compose_factors, subset_attributes
@@ -795,7 +886,8 @@ def check_multiway_differential(
 ) -> None:
     """The multiway planner's differential family, per seeded scenario.
 
-    Five cross-checks: tree message passing vs the chain DP (exact), the
+    Six cross-checks: the array composition kernel vs the dict message
+    passing (exact), tree message passing vs the chain DP (exact), the
     Selinger DP vs brute-force tree enumeration (byte-identical), the
     pruned vs unpruned planner sweep (identity, tier-A soundness), the
     composition model vs its Monte-Carlo simulator (CLT bands), and the
@@ -832,6 +924,9 @@ def check_multiway_differential(
             for name in graph.names
         }
         full = model.balanced_efforts(configs, 1.0)
+        _check_multiway_kernel_reference(
+            report, scenario, model, configs, model.balanced_efforts(configs, 0.6)
+        )
         if graph.is_chain():
             _check_multiway_chain_reference(
                 report, scenario, model, configs, full

@@ -141,6 +141,7 @@ class TestMultiwayDifferential:
         assert all(n.startswith("multiway-diff/") for n in names)
         for scenario in ("star3", "chain3"):
             for family in (
+                "kernel-vs-reference",
                 "chain-vs-tree",
                 "dp-vs-brute",
                 "pruned-irrelevance",
@@ -151,6 +152,18 @@ class TestMultiwayDifferential:
                 assert any(
                     scenario in n and family in n for n in names
                 ), (scenario, family)
+
+    def test_kernel_matches_reference_bit_for_bit(self, multiway_report):
+        checks = [
+            c for c in multiway_report.checks if "kernel-vs-reference" in c.name
+        ]
+        assert sorted(c.name for c in checks) == [
+            f"multiway-diff/{scenario}/kernel-vs-reference/{channel}"
+            for scenario in ("chain3", "star3")
+            for channel in ("good", "total")
+        ]
+        for check in checks:
+            assert check.ok and check.observed == check.expected
 
     def test_executor_identity_is_exact(self, multiway_report):
         identities = [
