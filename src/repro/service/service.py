@@ -1078,8 +1078,9 @@ class JoinService:
         )
 
         def factory() -> JoinOptimizer:
-            # Called under the plan cache's lock, so the plain-int curve
-            # tallies below are serialized without taking another lock.
+            # Called under the plan cache's lock; the curve tallies are
+            # also bumped by the multiway warm path, so they take the
+            # metrics lock (lock order: plan cache, then metrics).
             optimizer = JoinOptimizer(
                 self._stored_catalog(stored),
                 costs=self.task.costs,
@@ -1091,10 +1092,11 @@ class JoinService:
                 loaded = optimizer.import_probes(
                     stored_curves["plans"], self.plans
                 )
-            if loaded > 0:
-                self._curve_store_hits += 1
-            else:
-                self._curve_store_misses += 1
+            with self._metrics_lock:
+                if loaded > 0:
+                    self._curve_store_hits += 1
+                else:
+                    self._curve_store_misses += 1
             return optimizer
 
         return key, factory
@@ -1121,7 +1123,8 @@ class JoinService:
                 payload,
             )
             self.store.save()
-        self._curve_exports += 1
+        with self._metrics_lock:
+            self._curve_exports += 1
 
     def _publish_plan_counters(self, key: PlanCacheKey) -> None:
         """Fold the cached optimizer's pruning tallies into the metrics.
@@ -1248,10 +1251,11 @@ class JoinService:
             return response
 
         def factory() -> _MultiwayPlannerAdapter:
-            if stored is not None:
-                self._curve_store_hits += 1
-            else:
-                self._curve_store_misses += 1
+            with self._metrics_lock:
+                if stored is not None:
+                    self._curve_store_hits += 1
+                else:
+                    self._curve_store_misses += 1
             return _MultiwayPlannerAdapter(
                 MultiwayPlanner(
                     graph, catalog, feasibility_margin=self.margin
@@ -1506,6 +1510,12 @@ class JoinService:
         with self._store_lock:
             store = self.store.summary()
             paths = list(self._unavailable_paths)
+        with self._metrics_lock:
+            curve_store = {
+                "hits": self._curve_store_hits,
+                "misses": self._curve_store_misses,
+                "exports": self._curve_exports,
+            }
         return {
             "task": self.task.name,
             "signature": self.signature,
@@ -1515,11 +1525,7 @@ class JoinService:
             "unavailable_paths": paths,
             "plan_cache": self.plan_cache.stats(),
             "plan_pruning": self.plan_cache.aggregate_counters(),
-            "curve_store": {
-                "hits": self._curve_store_hits,
-                "misses": self._curve_store_misses,
-                "exports": self._curve_exports,
-            },
+            "curve_store": curve_store,
             "store": store,
             "pruned_checkpoints": list(self.pruned_checkpoints),
             "admission": self.admission.snapshot(),
@@ -1594,6 +1600,11 @@ class JoinService:
 
     def render_metrics(self) -> str:
         """Prometheus exposition text for ``/v1/metrics``."""
+        # Plan-cache reads come first: optimizer factories take the
+        # metrics lock while the cache's lock is held, so holding the
+        # metrics lock while taking the cache's would invert that order.
+        cache = self.plan_cache.stats()
+        pruning = sorted(self.plan_cache.aggregate_counters().items())
         with self._metrics_lock:
             for name, text in self.METRIC_HELP.items():
                 self.metrics.describe(name, text)
@@ -1618,14 +1629,11 @@ class JoinService:
             self.metrics.gauge("repro_service_workers").set(
                 len(self._workers)
             )
-            cache = self.plan_cache.stats()
             for name, value in cache.items():
                 self.metrics.gauge(
                     "repro_service_plan_cache", key=name
                 ).set(value)
-            for name, value in sorted(
-                self.plan_cache.aggregate_counters().items()
-            ):
+            for name, value in pruning:
                 self.metrics.gauge(
                     "repro_service_plan_pruning", key=name
                 ).set(value)

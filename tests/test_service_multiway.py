@@ -240,3 +240,70 @@ class TestMultiwayHTTP:
         status, text = request_json(base, "metrics")
         assert status == 200
         assert "# TYPE repro_planner_events_total counter" in text
+
+
+def _relation(name, attribute):
+    return {
+        "name": name,
+        "attributes": ["Company", attribute],
+        "thetas": [0.4],
+        "access_paths": ["SC"],
+    }
+
+
+#: six graphs over the bound aliases, each with its own plan-cache key
+DISTINCT_GRAPHS = [
+    (("HQ", "EX", "MG"), ["HQ.Company=EX.Company", "HQ.Company=MG.Company"]),
+    (("EX", "HQ", "MG"), ["EX.Company=HQ.Company", "EX.Company=MG.Company"]),
+    (("MG", "HQ", "EX"), ["MG.Company=HQ.Company", "MG.Company=EX.Company"]),
+    (("HQ", "EX"), ["HQ.Company=EX.Company"]),
+    (("HQ", "MG"), ["HQ.Company=MG.Company"]),
+    (("EX", "MG"), ["EX.Company=MG.Company"]),
+]
+
+ATTRIBUTES = {"HQ": "Location", "EX": "CEO", "MG": "MergedWith"}
+
+
+class TestCurveStoreCounters:
+    def test_concurrent_planner_builds_are_all_counted(
+        self, hq_ex_task, tmp_path
+    ):
+        """Every planner the cache builds counts once as a hit or a miss.
+
+        The curve-store tallies are bumped from worker threads by the
+        optimizer factories and the warm-start path; all of them take
+        the metrics lock, so a concurrent burst loses no increment.
+        """
+        scenario = build_multiway_testbed().scenario("star3")
+        service = JoinService(
+            hq_ex_task, str(tmp_path / "store"), workers=2,
+            multiway=scenario,
+        )
+        try:
+            futures = [
+                service.submit(
+                    JoinRequest.from_payload(
+                        star3_payload(
+                            tau_good=10,
+                            relations=[
+                                _relation(name, ATTRIBUTES[name])
+                                for name in names
+                            ],
+                            edges=edges,
+                        )
+                    )
+                )
+                for names, edges in DISTINCT_GRAPHS
+            ]
+            replies = [future.result(timeout=300) for future in futures]
+            stats = service.stats()
+        finally:
+            service.close()
+        assert len({reply["signature"] for reply in replies}) == len(
+            DISTINCT_GRAPHS
+        )
+        builds = stats["plan_cache"]["optimizer_misses"]
+        assert builds == len(DISTINCT_GRAPHS)
+        curve_store = stats["curve_store"]
+        assert curve_store["hits"] + curve_store["misses"] == builds
+        assert curve_store["exports"] == len(DISTINCT_GRAPHS)
