@@ -612,12 +612,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     # ignored: route both to the drain below.
     for signum in (signal.SIGINT, signal.SIGTERM):
         signal.signal(signum, _drain_on_signal)
-    print(
-        f"Serving {task.name} on http://{host}:{port} "
-        f"(store: {service.store.root})",
-        flush=True,
-    )
     try:
+        # Inside the try: a signal that lands right after the banner
+        # is flushed still drains instead of escaping as an interrupt.
+        print(
+            f"Serving {task.name} on http://{host}:{port} "
+            f"(store: {service.store.root})",
+            flush=True,
+        )
         server.serve_forever()
     except KeyboardInterrupt as stop:
         _LOG.info("%s; draining the request queue", stop)

@@ -7,7 +7,6 @@ zig-zag analysis.
 """
 
 from .distributions import (
-    binomial_pmf,
     expected_distinct_sampled,
     hypergeom_pmf,
     probability_none_extracted,
@@ -67,7 +66,6 @@ __all__ = [
     "ZGJNModel",
     "ZGJNReach",
     "best_outer",
-    "binomial_pmf",
     "build_retrieval_model",
     "charge_events",
     "compose_aggregate",

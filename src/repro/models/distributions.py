@@ -93,11 +93,6 @@ def hypergeom_pmf(
     return stats.hypergeom.pmf(k, population, successes, draws)
 
 
-def binomial_pmf(n: int, p: float, k: np.ndarray) -> np.ndarray:
-    """Pr{k successes in n independent trials of probability p}."""
-    return stats.binom.pmf(k, n, p)
-
-
 def thinned_hypergeom_pmf(
     population: int,
     draws: int,
@@ -260,21 +255,6 @@ class NoneExtractedBatch:
         result = weights @ pows
         result = np.where(self.zero_mask, 1.0, result)
         return result[self.inverse].reshape(self.shape)
-
-
-def probability_none_extracted_many(
-    population: int, draws: int, occurrences: np.ndarray, rate: float
-) -> np.ndarray:
-    """:func:`probability_none_extracted` over an array of occurrence counts.
-
-    The scalar version is the reference implementation; this one evaluates
-    ``E[(1-rate)^K]`` for every distinct occurrence count in one
-    hypergeometric matrix call — the kernel behind the vectorized OIJN
-    issuance model, where thousands of values share few distinct
-    frequencies.  Callers with a fixed occurrence array should hold a
-    :class:`NoneExtractedBatch` instead.
-    """
-    return NoneExtractedBatch(occurrences).evaluate(population, draws, rate)
 
 
 def none_extracted_lower_bound(

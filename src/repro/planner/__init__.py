@@ -11,12 +11,6 @@ join orders under tier-A bound pruning — choosing between a pipelined
 join tree and the fully-interleaved n-ary strategy.
 """
 
-from .adaptive import (
-    AdaptiveMultiwayDriver,
-    AdaptiveMultiwayResult,
-    AdaptiveRound,
-    RelationPilot,
-)
 from .binder import MultiwayEnvironment, bind_multiway_plan
 from .catalog import PlannerCatalog, RelationEntry
 from .enumerator import (
@@ -43,13 +37,10 @@ from .plan import (
     RelationConfig,
 )
 from .planner import MultiwayPlanner, PlannerResult, PlannerTallies
-from .profile import KeyProfile, profile_keys, scale_key_profile
+from .profile import KeyProfile, profile_keys
 from .simulate import SimulationSummary, simulate_composition
 
 __all__ = [
-    "AdaptiveMultiwayDriver",
-    "AdaptiveMultiwayResult",
-    "AdaptiveRound",
     "DEFAULT_T_JOIN",
     "EnumerationTallies",
     "ExecutionStrategy",
@@ -69,7 +60,6 @@ __all__ = [
     "RelationConfig",
     "RelationEntry",
     "RelationNode",
-    "RelationPilot",
     "SimulationSummary",
     "all_trees",
     "best_tree",
@@ -78,7 +68,6 @@ __all__ = [
     "count_subplans",
     "naive_left_deep_tree",
     "profile_keys",
-    "scale_key_profile",
     "simulate_composition",
     "subset_attributes",
     "tree_cost",

@@ -235,13 +235,31 @@ class JoinGraph:
         return reached == set(subset)
 
     def signature(self) -> str:
-        """A stable identity string used to key caches and the store."""
+        """A stable identity of the graph's shape: relations, schemas, edges."""
         nodes = ";".join(
             "{}({})".format(node.name, ",".join(node.attributes))
             for node in sorted(self.relations, key=lambda n: n.name)
         )
         edges = ";".join(sorted(edge.describe() for edge in self.edges))
         return f"mwg:{nodes}|{edges}"
+
+    def plan_space_key(self) -> str:
+        """The identity of the plan space searched over this graph.
+
+        The signature plus every relation's theta grid and access paths:
+        one graph shape with two grids is two plan spaces with two
+        answers, so plan caches, request coalescing and stored plans key
+        on this, never on :meth:`signature` alone.
+        """
+        grids = ";".join(
+            "{}[{}/{}]".format(
+                node.name,
+                ",".join(repr(float(theta)) for theta in node.thetas),
+                ",".join(kind.value for kind in node.access_paths),
+            )
+            for node in sorted(self.relations, key=lambda n: n.name)
+        )
+        return f"{self.signature()}|grids:{grids}"
 
     def describe(self) -> str:
         return " ".join(edge.describe() for edge in self.edges)

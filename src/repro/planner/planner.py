@@ -144,6 +144,9 @@ class MultiwayPlanner:
         self.feasibility_margin = feasibility_margin
         self._clock = clock
         self._structure_count: Dict[bool, int] = {}
+        #: the naive left-deep tree: the tree of the naive baseline plan,
+        #: and the placeholder of every assignment the DP never orders
+        self._left_deep_tree = naive_left_deep_tree(graph)
 
     # ------------------------------------------------------------------
 
@@ -217,7 +220,6 @@ class MultiwayPlanner:
     ) -> PlannedEvaluation:
         configs = {config.name: config for config in assignment}
         index = self.model.assignment_index(configs)
-        placeholder_tree = naive_left_deep_tree(self.graph)
         if prune:
             bounds = self.model.bounds(configs)
             if bounds.cannot_reach(target):
@@ -227,7 +229,7 @@ class MultiwayPlanner:
                     plan=MultiwayPlan(
                         strategy=ExecutionStrategy.PIPELINE,
                         configs=assignment,
-                        tree=placeholder_tree,
+                        tree=self._left_deep_tree,
                     ),
                     feasible=False,
                     pruned=True,
@@ -245,7 +247,7 @@ class MultiwayPlanner:
                     plan=MultiwayPlan(
                         strategy=ExecutionStrategy.PIPELINE,
                         configs=assignment,
-                        tree=placeholder_tree,
+                        tree=self._left_deep_tree,
                     ),
                     feasible=False,
                     reason="tau_good",
@@ -269,7 +271,7 @@ class MultiwayPlanner:
                     plan=MultiwayPlan(
                         strategy=ExecutionStrategy.PIPELINE,
                         configs=assignment,
-                        tree=placeholder_tree,
+                        tree=self._left_deep_tree,
                     ),
                     feasible=False,
                     reason="tau_bad",
@@ -364,9 +366,10 @@ class MultiwayPlanner:
             return None
         efforts = self.model.balanced_efforts(configs, fraction)
         total, good = self.model.curve_point(index, fraction)
-        tree = naive_left_deep_tree(self.graph)
         plan = MultiwayPlan(
-            strategy=ExecutionStrategy.PIPELINE, configs=assignment, tree=tree
+            strategy=ExecutionStrategy.PIPELINE,
+            configs=assignment,
+            tree=self._left_deep_tree,
         )
         join_time, intermediates = self.model.join_time(
             plan,

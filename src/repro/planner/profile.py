@@ -82,22 +82,3 @@ def profile_keys(
         bad_in_good_frequency=dict(bad_in_good),
     )
 
-
-def scale_key_profile(profile: KeyProfile, factor: float) -> KeyProfile:
-    """A copy with every frequency multiplied by *factor*.
-
-    Used by the adaptive driver to extrapolate pilot observations to the
-    full corpus (frequencies stay floats; the composition model never
-    requires integers).
-    """
-    if factor < 0:
-        raise ValueError("scale factor must be non-negative")
-    return KeyProfile(
-        relation=profile.relation,
-        attribute_indexes=profile.attribute_indexes,
-        good_frequency={k: v * factor for k, v in profile.good_frequency.items()},
-        bad_frequency={k: v * factor for k, v in profile.bad_frequency.items()},
-        bad_in_good_frequency={
-            k: v * factor for k, v in profile.bad_in_good_frequency.items()
-        },
-    )

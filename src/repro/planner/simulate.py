@@ -85,7 +85,10 @@ def simulate_composition(
         sampled: dict = {}
         for name, attributes, side, profile, rho_good, rho_bad in ingredients:
             factors: KeyFactors = {}
-            for key in set(profile.good_frequency) | set(profile.bad_frequency):
+            # Sorted, so the draws go to the same keys whatever the
+            # string hash seed.
+            keys = set(profile.good_frequency) | set(profile.bad_frequency)
+            for key in sorted(keys):
                 good = _binomial(
                     rng, int(profile.good_frequency.get(key, 0)), side.tp * rho_good
                 )

@@ -3,16 +3,16 @@
 The experiments run the adaptive optimizer as a one-shot batch job; this
 package turns it into a long-lived *service*:
 
-* :mod:`~repro.service.store` — the persistent
-  :class:`StatisticsStore`: versioned, atomically-written JSON capturing
-  what every finished run learned (per-side MLE estimates, overlap-class
-  sizes, the final pilot checkpoint, drift snapshots), keyed by corpus
-  fingerprint so statistics of a changed corpus are never reused;
-* :mod:`~repro.service.shards` — the crash-safe
-  :class:`ShardedStatisticsStore`: the same in-memory model persisted
-  per-fingerprint-shard through an append-then-replace journal with
-  checksummed records, so independent corpora never contend on one file
-  and a ``kill -9`` mid-write never loses the last committed generation;
+* :mod:`~repro.service.store` — the persistent, crash-safe
+  :class:`StatisticsStore`: what every finished run learned (per-side
+  MLE estimates, overlap-class sizes, the final pilot checkpoint, drift
+  snapshots), keyed by corpus fingerprint so statistics of a changed
+  corpus are never reused, and persisted per fingerprint shard through
+  an append-then-compact journal, so independent corpora never contend
+  on one file and a ``kill -9`` mid-write never loses the last committed
+  generation;
+* :mod:`~repro.service.shards` — the store's on-disk format: shard keys,
+  checksummed journal records, and the :func:`tear_journal` chaos helper;
 * :mod:`~repro.service.plancache` — the :class:`PlanCache` that reuses
   optimizers (memoized model predictors and
   :class:`~repro.optimizer.engine.PlanEvaluationEngine` effort curves)
@@ -51,7 +51,7 @@ from .service import (
     ServiceBusyError,
     ServiceClosedError,
 )
-from .shards import ShardedStatisticsStore, tear_journal
+from .shards import tear_journal
 from .store import (
     StatisticsStore,
     StoreError,
@@ -72,7 +72,6 @@ __all__ = [
     "RequestCoalescer",
     "ServiceBusyError",
     "ServiceClosedError",
-    "ShardedStatisticsStore",
     "StatisticsStore",
     "StoreError",
     "Waiter",

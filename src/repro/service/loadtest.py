@@ -65,7 +65,8 @@ from .service import (
     ServiceBusyError,
     ServiceClosedError,
 )
-from .shards import ShardedStatisticsStore, tear_journal
+from .shards import tear_journal
+from .store import StatisticsStore
 
 #: every request ends in exactly one of these buckets
 OUTCOMES = (
@@ -394,7 +395,6 @@ def run_local_loadtest(
         "generation": service.store.generation,
         "sides": len(service.store.sides),
         "tasks": len(service.store.tasks),
-        "layout": "sharded",
     }
     payload = _bench_payload(
         "local", config, samples, wall, recovery, store=store_summary
@@ -449,7 +449,7 @@ def _tear_and_recover(store_root: str, seed: int) -> Dict[str, Any]:
     install_checker(checker)
     started = time.perf_counter()
     try:
-        reopened = ShardedStatisticsStore(store_root)
+        reopened = StatisticsStore(store_root)
     finally:
         install_checker(previous)
     return {

@@ -23,7 +23,7 @@ requests through a fixed worker pool:
   is written per request and whose metrics merge into the service-level
   registry;
 * **warm starts** — before running the adaptive optimizer the service
-  consults its :class:`~repro.service.shards.ShardedStatisticsStore`
+  consults its :class:`~repro.service.store.StatisticsStore`
   (crash-safe, journaled, sharded by corpus fingerprint); a fresh
   record for this task yields a
   :class:`~repro.optimizer.adaptive.PilotWarmStart`, so the pilot phase
@@ -82,8 +82,7 @@ from ..robustness.faults import SWALLOWED_EXCEPTIONS, FaultProfile
 from .admission import DEGRADE, SHED, AdmissionController
 from .coalesce import RequestCoalescer
 from .plancache import PlanCache, PlanCacheKey
-from .shards import ShardedStatisticsStore
-from .store import WarmStartPolicy, task_signature
+from .store import StatisticsStore, WarmStartPolicy, task_signature
 
 #: (side-1 parameters, side-2 parameters, overlap classes) read from the
 #: store — everything the stored-statistics catalog is built from
@@ -226,7 +225,7 @@ class _MultiwayPlannerAdapter:
     ``pruning`` attribute; the adapter ignores the (binary) plan list,
     delegates to the n-ary planner, and folds each run's search tallies
     into a monotone pool.  Cached per
-    ``(graph signature, store generation)`` key, so repeated τ levels
+    ``(plan-space key, store generation)`` key, so repeated τ levels
     over one graph reuse the planner's memoized catalog and structure
     counts, and any statistics mutation invalidates the entry.
     """
@@ -304,7 +303,7 @@ class JoinService:
             raise ValueError("queue_limit must be positive")
         self.task = task
         self.clock = clock
-        self.store = ShardedStatisticsStore(store_root, clock=clock)
+        self.store = StatisticsStore(store_root, clock=clock)
         self.plan_cache = PlanCache()
         #: cross-request singleflight for side-effect-free (plan-mode)
         #: requests; the HTTP front end routes duplicates through it,
@@ -522,12 +521,12 @@ class JoinService:
         None means the request must run individually.  Only plan-mode
         requests coalesce: they are pure functions of the statistics
         store, so everything their answer depends on is in the key —
-        the task (or join-graph) signature, the store's generation at
-        attach time, the requirement, and (for the binary path) the set
-        of currently unavailable access paths the plan cache also keys
-        on.  Deadline and priority are deliberately absent: deadlines
-        are enforced per waiter, and priority only shapes admission,
-        never the answer.
+        the task signature (or the join graph's plan-space key), the
+        store's generation at attach time, the requirement, and (for the
+        binary path) the set of currently unavailable access paths the
+        plan cache also keys on.  Deadline and priority are deliberately
+        absent: deadlines are enforced per waiter, and priority only
+        shapes admission, never the answer.
         """
         if request.mode != "plan":
             return None
@@ -537,7 +536,7 @@ class JoinService:
         if request.graph is not None:
             return (
                 "multiway",
-                request.graph.signature(),
+                request.graph.plan_space_key(),
                 generation,
                 request.tau_good,
                 request.tau_bad,
@@ -1194,10 +1193,10 @@ class JoinService:
         """Answer a ``relations``/``edges`` request with the n-ary planner.
 
         Planning reuses the service's plan cache keyed by
-        ``(join-graph signature, store generation)`` — repeated τ levels
-        over one graph cost a dict lookup — and every freshly planned
-        requirement is journaled to the statistics store under the graph
-        signature, so a restarted service answers known (graph, τg, τb)
+        ``(plan-space key, store generation)`` — repeated τ levels over
+        one graph and grid cost a dict lookup — and every freshly planned
+        requirement is journaled to the statistics store under the same
+        key, so a restarted service answers known (graph, τg, τb)
         plan requests from disk without replanning.  ``execute`` mode
         binds the chosen plan to the scenario's live databases and runs
         the n-ary executor under the (τg, τb) stopping condition.
@@ -1219,14 +1218,14 @@ class JoinService:
                 f"unknown relation alias {missing[0]!r}; "
                 f"bound aliases: {bound}"
             )
-        signature = graph.signature()
+        plan_space = graph.plan_space_key()
         databases = tuple(
             self.multiway.database_of(alias) for alias in graph.names
         )
         with self._store_lock:
             generation = self.store.generation
-            stored = self.store.curves_for(signature, databases, generation)
-        key = PlanCacheKey.of(signature, generation, ())
+            stored = self.store.curves_for(plan_space, databases, generation)
+        key = PlanCacheKey.of(plan_space, generation, ())
         requirement_key = f"{request.tau_good}|{request.tau_bad}"
         if (
             request.mode == "plan"
@@ -1268,7 +1267,7 @@ class JoinService:
         self._publish_multiway_counters(key)
         if not was_hit:
             self._persist_multiway(
-                signature, databases, generation, requirement_key, result
+                plan_space, databases, generation, requirement_key, result
             )
         response = self._multiway_response(request, result)
         if request.mode != "execute":
@@ -1321,15 +1320,15 @@ class JoinService:
 
     def _persist_multiway(
         self,
-        signature: str,
+        plan_space: str,
         databases: Tuple[Any, ...],
         generation: int,
         requirement_key: str,
         result: PlannerResult,
     ) -> None:
-        """Journal a freshly planned requirement under the graph signature.
+        """Journal a freshly planned requirement under the plan-space key.
 
-        Merged into the store's curve record for the signature (fingerprint-
+        Merged into the store's curve record for the key (fingerprint-
         and generation-checked, like binary probe curves) so plan-mode
         answers survive a service restart.
         """
@@ -1337,10 +1336,10 @@ class JoinService:
         with self._store_lock:
             if self.store.generation != generation:
                 return  # statistics moved on; the answer is superseded
-            record = self.store.curves_for(signature, databases, generation)
+            record = self.store.curves_for(plan_space, databases, generation)
             plans = dict(record["plans"]) if record is not None else {}
             plans[requirement_key] = facts
-            self.store.record_curves(signature, databases, generation, plans)
+            self.store.record_curves(plan_space, databases, generation, plans)
             self.store.save()
         with self._metrics_lock:
             self._curve_exports += 1

@@ -1,64 +1,34 @@
-"""Crash-safe sharded statistics persistence.
+"""On-disk format of the statistics store: shards, journal records, tearing.
 
-The single ``statistics.json`` of :class:`~repro.service.store.StatisticsStore`
-has two serving problems: every tenant (corpus) contends on one file, and
-a crash between the temp-file write and the ``os.replace`` loses the whole
-generation being written.  :class:`ShardedStatisticsStore` keeps the base
-class's in-memory model, schema checking, and fingerprint gating, and
-replaces only the persistence layer:
+:class:`~repro.service.store.StatisticsStore` persists its records under
+``<root>/shards/`` as ``<key>.json`` snapshot + ``<key>.journal``
+write-ahead-log pairs.  This module holds the pieces of that format that
+do not need the store itself:
 
-* **Sharding** — records are grouped by a two-hex-character prefix of
-  their corpus fingerprint (side records) or of a digest of their
-  fingerprint list (task records), into ``shards/<key>.json`` +
-  ``shards/<key>.journal`` pairs.  Independent corpora land in
-  independent files, so saves touch only the shards whose records
-  actually changed.
-* **Write-ahead journal** — a save *appends* one checksummed, fsynced
-  record (the shard's full payload at the current generation) to the
-  shard's journal.  Appends never rewrite committed bytes, so a crash —
-  including ``kill -9`` mid-write — can only tear the record being
-  appended, never an earlier committed one.
-* **Compaction** — every ``compact_every`` journal records the shard's
-  snapshot is rewritten atomically (temp + ``os.replace``) and the
-  journal is truncated by atomically replacing it with an empty file,
-  bounding journal growth without ever exposing a torn state.
-* **Recovery** — loading replays each shard's journal over its snapshot;
-  the *last valid* record (well-formed JSON, matching CRC) wins, and the
-  first invalid record ends the trustworthy prefix (everything after a
-  torn write is dropped).  Recovered records then pass the exact same
-  schema/coherence filters as the base class, plus shard-placement and
-  generation-monotonicity invariants via
-  :mod:`repro.validation.invariants`.  The store's generation resumes at
-  the maximum committed shard generation, so plan-cache keys stay
-  monotone across restarts.
-
-A root containing only the legacy single-file layout is migrated on the
-first save; until then the legacy file is loaded as-is.
+* **Shard keys** — a side record lives in the shard named by the first
+  two hex characters of its corpus fingerprint; task and curve records
+  in the shard named by a digest of their fingerprint list.  Independent
+  corpora land in independent files.
+* **Journal records** — one line per save of a shard: the shard's full
+  payload (generation, sides, tasks, curves) plus a CRC32 of its
+  canonical encoding.  A single flipped or missing byte fails the check,
+  so recovery can tell a torn append from a committed one.
+* **Tearing** — :func:`tear_journal` truncates one journal inside its
+  last record, the only damage a ``kill -9`` mid-append can do; the
+  chaos harness and tests use it to exercise recovery.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 import pathlib
 import random
-import time
 import zlib
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
-from ..validation.invariants import active_checker
-from .store import (
-    STORE_VERSION,
-    StatisticsStore,
-    _CURVE_SCHEMA,
-    _SIDE_SCHEMA,
-    _TASK_SCHEMA,
-    _check_schema,
-    _coherent_side,
-    _coherent_task,
-    _valid_parameters,
-)
+#: directory under the store root that holds every shard file
+SHARD_DIR = "shards"
 
 #: shard filename suffixes: `<key>.json` snapshot + `<key>.journal` WAL
 SNAPSHOT_SUFFIX = ".json"
@@ -67,6 +37,9 @@ JOURNAL_SUFFIX = ".journal"
 #: hex characters of fingerprint used as the shard key (256 shards max)
 SHARD_KEY_WIDTH = 2
 
+#: the keys of every journal record's body (the CRC covers all of them)
+_BODY_KEYS = ("generation", "sides", "tasks", "curves")
+
 
 def side_shard(record: Dict[str, Any]) -> str:
     """The shard key of a side record (its corpus fingerprint prefix)."""
@@ -74,14 +47,15 @@ def side_shard(record: Dict[str, Any]) -> str:
 
 
 def task_shard(record: Dict[str, Any]) -> str:
-    """The shard key of a task record (digest of its fingerprint list)."""
+    """The shard key of a task or curve record (digest of its fingerprints)."""
     joined = "|".join(str(f) for f in record["fingerprints"])
     return hashlib.blake2b(joined.encode(), digest_size=16).hexdigest()[
         :SHARD_KEY_WIDTH
     ]
 
 
-def _canonical(value: Any) -> str:
+def canonical(value: Any) -> str:
+    """Key-sorted, whitespace-free JSON: the form CRCs are computed over."""
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
@@ -89,18 +63,17 @@ def encode_journal_record(
     generation: int,
     sides: Dict[str, Any],
     tasks: Dict[str, Any],
-    curves: Optional[Dict[str, Any]] = None,
+    curves: Dict[str, Any],
 ) -> bytes:
-    """One self-checking journal line: full shard payload + CRC32.
-
-    ``curves`` is omitted from the encoding when None, reproducing the
-    pre-curve record layout byte for byte (and its CRC).
-    """
-    body = {"generation": generation, "sides": sides, "tasks": tasks}
-    if curves is not None:
-        body["curves"] = curves
-    crc = zlib.crc32(_canonical(body).encode("utf-8"))
-    return _canonical({**body, "crc": crc}).encode("utf-8") + b"\n"
+    """One self-checking journal line: full shard payload + CRC32."""
+    body = {
+        "generation": generation,
+        "sides": sides,
+        "tasks": tasks,
+        "curves": curves,
+    }
+    crc = zlib.crc32(canonical(body).encode("utf-8"))
+    return canonical({**body, "crc": crc}).encode("utf-8") + b"\n"
 
 
 def decode_journal_record(line: bytes) -> Optional[Dict[str, Any]]:
@@ -108,363 +81,23 @@ def decode_journal_record(line: bytes) -> Optional[Dict[str, Any]]:
 
     The CRC is recomputed over the canonical re-encoding of the parsed
     body — JSON round-trips ints and floats exactly, so a single flipped
-    or missing byte anywhere in the line fails the check.  Records
-    written before curve persistence existed lack the ``curves`` key;
-    they decode without one (their CRC covers the original three-key
-    body, so old journals replay unchanged — the replay path treats a
-    missing ``curves`` as empty).
+    or missing byte anywhere in the line fails the check.
     """
     try:
         record = json.loads(line.decode("utf-8"))
     except (ValueError, UnicodeDecodeError):
         return None
-    if not isinstance(record, dict) or set(record) not in (
-        {"generation", "sides", "tasks", "crc"},
-        {"generation", "sides", "tasks", "curves", "crc"},
-    ):
+    if not isinstance(record, dict) or set(record) != {*_BODY_KEYS, "crc"}:
         return None
-    body = {
-        "generation": record["generation"],
-        "sides": record["sides"],
-        "tasks": record["tasks"],
-    }
-    if "curves" in record:
-        body["curves"] = record["curves"]
-        if not isinstance(body["curves"], dict):
-            return None
-    if not isinstance(body["generation"], int) or isinstance(
-        body["generation"], bool
-    ):
+    body = {key: record[key] for key in _BODY_KEYS}
+    generation = body["generation"]
+    if not isinstance(generation, int) or isinstance(generation, bool):
         return None
-    if not isinstance(body["sides"], dict) or not isinstance(
-        body["tasks"], dict
-    ):
+    if not all(isinstance(body[key], dict) for key in _BODY_KEYS[1:]):
         return None
-    if record["crc"] != zlib.crc32(_canonical(body).encode("utf-8")):
+    if record["crc"] != zlib.crc32(canonical(body).encode("utf-8")):
         return None
     return body
-
-
-class ShardedStatisticsStore(StatisticsStore):
-    """Statistics store sharded by corpus fingerprint, journaled for
-    crash safety.  Drop-in for :class:`StatisticsStore` — same in-memory
-    API, different on-disk layout."""
-
-    SHARD_DIR = "shards"
-
-    def __init__(
-        self,
-        root: str,
-        clock: Callable[[], float] = time.time,
-        compact_every: int = 8,
-    ) -> None:
-        self.compact_every = max(int(compact_every), 1)
-        #: shard key -> canonical JSON of its last persisted records,
-        #: for dirty detection (clean shards are skipped on save)
-        self._persisted: Dict[str, str] = {}
-        #: shard key -> journal records since the last compaction
-        self._journal_records: Dict[str, int] = {}
-        #: facts from the last recovery pass, surfaced in summary()
-        self.recovery: Dict[str, Any] = {}
-        super().__init__(root, clock=clock)
-
-    @property
-    def shard_dir(self) -> pathlib.Path:
-        return self.root / self.SHARD_DIR
-
-    # -- recovery -------------------------------------------------------------
-
-    def load(self) -> None:
-        """Recover from shards+journals; torn tails dropped, never served."""
-        self.sides = {}
-        self.tasks = {}
-        self.curves = {}
-        self._persisted = {}
-        self._journal_records = {}
-        recovery: Dict[str, Any] = {
-            "shards": 0,
-            "journal_records_replayed": 0,
-            "torn_records_dropped": 0,
-            "invalid_records_dropped": 0,
-            "legacy_layout": False,
-            "generation": 0,
-        }
-        keys = self._shard_keys()
-        if not keys:
-            # Legacy single-file layout (or an empty store): defer to the
-            # base loader; the first save migrates to shards.
-            super().load()
-            recovery["legacy_layout"] = self.path.exists()
-            self.recovery = recovery
-            return
-        generation = 0
-        for key in sorted(keys):
-            payload, facts = self._recover_shard(key)
-            recovery["shards"] += 1
-            recovery["journal_records_replayed"] += facts["journal_records"]
-            recovery["torn_records_dropped"] += facts["torn_records"]
-            if payload is None:
-                continue
-            shard_generation = payload.get("generation", 0)
-            if isinstance(shard_generation, int) and not isinstance(
-                shard_generation, bool
-            ):
-                generation = max(generation, shard_generation)
-            recovery["invalid_records_dropped"] += self._absorb_shard(
-                key, payload
-            )
-            self._persisted[key] = _canonical(
-                {
-                    "sides": {
-                        name: record
-                        for name, record in self.sides.items()
-                        if side_shard(record) == key
-                    },
-                    "tasks": {
-                        name: record
-                        for name, record in self.tasks.items()
-                        if task_shard(record) == key
-                    },
-                    "curves": {
-                        name: record
-                        for name, record in self.curves.items()
-                        if task_shard(record) == key
-                    },
-                }
-            )
-            self._journal_records[key] = facts["journal_records"]
-        self.generation = generation
-        self._saved_generation = generation
-        recovery["generation"] = generation
-        self.recovery = recovery
-        self._check_coherence("store.shard.load")
-
-    def _shard_keys(self) -> Tuple[str, ...]:
-        directory = self.shard_dir
-        if not directory.is_dir():
-            return ()
-        keys = set()
-        for path in directory.iterdir():
-            name = path.name
-            if name.endswith(".tmp"):
-                continue
-            if name.endswith(JOURNAL_SUFFIX):
-                keys.add(name[: -len(JOURNAL_SUFFIX)])
-            elif name.endswith(SNAPSHOT_SUFFIX):
-                keys.add(name[: -len(SNAPSHOT_SUFFIX)])
-        return tuple(keys)
-
-    def _recover_shard(
-        self, key: str
-    ) -> Tuple[Optional[Dict[str, Any]], Dict[str, int]]:
-        """Snapshot + journal replay for one shard.
-
-        Returns ``(payload, facts)``; the payload is the last committed
-        state (the newest valid journal record, else the snapshot, else
-        None for a shard with nothing readable).
-        """
-        facts = {"journal_records": 0, "torn_records": 0}
-        payload: Optional[Dict[str, Any]] = None
-        snapshot_path = self.shard_dir / f"{key}{SNAPSHOT_SUFFIX}"
-        try:
-            raw = json.loads(snapshot_path.read_text())
-            if isinstance(raw, dict) and raw.get("version") == STORE_VERSION:
-                payload = raw
-        except (OSError, ValueError):
-            payload = None
-        base_generation = 0
-        if payload is not None:
-            base_generation = payload.get("generation", 0)
-            if not isinstance(base_generation, int) or isinstance(
-                base_generation, bool
-            ):
-                base_generation = 0
-        checker = active_checker()
-        journal_path = self.shard_dir / f"{key}{JOURNAL_SUFFIX}"
-        try:
-            lines = journal_path.read_bytes().split(b"\n")
-        except OSError:
-            lines = []
-        for line in lines:
-            if not line.strip():
-                continue
-            record = decode_journal_record(line)
-            if record is None:
-                # A torn or corrupted record ends the trustworthy prefix:
-                # anything after it may depend on the lost write.
-                facts["torn_records"] += 1
-                break
-            facts["journal_records"] += 1
-            if checker.enabled:
-                checker.check_monotone(
-                    "store.journal.recover",
-                    f"shard {key} generation",
-                    base_generation,
-                    record["generation"],
-                )
-            base_generation = record["generation"]
-            payload = {
-                "version": STORE_VERSION,
-                "generation": record["generation"],
-                "sides": record["sides"],
-                "tasks": record["tasks"],
-                "curves": record.get("curves", {}),
-            }
-        return payload, facts
-
-    def _absorb_shard(self, key: str, payload: Dict[str, Any]) -> int:
-        """Merge one recovered shard payload; returns records dropped.
-
-        Applies the base class's schema/coherence filters plus shard
-        placement: a record whose own shard key disagrees with the file
-        it was found in is corruption evidence and is dropped.
-        """
-        dropped = 0
-        sides = payload.get("sides", {})
-        tasks = payload.get("tasks", {})
-        curves = payload.get("curves", {})
-        if isinstance(sides, dict):
-            for name, record in sides.items():
-                if (
-                    isinstance(record, dict)
-                    and _check_schema(record, _SIDE_SCHEMA)
-                    and _valid_parameters(record["parameters"])
-                    and _coherent_side(name, record)
-                    and side_shard(record) == key
-                ):
-                    self.sides[name] = record
-                else:
-                    dropped += 1
-        if isinstance(tasks, dict):
-            for name, record in tasks.items():
-                if (
-                    isinstance(record, dict)
-                    and _check_schema(record, _TASK_SCHEMA)
-                    and _coherent_task(record)
-                    and task_shard(record) == key
-                ):
-                    self.tasks[name] = record
-                else:
-                    dropped += 1
-        if isinstance(curves, dict):
-            for name, record in curves.items():
-                if (
-                    isinstance(record, dict)
-                    and _check_schema(record, _CURVE_SCHEMA)
-                    and _coherent_task(record)
-                    and task_shard(record) == key
-                ):
-                    self.curves[name] = record
-                else:
-                    dropped += 1
-        return dropped
-
-    # -- persistence ----------------------------------------------------------
-
-    def save(self) -> str:
-        """Journal every dirty shard (append + fsync); compact when due."""
-        self._check_coherence("store.save")
-        directory = self.shard_dir
-        directory.mkdir(parents=True, exist_ok=True)
-        desired: Dict[str, Dict[str, Dict[str, Any]]] = {}
-
-        def shard_of(key: str) -> Dict[str, Dict[str, Any]]:
-            return desired.setdefault(
-                key, {"sides": {}, "tasks": {}, "curves": {}}
-            )
-
-        for name, record in self.sides.items():
-            shard_of(side_shard(record))["sides"][name] = record
-        for name, record in self.tasks.items():
-            shard_of(task_shard(record))["tasks"][name] = record
-        for name, record in self.curves.items():
-            shard_of(task_shard(record))["curves"][name] = record
-        for key in sorted(desired):
-            shard = desired[key]
-            fingerprint = _canonical(
-                {
-                    "sides": shard["sides"],
-                    "tasks": shard["tasks"],
-                    "curves": shard["curves"],
-                }
-            )
-            if self._persisted.get(key) == fingerprint:
-                continue  # clean shard — independent tenants don't contend
-            self._append_journal(key, shard)
-            self._persisted[key] = fingerprint
-            count = self._journal_records.get(key, 0) + 1
-            self._journal_records[key] = count
-            if count >= self.compact_every:
-                self._compact(key, shard)
-        for key in sorted(set(self._persisted) - set(desired)):
-            # Every record of this shard was invalidated (fingerprint
-            # staleness); its files are dead weight.
-            for suffix in (SNAPSHOT_SUFFIX, JOURNAL_SUFFIX):
-                try:
-                    os.remove(directory / f"{key}{suffix}")
-                except OSError:
-                    pass
-            self._persisted.pop(key, None)
-            self._journal_records.pop(key, None)
-        if self.path.exists():
-            # The legacy single file is superseded by the shard layout.
-            try:
-                os.remove(self.path)
-            except OSError:
-                pass
-        self._saved_generation = self.generation
-        return str(directory)
-
-    def _append_journal(
-        self, key: str, shard: Dict[str, Dict[str, Any]]
-    ) -> None:
-        line = encode_journal_record(
-            self.generation,
-            shard["sides"],
-            shard["tasks"],
-            curves=shard.get("curves", {}),
-        )
-        journal = self.shard_dir / f"{key}{JOURNAL_SUFFIX}"
-        with open(journal, "ab") as handle:
-            handle.write(line)
-            handle.flush()
-            os.fsync(handle.fileno())
-
-    def _compact(self, key: str, shard: Dict[str, Dict[str, Any]]) -> None:
-        """Fold the journal into the snapshot; both steps atomic."""
-        directory = self.shard_dir
-        snapshot = {
-            "version": STORE_VERSION,
-            "generation": self.generation,
-            "sides": shard["sides"],
-            "tasks": shard["tasks"],
-            "curves": shard.get("curves", {}),
-        }
-        snapshot_path = directory / f"{key}{SNAPSHOT_SUFFIX}"
-        tmp = directory / f"{key}{SNAPSHOT_SUFFIX}.tmp"
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(snapshot, handle, sort_keys=True)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, snapshot_path)
-        # Truncate the journal atomically: replace it with an empty file
-        # rather than truncating in place (a crash between snapshot and
-        # truncation just replays records the snapshot already holds).
-        empty = directory / f"{key}{JOURNAL_SUFFIX}.tmp"
-        with open(empty, "wb") as handle:
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(empty, directory / f"{key}{JOURNAL_SUFFIX}")
-        self._journal_records[key] = 0
-
-    # -- reporting ------------------------------------------------------------
-
-    def summary(self) -> Dict[str, Any]:
-        data = super().summary()
-        data["path"] = str(self.shard_dir)
-        data["layout"] = "sharded"
-        data["recovery"] = dict(self.recovery)
-        return data
 
 
 def tear_journal(
@@ -477,7 +110,7 @@ def tear_journal(
     started).  Returns what was done, or None when no journal has bytes.
     """
     rng = random.Random(f"tear|{seed}")
-    directory = pathlib.Path(root) / ShardedStatisticsStore.SHARD_DIR
+    directory = pathlib.Path(root) / SHARD_DIR
     if not directory.is_dir():
         return None
     journals = sorted(
@@ -500,10 +133,22 @@ def tear_journal(
     }
 
 
+def __getattr__(name: str) -> Any:
+    # perfbench/layers.py wraps the store's methods by looking the class
+    # up here under its former name; resolve it lazily, since store.py
+    # imports this module.
+    if name == "ShardedStatisticsStore":
+        from .store import StatisticsStore
+
+        return StatisticsStore
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 __all__ = [
     "JOURNAL_SUFFIX",
+    "SHARD_DIR",
     "SNAPSHOT_SUFFIX",
-    "ShardedStatisticsStore",
+    "canonical",
     "decode_journal_record",
     "encode_journal_record",
     "side_shard",

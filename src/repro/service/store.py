@@ -2,8 +2,7 @@
 
 Every one-shot invocation of the adaptive optimizer pays for a pilot that
 re-derives the same database statistics the previous invocation already
-estimated.  The :class:`StatisticsStore` is the service's memory: a
-versioned JSON file holding
+estimated.  The :class:`StatisticsStore` is the service's memory:
 
 * **side records** — per (database, extractor, θ) MLE estimates
   (:class:`~repro.estimation.mle.EstimatedParameters` fields) plus the
@@ -12,18 +11,41 @@ versioned JSON file holding
 * **task records** — per join-task signature: the final pilot executor's
   checkpoint (the exact observations a warm start resumes from), the
   estimated overlap-class sizes |Agg|/|Agb|/|Abg|/|Abb|, the convergence
-  round count, the chosen plan, and the run's drift snapshots.
+  round count, the chosen plan, and the run's drift snapshots;
+* **curve records** — per task or join-graph identity: the optimizer's
+  effort-curve probes (or the n-ary planner's answers), valid only at
+  the statistics generation they were computed under.
 
-Both record kinds carry **corpus fingerprints**.  A fingerprint digests
+Every record carries **corpus fingerprints**.  A fingerprint digests
 the database's identity, scan permutation seed, and every document's id
 and token count — if a corpus is regenerated, rescaled, or reseeded, its
 fingerprint changes and every stored record keyed to the old fingerprint
 is rejected (and dropped on the next save) instead of silently steering
 the optimizer with statistics of a corpus that no longer exists.
 
-Writes are atomic (temp file + ``os.replace``) and every load is schema-
-checked; a corrupt or future-versioned file degrades to an empty store
-rather than crashing the service.
+On disk the records are sharded and journaled (the format is in
+:mod:`repro.service.shards`):
+
+* **Sharding** — records are grouped by shard key into
+  ``shards/<key>.json`` + ``shards/<key>.journal`` pairs, so a save
+  touches only the shards whose records actually changed.
+* **Write-ahead journal** — a save *appends* one checksummed, fsynced
+  record (the shard's full payload at the current generation) to the
+  shard's journal.  Appends never rewrite committed bytes, so a crash —
+  including ``kill -9`` mid-write — can only tear the record being
+  appended, never an earlier committed one.
+* **Compaction** — every ``compact_every`` journal records the shard's
+  snapshot is rewritten atomically (temp + ``os.replace``) and the
+  journal is replaced by an empty file, bounding journal growth without
+  ever exposing a torn state.
+* **Recovery** — loading replays each shard's journal over its snapshot;
+  the *last valid* record (well-formed JSON, matching CRC) wins, and the
+  first invalid record ends the trustworthy prefix.  Every recovered
+  record passes the schema, parameter, key-coherence and shard-placement
+  filters, and the generation resumes at the maximum committed shard
+  generation, so plan-cache keys stay monotone across restarts.  Corrupt
+  or future-versioned files degrade to an empty store rather than
+  crashing the service.
 """
 
 from __future__ import annotations
@@ -35,7 +57,7 @@ import os
 import pathlib
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..estimation.mle import EstimatedParameters
 from ..estimation.online import SideEstimate
@@ -43,6 +65,16 @@ from ..models.parameters import ValueOverlapModel
 from ..optimizer.adaptive import AdaptiveResult, PilotWarmStart
 from ..textdb.database import TextDatabase
 from ..validation.invariants import active_checker
+from .shards import (
+    JOURNAL_SUFFIX,
+    SHARD_DIR,
+    SNAPSHOT_SUFFIX,
+    canonical,
+    decode_journal_record,
+    encode_journal_record,
+    side_shard,
+    task_shard,
+)
 
 STORE_VERSION = 1
 
@@ -176,23 +208,6 @@ def _well_formed_fingerprint(value: Any) -> bool:
     )
 
 
-def _coherent_side(key: str, record: Dict[str, Any]) -> bool:
-    """The record's own fields must reproduce the key it is stored under.
-
-    A hand-edited or corrupted file can hold a schema-valid record under
-    the wrong key; serving it would answer a (database, extractor, θ)
-    lookup with another operating point's statistics.
-    """
-    expected = StatisticsStore.side_key(
-        record["database"], record["extractor"], record["theta"]
-    )
-    return key == expected and _well_formed_fingerprint(record["fingerprint"])
-
-
-def _coherent_task(record: Dict[str, Any]) -> bool:
-    return all(_well_formed_fingerprint(f) for f in record["fingerprints"])
-
-
 def _check_schema(record: Dict[str, Any], schema: Dict[str, type]) -> bool:
     for key, kind in schema.items():
         if key not in record:
@@ -212,28 +227,91 @@ def _check_schema(record: Dict[str, Any], schema: Dict[str, type]) -> bool:
     return True
 
 
-class StatisticsStore:
-    """Versioned JSON-on-disk statistics with atomic writes.
+def _admissible_side(key: str, record: Any) -> bool:
+    """Whether a loaded side record may be served under *key*.
 
-    One store file serves many concurrent requests; mutation goes through
-    :meth:`save`, which rewrites the whole file atomically.  The in-memory
+    Beyond the schema and a cleanly converting parameter dict, the
+    record's own fields must reproduce the key it is stored under: a
+    hand-edited or corrupted file can hold a schema-valid record under
+    the wrong key, and serving it would answer a (database, extractor, θ)
+    lookup with another operating point's statistics.
+    """
+    return (
+        isinstance(record, dict)
+        and _check_schema(record, _SIDE_SCHEMA)
+        and _valid_parameters(record["parameters"])
+        and key
+        == StatisticsStore.side_key(
+            record["database"], record["extractor"], record["theta"]
+        )
+        and _well_formed_fingerprint(record["fingerprint"])
+    )
+
+
+def _admissible_fingerprinted(
+    schema: Dict[str, type]
+) -> Callable[[str, Any], bool]:
+    """The load filter of a record kind keyed by a fingerprint list."""
+
+    def admissible(key: str, record: Any) -> bool:
+        return (
+            isinstance(record, dict)
+            and _check_schema(record, schema)
+            and all(_well_formed_fingerprint(f) for f in record["fingerprints"])
+        )
+
+    return admissible
+
+
+#: record kind -> (load filter, shard key): the one definition of which
+#: loaded records are served and which shard file each belongs in
+_KINDS: Dict[str, Tuple[Callable[[str, Any], bool], Callable[[Any], str]]] = {
+    "sides": (_admissible_side, side_shard),
+    "tasks": (_admissible_fingerprinted(_TASK_SCHEMA), task_shard),
+    "curves": (_admissible_fingerprinted(_CURVE_SCHEMA), task_shard),
+}
+
+
+def _generation_of(payload: Dict[str, Any]) -> int:
+    generation = payload.get("generation", 0)
+    if not isinstance(generation, int) or isinstance(generation, bool):
+        return 0
+    return generation
+
+
+def _replace_atomically(path: pathlib.Path, data: bytes) -> None:
+    """Write *data* to a temp file, fsync it, and rename it over *path*."""
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "wb") as handle:
+        handle.write(data)
+        handle.flush()
+        os.fsync(handle.fileno())
+    os.replace(tmp, path)
+
+
+class StatisticsStore:
+    """Sharded, journaled statistics with crash-safe writes.
+
+    Mutation happens in memory and reaches disk through :meth:`save`,
+    which journals every shard whose records changed.  The in-memory
     dicts are the source of truth between saves — the
-    :class:`~repro.service.service.JoinService` serializes access with its
-    own lock, and standalone users get last-writer-wins semantics, never a
-    torn file.
+    :class:`~repro.service.service.JoinService` serializes access with
+    its own lock, and standalone users get last-writer-wins semantics,
+    never a torn file.
     """
 
-    FILENAME = "statistics.json"
-
     def __init__(
-        self, root: str, clock: Callable[[], float] = time.time
+        self,
+        root: str,
+        clock: Callable[[], float] = time.time,
+        compact_every: int = 8,
     ) -> None:
         self.root = pathlib.Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self.path = self.root / self.FILENAME
         #: time source for record timestamps and freshness gates; injected
         #: so retention/warm-start behaviour is deterministic under test
         self.clock = clock
+        self.compact_every = max(int(compact_every), 1)
         #: monotone generation counter, bumped on every mutation; the plan
         #: cache keys optimizer reuse on it so statistics updates invalidate
         self.generation = 0
@@ -243,65 +321,226 @@ class StatisticsStore:
         #: task signature -> persisted plan curve probes (advisory cache:
         #: recording or dropping them never bumps the generation)
         self.curves: Dict[str, Dict[str, Any]] = {}
+        #: shard key -> canonical JSON of its last persisted records,
+        #: for dirty detection (clean shards are skipped on save)
+        self._persisted: Dict[str, str] = {}
+        #: shard key -> journal records since the last compaction
+        self._journal_records: Dict[str, int] = {}
+        #: shard key -> trusted prefix of a journal that holds more
+        #: bytes than that prefix; the next append replaces the journal
+        self._untrusted_tails: Dict[str, bytes] = {}
+        #: facts from the last recovery pass, surfaced in summary()
+        self.recovery: Dict[str, Any] = {}
         self.load()
 
-    # -- persistence ----------------------------------------------------------
+    @property
+    def shard_dir(self) -> pathlib.Path:
+        return self.root / SHARD_DIR
+
+    def _records(self, kind: str) -> Dict[str, Dict[str, Any]]:
+        records = {"sides": self.sides, "tasks": self.tasks, "curves": self.curves}
+        return records[kind]
+
+    # -- recovery -------------------------------------------------------------
 
     def load(self) -> None:
-        """Read the store file; invalid content degrades to empty."""
+        """Recover from snapshots + journals; torn tails are never served."""
         self.sides = {}
         self.tasks = {}
         self.curves = {}
-        try:
-            payload = json.loads(self.path.read_text())
-        except (OSError, ValueError):
-            return
-        if not isinstance(payload, dict) or payload.get("version") != STORE_VERSION:
-            return
-        sides = payload.get("sides", {})
-        tasks = payload.get("tasks", {})
-        curves = payload.get("curves", {})
-        if isinstance(sides, dict):
-            self.sides = {
-                key: record
-                for key, record in sides.items()
-                if isinstance(record, dict)
-                and _check_schema(record, _SIDE_SCHEMA)
-                and _valid_parameters(record["parameters"])
-                and _coherent_side(key, record)
-            }
-        if isinstance(tasks, dict):
-            self.tasks = {
-                key: record
-                for key, record in tasks.items()
-                if isinstance(record, dict)
-                and _check_schema(record, _TASK_SCHEMA)
-                and _coherent_task(record)
-            }
-        if isinstance(curves, dict):
-            self.curves = {
-                key: record
-                for key, record in curves.items()
-                if isinstance(record, dict)
-                and _check_schema(record, _CURVE_SCHEMA)
-                and _coherent_task(record)
-            }
+        self._persisted = {}
+        self._journal_records = {}
+        self._untrusted_tails = {}
+        recovery: Dict[str, Any] = {
+            "shards": 0,
+            "journal_records_replayed": 0,
+            "torn_records_dropped": 0,
+            "invalid_records_dropped": 0,
+            "generation": 0,
+        }
+        generation = 0
+        for key in self._shard_keys():
+            payload, replayed, torn = self._recover_shard(key)
+            recovery["shards"] += 1
+            recovery["journal_records_replayed"] += replayed
+            recovery["torn_records_dropped"] += torn
+            if payload is None:
+                continue
+            generation = max(generation, _generation_of(payload))
+            accepted, dropped = self._absorb_shard(key, payload)
+            recovery["invalid_records_dropped"] += dropped
+            self._persisted[key] = canonical(accepted)
+            self._journal_records[key] = replayed
+        self.generation = generation
+        self._saved_generation = generation
+        recovery["generation"] = generation
+        self.recovery = recovery
         self._check_coherence("store.load")
 
-    def save(self) -> str:
-        """Atomically rewrite the store file; return its path."""
+    def _shard_keys(self) -> Tuple[str, ...]:
+        directory = self.shard_dir
+        if not directory.is_dir():
+            return ()
+        keys = set()
+        for path in directory.iterdir():
+            name = path.name
+            for suffix in (JOURNAL_SUFFIX, SNAPSHOT_SUFFIX):
+                if name.endswith(suffix):
+                    keys.add(name[: -len(suffix)])
+        return tuple(sorted(keys))
+
+    def _recover_shard(
+        self, key: str
+    ) -> Tuple[Optional[Dict[str, Any]], int, int]:
+        """Snapshot + journal replay for one shard.
+
+        Returns ``(payload, replayed, torn)``: the last committed state
+        (the newest valid journal record, else the snapshot, else None
+        for a shard with nothing readable), the journal records replayed
+        and the torn records dropped.  Loading never writes; a journal
+        holding anything beyond its trusted prefix (a torn tail, or a
+        last record missing its newline) is remembered, and the shard's
+        next save rewrites it as that prefix plus the new record: an
+        append would land behind those bytes, where recovery never
+        reaches it.
+        """
+        payload: Optional[Dict[str, Any]] = None
+        snapshot_path = self.shard_dir / f"{key}{SNAPSHOT_SUFFIX}"
+        try:
+            raw = json.loads(snapshot_path.read_text())
+            if isinstance(raw, dict) and raw.get("version") == STORE_VERSION:
+                payload = raw
+        except (OSError, ValueError):
+            payload = None
+        base_generation = _generation_of(payload) if payload is not None else 0
+        checker = active_checker()
+        journal_path = self.shard_dir / f"{key}{JOURNAL_SUFFIX}"
+        try:
+            raw_journal = journal_path.read_bytes()
+        except OSError:
+            raw_journal = b""
+        trusted = []
+        torn = 0
+        for line in raw_journal.split(b"\n"):
+            if not line.strip():
+                continue
+            record = decode_journal_record(line)
+            if record is None:
+                # A torn or corrupted record ends the trustworthy prefix:
+                # anything after it may depend on the lost write.
+                torn = 1
+                break
+            trusted.append(line)
+            if checker.enabled:
+                checker.check_monotone(
+                    "store.journal.recover",
+                    f"shard {key} generation",
+                    base_generation,
+                    record["generation"],
+                )
+            base_generation = record["generation"]
+            payload = {"version": STORE_VERSION, **record}
+        prefix = b"".join(line + b"\n" for line in trusted)
+        if prefix != raw_journal:
+            self._untrusted_tails[key] = prefix
+        return payload, len(trusted), torn
+
+    def _absorb_shard(
+        self, key: str, payload: Dict[str, Any]
+    ) -> Tuple[Dict[str, Dict[str, Any]], int]:
+        """Merge one recovered shard payload.
+
+        Returns the accepted records per kind and the count dropped.  A
+        record is accepted only if it passes its kind's load filter and
+        belongs in this shard: a record found in a shard its own shard key
+        disagrees with is corruption evidence.
+        """
+        accepted: Dict[str, Dict[str, Any]] = {kind: {} for kind in _KINDS}
+        dropped = 0
+        for kind, (admissible, shard_of) in _KINDS.items():
+            records = payload.get(kind, {})
+            if not isinstance(records, dict):
+                continue
+            for name, record in records.items():
+                if admissible(name, record) and shard_of(record) == key:
+                    accepted[kind][name] = record
+                else:
+                    dropped += 1
+            self._records(kind).update(accepted[kind])
+        return accepted, dropped
+
+    # -- persistence ----------------------------------------------------------
+
+    def save(self) -> None:
+        """Journal every dirty shard (append + fsync); compact when due."""
         self._check_coherence("store.save")
-        payload = {
-            "version": STORE_VERSION,
-            "sides": self.sides,
-            "tasks": self.tasks,
-            "curves": self.curves,
-        }
-        tmp = self.path.with_suffix(".json.tmp")
-        tmp.write_text(json.dumps(payload, sort_keys=True))
-        os.replace(tmp, self.path)
+        directory = self.shard_dir
+        directory.mkdir(parents=True, exist_ok=True)
+        desired: Dict[str, Dict[str, Dict[str, Any]]] = {}
+        for kind, (_, shard_of) in _KINDS.items():
+            for name, record in self._records(kind).items():
+                shard = desired.setdefault(
+                    shard_of(record), {k: {} for k in _KINDS}
+                )
+                shard[kind][name] = record
+        for key in sorted(desired):
+            shard = desired[key]
+            encoded = canonical(shard)
+            if self._persisted.get(key) == encoded:
+                continue  # clean shard — independent tenants don't contend
+            self._append_journal(key, shard)
+            self._persisted[key] = encoded
+            count = self._journal_records.get(key, 0) + 1
+            self._journal_records[key] = count
+            if count >= self.compact_every:
+                self._compact(key, shard)
+        for key in sorted(set(self._persisted) - set(desired)):
+            # Every record of this shard was invalidated (fingerprint
+            # staleness); its files are dead weight.
+            for suffix in (SNAPSHOT_SUFFIX, JOURNAL_SUFFIX):
+                try:
+                    os.remove(directory / f"{key}{suffix}")
+                except OSError:
+                    pass
+            self._persisted.pop(key, None)
+            self._journal_records.pop(key, None)
+            self._untrusted_tails.pop(key, None)
         self._saved_generation = self.generation
-        return str(self.path)
+
+    def _append_journal(
+        self, key: str, shard: Dict[str, Dict[str, Any]]
+    ) -> None:
+        line = encode_journal_record(
+            self.generation, shard["sides"], shard["tasks"], shard["curves"]
+        )
+        journal = self.shard_dir / f"{key}{JOURNAL_SUFFIX}"
+        prefix = self._untrusted_tails.pop(key, None)
+        if prefix is not None:
+            _replace_atomically(journal, prefix + line)
+            return
+        with open(journal, "ab") as handle:
+            handle.write(line)
+            handle.flush()
+            os.fsync(handle.fileno())
+
+    def _compact(self, key: str, shard: Dict[str, Dict[str, Any]]) -> None:
+        """Fold the journal into the snapshot; both steps atomic.
+
+        The journal is emptied by replacing it rather than truncating it
+        in place: a crash between the two steps just replays records the
+        snapshot already holds.
+        """
+        snapshot = {
+            "version": STORE_VERSION,
+            "generation": self.generation,
+            **shard,
+        }
+        _replace_atomically(
+            self.shard_dir / f"{key}{SNAPSHOT_SUFFIX}",
+            json.dumps(snapshot, sort_keys=True).encode("utf-8"),
+        )
+        _replace_atomically(self.shard_dir / f"{key}{JOURNAL_SUFFIX}", b"")
+        self._journal_records[key] = 0
 
     def _check_coherence(self, where: str) -> None:
         """Selfcheck hook: stored records stay schema- and key-coherent."""
@@ -314,12 +553,28 @@ class StatisticsStore:
             f"generation counter moved backwards ({self.generation} < "
             f"{self._saved_generation})",
         )
+        for kind, schema in (
+            ("side", _SIDE_SCHEMA),
+            ("task", _TASK_SCHEMA),
+            ("curve", _CURVE_SCHEMA),
+        ):
+            for key, record in self._records(f"{kind}s").items():
+                checker.check(
+                    _check_schema(record, schema),
+                    where,
+                    f"{kind} record {key!r} violates the {kind} schema",
+                )
+                fingerprints = (
+                    [record.get("fingerprint", "")]
+                    if kind == "side"
+                    else record.get("fingerprints", [])
+                )
+                checker.check(
+                    all(isinstance(f, str) and len(f) == 32 for f in fingerprints),
+                    where,
+                    f"{kind} record {key!r} carries a malformed fingerprint",
+                )
         for key, record in self.sides.items():
-            checker.check(
-                _check_schema(record, _SIDE_SCHEMA),
-                where,
-                f"side record {key!r} violates the side schema",
-            )
             expected = self.side_key(
                 record.get("database", ""),
                 record.get("extractor", ""),
@@ -330,40 +585,6 @@ class StatisticsStore:
                 where,
                 f"side record stored under {key!r} but its fields say "
                 f"{expected!r}",
-            )
-            fingerprint = record.get("fingerprint", "")
-            checker.check(
-                isinstance(fingerprint, str) and len(fingerprint) == 32,
-                where,
-                f"side record {key!r} carries a malformed fingerprint",
-            )
-        for key, record in self.tasks.items():
-            checker.check(
-                _check_schema(record, _TASK_SCHEMA),
-                where,
-                f"task record {key!r} violates the task schema",
-            )
-            checker.check(
-                all(
-                    isinstance(f, str) and len(f) == 32
-                    for f in record.get("fingerprints", [])
-                ),
-                where,
-                f"task record {key!r} carries a malformed fingerprint",
-            )
-        for key, record in self.curves.items():
-            checker.check(
-                _check_schema(record, _CURVE_SCHEMA),
-                where,
-                f"curve record {key!r} violates the curve schema",
-            )
-            checker.check(
-                all(
-                    isinstance(f, str) and len(f) == 32
-                    for f in record.get("fingerprints", [])
-                ),
-                where,
-                f"curve record {key!r} carries a malformed fingerprint",
             )
 
     # -- side records ---------------------------------------------------------
@@ -568,7 +789,7 @@ class StatisticsStore:
 
         One call records both side estimates (at the pilot θ, the operating
         point they were measured at), the overlap classes, and the task's
-        warm-start payload, then saves the file.
+        warm-start payload, then saves the store.
         """
         from ..estimation.online import estimate_overlap
 
@@ -604,8 +825,9 @@ class StatisticsStore:
     def summary(self) -> Dict[str, Any]:
         """A JSON-ready view for ``/v1/stats``."""
         return {
-            "path": str(self.path),
+            "path": str(self.shard_dir),
             "generation": self.generation,
+            "recovery": dict(self.recovery),
             "sides": {
                 key: {
                     k: record[k]

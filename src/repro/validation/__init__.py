@@ -13,9 +13,9 @@ Three layers of self-checking on top of the reproduction:
   derived from the Monte-Carlo sampling distribution (CLT bands and
   empirical quantile bands), emitting ``validation_report.json``.
 * :mod:`repro.validation.fuzz` — a deterministic mutation fuzzer for the
-  JSON surfaces (checkpoint snapshots, ``statistics.json``, HTTP request
-  bodies) asserting that malformed input degrades cleanly instead of
-  crashing.
+  JSON surfaces (checkpoint snapshots, statistics-store shard snapshots
+  and journals, HTTP request bodies) asserting that malformed input
+  degrades cleanly instead of crashing.
 
 Only the invariant layer is imported here; the differential harness and
 the fuzzer pull in models and executors, so they are imported explicitly

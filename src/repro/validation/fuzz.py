@@ -1,7 +1,8 @@
 """Deterministic structure fuzzing of the JSON surfaces.
 
 Three surfaces accept JSON produced outside the process — the statistics
-store file, checkpoint snapshots, and HTTP request bodies.  Their contract
+store's shard snapshots and journals, checkpoint snapshots, and HTTP
+request bodies.  Their contract
 is *degrade, don't crash*: malformed input must either be dropped (store
 load), or raise the surface's own typed error (:class:`CheckpointError`,
 ``ValueError``) that the caller already handles — never a raw
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import copy
 import json
+import pathlib
 import random
 import tempfile
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -115,6 +117,7 @@ def _run_target(
 
 
 def _store_payload() -> Dict[str, Any]:
+    """A valid shard snapshot holding one record of every kind."""
     parameters = {
         "relation": "HQ",
         "n_good_values": 120.0,
@@ -130,6 +133,7 @@ def _store_payload() -> Dict[str, Any]:
     }
     return {
         "version": 1,
+        "generation": 3,
         "sides": {
             "nyt96/HQ@0.4": {
                 "fingerprint": "ab" * 16,
@@ -151,21 +155,55 @@ def _store_payload() -> Dict[str, Any]:
                 "created_at": 100.0,
             }
         },
+        "curves": {
+            "nyt96/HQ|nyt95/EX|pilot@0.4": {
+                "fingerprints": ["ab" * 16, "cd" * 16],
+                "generation": 3,
+                "created_at": 100.0,
+                "plans": {"IDJN": {"max_effort": 10.0, "probes": [[1.0, 2.0]]}},
+            }
+        },
     }
 
 
-def _probe_store(mutated: Any) -> None:
+def _journal_line(payload: Any) -> bytes:
+    """A CRC-valid journal record over *payload*'s body, whatever it holds."""
+    from ..service.shards import encode_journal_record
+
+    body = payload if isinstance(payload, dict) else {}
+    parts = (body.get(key) for key in ("generation", "sides", "tasks", "curves"))
+    return encode_journal_record(*parts)
+
+
+def _load_shards(snapshot: Optional[str], journal: Optional[bytes]) -> Any:
+    """Write *snapshot* / *journal* into every shard the valid payload's
+    records live in, then open, check, save and return a store over them."""
+    from ..service.shards import (
+        JOURNAL_SUFFIX,
+        SHARD_DIR,
+        SNAPSHOT_SUFFIX,
+        side_shard,
+        task_shard,
+    )
     from ..service.store import (
         StatisticsStore,
         StoreError,
         _parameters_from_dict,
     )
 
+    valid = _store_payload()
+    keys = {side_shard(r) for r in valid["sides"].values()}
+    keys |= {task_shard(r) for r in valid["tasks"].values()}
     with tempfile.TemporaryDirectory() as root:
-        store = StatisticsStore(root)
-        store.path.write_text(json.dumps(mutated, default=repr))
+        directory = pathlib.Path(root) / SHARD_DIR
+        directory.mkdir()
+        for key in keys:
+            if snapshot is not None:
+                (directory / f"{key}{SNAPSHOT_SUFFIX}").write_text(snapshot)
+            if journal is not None:
+                (directory / f"{key}{JOURNAL_SUFFIX}").write_bytes(journal)
         # The contract: loading never raises, it degrades record-by-record.
-        store.load()
+        store = StatisticsStore(root)
         # Surviving records must convert cleanly (or fail as StoreError,
         # which side_parameters callers handle) — load already filtered.
         for record in store.sides.values():
@@ -174,33 +212,42 @@ def _probe_store(mutated: Any) -> None:
             except StoreError:
                 pass
         store.save()
+    return store
+
+
+def _probe_store(mutated: Any) -> None:
+    _load_shards(json.dumps(mutated, default=repr), None)
+    _load_shards(None, _journal_line(mutated))
+
+
+def _corrupt(text: str, rng: random.Random) -> str:
+    """Truncate *text*, or overwrite one of its characters."""
+    cut = rng.randrange(0, len(text))
+    if rng.random() < 0.5:
+        return text[:cut]
+    return text[:cut] + chr(rng.randrange(1, 128)) + text[cut + 1 :]
 
 
 def _probe_store_text(seed: int, trials: int) -> Dict[str, Any]:
-    """Raw-text corruption: truncation and garbage must degrade to empty."""
-    from ..service.store import StatisticsStore
-
+    """Raw-text corruption of a snapshot and of a journal: truncation and
+    garbage must degrade, never raise."""
     rng = random.Random(f"store-text|{seed}")
-    text = json.dumps(_store_payload())
+    payload = _store_payload()
+    snapshot = json.dumps(payload)
+    journal = _journal_line(payload).decode("utf-8")
     failures: List[Dict[str, str]] = []
     for trial in range(trials):
-        cut = rng.randrange(0, len(text))
-        corrupted = (
-            text[:cut]
-            if rng.random() < 0.5
-            else text[:cut] + chr(rng.randrange(1, 128)) + text[cut + 1 :]
-        )
+        corrupted_snapshot = _corrupt(snapshot, rng)
+        corrupted_journal = _corrupt(journal, rng)
         try:
-            with tempfile.TemporaryDirectory() as root:
-                store = StatisticsStore(root)
-                store.path.write_text(corrupted)
-                store.load()
+            _load_shards(corrupted_snapshot, None)
+            _load_shards(snapshot, corrupted_journal.encode("utf-8"))
         except Exception as error:  # noqa: BLE001
             failures.append(
                 {
                     "trial": str(trial),
                     "error": f"{type(error).__name__}: {error}",
-                    "payload": corrupted[:200],
+                    "payload": (corrupted_snapshot + corrupted_journal)[:200],
                 }
             )
     return {"target": "store-raw-text", "trials": trials, "failures": failures}

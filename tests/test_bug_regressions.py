@@ -28,7 +28,8 @@ from repro.service import (
     corpus_fingerprint,
 )
 from repro.service.service import _side_statistics
-from repro.service.store import _parameters_from_dict
+from repro.service.shards import SHARD_DIR, SNAPSHOT_SUFFIX, side_shard, task_shard
+from repro.service.store import STORE_VERSION, _parameters_from_dict
 
 
 def _parameters_dict(**overrides):
@@ -51,7 +52,6 @@ def _parameters_dict(**overrides):
 
 def _store_file(sides=None, tasks=None):
     return {
-        "version": 1,
         "sides": sides if sides is not None else {},
         "tasks": tasks if tasks is not None else {},
     }
@@ -202,10 +202,22 @@ class TestStoreLoadCoherence:
     fingerprint, bool-as-int) survived load before the fix."""
 
     def _load(self, tmp_path, payload):
-        store = StatisticsStore(str(tmp_path))
-        store.path.write_text(json.dumps(payload))
-        store.load()
-        return store
+        """Write each record into the snapshot of the shard it belongs
+        in, then open a store over the shards."""
+        shards = {}
+        for kind, shard_of in (("sides", side_shard), ("tasks", task_shard)):
+            for name, record in payload[kind].items():
+                shard = shards.setdefault(
+                    shard_of(record),
+                    {"version": STORE_VERSION, "generation": 1, "sides": {},
+                     "tasks": {}, "curves": {}},
+                )
+                shard[kind][name] = record
+        directory = tmp_path / SHARD_DIR
+        directory.mkdir()
+        for key, shard in shards.items():
+            (directory / f"{key}{SNAPSHOT_SUFFIX}").write_text(json.dumps(shard))
+        return StatisticsStore(str(tmp_path))
 
     def test_valid_records_survive(self, tmp_path):
         store = self._load(

@@ -632,3 +632,46 @@ def test_evaluations_do_not_depend_on_the_hash_seed():
         outputs.append(result.stdout)
     assert outputs[0].count("PlannedEvaluation") == 128
     assert outputs[0] == outputs[1]
+
+
+#: simulates star3 at a mid operating point and prints the summary
+_SIMULATION_HASH_SEED_PROBE = """
+from repro.core.plan import RetrievalKind
+from repro.experiments import build_multiway_testbed
+from repro.planner import MultiwayPlanner, RelationConfig, simulate_composition
+
+scenario = build_multiway_testbed().scenario("star3")
+model = MultiwayPlanner(scenario.graph, scenario.catalog()).model
+configs = {
+    name: RelationConfig(name=name, theta=0.4, retrieval=RetrievalKind.SCAN)
+    for name in scenario.graph.names
+}
+efforts = model.balanced_efforts(configs, 0.6)
+print(repr(simulate_composition(model, configs, efforts, samples=50, seed=3)))
+"""
+
+
+def test_simulation_does_not_depend_on_the_hash_seed():
+    """Two processes with different string hash seeds draw identically.
+
+    The simulator hands its random draws to the join keys in sorted
+    order, so each key gets the same draw whatever ``PYTHONHASHSEED`` is.
+    """
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    outputs = []
+    for seed in ("0", "5"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(src), env.get("PYTHONPATH", "")) if p
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", _SIMULATION_HASH_SEED_PROBE],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
+        outputs.append(result.stdout)
+    assert outputs[0].startswith("SimulationSummary(")
+    assert outputs[0] == outputs[1]

@@ -28,11 +28,7 @@ from repro.models.distributions import (
 )
 from repro.optimizer import JoinOptimizer, enumerate_plans
 from repro.optimizer.bounds import BOUND_SLACK, PlanBounds
-from repro.service.shards import (
-    ShardedStatisticsStore,
-    decode_journal_record,
-    encode_journal_record,
-)
+from repro.service.shards import decode_journal_record, encode_journal_record
 from repro.service.store import StatisticsStore
 
 #: the seeded validation grid: dense enough to exercise tier-A prunes,
@@ -335,31 +331,34 @@ class TestCurvePersistence:
     def test_sharded_store_round_trips_curves(self, tmp_path, hq_ex_task):
         payload = {"plan-sig": {"max_effort": 10.0, "probes": [[1.0, 2.0, 3.0, 4.0]]}}
         databases = self._databases(hq_ex_task)
-        store = ShardedStatisticsStore(str(tmp_path))
+        store = StatisticsStore(str(tmp_path))
         store.record_curves(SIGNATURE, databases, store.generation, payload)
         generation = store.generation
         store.save()
 
-        reloaded = ShardedStatisticsStore(str(tmp_path))
+        reloaded = StatisticsStore(str(tmp_path))
         record = reloaded.curves_for(SIGNATURE, databases, generation)
         assert record is not None
         assert record["plans"] == payload
 
 
 # ---------------------------------------------------------------------------
-# journal back-compat
+# journal record shape
 # ---------------------------------------------------------------------------
 
 
 class TestJournalCurveRecords:
-    def test_legacy_record_decodes_without_curves_key(self):
-        line = encode_journal_record(3, {"s": {"x": 1}}, {"t": {"y": 2}})
-        body = decode_journal_record(line.rstrip(b"\n"))
-        assert body == {
-            "generation": 3,
-            "sides": {"s": {"x": 1}},
-            "tasks": {"t": {"y": 2}},
-        }
+    def test_pre_curve_record_is_rejected(self):
+        """Only the four-part body is a journal record: a CRC-valid line
+        without ``curves`` is not replayed."""
+        import json
+        import zlib
+
+        body = {"generation": 3, "sides": {"s": {"x": 1}}, "tasks": {}}
+        canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
+        record = dict(body, crc=zlib.crc32(canonical.encode("utf-8")))
+        line = json.dumps(record, sort_keys=True).encode("utf-8")
+        assert decode_journal_record(line) is None
 
     def test_curve_record_round_trips(self):
         curves = {SIGNATURE: {"generation": 0, "plans": {}}}
@@ -377,7 +376,9 @@ class TestJournalCurveRecords:
         import zlib
 
         body = {"generation": 1, "sides": {}, "tasks": {}, "curves": []}
-        canonical = json.dumps(body, sort_keys=True).encode("utf-8")
+        canonical = json.dumps(
+            body, sort_keys=True, separators=(",", ":")
+        ).encode("utf-8")
         record = dict(body, crc=zlib.crc32(canonical) & 0xFFFFFFFF)
         line = json.dumps(record, sort_keys=True).encode("utf-8")
         assert decode_journal_record(line) is None

@@ -43,6 +43,12 @@ from repro.service import (
 from repro.service.asyncio_frontend import serve_async, shutdown_async
 from repro.service.http import request_json
 from repro.service.plancache import PlanCacheKey
+from repro.service.shards import (
+    JOURNAL_SUFFIX,
+    SNAPSHOT_SUFFIX,
+    decode_journal_record,
+)
+from repro.service.store import STORE_VERSION
 from repro.service.service import response_json
 from repro.textdb import TextDatabase
 
@@ -162,18 +168,29 @@ class TestStatisticsStore:
 
     def test_corrupt_file_degrades_to_empty(self, populated_store):
         store, _ = populated_store
-        store.path.write_text("{not json")
+        journals = list(store.shard_dir.glob(f"*{JOURNAL_SUFFIX}"))
+        assert journals
+        for journal in journals:
+            journal.write_text("{not json")
         assert StatisticsStore(str(store.root)).sides == {}
 
     def test_future_version_degrades_to_empty(self, populated_store):
-        import json
-
+        """Snapshots carry the store version; a future one is not read."""
         store, _ = populated_store
-        payload = json.loads(store.path.read_text())
-        payload["version"] = 99
-        store.path.write_text(json.dumps(payload))
-        reloaded = StatisticsStore(str(store.root))
-        assert reloaded.sides == {} and reloaded.tasks == {}
+        bodies = {}
+        for journal in store.shard_dir.glob(f"*{JOURNAL_SUFFIX}"):
+            last = journal.read_bytes().splitlines()[-1]
+            bodies[journal.with_suffix(SNAPSHOT_SUFFIX)] = decode_journal_record(
+                last
+            )
+            journal.unlink()  # only the snapshots are left to read
+        assert bodies
+        for version, loads in ((STORE_VERSION, True), (99, False)):
+            for snapshot, body in bodies.items():
+                snapshot.write_text(json.dumps({**body, "version": version}))
+            reloaded = StatisticsStore(str(store.root))
+            assert bool(reloaded.sides) is loads
+            assert bool(reloaded.tasks) is loads
 
     def test_stale_fingerprint_drops_side_record(
         self, populated_store, hq_ex_task

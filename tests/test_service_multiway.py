@@ -13,6 +13,7 @@ import pytest
 from repro.experiments import build_multiway_testbed
 from repro.service import JoinRequest, JoinService
 from repro.service.asyncio_frontend import serve_async, shutdown_async
+from repro.service.coalesce import submit_coalesced
 from repro.service.http import request_json
 
 TAU_GOOD = 40
@@ -307,3 +308,72 @@ class TestCurveStoreCounters:
         curve_store = stats["curve_store"]
         assert curve_store["hits"] + curve_store["misses"] == builds
         assert curve_store["exports"] == len(DISTINCT_GRAPHS)
+
+
+def _narrow_grid_payload(tau_good=TAU_GOOD):
+    """star3 with every relation limited to θ=0.8 (8 candidates, not 64)."""
+    wide = star3_payload(tau_good=tau_good)
+    relations = [dict(relation, thetas=[0.8]) for relation in wide["relations"]]
+    return dict(wide, relations=relations)
+
+
+class TestPlanSpaceIdentity:
+    """One graph signature with two theta grids is two plan spaces.
+
+    The plan cache, the coalescer and the store's curve record used to
+    key on the graph signature alone, so a narrow-grid request sent
+    after a wide-grid one got the wide grid's cached plan back.
+    """
+
+    def test_narrow_grid_answers_like_a_fresh_service(
+        self, hq_ex_task, tmp_path
+    ):
+        scenario = build_multiway_testbed().scenario("star3")
+        coalesced_tau = TAU_GOOD + 1
+        fresh = JoinService(
+            hq_ex_task, str(tmp_path / "fresh"), workers=1, multiway=scenario
+        )
+        try:
+            expected = {
+                tau: fresh.execute(
+                    JoinRequest.from_payload(_narrow_grid_payload(tau))
+                )
+                for tau in (TAU_GOOD, coalesced_tau)
+            }
+        finally:
+            fresh.close()
+        assert expected[TAU_GOOD]["candidates"] == 8
+        assert "t=0.4" not in expected[TAU_GOOD]["plan"]
+
+        root = str(tmp_path / "shared")
+        service = JoinService(
+            hq_ex_task, root, workers=2, multiway=scenario
+        )
+        try:
+            service.execute(JoinRequest.from_payload(star3_payload()))
+            direct = service.execute(
+                JoinRequest.from_payload(_narrow_grid_payload())
+            )
+            wide = JoinRequest.from_payload(star3_payload(tau_good=coalesced_tau))
+            narrow = JoinRequest.from_payload(_narrow_grid_payload(coalesced_tau))
+            assert service.coalesce_key(wide) != service.coalesce_key(narrow)
+            wide_future, _ = submit_coalesced(service, wide)
+            narrow_future, _ = submit_coalesced(service, narrow)
+            coalesced = narrow_future.result(timeout=300)
+            wide_future.result(timeout=300)
+        finally:
+            service.close()
+        assert direct == expected[TAU_GOOD]
+        assert coalesced == expected[coalesced_tau]
+
+        restarted = JoinService(
+            hq_ex_task, root, workers=1, multiway=scenario
+        )
+        try:
+            warm = restarted.execute(
+                JoinRequest.from_payload(_narrow_grid_payload())
+            )
+        finally:
+            restarted.close()
+        assert warm.pop("warm_planned") is True
+        assert warm == expected[TAU_GOOD]

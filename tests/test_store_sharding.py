@@ -16,7 +16,6 @@ from repro.estimation.mle import EstimatedParameters
 from repro.service import StatisticsStore
 from repro.service.shards import (
     JOURNAL_SUFFIX,
-    ShardedStatisticsStore,
     decode_journal_record,
     encode_journal_record,
     side_shard,
@@ -100,22 +99,22 @@ def _collecting_checker() -> InvariantChecker:
 
 class TestShardedRoundTrip:
     def test_round_trip_preserves_records_and_generation(self, tmp_path):
-        store = ShardedStatisticsStore(str(tmp_path / "s"))
+        store = StatisticsStore(str(tmp_path / "s"))
         _put_side(store, _side_record(FP_A))
         _put_side(store, _side_record(FP_B, database="db2"))
         store.tasks["sig"] = _task_record(FP_A, FP_B)
         store.generation += 1
         store.save()
-        reloaded = ShardedStatisticsStore(str(store.root))
+        reloaded = StatisticsStore(str(store.root))
         assert reloaded.sides == store.sides
         assert reloaded.tasks == store.tasks
         assert reloaded.generation == store.generation
         assert reloaded.recovery["torn_records_dropped"] == 0
         assert reloaded.recovery["invalid_records_dropped"] == 0
-        assert reloaded.summary()["layout"] == "sharded"
+        assert reloaded.summary()["path"] == str(store.shard_dir)
 
     def test_records_land_in_fingerprint_shards(self, tmp_path):
-        store = ShardedStatisticsStore(str(tmp_path / "s"))
+        store = StatisticsStore(str(tmp_path / "s"))
         record_a = _side_record(FP_A)
         record_b = _side_record(FP_B, database="db2")
         assert side_shard(record_a) == "ab"
@@ -129,7 +128,7 @@ class TestShardedRoundTrip:
     def test_clean_shards_are_not_rewritten(self, tmp_path):
         """Independent tenants don't contend: saving a change to one
         corpus never touches another corpus's shard files."""
-        store = ShardedStatisticsStore(str(tmp_path / "s"))
+        store = StatisticsStore(str(tmp_path / "s"))
         record_a = _side_record(FP_A)
         _put_side(store, record_a)
         _put_side(store, _side_record(FP_B, database="db2"))
@@ -148,7 +147,7 @@ class TestShardedRoundTrip:
         assert len(records) == 2 and all(records)
 
     def test_vanished_shard_files_are_removed(self, tmp_path):
-        store = ShardedStatisticsStore(str(tmp_path / "s"))
+        store = StatisticsStore(str(tmp_path / "s"))
         record = _side_record(FP_A)
         key = _put_side(store, record)
         store.save()
@@ -157,10 +156,10 @@ class TestShardedRoundTrip:
         store.generation += 1
         store.save()
         assert not (store.shard_dir / f"ab{JOURNAL_SUFFIX}").exists()
-        assert ShardedStatisticsStore(str(store.root)).sides == {}
+        assert StatisticsStore(str(store.root)).sides == {}
 
     def test_compaction_folds_journal_into_snapshot(self, tmp_path):
-        store = ShardedStatisticsStore(str(tmp_path / "s"), compact_every=2)
+        store = StatisticsStore(str(tmp_path / "s"), compact_every=2)
         record = _side_record(FP_A)
         _put_side(store, record)
         store.save()
@@ -171,50 +170,30 @@ class TestShardedRoundTrip:
         assert journal.stat().st_size == 0
         payload = json.loads(snapshot.read_text())
         assert payload["version"] == STORE_VERSION
-        reloaded = ShardedStatisticsStore(str(store.root))
+        reloaded = StatisticsStore(str(store.root))
         assert reloaded.sides == store.sides
         assert reloaded.generation == store.generation
 
     def test_misplaced_record_is_dropped(self, tmp_path):
         """A record found in a shard its fingerprint doesn't hash to is
         corruption evidence and must not be served."""
-        store = ShardedStatisticsStore(str(tmp_path / "s"))
+        store = StatisticsStore(str(tmp_path / "s"))
         _put_side(store, _side_record(FP_A))
         store.save()
         journal = store.shard_dir / f"cd{JOURNAL_SUFFIX}"
         record = _side_record(FP_A, documents=99)
         journal.write_bytes(
-            encode_journal_record(7, {_side_key(record): record}, {})
+            encode_journal_record(7, {_side_key(record): record}, {}, {})
         )
-        reloaded = ShardedStatisticsStore(str(store.root))
+        reloaded = StatisticsStore(str(store.root))
         assert reloaded.recovery["invalid_records_dropped"] == 1
         assert reloaded.sides[_side_key(record)]["documents_processed"] == 60
-
-
-class TestLegacyMigration:
-    def test_legacy_single_file_is_loaded_then_migrated(self, tmp_path):
-        legacy = StatisticsStore(str(tmp_path / "s"))
-        _put_side(legacy, _side_record(FP_A))
-        legacy.tasks["sig"] = _task_record(FP_A, FP_B)
-        legacy.generation += 1
-        legacy.save()
-        sharded = ShardedStatisticsStore(str(legacy.root))
-        assert sharded.sides == legacy.sides
-        assert sharded.tasks == legacy.tasks
-        assert sharded.recovery["legacy_layout"] is True
-        sharded.generation += 1
-        sharded.save()
-        assert not sharded.path.exists(), "legacy file superseded by shards"
-        reloaded = ShardedStatisticsStore(str(legacy.root))
-        assert reloaded.sides == legacy.sides
-        assert reloaded.tasks == legacy.tasks
-        assert reloaded.recovery["legacy_layout"] is False
 
 
 class TestJournalTruncation:
     def _journal_with_generations(self, root) -> tuple:
         """A store whose 'ab' shard journal holds 3 committed records."""
-        store = ShardedStatisticsStore(str(root))
+        store = StatisticsStore(str(root))
         record = _side_record(FP_A)
         expected = []
         for documents in (60, 61, 62):
@@ -250,7 +229,7 @@ class TestJournalTruncation:
                 # the trailing newline is outside the checksummed body,
                 # so a cut at boundary-1 still recovers the record.
                 committed = sum(1 for b in boundaries if b - 1 <= cut)
-                store = ShardedStatisticsStore(str(root))
+                store = StatisticsStore(str(root))
                 if committed == 0:
                     assert store.sides == {} and store.generation == 0
                 else:
@@ -273,7 +252,7 @@ class TestJournalTruncation:
         lines = journal.read_bytes().splitlines(keepends=True)
         corrupted = lines[1].replace(b'"generation"', b'"generatioX"')
         journal.write_bytes(lines[0] + corrupted + lines[2])
-        store = ShardedStatisticsStore(str(root))
+        store = StatisticsStore(str(root))
         # Record 3 parses fine, but everything after a torn/corrupt write
         # is untrustworthy: recovery stops at record 1.
         generation, sides, tasks = expected[0]
@@ -291,10 +270,29 @@ class TestJournalTruncation:
         assert facts is not None
         assert facts["path"] == str(journal)
         assert facts["truncated_to"] < facts["original_size"]
-        store = ShardedStatisticsStore(str(root))
+        store = StatisticsStore(str(root))
         generation, sides, tasks = expected[1]
         assert store.generation == generation
         assert store.sides == sides
+
+    @pytest.mark.parametrize("tail", ["torn", "unterminated"])
+    def test_save_after_recovery_survives_the_next_restart(
+        self, tmp_path, tail
+    ):
+        """A save after recovering from a damaged journal tail must not
+        land behind the damaged bytes, where the next recovery stops."""
+        journal, root, _ = self._journal_with_generations(tmp_path / "s")
+        raw = journal.read_bytes()
+        damaged = raw[:-10] if tail == "torn" else raw[:-1]
+        journal.write_bytes(damaged)
+        store = StatisticsStore(str(root))
+        assert journal.read_bytes() == damaged, "loading never writes"
+        key = _put_side(store, _side_record(FP_A, documents=99))
+        store.save()
+        reloaded = StatisticsStore(str(root))
+        assert reloaded.generation == store.generation
+        assert reloaded.sides[key]["documents_processed"] == 99
+        assert reloaded.recovery["torn_records_dropped"] == 0
 
     def test_tear_journal_on_empty_store_is_a_noop(self, tmp_path):
         assert tear_journal(str(tmp_path / "nothing")) is None
@@ -302,11 +300,14 @@ class TestJournalTruncation:
 
 class TestJournalCodec:
     def test_round_trip(self):
-        line = encode_journal_record(5, {"k": {"v": 1}}, {"t": {"w": 2.5}})
+        line = encode_journal_record(
+            5, {"k": {"v": 1}}, {"t": {"w": 2.5}}, {"c": {"x": []}}
+        )
         assert decode_journal_record(line.rstrip(b"\n")) == {
             "generation": 5,
             "sides": {"k": {"v": 1}},
             "tasks": {"t": {"w": 2.5}},
+            "curves": {"c": {"x": []}},
         }
 
     @pytest.mark.parametrize(
@@ -320,7 +321,7 @@ class TestJournalCodec:
         ],
     )
     def test_any_corruption_fails_the_crc(self, mutate):
-        raw = encode_journal_record(5, {"k": {"v": 1}}, {}).rstrip(b"\n")
+        raw = encode_journal_record(5, {"k": {"v": 1}}, {}, {}).rstrip(b"\n")
         assert decode_journal_record(mutate(raw)) is None
 
     def test_task_shard_is_stable_and_prefix_sized(self):

@@ -5,9 +5,17 @@ deterministic and structurally complete) and a test: every surface it
 drives must degrade without raising anything outside its contract.
 """
 
+import json
 import random
 
-from repro.validation.fuzz import _paths, mutate, run_fuzz
+from repro.validation.fuzz import (
+    _journal_line,
+    _load_shards,
+    _paths,
+    _store_payload,
+    mutate,
+    run_fuzz,
+)
 
 
 class TestMutationEngine:
@@ -70,3 +78,19 @@ class TestRunFuzz:
     def test_distinct_seed_distinct_corpus_still_survives(self):
         summary = run_fuzz(seed=97, trials=15)
         assert summary["failures_total"] == 0, summary["targets"]
+
+
+class TestStoreTargets:
+    """The store targets corrupt files the store really reads: their
+    valid payload loads every record kind through either file."""
+
+    def test_valid_snapshot_and_journal_load_every_record(self):
+        payload = _store_payload()
+        for store in (
+            _load_shards(json.dumps(payload), None),
+            _load_shards(None, _journal_line(payload)),
+        ):
+            assert store.sides == payload["sides"]
+            assert store.tasks == payload["tasks"]
+            assert store.curves == payload["curves"]
+            assert store.generation == payload["generation"]
