@@ -436,13 +436,6 @@ class MultiwayScenario:
             },
         )
 
-    def characterizations(self) -> Dict[str, KnobCharacterization]:
-        """Per-alias knob curves (for the adaptive multiway driver)."""
-        return {
-            alias: self.testbed.characterizations[relation]
-            for alias, (relation, _) in self.bindings.items()
-        }
-
 
 @dataclass
 class MultiwayTestbed:

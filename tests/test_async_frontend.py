@@ -347,9 +347,9 @@ class TestAsyncEndToEnd:
         }
         original = service.plan_cache.optimize
 
-        def slowed(key, plans, requirement, factory):
+        def slowed(key, requirement, factory):
             time.sleep(0.4)
-            return original(key, plans, requirement, factory)
+            return original(key, requirement, factory)
 
         cache_before = service.plan_cache.stats()
         flights_before = service.coalescer.stats()
@@ -396,9 +396,9 @@ class TestAsyncEndToEnd:
         }
         original = service.plan_cache.optimize
 
-        def slowed(key, plans, requirement, factory):
+        def slowed(key, requirement, factory):
             time.sleep(0.8)
-            return original(key, plans, requirement, factory)
+            return original(key, requirement, factory)
 
         flights_before = service.coalescer.stats()
         results = {}

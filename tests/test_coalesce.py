@@ -301,9 +301,9 @@ class TestCoalescedServing:
         # leader's flight before it resolves; counters below are exact.
         original = service.plan_cache.optimize
 
-        def slowed(key, plans, requirement, factory):
+        def slowed(key, requirement, factory):
             time.sleep(0.4)
-            return original(key, plans, requirement, factory)
+            return original(key, requirement, factory)
 
         cache_before = service.plan_cache.stats()
         flights_before = service.coalescer.stats()
@@ -367,10 +367,10 @@ class TestCoalescedServing:
         gate = threading.Event()
         original = service.plan_cache.optimize
 
-        def gated(key, plans, requirement, factory):
+        def gated(key, requirement, factory):
             if key.generation == generation_before:
                 assert gate.wait(timeout=60), "test gate never opened"
-            return original(key, plans, requirement, factory)
+            return original(key, requirement, factory)
 
         service.plan_cache.optimize = gated
         try:

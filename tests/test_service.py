@@ -497,24 +497,38 @@ class TestJoinService:
             JoinService(hq_ex_task, str(tmp_path / "q"), queue_limit=0)
 
 
-class _StubOptimizer:
+class _StubSpace:
+    """A plan space whose answers count the calls that made them."""
+
     def __init__(self) -> None:
         self.calls = 0
 
-    def optimize(self, plans, requirement):
+    def answer(self, requirement):
         self.calls += 1
         return (requirement.tau_good, requirement.tau_bad, self.calls)
 
+    def tallies(self):
+        return {}
 
-class _TalliedStub(_StubOptimizer):
-    """A stub whose pruning tallies grow by one per optimization."""
+    def facts(self, result):
+        return {"answer": list(result)}
 
-    def __init__(self) -> None:
-        super().__init__()
-        self.pruning = self
+    def export(self):
+        return {}, False
 
-    def as_dict(self):
+    def samples(self, delta):
+        return [(name, {}, value) for name, value in sorted(delta.items())]
+
+
+class _TalliedStub(_StubSpace):
+    """A stub whose tallies grow by one per answer."""
+
+    def tallies(self):
         return {"dominated": self.calls}
+
+
+#: the metric samples of one more "dominated" tally
+ONE_DOMINATED = [("dominated", {}, 1)]
 
 
 class TestPlanCache:
@@ -523,25 +537,21 @@ class TestPlanCache:
         built = []
 
         def factory():
-            optimizer = _StubOptimizer()
-            built.append(optimizer)
-            return optimizer
+            space = _StubSpace()
+            built.append(space)
+            return space
 
         return cache, built, factory
 
     def test_result_and_optimizer_reuse(self):
         cache, built, factory = self._cache_and_factory()
         key = PlanCacheKey.of("sig", 1)
-        first, hit = cache.optimize(
-            key, ["p"], QualityRequirement(1, 2), factory
-        )
+        _, first, hit = cache.optimize(key, QualityRequirement(1, 2), factory)
         assert not hit and len(built) == 1
-        again, hit = cache.optimize(
-            key, ["p"], QualityRequirement(1, 2), factory
-        )
+        _, again, hit = cache.optimize(key, QualityRequirement(1, 2), factory)
         assert hit and again is first and len(built) == 1
-        other_tau, hit = cache.optimize(
-            key, ["p"], QualityRequirement(3, 2), factory
+        _, other_tau, hit = cache.optimize(
+            key, QualityRequirement(3, 2), factory
         )
         assert not hit and other_tau != first
         assert len(built) == 1  # optimizer reused across requirements
@@ -552,8 +562,8 @@ class TestPlanCache:
     def test_newer_generation_invalidates_stale_entry(self):
         cache, built, factory = self._cache_and_factory()
         requirement = QualityRequirement(1, 2)
-        cache.optimize(PlanCacheKey.of("sig", 1), ["p"], requirement, factory)
-        cache.optimize(PlanCacheKey.of("sig", 2), ["p"], requirement, factory)
+        cache.optimize(PlanCacheKey.of("sig", 1), requirement, factory)
+        cache.optimize(PlanCacheKey.of("sig", 2), requirement, factory)
         assert len(built) == 2
         assert len(cache) == 1  # the generation-1 entry is unreachable, gone
         assert cache.stats()["invalidations"] == 1
@@ -563,8 +573,8 @@ class TestPlanCache:
         requirement = QualityRequirement(1, 2)
         healthy = PlanCacheKey.of("sig", 1)
         degraded = PlanCacheKey.of("sig", 1, ("aqg:2",))
-        cache.optimize(healthy, ["p"], requirement, factory)
-        cache.optimize(degraded, ["p"], requirement, factory)
+        cache.optimize(healthy, requirement, factory)
+        cache.optimize(degraded, requirement, factory)
         assert len(built) == 2 and len(cache) == 2
         # Paths are normalized: order and duplicates don't split entries.
         assert PlanCacheKey.of("sig", 1, ("b", "a", "a")) == PlanCacheKey.of(
@@ -574,16 +584,16 @@ class TestPlanCache:
     def test_lru_eviction(self):
         cache, built, factory = self._cache_and_factory(max_entries=1)
         requirement = QualityRequirement(1, 2)
-        cache.optimize(PlanCacheKey.of("one", 1), ["p"], requirement, factory)
-        cache.optimize(PlanCacheKey.of("two", 1), ["p"], requirement, factory)
+        cache.optimize(PlanCacheKey.of("one", 1), requirement, factory)
+        cache.optimize(PlanCacheKey.of("two", 1), requirement, factory)
         assert len(cache) == 1
         assert cache.stats()["evictions"] == 1
 
     def test_invalidate_by_signature_and_wholesale(self):
         cache, built, factory = self._cache_and_factory()
         requirement = QualityRequirement(1, 2)
-        cache.optimize(PlanCacheKey.of("one", 1), ["p"], requirement, factory)
-        cache.optimize(PlanCacheKey.of("two", 1), ["p"], requirement, factory)
+        cache.optimize(PlanCacheKey.of("one", 1), requirement, factory)
+        cache.optimize(PlanCacheKey.of("two", 1), requirement, factory)
         assert cache.invalidate("one") == 1
         assert len(cache) == 1
         assert cache.invalidate() == 1
@@ -596,15 +606,15 @@ class TestPlanCache:
     def test_unpublished_hands_out_each_increment_once(self):
         cache = PlanCache()
         key = PlanCacheKey.of("sig", 1)
-        cache.optimize(key, ["p"], QualityRequirement(1, 2), _TalliedStub)
-        assert cache.unpublished(key) == {"dominated": 1}
-        assert cache.unpublished(key) == {}
-        cache.optimize(key, ["p"], QualityRequirement(3, 2), _TalliedStub)
-        assert cache.unpublished(key) == {"dominated": 1}
-        assert cache.unpublished(PlanCacheKey.of("sig", 9)) == {}
+        cache.optimize(key, QualityRequirement(1, 2), _TalliedStub)
+        assert cache.unpublished(key) == ONE_DOMINATED
+        assert cache.unpublished(key) == []
+        cache.optimize(key, QualityRequirement(3, 2), _TalliedStub)
+        assert cache.unpublished(key) == ONE_DOMINATED
+        assert cache.unpublished(PlanCacheKey.of("sig", 9)) == []
 
     def test_curve_points_survive_eviction_without_recaching(self):
-        class Curved(_StubOptimizer):
+        class Curved(_StubSpace):
             def curve_points(self, plan):
                 return plan, self
 
@@ -617,11 +627,11 @@ class TestPlanCache:
 
         key = PlanCacheKey.of("one", 1)
         requirement = QualityRequirement(1, 2)
-        cache.optimize(key, ["p"], requirement, factory)
+        cache.optimize(key, requirement, factory)
         assert cache.curve_points(key, "p", factory) == ("p", built[0])
-        cache.optimize(PlanCacheKey.of("two", 1), ["p"], requirement, factory)
+        cache.optimize(PlanCacheKey.of("two", 1), requirement, factory)
         assert cache.curve_points(key, "p", factory) == ("p", built[2])
-        assert cache.optimizer_for(key) is None and len(cache) == 1
+        assert cache.space_for(key) is None and len(cache) == 1
 
     def test_per_key_tallies_leave_with_their_entry(self):
         cache = PlanCache(max_entries=2)
@@ -629,14 +639,14 @@ class TestPlanCache:
         for generation in range(1, 6):
             for paths in ((), ("aqg:1",), ("aqg:2",)):
                 key = PlanCacheKey.of("sig", generation, paths)
-                cache.optimize(key, ["p"], requirement, _TalliedStub)
-                assert cache.unpublished(key) == {"dominated": 1}
+                cache.optimize(key, requirement, _TalliedStub)
+                assert cache.unpublished(key) == ONE_DOMINATED
             assert len(cache) <= 2
         # A key rebuilt after eviction starts its tallies from scratch.
         first = PlanCacheKey.of("sig", 5)
-        assert cache.optimizer_for(first) is None
-        cache.optimize(first, ["p"], requirement, _TalliedStub)
-        assert cache.unpublished(first) == {"dominated": 1}
+        assert cache.space_for(first) is None
+        cache.optimize(first, requirement, _TalliedStub)
+        assert cache.unpublished(first) == ONE_DOMINATED
 
 
 class TestHTTPService:
@@ -1414,7 +1424,7 @@ class TestSharedPlanCache:
                 policy=service.warm_policy,
             )
             stored = service._stored_statistics()
-            key, factory = service._plan_source(stored)
+        source = service._plan_source(JoinRequest(TAU_GOOD, TAU_BAD, "plan"))
         assert warm is not None and warm.documents >= PILOT
         assert warm.rounds == 2  # the driver stops after one refit
 
@@ -1438,8 +1448,8 @@ class TestSharedPlanCache:
             assert fresh.rounds == 2 and fresh.pilot_fresh_documents == 0
             assert fresh.estimates[0].parameters == stored[0]
             assert fresh.estimates[1].parameters == stored[1]
-            cached, _ = service.plan_cache.optimize(
-                key, service.plans, requirement, factory
+            _, cached, _ = service.plan_cache.optimize(
+                source.key, requirement, source.factory
             )
             assert evaluations(cached) == evaluations(fresh.optimization)
 
@@ -1531,7 +1541,7 @@ class TestSharedPlanCache:
             assert service.execute(request)["pilot_fresh_documents"] == 0
             generation = service.store.generation
             (old_key,) = list(service.plan_cache._entries)
-            old = service.plan_cache.optimizer_for(old_key)
+            old = service.plan_cache.space_for(old_key)
             # Forget the task record: the next execute runs cold and
             # writes the store, bumping the generation.
             with service._store_lock:
@@ -1543,5 +1553,5 @@ class TestSharedPlanCache:
             assert warm["warm_started"] and warm["pilot_fresh_documents"] == 0
             (new_key,) = list(service.plan_cache._entries)
             assert new_key.generation == service.store.generation
-            assert service.plan_cache.optimizer_for(new_key) is not old
+            assert service.plan_cache.space_for(new_key) is not old
             assert service.plan_cache.stats()["invalidations"] >= 1

@@ -11,6 +11,9 @@ graph payload to a structured 4xx, never a 500.
 import pytest
 
 from repro.experiments import build_multiway_testbed
+from repro.multiway.executor import MultiwayIndependentJoin
+from repro.planner.planner import MultiwayPlanner
+from repro.robustness import DeadlineExceeded
 from repro.service import JoinRequest, JoinService
 from repro.service.asyncio_frontend import serve_async, shutdown_async
 from repro.service.coalesce import submit_coalesced
@@ -377,3 +380,64 @@ class TestPlanSpaceIdentity:
             restarted.close()
         assert warm.pop("warm_planned") is True
         assert warm == expected[TAU_GOOD]
+
+
+class _JumpClock:
+    """A clock that stands still until a test moves it."""
+
+    def __init__(self) -> None:
+        self.now = 1_000.0
+
+    def __call__(self) -> float:
+        return self.now
+
+
+class TestMultiwayDeadlines:
+    """A star3 execute honours its deadline in planning and in the run."""
+
+    def _expire_inside(self, hq_ex_task, tmp_path, monkeypatch, owner, name):
+        """Run a star3 execute whose clock jumps 10 s inside owner.name."""
+        clock = _JumpClock()
+        original = getattr(owner, name)
+
+        def jumping(*args, **kwargs):
+            clock.now += 10.0
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, jumping)
+        service = JoinService(
+            hq_ex_task,
+            str(tmp_path / "store"),
+            workers=1,
+            clock=clock,
+            multiway=build_multiway_testbed().scenario("star3"),
+        )
+        try:
+            with pytest.raises(DeadlineExceeded) as caught:
+                service.execute(
+                    JoinRequest.from_payload(
+                        star3_payload(mode="execute", deadline_ms=1000)
+                    )
+                )
+            (event,) = service.debug_requests(outcome="deadline")
+        finally:
+            service.close()
+        return caught.value, event
+
+    def test_expiry_during_planning_is_an_optimize_phase_expiry(
+        self, hq_ex_task, tmp_path, monkeypatch
+    ):
+        expired, event = self._expire_inside(
+            hq_ex_task, tmp_path, monkeypatch, MultiwayPlanner, "optimize"
+        )
+        assert expired.phase == "optimize"
+        assert event["phase"] == "optimize"
+
+    def test_expiry_during_the_run_stops_the_executor(
+        self, hq_ex_task, tmp_path, monkeypatch
+    ):
+        expired, event = self._expire_inside(
+            hq_ex_task, tmp_path, monkeypatch, MultiwayIndependentJoin, "run"
+        )
+        assert expired.phase == "execute"
+        assert event["phase"] == "execute"
