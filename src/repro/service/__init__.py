@@ -14,10 +14,10 @@ package turns it into a long-lived *service*:
 * :mod:`~repro.service.shards` — the store's on-disk format: shard keys,
   checksummed journal records, and the :func:`tear_journal` chaos helper;
 * :mod:`~repro.service.plancache` — the :class:`PlanCache` that reuses
-  optimizers (memoized model predictors and
-  :class:`~repro.optimizer.engine.PlanEvaluationEngine` effort curves)
-  and optimization results across requests, invalidated when statistics
-  change or an access path degrades;
+  plan spaces (the binary optimizer's memoized predictors and effort
+  curves, the n-ary planner's catalog and composition model) and their
+  answers across requests, invalidated when statistics change or an
+  access path degrades;
 * :mod:`~repro.service.admission` — the :class:`AdmissionController`
   degrade ladder: admit, answer degraded from warm statistics, or shed
   with a jittered ``Retry-After``;
