@@ -29,9 +29,10 @@ final report, matching the paper's cost accounting for adaptive runs.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Protocol, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.plan import JoinPlanSpec
 from ..core.preferences import QualityRequirement
@@ -120,24 +121,8 @@ class PosteriorQuality:
         return self._good, total - self._good
 
 
-class SharedOptimizer(Protocol):
-    """An optimizer shared across runs, over statistics fixed in advance.
-
-    The serving layer's plan cache provides one per statistics
-    generation: optimizer, curves and per-requirement results are built
-    once and answer every run whose refit lands on the same statistics.
-    """
-
-    #: (side-1 parameters, side-2 parameters, overlap classes) it was built on
-    statistics: Tuple[
-        EstimatedParameters, EstimatedParameters, ValueOverlapModel
-    ]
-
-    def optimize(
-        self, plans: Sequence[JoinPlanSpec], requirement: QualityRequirement
-    ) -> OptimizationResult: ...
-
-    def curve_points(self, plan: JoinPlanSpec) -> Any: ...
+#: one refit of a pilot: both sides' estimates and the overlap classes
+Refit = Tuple[SideEstimate, SideEstimate, ValueOverlapModel]
 
 
 @dataclass(frozen=True)
@@ -159,10 +144,18 @@ class PilotWarmStart:
     snapshot: Dict[str, Any]
     documents: int
     rounds: int = 1
-    #: optimizer over the statistics this pilot was fitted into; answers
-    #: the first round of a run that restores the pilot without pulling a
-    #: fresh document (see :meth:`AdaptiveJoinExecutor._shared_optimizer`)
-    shared: Optional[SharedOptimizer] = None
+    #: the statistics this pilot was fitted into (side-1 parameters,
+    #: side-2 parameters, overlap classes), and the serving layer's
+    #: :class:`~repro.service.plancache.PlanCache` with the key and factory
+    #: of the binary plan space built on them.  A run that restores the
+    #: pilot whole answers its first round through that space and memoizes
+    #: its refit there (see :meth:`AdaptiveJoinExecutor._shared_refit`)
+    statistics: Optional[
+        Tuple[EstimatedParameters, EstimatedParameters, ValueOverlapModel]
+    ] = None
+    plan_cache: Any = None
+    plan_key: Any = None
+    plan_factory: Optional[Callable[[], Any]] = None
 
 
 @dataclass
@@ -437,17 +430,20 @@ class AdaptiveJoinExecutor:
                 )
         return estimates[0], estimates[1]
 
+    def _refit(self, pilot: JoinExecution) -> Refit:
+        """Fit both sides of *pilot* and derive their overlap classes."""
+        estimate1, estimate2 = self._estimate_sides(pilot)
+        observations = pilot.observations
+        return estimate1, estimate2, estimate_overlap(
+            estimate1, estimate2, observations.side(1), observations.side(2)
+        )
+
     def _catalog(
         self,
         estimate1: SideEstimate,
         estimate2: SideEstimate,
-        observations1: RelationObservations,
-        observations2: RelationObservations,
+        overlap: ValueOverlapModel,
     ) -> StatisticsCatalog:
-        overlap = estimate_overlap(
-            estimate1, estimate2, observations1, observations2
-        )
-
         def builder(side: int, estimate: SideEstimate):
             database = self.environment.database(side)
             char = self.characterizations[side]
@@ -579,7 +575,7 @@ class AdaptiveJoinExecutor:
                     dataclasses.replace(estimate, parameters=doubled)
                 )
             catalog = self._catalog(
-                estimates[0], estimates[1], halves[0], halves[1]
+                *estimates, estimate_overlap(*estimates, *halves)
             )
             optimizer = JoinOptimizer(
                 catalog,
@@ -597,7 +593,7 @@ class AdaptiveJoinExecutor:
     def _record_drift(
         self,
         label: str,
-        optimizer: Any,
+        curve_points: Callable[[JoinPlanSpec], Any],
         chosen: Optional[PlanEvaluation],
         execution: JoinExecution,
     ) -> None:
@@ -606,8 +602,8 @@ class AdaptiveJoinExecutor:
         Observed counts come from the oracle composition of the live state
         (telemetry only — the estimators never read labels); predictions
         from the chosen evaluation's operating point, plus the engine's
-        effort curve when one was built.  *optimizer* is the
-        :class:`JoinOptimizer` or :class:`SharedOptimizer` that chose.
+        effort curve when one was built, through *curve_points* of the
+        optimizer or plan space that chose.
         """
         observability = self.observability
         if not observability.enabled:
@@ -628,7 +624,7 @@ class AdaptiveJoinExecutor:
                 predicted_bad=chosen.prediction.n_bad,
                 predicted_time=chosen.predicted_time,
                 effort_fraction=chosen.effort_fraction,
-                curve=optimizer.curve_points(chosen.plan),
+                curve=curve_points(chosen.plan),
             )
         else:
             observability.record_drift(
@@ -641,29 +637,24 @@ class AdaptiveJoinExecutor:
                 predicted_bad=0.0,
             )
 
-    def _shared_optimizer(
-        self,
-        warm: Optional[PilotWarmStart],
-        estimates: Tuple[SideEstimate, SideEstimate],
-        catalog: StatisticsCatalog,
-    ) -> Optional[SharedOptimizer]:
-        """The warm start's shared optimizer, when it may answer this round.
-
-        Only for a pilot restored whole (no fresh document pulled), and
-        only when this refit reproduced the shared optimizer's statistics
-        exactly — then both optimizers see the same catalog and return the
-        same evaluations, so sharing changes no answer.
-        """
-        if warm is None or warm.shared is None:
-            return None
-        if warm.documents < self.pilot_documents:
-            return None
-        refit = (
-            estimates[0].parameters,
-            estimates[1].parameters,
-            catalog.overlap,
+    def _restored_whole(self, warm: Optional[PilotWarmStart]) -> bool:
+        """Is this run's pilot the warm start's, with no fresh document?"""
+        return (
+            warm is not None
+            and warm.documents >= self.pilot_documents
+            and self._pilot_fresh_documents == 0
         )
-        return warm.shared if refit == warm.shared.statistics else None
+
+    def _shared_refit(self, warm: PilotWarmStart, pilot: JoinExecution) -> Refit:
+        """The refit of a pilot restored whole, memoized on its plan space.
+
+        It is a pure function of the stored pilot, which changes only with
+        the store generation keying the space; :meth:`run` fills the memo.
+        Nothing downstream mutates a SideEstimate or the overlap classes.
+        """
+        space = warm.plan_cache.space_for(warm.plan_key)
+        memo = space.refit if space is not None else None
+        return memo if memo is not None else self._refit(pilot)
 
     # -- the driver -----------------------------------------------------------------
 
@@ -681,7 +672,8 @@ class AdaptiveJoinExecutor:
             pilot, pilot_executor = self._run_pilot(documents)
             rounds = 0
         optimization: Optional[OptimizationResult] = None
-        first_round = True
+        # Only the first round of a pilot restored whole may share.
+        shared = self._restored_whole(warm) and warm.plan_cache is not None
         while True:
             rounds += 1
             try:
@@ -692,22 +684,15 @@ class AdaptiveJoinExecutor:
             except DeadlineExceeded as expired:
                 self._attach_partial(expired, "optimize", pilot_executor)
                 raise
-            estimate1, estimate2 = self._estimate_sides(pilot)
-            catalog = self._catalog(
-                estimate1,
-                estimate2,
-                pilot.observations.side(1),
-                pilot.observations.side(2),
+            refit = (
+                self._shared_refit(warm, pilot) if shared else self._refit(pilot)
             )
-            shared = (
-                self._shared_optimizer(warm, (estimate1, estimate2), catalog)
-                if first_round
-                else None
-            )
-            first_round = False
-            optimizer: Any
-            if shared is not None:
-                optimizer = shared
+            estimate1, estimate2, overlap = refit
+            statistics = (estimate1.parameters, estimate2.parameters, overlap)
+            curve_points: Callable[[JoinPlanSpec], Any]
+            # Share only when the refit reproduces the stored statistics
+            # exactly: then the shared space sees this run's catalog.
+            if shared and statistics == warm.statistics:
                 with self.observability.phase(
                     "optimize"
                 ), self.observability.span(
@@ -718,10 +703,19 @@ class AdaptiveJoinExecutor:
                     tau_bad=requirement.tau_bad,
                     shared=True,
                 ):
-                    optimization = shared.optimize(self.plans, requirement)
+                    space, optimization, _ = warm.plan_cache.optimize(
+                        warm.plan_key, requirement, warm.plan_factory
+                    )
+                if space.refit is None:
+                    space.refit = refit  # a racing fill stores an equal refit
+                curve_points = functools.partial(
+                    warm.plan_cache.curve_points,
+                    warm.plan_key,
+                    factory=warm.plan_factory,
+                )
             else:
                 optimizer = JoinOptimizer(
-                    catalog,
+                    self._catalog(*refit),
                     costs=self.environment.costs,
                     feasibility_margin=self.feasibility_margin,
                     observability=self.environment.observability,
@@ -729,8 +723,10 @@ class AdaptiveJoinExecutor:
                 )
                 with self.observability.phase("optimize"):
                     optimization = optimizer.optimize(self.plans, requirement)
+                curve_points = optimizer.curve_points
+            shared = False
             self._record_drift(
-                f"pilot-round-{rounds}", optimizer, optimization.chosen, pilot
+                f"pilot-round-{rounds}", curve_points, optimization.chosen, pilot
             )
             if optimization.chosen is None:
                 break
@@ -742,9 +738,12 @@ class AdaptiveJoinExecutor:
                 break
             documents *= 2
             pilot, pilot_executor = self._run_pilot(documents)
-        pilot_snapshot = (
-            checkpoint_execution(pilot_executor) if self.snapshot_pilot else None
-        )
+        if not self.snapshot_pilot:
+            pilot_snapshot = None
+        elif self._restored_whole(warm):
+            pilot_snapshot = warm.snapshot  # a checkpoint would equal it
+        else:
+            pilot_snapshot = checkpoint_execution(pilot_executor)
         if optimization is None or optimization.chosen is None:
             return AdaptiveResult(
                 requirement=requirement,
@@ -875,14 +874,12 @@ class AdaptiveJoinExecutor:
         Returns ``(result, optimizer)`` — the optimizer is kept so drift
         telemetry can attach the chosen plan's predicted effort curve.
         """
-        catalog = self._catalog(
-            estimates[0],
-            estimates[1],
-            pilot.observations.side(1),
-            pilot.observations.side(2),
+        observations = pilot.observations
+        overlap = estimate_overlap(
+            *estimates, observations.side(1), observations.side(2)
         )
         optimizer = JoinOptimizer(
-            catalog,
+            self._catalog(*estimates, overlap),
             costs=self.environment.costs,
             feasibility_margin=self.feasibility_margin,
             observability=self.environment.observability,
@@ -989,7 +986,10 @@ class AdaptiveJoinExecutor:
                 plans, requirement, new_estimates, pilot
             )
             self._record_drift(
-                f"milestone-{milestone}", optimizer, result.chosen, execution
+                f"milestone-{milestone}",
+                optimizer.curve_points,
+                result.chosen,
+                execution,
             )
             if result.chosen is None or result.chosen.plan == chosen.plan:
                 continue

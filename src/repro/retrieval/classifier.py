@@ -51,8 +51,9 @@ class RuleClassifier:
             raise ValueError("a classifier needs at least one rule token")
 
     def classify(self, document: Document) -> bool:
-        """True when the document looks worth processing."""
-        return not self.rules.isdisjoint(document.token_set())
+        """True when the document looks worth processing (stops at the
+        first sentence holding a rule token)."""
+        return any(not self.rules.isdisjoint(s) for s in document.sentences)
 
     # -- training & evaluation ------------------------------------------------
 

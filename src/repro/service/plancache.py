@@ -78,7 +78,9 @@ class BinaryPlanSpace:
 
     Its journal payload is the optimizer's probe triples
     (:meth:`JoinOptimizer.export_probes`); the store hands them back to
-    the next space built over the same statistics generation.
+    the next space built over the same statistics generation.  It also
+    memoizes the warm execute path's refit (:attr:`refit`), so a store
+    write, which changes the key, can never serve a stale one.
     """
 
     def __init__(
@@ -94,6 +96,9 @@ class BinaryPlanSpace:
             optimizer.import_probes(probes, self.plans) if probes else 0
         )
         self._exported = optimizer.probe_count()
+        #: the adaptive driver's refit of this generation's stored pilot
+        #: (two SideEstimates, overlap classes), set by the first warm run
+        self.refit: Optional[Tuple[Any, Any, Any]] = None
 
     def answer(self, requirement: QualityRequirement) -> OptimizationResult:
         return self.optimizer.optimize(self.plans, requirement)

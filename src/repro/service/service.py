@@ -34,8 +34,10 @@ requests through a fixed worker pool:
   n-ary executes, the first round of fully-warm binary executes) goes
   through one :class:`~repro.service.plancache.PlanCache` of plan spaces
   built from *stored* statistics — the binary optimizer or the n-ary
-  planner: repeated τ levels cost a dict lookup, and any statistics
-  update or breaker-driven degradation invalidates the affected entries;
+  planner: repeated τ levels cost a dict lookup, a fully-warm execute
+  reuses its generation's refit memoized on the binary space, and any
+  statistics update or breaker-driven degradation invalidates the
+  affected entries;
 * **graceful drain** — :meth:`close` stops admissions, lets queued
   requests finish, and joins the workers.
 
@@ -72,7 +74,7 @@ from ..observability.tracer import SpanKind
 from ..optimizer.adaptive import AdaptiveJoinExecutor, AdaptiveResult
 from ..optimizer.catalog import StatisticsCatalog
 from ..optimizer.enumerator import enumerate_plans
-from ..optimizer.optimizer import JoinOptimizer, OptimizationResult
+from ..optimizer.optimizer import JoinOptimizer
 from ..planner.binder import bind_multiway_plan
 from ..planner.graph import JoinGraph
 from ..planner.planner import MultiwayPlanner
@@ -218,33 +220,6 @@ class _PlanSource(NamedTuple):
     #: answers the store's journal record already holds, by ``"τg|τb"``
     #: (always empty for the binary space, whose journal holds probes)
     journal: Dict[str, Dict[str, Any]]
-
-
-@dataclass(eq=False)
-class _CachedOptimizer:
-    """One binary plan source as the adaptive driver's shared optimizer.
-
-    Implements :class:`~repro.optimizer.adaptive.SharedOptimizer`: a
-    fully-warm execute request optimizes through the same cache entry,
-    key and factory a plan-mode request would use.  The driver's plan
-    list is the task's, which the binary space already holds.
-    """
-
-    cache: PlanCache
-    source: _PlanSource
-    statistics: StoredStatistics
-
-    def optimize(self, plans, requirement) -> OptimizationResult:
-        source = self.source
-        _, result, _ = self.cache.optimize(
-            source.key, requirement, source.factory
-        )
-        return result
-
-    def curve_points(self, plan):
-        return self.cache.curve_points(
-            self.source.key, plan, self.source.factory
-        )
 
 
 class JoinService:
@@ -663,6 +638,13 @@ class JoinService:
 
     # -- wide events -----------------------------------------------------------
 
+    def _identity(self, request: JoinRequest) -> Dict[str, str]:
+        """A wide event's task and signature: its join graph's, if any."""
+        graph = request.graph
+        if graph is None:
+            return {"task": self.task.name, "signature": self.signature}
+        return {"task": graph.describe(), "signature": graph.signature()}
+
     def _record_edge_event(
         self,
         request_id: int,
@@ -685,8 +667,7 @@ class JoinService:
         event = WideEvent(
             id=request_id,
             ts=now,
-            task=self.task.name,
-            signature=self.signature,
+            **self._identity(request),
             mode=request.mode,
             priority=request.priority,
             tau_good=request.tau_good,
@@ -783,8 +764,7 @@ class JoinService:
         event = WideEvent(
             id=request_id,
             ts=finished,
-            task=self.task.name,
-            signature=self.signature,
+            **self._identity(request),
             mode=request.mode,
             priority=request.priority,
             tau_good=request.tau_good,
@@ -858,7 +838,11 @@ class JoinService:
             # The driver answers its first round from the plan cache when
             # the refit reproduces the stored statistics (DESIGN §6.4).
             warm = replace(
-                warm, shared=_CachedOptimizer(self.plan_cache, source, stored)
+                warm,
+                statistics=stored,
+                plan_cache=self.plan_cache,
+                plan_key=source.key,
+                plan_factory=source.factory,
             )
         environment = self.task.environment()
         environment.observability = observability

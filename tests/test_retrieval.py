@@ -61,6 +61,22 @@ class TestRuleClassifier:
         with pytest.raises(ValueError):
             RuleClassifier("HQ", rules=[])
 
+    def test_classify_equals_the_token_set_rule(self, testbed):
+        task = testbed.task()
+        documents = [
+            document
+            for database in (task.database1, task.database2, testbed.training)
+            for document in database.documents
+        ]
+        for classifier in (task.classifier1, task.classifier2):
+            answers = [classifier.classify(d) for d in documents]
+            expected = [
+                not classifier.rules.isdisjoint(d.token_set())
+                for d in documents
+            ]
+            assert answers == expected
+            assert 0 < sum(answers) < len(documents)
+
     def test_training_needs_good_docs(self, mini_db1):
         # mini_db1 hosts HQ only; training EX on it has no good EX docs.
         with pytest.raises(RuntimeError):

@@ -27,7 +27,8 @@ from dataclasses import replace
 import pytest
 
 from repro.core import QualityRequirement
-from repro.optimizer import AdaptiveJoinExecutor, enumerate_plans
+from repro.optimizer import AdaptiveJoinExecutor, adaptive, enumerate_plans
+from repro.robustness.checkpoint import checkpoint_execution, restore_execution
 from repro.service import (
     JoinRequest,
     JoinService,
@@ -1555,3 +1556,126 @@ class TestSharedPlanCache:
             assert new_key.generation == service.store.generation
             assert service.plan_cache.space_for(new_key) is not old
             assert service.plan_cache.stats()["invalidations"] >= 1
+
+
+def _warm_start(service, task):
+    """*service*'s stored warm start, without any plan-cache source."""
+    with service._store_lock:
+        return service.store.warm_start_for(
+            service.signature,
+            (task.database1, task.database2),
+            policy=service.warm_policy,
+        )
+
+
+class TestRefitMemo:
+    """A fully-warm execute reuses its generation's refit (DESIGN §6.4)."""
+
+    def test_memoized_executes_equal_fresh_refits(
+        self, two_round_service, hq_ex_task, tmp_path, monkeypatch
+    ):
+        warmed = two_round_service
+        calls = []
+        estimate_side = adaptive.estimate_side
+
+        def counting(observations, *args, **kwargs):
+            calls.append(observations.relation)
+            return estimate_side(observations, *args, **kwargs)
+
+        monkeypatch.setattr(adaptive, "estimate_side", counting)
+
+        def serve(service, grid):
+            """Warm-execute *grid* and compare each reply with a driver
+            whose warm start has no shared source; returns the refits the
+            service ran."""
+            reference_warm = _warm_start(service, hq_ex_task)
+            refits = []
+            for good, bad in grid:
+                request = JoinRequest(tau_good=good, tau_bad=bad)
+                fresh = _driver(hq_ex_task, warm_start=reference_warm).run(
+                    request.requirement
+                )
+                expected = response_json(service._response(request, fresh))
+                before = len(calls)
+                answer = service.execute(request)
+                refits.extend(calls[before:])
+                assert answer["pilot_fresh_documents"] == 0
+                assert response_json(answer) == expected
+            return refits
+
+        with JoinService(
+            hq_ex_task,
+            _store_copy(warmed, tmp_path / "store"),
+            workers=1,
+            pilot_documents=PILOT,
+        ) as service:
+            # SHARED_GRID is perfbench's EXECUTE_GRID: 21 requirements.
+            assert len(SHARED_GRID) == 21
+            assert sorted(serve(service, SHARED_GRID)) == ["EX", "HQ"]
+            (key,) = list(service.plan_cache._entries)
+            memo = service.plan_cache.space_for(key).refit
+            assert memo is not None
+            # A store write bumps the generation: one new refit, then memo.
+            with service._store_lock:
+                del service.store.tasks[service.signature]
+            assert service.execute(JoinRequest(20, 40))["warm_started"] is False
+            assert sorted(serve(service, SHARED_GRID[::4])) == ["EX", "HQ"]
+            (new_key,) = list(service.plan_cache._entries)
+            assert new_key.generation > key.generation
+            assert service.plan_cache.space_for(new_key).refit is not memo
+
+
+class TestSnapshotReuse:
+    """A fully-warm run hands back the stored pilot snapshot unchanged."""
+
+    def test_checkpoint_of_a_restored_pilot_is_the_snapshot(
+        self, two_round_service, hq_ex_task
+    ):
+        warm = _warm_start(two_round_service, hq_ex_task)
+        executor = _driver(hq_ex_task)._pilot_executor()
+        restore_execution(executor, warm.snapshot)
+        encoded = json.dumps(checkpoint_execution(executor))
+        assert json.loads(encoded) == warm.snapshot
+
+    def test_fully_warm_run_returns_the_stored_snapshot(
+        self, two_round_service, hq_ex_task
+    ):
+        warm = _warm_start(two_round_service, hq_ex_task)
+        result = _driver(hq_ex_task, warm_start=warm).run(
+            QualityRequirement(tau_good=TAU_GOOD, tau_bad=TAU_BAD)
+        )
+        assert result.pilot_fresh_documents == 0
+        assert result.pilot_snapshot is warm.snapshot
+
+    def test_top_up_run_checkpoints_afresh(
+        self, two_round_service, hq_ex_task, tmp_path
+    ):
+        warmed = two_round_service
+        warm = _warm_start(warmed, hq_ex_task)
+        documents = warm.documents + 40
+        requirement = QualityRequirement(tau_good=TAU_GOOD, tau_bad=TAU_BAD)
+        # A cold single-round pilot of the topped-up size observes the
+        # same documents the top-up run ends with.
+        cold = _driver(
+            hq_ex_task, pilot_documents=documents, max_rounds=1
+        ).run(requirement)
+        expected = json.loads(json.dumps(cold.pilot_snapshot))
+        topped = _driver(
+            hq_ex_task, warm_start=warm, pilot_documents=documents
+        ).run(requirement)
+        assert topped.pilot_fresh_documents > 0
+        assert topped.pilot_snapshot is not warm.snapshot
+        assert json.loads(json.dumps(topped.pilot_snapshot)) == expected
+        with JoinService(
+            hq_ex_task,
+            _store_copy(warmed, tmp_path / "store"),
+            workers=1,
+            pilot_documents=documents,
+            warm_policy=WarmStartPolicy(min_documents=warm.documents),
+        ) as service:
+            answer = service.execute(JoinRequest(TAU_GOOD, TAU_BAD))
+            assert answer["warm_started"] is True
+            assert answer["pilot_fresh_documents"] > 0
+            recorded = _warm_start(service, hq_ex_task)
+        assert recorded.documents == documents
+        assert recorded.snapshot == expected

@@ -14,7 +14,8 @@ from repro.experiments import build_multiway_testbed
 from repro.multiway.executor import MultiwayIndependentJoin
 from repro.planner.planner import MultiwayPlanner
 from repro.robustness import DeadlineExceeded
-from repro.service import JoinRequest, JoinService
+from repro.service import JoinRequest, JoinService, ServiceBusyError
+from repro.service.admission import SHED, AdmissionDecision
 from repro.service.asyncio_frontend import serve_async, shutdown_async
 from repro.service.coalesce import submit_coalesced
 from repro.service.http import request_json
@@ -174,6 +175,28 @@ class TestMultiwayService:
         assert 'event="subplans_pruned_bound"' in rendered or (
             'event="subplans_enumerated"' in rendered
         )
+
+    def test_wide_events_carry_the_graph_identity(
+        self, multiway_service, monkeypatch
+    ):
+        service, scenario, _ = multiway_service
+        graph = scenario.graph
+        identity = (graph.describe(), graph.signature())
+        service.execute(JoinRequest.from_payload(star3_payload()))
+        (planned,) = service.debug_requests(limit=1)
+        assert (planned["task"], planned["signature"]) == identity
+        assert planned["mode"] == "plan" and planned["outcome"] == "ok"
+        # A shed is recorded on the submitter's thread, not by a worker.
+        monkeypatch.setattr(
+            service.admission,
+            "_decide",
+            lambda *_: AdmissionDecision(SHED, retry_after=1.0),
+        )
+        with pytest.raises(ServiceBusyError):
+            service.submit(JoinRequest.from_payload(star3_payload()))
+        (shed,) = service.debug_requests(limit=1, outcome="shed")
+        assert (shed["task"], shed["signature"]) == identity
+        assert service.task.name not in identity
 
     def test_stats_name_the_bound_scenario(self, multiway_service):
         service, _, _ = multiway_service
