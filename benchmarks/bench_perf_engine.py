@@ -2,8 +2,9 @@
 
 Times two workloads against the same catalog, once with bound-based
 pruning and the shared-frontier sweep (``optimize_many(prune=True)``)
-and once with the scalar reference path (``vectorized=False,
-use_engine=False, prune=False``, per-requirement bisection):
+and once with the scalar reference path
+(:class:`~repro.validation.differential.ReferenceJoinOptimizer`: the
+scalar reference models and a per-requirement bisection, unpruned):
 
 * ``plan_space_optimization`` — a single cold ``optimize()`` over the full
   plan space;
@@ -50,13 +51,12 @@ from typing import List, Optional, Sequence, Tuple
 from repro.core import QualityRequirement
 from repro.models.distributions import probability_none_extracted
 from repro.optimizer import JoinOptimizer, enumerate_plans
+from repro.validation.differential import ReferenceJoinOptimizer
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 RESULT_PATH = ROOT / "BENCH_perf.json"
 BOUNDS_PATH = ROOT / "BENCH_perf_bounds.json"
 BASELINE_PATH = ROOT / "benchmarks" / "results" / "scalar_baseline.json"
-
-SCALAR_KWARGS = {"vectorized": False, "use_engine": False, "prune": False}
 
 
 def sweep_requirements(n_taus: int = 48) -> List[QualityRequirement]:
@@ -182,17 +182,18 @@ def store_baseline(
 # ---------------------------------------------------------------------------
 
 
-def _fresh_optimizer(task, **optimizer_kwargs) -> JoinOptimizer:
+def _fresh_optimizer(task, optimizer_class=JoinOptimizer) -> JoinOptimizer:
     # Each measurement starts cold: fresh optimizer (per-plan memos, side
     # cache, curves, bounds) and a cleared scalar pmf cache, so the two
     # paths and the two workloads don't warm each other.
     probability_none_extracted.cache_clear()
-    return JoinOptimizer(task.catalog(), costs=task.costs, **optimizer_kwargs)
+    return optimizer_class(task.catalog(), costs=task.costs)
 
 
-def _timed_sweep(task, plans, requirements, **optimizer_kwargs):
-    prune = optimizer_kwargs.pop("prune", True)
-    optimizer = _fresh_optimizer(task, **optimizer_kwargs)
+def _timed_sweep(
+    task, plans, requirements, optimizer_class=JoinOptimizer, prune=True
+):
+    optimizer = _fresh_optimizer(task, optimizer_class)
     start = time.perf_counter()
     results = optimizer.optimize_many(plans, requirements, prune=prune)
     return time.perf_counter() - start, results, optimizer
@@ -248,7 +249,7 @@ def run_perf_bench(
         scalar_seconds: dict = {}
         for op, workload in workloads:
             seconds, results, _ = _timed_sweep(
-                task, plans, workload, **SCALAR_KWARGS
+                task, plans, workload, ReferenceJoinOptimizer, prune=False
             )
             _check_equivalent(measured[op][1], results)
             scalar_seconds[op] = seconds
@@ -299,7 +300,7 @@ def bound_tightness_report(
     bound below the actual value is a soundness violation and is counted
     separately.  Computed outside any timed region.
     """
-    optimizer = _fresh_optimizer(task, prune=True)
+    optimizer = _fresh_optimizer(task)
     rows = []
     q_errors = []
     violations = 0

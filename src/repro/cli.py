@@ -91,18 +91,6 @@ def _add_scenario_argument(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_workers_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help=(
-            "evaluate plans in N forked processes (default serial; "
-            "results are identical either way)"
-        ),
-    )
-
-
 def _add_prune_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--no-prune",
@@ -370,9 +358,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         feasibility_margin=args.margin,
         observability=observability,
     )
-    result = optimizer.optimize(
-        plans, requirement, workers=args.workers, prune=not args.no_prune
-    )
+    result = optimizer.optimize(plans, requirement, prune=not args.no_prune)
     if result.chosen is None:
         print("No plan is predicted to meet the requirement.")
         _write_observability(observability, args)
@@ -500,7 +486,6 @@ def _cmd_frontier(args: argparse.Namespace) -> int:
         task.catalog(),
         plans,
         costs=task.costs,
-        workers=args.workers,
         observability=observability,
         prune=not args.no_prune,
     )
@@ -1001,7 +986,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--execute", action="store_true", help="also run the chosen plan"
     )
     _add_scenario_argument(optimize)
-    _add_workers_argument(optimize)
     _add_prune_argument(optimize)
     _add_resilience_arguments(optimize)
     _add_observability_arguments(optimize)
@@ -1023,7 +1007,6 @@ def build_parser() -> argparse.ArgumentParser:
         "frontier", help="Pareto frontier of achievable (time, quality) points"
     )
     _add_scenario_argument(frontier)
-    _add_workers_argument(frontier)
     _add_prune_argument(frontier)
     _add_observability_arguments(frontier)
     _add_testbed_arguments(frontier)

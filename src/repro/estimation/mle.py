@@ -174,50 +174,23 @@ def _support_cap(max_s: int, p_obs: float, factor: float, database_size: int) ->
     return max(1, min(cap, database_size))
 
 
-def _fit_single_class_scalar(
-    s_values: np.ndarray,
-    weights: np.ndarray,
-    p_obs: float,
-    k_max: int,
-    beta_grid: np.ndarray,
-) -> Tuple[float, float, float]:
-    """Reference implementation: per-β loop over the likelihood grid."""
-    total = float(weights.sum())
-    if total <= 0:
-        return float(beta_grid[0]), 0.0, 0.0
-    best: Optional[Tuple[float, float, float]] = None
-    for beta in beta_grid:
-        log_pmf, p_seen = _class_log_pmf(s_values, float(beta), k_max, p_obs)
-        loglik = float(np.sum(weights * (log_pmf - math.log(p_seen))))
-        n_values = total / p_seen
-        if best is None or loglik > best[2]:
-            best = (float(beta), n_values, loglik)
-    return best
-
-
 def _fit_single_class(
     s_values: np.ndarray,
     weights: np.ndarray,
     p_obs: float,
     k_max: int,
     beta_grid: np.ndarray,
-    vectorized: bool = True,
 ) -> Tuple[float, float, float]:
     """Fit (β, N) for one class from a weighted s-histogram.
 
     Returns (beta, n_values, log_likelihood).  N follows from the
-    truncated-count identity E[#observed] = N · Pr{s ≥ 1}.  The default
-    path evaluates the whole β grid in one matrix pass
-    (:func:`_class_log_pmf_grid`); ``vectorized=False`` keeps the scalar
-    per-β reference loop.
+    truncated-count identity E[#observed] = N · Pr{s ≥ 1}.  The whole β
+    grid is evaluated in one matrix pass (:func:`_class_log_pmf_grid`);
+    the per-β reference loop lives in :mod:`repro.validation.differential`.
     """
     total = float(weights.sum())
     if total <= 0:
         return float(beta_grid[0]), 0.0, 0.0
-    if not vectorized:
-        return _fit_single_class_scalar(
-            s_values, weights, p_obs, k_max, beta_grid
-        )
     log_pmf, p_seen = _class_log_pmf_grid(s_values, beta_grid, k_max, p_obs)
     logliks = np.sum(
         weights[None, :] * (log_pmf - np.log(p_seen)[:, None]), axis=1

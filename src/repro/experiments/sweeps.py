@@ -7,24 +7,18 @@ frontier over (execution time ↓, good tuples ↑).  Each frontier point
 records the plan, the operating point, and the predicted composition, so a
 user can read off the achievable good-tuple count at any time budget (or
 vice versa) before committing to a contract.
-
-Per-plan sweeps are independent, so ``quality_frontier(..., workers=N)``
-fans them out with :func:`~repro.optimizer.engine.fork_map`; candidates
-are merged back in plan order, so the frontier is identical to a serial
-sweep.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from ..core.plan import JoinPlanSpec
 from ..joins.costs import CostModel
 from ..observability.context import ObservabilityContext, ensure_observability
 from ..observability.tracer import SpanKind
 from ..optimizer.catalog import StatisticsCatalog
-from ..optimizer.engine import fork_map
 from ..optimizer.optimizer import JoinOptimizer
 
 
@@ -78,16 +72,13 @@ def quality_frontier(
     effort_fractions: Sequence[float] = (
         0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.65, 0.8, 1.0,
     ),
-    workers: Optional[int] = None,
     observability: Optional[ObservabilityContext] = None,
     prune: bool = True,
 ) -> List[FrontierPoint]:
     """Pareto frontier over (time ↓, good ↑) across plans × efforts.
 
     Points are returned sorted by time; by construction their good-tuple
-    counts are strictly increasing along the list.  With ``workers > 1``
-    the per-plan sweeps run in forked processes; the result is identical
-    to the serial sweep.
+    counts are strictly increasing along the list.
 
     With ``prune`` on (default), plans whose guaranteed good-tuple
     ceiling is zero are skipped before any model is built: the frontier
@@ -108,23 +99,12 @@ def quality_frontier(
             survivors.append(plan)
         optimizer._publish_pruning(before)
         plans = survivors
-    per_plan: Optional[List[List[FrontierPoint]]] = None
-    global _FORK_STATE
-    _FORK_STATE = (optimizer, plans, tuple(effort_fractions))
-    try:
-        per_plan = fork_map(_sweep_plan_index, len(plans), workers)
-    finally:
-        _FORK_STATE = None
-    if per_plan is None:
-        per_plan = []
-        for plan in plans:
-            with obs.span(
-                SpanKind.EXPERIMENT, "frontier", plan=plan.describe()
-            ):
-                per_plan.append(
-                    _frontier_candidates(optimizer, plan, effort_fractions)
-                )
-    candidates = [point for sweep in per_plan for point in sweep]
+    candidates: List[FrontierPoint] = []
+    for plan in plans:
+        with obs.span(SpanKind.EXPERIMENT, "frontier", plan=plan.describe()):
+            candidates.extend(
+                _frontier_candidates(optimizer, plan, effort_fractions)
+            )
     candidates.sort(key=lambda point: (point.time, -point.n_good))
     frontier: List[FrontierPoint] = []
     best_good = 0.0
@@ -133,18 +113,6 @@ def quality_frontier(
             frontier.append(point)
             best_good = point.n_good
     return frontier
-
-
-# fork_map workers read their inputs from pre-fork module state; see
-# repro.optimizer.engine.fork_map.
-_FORK_STATE: Optional[
-    Tuple[JoinOptimizer, List[JoinPlanSpec], Tuple[float, ...]]
-] = None
-
-
-def _sweep_plan_index(index: int) -> Tuple[int, List[FrontierPoint]]:
-    optimizer, plans, effort_fractions = _FORK_STATE
-    return index, _frontier_candidates(optimizer, plans[index], effort_fractions)
 
 
 def format_frontier(points: Sequence[FrontierPoint], title: str) -> str:

@@ -19,13 +19,7 @@ from .kernels import compose_aggregate_arrays, composition_kernel, side_kernel
 from .parameters import JoinStatistics, ValueOverlapModel
 from .predictions import QualityPrediction, charge_events
 from .retrieval_models import RetrievalModel, build_retrieval_model
-from .scheme import (
-    CompositionEstimate,
-    SideFactors,
-    compose_aggregate,
-    compose_per_value,
-    occurrence_factors,
-)
+from .scheme import CompositionEstimate, SideFactors, occurrence_factors
 from .uncertainty import (
     IntervalEstimate,
     compose_with_variance,
@@ -50,15 +44,10 @@ class IDJNModel:
         costs: Optional[CostModel] = None,
         per_value: bool = True,
         overlap: Optional[ValueOverlapModel] = None,
-        vectorized: bool = True,
     ) -> None:
         self.statistics = statistics
         self.costs = costs or CostModel()
         self.per_value = per_value
-        #: ``True`` composes via the array kernels of
-        #: :mod:`repro.models.kernels`; ``False`` walks the scalar
-        #: reference scheme.  Both agree within 1e-9 (golden-tested).
-        self.vectorized = vectorized
         self.models: Dict[int, RetrievalModel] = {
             i: build_retrieval_model(
                 kind,
@@ -86,9 +75,7 @@ class IDJNModel:
             rho_bad=model.bad_fraction_processed(effort),
         )
 
-    def _compose_vectorized(
-        self, effort1: float, effort2: float
-    ) -> CompositionEstimate:
+    def _compose(self, effort1: float, effort2: float) -> CompositionEstimate:
         """Kernel composition: both sides' factors are coverage-separable."""
         side1, side2 = self.statistics.side1, self.statistics.side2
         rho = {}
@@ -115,17 +102,14 @@ class IDJNModel:
 
     def predict(self, effort1: float, effort2: float) -> QualityPrediction:
         """Expected join composition and time at the given efforts."""
-        if self.vectorized:
-            composition = self._compose_vectorized(effort1, effort2)
-        else:
-            factors1 = self.side_factors(1, effort1)
-            factors2 = self.side_factors(2, effort2)
-            if self.per_value:
-                composition = compose_per_value(factors1, factors2)
-            else:
-                composition = compose_aggregate(
-                    factors1, factors2, self.overlap
-                )
+        return self._prediction(
+            effort1, effort2, self._compose(effort1, effort2)
+        )
+
+    def _prediction(
+        self, effort1: float, effort2: float, composition: CompositionEstimate
+    ) -> QualityPrediction:
+        """Charge both sides' events to a composition at the efforts."""
         events = {
             1: self.models[1].events(effort1),
             2: self.models[2].events(effort2),

@@ -17,8 +17,10 @@ coverage-separable factors, purely scalar — operations:
     E[gr(a)]        = tp · g(a) · ρg                     (separable in ρg)
     Σ_a gr1·gr2     = tp1·tp2·ρg1·ρg2 · Σ_a g1(a)·g2(a)  (precomputed dot)
 
-The scalar dict-walking implementations in :mod:`repro.models.scheme`
-remain the reference; golden tests assert both paths agree within 1e-9.
+The models compose through these kernels only.  The scalar dict-walking
+implementations in :mod:`repro.models.scheme` remain the reference, reached
+from :mod:`repro.validation.differential`; golden tests and
+``repro validate`` assert both agree within 1e-9.
 
 Kernels are cached *on the statistics objects themselves* (via
 ``object.__setattr__`` on the frozen dataclasses), so every model and plan

@@ -35,10 +35,7 @@ import numpy as np
 
 from ..core.plan import RetrievalKind
 from ..joins.costs import CostModel
-from .distributions import (
-    NoneExtractedBatch,
-    probability_none_extracted,
-)
+from .distributions import NoneExtractedBatch
 from .kernels import compose_aggregate_arrays, composition_kernel, side_kernel
 from .parameters import JoinStatistics, SideStatistics, ValueOverlapModel
 from .predictions import QualityPrediction, charge_events
@@ -48,12 +45,7 @@ from .retrieval_models import (
     RetrievalModel,
     build_retrieval_model,
 )
-from .scheme import (
-    SideFactors,
-    compose_aggregate,
-    compose_per_value,
-    occurrence_factors,
-)
+from .scheme import CompositionEstimate
 
 
 def best_outer(
@@ -132,8 +124,8 @@ def _occurrence_arrays(
 ) -> Tuple[NoneExtractedBatch, NoneExtractedBatch, NoneExtractedBatch]:
     """(good, bad-in-good, bad-in-bad) occurrence counts of *values* in *side*.
 
-    Counts go through ``int(...)`` exactly as the scalar
-    :meth:`OIJNModel.issue_probability` converts them, and are wrapped as
+    Counts go through ``int(...)`` exactly as the scalar reference in
+    :mod:`repro.validation.differential` converts them, and are wrapped as
     :class:`NoneExtractedBatch` so their unique/inverse decompositions are
     computed once rather than per effort probe.
     """
@@ -154,7 +146,7 @@ def _occurrence_arrays(
 
 
 class _OIJNVectors:
-    """Effort-independent arrays behind the vectorized OIJN hot path.
+    """Effort-independent arrays behind the OIJN model's evaluation.
 
     Everything here is a pure function of the statistics bundle: value
     orderings, occurrence counts (for issuance), own-query reach per inner
@@ -223,14 +215,14 @@ class _OIJNVectors:
         self.idx_bad = np.array(
             [index_of[v] for v in self.inner_kernel.bad_values], dtype=int
         )
-        #: masks mirroring the scalar inner_factors dict membership (the
-        #: scalar walk only records a factor when it is non-zero; aggregate
-        #: composition takes moments over the recorded entries)
+        #: masks mirroring the scalar reference's factor-dict membership
+        #: (it only records a non-zero factor; aggregate composition takes
+        #: moments over the recorded entries)
         self.good_mask = self.inner_kernel.g != 0
         self.bad_mask = (self.inner_kernel.bg != 0) | (
             self.inner_kernel.bb != 0
         )
-        # overlap shares of _inner_issue_probability (aggregate mode)
+        # per-class overlap shares of the inner issuance (aggregate mode)
         if overlap is not None:
             population_good = max(len(inner_side.good_frequency), 1)
             population_bad = max(len(inner_side.bad_frequency), 1)
@@ -261,7 +253,6 @@ class OIJNModel:
         costs: Optional[CostModel] = None,
         per_value: bool = True,
         overlap: Optional[ValueOverlapModel] = None,
-        vectorized: bool = True,
     ) -> None:
         if outer not in (1, 2):
             raise ValueError("outer must be 1 or 2")
@@ -270,10 +261,6 @@ class OIJNModel:
         self.inner = 2 if outer == 1 else 1
         self.costs = costs or CostModel()
         self.per_value = per_value
-        #: ``True`` runs issuance/reach/composition on precomputed arrays
-        #: (:class:`_OIJNVectors`); ``False`` walks the scalar reference
-        #: loops.  Both agree within 1e-9 (golden-tested).
-        self.vectorized = vectorized
         self.outer_model: RetrievalModel = build_retrieval_model(
             outer_retrieval,
             statistics.side(outer),
@@ -312,40 +299,6 @@ class OIJNModel:
 
     # -- issuance ---------------------------------------------------------------
 
-    def issue_probability(self, value: str, mix: ClassMix) -> float:
-        """p_issue(a): the outer execution extracted some occurrence of a."""
-        side = self.statistics.side(self.outer)
-        p_missed = probability_none_extracted(
-            population=max(side.n_good_docs, 1),
-            draws=int(round(mix.good)),
-            occurrences=int(side.good_frequency.get(value, 0)),
-            rate=side.tp,
-        )
-        p_missed *= probability_none_extracted(
-            population=max(side.n_good_docs, 1),
-            draws=int(round(mix.good)),
-            occurrences=int(side.bad_in_good_frequency.get(value, 0)),
-            rate=side.fp,
-        )
-        p_missed *= probability_none_extracted(
-            population=max(side.n_bad_docs, 1),
-            draws=int(round(mix.bad)),
-            occurrences=int(side.bad_in_bad(value)),
-            rate=side.fp,
-        )
-        return 1.0 - p_missed
-
-    def _own_query_reach(self, inner: SideStatistics, value: str) -> Tuple[float, float, float]:
-        """(retrieval probability, good matches, bad matches) of query [a]."""
-        g = inner.good_frequency.get(value, 0.0)
-        b = inner.bad_frequency.get(value, 0.0)
-        hits = g + b
-        if hits <= 0:
-            return 0.0, 0.0, 0.0
-        rate = min(hits, inner.top_k) / hits
-        good_matches = g + inner.bad_in_good_frequency.get(value, 0.0)
-        return rate, good_matches, hits - good_matches
-
     def _vec(self) -> _OIJNVectors:
         if self._vectors is None:
             self._vectors = _OIJNVectors(
@@ -360,7 +313,8 @@ class OIJNModel:
         ],
         mix: ClassMix,
     ) -> np.ndarray:
-        """:meth:`issue_probability` over precomputed occurrence batches."""
+        """p_issue(a) of every value of a batch: the outer execution
+        extracted some occurrence of a (good or bad) at *mix*."""
         side = self.statistics.side(self.outer)
         occ_good, occ_bad_good, occ_bad_bad = occurrences
         draws_good = int(round(mix.good))
@@ -378,72 +332,18 @@ class OIJNModel:
 
     def _class_mean_issue(self, mix: ClassMix) -> Tuple[float, float]:
         """Mean issuance probability over the outer side's value classes."""
-        if self.vectorized:
-            vec = self._vec()
-            mean_good = (
-                float(np.mean(self._issue_batch(vec.mean_good_occ, mix)))
-                if vec.mean_good_occ[0].shape[0]
-                else 0.0
-            )
-            mean_bad = (
-                float(np.mean(self._issue_batch(vec.mean_bad_occ, mix)))
-                if vec.mean_bad_occ[0].shape[0]
-                else 0.0
-            )
-            return mean_good, mean_bad
-        outer_side = self.statistics.side(self.outer)
-        good_values = list(outer_side.good_frequency)
-        bad_values = [
-            v
-            for v in outer_side.bad_frequency
-            if v not in outer_side.good_frequency
-        ]
+        vec = self._vec()
         mean_good = (
-            sum(self.issue_probability(v, mix) for v in good_values)
-            / len(good_values)
-            if good_values
+            float(np.mean(self._issue_batch(vec.mean_good_occ, mix)))
+            if vec.mean_good_occ[0].shape[0]
             else 0.0
         )
         mean_bad = (
-            sum(self.issue_probability(v, mix) for v in bad_values)
-            / len(bad_values)
-            if bad_values
+            float(np.mean(self._issue_batch(vec.mean_bad_occ, mix)))
+            if vec.mean_bad_occ[0].shape[0]
             else 0.0
         )
         return mean_good, mean_bad
-
-    def _inner_issue_probability(
-        self, value: str, is_good_value: bool, mix: ClassMix
-    ) -> float:
-        """p_issue for an *inner* value.
-
-        Per-value mode reads the outer side's frequencies of the same
-        value.  Aggregate mode (estimated statistics, synthetic value
-        names) combines the class-mean outer issuance with the estimated
-        probability that the inner value is shared at all (the overlap
-        class counts of Section V-A).
-        """
-        if self.per_value:
-            return self.issue_probability(value, mix)
-        mean_good, mean_bad = self._mean_issue_cache(mix)
-        inner_side = self.statistics.side(self.inner)
-        if is_good_value:
-            population = max(len(inner_side.good_frequency), 1)
-            n_from_good, n_from_bad = (
-                (self.overlap.n_gg, self.overlap.n_bg)
-                if self.inner == 2
-                else (self.overlap.n_gg, self.overlap.n_gb)
-            )
-        else:
-            population = max(len(inner_side.bad_frequency), 1)
-            n_from_good, n_from_bad = (
-                (self.overlap.n_gb, self.overlap.n_bb)
-                if self.inner == 2
-                else (self.overlap.n_bg, self.overlap.n_bb)
-            )
-        share_good = min(n_from_good / population, 1.0)
-        share_bad = min(n_from_bad / population, 1.0)
-        return min(share_good * mean_good + share_bad * mean_bad, 1.0)
 
     def _mean_issue_cache(self, mix: ClassMix) -> Tuple[float, float]:
         """Bounded LRU over the class-mean issuance probabilities.
@@ -464,58 +364,6 @@ class OIJNModel:
         if len(cache) > _ISSUE_CACHE_SIZE:
             cache.popitem(last=False)
         return result
-
-    def inner_reach(self, outer_effort: float) -> InnerReach:
-        """Expected queries issued and inner documents retrieved.
-
-        Good-document coverage uses the Equation-2 overlap correction: the
-        probability a good inner document escapes every issued query is the
-        product of per-query misses.  Queries are counted over the *outer*
-        side's values (each observed value spawns one query, whether or not
-        it matches anything in the inner database); coverage is accumulated
-        over the *inner* side's values (only they can be matched).
-        """
-        mix = self.outer_model.class_mix(outer_effort)
-        if self.vectorized:
-            return self._inner_reach_from_mix(mix)
-        outer_side = self.statistics.side(self.outer)
-        inner_side = self.statistics.side(self.inner)
-        outer_values = sorted(
-            set(outer_side.good_frequency) | set(outer_side.bad_frequency)
-        )
-        n_queries = sum(
-            self.issue_probability(value, mix) for value in outer_values
-        )
-        log_miss_good = 0.0
-        log_miss_bad = 0.0
-        n_good = max(inner_side.n_good_docs, 1)
-        n_bad = max(inner_side.n_bad_docs, 1)
-        inner_values = sorted(
-            set(inner_side.good_frequency) | set(inner_side.bad_frequency)
-        )
-        for value in inner_values:
-            is_good_value = value in inner_side.good_frequency
-            p_issue = self._inner_issue_probability(value, is_good_value, mix)
-            if p_issue <= 0.0:
-                continue
-            rate, good_matches, bad_matches = self._own_query_reach(
-                inner_side, value
-            )
-            if rate <= 0.0:
-                continue
-            p_good = min(p_issue * rate * good_matches / n_good, 1.0)
-            p_bad = min(p_issue * rate * bad_matches / n_bad, 1.0)
-            if p_good < 1.0:
-                log_miss_good += math.log1p(-p_good)
-            else:
-                log_miss_good = -math.inf
-            if p_bad < 1.0:
-                log_miss_bad += math.log1p(-p_bad)
-            else:
-                log_miss_bad = -math.inf
-        good_docs = inner_side.n_good_docs * (1.0 - math.exp(log_miss_good))
-        bad_docs = inner_side.n_bad_docs * (1.0 - math.exp(log_miss_bad))
-        return InnerReach(queries=n_queries, good_docs=good_docs, bad_docs=bad_docs)
 
     def _inner_issue_batch(self, mix: ClassMix) -> np.ndarray:
         """p_issue for every inner value (union ordering), one mix."""
@@ -542,7 +390,15 @@ class OIJNModel:
         return np.where(vec.is_good_inner, p_good_class, p_bad_class)
 
     def _inner_reach_from_mix(self, mix: ClassMix) -> InnerReach:
-        """Array evaluation of :meth:`inner_reach` at one outer mix."""
+        """Expected queries issued and inner documents retrieved at *mix*.
+
+        Good-document coverage uses the Equation-2 overlap correction: the
+        probability a good inner document escapes every issued query is the
+        product of per-query misses.  Queries are counted over the *outer*
+        side's values (each observed value spawns one query, whether or not
+        it matches anything in the inner database); coverage is accumulated
+        over the *inner* side's values (only they can be matched).
+        """
         vec = self._vec()
         inner_side = self.statistics.side(self.inner)
         key = (int(round(mix.good)), int(round(mix.bad)))
@@ -588,42 +444,15 @@ class OIJNModel:
 
     # -- factors and prediction ----------------------------------------------------
 
-    def inner_factors(self, outer_effort: float) -> SideFactors:
-        """Expected inner occurrence factors at one outer effort level."""
-        mix = self.outer_model.class_mix(outer_effort)
-        inner_side = self.statistics.side(self.inner)
-        reach = self.inner_reach(outer_effort)
-        rho_good_rest = min(reach.good_docs / max(inner_side.n_good_docs, 1), 1.0)
-        rho_bad_rest = min(reach.bad_docs / max(inner_side.n_bad_docs, 1), 1.0)
-        good: Dict[str, float] = {}
-        bad: Dict[str, float] = {}
-
-        def coverage(p_issue: float, rate: float, rho_rest: float) -> float:
-            own = p_issue * rate
-            return own + (1.0 - own) * rho_rest
-
-        inner_values = sorted(
-            set(inner_side.good_frequency) | set(inner_side.bad_frequency)
-        )
-        for value in inner_values:
-            is_good_value = value in inner_side.good_frequency
-            p_issue = self._inner_issue_probability(value, is_good_value, mix)
-            rate, _, _ = self._own_query_reach(inner_side, value)
-            cov_good = coverage(p_issue, rate, rho_good_rest)
-            cov_bad = coverage(p_issue, rate, rho_bad_rest)
-            g = inner_side.good_frequency.get(value, 0.0)
-            if g:
-                good[value] = inner_side.tp * g * cov_good
-            b_good = inner_side.bad_in_good_frequency.get(value, 0.0)
-            b_bad = inner_side.bad_in_bad(value)
-            if b_good or b_bad:
-                bad[value] = inner_side.fp * (b_good * cov_good + b_bad * cov_bad)
-        return SideFactors(good=good, bad=bad)
-
     def _inner_factor_arrays(
         self, mix: ClassMix, reach: InnerReach
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """:meth:`inner_factors` on arrays, aligned to the inner kernel."""
+        """Expected inner occurrence factors, aligned to the inner kernel.
+
+        An inner value's documents arrive through its own query (issued
+        with p_issue, retrieved at the top-k rate) or through other
+        values' queries at the execution's aggregate coverage.
+        """
         vec = self._vec()
         inner_side = self.statistics.side(self.inner)
         rho_good_rest = min(
@@ -642,7 +471,7 @@ class OIJNModel:
         )
         return good, bad
 
-    def _compose_vectorized(
+    def _compose(
         self,
         rho_good: float,
         rho_bad: float,
@@ -682,31 +511,20 @@ class OIJNModel:
 
     def predict(self, outer_effort: float) -> QualityPrediction:
         """Expected join composition and time at one outer effort level."""
-        outer_side = self.statistics.side(self.outer)
         rho_good = self.outer_model.good_fraction_processed(outer_effort)
         rho_bad = self.outer_model.bad_fraction_processed(outer_effort)
-        if self.vectorized:
-            mix = self.outer_model.class_mix(outer_effort)
-            reach = self._inner_reach_from_mix(mix)
-            composition = self._compose_vectorized(
-                rho_good, rho_bad, mix, reach
-            )
-        else:
-            outer_factors = occurrence_factors(
-                outer_side, rho_good=rho_good, rho_bad=rho_bad
-            )
-            inner_factors = self.inner_factors(outer_effort)
-            if self.outer == 1:
-                factors1, factors2 = outer_factors, inner_factors
-            else:
-                factors1, factors2 = inner_factors, outer_factors
-            if self.per_value:
-                composition = compose_per_value(factors1, factors2)
-            else:
-                composition = compose_aggregate(
-                    factors1, factors2, self.overlap
-                )
-            reach = self.inner_reach(outer_effort)
+        mix = self.outer_model.class_mix(outer_effort)
+        reach = self._inner_reach_from_mix(mix)
+        composition = self._compose(rho_good, rho_bad, mix, reach)
+        return self._prediction(outer_effort, composition, reach)
+
+    def _prediction(
+        self,
+        outer_effort: float,
+        composition: CompositionEstimate,
+        reach: InnerReach,
+    ) -> QualityPrediction:
+        """Charge the outer events and the inner *reach* to a composition."""
         events = {
             self.outer: self.outer_model.events(outer_effort),
             self.inner: EffortEvents(

@@ -163,25 +163,20 @@ class FilteredScanModel(RetrievalModel):
 class AQGModel(RetrievalModel):
     """AQG: effort = queries issued (prefix of the learned query list).
 
-    ``vectorized=True`` (default) answers :meth:`class_mix` from per-class
-    prefix sums of the per-query log-miss terms, computed once — O(1) per
-    effort instead of a Python loop over the query list.  The scalar
-    :meth:`_reach` walk is kept as the reference implementation; both paths
-    accumulate the same float64 terms in the same order, so they agree
-    bit-for-bit.
+    :meth:`class_mix` is answered from per-class prefix sums of the
+    per-query log-miss terms, computed once — O(1) per effort instead of a
+    Python loop over the query list.  The loop is kept as the reference in
+    :mod:`repro.validation.differential`; both accumulate the same float64
+    terms in the same order, so they agree bit-for-bit.
     """
 
     def __init__(
-        self,
-        side: SideStatistics,
-        queries: Sequence[QueryStats],
-        vectorized: bool = True,
+        self, side: SideStatistics, queries: Sequence[QueryStats]
     ) -> None:
         super().__init__(side)
         if not queries:
             raise ValueError("AQG model needs the learned queries' statistics")
         self.queries = list(queries)
-        self.vectorized = vectorized
         self._tables: Optional[dict] = None
 
     @property
@@ -228,7 +223,15 @@ class AQGModel(RetrievalModel):
         return self._tables
 
     def _reach_fast(self, effort: float, class_size: int, name: str) -> float:
-        """Prefix-sum evaluation of :meth:`_reach` (bit-identical)."""
+        """Expected documents of one class reached by the first q queries.
+
+        Equation 2: a class member is reached by query i with probability
+        ``retrieved_i(class) / class_size`` and queries are conditionally
+        independent within the class, so
+        ``E = class_size · (1 - Π_i (1 - reach_i / class_size))``, summed
+        in log space by the prefix table.  Fractional effort interpolates
+        the final query's contribution.
+        """
         if class_size <= 0:
             return 0.0
         effort = min(effort, self.max_effort)
@@ -241,57 +244,11 @@ class AQGModel(RetrievalModel):
             log_miss += float(np.log1p(-p)) if p < 1.0 else -np.inf
         return class_size * (1.0 - float(np.exp(log_miss)))
 
-    def _reach(self, effort: float, class_size: int, per_query_hits) -> float:
-        """Expected documents of one class reached by the first q queries.
-
-        Equation 2: a class member is reached by query i with probability
-        ``retrieved_i(class) / class_size`` and queries are conditionally
-        independent within the class, so
-        ``E = class_size · (1 - Π_i (1 - reach_i / class_size))``.
-        Fractional effort interpolates the final query's contribution.
-        """
-        if class_size <= 0:
-            return 0.0
-        effort = min(effort, self.max_effort)
-        whole = int(effort)
-        log_miss = 0.0
-        for i, stats in enumerate(self.queries[:whole]):
-            retrieved = min(stats.hits, self.side.top_k)
-            reach = per_query_hits(stats) / max(stats.hits, 1) * retrieved
-            p = min(reach / class_size, 1.0)
-            if p >= 1.0:
-                return float(class_size)
-            log_miss += np.log1p(-p)
-        frac = effort - whole
-        if frac > 0 and whole < len(self.queries):
-            stats = self.queries[whole]
-            retrieved = min(stats.hits, self.side.top_k)
-            reach = per_query_hits(stats) / max(stats.hits, 1) * retrieved
-            p = min(frac * reach / class_size, 1.0)
-            if p >= 1.0:
-                return float(class_size)
-            log_miss += np.log1p(-p)
-        return class_size * (1.0 - float(np.exp(log_miss)))
-
     def _class_mix(self, effort: float) -> ClassMix:
-        if self.vectorized:
-            return ClassMix(
-                good=self._reach_fast(effort, self.side.n_good_docs, "good"),
-                bad=self._reach_fast(effort, self.side.n_bad_docs, "bad"),
-                empty=self._reach_fast(
-                    effort, self.side.n_empty_docs, "empty"
-                ),
-            )
         return ClassMix(
-            good=self._reach(
-                effort, self.side.n_good_docs, lambda s: s.good_hits
-            ),
-            bad=self._reach(effort, self.side.n_bad_docs, lambda s: s.bad_hits),
-            empty=self._reach(
-                effort,
-                self.side.n_empty_docs,
-                lambda s: s.hits * s.empty_fraction,
-            ),
+            good=self._reach_fast(effort, self.side.n_good_docs, "good"),
+            bad=self._reach_fast(effort, self.side.n_bad_docs, "bad"),
+            empty=self._reach_fast(effort, self.side.n_empty_docs, "empty"),
         )
 
     def events(self, effort: float) -> EffortEvents:

@@ -29,6 +29,7 @@ which it reports as a source of bad-tuple overestimation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -40,12 +41,7 @@ from .kernels import compose_aggregate_arrays, composition_kernel, side_kernel
 from .parameters import JoinStatistics, SideStatistics, ValueOverlapModel
 from .predictions import QualityPrediction, charge_events
 from .retrieval_models import EffortEvents
-from .scheme import (
-    SideFactors,
-    compose_aggregate,
-    compose_per_value,
-    occurrence_factors,
-)
+from .scheme import CompositionEstimate, SideFactors, occurrence_factors
 
 
 @dataclass(frozen=True)
@@ -169,16 +165,11 @@ class ZGJNModel:
         overlap: Optional[ValueOverlapModel] = None,
         include_stall: bool = True,
         dedup_correction: bool = True,
-        vectorized: bool = True,
     ) -> None:
         self.statistics = statistics
         self.costs = costs or CostModel()
         self.per_value = per_value
         self.include_stall = include_stall
-        #: ``True`` evaluates the reachable-document ceilings and the join
-        #: composition on arrays; ``False`` walks the scalar reference
-        #: loops.  Both agree within 1e-9 (golden-tested).
-        self.vectorized = vectorized
         #: the ceilings are effort-independent; computing them inside every
         #: reach() call was pure rework
         self._ceiling_cache: Dict[int, float] = {}
@@ -238,10 +229,10 @@ class ZGJNModel:
             self._ceiling_cache[key] = self._compute_reachable(side)
         return self._ceiling_cache[key]
 
-    def _vectorized_slots(
+    def _per_value_slots(
         self, side: SideStatistics, other: SideStatistics
     ) -> float:
-        """Array evaluation of the per-value slot sum (reference: below)."""
+        """Σ over shared values of ``p_queryable · min(hits, top_k)``."""
         values = sorted(set(side.good_frequency) | set(side.bad_frequency))
         g_other = np.array(
             [other.good_frequency.get(v, 0.0) for v in values]
@@ -267,24 +258,8 @@ class ZGJNModel:
         non_empty = float(side.n_good_docs + side.n_bad_docs)
         if non_empty <= 0:
             return 0.0
-        if self.per_value and self.vectorized:
-            slots = self._vectorized_slots(side, other)
-        elif self.per_value:
-            slots = 0.0
-            for value in sorted(
-                set(side.good_frequency) | set(side.bad_frequency)
-            ):
-                g_other = other.good_frequency.get(value, 0.0)
-                b_other = other.bad_frequency.get(value, 0.0)
-                if g_other == 0 and b_other == 0:
-                    continue
-                p_queryable = 1.0 - (1.0 - other.tp) ** g_other * (
-                    1.0 - other.fp
-                ) ** b_other
-                hits = side.good_frequency.get(
-                    value, 0.0
-                ) + side.bad_frequency.get(value, 0.0)
-                slots += p_queryable * min(hits, side.top_k)
+        if self.per_value:
+            slots = self._per_value_slots(side, other)
         else:
             # Aggregate mode: class means in place of per-value identity.
             overlap = self.overlap
@@ -307,11 +282,13 @@ class ZGJNModel:
             p_queryable = 1.0 - (1.0 - rate) ** mean_other_freq
             shared = min(shared, float(len(own_values)))
             slots = shared * mean_hits * p_queryable
+        return self._occupancy(slots, non_empty)
+
+    def _occupancy(self, slots: float, non_empty: float) -> float:
+        """Documents covered by *slots* doc-slots over *non_empty* ones."""
         if not self.dedup_correction:
             return min(slots, non_empty) if slots else non_empty
-        from math import exp
-
-        return non_empty * (1.0 - exp(-slots / non_empty))
+        return non_empty * (1.0 - math.exp(-slots / non_empty))
 
     def max_queries_from_r1(self) -> int:
         """The query budget axis: at most one query per distinct R1 value."""
@@ -319,6 +296,17 @@ class ZGJNModel:
 
     def reach(self, q1: float) -> ZGJNReach:
         """Chain the Moments/Power/Composition expectations, with ceilings."""
+        side1, side2 = self.statistics.side1, self.statistics.side2
+        return self._chain(
+            q1,
+            self._reachable_documents(side1),
+            self._reachable_documents(side2),
+        )
+
+    def _chain(
+        self, q1: float, reachable1: float, reachable2: float
+    ) -> ZGJNReach:
+        """:meth:`reach` given both sides' reachable-document ceilings."""
         if q1 < 0:
             raise ValueError("q1 must be non-negative")
         side1, side2 = self.statistics.side1, self.statistics.side2
@@ -333,13 +321,11 @@ class ZGJNModel:
                 return 0.0
             if not self.dedup_correction:
                 return min(raw, ceiling)
-            from math import exp
+            return ceiling * (1.0 - math.exp(-raw / ceiling))
 
-            return ceiling * (1.0 - exp(-raw / ceiling))
-
-        dr2 = cap(q1 * mu_h1, self._reachable_documents(side2))
+        dr2 = cap(q1 * mu_h1, reachable2)
         ar2 = cap(dr2 * mu_ga2, self._distinct_values(side2))
-        dr1 = cap(ar2 * mu_h2, self._reachable_documents(side1))
+        dr1 = cap(ar2 * mu_h2, reachable1)
         ar1 = cap(dr1 * mu_ga1, self._distinct_values(side1))
         return ZGJNReach(
             queries_from_r1=q1,
@@ -382,36 +368,32 @@ class ZGJNModel:
     def predict(self, q1: float) -> QualityPrediction:
         """Expected composition and time after q1 queries from R1 values."""
         reach = self.reach(q1)
-        if self.vectorized:
-            # ZGJN factors are coverage-separable, so composition reduces
-            # to the precomputed kernel dot products (per-value mode) or
-            # the factor-array moments (aggregate mode).
-            rho1 = self._coverage_fractions(1, reach.documents1)
-            rho2 = self._coverage_fractions(2, reach.documents2)
-            side1, side2 = self.statistics.side1, self.statistics.side2
-            if self.per_value:
-                kernel = composition_kernel(side1, side2)
-                composition = kernel.compose_coverage(
-                    rho1[0], rho1[1], rho2[0], rho2[1]
-                )
-            else:
-                k1, k2 = side_kernel(side1), side_kernel(side2)
-                composition = compose_aggregate_arrays(
-                    k1.good_factors(rho1[0]),
-                    k1.bad_factors(rho1[0], rho1[1]),
-                    k2.good_factors(rho2[0]),
-                    k2.bad_factors(rho2[0], rho2[1]),
-                    self.overlap,
-                )
+        # ZGJN factors are coverage-separable, so composition reduces to
+        # the precomputed kernel dot products (per-value mode) or the
+        # factor-array moments (aggregate mode).
+        rho1 = self._coverage_fractions(1, reach.documents1)
+        rho2 = self._coverage_fractions(2, reach.documents2)
+        side1, side2 = self.statistics.side1, self.statistics.side2
+        if self.per_value:
+            kernel = composition_kernel(side1, side2)
+            composition = kernel.compose_coverage(
+                rho1[0], rho1[1], rho2[0], rho2[1]
+            )
         else:
-            factors1 = self.side_factors(1, reach.documents1)
-            factors2 = self.side_factors(2, reach.documents2)
-            if self.per_value:
-                composition = compose_per_value(factors1, factors2)
-            else:
-                composition = compose_aggregate(
-                    factors1, factors2, self.overlap
-                )
+            k1, k2 = side_kernel(side1), side_kernel(side2)
+            composition = compose_aggregate_arrays(
+                k1.good_factors(rho1[0]),
+                k1.bad_factors(rho1[0], rho1[1]),
+                k2.good_factors(rho2[0]),
+                k2.bad_factors(rho2[0], rho2[1]),
+                self.overlap,
+            )
+        return self._prediction(reach, composition)
+
+    def _prediction(
+        self, reach: ZGJNReach, composition: CompositionEstimate
+    ) -> QualityPrediction:
+        """Charge the zig-zag events of *reach* to a composition."""
         events = {
             1: EffortEvents(
                 retrieved=reach.documents1,

@@ -12,11 +12,6 @@ the disabled path allocates nothing per unit of work and leaves results
 byte-identical to a build without instrumentation.  Hot loops may
 additionally guard on :attr:`ObservabilityContext.enabled` to skip
 attribute packing entirely.
-
-Fork workers (``fork_map``) call :meth:`begin_child` after the fork,
-run with fresh buffers, and ship :meth:`export_child_state` back; the
-parent :meth:`merge_child`\\ s payloads in worker-index order, keeping
-merged telemetry deterministic.
 """
 
 from __future__ import annotations
@@ -97,7 +92,6 @@ class ObservabilityContext:
             good_error=snapshot.good_error,
             bad_error=snapshot.bad_error,
         )
-        self.metrics.counter("repro_mle_refits_total").inc()
         self.metrics.gauge("repro_drift_good_error").set(snapshot.good_error)
         self.metrics.gauge("repro_drift_bad_error").set(snapshot.bad_error)
 
@@ -134,32 +128,6 @@ class ObservabilityContext:
         pathlib.Path(path).write_text(self.metrics.render())
         return path
 
-    # -- fork support ---------------------------------------------------------
-
-    def begin_child(self, tid: int) -> None:
-        """Re-base onto fresh buffers inside a forked worker."""
-        self.tracer = Tracer(tid=tid, origin_ns=self.tracer.origin_ns)
-        self.metrics = MetricsRegistry()
-        self.drift = DriftTracker()
-        # phase timings stay driver-level: children never record phases
-        self.phases = {}
-
-    def export_child_state(self) -> Dict[str, Any]:
-        """Picklable telemetry payload to ship back to the parent."""
-        return {
-            "records": self.tracer.records,
-            "metrics": self.metrics.export_state(),
-            "drift": self.drift.export_state(),
-        }
-
-    def merge_child(self, state: Optional[Dict[str, Any]]) -> None:
-        """Fold one child payload in (call in worker-index order)."""
-        if not state:
-            return
-        self.tracer.merge(state["records"])
-        self.metrics.merge(state["metrics"])
-        self.drift.merge(state["drift"])
-
 
 class _NullObservability(ObservabilityContext):
     """The always-off context: shared no-op tracer/metrics/drift."""
@@ -180,15 +148,6 @@ class _NullObservability(ObservabilityContext):
 
     def report(self) -> ObservabilityReport:
         return ObservabilityReport()
-
-    def begin_child(self, tid: int) -> None:
-        return None
-
-    def export_child_state(self) -> Optional[Dict[str, Any]]:
-        return None
-
-    def merge_child(self, state: Optional[Dict[str, Any]]) -> None:
-        return None
 
 
 class _PhaseTimer:

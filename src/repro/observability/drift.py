@@ -14,9 +14,9 @@ pairing
   built one, so a snapshot shows not just the point estimate but the shape
   the optimizer believed.
 
-Snapshots are picklable plain data, merge across fork workers, and are
-surfaced on the :class:`~repro.core.quality.ObservabilityReport` and in
-the JSONL trace (as ``drift.snapshot`` instant events).
+Snapshots are plain data, surfaced on the
+:class:`~repro.core.quality.ObservabilityReport` and in the JSONL trace
+(as ``drift.snapshot`` instant events).
 """
 
 from __future__ import annotations
@@ -158,27 +158,3 @@ class DriftTracker:
             "good_error": [s.good_error for s in self.snapshots],
             "bad_error": [s.bad_error for s in self.snapshots],
         }
-
-    # -- fork support ---------------------------------------------------------
-
-    def export_state(self) -> List[Dict[str, Any]]:
-        return [s.to_dict() for s in self.snapshots]
-
-    def merge(self, state: List[Dict[str, Any]]) -> None:
-        for entry in state:
-            self.record(
-                label=entry["label"],
-                plan=entry["plan"],
-                documents_processed=tuple(entry["documents_processed"]),
-                observed_good=entry["observed_good"],
-                observed_bad=entry["observed_bad"],
-                predicted_good=entry["predicted_good"],
-                predicted_bad=entry["predicted_bad"],
-                predicted_time=entry["predicted_time"],
-                effort_fraction=entry["effort_fraction"],
-                curve=(
-                    entry["curve_fractions"],
-                    entry["curve_good"],
-                    entry["curve_bad"],
-                ),
-            )

@@ -7,9 +7,9 @@ same dump can be diffed in CI, scraped in a real deployment, or compared
 against ``BENCH_*.json`` wall-clock accounting.
 
 All instruments are plain Python objects mutated in-place — no locks, no
-background threads — matching the repo's single-threaded executors; the
-fork-based optimizer fan-out ships child registries back as plain dicts
-and merges them deterministically (:meth:`MetricsRegistry.merge`).
+background threads — matching the repo's single-threaded executors.  The
+service folds each request's registry into its own through
+:meth:`MetricsRegistry.export_state` and :meth:`MetricsRegistry.merge`.
 """
 
 from __future__ import annotations
@@ -249,10 +249,10 @@ class MetricsRegistry:
                 )
         return "\n".join(lines) + ("\n" if lines else "")
 
-    # -- fork support ---------------------------------------------------------
+    # -- folding registries ---------------------------------------------------
 
     def export_state(self) -> List[Tuple[str, str, LabelKey, Any]]:
-        """Picklable snapshot for shipping out of a fork worker."""
+        """Plain-data snapshot of every instrument, for :meth:`merge`."""
         state = []
         for name, kind, labels, instrument in self.families():
             if kind == "histogram":
@@ -269,11 +269,7 @@ class MetricsRegistry:
         return state
 
     def merge(self, state: List[Tuple[str, str, LabelKey, Any]]) -> None:
-        """Fold a child snapshot in: counters/histograms add, gauges overwrite.
-
-        Merging children in worker-index order keeps gauge last-write
-        deterministic.
-        """
+        """Fold a snapshot in: counters/histograms add, gauges overwrite."""
         for name, kind, labels, payload in state:
             label_dict = dict(labels)
             if kind == "counter":
@@ -285,7 +281,7 @@ class MetricsRegistry:
                 histogram = self.histogram(name, buckets=buckets, **label_dict)
                 for index, bucket_count in enumerate(counts):
                     histogram.counts[index] += bucket_count
-                    # child exemplar wins: it is the more recent observation
+                    # the folded exemplar wins: it is the more recent one
                     if exemplars[index] is not None:
                         histogram.exemplars[index] = tuple(exemplars[index])
                 histogram.total += total

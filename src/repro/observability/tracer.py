@@ -13,13 +13,8 @@ span ids and stamps each finished span with its parent.  All timestamps
 are wall-clock microseconds relative to the tracer's origin — simulated
 execution time is *not* the span clock; executors attach it as span
 attributes instead, so a trace shows both where real time went and what
-the cost model charged.
-
-Fork-based parallelism (``fork_map``) is supported by buffer merging:
-a forked child re-bases onto a fresh record buffer (:meth:`Tracer.reset`),
-ships its finished records back as plain picklable dicts, and the parent
-:meth:`Tracer.merge`\\ s them in worker-index order, re-assigning span ids
-so merged traces stay collision-free and deterministic in structure.
+the cost model charged.  Every record carries the process id and lane
+0 as its ``pid``/``tid``, the fields trace viewers group by.
 """
 
 from __future__ import annotations
@@ -167,15 +162,15 @@ class Tracer:
 
     enabled = True
 
-    def __init__(self, tid: int = 0, origin_ns: Optional[int] = None) -> None:
+    #: logical lane stamped on every record (trace viewers group by it)
+    tid = 0
+
+    def __init__(self) -> None:
         self.records: List[Dict[str, Any]] = []
         self.pid = os.getpid()
-        #: logical lane for trace viewers; fork workers get their index
-        self.tid = tid
         self._stack: List[int] = []
         self._next_id = 1
-        #: shared time origin so parent and forked-child spans align
-        self.origin_ns = time.perf_counter_ns() if origin_ns is None else origin_ns
+        self.origin_ns = time.perf_counter_ns()
 
     def _now_us(self) -> float:
         return (time.perf_counter_ns() - self.origin_ns) / 1000.0
@@ -202,34 +197,6 @@ class Tracer:
                 "attrs": _clean_attrs(attrs),
             }
         )
-
-    # -- fork support ---------------------------------------------------------
-
-    def reset(self, tid: int) -> None:
-        """Re-base onto a fresh buffer (called in a forked child)."""
-        self.records = []
-        self._stack = []
-        self._next_id = 1
-        self.pid = os.getpid()
-        self.tid = tid
-
-    def merge(self, records: List[Dict[str, Any]]) -> None:
-        """Append a child buffer, re-assigning ids to stay collision-free.
-
-        Call once per child, in worker-index order, so the merged record
-        sequence is deterministic regardless of completion order.
-        """
-        offset = self._next_id
-        highest = 0
-        for record in records:
-            merged = dict(record)
-            merged["id"] = record["id"] + offset
-            if record.get("parent") is not None:
-                merged["parent"] = record["parent"] + offset
-            highest = max(highest, merged["id"])
-            self.records.append(merged)
-        if records:
-            self._next_id = highest + 1
 
     # -- export ---------------------------------------------------------------
 

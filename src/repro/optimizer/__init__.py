@@ -18,7 +18,7 @@ from .binder import (
     budgets_from_evaluation,
 )
 from .catalog import StatisticsCatalog
-from .engine import PlanCurve, PlanEvaluationEngine, fork_map
+from .engine import PlanCurve, PlanEvaluationEngine
 from .enumerator import EXPLICIT_KINDS, enumerate_plans
 from .optimizer import (
     JoinOptimizer,
@@ -43,5 +43,4 @@ __all__ = [
     "bind_plan",
     "budgets_from_evaluation",
     "enumerate_plans",
-    "fork_map",
 ]

@@ -428,6 +428,7 @@ class AdaptiveJoinExecutor:
                         top_k=database.max_results,
                     )
                 )
+        self.observability.counter("repro_mle_refits_total").inc()
         return estimates[0], estimates[1]
 
     def _refit(self, pilot: JoinExecution) -> Refit:
@@ -857,6 +858,7 @@ class AdaptiveJoinExecutor:
                         top_k=database.max_results,
                     )
                 )
+        self.observability.counter("repro_mle_refits_total").inc()
         return (estimates[0], estimates[1]), merged
 
     def _side_of_path(self, path: str) -> int:

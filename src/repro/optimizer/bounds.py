@@ -57,7 +57,8 @@ from .catalog import StatisticsCatalog
 
 #: relative slack applied before any prune decision: the models evaluate
 #: the same products in a different association order (and the scalar
-#: reference paths differ from the vectorized ones by ~1e-9 relative), so
+#: references in repro.validation.differential differ from the
+#: vectorized models by ~1e-9 relative), so
 #: a bound is only trusted to separate values that differ by more than
 #: float-rounding noise.
 BOUND_SLACK = 1.0 + 1e-9

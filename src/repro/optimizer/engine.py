@@ -1,4 +1,4 @@
-"""Shared-curve plan evaluation and deterministic parallel fan-out.
+"""Shared-curve plan evaluation: one effort curve per plan.
 
 The optimizer's inner loop bisects every plan's effort axis once per
 requirement.  But a plan's effort→(n_good, n_bad, time) curve does not
@@ -10,40 +10,31 @@ cost cap), and answers any requirement with a ``searchsorted`` over the
 curve plus — when the bisection budget exceeds the grid resolution — a
 float refinement inside the located bracket.
 
-**Byte-for-byte equivalence with bisection.**  The legacy bisection on
-``[0, 1]`` probes midpoints ``(lo + hi) / 2`` starting from the exact
-floats 0.0 and 1.0, so its first ``m`` probe points are exactly the dyadic
-grid fractions ``j/2^m`` — which float64 represents exactly, and which the
-grid computes with the same ``fraction * max_effort`` product.  Locating
+**Byte-for-byte equivalence with bisection.**  The per-requirement
+bisection on ``[0, 1]`` (kept as the reference in
+:mod:`repro.validation.differential`) probes midpoints ``(lo + hi) / 2``
+starting from the exact floats 0.0 and 1.0, so its first ``m`` probe
+points are exactly the dyadic grid fractions ``j/2^m`` — which float64
+represents exactly, and which the grid computes with the same ``fraction * max_effort`` product.  Locating
 the transition index on a monotone curve is therefore *identical* to
 running those ``m`` bisection steps, and the remaining ``steps - m``
 iterations run the original float bisection inside the bracket.  A
 determinism test asserts the equality; if a curve ever turns out
 non-monotone (a model-contract violation), the engine falls back to index
-bisection over the stored curve, which replicates the legacy probe
+bisection over the stored curve, which replicates the reference probe
 sequence regardless.
-
-The module also hosts :func:`fork_map`, the deterministic multiprocess
-fan-out used by ``optimize(workers=...)`` and the experiment sweeps:
-fork-based (the statistics catalogs hold closures that cannot be
-pickled), index-ordered (results are reassembled in submission order, so
-parallel output is identical to serial), and gracefully degrading to
-``None`` (caller runs serial) wherever fork is unavailable.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple, TypeVar
+from typing import Dict, Optional
 
 import numpy as np
 
 from ..core.plan import JoinPlanSpec
 from ..observability.tracer import SpanKind
 from ..validation.invariants import active_checker
-
-T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -145,8 +136,8 @@ class PlanEvaluationEngine:
     ) -> Optional[float]:
         """Smallest effort fraction reaching *tau_good*, or None.
 
-        Result is identical to
-        :meth:`~repro.optimizer.optimizer.JoinOptimizer._minimal_fraction`
+        Result is identical to the per-requirement bisection
+        (:func:`repro.validation.differential.reference_minimal_fraction`)
         run against the plan's memoized predictor.
         """
         predictor, max_effort = self._optimizer._cached_predictor(plan)
@@ -155,7 +146,7 @@ class PlanEvaluationEngine:
         if plan not in self._curves:
             # Feasibility check before paying for the curve: a plan that
             # cannot reach the target at full effort needs one (memoized)
-            # probe, exactly like the legacy bisection's first test, and
+            # probe, exactly like the reference bisection's first test, and
             # the probe doubles as the curve's last grid point if a later
             # requirement does build it.
             if predictor(max_effort).n_good < tau_good:
@@ -206,38 +197,3 @@ class PlanEvaluationEngine:
                 lo = mid
         return hi
 
-
-# ---------------------------------------------------------------------------
-# deterministic multiprocess fan-out
-# ---------------------------------------------------------------------------
-
-
-def fork_map(
-    worker: Callable[[int], Tuple[int, T]],
-    count: int,
-    workers: Optional[int],
-) -> Optional[List[T]]:
-    """Map *worker* over ``range(count)`` with fork-based processes.
-
-    *worker* must be a module-level function returning ``(index, result)``
-    and reading its inputs from module-global state set by the caller
-    before this call — fork's copy-on-write semantics carry the state into
-    the children, sidestepping pickling (catalogs hold closures).
-
-    Results are reordered by index, so output is deterministic and
-    identical to a serial map.  Returns None — meaning "run serial" — when
-    *workers* requests no parallelism or the platform cannot fork.
-    """
-    if workers is None or workers <= 1 or count <= 1:
-        return None
-    try:
-        context = multiprocessing.get_context("fork")
-    except ValueError:
-        return None
-    try:
-        with context.Pool(processes=min(workers, count)) as pool:
-            indexed = pool.map(worker, range(count))
-    except OSError:
-        return None
-    indexed.sort(key=lambda item: item[0])
-    return [item[1] for item in indexed]

@@ -36,7 +36,7 @@ from ..observability.context import ObservabilityContext, ensure_observability
 from ..observability.tracer import SpanKind
 from .bounds import PlanBounds, plan_bounds
 from .catalog import StatisticsCatalog
-from .engine import PlanEvaluationEngine, fork_map
+from .engine import PlanEvaluationEngine
 
 
 @dataclass(frozen=True)
@@ -159,7 +159,7 @@ class _DescentState:
         self.hi = 1.0
         #: (n_good, n_bad, time) at the probed bracket ends; ``lo_vals`` is
         #: None until the descent first probes a failing midpoint (the
-        #: legacy bisection never probes effort 0)
+        #: reference bisection never probes effort 0)
         self.lo_vals: Optional[Tuple[float, float, float]] = None
         self.hi_vals: Tuple[float, float, float] = (0.0, 0.0, 0.0)
         self.guard_failed = guard_failed
@@ -197,8 +197,6 @@ class JoinOptimizer:
         costs: Optional[CostModel] = None,
         effort_resolution: int = 64,
         feasibility_margin: float = 0.0,
-        vectorized: bool = True,
-        use_engine: bool = True,
         observability: Optional[ObservabilityContext] = None,
         prune: bool = False,
     ) -> None:
@@ -206,13 +204,6 @@ class JoinOptimizer:
         self.costs = costs or CostModel()
         #: tracing/metrics context; defaults to the no-op context
         self.observability = ensure_observability(observability)
-        #: run the analytical models through the array kernels
-        #: (``False`` keeps the scalar reference paths — same results
-        #: within 1e-9, used for golden tests and benchmarks)
-        self.vectorized = vectorized
-        #: answer feasibility via the shared plan-curve engine instead of
-        #: re-bisecting each plan per requirement; results are identical
-        self.use_engine = use_engine
         if effort_resolution < 2:
             raise ValueError("effort_resolution must be at least 2")
         self.effort_resolution = effort_resolution
@@ -307,12 +298,7 @@ class JoinOptimizer:
         except ValueError:
             return PlanEvaluation(plan=plan, feasible=False, prediction=None)
         target_good = requirement.tau_good * (1.0 + self.feasibility_margin)
-        if self.use_engine:
-            fraction = self._engine.minimal_fraction(plan, target_good)
-        else:
-            fraction = self._minimal_fraction(
-                predictor, max_effort, target_good
-            )
+        fraction = self._engine.minimal_fraction(plan, target_good)
         if fraction is None:
             return PlanEvaluation(plan=plan, feasible=False, prediction=None)
         prediction = predictor(fraction * max_effort)
@@ -366,7 +352,6 @@ class JoinOptimizer:
                 costs=self.costs,
                 per_value=per_value,
                 overlap=overlap,
-                vectorized=self.vectorized,
             )
             self._models[plan] = model
             max1, max2 = model.max_effort(1), model.max_effort(2)
@@ -384,7 +369,6 @@ class JoinOptimizer:
                 costs=self.costs,
                 per_value=per_value,
                 overlap=overlap,
-                vectorized=self.vectorized,
             )
             self._models[plan] = model
             return model.predict, float(model.max_effort)
@@ -393,34 +377,9 @@ class JoinOptimizer:
             costs=self.costs,
             per_value=per_value,
             overlap=overlap,
-            vectorized=self.vectorized,
         )
         self._models[plan] = model
         return model.predict, float(model.max_queries_from_r1())
-
-    def _minimal_fraction(
-        self,
-        predictor: Callable[[float], QualityPrediction],
-        max_effort: float,
-        tau_good: float,
-    ) -> Optional[float]:
-        """Smallest effort fraction whose predicted good count reaches τg.
-
-        Bisection over the effort axis; the predicted good count is
-        monotone non-decreasing in effort for every model.
-        """
-        if max_effort <= 0:
-            return None
-        if predictor(max_effort).n_good < tau_good:
-            return None
-        lo, hi = 0.0, 1.0
-        for _ in range(self._bisection_steps(max_effort)):
-            mid = (lo + hi) / 2.0
-            if predictor(mid * max_effort).n_good >= tau_good:
-                hi = mid
-            else:
-                lo = mid
-        return hi
 
     def _bisection_steps(self, max_effort: float) -> int:
         steps = 1
@@ -488,8 +447,8 @@ class JoinOptimizer:
         exact-effort prediction memo, imported persisted triples (skips
         the raw model entirely; counted as a curve-cache hit on first
         use), then one raw prediction.  Effort keys are the same
-        ``fraction * max_effort`` floats the legacy bisection produces, so
-        every answer is byte-identical to a fresh probe.
+        ``fraction * max_effort`` floats the reference bisection produces,
+        so every answer is byte-identical to a fresh probe.
         """
         effort = fraction * runtime.max_effort
         triple = runtime.triples.get(effort)
@@ -515,9 +474,10 @@ class JoinOptimizer:
     ) -> List[PlanEvaluation]:
         """Joint bisection descent over all plans with pruning between levels.
 
-        Every plan runs the *identical* bisection the legacy path runs —
-        same midpoint sequence, same floats — so any plan that survives to
-        the end produces a byte-identical evaluation.  Between bisection
+        Every plan runs the *identical* bisection the per-requirement
+        reference in :mod:`repro.validation.differential` runs — same
+        midpoint sequence, same floats — so any plan that survives to the
+        end produces a byte-identical evaluation.  Between bisection
         levels, plans that are provably worthless are dropped:
 
         * **tier A** (before any probe): the plan's guaranteed good-tuple
@@ -758,25 +718,15 @@ class JoinOptimizer:
         self,
         plans: Sequence[JoinPlanSpec],
         requirement: QualityRequirement,
-        workers: Optional[int] = None,
         prune: Optional[bool] = None,
     ) -> OptimizationResult:
         """Assess all candidates; choose the fastest feasible one.
-
-        ``workers > 1`` fans the per-plan evaluations out over fork-based
-        processes; results are reassembled in plan order and are identical
-        to the serial run (falls back to serial where fork is unavailable).
-        Telemetry from forked children (spans, counters) is shipped back
-        and merged in worker-index order, so traces stay deterministic in
-        structure.
 
         ``prune`` overrides the constructor's pruning default for this
         call.  The pruned path picks the identical plan at the identical
         operating point; provably-dominated or provably-τb-infeasible
         candidates come back with ``pruned=True`` instead of a full
-        prediction.  Pruning runs serially — it typically does less work
-        than a single fork fan-out costs — so ``workers`` only applies to
-        the unpruned path (results are identical either way).
+        prediction.
         """
         effective_prune = self.prune if prune is None else prune
         observability = self.observability
@@ -787,7 +737,6 @@ class JoinOptimizer:
             tau_good=requirement.tau_good,
             tau_bad=requirement.tau_bad,
         ) as span:
-            evaluations = None
             if effective_prune:
                 before = self.pruning.as_dict()
                 evaluations = self._evaluate_pruned(list(plans), requirement)
@@ -807,20 +756,7 @@ class JoinOptimizer:
                         observability.metrics.counter(
                             "repro_plan_evaluations_total", feasible=False
                         ).inc(infeasible)
-            elif workers is not None and workers > 1:
-                global _FORK_STATE
-                _FORK_STATE = (self, list(plans), requirement)
-                try:
-                    indexed = fork_map(
-                        _evaluate_plan_index, len(plans), workers
-                    )
-                finally:
-                    _FORK_STATE = None
-                if indexed is not None:
-                    evaluations = [evaluation for evaluation, _ in indexed]
-                    for _, payload in indexed:
-                        observability.merge_child(payload)
-            if evaluations is None:
+            else:
                 evaluations = [
                     self.evaluate(plan, requirement) for plan in plans
                 ]
@@ -845,7 +781,6 @@ class JoinOptimizer:
         self,
         plans: Sequence[JoinPlanSpec],
         requirements: Sequence[QualityRequirement],
-        workers: Optional[int] = None,
         prune: Optional[bool] = True,
     ) -> List[OptimizationResult]:
         """Answer many (τg, τb) requirements over one shared plan space.
@@ -863,9 +798,7 @@ class JoinOptimizer:
         effective_prune = self.prune if prune is None else prune
         plans = list(plans)
         return [
-            self.optimize(
-                plans, requirement, workers=workers, prune=effective_prune
-            )
+            self.optimize(plans, requirement, prune=effective_prune)
             for requirement in requirements
         ]
 
@@ -1017,23 +950,3 @@ class JoinOptimizer:
             evaluations=tuple(evaluations),
         )
 
-
-# Inputs for the fork workers of ``optimize(workers=...)``.  Set just
-# before forking so copy-on-write hands the children the optimizer and
-# plan list without pickling (catalogs hold closures); cleared right
-# after.  Fork-based pools require this to be module-level state.
-_FORK_STATE: Optional[
-    Tuple[JoinOptimizer, List[JoinPlanSpec], QualityRequirement]
-] = None
-
-
-def _evaluate_plan_index(
-    index: int,
-) -> Tuple[int, Tuple[PlanEvaluation, Optional[dict]]]:
-    optimizer, plans, requirement = _FORK_STATE
-    observability = optimizer.observability
-    # Re-base the forked copy-on-write context onto fresh buffers so only
-    # this child's telemetry ships back (tid = worker lane in the trace).
-    observability.begin_child(tid=index + 1)
-    evaluation = optimizer.evaluate(plans[index], requirement)
-    return index, (evaluation, observability.export_child_state())

@@ -24,11 +24,14 @@ Scan/scan IDJN time is deterministic (documents × unit costs on both
 sides), so predicted and measured time must agree to float precision.
 
 **Implementation differentials (exact equality).**  Pairs of independent
-implementations of the same math — vectorized vs scalar composition
-kernels, the AQG prefix-sum reach vs its reference loop, the grid-matmul
-MLE class fit vs its per-β loop — must agree to accumulation-order
-rounding (≤ 1e-9 relative), since both paths consume identical float64
-inputs.
+implementations of the same math — the IDJN, OIJN and ZGJN array paths vs
+their scalar references, the AQG prefix-sum reach vs its reference loop,
+the grid-matmul MLE class fit vs its per-β loop — must agree to
+accumulation-order rounding (≤ 1e-9 relative), since both paths consume
+identical float64 inputs; the shared-curve plan engine must reproduce the
+per-requirement bisection byte for byte.  The references live in this
+module (the ``reference_*`` functions and :class:`ReferenceJoinOptimizer`);
+nothing on the production path calls them.
 
 OIJN/ZGJN executor comparisons reuse the repo's *documented* accuracy
 envelopes (the paper reports the same systematic deviations for these
@@ -47,11 +50,13 @@ import json
 import math
 import pathlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.plan import RetrievalKind
+from ..core.plan import JoinPlanSpec, RetrievalKind
+from ..core.preferences import QualityRequirement
+from ..estimation.mle import _class_log_pmf, _fit_single_class
 from ..experiments.figures import (
     run_figure10,
     run_figure11,
@@ -60,9 +65,22 @@ from ..experiments.figures import (
 from ..experiments.testbed import JoinTask, TestbedConfig, build_testbed
 from ..joins.base import Budgets
 from ..joins.idjn import IndependentJoin
+from ..models.distributions import probability_none_extracted
 from ..models.idjn_model import IDJNModel
-from ..models.retrieval_models import AQGModel
+from ..models.oijn_model import InnerReach, OIJNModel
+from ..models.parameters import SideStatistics
+from ..models.predictions import QualityPrediction
+from ..models.retrieval_models import AQGModel, ClassMix
+from ..models.scheme import (
+    SideFactors,
+    compose_aggregate,
+    compose_per_value,
+    occurrence_factors,
+)
 from ..models.simulate import simulate_idjn
+from ..models.zgjn_model import ZGJNModel
+from ..optimizer import JoinOptimizer, enumerate_plans
+from ..optimizer.engine import PlanEvaluationEngine
 from ..retrieval.scan import ScanRetriever
 from .invariants import InvariantChecker, install_checker
 
@@ -347,8 +365,451 @@ def check_approximate_models_vs_executor(
 
 
 # ---------------------------------------------------------------------------
+# reference implementations
+# ---------------------------------------------------------------------------
+#
+# The scalar predecessors of the production array paths.  Each takes the
+# production object it mirrors and recomputes the answer with plain Python
+# loops over the same float64 inputs; ``tests/test_perf_equivalence.py``
+# and the perf benchmark's denominator use them too.
+
+
+def _reference_compose(model, factors1: SideFactors, factors2: SideFactors):
+    """Section V-B composition of two factor dicts in the model's mode."""
+    if model.per_value:
+        return compose_per_value(factors1, factors2)
+    return compose_aggregate(factors1, factors2, model.overlap)
+
+
+def reference_idjn_predict(
+    model: IDJNModel, effort1: float, effort2: float
+) -> QualityPrediction:
+    """:meth:`IDJNModel.predict` through per-value factor dicts."""
+    composition = _reference_compose(
+        model, model.side_factors(1, effort1), model.side_factors(2, effort2)
+    )
+    return model._prediction(effort1, effort2, composition)
+
+
+def reference_oijn_issue_probability(
+    model: OIJNModel, value: str, mix: ClassMix
+) -> float:
+    """p_issue(a): the outer execution extracted some occurrence of a."""
+    side = model.statistics.side(model.outer)
+    draws_good = int(round(mix.good))
+    p_missed = probability_none_extracted(
+        population=max(side.n_good_docs, 1),
+        draws=draws_good,
+        occurrences=int(side.good_frequency.get(value, 0)),
+        rate=side.tp,
+    )
+    p_missed *= probability_none_extracted(
+        population=max(side.n_good_docs, 1),
+        draws=draws_good,
+        occurrences=int(side.bad_in_good_frequency.get(value, 0)),
+        rate=side.fp,
+    )
+    p_missed *= probability_none_extracted(
+        population=max(side.n_bad_docs, 1),
+        draws=int(round(mix.bad)),
+        occurrences=int(side.bad_in_bad(value)),
+        rate=side.fp,
+    )
+    return 1.0 - p_missed
+
+
+def reference_oijn_class_mean_issue(
+    model: OIJNModel, mix: ClassMix
+) -> Tuple[float, float]:
+    """Mean p_issue over the outer side's good and bad-only values."""
+    outer_side = model.statistics.side(model.outer)
+    good_values = list(outer_side.good_frequency)
+    bad_values = [
+        v
+        for v in outer_side.bad_frequency
+        if v not in outer_side.good_frequency
+    ]
+
+    def mean(values: List[str]) -> float:
+        if not values:
+            return 0.0
+        return sum(
+            reference_oijn_issue_probability(model, v, mix) for v in values
+        ) / len(values)
+
+    return mean(good_values), mean(bad_values)
+
+
+def _reference_inner_issue(
+    model: OIJNModel, mix: ClassMix
+) -> Dict[str, float]:
+    """p_issue of every inner value, in sorted value order.
+
+    Per-value mode reads the outer side's frequencies of the same value.
+    Aggregate mode (estimated statistics, synthetic value names) combines
+    the class-mean outer issuance with the estimated probability that the
+    inner value is shared at all (the overlap class counts of Section V-A).
+    """
+    inner_side = model.statistics.side(model.inner)
+    values = sorted(
+        set(inner_side.good_frequency) | set(inner_side.bad_frequency)
+    )
+    if model.per_value:
+        return {
+            v: reference_oijn_issue_probability(model, v, mix) for v in values
+        }
+    mean_good, mean_bad = reference_oijn_class_mean_issue(model, mix)
+    overlap = model.overlap
+    shares = {
+        True: (
+            len(inner_side.good_frequency),
+            (overlap.n_gg, overlap.n_bg)
+            if model.inner == 2
+            else (overlap.n_gg, overlap.n_gb),
+        ),
+        False: (
+            len(inner_side.bad_frequency),
+            (overlap.n_gb, overlap.n_bb)
+            if model.inner == 2
+            else (overlap.n_bg, overlap.n_bb),
+        ),
+    }
+    by_class = {}
+    for is_good, (population, (from_good, from_bad)) in shares.items():
+        population = max(population, 1)
+        share_good = min(from_good / population, 1.0)
+        share_bad = min(from_bad / population, 1.0)
+        by_class[is_good] = min(
+            share_good * mean_good + share_bad * mean_bad, 1.0
+        )
+    return {v: by_class[v in inner_side.good_frequency] for v in values}
+
+
+def _reference_own_query_reach(
+    inner: SideStatistics, value: str
+) -> Tuple[float, float, float]:
+    """(retrieval probability, good matches, bad matches) of query [a]."""
+    g = inner.good_frequency.get(value, 0.0)
+    b = inner.bad_frequency.get(value, 0.0)
+    hits = g + b
+    if hits <= 0:
+        return 0.0, 0.0, 0.0
+    rate = min(hits, inner.top_k) / hits
+    good_matches = g + inner.bad_in_good_frequency.get(value, 0.0)
+    return rate, good_matches, hits - good_matches
+
+
+def reference_oijn_inner_reach(model: OIJNModel, mix: ClassMix) -> InnerReach:
+    """The OIJN inner reach at an outer *mix*, one value at a time."""
+    outer_side = model.statistics.side(model.outer)
+    inner_side = model.statistics.side(model.inner)
+    outer_values = sorted(
+        set(outer_side.good_frequency) | set(outer_side.bad_frequency)
+    )
+    n_queries = sum(
+        reference_oijn_issue_probability(model, value, mix)
+        for value in outer_values
+    )
+    log_miss_good = 0.0
+    log_miss_bad = 0.0
+    n_good = max(inner_side.n_good_docs, 1)
+    n_bad = max(inner_side.n_bad_docs, 1)
+    for value, p_issue in _reference_inner_issue(model, mix).items():
+        if p_issue <= 0.0:
+            continue
+        rate, good_matches, bad_matches = _reference_own_query_reach(
+            inner_side, value
+        )
+        if rate <= 0.0:
+            continue
+        p_good = min(p_issue * rate * good_matches / n_good, 1.0)
+        p_bad = min(p_issue * rate * bad_matches / n_bad, 1.0)
+        if p_good < 1.0:
+            log_miss_good += math.log1p(-p_good)
+        else:
+            log_miss_good = -math.inf
+        if p_bad < 1.0:
+            log_miss_bad += math.log1p(-p_bad)
+        else:
+            log_miss_bad = -math.inf
+    good_docs = inner_side.n_good_docs * (1.0 - math.exp(log_miss_good))
+    bad_docs = inner_side.n_bad_docs * (1.0 - math.exp(log_miss_bad))
+    return InnerReach(
+        queries=n_queries, good_docs=good_docs, bad_docs=bad_docs
+    )
+
+
+def _reference_oijn_inner_factors(
+    model: OIJNModel, mix: ClassMix, reach: InnerReach
+) -> SideFactors:
+    """Expected inner occurrence factors, one value at a time."""
+    inner_side = model.statistics.side(model.inner)
+    rho_good_rest = min(reach.good_docs / max(inner_side.n_good_docs, 1), 1.0)
+    rho_bad_rest = min(reach.bad_docs / max(inner_side.n_bad_docs, 1), 1.0)
+    good: Dict[str, float] = {}
+    bad: Dict[str, float] = {}
+    for value, p_issue in _reference_inner_issue(model, mix).items():
+        rate, _, _ = _reference_own_query_reach(inner_side, value)
+        own = p_issue * rate
+        cov_good = own + (1.0 - own) * rho_good_rest
+        cov_bad = own + (1.0 - own) * rho_bad_rest
+        g = inner_side.good_frequency.get(value, 0.0)
+        if g:
+            good[value] = inner_side.tp * g * cov_good
+        b_good = inner_side.bad_in_good_frequency.get(value, 0.0)
+        b_bad = inner_side.bad_in_bad(value)
+        if b_good or b_bad:
+            bad[value] = inner_side.fp * (b_good * cov_good + b_bad * cov_bad)
+    return SideFactors(good=good, bad=bad)
+
+
+def reference_oijn_predict(
+    model: OIJNModel, outer_effort: float
+) -> QualityPrediction:
+    """:meth:`OIJNModel.predict` through per-value loops and factor dicts."""
+    mix = model.outer_model.class_mix(outer_effort)
+    reach = reference_oijn_inner_reach(model, mix)
+    outer_factors = occurrence_factors(
+        model.statistics.side(model.outer),
+        rho_good=model.outer_model.good_fraction_processed(outer_effort),
+        rho_bad=model.outer_model.bad_fraction_processed(outer_effort),
+    )
+    inner_factors = _reference_oijn_inner_factors(model, mix, reach)
+    if model.outer == 1:
+        composition = _reference_compose(model, outer_factors, inner_factors)
+    else:
+        composition = _reference_compose(model, inner_factors, outer_factors)
+    return model._prediction(outer_effort, composition, reach)
+
+
+def reference_zgjn_ceilings(model: ZGJNModel) -> Tuple[float, float]:
+    """Both sides' reachable-document ceilings, slot sums as value loops.
+
+    Aggregate mode has no per-value slot sum; its ceilings are the
+    model's own.
+    """
+    side1, side2 = model.statistics.side1, model.statistics.side2
+    ceilings = []
+    for side, other in ((side1, side2), (side2, side1)):
+        if not model.per_value:
+            ceilings.append(model._reachable_documents(side))
+            continue
+        non_empty = float(side.n_good_docs + side.n_bad_docs)
+        if non_empty <= 0:
+            ceilings.append(0.0)
+            continue
+        slots = 0.0
+        values = set(side.good_frequency) | set(side.bad_frequency)
+        for value in sorted(values):
+            g_other = other.good_frequency.get(value, 0.0)
+            b_other = other.bad_frequency.get(value, 0.0)
+            if g_other == 0 and b_other == 0:
+                continue
+            p_queryable = 1.0 - (1.0 - other.tp) ** g_other * (
+                1.0 - other.fp
+            ) ** b_other
+            hits = side.good_frequency.get(
+                value, 0.0
+            ) + side.bad_frequency.get(value, 0.0)
+            slots += p_queryable * min(hits, side.top_k)
+        ceilings.append(model._occupancy(slots, non_empty))
+    return ceilings[0], ceilings[1]
+
+
+def reference_zgjn_predict(
+    model: ZGJNModel,
+    q1: float,
+    ceilings: Optional[Tuple[float, float]] = None,
+) -> QualityPrediction:
+    """:meth:`ZGJNModel.predict` through factor dicts and the reference
+    ceilings (pass :func:`reference_zgjn_ceilings` to reuse them)."""
+    if ceilings is None:
+        ceilings = reference_zgjn_ceilings(model)
+    reach = model._chain(q1, *ceilings)
+    composition = _reference_compose(
+        model,
+        model.side_factors(1, reach.documents1),
+        model.side_factors(2, reach.documents2),
+    )
+    return model._prediction(reach, composition)
+
+
+def reference_aqg_reach(
+    model: AQGModel,
+    effort: float,
+    class_size: int,
+    per_query_hits: Callable[[Any], float],
+) -> float:
+    """:meth:`AQGModel._reach_fast` as a walk over the query list."""
+    if class_size <= 0:
+        return 0.0
+    effort = min(effort, model.max_effort)
+    whole = int(effort)
+    log_miss = 0.0
+    for stats in model.queries[:whole]:
+        retrieved = min(stats.hits, model.side.top_k)
+        reach = per_query_hits(stats) / max(stats.hits, 1) * retrieved
+        p = min(reach / class_size, 1.0)
+        if p >= 1.0:
+            return float(class_size)
+        log_miss += np.log1p(-p)
+    frac = effort - whole
+    if frac > 0 and whole < len(model.queries):
+        stats = model.queries[whole]
+        retrieved = min(stats.hits, model.side.top_k)
+        reach = per_query_hits(stats) / max(stats.hits, 1) * retrieved
+        p = min(frac * reach / class_size, 1.0)
+        if p >= 1.0:
+            return float(class_size)
+        log_miss += np.log1p(-p)
+    return class_size * (1.0 - float(np.exp(log_miss)))
+
+
+def reference_aqg_class_mix(model: AQGModel, effort: float) -> ClassMix:
+    """:meth:`AQGModel.class_mix` through :func:`reference_aqg_reach`."""
+    side = model.side
+    return ClassMix(
+        good=reference_aqg_reach(
+            model, effort, side.n_good_docs, lambda s: s.good_hits
+        ),
+        bad=reference_aqg_reach(
+            model, effort, side.n_bad_docs, lambda s: s.bad_hits
+        ),
+        empty=reference_aqg_reach(
+            model,
+            effort,
+            side.n_empty_docs,
+            lambda s: s.hits * s.empty_fraction,
+        ),
+    )
+
+
+def reference_fit_single_class(
+    s_values: np.ndarray,
+    weights: np.ndarray,
+    p_obs: float,
+    k_max: int,
+    beta_grid: np.ndarray,
+) -> Tuple[float, float, float]:
+    """:func:`repro.estimation.mle._fit_single_class` as a per-β loop."""
+    total = float(weights.sum())
+    if total <= 0:
+        return float(beta_grid[0]), 0.0, 0.0
+    best: Optional[Tuple[float, float, float]] = None
+    for beta in beta_grid:
+        log_pmf, p_seen = _class_log_pmf(s_values, float(beta), k_max, p_obs)
+        loglik = float(np.sum(weights * (log_pmf - math.log(p_seen))))
+        n_values = total / p_seen
+        if best is None or loglik > best[2]:
+            best = (float(beta), n_values, loglik)
+    return best
+
+
+def reference_minimal_fraction(
+    predictor: Callable[[float], QualityPrediction],
+    max_effort: float,
+    tau_good: float,
+    steps: int,
+) -> Optional[float]:
+    """Smallest effort fraction whose predicted good count reaches τg.
+
+    A fresh *steps*-level bisection over the effort axis per requirement;
+    the predicted good count is monotone non-decreasing in effort for
+    every model.
+    """
+    if max_effort <= 0:
+        return None
+    if predictor(max_effort).n_good < tau_good:
+        return None
+    lo, hi = 0.0, 1.0
+    for _ in range(steps):
+        mid = (lo + hi) / 2.0
+        if predictor(mid * max_effort).n_good >= tau_good:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+class _BisectionEngine(PlanEvaluationEngine):
+    """Answers feasibility with :func:`reference_minimal_fraction`."""
+
+    def minimal_fraction(
+        self, plan: JoinPlanSpec, tau_good: float
+    ) -> Optional[float]:
+        predictor, max_effort = self._optimizer._cached_predictor(plan)
+        return reference_minimal_fraction(
+            predictor,
+            max_effort,
+            tau_good,
+            self._optimizer._bisection_steps(max_effort),
+        )
+
+
+class BisectionJoinOptimizer(JoinOptimizer):
+    """The optimizer with a per-requirement bisection for feasibility
+    instead of the shared plan curves; same models, same predictions."""
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
+        self._engine = _BisectionEngine(self)
+
+
+class ReferenceJoinOptimizer(BisectionJoinOptimizer):
+    """:class:`BisectionJoinOptimizer` on the scalar reference models."""
+
+    def _predictor(
+        self, plan: JoinPlanSpec
+    ) -> Tuple[Callable[[float], QualityPrediction], float]:
+        _, max_effort = super()._predictor(plan)
+        model = self._models[plan]
+        if isinstance(model, IDJNModel):
+            max1, max2 = model.max_effort(1), model.max_effort(2)
+
+            def predict(effort: float) -> QualityPrediction:
+                t = effort / max(max1, max2, 1)
+                return reference_idjn_predict(model, t * max1, t * max2)
+
+        elif isinstance(model, OIJNModel):
+
+            def predict(effort: float) -> QualityPrediction:
+                return reference_oijn_predict(model, effort)
+
+        else:
+            ceilings = reference_zgjn_ceilings(model)
+
+            def predict(effort: float) -> QualityPrediction:
+                return reference_zgjn_predict(model, effort, ceilings)
+
+        return predict, max_effort
+
+
+# ---------------------------------------------------------------------------
 # implementation differentials
 # ---------------------------------------------------------------------------
+
+
+def _prediction_checks(
+    report: ValidationReport,
+    label: str,
+    fast: QualityPrediction,
+    slow: QualityPrediction,
+    detail: str,
+) -> None:
+    """Good, bad and time of two predictions within accumulation rounding."""
+    for channel, va, vb in (
+        ("good", fast.n_good, slow.n_good),
+        ("bad", fast.n_bad, slow.n_bad),
+        ("time", fast.total_time, slow.total_time),
+    ):
+        _band_check(
+            report,
+            f"{label}/{channel}",
+            observed=va,
+            expected=vb,
+            band=1e-9 * (1.0 + abs(vb)),
+            detail=detail,
+        )
 
 
 def check_kernel_differential(
@@ -357,38 +818,70 @@ def check_kernel_differential(
     theta: float = 0.4,
     fractions: Sequence[float] = (0.3, 0.7, 1.0),
 ) -> None:
-    """Vectorized vs scalar IDJN composition — same math, two code paths."""
+    """IDJN kernel composition vs the scalar reference — same math."""
     statistics = task_statistics(task, theta, theta)
-    fast = IDJNModel(
-        statistics,
-        RetrievalKind.SCAN,
-        RetrievalKind.SCAN,
-        costs=task.costs,
-        vectorized=True,
-    )
-    slow = IDJNModel(
-        statistics,
-        RetrievalKind.SCAN,
-        RetrievalKind.SCAN,
-        costs=task.costs,
-        vectorized=False,
+    model = IDJNModel(
+        statistics, RetrievalKind.SCAN, RetrievalKind.SCAN, costs=task.costs
     )
     for fraction in fractions:
-        effort1 = fast.max_effort(1) * fraction
-        effort2 = fast.max_effort(2) * fraction
-        a = fast.predict(effort1, effort2)
-        b = slow.predict(effort1, effort2)
-        for channel, va, vb in (
-            ("good", a.n_good, b.n_good),
-            ("bad", a.n_bad, b.n_bad),
-        ):
-            _band_check(
+        effort1 = model.max_effort(1) * fraction
+        effort2 = model.max_effort(2) * fraction
+        _prediction_checks(
+            report,
+            f"kernel-diff/{task.name}@{fraction:g}",
+            model.predict(effort1, effort2),
+            reference_idjn_predict(model, effort1, effort2),
+            "vectorized vs scalar composition (same float64 math)",
+        )
+
+
+def check_oijn_differential(
+    report: ValidationReport,
+    task: JoinTask,
+    theta: float = 0.4,
+    fractions: Sequence[float] = (0.0, 0.3, 0.7, 1.0),
+) -> None:
+    """OIJN array issuance/reach/composition vs the per-value loops."""
+    statistics = task_statistics(task, theta, theta)
+    for outer in (1, 2):
+        for per_value, mode in ((True, "per-value"), (False, "aggregate")):
+            model = OIJNModel(
+                statistics,
+                RetrievalKind.SCAN,
+                outer=outer,
+                costs=task.costs,
+                per_value=per_value,
+            )
+            for fraction in fractions:
+                effort = model.max_effort * fraction
+                _prediction_checks(
+                    report,
+                    f"oijn-diff/{task.name}/outer{outer}/{mode}@{fraction:g}",
+                    model.predict(effort),
+                    reference_oijn_predict(model, effort),
+                    "array vs per-value loops (same float64 math)",
+                )
+
+
+def check_zgjn_differential(
+    report: ValidationReport,
+    task: JoinTask,
+    theta: float = 0.4,
+    fractions: Sequence[float] = (0.0, 0.1, 0.4, 1.0),
+) -> None:
+    """ZGJN array ceilings and composition vs the scalar reference."""
+    statistics = task_statistics(task, theta, theta)
+    for per_value, mode in ((True, "per-value"), (False, "aggregate")):
+        model = ZGJNModel(statistics, costs=task.costs, per_value=per_value)
+        ceilings = reference_zgjn_ceilings(model)
+        for fraction in fractions:
+            queries = model.max_queries_from_r1() * fraction
+            _prediction_checks(
                 report,
-                f"kernel-diff/{task.name}@{fraction:g}/{channel}",
-                observed=va,
-                expected=vb,
-                band=1e-9 * (1.0 + abs(vb)),
-                detail="vectorized vs scalar composition (same float64 math)",
+                f"zgjn-diff/{task.name}/{mode}@{fraction:g}",
+                model.predict(queries),
+                reference_zgjn_predict(model, queries, ceilings),
+                "array vs scalar ceilings and composition",
             )
 
 
@@ -405,8 +898,7 @@ def check_aqg_reach_differential(
         queries = statistics.queries(side_index)
         if not queries:
             continue
-        fast = AQGModel(side, queries, vectorized=True)
-        slow = AQGModel(side, queries, vectorized=False)
+        model = AQGModel(side, queries)
         grid = (
             efforts
             if efforts is not None
@@ -414,8 +906,8 @@ def check_aqg_reach_differential(
                   float(len(queries))]
         )
         for effort in grid:
-            a = fast.class_mix(effort)
-            b = slow.class_mix(effort)
+            a = model.class_mix(effort)
+            b = reference_aqg_class_mix(model, effort)
             for channel, va, vb in (
                 ("good", a.good, b.good),
                 ("bad", a.bad, b.bad),
@@ -427,10 +919,52 @@ def check_aqg_reach_differential(
                     f"@{effort:g}/{channel}",
                     observed=va,
                     expected=vb,
-                    band=1e-9 * (1.0 + abs(vb)),
+                    band=0.0,
                     detail="prefix-sum vs reference loop (documented "
                     "bit-identical)",
                 )
+
+
+def check_engine_differential(
+    report: ValidationReport,
+    task: JoinTask,
+    requirements: Optional[Sequence[Tuple[float, float]]] = None,
+) -> None:
+    """Shared plan curves vs the per-requirement bisection — byte identity.
+
+    Both optimizers run the same models; the engine locates each
+    requirement's transition on a precomputed dyadic curve, the reference
+    bisects afresh.  Every evaluation's ``repr`` must match.
+    """
+    plans = enumerate_plans(task.extractor1.name, task.extractor2.name)
+    if requirements is None:
+        requirements = [
+            (good, bad) for good in (2.0, 15.0, 40.0, 80.0)
+            for bad in (30.0, 100000.0)
+        ]
+    engine = JoinOptimizer(task.catalog(), costs=task.costs)
+    bisection = BisectionJoinOptimizer(task.catalog(), costs=task.costs)
+    for tau_good, tau_bad in requirements:
+        requirement = QualityRequirement(tau_good=tau_good, tau_bad=tau_bad)
+        got = engine.optimize(plans, requirement)
+        want = bisection.optimize(plans, requirement)
+        differing = sum(
+            repr(a) != repr(b)
+            for a, b in zip(got.evaluations, want.evaluations)
+        )
+        report.add(
+            CheckResult(
+                name=f"engine-diff/{task.name}/tg{tau_good:g}-tb{tau_bad:g}",
+                ok=repr(got) == repr(want),
+                observed=float(differing),
+                expected=0.0,
+                band=0.0,
+                detail=(
+                    f"{len(plans)} plan evaluations, repr byte-equality "
+                    "with the per-requirement bisection"
+                ),
+            )
+        )
 
 
 def check_pruning_differential(
@@ -447,9 +981,6 @@ def check_pruning_differential(
     than the chosen plan).  Violations here mean an unsound bound or a
     broken dominance argument, never acceptable noise — every band is 0.
     """
-    from ..core.preferences import QualityRequirement
-    from ..optimizer import JoinOptimizer, enumerate_plans
-
     plans = enumerate_plans(task.extractor1.name, task.extractor2.name)
     if requirements is None:
         requirements = [
@@ -521,8 +1052,6 @@ def check_mle_fit_differential(
     seed: int = 0,
 ) -> None:
     """Grid-matmul class fit vs the per-β reference loop on synthetic data."""
-    from ..estimation.mle import _fit_single_class, _fit_single_class_scalar
-
     rng = np.random.default_rng(seed)
     beta_grid = np.linspace(0.2, 2.6, 25)
     for case in range(4):
@@ -532,9 +1061,9 @@ def check_mle_fit_differential(
         p_obs = float(rng.uniform(0.05, 0.9))
         k_max = int(s_values.max()) * 3
         beta_f, n_f, ll_f = _fit_single_class(
-            s_values, weights, p_obs, k_max, beta_grid, vectorized=True
+            s_values, weights, p_obs, k_max, beta_grid
         )
-        beta_s, n_s, ll_s = _fit_single_class_scalar(
+        beta_s, n_s, ll_s = reference_fit_single_class(
             s_values, weights, p_obs, k_max, beta_grid
         )
         scale = 1e-9 * (1.0 + abs(ll_s))
@@ -820,8 +1349,6 @@ def _check_multiway_enumeration(report, scenario, planner, configs, efforts):
 
 def _check_multiway_pruning(report, scenario, planner):
     """Pruned vs unpruned planner sweeps — identity, like the binary case."""
-    from ..core.preferences import QualityRequirement
-
     requirements = [
         (scenario.tau_good, scenario.tau_bad),
         (_MULTIWAY_PRUNING_TAUS[scenario.name], 10**9),
@@ -894,8 +1421,6 @@ def check_multiway_differential(
     n-ary executor vs both the simulated outcome bracket and an exact
     recomposition of the *realized* per-side factors (integer identity).
     """
-    from ..core.plan import RetrievalKind
-    from ..core.preferences import QualityRequirement
     from ..experiments.testbed import build_multiway_testbed
     from ..planner import (
         MultiwayPlanner,
@@ -1071,7 +1596,10 @@ def run_validation(
             )
             check_approximate_models_vs_executor(report, task, theta=theta)
             check_kernel_differential(report, task, theta=theta)
+            check_oijn_differential(report, task, theta=theta)
+            check_zgjn_differential(report, task, theta=theta)
             check_aqg_reach_differential(report, task, theta=theta)
+            check_engine_differential(report, task)
             check_pruning_differential(report, task)
         check_mle_fit_differential(report, seed=sim_seed)
         if multiway:
@@ -1111,15 +1639,31 @@ def run_validation(
 __all__ = [
     "ABS_SLACK",
     "DEFAULT_Z",
+    "BisectionJoinOptimizer",
     "CheckResult",
+    "ReferenceJoinOptimizer",
     "ValidationReport",
     "check_aqg_reach_differential",
     "check_approximate_models_vs_executor",
+    "check_engine_differential",
     "check_idjn_vs_executor",
     "check_kernel_differential",
     "check_mle_fit_differential",
     "check_model_vs_simulation",
     "check_multiway_differential",
+    "check_oijn_differential",
     "check_pruning_differential",
+    "check_zgjn_differential",
+    "reference_aqg_class_mix",
+    "reference_aqg_reach",
+    "reference_fit_single_class",
+    "reference_idjn_predict",
+    "reference_minimal_fraction",
+    "reference_oijn_class_mean_issue",
+    "reference_oijn_inner_reach",
+    "reference_oijn_issue_probability",
+    "reference_oijn_predict",
+    "reference_zgjn_ceilings",
+    "reference_zgjn_predict",
     "run_validation",
 ]

@@ -34,7 +34,8 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 ENV_FLAG = "REPRO_SELFCHECK"
 
 #: absolute slack for float comparisons; invariants are mathematical
-#: identities up to rounding of vectorized vs scalar evaluation order
+#: identities up to rounding of vectorized vs scalar evaluation order (the
+#: scalar references live in repro.validation.differential)
 ATOL = 1e-9
 
 

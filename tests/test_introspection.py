@@ -378,13 +378,6 @@ class TestPhaseTimings:
             pass
         assert NULL_OBSERVABILITY.phases == {}
 
-    def test_children_never_record_phases(self):
-        context = ObservabilityContext()
-        with context.phase("pilot"):
-            pass
-        context.begin_child(tid=3)
-        assert context.phases == {}
-
 
 class TestDeadlineSpent:
     def test_spent_complements_remaining(self):
@@ -488,21 +481,14 @@ class TestMetricsConformance:
         assert parent.value("repro_total", side="2") == 3
 
     def test_exemplars_survive_fork_merge(self):
-        context = ObservabilityContext()
-        context.metrics.histogram(
-            "repro_latency", buckets=(1.0,)
-        ).observe(0.5, exemplar="parent-1")
-        context.begin_child(tid=1)
-        context.metrics.histogram(
-            "repro_latency", buckets=(1.0,)
-        ).observe(0.7, exemplar="child-9")
-        state = context.export_child_state()
-        parent = ObservabilityContext()
-        histogram = parent.metrics.histogram(
-            "repro_latency", buckets=(1.0,)
+        child = MetricsRegistry()
+        child.histogram("repro_latency", buckets=(1.0,)).observe(
+            0.7, exemplar="child-9"
         )
+        parent = MetricsRegistry()
+        histogram = parent.histogram("repro_latency", buckets=(1.0,))
         histogram.observe(0.5, exemplar="parent-1")
-        parent.merge_child(state)
+        parent.merge(child.export_state())
         # child exemplar wins (more recent), counts add
         assert histogram.exemplar_for(0.5) == ("child-9", 0.7)
         assert histogram.count == 2

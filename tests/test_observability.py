@@ -1,9 +1,9 @@
 """End-to-end tests of the observability subsystem (DESIGN §6.3).
 
 Covers the tracer (nesting, exports, schema conformance), the metrics
-registry (render format, totals, fork merge), drift telemetry, the
+registry (render format, totals, merge), drift telemetry, the
 zero-overhead disabled path (byte-identical executions), executor/optimizer
-instrumentation, fork-merge determinism, and the CLI flags.
+instrumentation, and the CLI flags.
 """
 
 from __future__ import annotations
@@ -83,27 +83,6 @@ class TestTracer:
         attrs = tracer.records[0]["attrs"]
         assert isinstance(attrs["obj"], str)
         assert attrs["ok"] == 1.5
-
-    def test_merge_rebases_ids_collision_free(self):
-        parent = Tracer()
-        with parent.span(SpanKind.OPTIMIZE, "parent"):
-            pass
-        child = Tracer(tid=1)
-        with child.span(SpanKind.PLAN_EVALUATION, "outer-child"):
-            with child.span(SpanKind.PLAN_CURVE, "inner-child"):
-                pass
-        parent.merge(child.records)
-        ids = [r["id"] for r in parent.records]
-        assert len(ids) == len(set(ids))
-        merged = {r["name"]: r for r in parent.records}
-        assert (
-            merged["inner-child"]["parent"] == merged["outer-child"]["id"]
-        )
-        # a span opened after the merge keeps the id sequence collision-free
-        with parent.span(SpanKind.OPTIMIZE, "after"):
-            pass
-        ids = [r["id"] for r in parent.records]
-        assert len(ids) == len(set(ids))
 
     def test_exports_jsonl_and_chrome(self, tmp_path):
         tracer = Tracer()
@@ -229,21 +208,6 @@ class TestDrift:
         assert snap.good_error == 0.0
         assert snap.bad_error == 0.0
 
-    def test_merge_renumbers_refits(self):
-        parent, child = DriftTracker(), DriftTracker()
-        for tracker in (parent, child):
-            tracker.record(
-                label="a",
-                plan="",
-                documents_processed=(1, 1),
-                observed_good=1,
-                observed_bad=0,
-                predicted_good=1,
-                predicted_bad=0,
-            )
-        parent.merge(child.export_state())
-        assert [s.refit for s in parent.snapshots] == [1, 2]
-
     def test_context_mirrors_drift_into_trace_and_metrics(self):
         context = ObservabilityContext()
         context.record_drift(
@@ -257,7 +221,8 @@ class TestDrift:
         )
         kinds = [r["kind"] for r in context.tracer.records]
         assert kinds == [SpanKind.DRIFT_SNAPSHOT]
-        assert context.metrics.value("repro_mle_refits_total") == 1
+        # a snapshot is not a refit: the driver counts refits itself
+        assert context.metrics.value("repro_mle_refits_total") == 0
         report = context.report()
         assert len(report.drift_snapshots) == 1
         assert report.drift_snapshots[0]["label"] == "milestone-40"
@@ -423,41 +388,6 @@ class TestInstrumentation:
         )
         assert evaluated == len(plans)
 
-    def test_fork_merge_is_deterministic(self, hq_ex_task):
-        requirement = QualityRequirement(tau_good=40, tau_bad=10**6)
-        plans = enumerate_plans(
-            hq_ex_task.extractor1.name, hq_ex_task.extractor2.name
-        )
-
-        def run_parallel():
-            observability = ObservabilityContext()
-            optimizer = JoinOptimizer(
-                hq_ex_task.catalog(),
-                costs=hq_ex_task.costs,
-                observability=observability,
-            )
-            result = optimizer.optimize(plans, requirement, workers=2)
-            return result, observability
-
-        serial = JoinOptimizer(
-            hq_ex_task.catalog(), costs=hq_ex_task.costs
-        ).optimize(plans, requirement)
-        result_a, obs_a = run_parallel()
-        result_b, obs_b = run_parallel()
-        assert result_a.chosen.plan == serial.chosen.plan
-        assert result_a.chosen.predicted_time == serial.chosen.predicted_time
-
-        def structure(observability):
-            return [
-                (r["type"], r["kind"], r["name"], r["tid"], r["parent"])
-                for r in observability.tracer.records
-            ]
-
-        assert structure(obs_a) == structure(obs_b)
-        assert obs_a.metrics.totals() == obs_b.metrics.totals()
-        ids = [r["id"] for r in obs_a.tracer.records]
-        assert len(ids) == len(set(ids))
-
     def test_adaptive_zgjn_drift_snapshot_per_refit(self, hq_ex_task):
         from repro.core.plan import JoinKind
 
@@ -489,10 +419,12 @@ class TestInstrumentation:
         # one refit cycle per pilot round, each with >= 1 drift snapshot
         assert len(snapshots) >= result.rounds >= 1
         assert snapshots[0].plan.startswith("ZGJN")
-        assert observability.metrics.value("repro_mle_refits_total") == len(
-            snapshots
-        )
         kinds = [r["kind"] for r in observability.tracer.records]
+        # one refit counted per MLE fit of both sides (two spans)
+        assert kinds.count(SpanKind.MLE_REFIT) % 2 == 0
+        assert observability.metrics.value(
+            "repro_mle_refits_total"
+        ) == kinds.count(SpanKind.MLE_REFIT) // 2
         assert SpanKind.MLE_REFIT in kinds
         assert SpanKind.PILOT in kinds
         assert SpanKind.EXECUTE in kinds

@@ -1,19 +1,16 @@
 """Golden equivalence tests for the performance engineering layer.
 
-Every vectorized kernel keeps its scalar predecessor as the reference
-implementation; these tests pin the contract:
+Every vectorized kernel keeps its scalar predecessor as a reference
+implementation in :mod:`repro.validation.differential`; these tests pin
+the contract:
 
-* vectorized model predictions match the scalar paths within 1e-9;
+* vectorized model predictions match the scalar references within 1e-9;
 * the :class:`~repro.optimizer.engine.PlanEvaluationEngine` answers
-  requirements *byte-for-byte* identically to the legacy per-requirement
-  bisection (same predictor);
-* parallel plan evaluation (``workers=N``) is byte-for-byte identical to
-  serial.
+  requirements *byte-for-byte* identically to the per-requirement
+  bisection (same predictor).
 """
 
 from __future__ import annotations
-
-import multiprocessing
 
 import numpy as np
 import pytest
@@ -22,7 +19,6 @@ from scipy import stats
 from repro.core import QualityRequirement
 from repro.core.plan import RetrievalKind
 from repro.estimation.mle import _fit_single_class
-from repro.experiments import quality_frontier
 from repro.experiments.figures import task_statistics
 from repro.models.distributions import (
     NoneExtractedBatch,
@@ -36,17 +32,18 @@ from repro.models.idjn_model import IDJNModel
 from repro.models.oijn_model import OIJNModel
 from repro.models.retrieval_models import AQGModel
 from repro.models.zgjn_model import ZGJNModel
-from repro.optimizer import JoinOptimizer, enumerate_plans, fork_map
+from repro.optimizer import JoinOptimizer, enumerate_plans
+from repro.validation.differential import (
+    BisectionJoinOptimizer,
+    ReferenceJoinOptimizer,
+    reference_aqg_reach,
+    reference_fit_single_class,
+    reference_idjn_predict,
+    reference_oijn_predict,
+    reference_zgjn_predict,
+)
 
 TOL = 1e-9
-
-
-def _fork_available() -> bool:
-    try:
-        multiprocessing.get_context("fork")
-    except ValueError:
-        return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -157,44 +154,34 @@ def statistics(hq_ex_task):
 class TestModelEquivalence:
     @pytest.mark.parametrize("per_value", [True, False])
     def test_idjn(self, statistics, per_value):
-        fast = IDJNModel(
+        model = IDJNModel(
             statistics,
             RetrievalKind.SCAN,
             RetrievalKind.SCAN,
             per_value=per_value,
-            vectorized=True,
-        )
-        slow = IDJNModel(
-            statistics,
-            RetrievalKind.SCAN,
-            RetrievalKind.SCAN,
-            per_value=per_value,
-            vectorized=False,
         )
         for share in (0.0, 0.17, 0.5, 1.0):
             e1 = share * statistics.side1.n_documents
             e2 = share * statistics.side2.n_documents
-            _assert_predictions_close(fast.predict(e1, e2), slow.predict(e1, e2))
+            _assert_predictions_close(
+                model.predict(e1, e2), reference_idjn_predict(model, e1, e2)
+            )
 
     @pytest.mark.parametrize("outer", [1, 2])
     def test_oijn(self, statistics, outer):
-        fast = OIJNModel(
-            statistics, RetrievalKind.SCAN, outer=outer, vectorized=True
-        )
-        slow = OIJNModel(
-            statistics, RetrievalKind.SCAN, outer=outer, vectorized=False
-        )
-        max_effort = fast.outer_model.max_effort
+        model = OIJNModel(statistics, RetrievalKind.SCAN, outer=outer)
+        max_effort = model.outer_model.max_effort
         for share in (0.0, 0.25, 0.75, 1.0):
             effort = share * max_effort
-            _assert_predictions_close(fast.predict(effort), slow.predict(effort))
+            _assert_predictions_close(
+                model.predict(effort), reference_oijn_predict(model, effort)
+            )
 
     def test_zgjn(self, statistics):
-        fast = ZGJNModel(statistics, vectorized=True)
-        slow = ZGJNModel(statistics, vectorized=False)
+        model = ZGJNModel(statistics)
         for queries in (0.0, 3.0, 11.5, 40.0):
             _assert_predictions_close(
-                fast.predict(queries), slow.predict(queries)
+                model.predict(queries), reference_zgjn_predict(model, queries)
             )
 
     def test_aqg_reach_fast_matches_scalar(self, hq_ex_task, statistics):
@@ -202,8 +189,8 @@ class TestModelEquivalence:
         side = statistics.side1
         for effort in (0.0, 1.0, 2.5, float(model.max_effort)):
             fast = model._reach_fast(effort, side.n_good_docs, "good")
-            slow = model._reach(
-                effort, side.n_good_docs, lambda s: s.good_hits
+            slow = reference_aqg_reach(
+                model, effort, side.n_good_docs, lambda s: s.good_hits
             )
             assert fast == slow  # bit-identical by construction
 
@@ -217,11 +204,9 @@ class TestMLEEquivalence:
         s_values = np.array([1, 2, 3, 5, 8])
         weights = np.array([30.0, 11.0, 4.0, 2.0, 1.0])
         beta_grid = np.linspace(0.5, 3.0, 26)
-        fast = _fit_single_class(
-            s_values, weights, 0.4, 40, beta_grid, vectorized=True
-        )
-        slow = _fit_single_class(
-            s_values, weights, 0.4, 40, beta_grid, vectorized=False
+        fast = _fit_single_class(s_values, weights, 0.4, 40, beta_grid)
+        slow = reference_fit_single_class(
+            s_values, weights, 0.4, 40, beta_grid
         )
         assert fast[0] == pytest.approx(slow[0], abs=TOL)
         assert fast[1] == pytest.approx(slow[1], rel=TOL)
@@ -229,7 +214,7 @@ class TestMLEEquivalence:
 
 
 # ---------------------------------------------------------------------------
-# engine and parallel fan-out
+# engine vs bisection
 # ---------------------------------------------------------------------------
 
 REQUIREMENTS = [
@@ -251,23 +236,20 @@ class TestEngineEquivalence:
         self, hq_ex_task, plan_space
     ):
         engine = JoinOptimizer(hq_ex_task.catalog(), costs=hq_ex_task.costs)
-        legacy = JoinOptimizer(
-            hq_ex_task.catalog(), costs=hq_ex_task.costs, use_engine=False
+        bisection = BisectionJoinOptimizer(
+            hq_ex_task.catalog(), costs=hq_ex_task.costs
         )
         for requirement in REQUIREMENTS:
             got = engine.optimize(plan_space, requirement)
-            want = legacy.optimize(plan_space, requirement)
+            want = bisection.optimize(plan_space, requirement)
             assert repr(got) == repr(want)
 
     def test_vectorized_matches_scalar_within_tolerance(
         self, hq_ex_task, plan_space
     ):
         fast = JoinOptimizer(hq_ex_task.catalog(), costs=hq_ex_task.costs)
-        slow = JoinOptimizer(
-            hq_ex_task.catalog(),
-            costs=hq_ex_task.costs,
-            vectorized=False,
-            use_engine=False,
+        slow = ReferenceJoinOptimizer(
+            hq_ex_task.catalog(), costs=hq_ex_task.costs
         )
         for requirement in REQUIREMENTS[:4]:
             got = fast.optimize(plan_space, requirement)
@@ -283,46 +265,3 @@ class TestEngineEquivalence:
                         b.prediction.n_good, abs=TOL, rel=TOL
                     )
 
-
-@pytest.mark.skipif(not _fork_available(), reason="fork start method unavailable")
-class TestParallelDeterminism:
-    def test_parallel_optimize_identical_to_serial(
-        self, hq_ex_task, plan_space
-    ):
-        serial = JoinOptimizer(hq_ex_task.catalog(), costs=hq_ex_task.costs)
-        parallel = JoinOptimizer(hq_ex_task.catalog(), costs=hq_ex_task.costs)
-        for requirement in REQUIREMENTS[:3]:
-            want = serial.optimize(plan_space, requirement)
-            got = parallel.optimize(plan_space, requirement, workers=2)
-            assert repr(got) == repr(want)
-
-    def test_parallel_frontier_identical_to_serial(
-        self, hq_ex_task, plan_space
-    ):
-        want = quality_frontier(
-            hq_ex_task.catalog(), plan_space, costs=hq_ex_task.costs
-        )
-        got = quality_frontier(
-            hq_ex_task.catalog(),
-            plan_space,
-            costs=hq_ex_task.costs,
-            workers=2,
-        )
-        assert repr(got) == repr(want)
-
-
-class TestForkMap:
-    def test_serial_requests_return_none(self):
-        assert fork_map(_double_index, 5, None) is None
-        assert fork_map(_double_index, 5, 1) is None
-        assert fork_map(_double_index, 1, 4) is None
-
-    @pytest.mark.skipif(
-        not _fork_available(), reason="fork start method unavailable"
-    )
-    def test_results_ordered_by_index(self):
-        assert fork_map(_double_index, 5, 2) == [0, 2, 4, 6, 8]
-
-
-def _double_index(index):
-    return index, index * 2

@@ -14,8 +14,6 @@ perturbing a single float.
 
 from __future__ import annotations
 
-import multiprocessing
-
 import numpy as np
 import pytest
 
@@ -38,14 +36,6 @@ GRID = [
     for good in (2, 10, 26, 50, 90, 140)
     for bad in (100, 100000)
 ]
-
-
-def _fork_available() -> bool:
-    try:
-        multiprocessing.get_context("fork")
-    except ValueError:
-        return False
-    return True
 
 
 @pytest.fixture(scope="module")
@@ -126,27 +116,6 @@ class TestPrunedExactness:
             for requirement in GRID
         ]
         assert_equivalent(results, reference)
-
-    @pytest.mark.skipif(not _fork_available(), reason="fork unavailable")
-    def test_matches_unpruned_parallel_workers(self, hq_ex_task, plan_space):
-        requirement = GRID[4]
-        pruned = _optimizer(hq_ex_task, prune=True).optimize(
-            plan_space, requirement
-        )
-        parallel = _optimizer(hq_ex_task).optimize(
-            plan_space, requirement, workers=2, prune=False
-        )
-        assert_equivalent([pruned], [parallel])
-
-    def test_workers_on_pruned_path_is_inert(self, hq_ex_task, plan_space):
-        requirement = GRID[2]
-        serial = _optimizer(hq_ex_task, prune=True).optimize(
-            plan_space, requirement
-        )
-        with_workers = _optimizer(hq_ex_task, prune=True).optimize(
-            plan_space, requirement, workers=2
-        )
-        assert_equivalent([with_workers], [serial])
 
     def test_loosened_bounds_identical(
         self, hq_ex_task, plan_space, reference

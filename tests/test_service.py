@@ -1679,3 +1679,44 @@ class TestSnapshotReuse:
             recorded = _warm_start(service, hq_ex_task)
         assert recorded.documents == documents
         assert recorded.snapshot == expected
+
+
+class TestRefitCounter:
+    """``repro_mle_refits_total`` counts MLE fits of both sides."""
+
+    def test_counter_is_half_the_refit_spans(
+        self, hq_ex_task, tmp_path, monkeypatch
+    ):
+        from repro.observability import ObservabilityContext, SpanKind
+
+        contexts = []
+
+        def recording():
+            context = ObservabilityContext()
+            contexts.append(context)
+            return context
+
+        monkeypatch.setattr(
+            "repro.service.service.ObservabilityContext", recording
+        )
+        with JoinService(
+            hq_ex_task, str(tmp_path / "store"), workers=1,
+            pilot_documents=PILOT,
+        ) as service:
+            cold = service.execute(JoinRequest(tau_good=20, tau_bad=40))
+            assert cold["warm_started"] is False
+            generation = service.store.generation
+            for good, bad in SHARED_GRID[::3]:
+                answer = service.execute(JoinRequest(good, bad))
+                assert answer["pilot_fresh_documents"] == 0
+            assert service.store.generation == generation
+            spans = sum(
+                record["kind"] == SpanKind.MLE_REFIT
+                for context in contexts
+                for record in context.tracer.records
+            )
+            # the cold run's rounds plus the generation's one memo fill
+            assert spans == 2 * (cold["rounds"] + 1)
+            assert service.metrics.value("repro_mle_refits_total") == (
+                spans // 2
+            )
