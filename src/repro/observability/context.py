@@ -49,6 +49,9 @@ class ObservabilityContext:
         self.drift = drift if drift is not None else DriftTracker()
         #: coarse phase name -> accumulated wall seconds, for wide events
         self.phases: Dict[str, float] = {}
+        #: per-request work totals (database accesses, documents, tuples)
+        #: that a wide event carries in its counters
+        self.work: Dict[str, float] = {}
 
     # -- delegation shorthands ------------------------------------------------
 

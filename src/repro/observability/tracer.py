@@ -30,8 +30,6 @@ class SpanKind:
 
     #: one document pulled through a retrieval strategy
     DOCUMENT_RETRIEVAL = "retrieval.document"
-    #: one raw database access (fetch/search), under retry protection
-    DB_ACCESS = "db.access"
     #: one keyword query issued through a :class:`QueryProbe`
     QUERY_ISSUE = "query.issue"
     #: one document run through an extractor

@@ -11,12 +11,14 @@ halt; budgets are the safety net).
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
 
 from ..core.plan import JoinKind, JoinPlanSpec, RetrievalKind
 from ..extraction.base import Extractor
+from ..extraction.memo import ExtractionMemo
 from ..joins.base import Budgets, JoinAlgorithm, JoinInputs, QualityEstimator
 from ..joins.costs import CostModel
 from ..joins.idjn import IndependentJoin
@@ -57,6 +59,18 @@ class ExecutionEnvironment:
 
     def database(self, side: int) -> TextDatabase:
         return self.database1 if side == 1 else self.database2
+
+    def memoized(self, memo: ExtractionMemo) -> "ExecutionEnvironment":
+        """A copy whose extractors and classifiers read and fill *memo*
+        (bind before :func:`~repro.robustness.environment.harden` wraps
+        the databases)."""
+        return dataclasses.replace(
+            self,
+            extractor1=memo.extractor(self.extractor1, self.database1),
+            extractor2=memo.extractor(self.extractor2, self.database2),
+            classifier1=memo.classifier(self.classifier1, self.database1),
+            classifier2=memo.classifier(self.classifier2, self.database2),
+        )
 
     def extractor_at(self, side: int, theta: float) -> Extractor:
         base = self.extractor1 if side == 1 else self.extractor2

@@ -17,12 +17,14 @@ condition does the fine-grained halt, the caps are the safety net, as in
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Sequence
 
 from ..core.plan import RetrievalKind
 from ..extraction.base import Extractor
+from ..extraction.memo import ExtractionMemo
 from ..joins.costs import SideCosts
 from ..multiway.executor import (
     InterleavedNaryJoin,
@@ -55,6 +57,20 @@ class MultiwayEnvironment:
     costs: Mapping[str, SideCosts] = field(default_factory=dict)
     resilience: Optional[ResilienceContext] = None
     observability: Optional[ObservabilityContext] = None
+
+    def memoized(self, memo: ExtractionMemo) -> "MultiwayEnvironment":
+        """A copy whose extractors and classifiers read and fill *memo*."""
+        return dataclasses.replace(
+            self,
+            extractors={
+                name: memo.extractor(extractor, self.databases[name])
+                for name, extractor in self.extractors.items()
+            },
+            classifiers={
+                name: memo.classifier(classifier, self.databases[name])
+                for name, classifier in self.classifiers.items()
+            },
+        )
 
     def database(self, name: str) -> TextDatabase:
         try:

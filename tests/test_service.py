@@ -29,6 +29,7 @@ import pytest
 from repro.core import QualityRequirement
 from repro.optimizer import AdaptiveJoinExecutor, adaptive, enumerate_plans
 from repro.robustness.checkpoint import checkpoint_execution, restore_execution
+from repro.robustness.faults import FaultInjectingDatabase, FaultProfile
 from repro.service import (
     JoinRequest,
     JoinService,
@@ -1720,3 +1721,60 @@ class TestRefitCounter:
             assert service.metrics.value("repro_mle_refits_total") == (
                 spans // 2
             )
+
+
+class TestExtractionMemoUnderFaults:
+    """Truncated payloads bypass the service's extraction memo."""
+
+    def test_prefilled_memo_answers_like_an_empty_one(
+        self, hq_ex_task, tmp_path, monkeypatch
+    ):
+        truncations = []
+        truncate = FaultInjectingDatabase._truncate
+
+        def counting(self, document):
+            truncations.append(document.doc_id)
+            return truncate(self, document)
+
+        monkeypatch.setattr(FaultInjectingDatabase, "_truncate", counting)
+        profile = FaultProfile(truncate=0.3, seed=5)
+        replies = []
+        for prefill in (False, True):
+            with JoinService(
+                hq_ex_task,
+                str(tmp_path / f"store-{prefill}"),
+                workers=1,
+                pilot_documents=PILOT,
+                fault_profile=profile,
+            ) as service:
+                if prefill:
+                    # Every untruncated output is already memoized.
+                    environment = hq_ex_task.environment().memoized(
+                        service.extraction_memo
+                    )
+                    for side in (1, 2):
+                        database = environment.database(side)
+                        classifier = (
+                            environment.classifier1
+                            if side == 1
+                            else environment.classifier2
+                        )
+                        extractors = [
+                            environment.extractor_at(side, theta)
+                            for theta in (0.4, 0.8)
+                        ]
+                        for document in database.documents:
+                            classifier.classify(document)
+                            for extractor in extractors:
+                                extractor.extract(document)
+                filled = len(service.extraction_memo)
+                replies.append(
+                    [
+                        response_json(service.execute(JoinRequest(good, bad)))
+                        for good, bad in ((TAU_GOOD, TAU_BAD), (20, 40))
+                    ]
+                )
+                if prefill:
+                    assert len(service.extraction_memo) == filled
+        assert truncations
+        assert replies[0] == replies[1]
