@@ -185,11 +185,14 @@ class AQGRetriever(DocumentRetriever):
         while not self._buffer and self._next_query < len(self._queries):
             query = self._queries[self._next_query]
             self._next_query += 1
+            accesses = self._probe.accesses
             try:
                 fresh = self._probe.issue(query)
             except AccessFailedError:
                 # The query could not be asked; move on to the next one.
                 continue
+            finally:
+                self.counters.accesses += self._probe.accesses - accesses
             self.counters.queries_issued += 1
             self.counters.retrieved += len(fresh)
             self._buffer.extend(fresh)

@@ -122,6 +122,8 @@ class QueryProbe:
         self.seen: Set[int] = set()
         self.queries_issued = 0
         self.documents_retrieved = 0
+        #: database calls attempted, searches and fetches (not checkpointed)
+        self.accesses = 0
         self.resilience = resilience
         self.observability = ensure_observability(observability)
         self._issued: Set[Tuple[str, ...]] = set()
@@ -139,6 +141,7 @@ class QueryProbe:
         self._issued = {tuple(tokens) for tokens in issued}
 
     def _access(self, operation: str, fn):
+        self.accesses += 1
         if self.resilience is None:
             return fn()
         return self.resilience.call(
