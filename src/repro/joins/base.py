@@ -9,7 +9,10 @@ All three algorithms (IDJN, OIJN, ZGJN):
   knowledge of tuple correctness;
 * account simulated time through :class:`~repro.joins.costs.CostModel`;
 * feed an :class:`~repro.joins.stats_collector.ObservationCollector` so the
-  optimizer can refine parameter estimates mid-flight (Section VI).
+  optimizer can refine parameter estimates mid-flight (Section VI);
+* count their work instead of spanning it: no span per round or document,
+  processed documents and extracted tuples added to the metrics once per
+  side per run, and session totals from ``work_counters()``.
 
 Executors also accept per-side *budgets* (maximum documents to process or
 queries to issue).  Budgets are how the analytical-model validation sweeps
@@ -21,11 +24,11 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Protocol, Tuple
+from typing import Any, Callable, Dict, Optional, Protocol, Tuple
 
 from ..core.preferences import QualityRequirement
 from ..core.quality import ExecutionReport, TimeBreakdown
-from ..core.relation import JoinState
+from ..core.relation import JoinComposition, JoinState
 from ..core.types import ExtractedTuple
 from ..extraction.base import Extractor
 from ..observability.context import ObservabilityContext, ensure_observability
@@ -130,6 +133,24 @@ class JoinSession:
     processed: Dict[int, int] = field(default_factory=lambda: {1: 0, 2: 0})
 
 
+def publish_join_gauges(
+    metrics: Any,
+    composition: JoinComposition,
+    seconds: float,
+    collector: ObservationCollector,
+) -> None:
+    """Set the gauges a finished binary run leaves in *metrics*: its
+    good/bad join tuples, simulated seconds and per-side productive
+    fraction."""
+    metrics.gauge("repro_join_tuples", label="good").set(composition.n_good)
+    metrics.gauge("repro_join_tuples", label="bad").set(composition.n_bad)
+    metrics.gauge("repro_simulated_seconds", component="total").set(seconds)
+    for side in (1, 2):
+        metrics.gauge("repro_productive_fraction", side=side).set(
+            collector.side(side).productive_fraction
+        )
+
+
 class JoinAlgorithm(abc.ABC):
     """Base class for IDJN/OIJN/ZGJN executors."""
 
@@ -176,21 +197,38 @@ class JoinAlgorithm(abc.ABC):
         if self.on_progress is not None:
             self.on_progress(state, time)
 
-    #: short label for metrics/spans; concrete executors override
+    #: short label for metrics; concrete executors override
     algorithm = "join"
 
-    def _observe_document(self, side: int, n_tuples: int) -> None:
-        """Account one processed document in the metrics registry."""
-        metrics = self.observability.metrics
-        metrics.counter(
-            "repro_documents_processed_total",
-            side=side,
-            algorithm=self.algorithm,
-        ).inc()
-        if n_tuples:
-            metrics.counter("repro_tuples_extracted_total", side=side).inc(
-                n_tuples
-            )
+    def _tally(self) -> Dict[int, Tuple[int, int]]:
+        """Per side: (documents processed, tuples held) by the session."""
+        session = self.session
+        state = session.state
+        return {
+            1: (session.processed[1], len(state.left)),
+            2: (session.processed[2], len(state.right)),
+        }
+
+    def _work(self, accesses: int, retrieved: int, rejected: int) -> Dict[str, float]:
+        """Work totals for a wide event, from the executor's own access
+        counts and the session's processed documents and held tuples."""
+        tally = self._tally()
+        return {
+            "accesses": float(accesses),
+            "documents_retrieved": float(retrieved),
+            "documents_rejected": float(rejected),
+            "documents_processed": float(sum(d for d, _ in tally.values())),
+            "tuples_extracted": float(sum(t for _, t in tally.values())),
+        }
+
+    @abc.abstractmethod
+    def work_counters(self) -> Dict[str, float]:
+        """Work totals of this executor so far, for a wide event.
+
+        Retrieved, processed and tuples equal the sums of the last
+        :class:`ExecutionReport`; accesses and FS rejections come from
+        the retrievers' and probes' counters.
+        """
 
     @abc.abstractmethod
     def run(
@@ -235,7 +273,9 @@ class JoinAlgorithm(abc.ABC):
         documents_filtered: Dict[int, int],
         queries_issued: Dict[int, int],
         exhausted: bool,
+        tally: Dict[int, Tuple[int, int]],
     ) -> JoinExecution:
+        """The run's report; *tally* is :meth:`_tally` at the run's start."""
         checker = active_checker()
         if checker.enabled:
             for side in (1, 2):
@@ -259,16 +299,21 @@ class JoinAlgorithm(abc.ABC):
             # the corpus (telemetry only — estimators never read them).
             comp = state.composition
             metrics = observability.metrics
-            metrics.gauge("repro_join_tuples", label="good").set(comp.n_good)
-            metrics.gauge("repro_join_tuples", label="bad").set(comp.n_bad)
-            metrics.gauge("repro_simulated_seconds", component="total").set(
-                time.total
-            )
-            for side in (1, 2):
-                obs_side = collector.side(side)
-                metrics.gauge(
-                    "repro_productive_fraction", side=side
-                ).set(obs_side.productive_fraction)
+            # Once per side per run, not once per document (DESIGN §6.3).
+            for side, (documents, tuples) in self._tally().items():
+                processed = documents - tally[side][0]
+                if processed:
+                    metrics.counter(
+                        "repro_documents_processed_total",
+                        side=side,
+                        algorithm=self.algorithm,
+                    ).inc(processed)
+                extracted = tuples - tally[side][1]
+                if extracted:
+                    metrics.counter(
+                        "repro_tuples_extracted_total", side=side
+                    ).inc(extracted)
+            publish_join_gauges(metrics, comp, time.total, collector)
         report = ExecutionReport(
             composition=state.composition,
             # Snapshot: the session's time keeps accumulating across

@@ -11,6 +11,9 @@ databases at different speeds.
 Executors are resumable: each ``run()`` call continues the same session
 (retriever cursors, accumulated relations, time) under that call's
 requirement and budgets.  Budgets are absolute totals for the session.
+A run opens no span per round or document: it adds its processed
+documents and extracted tuples to the metrics once per side, and
+:meth:`IndependentJoin.work_counters` totals the session's work.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from typing import Dict, Optional, Tuple
 
 from ..core.preferences import QualityRequirement
 from ..core.quality import TimeBreakdown
-from ..observability.tracer import SpanKind
 from ..retrieval.base import DocumentRetriever
 from .base import (
     UNLIMITED,
@@ -87,26 +89,18 @@ class IndependentJoin(JoinAlgorithm):
                 return False
             return not retriever.exhausted
 
-        observability = self.observability
-        rounds = 0
+        tally = self._tally()
         while True:
             est_good, est_bad = self.estimator.estimate(state)
             if self._should_stop(requirement, est_good, est_bad):
                 break
             if not side_open(1) and not side_open(2):
                 break
-            rounds += 1
-            with observability.span(
-                SpanKind.JOIN_ROUND,
-                f"idjn.round.{rounds}",
-                algorithm=self.algorithm,
-                round=rounds,
-            ):
-                for side in (1, 2):
-                    for _ in range(self._rates[side]):
-                        if not side_open(side):
-                            break
-                        self._step(side, state, collector, time, processed)
+            for side in (1, 2):
+                for _ in range(self._rates[side]):
+                    if not side_open(side):
+                        break
+                    self._step(side, state, collector, time, processed)
             self._report_progress(state, time)
             # Re-check quality between rounds happens at loop top.
 
@@ -131,6 +125,15 @@ class IndependentJoin(JoinAlgorithm):
                 for side in (1, 2)
             },
             exhausted=exhausted,
+            tally=tally,
+        )
+
+    def work_counters(self) -> Dict[str, float]:
+        counters = [retriever.counters for retriever in self._retrievers.values()]
+        return self._work(
+            accesses=sum(c.accesses for c in counters),
+            retrieved=sum(c.retrieved for c in counters),
+            rejected=sum(c.rejected for c in counters),
         )
 
     def _step(
@@ -142,21 +145,11 @@ class IndependentJoin(JoinAlgorithm):
         processed: Dict[int, int],
     ) -> None:
         """Retrieve and process one document on one side."""
-        observability = self.observability
         retriever = self._retrievers[side]
         before = retriever.counters.snapshot()
-        with observability.span(
-            SpanKind.DOCUMENT_RETRIEVAL,
-            f"retrieve.side{side}",
-            side=side,
-            strategy=type(retriever).__name__,
-        ) as span:
-            doc = retriever.next_document()
-            delta_retrieved = retriever.counters.retrieved - before.retrieved
-            delta_queries = (
-                retriever.counters.queries_issued - before.queries_issued
-            )
-            span.set(retrieved=delta_retrieved, queries=delta_queries)
+        doc = retriever.next_document()
+        delta_retrieved = retriever.counters.retrieved - before.retrieved
+        delta_queries = retriever.counters.queries_issued - before.queries_issued
         costs = self.costs.side(side)
         filtered = delta_retrieved if retriever.filters_documents else 0
         time.add(
@@ -168,17 +161,9 @@ class IndependentJoin(JoinAlgorithm):
         )
         if doc is None:
             return
-        with observability.span(
-            SpanKind.EXTRACTION,
-            f"extract.side{side}",
-            side=side,
-            document=doc.doc_id,
-        ) as span:
-            tuples = self.inputs.extractor(side).extract(doc)
-            span.set(tuples=len(tuples))
+        tuples = self.inputs.extractor(side).extract(doc)
         time.add(costs.charge(processed=1))
         processed[side] += 1
-        self._observe_document(side, len(tuples))
         collector.record(side, tuples)
         if side == 1:
             state.add_left(tuples)

@@ -8,6 +8,12 @@ contain the value's "counterpart" tuples.  Each probe sweeps a row of
 D1 × D2 (Figure 6a), but the search interface's top-k limit bounds how
 much of the inner database any single query can reach — the grey
 unexplored region the paper highlights.
+
+A run spans only its inner keyword queries (in the
+:class:`~repro.retrieval.queries.QueryProbe`), not its rounds or
+documents: it adds its processed documents and extracted tuples to the
+metrics once per side, and :meth:`OuterInnerJoin.work_counters` totals
+the session's work.
 """
 
 from __future__ import annotations
@@ -17,7 +23,6 @@ from typing import Dict, List, Optional, Sequence
 from ..core.preferences import QualityRequirement
 from ..core.quality import TimeBreakdown
 from ..core.types import ExtractedTuple
-from ..observability.tracer import SpanKind
 from ..retrieval.base import DocumentRetriever
 from ..retrieval.queries import Query, QueryProbe
 from ..robustness.context import AccessFailedError
@@ -108,98 +113,65 @@ class OuterInnerJoin(JoinAlgorithm):
             est_good, est_bad = self.estimator.estimate(state)
             return self._should_stop(requirement, est_good, est_bad)
 
-        observability = self.observability
+        tally = self._tally()
         stopped = False
-        rounds = 0
         while not stopped:
             if stop_now():
                 stopped = True
                 break
             if not outer_open():
                 break
-            rounds += 1
-            with observability.span(
-                SpanKind.JOIN_ROUND,
-                f"oijn.round.{rounds}",
-                algorithm=self.algorithm,
-                round=rounds,
-            ):
-                # -- one outer document --------------------------------------
-                before = self._outer_retriever.counters.snapshot()
-                with observability.span(
-                    SpanKind.DOCUMENT_RETRIEVAL,
-                    f"retrieve.side{outer}",
-                    side=outer,
-                    strategy=type(self._outer_retriever).__name__,
-                ) as span:
-                    doc = self._outer_retriever.next_document()
-                    counters = self._outer_retriever.counters
-                    delta_retrieved = counters.retrieved - before.retrieved
-                    span.set(retrieved=delta_retrieved)
-                time.add(
-                    outer_costs.charge(
-                        retrieved=delta_retrieved,
-                        queries=counters.queries_issued - before.queries_issued,
-                        filtered=(
-                            delta_retrieved
-                            if self._outer_retriever.filters_documents
-                            else 0
-                        ),
-                    )
+            # -- one outer document ------------------------------------------
+            before = self._outer_retriever.counters.snapshot()
+            doc = self._outer_retriever.next_document()
+            counters = self._outer_retriever.counters
+            delta_retrieved = counters.retrieved - before.retrieved
+            time.add(
+                outer_costs.charge(
+                    retrieved=delta_retrieved,
+                    queries=counters.queries_issued - before.queries_issued,
+                    filtered=(
+                        delta_retrieved
+                        if self._outer_retriever.filters_documents
+                        else 0
+                    ),
                 )
-                if doc is None:
+            )
+            if doc is None:
+                break
+            outer_tuples = self.inputs.extractor(outer).extract(doc)
+            time.add(outer_costs.charge(processed=1))
+            processed[outer] += 1
+            collector.record(outer, outer_tuples)
+            self._add(state, outer, outer_tuples)
+            self._report_progress(state, time)
+            # -- probe the inner relation for each new join value -------------
+            for query in self._queries_from(outer_tuples, outer_join_index):
+                if stop_now():
+                    stopped = True
                     break
-                with observability.span(
-                    SpanKind.EXTRACTION,
-                    f"extract.side{outer}",
-                    side=outer,
-                    document=doc.doc_id,
-                ) as span:
-                    outer_tuples = self.inputs.extractor(outer).extract(doc)
-                    span.set(tuples=len(outer_tuples))
-                time.add(outer_costs.charge(processed=1))
-                processed[outer] += 1
-                self._observe_document(outer, len(outer_tuples))
-                collector.record(outer, outer_tuples)
-                self._add(state, outer, outer_tuples)
+                if not self._inner_budget_open(budgets, processed):
+                    break
+                try:
+                    fresh = self._probe.issue(query)
+                except AccessFailedError:
+                    # Failed access ≠ empty probe: no tQ charge, the query
+                    # stays un-issued so a later outer tuple with the same
+                    # value can retry it, and the s(a) sample frequencies
+                    # see nothing.
+                    continue
+                time.add(inner_costs.charge(queries=1, retrieved=len(fresh)))
+                inner_extractor = self.inputs.extractor(inner)
+                for inner_doc in fresh:
+                    cap = budgets.max_documents(inner)
+                    if cap is not None and processed[inner] >= cap:
+                        break
+                    inner_tuples = inner_extractor.extract(inner_doc)
+                    time.add(inner_costs.charge(processed=1))
+                    processed[inner] += 1
+                    collector.record(inner, inner_tuples)
+                    self._add(state, inner, inner_tuples)
                 self._report_progress(state, time)
-                # -- probe the inner relation for each new join value ---------
-                for query in self._queries_from(outer_tuples, outer_join_index):
-                    if stop_now():
-                        stopped = True
-                        break
-                    if not self._inner_budget_open(budgets, processed):
-                        break
-                    try:
-                        fresh = self._probe.issue(query)
-                    except AccessFailedError:
-                        # Failed access ≠ empty probe: no tQ charge, the query
-                        # stays un-issued so a later outer tuple with the same
-                        # value can retry it, and the s(a) sample frequencies
-                        # see nothing.
-                        continue
-                    time.add(
-                        inner_costs.charge(queries=1, retrieved=len(fresh))
-                    )
-                    inner_extractor = self.inputs.extractor(inner)
-                    for inner_doc in fresh:
-                        cap = budgets.max_documents(inner)
-                        if cap is not None and processed[inner] >= cap:
-                            break
-                        with observability.span(
-                            SpanKind.EXTRACTION,
-                            f"extract.side{inner}",
-                            side=inner,
-                            document=inner_doc.doc_id,
-                        ) as span:
-                            inner_tuples = inner_extractor.extract(inner_doc)
-                            span.set(tuples=len(inner_tuples))
-                        time.add(inner_costs.charge(processed=1))
-                        processed[inner] += 1
-                        self._observe_document(inner, len(inner_tuples))
-                        collector.record(inner, inner_tuples)
-                        self._add(state, inner, inner_tuples)
-                    self._report_progress(state, time)
 
         if self._outer_retriever.filters_documents:
             documents_filtered = {
@@ -224,6 +196,15 @@ class OuterInnerJoin(JoinAlgorithm):
                 inner: self._probe.queries_issued,
             },
             exhausted=self._outer_retriever.exhausted,
+            tally=tally,
+        )
+
+    def work_counters(self) -> Dict[str, float]:
+        counters = self._outer_retriever.counters
+        return self._work(
+            accesses=counters.accesses + self._probe.accesses,
+            retrieved=counters.retrieved + self._probe.documents_retrieved,
+            rejected=counters.rejected,
         )
 
     # -- helpers --------------------------------------------------------------

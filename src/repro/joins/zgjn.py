@@ -7,6 +7,12 @@ queue queries back against D1, and the execution zig-zags between the two
 databases (Figure 6b).  The reachable portion of D1 × D2 is exactly the
 connected component of the zig-zag graph (Section V-E) that the seed
 queries touch — capped further by the search interface's top-k limit.
+
+A run spans only its keyword queries (in the
+:class:`~repro.retrieval.queries.QueryProbe`), not its rounds or
+documents: it adds its processed documents and extracted tuples to the
+metrics once per side, and :meth:`ZigZagJoin.work_counters` totals the
+session's work.
 """
 
 from __future__ import annotations
@@ -17,7 +23,6 @@ from typing import Deque, Dict, List, Optional, Sequence, Tuple
 from ..core.preferences import QualityRequirement
 from ..core.quality import TimeBreakdown
 from ..core.types import ExtractedTuple
-from ..observability.tracer import SpanKind
 from ..retrieval.queries import Query, QueryProbe
 from ..robustness.context import AccessFailedError
 from .base import (
@@ -119,27 +124,19 @@ class ZigZagJoin(JoinAlgorithm):
                 return False
             return True
 
-        observability = self.observability
+        tally = self._tally()
         stopped = False
-        rounds = 0
         while not stopped and (side_open(1) or side_open(2)):
-            rounds += 1
-            with observability.span(
-                SpanKind.JOIN_ROUND,
-                f"zgjn.round.{rounds}",
-                algorithm=self.algorithm,
-                round=rounds,
-            ):
-                for side in (1, 2):
-                    if not side_open(side):
-                        continue
-                    self._sweep(
-                        side, queues, state, collector, time, processed, budgets
-                    )
-                    self._report_progress(state, time)
-                    if stop_now():
-                        stopped = True
-                        break
+            for side in (1, 2):
+                if not side_open(side):
+                    continue
+                self._sweep(
+                    side, queues, state, collector, time, processed, budgets
+                )
+                self._report_progress(state, time)
+                if stop_now():
+                    stopped = True
+                    break
 
         return self._finish(
             state=state,
@@ -155,6 +152,15 @@ class ZigZagJoin(JoinAlgorithm):
                 side: self._probes[side].queries_issued for side in (1, 2)
             },
             exhausted=not queues[1] and not queues[2],
+            tally=tally,
+        )
+
+    def work_counters(self) -> Dict[str, float]:
+        probes = self._probes.values()
+        return self._work(
+            accesses=sum(probe.accesses for probe in probes),
+            retrieved=sum(probe.documents_retrieved for probe in probes),
+            rejected=0,
         )
 
     # -- helpers --------------------------------------------------------------
@@ -194,17 +200,9 @@ class ZigZagJoin(JoinAlgorithm):
             cap = budgets.max_documents(side)
             if cap is not None and processed[side] >= cap:
                 break
-            with self.observability.span(
-                SpanKind.EXTRACTION,
-                f"extract.side{side}",
-                side=side,
-                document=doc.doc_id,
-            ) as span:
-                tuples = extractor.extract(doc)
-                span.set(tuples=len(tuples))
+            tuples = extractor.extract(doc)
             time.add(costs.charge(processed=1))
             processed[side] += 1
-            self._observe_document(side, len(tuples))
             collector.record(side, tuples)
             new_tuples.extend(tuples)
         if side == 1:

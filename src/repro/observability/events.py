@@ -232,8 +232,11 @@ class FlightRecorder:
         priority: Optional[str] = None,
         phase: Optional[str] = None,
         since_id: Optional[int] = None,
+        signature: Optional[str] = None,
+        task: Optional[str] = None,
     ) -> List[Dict[str, Any]]:
-        """Most-recent-first slice of the ring, filtered."""
+        """Most-recent-first slice of the ring, filtered (``signature`` and
+        ``task`` match the event's identity exactly)."""
         with self._lock:
             events = list(self._ring)
         selected: List[Dict[str, Any]] = []
@@ -249,6 +252,10 @@ class FlightRecorder:
             ):
                 continue
             if since_id is not None and event["id"] <= since_id:
+                continue
+            if signature is not None and event["signature"] != signature:
+                continue
+            if task is not None and event["task"] != task:
                 continue
             selected.append(event)
             if len(selected) >= limit:

@@ -28,14 +28,8 @@ from typing import Any, Dict, List, Optional
 class SpanKind:
     """The span taxonomy (DESIGN §6.3) — one constant per unit of work."""
 
-    #: one document pulled through a retrieval strategy
-    DOCUMENT_RETRIEVAL = "retrieval.document"
     #: one keyword query issued through a :class:`QueryProbe`
     QUERY_ISSUE = "query.issue"
-    #: one document run through an extractor
-    EXTRACTION = "extraction.document"
-    #: one ripple/zig-zag round of a join executor
-    JOIN_ROUND = "join.round"
     #: one candidate plan assessed against a requirement
     PLAN_EVALUATION = "plan.evaluate"
     #: one plan's effort curve built by the evaluation engine

@@ -32,7 +32,7 @@ import dataclasses
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..core.plan import JoinPlanSpec
 from ..core.preferences import QualityRequirement
@@ -40,10 +40,10 @@ from ..core.relation import JoinState
 from ..extraction.characterization import KnobCharacterization
 from ..estimation.mle import EstimatedParameters, ObservationContext
 from ..estimation.online import SideEstimate, estimate_overlap, estimate_side
-from ..joins.base import Budgets, JoinAlgorithm, JoinExecution
+from ..joins.base import Budgets, JoinAlgorithm, JoinExecution, publish_join_gauges
 from ..joins.idjn import IndependentJoin
 from ..joins.base import JoinInputs
-from ..joins.stats_collector import RelationObservations
+from ..joins.stats_collector import ObservationCollector, RelationObservations
 from ..models.parameters import SideStatistics, ValueOverlapModel
 from ..observability.context import ensure_observability
 from ..observability.tracer import SpanKind
@@ -125,6 +125,21 @@ class PosteriorQuality:
 Refit = Tuple[SideEstimate, SideEstimate, ValueOverlapModel]
 
 
+class PilotMemo(NamedTuple):
+    """A generation's stored pilot, restored whole, and its refit.
+
+    Memoized on the binary plan space of the generation's plan-cache key
+    by the first run that restores it (see :meth:`AdaptiveJoinExecutor.run`)
+    and read by later fully-warm runs instead of restoring the snapshot
+    again.  Read-only: no run resumes, extends or mutates it, and it holds
+    no per-request object (the report carries no observability or
+    resilience report, and no retriever is kept).
+    """
+
+    execution: JoinExecution
+    refit: Refit
+
+
 @dataclass(frozen=True)
 class PilotWarmStart:
     """Prior pilot state from an earlier run over the *same* corpus.
@@ -149,7 +164,7 @@ class PilotWarmStart:
     #: :class:`~repro.service.plancache.PlanCache` with the key and factory
     #: of the binary plan space built on them.  A run that restores the
     #: pilot whole answers its first round through that space and memoizes
-    #: its refit there (see :meth:`AdaptiveJoinExecutor._shared_refit`)
+    #: the restored pilot with its refit there (:class:`PilotMemo`)
     statistics: Optional[
         Tuple[EstimatedParameters, EstimatedParameters, ValueOverlapModel]
     ] = None
@@ -189,6 +204,11 @@ class AdaptiveResult:
     #: was built with ``snapshot_pilot=True`` so callers (the service's
     #: statistics store) can warm-start later runs
     pilot_snapshot: Optional[Dict[str, Any]] = None
+    #: work totals of the executor whose report :attr:`execution` is
+    #: (:meth:`~repro.joins.base.JoinAlgorithm.work_counters`); empty when
+    #: no plan ran.  Pilot work is not in them: its fresh documents are
+    #: :attr:`pilot_fresh_documents`
+    work: Dict[str, float] = field(default_factory=dict)
 
     @property
     def total_time(self) -> float:
@@ -294,19 +314,40 @@ class AdaptiveJoinExecutor:
         except Exception:  # noqa: BLE001 — best-effort capture only
             snapshot = None
         session = executor.session
-        composition = session.state.composition
+        self._attach_progress(
+            error,
+            phase,
+            session.state,
+            session.collector,
+            session.time.total,
+            snapshot,
+            plan,
+        )
+
+    @staticmethod
+    def _attach_progress(
+        error: DeadlineExceeded,
+        phase: str,
+        state: JoinState,
+        observations: ObservationCollector,
+        seconds: float,
+        checkpoint: Optional[Dict[str, Any]],
+        plan: Optional[str] = None,
+    ) -> None:
+        """Describe a join's progress and its checkpoint on *error*."""
+        composition = state.composition
         error.attach(
             phase,
             plan=plan,
             good=composition.n_good,
             bad=composition.n_bad,
-            results=len(session.state),
+            results=len(state),
             documents_processed={
-                str(side): session.collector.side(side).documents_processed
+                str(side): observations.side(side).documents_processed
                 for side in (1, 2)
             },
-            simulated_time=round(session.time.total, 6),
-            checkpoint=snapshot,
+            simulated_time=round(seconds, 6),
+            checkpoint=checkpoint,
         )
 
     # -- pilot ----------------------------------------------------------------
@@ -646,23 +687,45 @@ class AdaptiveJoinExecutor:
             and self._pilot_fresh_documents == 0
         )
 
-    def _shared_refit(self, warm: PilotWarmStart, pilot: JoinExecution) -> Refit:
-        """The refit of a pilot restored whole, memoized on its plan space.
+    def _pilot_memo(self, warm: Optional[PilotWarmStart]) -> Optional[PilotMemo]:
+        """The restored pilot and refit memoized on the warm start's plan
+        space, when this run would restore that pilot whole.
 
-        It is a pure function of the stored pilot, which changes only with
-        the store generation keying the space; :meth:`run` fills the memo.
-        Nothing downstream mutates a SideEstimate or the overlap classes.
+        Both are pure functions of the stored pilot, which changes only
+        with the store generation keying the space; :meth:`run` fills the
+        memo.  Nothing downstream mutates the pilot, a SideEstimate or the
+        overlap classes.
         """
+        if (
+            warm is None
+            or warm.plan_cache is None
+            or warm.documents < self.pilot_documents
+        ):
+            return None
         space = warm.plan_cache.space_for(warm.plan_key)
-        memo = space.refit if space is not None else None
-        return memo if memo is not None else self._refit(pilot)
+        return space.pilot if space is not None else None
 
     # -- the driver -----------------------------------------------------------------
 
     def run(self, requirement: QualityRequirement) -> AdaptiveResult:
         self._pilot_fresh_documents = 0
         warm = self.warm_start
-        if warm is not None:
+        memo = self._pilot_memo(warm)
+        pilot_executor: Optional[IndependentJoin] = None
+        if memo is not None:
+            # The generation's pilot as an earlier run restored it: no
+            # restore, no pilot run, only the gauges that run would set.
+            pilot = memo.execution
+            documents = warm.documents
+            rounds = max(warm.rounds - 1, 0)
+            if self.observability.enabled:
+                publish_join_gauges(
+                    self.observability.metrics,
+                    pilot.state.composition,
+                    pilot.report.time.total,
+                    pilot.observations,
+                )
+        elif warm is not None:
             pilot, pilot_executor, documents = self._warm_pilot(warm)
             # Resume the round count where the stored run converged, so a
             # run that stopped on max_rounds does not restart its
@@ -683,11 +746,23 @@ class AdaptiveJoinExecutor:
                 # round boundary with the pilot's state attached.
                 self._check_deadline("adaptive.optimize")
             except DeadlineExceeded as expired:
-                self._attach_partial(expired, "optimize", pilot_executor)
+                if pilot_executor is None:
+                    # A restored pilot's checkpoint is the stored snapshot.
+                    self._attach_progress(
+                        expired,
+                        "optimize",
+                        pilot.state,
+                        pilot.observations,
+                        pilot.report.time.total,
+                        warm.snapshot,
+                    )
+                else:
+                    self._attach_partial(expired, "optimize", pilot_executor)
                 raise
-            refit = (
-                self._shared_refit(warm, pilot) if shared else self._refit(pilot)
-            )
+            if shared and memo is not None:
+                refit = memo.refit
+            else:
+                refit = self._refit(pilot)
             estimate1, estimate2, overlap = refit
             statistics = (estimate1.parameters, estimate2.parameters, overlap)
             curve_points: Callable[[JoinPlanSpec], Any]
@@ -707,8 +782,18 @@ class AdaptiveJoinExecutor:
                     space, optimization, _ = warm.plan_cache.optimize(
                         warm.plan_key, requirement, warm.plan_factory
                     )
-                if space.refit is None:
-                    space.refit = refit  # a racing fill stores an equal refit
+                if space.pilot is None:
+                    # A racing fill stores an equal pilot and refit.
+                    space.pilot = PilotMemo(
+                        JoinExecution(
+                            state=pilot.state,
+                            report=dataclasses.replace(
+                                pilot.report, observability=None, resilience=None
+                            ),
+                            observations=pilot.observations,
+                        ),
+                        refit,
+                    )
                 curve_points = functools.partial(
                     warm.plan_cache.curve_points,
                     warm.plan_key,
@@ -766,8 +851,10 @@ class AdaptiveJoinExecutor:
         target_good = int(
             math.ceil(requirement.tau_good * (1.0 + self.feasibility_margin))
         )
-        execution, chosen, switches, degraded, wasted = self._execute(
-            requirement, target_good, chosen, (estimate1, estimate2), pilot
+        execution, executor, chosen, switches, degraded, wasted = (
+            self._execute(
+                requirement, target_good, chosen, (estimate1, estimate2), pilot
+            )
         )
         return AdaptiveResult(
             requirement=requirement,
@@ -784,6 +871,7 @@ class AdaptiveJoinExecutor:
             pilot_fresh_documents=self._pilot_fresh_documents,
             pilot_size=documents,
             pilot_snapshot=pilot_snapshot,
+            work=executor.work_counters(),
         )
 
     # -- execution (with optional mid-flight re-optimization) -------------------
@@ -912,8 +1000,8 @@ class AdaptiveJoinExecutor:
     def _execute(self, requirement, target_good, chosen, estimates, pilot):
         """Run the chosen plan, optionally re-optimizing at milestones.
 
-        Returns (final execution, final evaluation, number of plan
-        switches, degraded access paths, wasted time).  On a switch, the
+        Returns (final execution, its executor, final evaluation, number
+        of plan switches, degraded access paths, wasted time).  On a switch, the
         produced base tuples are carried into the new plan's executor —
         the Section VI "build on the current execution" option.
 
@@ -1000,4 +1088,4 @@ class AdaptiveJoinExecutor:
             chosen = result.chosen
             estimates = new_estimates
             executor = self._carry_over(executor, chosen, estimates)
-        return execution, chosen, switches, degraded, wasted
+        return execution, executor, chosen, switches, degraded, wasted

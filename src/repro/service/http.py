@@ -90,6 +90,8 @@ def _route_debug_requests(
         priority=_single_param(params, "priority"),
         phase=_single_param(params, "phase"),
         since_id=since_id,
+        signature=_single_param(params, "signature"),
+        task=_single_param(params, "task"),
     )
     body = response_json({"requests": events, "count": len(events)})
     return 200, body, JSON_CONTENT_TYPE

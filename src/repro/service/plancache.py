@@ -79,8 +79,9 @@ class BinaryPlanSpace:
     Its journal payload is the optimizer's probe triples
     (:meth:`JoinOptimizer.export_probes`); the store hands them back to
     the next space built over the same statistics generation.  It also
-    memoizes the warm execute path's refit (:attr:`refit`), so a store
-    write, which changes the key, can never serve a stale one.
+    memoizes the warm execute path's restored pilot and its refit
+    (:attr:`pilot`), so a store write, which changes the key, can never
+    serve a stale one, and eviction drops it with the entry.
     """
 
     def __init__(
@@ -96,9 +97,10 @@ class BinaryPlanSpace:
             optimizer.import_probes(probes, self.plans) if probes else 0
         )
         self._exported = optimizer.probe_count()
-        #: the adaptive driver's refit of this generation's stored pilot
-        #: (two SideEstimates, overlap classes), set by the first warm run
-        self.refit: Optional[Tuple[Any, Any, Any]] = None
+        #: this generation's stored pilot as the adaptive driver restored
+        #: it, with its refit (a read-only ``PilotMemo``), set by the
+        #: first fully-warm run
+        self.pilot: Optional[Any] = None
 
     def answer(self, requirement: QualityRequirement) -> OptimizationResult:
         return self.optimizer.optimize(self.plans, requirement)

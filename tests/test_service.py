@@ -1569,40 +1569,63 @@ def _warm_start(service, task):
         )
 
 
+def _join_gauges(service):
+    """The /v1/metrics lines a binary run's finish leaves behind."""
+    names = (
+        "repro_join_tuples",
+        "repro_simulated_seconds",
+        "repro_productive_fraction",
+    )
+    return sorted(
+        line
+        for line in service.render_metrics().splitlines()
+        if line.startswith(names)
+    )
+
+
 class TestRefitMemo:
-    """A fully-warm execute reuses its generation's refit (DESIGN §6.4)."""
+    """A fully-warm execute reuses its generation's restored pilot and
+    refit (DESIGN §6.4)."""
 
     def test_memoized_executes_equal_fresh_refits(
         self, two_round_service, hq_ex_task, tmp_path, monkeypatch
     ):
         warmed = two_round_service
         calls = []
+        restores = []
         estimate_side = adaptive.estimate_side
+        restore = adaptive.restore_execution
 
         def counting(observations, *args, **kwargs):
             calls.append(observations.relation)
             return estimate_side(observations, *args, **kwargs)
 
+        def counting_restore(executor, snapshot):
+            restores.append(snapshot["algorithm"])
+            return restore(executor, snapshot)
+
         monkeypatch.setattr(adaptive, "estimate_side", counting)
+        monkeypatch.setattr(adaptive, "restore_execution", counting_restore)
 
         def serve(service, grid):
             """Warm-execute *grid* and compare each reply with a driver
-            whose warm start has no shared source; returns the refits the
-            service ran."""
+            whose warm start has no shared source; returns the refits and
+            restores the service ran."""
             reference_warm = _warm_start(service, hq_ex_task)
-            refits = []
+            refits, restored = [], []
             for good, bad in grid:
                 request = JoinRequest(tau_good=good, tau_bad=bad)
                 fresh = _driver(hq_ex_task, warm_start=reference_warm).run(
                     request.requirement
                 )
                 expected = response_json(service._response(request, fresh))
-                before = len(calls)
+                before, restored_before = len(calls), len(restores)
                 answer = service.execute(request)
                 refits.extend(calls[before:])
+                restored.extend(restores[restored_before:])
                 assert answer["pilot_fresh_documents"] == 0
                 assert response_json(answer) == expected
-            return refits
+            return refits, restored
 
         with JoinService(
             hq_ex_task,
@@ -1612,18 +1635,155 @@ class TestRefitMemo:
         ) as service:
             # SHARED_GRID is perfbench's EXECUTE_GRID: 21 requirements.
             assert len(SHARED_GRID) == 21
-            assert sorted(serve(service, SHARED_GRID)) == ["EX", "HQ"]
+            refits, restored = serve(service, SHARED_GRID)
+            assert sorted(refits) == ["EX", "HQ"]
+            assert restored == ["IndependentJoin"]
             (key,) = list(service.plan_cache._entries)
-            memo = service.plan_cache.space_for(key).refit
+            memo = service.plan_cache.space_for(key).pilot
             assert memo is not None
-            # A store write bumps the generation: one new refit, then memo.
+            # The memo holds no per-request object and was never extended.
+            report = memo.execution.report
+            assert report.observability is None and report.resilience is None
+            stored = _warm_start(service, hq_ex_task).snapshot
+            state = memo.execution.state
+            assert len(state.left) == len(stored["left"])
+            assert len(state.right) == len(stored["right"])
+            assert report.documents_processed == {
+                int(side): count for side, count in stored["processed"].items()
+            }
+            # A store write bumps the generation: one new restore and
+            # refit, then memo.
             with service._store_lock:
                 del service.store.tasks[service.signature]
             assert service.execute(JoinRequest(20, 40))["warm_started"] is False
-            assert sorted(serve(service, SHARED_GRID[::4])) == ["EX", "HQ"]
+            refits, restored = serve(service, SHARED_GRID[::4])
+            assert sorted(refits) == ["EX", "HQ"]
+            assert restored == ["IndependentJoin"]
             (new_key,) = list(service.plan_cache._entries)
             assert new_key.generation > key.generation
-            assert service.plan_cache.space_for(new_key).refit is not memo
+            assert service.plan_cache.space_for(new_key).pilot is not memo
+
+    def test_deadline_at_optimize_matches_the_restore_path(
+        self, two_round_service, hq_ex_task, tmp_path
+    ):
+        from repro.robustness import CheckpointManager, DeadlineExceeded
+
+        expirations = []
+        for memoized in (False, True):
+            root = tmp_path / f"memoized-{memoized}"
+            with JoinService(
+                hq_ex_task,
+                _store_copy(two_round_service, root / "store"),
+                workers=1,
+                pilot_documents=PILOT,
+                clock=_TickingClock(step=1.0),
+                checkpoints=CheckpointManager(str(root / "ckpt")),
+            ) as service:
+                if memoized:
+                    service.execute(JoinRequest(20, 40))
+                    (key,) = list(service.plan_cache._entries)
+                    assert service.plan_cache.space_for(key).pilot is not None
+                # Passes the queue check, expires before the first round.
+                with pytest.raises(DeadlineExceeded) as caught:
+                    service.execute(
+                        JoinRequest(TAU_GOOD, TAU_BAD, deadline_ms=4500.0)
+                    )
+                stored = _warm_start(service, hq_ex_task).snapshot
+            expired = caught.value
+            assert expired.phase == "optimize"
+            assert expired.where == "adaptive.optimize"
+            partial = dict(expired.partial)
+            path = pathlib.Path(partial.pop("checkpoint_path"))
+            checkpoint = json.loads(path.read_text())
+            assert checkpoint == stored
+            expirations.append((partial, checkpoint))
+        assert expirations[0] == expirations[1]
+
+    @pytest.mark.parametrize("requirement", [(TAU_GOOD, TAU_BAD), (600, 15)])
+    def test_memo_path_leaves_the_join_gauges(
+        self, two_round_service, hq_ex_task, tmp_path, requirement
+    ):
+        gauges = []
+        for memoized in (False, True):
+            with JoinService(
+                hq_ex_task,
+                _store_copy(two_round_service, tmp_path / f"m-{memoized}"),
+                workers=1,
+                pilot_documents=PILOT,
+            ) as service:
+                if memoized:
+                    service.execute(JoinRequest(10, 60))
+                answer = service.execute(JoinRequest(*requirement))
+                assert answer["pilot_fresh_documents"] == 0
+                gauges.append((answer["feasible"], _join_gauges(service)))
+        assert gauges[0] == gauges[1]
+        assert gauges[0][1], "no join gauges in /v1/metrics"
+        feasible = gauges[0][0]
+        assert feasible is (requirement == (TAU_GOOD, TAU_BAD))
+
+
+class TestBinaryExecuteEvents:
+    """A binary execute counts its work on its wide event (DESIGN §6.3)."""
+
+    def test_execute_counts_its_work_on_the_event(
+        self, two_round_service, hq_ex_task, tmp_path
+    ):
+        traces = tmp_path / "traces"
+        results = []
+        with JoinService(
+            hq_ex_task,
+            _store_copy(two_round_service, tmp_path / "store"),
+            workers=1,
+            pilot_documents=PILOT,
+            trace_dir=str(traces),
+            trace_sample=1,
+        ) as service:
+            absorb = service._absorb
+
+            def recording(result, observability):
+                results.append(result)
+                absorb(result, observability)
+
+            service._absorb = recording
+            # The first warm execute restores the pilot, the second reads
+            # the memo.
+            answers = [
+                service.execute(JoinRequest(TAU_GOOD, TAU_BAD))
+                for _ in range(2)
+            ]
+            events = sorted(
+                service.debug_requests(mode="execute"), key=lambda e: e["id"]
+            )
+        assert response_json(answers[0]) == response_json(answers[1])
+        for event, answer, result in zip(events, answers, results):
+            counters = event["counters"]
+            assert sorted(result.work) == [
+                "accesses",
+                "documents_processed",
+                "documents_rejected",
+                "documents_retrieved",
+                "tuples_extracted",
+            ]
+            assert {k: counters[k] for k in result.work} == result.work
+            assert counters["documents_processed"] == sum(
+                answer["documents_processed"].values()
+            )
+            assert counters["accesses"] >= counters["documents_retrieved"] > 0
+        restored, memoized = events
+        assert restored["counters"] == memoized["counters"]
+        # A memo-served execute does no pilot work.
+        assert "pilot" in restored["phases"]
+        assert "pilot" not in memoized["phases"]
+        written = sorted(traces.glob("request-*.jsonl"))
+        assert len(written) == 2
+        for trace in written:
+            kinds = {
+                json.loads(line)["kind"]
+                for line in trace.read_text().splitlines()
+            }
+            assert not kinds & {
+                "retrieval.document", "extraction.document", "join.round"
+            }, kinds
 
 
 class TestSnapshotReuse:

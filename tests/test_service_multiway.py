@@ -9,6 +9,7 @@ graph payload to a structured 4xx, never a 500.
 """
 
 import json
+import urllib.parse
 
 import pytest
 
@@ -200,6 +201,26 @@ class TestMultiwayService:
         assert (shed["task"], shed["signature"]) == identity
         assert service.task.name not in identity
 
+    def test_debug_requests_filter_on_identity(self, multiway_service):
+        service, scenario, _ = multiway_service
+        graph = scenario.graph
+        service.execute(JoinRequest(tau_good=40, tau_bad=10**6))
+        service.execute(JoinRequest.from_payload(star3_payload()))
+        for key, binary, star3 in (
+            ("signature", service.signature, graph.signature()),
+            ("task", service.task.name, graph.describe()),
+        ):
+            for value in (binary, star3):
+                events = service.debug_requests(limit=1000, **{key: value})
+                assert events and {e[key] for e in events} == {value}
+            assert service.debug_requests(**{key: "no-such"}) == []
+        binary_events = service.debug_requests(
+            limit=1000, signature=service.signature
+        )
+        assert not [
+            e for e in binary_events if e["signature"].startswith("mwg:")
+        ]
+
     def test_execute_counts_per_access_work_on_its_event(
         self, hq_ex_task, multiway_service, tmp_path, monkeypatch
     ):
@@ -309,6 +330,22 @@ class TestMultiwayHTTP:
         )
         assert status == 409
         assert "unknown relation alias" in body["error"]
+
+    def test_debug_requests_filter_on_identity(self, served, multiway_service):
+        base, scenario = served
+        service = multiway_service[0]
+        status, _ = request_json(base, "join", star3_payload())
+        assert status == 200
+        for key, value in (
+            ("signature", scenario.graph.signature()),
+            ("task", service.task.name),
+        ):
+            query = urllib.parse.urlencode({key: value, "limit": 1000})
+            status, body = request_json(base, f"debug/requests?{query}")
+            assert status == 200
+            expected = service.debug_requests(limit=1000, **{key: value})
+            assert body["requests"] == expected
+            assert {e[key] for e in body["requests"]} <= {value}
 
     def test_metrics_expose_planner_events(self, served):
         base, _ = served
