@@ -565,15 +565,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         queue_limit=args.queue_limit,
         pilot_documents=args.pilot,
         margin=args.margin,
-        trace_dir=args.trace_dir,
         checkpoints=checkpoints,
         fault_profile=None if profile.disabled else profile,
         slo=args.slo,
         flight_capacity=args.flight_capacity,
         flight_spill=args.flight_spill,
         trace_sample=args.trace_sample,
-        trace_keep=args.trace_keep,
-        trace_grace=args.trace_grace,
         multiway=multiway,
     )
     if service.pruned_checkpoints:
@@ -1069,37 +1066,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--margin", type=float, default=0.3)
     serve.add_argument(
-        "--trace-dir",
-        default=None,
-        metavar="DIR",
-        help=(
-            "write tail-sampled traces into DIR (errors, 504s and slow "
-            "requests always; the boring rest 1-in---trace-sample)"
-        ),
-    )
-    serve.add_argument(
         "--trace-sample",
         type=int,
         default=10,
         metavar="N",
-        help="keep 1-in-N boring (ok/fast) requests in traces and the "
-        "flight recorder (default 10; 1 keeps everything)",
-    )
-    serve.add_argument(
-        "--trace-keep",
-        type=int,
-        default=None,
-        metavar="N",
-        help="keep at most N trace files per format in --trace-dir",
-    )
-    serve.add_argument(
-        "--trace-grace",
-        type=float,
-        default=30.0,
-        help=(
-            "never prune trace files younger than this many seconds "
-            "(default 30)"
-        ),
+        help="keep the spans of 1-in-N boring (ok/fast) requests in the "
+        "flight recorder (default 10; 1 keeps everything); errors, 504s "
+        "and slow requests are always kept",
     )
     serve.add_argument(
         "--slo",
@@ -1123,7 +1096,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--flight-spill",
         default=None,
         metavar="PATH",
-        help="append kept wide events as JSONL to PATH",
+        help="append kept wide events, with their spans, as JSONL to PATH",
     )
     serve.add_argument(
         "--checkpoint-dir",

@@ -111,28 +111,6 @@ class ResilienceReport:
 
 
 @dataclass
-class ObservabilityReport:
-    """Telemetry summary of one join execution.
-
-    Produced by :mod:`repro.observability` when an execution runs with an
-    observability context; ``None`` on an ExecutionReport means the
-    execution ran with telemetry disabled (the no-op, byte-identical
-    path).  ``counters`` flattens every counter/gauge the run touched
-    (``name{labels} -> value``); ``drift_snapshots`` carries the
-    estimator-drift series as plain dicts (one per MLE refit).
-    """
-
-    #: finished spans recorded during the execution
-    spans: int = 0
-    #: instant events (drift snapshots, breaker transitions, ...)
-    events: int = 0
-    #: flattened metric values at report time
-    counters: Dict[str, float] = field(default_factory=dict)
-    #: estimator-drift snapshots (dicts; see DriftSnapshot.to_dict)
-    drift_snapshots: Tuple[Dict[str, float], ...] = ()
-
-
-@dataclass
 class ExecutionReport:
     """Everything a finished join execution reports back.
 
@@ -152,8 +130,6 @@ class ExecutionReport:
     exhausted: bool = False
     #: fault/retry/breaker accounting (None when run without resilience)
     resilience: Optional[ResilienceReport] = None
-    #: tracing/metrics/drift summary (None when run without observability)
-    observability: Optional[ObservabilityReport] = None
 
     def metrics(self, reachable_good: Optional[int] = None) -> QualityMetrics:
         return QualityMetrics.from_composition(self.composition, reachable_good)

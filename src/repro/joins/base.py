@@ -10,9 +10,10 @@ All three algorithms (IDJN, OIJN, ZGJN):
 * account simulated time through :class:`~repro.joins.costs.CostModel`;
 * feed an :class:`~repro.joins.stats_collector.ObservationCollector` so the
   optimizer can refine parameter estimates mid-flight (Section VI);
-* count their work instead of spanning it: no span per round or document,
-  processed documents and extracted tuples added to the metrics once per
-  side per run, and session totals from ``work_counters()``.
+* count their work instead of spanning it: no span per round, document
+  or keyword query; processed documents, held tuples and each query
+  probe's queries and documents added to the metrics once per run, and
+  session totals from ``work_counters()``.
 
 Executors also accept per-side *budgets* (maximum documents to process or
 queries to issue).  Budgets are how the analytical-model validation sweeps
@@ -24,7 +25,16 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional, Protocol, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    NamedTuple,
+    Optional,
+    Protocol,
+    Tuple,
+)
 
 from ..core.preferences import QualityRequirement
 from ..core.quality import ExecutionReport, TimeBreakdown
@@ -32,6 +42,12 @@ from ..core.relation import JoinComposition, JoinState
 from ..core.types import ExtractedTuple
 from ..extraction.base import Extractor
 from ..observability.context import ObservabilityContext, ensure_observability
+from ..retrieval.queries import (
+    ProbeTally,
+    QueryProbe,
+    probe_tally,
+    publish_probe_work,
+)
 from ..robustness.context import ResilienceContext
 from ..textdb.database import TextDatabase
 from ..validation.invariants import active_checker
@@ -133,6 +149,15 @@ class JoinSession:
     processed: Dict[int, int] = field(default_factory=lambda: {1: 0, 2: 0})
 
 
+class RunTally(NamedTuple):
+    """An executor's counts at the start of a run, for its metric deltas."""
+
+    #: per side: (documents processed, tuples held) by the session
+    sides: Dict[int, Tuple[int, int]]
+    #: per keyword-query probe (see :func:`~repro.retrieval.queries.probe_tally`)
+    probes: ProbeTally
+
+
 def publish_join_gauges(
     metrics: Any,
     composition: JoinComposition,
@@ -200,7 +225,7 @@ class JoinAlgorithm(abc.ABC):
     #: short label for metrics; concrete executors override
     algorithm = "join"
 
-    def _tally(self) -> Dict[int, Tuple[int, int]]:
+    def _held(self) -> Dict[int, Tuple[int, int]]:
         """Per side: (documents processed, tuples held) by the session."""
         session = self.session
         state = session.state
@@ -209,16 +234,24 @@ class JoinAlgorithm(abc.ABC):
             2: (session.processed[2], len(state.right)),
         }
 
+    def _tally(self) -> RunTally:
+        """The counts a run's metrics are deltas from, taken at its start."""
+        return RunTally(self._held(), probe_tally(self._query_probes()))
+
+    @abc.abstractmethod
+    def _query_probes(self) -> Iterable[Optional[QueryProbe]]:
+        """The keyword-query probes this executor searches through."""
+
     def _work(self, accesses: int, retrieved: int, rejected: int) -> Dict[str, float]:
         """Work totals for a wide event, from the executor's own access
         counts and the session's processed documents and held tuples."""
-        tally = self._tally()
+        held = self._held().values()
         return {
             "accesses": float(accesses),
             "documents_retrieved": float(retrieved),
             "documents_rejected": float(rejected),
-            "documents_processed": float(sum(d for d, _ in tally.values())),
-            "tuples_extracted": float(sum(t for _, t in tally.values())),
+            "documents_processed": float(sum(d for d, _ in held)),
+            "tuples_extracted": float(sum(t for _, t in held)),
         }
 
     @abc.abstractmethod
@@ -273,7 +306,7 @@ class JoinAlgorithm(abc.ABC):
         documents_filtered: Dict[int, int],
         queries_issued: Dict[int, int],
         exhausted: bool,
-        tally: Dict[int, Tuple[int, int]],
+        tally: RunTally,
     ) -> JoinExecution:
         """The run's report; *tally* is :meth:`_tally` at the run's start."""
         checker = active_checker()
@@ -300,19 +333,20 @@ class JoinAlgorithm(abc.ABC):
             comp = state.composition
             metrics = observability.metrics
             # Once per side per run, not once per document (DESIGN §6.3).
-            for side, (documents, tuples) in self._tally().items():
-                processed = documents - tally[side][0]
+            for side, (documents, tuples) in self._held().items():
+                processed = documents - tally.sides[side][0]
                 if processed:
                     metrics.counter(
                         "repro_documents_processed_total",
                         side=side,
                         algorithm=self.algorithm,
                     ).inc(processed)
-                extracted = tuples - tally[side][1]
+                extracted = tuples - tally.sides[side][1]
                 if extracted:
                     metrics.counter(
                         "repro_tuples_extracted_total", side=side
                     ).inc(extracted)
+            publish_probe_work(metrics, tally.probes)
             publish_join_gauges(metrics, comp, time.total, collector)
         report = ExecutionReport(
             composition=state.composition,
@@ -339,9 +373,6 @@ class JoinAlgorithm(abc.ABC):
             exhausted=exhausted,
             resilience=(
                 self.resilience.report() if self.resilience is not None else None
-            ),
-            observability=(
-                observability.report() if observability.enabled else None
             ),
         )
         return JoinExecution(state=state, report=report, observations=collector)

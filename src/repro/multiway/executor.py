@@ -13,11 +13,14 @@ stay in lockstep on the time axis and no binary intermediate result is
 ever materialized.
 
 Per-document work is counted, not traced: an executor opens no span
-per round (an interleaved round is one document), document or database
-access.
-Processed documents and extracted tuples go to
+per round (an interleaved round is one document), document, keyword
+query or database access.
+Processed documents and held tuples go to
 ``repro_documents_processed_total`` / ``repro_tuples_extracted_total``
-once per side per run, and :meth:`MultiwayIndependentJoin.work_counters`
+once per side per run (the same meaning as in the binary executors and
+the report's ``tuples_extracted``), an AQG side's queries and documents
+to ``repro_queries_issued_total`` / ``repro_probe_documents_total`` once
+per run, and :meth:`MultiwayIndependentJoin.work_counters`
 totals every side's database accesses, retrieved, rejected and processed
 documents and tuples for the request's wide event.
 """
@@ -36,6 +39,7 @@ from ..joins.costs import SideCosts
 from ..joins.stats_collector import RelationObservations
 from ..observability.context import ObservabilityContext, ensure_observability
 from ..retrieval.base import DocumentRetriever
+from ..retrieval.queries import probe_tally, publish_probe_work
 from ..textdb.database import TextDatabase
 from .state import TreeJoinState
 
@@ -121,8 +125,6 @@ class MultiwayIndependentJoin:
         }
         self.observability = ensure_observability(observability)
         self.processed: Dict[int, int] = {i + 1: 0 for i in range(len(sides))}
-        #: tuples extracted per side, per-document duplicates included
-        self.extracted: Dict[int, int] = {i + 1: 0 for i in range(len(sides))}
         self.on_progress: Optional[
             Callable[[TreeJoinState, TimeBreakdown], None]
         ] = None
@@ -164,7 +166,6 @@ class MultiwayIndependentJoin:
         self.time.add(processing_charge)
         self.side_time[index + 1] += processing_charge.total
         self.processed[index + 1] += 1
-        self.extracted[index + 1] += len(tuples)
         self.observations[index].record_document(tuples)
         self.state.add(index + 1, tuples)
 
@@ -177,7 +178,8 @@ class MultiwayIndependentJoin:
     ) -> MultiwayExecution:
         observability = self.observability
         processed_before = dict(self.processed)
-        extracted_before = dict(self.extracted)
+        held_before = self._held()
+        probes_before = probe_tally(side.retriever.probe for side in self.sides)
         while True:
             est_good, est_bad = self.estimator.estimate(self.state)
             if requirement.good_met(est_good) or requirement.bad_exceeded(
@@ -196,6 +198,7 @@ class MultiwayIndependentJoin:
         comp = self.state.composition
         if observability.enabled:
             metrics = observability.metrics
+            held = self._held()
             # Once per side per run, not once per document.
             for side in self.processed:
                 processed = self.processed[side] - processed_before[side]
@@ -205,11 +208,12 @@ class MultiwayIndependentJoin:
                         side=side,
                         algorithm=self.algorithm,
                     ).inc(processed)
-                tuples = self.extracted[side] - extracted_before[side]
+                tuples = held[side] - held_before[side]
                 if tuples:
                     metrics.counter(
                         "repro_tuples_extracted_total", side=side
                     ).inc(tuples)
+            publish_probe_work(metrics, probes_before)
             metrics.gauge("repro_join_tuples", label="good").set(comp.n_good)
             metrics.gauge("repro_join_tuples", label="bad").set(comp.n_bad)
             metrics.gauge("repro_simulated_seconds", component="total").set(
@@ -236,19 +240,13 @@ class MultiwayIndependentJoin:
                 i + 1: side.retriever.counters.queries_issued
                 for i, side in enumerate(self.sides)
             },
-            tuples_extracted={
-                i + 1: len(self.state.relation(i + 1))
-                for i in range(len(self.sides))
-            },
+            tuples_extracted=self._held(),
             satisfied=(
                 None
                 if requirement is UNLIMITED
                 else requirement.satisfied_by(comp.n_good, comp.n_bad)
             ),
             exhausted=all(side.retriever.exhausted for side in self.sides),
-            observability=(
-                observability.report() if observability.enabled else None
-            ),
         )
         return MultiwayExecution(
             state=self.state, report=report, observations=self.observations
@@ -267,12 +265,14 @@ class MultiwayIndependentJoin:
             "documents_retrieved": float(sum(c.retrieved for c in counters)),
             "documents_rejected": float(sum(c.rejected for c in counters)),
             "documents_processed": float(sum(self.processed.values())),
-            "tuples_extracted": float(
-                sum(
-                    len(self.state.relation(i + 1))
-                    for i in range(len(self.sides))
-                )
-            ),
+            "tuples_extracted": float(sum(self._held().values())),
+        }
+
+    def _held(self) -> Dict[int, int]:
+        """Tuples the join state holds per side (1-based)."""
+        return {
+            i + 1: len(self.state.relation(i + 1))
+            for i in range(len(self.sides))
         }
 
 

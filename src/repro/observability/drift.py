@@ -14,9 +14,10 @@ pairing
   built one, so a snapshot shows not just the point estimate but the shape
   the optimizer believed.
 
-Snapshots are plain data, surfaced on the
-:class:`~repro.core.quality.ObservabilityReport` and in the JSONL trace
-(as ``drift.snapshot`` instant events).
+Snapshots are plain data, read from :attr:`DriftTracker.snapshots`, mirrored
+into the trace as ``drift.snapshot`` instant events (so a kept service
+request's wide event carries them among its spans), and summarized by the
+last snapshot's errors in the wide event's ``drift`` field.
 """
 
 from __future__ import annotations

@@ -13,9 +13,12 @@ request finishes, when its outcome and latency are known.  Errors,
 deadline 504s, and sheds are always kept; requests slower than the
 rolling p99 are kept; the boring majority is down-sampled 1-in-N
 (deterministically, by request id, so reruns keep the same events).
-Kept events are appended to a JSONL *spill* file so a crash does not
-lose the interesting tail, and only kept events retain their span
-records — cheap to observe everything, expensive detail on demand.
+Only kept events retain their span records — cheap to observe
+everything, expensive detail on demand — and a kept event is the one
+per-request record: ``GET /v1/debug/requests/<id>`` nests its spans into
+a tree, and the JSONL *spill* file (so a crash does not lose the
+interesting tail) gets one line per kept event, the event with its flat
+span records under ``spans``.
 """
 
 from __future__ import annotations
@@ -160,8 +163,9 @@ class FlightRecorder:
 
     Every event enters the ring (so ``/v1/debug/requests`` shows the
     recent past regardless of sampling); only *kept* events retain span
-    records and are appended to the spill file.  All methods are
-    thread-safe: the service's worker pool records concurrently.
+    records and are appended, spans included, to the spill file.  All
+    methods are thread-safe: the service's worker pool records
+    concurrently.
     """
 
     def __init__(
@@ -208,12 +212,13 @@ class FlightRecorder:
             )
             if keep is not None:
                 self._kept_total += 1
-                if spans:
-                    self._spans[event.id] = list(spans)
+                kept = list(spans) if spans else []
+                if kept:
+                    self._spans[event.id] = kept
                     while len(self._spans) > self.capacity:
                         self._spans.popitem(last=False)
                 if self.spill_path is not None:
-                    self._spill(payload)
+                    self._spill({**payload, "spans": kept})
             return keep
 
     def _spill(self, payload: Dict[str, Any]) -> None:

@@ -4,7 +4,7 @@ The tracer is deliberately dependency-free: spans are plain dicts
 accumulated in memory, written out on demand as
 
 * a JSONL event log (one JSON object per line — greppable, schema-checked
-  in CI against ``tests/trace_schema.json``), and
+  in CI against the span record of ``tests/event_schema.json``), and
 * a Chrome trace (``chrome://tracing`` / Perfetto ``traceEvents`` format),
   so a join execution can be inspected on a real timeline.
 
@@ -28,8 +28,6 @@ from typing import Any, Dict, List, Optional
 class SpanKind:
     """The span taxonomy (DESIGN §6.3) — one constant per unit of work."""
 
-    #: one keyword query issued through a :class:`QueryProbe`
-    QUERY_ISSUE = "query.issue"
     #: one candidate plan assessed against a requirement
     PLAN_EVALUATION = "plan.evaluate"
     #: one plan's effort curve built by the evaluation engine

@@ -132,8 +132,8 @@ class PilotMemo(NamedTuple):
     by the first run that restores it (see :meth:`AdaptiveJoinExecutor.run`)
     and read by later fully-warm runs instead of restoring the snapshot
     again.  Read-only: no run resumes, extends or mutates it, and it holds
-    no per-request object (the report carries no observability or
-    resilience report, and no retriever is kept).
+    no per-request object (the report carries no resilience report, and
+    no retriever is kept).
     """
 
     execution: JoinExecution
@@ -788,7 +788,7 @@ class AdaptiveJoinExecutor:
                         JoinExecution(
                             state=pilot.state,
                             report=dataclasses.replace(
-                                pilot.report, observability=None, resilience=None
+                                pilot.report, resilience=None
                             ),
                             observations=pilot.observations,
                         ),

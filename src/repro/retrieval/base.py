@@ -20,13 +20,16 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterator, Optional, TypeVar
 
 from ..observability.context import ObservabilityContext, ensure_observability
 from ..robustness.context import ResilienceContext
 from ..robustness.degradation import access_path
 from ..textdb.database import TextDatabase
 from ..textdb.document import Document
+
+if TYPE_CHECKING:
+    from .queries import QueryProbe
 
 T = TypeVar("T")
 
@@ -58,6 +61,10 @@ class DocumentRetriever(abc.ABC):
     #: Whether every retrieved document passes through a classifier (and so
     #: is charged filtering time tF by the execution-time model).
     filters_documents: bool = False
+
+    #: The keyword-query probe the strategy searches through (AQG only);
+    #: executors publish its query counts once per run.
+    probe: Optional["QueryProbe"] = None
 
     def __init__(
         self,

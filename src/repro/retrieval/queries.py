@@ -11,11 +11,10 @@ statistics the models need — hit count ``H(q)`` and precision ``P(q)``
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from ..core.types import DocumentClass
-from ..observability.context import ObservabilityContext, ensure_observability
-from ..observability.tracer import SpanKind
+from ..observability.metrics import MetricsRegistry
 from ..robustness.context import AccessFailedError, ResilienceContext
 from ..robustness.degradation import access_path
 from ..textdb.database import TextDatabase
@@ -116,16 +115,16 @@ class QueryProbe:
         self,
         database: TextDatabase,
         resilience: Optional[ResilienceContext] = None,
-        observability: Optional[ObservabilityContext] = None,
     ) -> None:
         self.database = database
         self.seen: Set[int] = set()
         self.queries_issued = 0
         self.documents_retrieved = 0
+        #: matches already seen or whose fetch failed (not checkpointed)
+        self.duplicates = 0
         #: database calls attempted, searches and fetches (not checkpointed)
         self.accesses = 0
         self.resilience = resilience
-        self.observability = ensure_observability(observability)
         self._issued: Set[Tuple[str, ...]] = set()
 
     def already_issued(self, query: Query) -> bool:
@@ -156,48 +155,61 @@ class QueryProbe:
         search access fails — deliberately distinct from returning ``[]``
         (a successful query that matched nothing new).
         """
-        observability = self.observability
-        with observability.span(
-            SpanKind.QUERY_ISSUE,
-            f"query.{self.database.name}",
-            database=self.database.name,
-            query=query.describe(),
-        ) as span:
-            match_ids = self._access(
-                "search", lambda: self.database.search(query.tokens)
-            )
-            # Only a search that actually answered counts as issued.
-            self.queries_issued += 1
-            self._issued.add(query.tokens)
-            fresh: List[Document] = []
-            for doc_id in match_ids:
-                if doc_id in self.seen:
-                    continue
-                try:
-                    doc = self._access(
-                        "fetch", lambda: self.database.get(doc_id)
-                    )
-                except AccessFailedError:
-                    if self.resilience is not None:
-                        self.resilience.documents_lost += 1
-                    continue
-                self.seen.add(doc_id)
-                self.documents_retrieved += 1
-                fresh.append(doc)
-            span.set(matches=len(match_ids), fresh=len(fresh))
-        if observability.enabled:
-            metrics = observability.metrics
-            metrics.counter(
-                "repro_queries_issued_total", database=self.database.name
-            ).inc()
-            metrics.counter(
-                "repro_probe_documents_total",
-                database=self.database.name,
-                result="fresh",
-            ).inc(len(fresh))
-            metrics.counter(
-                "repro_probe_documents_total",
-                database=self.database.name,
-                result="duplicate",
-            ).inc(len(match_ids) - len(fresh))
+        match_ids = self._access(
+            "search", lambda: self.database.search(query.tokens)
+        )
+        # Only a search that actually answered counts as issued.
+        self.queries_issued += 1
+        self._issued.add(query.tokens)
+        fresh: List[Document] = []
+        for doc_id in match_ids:
+            if doc_id in self.seen:
+                continue
+            try:
+                doc = self._access("fetch", lambda: self.database.get(doc_id))
+            except AccessFailedError:
+                if self.resilience is not None:
+                    self.resilience.documents_lost += 1
+                continue
+            self.seen.add(doc_id)
+            self.documents_retrieved += 1
+            fresh.append(doc)
+        self.duplicates += len(match_ids) - len(fresh)
         return fresh
+
+
+#: a probe's (queries issued, fresh documents, duplicate matches)
+ProbeTally = Dict[QueryProbe, Tuple[int, int, int]]
+
+
+def probe_tally(probes: Iterable[Optional[QueryProbe]]) -> ProbeTally:
+    """Each probe's counts now; ``None`` entries (no probe) are skipped."""
+    return {
+        probe: (probe.queries_issued, probe.documents_retrieved, probe.duplicates)
+        for probe in probes
+        if probe is not None
+    }
+
+
+def publish_probe_work(metrics: MetricsRegistry, before: ProbeTally) -> None:
+    """Add what each probe did since *before* to the query counters.
+
+    Called once per executor run (DESIGN §6.3): a keyword query is
+    counted here, not spanned.
+    """
+    for probe, (queries, fresh, duplicates) in before.items():
+        database = probe.database.name
+        if probe.queries_issued > queries:
+            metrics.counter(
+                "repro_queries_issued_total", database=database
+            ).inc(probe.queries_issued - queries)
+        for result, now, then in (
+            ("fresh", probe.documents_retrieved, fresh),
+            ("duplicate", probe.duplicates, duplicates),
+        ):
+            if now > then:
+                metrics.counter(
+                    "repro_probe_documents_total",
+                    database=database,
+                    result=result,
+                ).inc(now - then)

@@ -387,11 +387,6 @@ class CheckpointManager:
     concurrent writer's freshly-replaced checkpoint (or one mid-rename
     from its ``.tmp``) must never be collected by another process's
     startup prune racing against it.
-
-    ``suffix`` generalizes the manager beyond checkpoints: the serving
-    layer reuses the same count/age/grace retention for sampled trace
-    files (``.jsonl`` / ``.chrome.json``) so traces cannot accumulate
-    unboundedly either.
     """
 
     SUFFIX = ".ckpt.json"
@@ -403,7 +398,6 @@ class CheckpointManager:
         max_age: Optional[float] = None,
         clock: Callable[[], float] = time.time,
         grace: float = 0.0,
-        suffix: Optional[str] = None,
     ) -> None:
         if max_count is not None and max_count < 0:
             raise ValueError("max_count must be non-negative")
@@ -416,13 +410,12 @@ class CheckpointManager:
         self.max_count = max_count
         self.max_age = max_age
         self.grace = grace
-        self.suffix = suffix if suffix is not None else self.SUFFIX
         #: time source for the age-based retention cutoff; injected so
         #: pruning decisions are deterministic under test
         self.clock = clock
 
     def path_of(self, name: str) -> str:
-        return str(self.directory / f"{name}{self.suffix}")
+        return str(self.directory / f"{name}{self.SUFFIX}")
 
     def save(self, executor: JoinAlgorithm, name: str) -> str:
         """Checkpoint *executor* under *name*; prune, then return the path.
@@ -454,14 +447,14 @@ class CheckpointManager:
     def list(self) -> List[CheckpointInfo]:
         """Managed checkpoints, oldest first."""
         infos: List[CheckpointInfo] = []
-        for path in self.directory.glob(f"*{self.suffix}"):
+        for path in self.directory.glob(f"*{self.SUFFIX}"):
             try:
                 stat = path.stat()
             except OSError:
                 continue
             infos.append(
                 CheckpointInfo(
-                    name=path.name[: -len(self.suffix)],
+                    name=path.name[: -len(self.SUFFIX)],
                     path=str(path),
                     modified=stat.st_mtime,
                     size=stat.st_size,

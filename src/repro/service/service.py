@@ -18,10 +18,10 @@ requests through a fixed worker pool:
   interrupted execution, so no worker is ever pinned past the budget;
 * **per-request isolation** — every request runs under its own
   :class:`~repro.robustness.context.ResilienceContext` (fresh breaker
-  state, fresh fault accounting) and, when tracing is enabled, its own
-  :class:`~repro.observability.context.ObservabilityContext` whose trace
-  is written per request and whose metrics merge into the service-level
-  registry;
+  state, fresh fault accounting) and, for an execute, its own
+  :class:`~repro.observability.context.ObservabilityContext` whose spans
+  ride the request's wide event when the tail sampler keeps it and whose
+  metrics merge into the service-level registry;
 * **warm starts** — before running the adaptive optimizer the service
   consults its :class:`~repro.service.store.StatisticsStore`
   (crash-safe, journaled, sharded by corpus fingerprint); a fresh
@@ -60,7 +60,6 @@ import functools
 import itertools
 import json
 import math
-import pathlib
 import queue
 import threading
 import time
@@ -244,7 +243,6 @@ class JoinService:
         max_rounds: int = 2,
         margin: float = 0.3,
         warm_policy: Optional[WarmStartPolicy] = None,
-        trace_dir: Optional[str] = None,
         checkpoints: Optional[CheckpointManager] = None,
         clock: Callable[[], float] = time.time,
         admission: Optional[AdmissionController] = None,
@@ -253,8 +251,6 @@ class JoinService:
         flight_capacity: int = 512,
         flight_spill: Optional[str] = None,
         trace_sample: int = 10,
-        trace_keep: Optional[int] = None,
-        trace_grace: float = 30.0,
         multiway: Optional[Any] = None,
     ) -> None:
         if workers <= 0:
@@ -312,13 +308,8 @@ class JoinService:
                 for config in (plan.extractor1, plan.extractor2)
             ]
         )
-        self.trace_dir = (
-            pathlib.Path(trace_dir) if trace_dir is not None else None
-        )
-        if self.trace_dir is not None:
-            self.trace_dir.mkdir(parents=True, exist_ok=True)
         #: wide-event flight recorder: every request lands in the ring,
-        #: tail sampling decides which keep spans / spill / trace files
+        #: tail sampling decides which keep their spans and are spilled
         self.recorder = FlightRecorder(
             capacity=flight_capacity,
             sampler=TailSampler(sample_every=trace_sample),
@@ -330,19 +321,6 @@ class JoinService:
             SLOConfig.parse(slo if slo is not None else DEFAULT_SLO_SPEC),
             clock=clock,
         )
-        #: sampled trace files share the checkpoint retention logic —
-        #: one manager per trace suffix, pruned after each kept write
-        self._trace_retention: List[CheckpointManager] = []
-        if self.trace_dir is not None and trace_keep is not None:
-            self._trace_retention = [
-                CheckpointManager(
-                    str(self.trace_dir),
-                    max_count=trace_keep,
-                    grace=trace_grace,
-                    suffix=suffix,
-                )
-                for suffix in (".jsonl", ".chrome.json")
-            ]
         #: stale checkpoints are pruned at startup, not left to accrete
         self.checkpoints = checkpoints
         self.pruned_checkpoints: Tuple[str, ...] = ()
@@ -815,26 +793,13 @@ class JoinService:
         spans = (
             observability.tracer.records if observability is not None else None
         )
-        kept = self.recorder.record(event, spans=spans)
+        self.recorder.record(event, spans=spans)
         self.slo.observe(
             latency=event.total_seconds,
             available=status in ("ok", "degraded"),
             request_id=request_id,
             now=finished,
         )
-        if (
-            kept is not None
-            and observability is not None
-            and self.trace_dir is not None
-        ):
-            try:
-                observability.write_trace(
-                    str(self.trace_dir / f"request-{request_id}.jsonl")
-                )
-            except OSError:
-                return  # losing a trace must not mask the response
-            for manager in self._trace_retention:
-                manager.prune()
 
     def _handle_execute(
         self,
@@ -907,8 +872,8 @@ class JoinService:
         self._absorb(result, observability)
         if observability is not None:
             observability.work.update(result.work)
-            # Trace files are written later, only for events the tail
-            # sampler keeps (see _finish_event); metrics always merge.
+            # Spans stay on the wide event only when the tail sampler
+            # keeps it (see _finish_event); metrics always merge.
             with self._metrics_lock:
                 self.metrics.merge(observability.metrics.export_state())
         return self._response(request, result)
@@ -1453,7 +1418,6 @@ class JoinService:
                 checkpoint_prune=(
                     "on" if self.checkpoints is not None else "off"
                 ),
-                trace_prune="on" if self._trace_retention else "off",
                 warm_start="on" if self._warm_available else "off",
             ).set(1)
             self.metrics.gauge("repro_service_queue_depth").set(

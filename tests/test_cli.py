@@ -281,13 +281,18 @@ class TestIntrospectionCommands:
                 "/tmp/spill.jsonl",
                 "--trace-sample",
                 "5",
-                "--trace-keep",
-                "20",
-                "--trace-grace",
-                "10",
             ]
         )
         assert args.slo == "p99=2s"
         assert args.flight_capacity == 128
         assert args.trace_sample == 5
-        assert args.trace_keep == 20
+
+    @pytest.mark.parametrize(
+        "flag", ["--trace-dir", "--trace-keep", "--trace-grace"]
+    )
+    def test_serve_has_no_trace_file_flags(self, flag, capsys):
+        # A served request's spans live only on its kept wide event.
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["serve", flag, "1"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

@@ -12,7 +12,7 @@ import json
 
 import pytest
 
-from validate_trace import validate_file, validate_record
+from validate_events import validate_file, validate_span
 
 from repro.core import QualityRequirement
 from repro.experiments import build_multiway_testbed
@@ -75,7 +75,7 @@ class TestTracer:
     def test_exception_marks_span_and_propagates(self):
         tracer = Tracer()
         with pytest.raises(ValueError):
-            with tracer.span(SpanKind.QUERY_ISSUE, "boom"):
+            with tracer.span(SpanKind.OPTIMIZE, "boom"):
                 raise ValueError("x")
         (record,) = tracer.records
         assert record["attrs"]["error"] == "ValueError"
@@ -114,7 +114,7 @@ class TestTracer:
                 assert event["s"] == "t"
 
     def test_schema_rejects_malformed_records(self):
-        assert validate_record({"type": "span"})  # missing fields
+        assert validate_span({"type": "span"})  # missing fields
         good = {
             "type": "span",
             "kind": "adaptive.pilot",
@@ -127,9 +127,9 @@ class TestTracer:
             "parent": None,
             "attrs": {},
         }
-        assert validate_record(good) == []
-        assert validate_record({**good, "kind": "bogus.kind"})
-        assert validate_record({**good, "attrs": {"x": [1]}})
+        assert validate_span(good) == []
+        assert validate_span({**good, "kind": "bogus.kind"})
+        assert validate_span({**good, "attrs": {"x": [1]}})
 
 
 # ---------------------------------------------------------------------------
@@ -236,9 +236,8 @@ class TestDrift:
         assert kinds == [SpanKind.DRIFT_SNAPSHOT]
         # a snapshot is not a refit: the driver counts refits itself
         assert context.metrics.value("repro_mle_refits_total") == 0
-        report = context.report()
-        assert len(report.drift_snapshots) == 1
-        assert report.drift_snapshots[0]["label"] == "milestone-40"
+        (snapshot,) = context.drift.snapshots
+        assert snapshot.to_dict()["label"] == "milestone-40"
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +258,8 @@ class TestDisabledPath:
         NULL_OBSERVABILITY.counter("repro_c").inc()
         NULL_OBSERVABILITY.record_drift()
         assert NULL_OBSERVABILITY.tracer.records == []
-        assert NULL_OBSERVABILITY.report().spans == 0
+        assert NULL_OBSERVABILITY.drift.snapshots == ()
+        assert NULL_OBSERVABILITY.metrics.render() == ""
 
     def _scan_run(self, task, observability):
         inputs = task.inputs()
@@ -346,9 +346,8 @@ class TestInstrumentation:
         assert sum(report.documents_processed.values()) > sum(
             first.report.documents_processed.values()
         )
-        # no span per round or document; OIJN/ZGJN span only their queries
-        kinds = {r["kind"] for r in observability.tracer.records}
-        assert kinds <= {SpanKind.QUERY_ISSUE}
+        # no span per round, document or keyword query
+        assert observability.tracer.records == []
         # counted once per side per run, summed over the resumed runs
         metrics = observability.metrics
         for side in (1, 2):
@@ -366,6 +365,47 @@ class TestInstrumentation:
         ):
             assert work[name] == sum(getattr(report, name).values())
         assert work["accesses"] >= work["documents_retrieved"] > 0
+
+    @pytest.mark.parametrize("algorithm", ["oijn", "zgjn"])
+    def test_query_probes_are_counted_not_spanned(self, hq_ex_task, algorithm):
+        observability = ObservabilityContext()
+        inputs = hq_ex_task.inputs()
+        if algorithm == "oijn":
+            outer = AQGRetriever(
+                inputs.database1,
+                hq_ex_task.learned_queries1,
+                observability=observability,
+            )
+            executor = OuterInnerJoin(inputs, outer, observability=observability)
+            probes = [outer.probe, executor.probe]
+        else:
+            executor = ZigZagJoin(
+                inputs, hq_ex_task.seed_queries, observability=observability
+            )
+            probes = [executor.probe(1), executor.probe(2)]
+        for documents in (15, 30):
+            executor.run(
+                budgets=Budgets(
+                    max_documents1=documents, max_documents2=documents
+                )
+            )
+        assert not [
+            r for r in observability.tracer.records if r["kind"] == "query.issue"
+        ]
+        metrics = observability.metrics
+        for database in {probe.database.name for probe in probes}:
+            mine = [p for p in probes if p.database.name == database]
+            issued = metrics.value("repro_queries_issued_total", database=database)
+            assert issued == sum(p.queries_issued for p in mine) > 0
+            for result, tally in (
+                ("fresh", lambda p: p.documents_retrieved),
+                ("duplicate", lambda p: p.duplicates),
+            ):
+                assert metrics.value(
+                    "repro_probe_documents_total",
+                    database=database,
+                    result=result,
+                ) == sum(tally(p) for p in mine)
 
     def test_multiway_executor_counts_instead_of_spanning(self):
         scenario = build_multiway_testbed().scenario("star3")
@@ -405,7 +445,7 @@ class TestInstrumentation:
             ) == report.documents_processed[side]
             assert metrics.value(
                 "repro_tuples_extracted_total", side=side
-            ) == join.extracted[side]
+            ) == report.tuples_extracted[side]
             # FS fetches every retrieved document once, rejects the rest
             counters = join.sides[side - 1].retriever.counters
             assert counters.accesses == report.documents_retrieved[side]
@@ -413,7 +453,6 @@ class TestInstrumentation:
                 report.documents_retrieved[side]
                 - report.documents_processed[side]
             )
-            assert join.extracted[side] >= report.tuples_extracted[side]
         work = join.work_counters()
         for name in (
             "documents_retrieved", "documents_processed", "tuples_extracted"
@@ -462,6 +501,16 @@ class TestInstrumentation:
         assert aqg.accesses == (
             report.queries_issued[1] + report.documents_retrieved[1]
         )
+        # counted once per run from the probe, not spanned per query
+        assert observability.tracer.records == []
+        database = sides[0].database.name
+        metrics = observability.metrics
+        assert metrics.value(
+            "repro_queries_issued_total", database=database
+        ) == report.queries_issued[1]
+        assert metrics.value(
+            "repro_probe_documents_total", database=database, result="fresh"
+        ) == report.documents_retrieved[1]
         work = join.work_counters()
         assert work["accesses"] == sum(
             side.retriever.counters.accesses for side in sides
@@ -567,9 +616,8 @@ class TestInstrumentation:
         assert SpanKind.PILOT in kinds
         assert SpanKind.EXECUTE in kinds
         assert kinds.count(SpanKind.DRIFT_SNAPSHOT) == len(snapshots)
-        # The driver's optimizer prunes, and the pruning counters ride the
-        # ExecutionReport out to the caller.
-        counters = result.execution.report.observability.counters
+        # The driver's optimizer prunes, into the run's metrics.
+        counters = observability.metrics.totals()
         assert any(
             name.startswith("repro_plans_pruned_total") for name in counters
         )

@@ -25,6 +25,7 @@ import time
 from dataclasses import replace
 
 import pytest
+from validate_events import validate_file
 
 from repro.core import QualityRequirement
 from repro.optimizer import AdaptiveJoinExecutor, adaptive, enumerate_plans
@@ -656,7 +657,6 @@ class TestHTTPService:
         self, hq_ex_task, warmed_service, tmp_path
     ):
         warmed, cold = warmed_service
-        trace_dir = tmp_path / "traces"
         # A second service over the *same* store file: it inherits the
         # warm statistics, so its execute requests replay the pilot.
         service = JoinService(
@@ -664,7 +664,6 @@ class TestHTTPService:
             str(warmed.store.root),
             workers=2,
             pilot_documents=PILOT,
-            trace_dir=str(trace_dir),
         )
         server = serve_async(service)
         base = f"http://127.0.0.1:{server.server_address[1]}"
@@ -701,8 +700,12 @@ class TestHTTPService:
             assert status == 200
             assert "repro_service_requests_total" in text
 
-            traces = sorted(trace_dir.glob("request-*.jsonl"))
-            assert traces, "per-request traces should have been written"
+            # The 1-in-10 sampler keeps request 1, the execute, with its
+            # spans.
+            status, single = request_json(base, "debug/requests/1")
+            assert status == 200 and single["mode"] == "execute"
+            assert single["keep"] == "sampled"
+            assert single["spans"], "a kept execute keeps its span tree"
         finally:
             shutdown_async(server)
         assert service.closed
@@ -1278,13 +1281,13 @@ class TestServiceIntrospection:
         self, hq_ex_task, warmed_service, tmp_path
     ):
         warmed, _ = warmed_service
-        trace_dir = tmp_path / "traces"
+        spill = tmp_path / "spill.jsonl"
         service = JoinService(
             hq_ex_task,
             str(warmed.store.root),
             workers=1,
             pilot_documents=PILOT,
-            trace_dir=str(trace_dir),
+            flight_spill=str(spill),
             trace_sample=10,
         )
         try:
@@ -1292,45 +1295,52 @@ class TestServiceIntrospection:
                 service.execute(
                     JoinRequest(tau_good=TAU_GOOD, tau_bad=TAU_BAD)
                 )
-            names = sorted(p.name for p in trace_dir.glob("request-*.jsonl"))
-            assert names == ["request-1.jsonl"], (
-                "only the 1-in-10 sampled request should leave a trace"
+            (line,) = _spill_lines(spill)
+            assert line["id"] == 1, (
+                "only the 1-in-10 sampled request should be spilled"
             )
+            assert line["spans"]
             kept = {e["id"]: e["keep"] for e in service.debug_requests()}
             assert kept[1] == "sampled"
             assert all(kept[i] is None for i in range(2, 6))
+            assert all(
+                service.debug_request(i)["spans"] == [] for i in range(2, 6)
+            ), "dropped requests keep no spans"
         finally:
             service.close()
 
-    def test_trace_keep_caps_the_trace_directory(
+    def test_kept_execute_spill_line_carries_its_spans(
         self, hq_ex_task, warmed_service, tmp_path
     ):
-        warmed, _ = warmed_service
-        trace_dir = tmp_path / "traces"
-        service = JoinService(
+        warmed, cold = warmed_service
+        spill = tmp_path / "spill.jsonl"
+        with JoinService(
             hq_ex_task,
             str(warmed.store.root),
             workers=1,
             pilot_documents=PILOT,
-            trace_dir=str(trace_dir),
+            flight_spill=str(spill),
             trace_sample=1,
-            trace_keep=2,
-            trace_grace=0.0,
+        ) as service:
+            service.execute(JoinRequest(tau_good=TAU_GOOD, tau_bad=TAU_BAD))
+            detail = service.debug_request(1)
+        (line,) = _spill_lines(spill)
+        assert line["plan"] == cold["plan"] and line["keep"] == "sampled"
+        # The spill line is the ring's event plus its flat span records,
+        # the same records /v1/debug/requests/<id> nests into a tree.
+        spans = line.pop("spans")
+        tree = detail.pop("spans")
+        assert line == detail
+        assert sorted(r["id"] for r in spans) == sorted(_tree_ids(tree))
+        (join,) = [r for r in spans if r["name"] == "join"]
+        assert join["kind"] == "service.request" and join["parent"] is None
+        assert join["attrs"]["documents_processed"] == (
+            line["counters"]["documents_processed"]
         )
-        try:
-            for _ in range(5):
-                service.execute(
-                    JoinRequest(tau_good=TAU_GOOD, tau_bad=TAU_BAD)
-                )
-            jsonl = sorted(p.name for p in trace_dir.glob("request-*.jsonl"))
-            chrome = sorted(
-                p.name for p in trace_dir.glob("request-*.chrome.json")
-            )
-            assert len(jsonl) == 2, jsonl
-            assert len(chrome) == 2, chrome
-            assert "request-5.jsonl" in jsonl, "the newest trace survives"
-        finally:
-            service.close()
+        assert {r["kind"] for r in spans} >= {
+            "service.request", "adaptive.execute", "optimizer.optimize"
+        }
+        assert validate_file(str(spill)) == []
 
     def test_responses_identical_with_introspection_enabled(
         self, hq_ex_task, warmed_service, tmp_path
@@ -1349,9 +1359,6 @@ class TestServiceIntrospection:
             pilot_documents=PILOT,
             slo="p99=1ms,availability=99.9",
             trace_sample=1,
-            trace_dir=str(tmp_path / "traces"),
-            trace_keep=1,
-            trace_grace=0.0,
             flight_spill=str(tmp_path / "spill.jsonl"),
         )
         try:
@@ -1362,6 +1369,18 @@ class TestServiceIntrospection:
         finally:
             plain.close()
             instrumented.close()
+
+
+def _spill_lines(spill):
+    """The flight-recorder spill's events, in write order."""
+    return [json.loads(line) for line in spill.read_text().splitlines()]
+
+
+def _tree_ids(nodes):
+    """Every record id in a /v1/debug/requests/<id> span tree."""
+    for node in nodes:
+        yield node["id"]
+        yield from _tree_ids(node["children"])
 
 
 def _store_copy(service, target):
@@ -1643,7 +1662,7 @@ class TestRefitMemo:
             assert memo is not None
             # The memo holds no per-request object and was never extended.
             report = memo.execution.report
-            assert report.observability is None and report.resilience is None
+            assert report.resilience is None
             stored = _warm_start(service, hq_ex_task).snapshot
             state = memo.execution.state
             assert len(state.left) == len(stored["left"])
@@ -1728,14 +1747,14 @@ class TestBinaryExecuteEvents:
     def test_execute_counts_its_work_on_the_event(
         self, two_round_service, hq_ex_task, tmp_path
     ):
-        traces = tmp_path / "traces"
+        spill = tmp_path / "spill.jsonl"
         results = []
         with JoinService(
             hq_ex_task,
             _store_copy(two_round_service, tmp_path / "store"),
             workers=1,
             pilot_documents=PILOT,
-            trace_dir=str(traces),
+            flight_spill=str(spill),
             trace_sample=1,
         ) as service:
             absorb = service._absorb
@@ -1774,15 +1793,16 @@ class TestBinaryExecuteEvents:
         # A memo-served execute does no pilot work.
         assert "pilot" in restored["phases"]
         assert "pilot" not in memoized["phases"]
-        written = sorted(traces.glob("request-*.jsonl"))
-        assert len(written) == 2
-        for trace in written:
-            kinds = {
-                json.loads(line)["kind"]
-                for line in trace.read_text().splitlines()
-            }
+        written = _spill_lines(spill)
+        assert [line["id"] for line in written] == [e["id"] for e in events]
+        for line in written:
+            kinds = {record["kind"] for record in line["spans"]}
+            assert "service.request" in kinds
             assert not kinds & {
-                "retrieval.document", "extraction.document", "join.round"
+                "retrieval.document",
+                "extraction.document",
+                "join.round",
+                "query.issue",
             }, kinds
 
 

@@ -234,10 +234,10 @@ class TestMultiwayService:
             return execution
 
         monkeypatch.setattr(MultiwayIndependentJoin, "run", recording_run)
-        traces = tmp_path / "traces"
+        spill = tmp_path / "spill.jsonl"
         service = JoinService(
             hq_ex_task, str(tmp_path / "store"), workers=1,
-            multiway=scenario, trace_dir=str(traces), trace_sample=1,
+            multiway=scenario, flight_spill=str(spill), trace_sample=1,
         )
         try:
             service.execute(
@@ -256,13 +256,15 @@ class TestMultiwayService:
             assert event["counters"][name] == sum(
                 getattr(report, name).values()
             )
-        (trace,) = traces.glob("request-*.jsonl")
-        records = [
-            json.loads(line) for line in trace.read_text().splitlines()
-        ]
+        (line,) = [json.loads(text) for text in spill.read_text().splitlines()]
+        assert line["id"] == event["id"]
+        records = line["spans"]
         kinds = {record["kind"] for record in records}
         assert not kinds & {
-            "db.access", "retrieval.document", "extraction.document"
+            "db.access",
+            "retrieval.document",
+            "extraction.document",
+            "query.issue",
         }, kinds
         (span,) = [r for r in records if r["name"] == "multiway-join"]
         assert {k: span["attrs"][k] for k in work} == work
