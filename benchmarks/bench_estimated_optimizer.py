@@ -12,11 +12,11 @@ times, and both avoid the order-of-magnitude-slower plans.
 import pytest
 
 from repro.core import QualityRequirement
+from repro import estimation
 from repro.estimation import ObservationContext, estimate_overlap, estimate_side
 from repro.experiments import build_trajectories, format_table
 from repro.joins import Budgets, IndependentJoin
-from repro.models.parameters import SideStatistics
-from repro.optimizer import JoinOptimizer, StatisticsCatalog, enumerate_plans
+from repro.optimizer import JoinOptimizer, enumerate_plans
 from repro.retrieval import ScanRetriever
 
 REQUIREMENTS = ((10, 10**5), (60, 10**5), (250, 10**5))
@@ -56,12 +56,7 @@ def estimated_catalog(task):
             theta=0.4,
         )
         estimates.append(
-            estimate_side(
-                observations,
-                context,
-                reference=char.confidences,
-                top_k=database.max_results,
-            )
+            estimate_side(observations, context, reference=char.confidences)
         )
     overlap = estimate_overlap(
         estimates[0],
@@ -69,39 +64,16 @@ def estimated_catalog(task):
         pilot.observations.side(1),
         pilot.observations.side(2),
     )
-
-    def builder(side_index, estimate, database, char):
-        parameters = estimate.parameters
-
-        def build(theta):
-            n_good = int(min(round(parameters.n_good_docs), len(database)))
-            n_bad = int(
-                min(round(parameters.n_bad_docs), len(database) - n_good)
-            )
-            return SideStatistics.from_histograms(
-                relation=parameters.relation,
-                n_documents=len(database),
-                n_good_docs=n_good,
-                n_bad_docs=n_bad,
-                good_histogram=parameters.good_histogram(),
-                bad_histogram=parameters.bad_histogram(),
-                tp=char.tp_at(theta),
-                fp=char.fp_at(theta),
-                top_k=database.max_results,
-                value_prefix=f"{parameters.relation}:",
-            )
-
-        return build
-
-    return StatisticsCatalog(
-        side_builder1=builder(1, estimates[0], task.database1, task.characterization1),
-        side_builder2=builder(2, estimates[1], task.database2, task.characterization2),
-        classifier1=task.offline_classifier_profile1,
-        classifier2=task.offline_classifier_profile2,
-        queries1=tuple(task.offline_query_stats1),
-        queries2=tuple(task.offline_query_stats2),
-        overlap=overlap,
-        per_value=False,
+    return estimation.estimated_catalog(
+        (estimates[0].parameters, estimates[1].parameters),
+        overlap,
+        databases=(task.database1, task.database2),
+        characterizations=(task.characterization1, task.characterization2),
+        classifiers=(
+            task.offline_classifier_profile1,
+            task.offline_classifier_profile2,
+        ),
+        queries=(task.offline_query_stats1, task.offline_query_stats2),
     )
 
 

@@ -16,6 +16,8 @@ from .online import (
     class_seen_probability,
     estimate_overlap,
     estimate_side,
+    estimated_catalog,
+    estimated_side_statistics,
 )
 from .powerlaw import PowerLawModel, fit_power_law
 
@@ -28,5 +30,7 @@ __all__ = [
     "estimate_overlap",
     "estimate_parameters",
     "estimate_side",
+    "estimated_catalog",
+    "estimated_side_statistics",
     "fit_power_law",
 ]

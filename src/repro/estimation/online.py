@@ -1,9 +1,11 @@
 """On-the-fly estimation during join execution (Section VI).
 
 Bridges the raw execution observations to the model-facing parameter
-containers: each side's :class:`~repro.estimation.mle.EstimatedParameters`
-become synthetic :class:`~repro.models.parameters.SideStatistics`, and the
-join-specific overlap-class sizes |Agg|, |Agb|, |Abg|, |Abb| are derived
+containers.  Each side's :class:`~repro.estimation.mle.EstimatedParameters`
+become synthetic :class:`~repro.models.parameters.SideStatistics`, and
+with the overlap classes the optimizer's catalog
+(:func:`estimated_catalog`, which the adaptive driver and the service
+share).  The join-specific overlap-class sizes |Agg|, |Agb|, |Abg|, |Abb| are derived
 "numerically from the estimated parameter values for each individual
 relation" (the paper's phrasing) — here, by scaling the *observed* value
 overlap up through each class's observation probability, using the
@@ -12,22 +14,29 @@ per-value good/bad posteriors from the confidence split.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import stats
 
-from ..extraction.characterization import ConfidenceReference
+from ..extraction.characterization import ConfidenceReference, KnobCharacterization
 from ..joins.stats_collector import RelationObservations
 from ..models.parameters import SideStatistics, ValueOverlapModel
+from ..retrieval.classifier import ClassifierProfile
+from ..retrieval.queries import QueryStats
+from ..textdb.database import TextDatabase
 from .mle import (
     EstimatedParameters,
     ObservationContext,
     estimate_parameters,
 )
 from .powerlaw import PowerLawModel
+
+if TYPE_CHECKING:
+    from ..optimizer.catalog import StatisticsCatalog
 
 
 def class_seen_probability(law: PowerLawModel, p_obs: float) -> float:
@@ -44,10 +53,9 @@ def class_seen_probability(law: PowerLawModel, p_obs: float) -> float:
 
 @dataclass
 class SideEstimate:
-    """One side's estimation output, ready for model consumption."""
+    """One side's estimation output: fitted parameters and posteriors."""
 
     parameters: EstimatedParameters
-    statistics: SideStatistics
     context: ObservationContext
     posterior: Mapping[str, float]
 
@@ -68,45 +76,78 @@ def estimate_side(
     observations: RelationObservations,
     context: ObservationContext,
     reference: Optional[ConfidenceReference] = None,
-    top_k: int = 100,
-    bad_in_good_share: float = 0.5,
 ) -> SideEstimate:
-    """Estimate one side and package it as synthetic SideStatistics."""
+    """Fit one side's parameters by MLE, with per-value good posteriors."""
     parameters = estimate_parameters(observations, context, reference=reference)
+    posterior = _posteriors(observations, parameters, reference, context)
+    return SideEstimate(
+        parameters=parameters,
+        context=context,
+        posterior=posterior,
+    )
+
+
+def estimated_side_statistics(
+    parameters: EstimatedParameters,
+    database: TextDatabase,
+    characterization: KnobCharacterization,
+    theta: float,
+) -> SideStatistics:
+    """Synthetic SideStatistics from one side's estimated parameters at θ."""
     # Clamp the document classes consistently: the bad-class cap must use
     # the *clamped* good count, or an overshooting estimate (e.g. from a
-    # persisted record) yields a negative |Db| and SideStatistics rejects it.
+    # persisted record) yields a negative |Db| and SideStatistics rejects
+    # it.  The floor at 0 covers a persisted record's negative counts.
     n_good_docs = max(
-        0, int(min(round(parameters.n_good_docs), context.database_size))
+        0, int(min(round(parameters.n_good_docs), len(database)))
     )
     n_bad_docs = max(
-        0,
-        int(
-            min(
-                round(parameters.n_bad_docs),
-                context.database_size - n_good_docs,
-            )
-        ),
+        0, int(min(round(parameters.n_bad_docs), len(database) - n_good_docs))
     )
-    statistics = SideStatistics.from_histograms(
-        relation=observations.relation,
-        n_documents=context.database_size,
+    return SideStatistics.from_histograms(
+        relation=parameters.relation,
+        n_documents=len(database),
         n_good_docs=n_good_docs,
         n_bad_docs=n_bad_docs,
         good_histogram=parameters.good_histogram(),
         bad_histogram=parameters.bad_histogram(),
-        tp=context.tp,
-        fp=context.fp,
-        top_k=top_k,
-        bad_in_good_share=bad_in_good_share,
-        value_prefix=f"{observations.relation}:",
+        tp=characterization.tp_at(theta),
+        fp=characterization.fp_at(theta),
+        top_k=database.max_results,
+        value_prefix=f"{parameters.relation}:",
     )
-    posterior = _posteriors(observations, parameters, reference, context)
-    return SideEstimate(
-        parameters=parameters,
-        statistics=statistics,
-        context=context,
-        posterior=posterior,
+
+
+def estimated_catalog(
+    parameters: Tuple[EstimatedParameters, EstimatedParameters],
+    overlap: ValueOverlapModel,
+    databases: Tuple[TextDatabase, TextDatabase],
+    characterizations: Tuple[KnobCharacterization, KnobCharacterization],
+    classifiers: Tuple[Optional[ClassifierProfile], ...],
+    queries: Tuple[Sequence[QueryStats], ...],
+) -> "StatisticsCatalog":
+    """The optimizer's catalog over both sides' estimated parameters.
+
+    Each side's statistics are built per θ by
+    :func:`estimated_side_statistics`; the overlap classes stand in for
+    the per-value overlap that synthetic value names cannot give.
+    """
+    # Imported here: the optimizer package imports this module.
+    from ..optimizer.catalog import StatisticsCatalog
+
+    builders = [
+        functools.partial(estimated_side_statistics, *side)
+        for side in zip(parameters, databases, characterizations)
+    ]
+    return StatisticsCatalog(
+        side_builder1=builders[0],
+        side_builder2=builders[1],
+        classifier1=classifiers[0],
+        classifier2=classifiers[1],
+        queries1=tuple(queries[0]),
+        queries2=tuple(queries[1]),
+        overlap=overlap,
+        per_value=False,
     )
 
 

@@ -77,10 +77,7 @@ def run_calibration(
                 theta=theta,
             )
             estimate = estimate_side(
-                observations,
-                context,
-                reference=char.confidences,
-                top_k=database.max_results,
+                observations, context, reference=char.confidences
             )
             parameters = estimate.parameters
             true_good_occ = profile.n_good_occurrences

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -414,9 +414,3 @@ class ZGJNModel:
             efforts={1: reach.queries_from_r2, 2: reach.queries_from_r1},
             events=events,
         )
-
-    def documents_curve(
-        self, q1_grid: Sequence[float]
-    ) -> Dict[float, ZGJNReach]:
-        """E[|Dr1|], E[|Dr2|] over a query-budget grid (Figure 12)."""
-        return {q1: self.reach(q1) for q1 in q1_grid}

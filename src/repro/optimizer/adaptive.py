@@ -39,13 +39,18 @@ from ..core.preferences import QualityRequirement
 from ..core.relation import JoinState
 from ..extraction.characterization import KnobCharacterization
 from ..estimation.mle import EstimatedParameters, ObservationContext
-from ..estimation.online import SideEstimate, estimate_overlap, estimate_side
+from ..estimation.online import (
+    SideEstimate,
+    estimate_overlap,
+    estimate_side,
+    estimated_catalog,
+)
 from ..joins.base import Budgets, JoinAlgorithm, JoinExecution, publish_join_gauges
 from ..joins.idjn import IndependentJoin
 from ..joins.base import JoinInputs
 from ..joins.stats_collector import ObservationCollector, RelationObservations
-from ..models.parameters import SideStatistics, ValueOverlapModel
-from ..observability.context import ensure_observability
+from ..models.parameters import ValueOverlapModel
+from ..observability.context import ObservabilityContext, ensure_observability
 from ..observability.tracer import SpanKind
 from ..retrieval.scan import ScanRetriever
 from ..robustness.checkpoint import checkpoint_execution, restore_execution
@@ -53,7 +58,6 @@ from ..robustness.context import AccessPathUnavailable
 from ..robustness.deadline import Deadline, DeadlineExceeded
 from ..robustness.degradation import split_path, surviving_plans
 from .binder import ExecutionEnvironment, bind_plan, budgets_from_evaluation
-from .catalog import StatisticsCatalog
 from .optimizer import JoinOptimizer, OptimizationResult, PlanEvaluation
 
 
@@ -183,6 +187,9 @@ class AdaptiveResult:
     execution: Optional[JoinExecution]
     pilot: JoinExecution
     estimates: Tuple[SideEstimate, SideEstimate]
+    #: the overlap classes the final pilot refit derived with
+    #: :attr:`estimates` (what the service's statistics store persists)
+    overlap: ValueOverlapModel
     rounds: int
     #: number of mid-flight plan switches (0 without reoptimization points)
     plan_switches: int = 0
@@ -437,94 +444,79 @@ class AdaptiveJoinExecutor:
 
     # -- estimation -------------------------------------------------------------
 
+    def _fit(
+        self, side: int, observations: RelationObservations
+    ) -> SideEstimate:
+        """Fit one side by MLE from *observations* taken at the pilot θ.
+
+        The one fit of the driver: pilot refits, cross-validation halves
+        and milestone re-estimates all come through here.
+        """
+        database = self.environment.database(side)
+        char = self.characterizations[side]
+        context = ObservationContext(
+            database_size=len(database),
+            coverage=min(
+                max(observations.documents_processed / len(database), 1e-6),
+                1.0,
+            ),
+            tp=char.tp_at(self.pilot_theta),
+            fp=char.fp_at(self.pilot_theta),
+            theta=self.pilot_theta,
+        )
+        return estimate_side(observations, context, reference=char.confidences)
+
     def _estimate_sides(
-        self, pilot: JoinExecution
+        self, observations: Sequence[RelationObservations]
     ) -> Tuple[SideEstimate, SideEstimate]:
+        """Fit both sides, traced and counted as one MLE refit."""
         estimates = []
-        for side in (1, 2):
-            observations = pilot.observations.side(side)
-            database = self.environment.database(side)
-            char = self.characterizations[side]
-            context = ObservationContext(
-                database_size=len(database),
-                coverage=max(
-                    observations.documents_processed / len(database), 1e-6
-                ),
-                tp=char.tp_at(self.pilot_theta),
-                fp=char.fp_at(self.pilot_theta),
-                theta=self.pilot_theta,
-            )
+        for side, side_observations in zip((1, 2), observations):
             with self.observability.phase("estimate"), self.observability.span(
                 SpanKind.MLE_REFIT,
                 f"mle.side{side}",
                 side=side,
-                documents=observations.documents_processed,
-                distinct_values=observations.distinct_values,
+                documents=side_observations.documents_processed,
+                distinct_values=side_observations.distinct_values,
             ):
-                estimates.append(
-                    estimate_side(
-                        observations,
-                        context,
-                        reference=char.confidences,
-                        top_k=database.max_results,
-                    )
-                )
+                estimates.append(self._fit(side, side_observations))
         self.observability.counter("repro_mle_refits_total").inc()
         return estimates[0], estimates[1]
 
     def _refit(self, pilot: JoinExecution) -> Refit:
         """Fit both sides of *pilot* and derive their overlap classes."""
-        estimate1, estimate2 = self._estimate_sides(pilot)
-        observations = pilot.observations
+        sides = (pilot.observations.side(1), pilot.observations.side(2))
+        estimate1, estimate2 = self._estimate_sides(sides)
         return estimate1, estimate2, estimate_overlap(
-            estimate1, estimate2, observations.side(1), observations.side(2)
+            estimate1, estimate2, *sides
         )
 
-    def _catalog(
+    def _optimizer(
         self,
-        estimate1: SideEstimate,
-        estimate2: SideEstimate,
+        estimates: Tuple[SideEstimate, SideEstimate],
         overlap: ValueOverlapModel,
-    ) -> StatisticsCatalog:
-        def builder(side: int, estimate: SideEstimate):
-            database = self.environment.database(side)
-            char = self.characterizations[side]
-            parameters = estimate.parameters
+        observability: Optional[ObservabilityContext] = None,
+    ) -> JoinOptimizer:
+        """A pruned optimizer over the catalog of *estimates*.
 
-            def build(theta: float) -> SideStatistics:
-                n_good_docs = int(
-                    min(round(parameters.n_good_docs), len(database))
-                )
-                n_bad_docs = int(
-                    min(
-                        round(parameters.n_bad_docs),
-                        len(database) - n_good_docs,
-                    )
-                )
-                return SideStatistics.from_histograms(
-                    relation=parameters.relation,
-                    n_documents=len(database),
-                    n_good_docs=n_good_docs,
-                    n_bad_docs=n_bad_docs,
-                    good_histogram=parameters.good_histogram(),
-                    bad_histogram=parameters.bad_histogram(),
-                    tp=char.tp_at(theta),
-                    fp=char.fp_at(theta),
-                    top_k=database.max_results,
-                    value_prefix=f"{parameters.relation}:",
-                )
-
-            return build
-
-        return StatisticsCatalog(
-            side_builder1=builder(1, estimate1),
-            side_builder2=builder(2, estimate2),
-            classifier1=self.classifier_profiles[1],
-            classifier2=self.classifier_profiles[2],
-            queries1=self.query_stats[1],
-            queries2=self.query_stats[2],
-            overlap=overlap,
-            per_value=False,
+        Cross-validation leaves *observability* unset: its optimizers are
+        probes, not the run's plan choice, and stay out of its telemetry.
+        """
+        sides = (1, 2)
+        catalog = estimated_catalog(
+            tuple(estimate.parameters for estimate in estimates),
+            overlap,
+            databases=tuple(self.environment.database(s) for s in sides),
+            characterizations=tuple(self.characterizations[s] for s in sides),
+            classifiers=tuple(self.classifier_profiles[s] for s in sides),
+            queries=tuple(self.query_stats[s] for s in sides),
+        )
+        return JoinOptimizer(
+            catalog,
+            costs=self.environment.costs,
+            feasibility_margin=self.feasibility_margin,
+            observability=observability,
+            prune=True,
         )
 
     # -- cross-validation ---------------------------------------------------------
@@ -591,23 +583,7 @@ class AdaptiveJoinExecutor:
             # Rebuild estimates from the halves, doubling populations.
             estimates = []
             for side, half in zip((1, 2), halves):
-                database = self.environment.database(side)
-                char = self.characterizations[side]
-                context = ObservationContext(
-                    database_size=len(database),
-                    coverage=max(
-                        half.documents_processed / len(database), 1e-6
-                    ),
-                    tp=char.tp_at(self.pilot_theta),
-                    fp=char.fp_at(self.pilot_theta),
-                    theta=self.pilot_theta,
-                )
-                estimate = estimate_side(
-                    half,
-                    context,
-                    reference=char.confidences,
-                    top_k=database.max_results,
-                )
+                estimate = self._fit(side, half)
                 doubled = dataclasses.replace(
                     estimate.parameters,
                     n_good_values=estimate.parameters.n_good_values * 2,
@@ -616,14 +592,8 @@ class AdaptiveJoinExecutor:
                 estimates.append(
                     dataclasses.replace(estimate, parameters=doubled)
                 )
-            catalog = self._catalog(
-                *estimates, estimate_overlap(*estimates, *halves)
-            )
-            optimizer = JoinOptimizer(
-                catalog,
-                costs=self.environment.costs,
-                feasibility_margin=self.feasibility_margin,
-                prune=True,
+            optimizer = self._optimizer(
+                estimates, estimate_overlap(*estimates, *halves)
             )
             result = optimizer.optimize(self.plans, requirement)
             if result.chosen is None or result.chosen.plan != chosen_plan:
@@ -800,12 +770,10 @@ class AdaptiveJoinExecutor:
                     factory=warm.plan_factory,
                 )
             else:
-                optimizer = JoinOptimizer(
-                    self._catalog(*refit),
-                    costs=self.environment.costs,
-                    feasibility_margin=self.feasibility_margin,
+                optimizer = self._optimizer(
+                    (estimate1, estimate2),
+                    overlap,
                     observability=self.environment.observability,
-                    prune=True,
                 )
                 with self.observability.phase("optimize"):
                     optimization = optimizer.optimize(self.plans, requirement)
@@ -838,6 +806,7 @@ class AdaptiveJoinExecutor:
                 execution=None,
                 pilot=pilot,
                 estimates=(estimate1, estimate2),
+                overlap=overlap,
                 rounds=rounds,
                 warm_started=warm is not None,
                 pilot_fresh_documents=self._pilot_fresh_documents,
@@ -863,6 +832,7 @@ class AdaptiveJoinExecutor:
             execution=execution,
             pilot=pilot,
             estimates=(estimate1, estimate2),
+            overlap=overlap,
             rounds=rounds,
             plan_switches=switches,
             degraded_paths=tuple(degraded),
@@ -910,44 +880,13 @@ class AdaptiveJoinExecutor:
                 combined.tuples_per_document.update(
                     observations.tuples_per_document
                 )
-                for value, count in observations.sample_frequency.items():
-                    combined.sample_frequency[value] += count
+                combined.sample_frequency.update(observations.sample_frequency)
                 for value, confs in observations.value_confidences.items():
                     combined.value_confidences.setdefault(value, []).extend(
                         confs
                     )
             merged.append(combined)
-        estimates = []
-        for side, observations in zip((1, 2), merged):
-            database = self.environment.database(side)
-            char = self.characterizations[side]
-            context = ObservationContext(
-                database_size=len(database),
-                coverage=min(
-                    max(observations.documents_processed / len(database), 1e-6),
-                    1.0,
-                ),
-                tp=char.tp_at(self.pilot_theta),
-                fp=char.fp_at(self.pilot_theta),
-                theta=self.pilot_theta,
-            )
-            with self.observability.phase("estimate"), self.observability.span(
-                SpanKind.MLE_REFIT,
-                f"mle.side{side}",
-                side=side,
-                documents=observations.documents_processed,
-                distinct_values=observations.distinct_values,
-            ):
-                estimates.append(
-                    estimate_side(
-                        observations,
-                        context,
-                        reference=char.confidences,
-                        top_k=database.max_results,
-                    )
-                )
-        self.observability.counter("repro_mle_refits_total").inc()
-        return (estimates[0], estimates[1]), merged
+        return self._estimate_sides(merged)
 
     def _side_of_path(self, path: str) -> int:
         """Which join side an access path belongs to (by database name)."""
@@ -968,12 +907,8 @@ class AdaptiveJoinExecutor:
         overlap = estimate_overlap(
             *estimates, observations.side(1), observations.side(2)
         )
-        optimizer = JoinOptimizer(
-            self._catalog(*estimates, overlap),
-            costs=self.environment.costs,
-            feasibility_margin=self.feasibility_margin,
-            observability=self.environment.observability,
-            prune=True,
+        optimizer = self._optimizer(
+            estimates, overlap, observability=self.environment.observability
         )
         with self.observability.phase("optimize"), self.observability.span(
             SpanKind.REOPTIMIZE, "reoptimize", plans=len(plans)
@@ -1071,7 +1006,7 @@ class AdaptiveJoinExecutor:
             if milestone >= target_good:
                 break
             # Re-estimate from everything observed, re-optimize the rest.
-            new_estimates, _ = self._reestimate_with_execution(pilot, execution)
+            new_estimates = self._reestimate_with_execution(pilot, execution)
             result, optimizer = self._reoptimize(
                 plans, requirement, new_estimates, pilot
             )

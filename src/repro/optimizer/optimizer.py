@@ -177,16 +177,6 @@ class OptimizationResult:
     def feasible(self) -> Tuple[PlanEvaluation, ...]:
         return tuple(e for e in self.evaluations if e.feasible)
 
-    def faster_than_chosen(self) -> Tuple[PlanEvaluation, ...]:
-        if self.chosen is None:
-            return ()
-        return tuple(
-            e
-            for e in self.feasible
-            if e.plan != self.chosen.plan
-            and e.predicted_time < self.chosen.predicted_time
-        )
-
 
 class JoinOptimizer:
     """Evaluates candidate plans with the analytical models."""

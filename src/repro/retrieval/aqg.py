@@ -149,10 +149,6 @@ class AQGRetriever(DocumentRetriever):
         self._next_query = 0
 
     @property
-    def queries_remaining(self) -> int:
-        return len(self._queries) - self._next_query
-
-    @property
     def next_query_index(self) -> int:
         """Index of the next learned query to issue (checkpointing)."""
         return self._next_query

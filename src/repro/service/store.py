@@ -61,7 +61,6 @@ from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..estimation.mle import EstimatedParameters
 from ..estimation.online import SideEstimate
-from ..models.parameters import ValueOverlapModel
 from ..optimizer.adaptive import AdaptiveResult, PilotWarmStart
 from ..textdb.database import TextDatabase
 from ..validation.invariants import active_checker
@@ -651,7 +650,6 @@ class StatisticsStore:
         signature: str,
         databases: Tuple[TextDatabase, TextDatabase],
         result: AdaptiveResult,
-        overlap: Optional[ValueOverlapModel] = None,
         drift_snapshots: Tuple[Dict[str, Any], ...] = (),
         now: Optional[float] = None,
     ) -> str:
@@ -675,14 +673,13 @@ class StatisticsStore:
                 result.chosen.plan.describe() if result.chosen is not None else None
             ),
             "drift_snapshots": list(drift_snapshots),
+            "overlap": {
+                "n_gg": result.overlap.n_gg,
+                "n_gb": result.overlap.n_gb,
+                "n_bg": result.overlap.n_bg,
+                "n_bb": result.overlap.n_bb,
+            },
         }
-        if overlap is not None:
-            record["overlap"] = {
-                "n_gg": overlap.n_gg,
-                "n_gb": overlap.n_gb,
-                "n_bg": overlap.n_bg,
-                "n_bb": overlap.n_bb,
-            }
         self.tasks[signature] = record
         self.generation += 1
         return signature
@@ -791,15 +788,10 @@ class StatisticsStore:
         point they were measured at), the overlap classes, and the task's
         warm-start payload, then saves the store.
         """
-        from ..estimation.online import estimate_overlap
-
-        estimate1, estimate2 = result.estimates
-        observations = result.pilot.observations
-        for side, database, extractor, estimate in (
-            (1, databases[0], extractors[0], estimate1),
-            (2, databases[1], extractors[1], estimate2),
+        for side, database, extractor, estimate in zip(
+            (1, 2), databases, extractors, result.estimates
         ):
-            side_obs = observations.side(side)
+            side_obs = result.pilot.observations.side(side)
             self.record_side(
                 database,
                 extractor,
@@ -808,15 +800,8 @@ class StatisticsStore:
                 documents_processed=side_obs.documents_processed,
                 distinct_values=side_obs.distinct_values,
             )
-        overlap = estimate_overlap(
-            estimate1, estimate2, observations.side(1), observations.side(2)
-        )
         self.record_task(
-            signature,
-            databases,
-            result,
-            overlap=overlap,
-            drift_snapshots=drift_snapshots,
+            signature, databases, result, drift_snapshots=drift_snapshots
         )
         self.save()
 

@@ -11,7 +11,7 @@ at the labels.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import FrozenSet, Iterator, List, Set, Tuple
+from typing import FrozenSet, Iterator, List, Tuple
 
 from ..core.types import DocumentClass, Fact
 
@@ -80,8 +80,3 @@ class Document:
             return DocumentClass.BAD
         return DocumentClass.EMPTY
 
-    def join_values(self, relation: str, attribute_index: int) -> Set[str]:
-        """Distinct values of one attribute mentioned for *relation*."""
-        return {
-            m.fact.value_of(attribute_index) for m in self.mentions_of(relation)
-        }

@@ -119,9 +119,6 @@ class DatabaseProfile:
     def bad_histogram(self) -> FrequencyHistogram:
         return FrequencyHistogram.from_counter(self.bad_frequency)
 
-    def mentions_histogram(self) -> FrequencyHistogram:
-        return FrequencyHistogram(counts=dict(self.mentions_per_document))
-
     @property
     def good_fraction(self) -> float:
         """|Dg| / |D|."""

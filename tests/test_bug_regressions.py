@@ -17,6 +17,7 @@ from repro.robustness.checkpoint import (
     CheckpointManager,
     restore_execution,
 )
+from repro.estimation import estimated_side_statistics
 from repro.robustness.faults import SWALLOWED_EXCEPTIONS, FaultProfile
 from repro.joins import Budgets, IndependentJoin, JoinInputs
 from repro.retrieval import ScanRetriever
@@ -27,7 +28,6 @@ from repro.service import (
     WarmStartPolicy,
     corpus_fingerprint,
 )
-from repro.service.service import _side_statistics
 from repro.service.shards import SHARD_DIR, SNAPSHOT_SUFFIX, side_shard, task_shard
 from repro.service.store import STORE_VERSION, _parameters_from_dict
 
@@ -293,16 +293,16 @@ class TestSideStatisticsFloors:
         )
 
     def test_oversized_counts_clamped(self, mini_db1, mini_char1):
-        side = _side_statistics(
-            mini_db1, mini_char1, self._parameters(1e9, 1e9), theta=0.4
+        side = estimated_side_statistics(
+            self._parameters(1e9, 1e9), mini_db1, mini_char1, theta=0.4
         )
         assert side.n_good_docs == len(mini_db1)
         assert side.n_bad_docs == 0
         assert side.n_good_docs + side.n_bad_docs <= side.n_documents
 
     def test_negative_counts_floored(self, mini_db1, mini_char1):
-        side = _side_statistics(
-            mini_db1, mini_char1, self._parameters(-5.0, -3.0), theta=0.4
+        side = estimated_side_statistics(
+            self._parameters(-5.0, -3.0), mini_db1, mini_char1, theta=0.4
         )
         assert side.n_good_docs == 0
         assert side.n_bad_docs == 0

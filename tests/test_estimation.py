@@ -12,6 +12,7 @@ from repro.estimation import (
     estimate_overlap,
     estimate_parameters,
     estimate_side,
+    estimated_side_statistics,
     fit_power_law,
 )
 from repro.joins import Budgets, IndependentJoin, JoinInputs
@@ -281,9 +282,10 @@ class TestEstimateSide:
             pilot_run.observations.side(1),
             context1,
             reference=mini_char1.confidences,
-            top_k=mini_db1.max_results,
         )
-        side = estimate.statistics
+        side = estimated_side_statistics(
+            estimate.parameters, mini_db1, mini_char1, context1.theta
+        )
         assert side.n_documents == len(mini_db1)
         assert side.top_k == mini_db1.max_results
         assert side.good_frequency  # synthetic values materialized

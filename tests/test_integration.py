@@ -12,6 +12,7 @@ from repro.estimation import (
     ObservationContext,
     estimate_overlap,
     estimate_side,
+    estimated_side_statistics,
 )
 from repro.joins import Budgets, IndependentJoin
 from repro.optimizer import (
@@ -135,7 +136,14 @@ class TestEstimationPluggedIntoModels:
             pilot.observations.side(1),
             pilot.observations.side(2),
         )
-        sides = [e.statistics for e in estimates]
+        sides = [
+            estimated_side_statistics(estimate.parameters, database, char, 0.4)
+            for estimate, database, char in zip(
+                estimates,
+                (hq_ex_task.database1, hq_ex_task.database2),
+                (hq_ex_task.characterization1, hq_ex_task.characterization2),
+            )
+        ]
         statistics = JoinStatistics(side1=sides[0], side2=sides[1])
         model = IDJNModel(
             statistics,

@@ -1371,6 +1371,77 @@ class TestServiceIntrospection:
             instrumented.close()
 
 
+class TestSpillFailures:
+    """A spill write that fails is counted in the recorder's stats; it
+    never costs a request its SLO observation or its answer."""
+
+    @staticmethod
+    def _service(task, root, tmp_path, **kwargs):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a regular file, not a directory\n")
+        return JoinService(
+            task,
+            root,
+            workers=1,
+            pilot_documents=PILOT,
+            flight_spill=str(blocker / "spill.jsonl"),
+            trace_sample=1,
+            **kwargs,
+        )
+
+    def test_execute_still_reaches_the_slo_tracker(
+        self, warmed_service, hq_ex_task, tmp_path
+    ):
+        service, _ = warmed_service
+        root = _store_copy(service, tmp_path / "store")
+        with self._service(hq_ex_task, root, tmp_path) as broken:
+            answer = broken.execute(JoinRequest(TAU_GOOD, TAU_BAD))
+            assert answer["plan"]
+            assert broken.slo.snapshot()["observations"] == 1
+            stats = broken.recorder.stats()
+            assert (stats["spilled_total"], stats["spill_failures_total"]) == (
+                0,
+                1,
+            )
+            assert broken.metrics.value(
+                "repro_flight_recorder_errors_total"
+            ) == 0
+
+    def test_shed_still_raises_busy(self, hq_ex_task, tmp_path, monkeypatch):
+        from repro.service.admission import SHED, AdmissionDecision
+
+        root = str(tmp_path / "store")
+        with self._service(hq_ex_task, root, tmp_path) as broken:
+            monkeypatch.setattr(
+                broken.admission,
+                "_decide",
+                lambda *_: AdmissionDecision(SHED, retry_after=1.0),
+            )
+            with pytest.raises(ServiceBusyError):
+                broken.submit(JoinRequest(TAU_GOOD, TAU_BAD))
+            (shed,) = broken.debug_requests(limit=1, outcome="shed")
+            assert shed["keep"] is not None
+            assert broken.recorder.stats()["spill_failures_total"] == 1
+            assert broken.slo.snapshot()["observations"] == 1
+
+    def test_degraded_answer_is_returned(
+        self, warmed_service, hq_ex_task, tmp_path, monkeypatch
+    ):
+        from repro.service.admission import DEGRADE, AdmissionDecision
+
+        service, _ = warmed_service
+        root = _store_copy(service, tmp_path / "store")
+        with self._service(hq_ex_task, root, tmp_path) as broken:
+            monkeypatch.setattr(
+                broken.admission,
+                "_decide",
+                lambda *_: AdmissionDecision(DEGRADE, reason="backlog"),
+            )
+            answer = broken.submit(JoinRequest(TAU_GOOD, TAU_BAD)).result()
+            assert answer["degraded"] is True
+            assert broken.recorder.stats()["spill_failures_total"] == 1
+
+
 def _spill_lines(spill):
     """The flight-recorder spill's events, in write order."""
     return [json.loads(line) for line in spill.read_text().splitlines()]
