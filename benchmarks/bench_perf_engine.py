@@ -1,8 +1,8 @@
 """Performance benchmark: pruned optimizer vs. the scalar reference path.
 
-Times two workloads against the same catalog, once with bound-based
-pruning and the shared-frontier sweep (``optimize_many(prune=True)``)
-and once with the scalar reference path
+Times two workloads against the same catalog, once with the production
+optimizer (the bound-pruned descent, one optimizer shared across the
+sweep) and once with the scalar reference path
 (:class:`~repro.validation.differential.ReferenceJoinOptimizer`: the
 scalar reference models and a per-requirement bisection, unpruned):
 
@@ -190,12 +190,13 @@ def _fresh_optimizer(task, optimizer_class=JoinOptimizer) -> JoinOptimizer:
     return optimizer_class(task.catalog(), costs=task.costs)
 
 
-def _timed_sweep(
-    task, plans, requirements, optimizer_class=JoinOptimizer, prune=True
-):
+def _timed_sweep(task, plans, requirements, optimizer_class=JoinOptimizer):
     optimizer = _fresh_optimizer(task, optimizer_class)
+    plans = list(plans)
     start = time.perf_counter()
-    results = optimizer.optimize_many(plans, requirements, prune=prune)
+    results = [
+        optimizer.optimize(plans, requirement) for requirement in requirements
+    ]
     return time.perf_counter() - start, results, optimizer
 
 
@@ -228,9 +229,7 @@ def run_perf_bench(
     measured: dict = {}
     sweep_optimizer = None
     for op, workload in workloads:
-        seconds, results, optimizer = _timed_sweep(
-            task, plans, workload, prune=True
-        )
+        seconds, results, optimizer = _timed_sweep(task, plans, workload)
         measured[op] = (seconds, results)
         if op == "tau_sweep":
             sweep_optimizer = optimizer
@@ -249,7 +248,7 @@ def run_perf_bench(
         scalar_seconds: dict = {}
         for op, workload in workloads:
             seconds, results, _ = _timed_sweep(
-                task, plans, workload, ReferenceJoinOptimizer, prune=False
+                task, plans, workload, ReferenceJoinOptimizer
             )
             _check_equivalent(measured[op][1], results)
             scalar_seconds[op] = seconds

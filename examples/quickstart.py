@@ -32,8 +32,9 @@ optimizer = JoinOptimizer(
 )
 result = optimizer.optimize(plans, requirement)
 chosen = result.chosen
+pruned = sum(1 for e in result.evaluations if e.pruned)
 print(f"\nCandidate plans: {len(plans)}; predicted-feasible: "
-      f"{len(result.feasible)}")
+      f"{len(result.feasible)}; pruned without full evaluation: {pruned}")
 print(f"Chosen plan:     {chosen.plan.describe()}")
 print(f"Predicted:       {chosen.prediction.n_good:.0f} good / "
       f"{chosen.prediction.n_bad:.0f} bad in "

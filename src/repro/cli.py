@@ -91,18 +91,6 @@ def _add_scenario_argument(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_prune_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--no-prune",
-        action="store_true",
-        help=(
-            "disable bound-based plan pruning and evaluate every "
-            "candidate in full (the chosen plan is identical either "
-            "way; this is the differential-validation escape hatch)"
-        ),
-    )
-
-
 def _add_resilience_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--fault-profile",
@@ -305,7 +293,7 @@ def _cmd_optimize_multiway(args: argparse.Namespace) -> int:
     planner = MultiwayPlanner(
         scenario.graph, scenario.catalog(), feasibility_margin=args.margin
     )
-    result = planner.optimize(requirement, prune=not args.no_prune)
+    result = planner.optimize(requirement)
     _publish_planner_tallies(observability, result.tallies)
     tallies = result.tallies
     print(f"Graph: {scenario.graph.describe()}")
@@ -358,7 +346,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         feasibility_margin=args.margin,
         observability=observability,
     )
-    result = optimizer.optimize(plans, requirement, prune=not args.no_prune)
+    result = optimizer.optimize(plans, requirement)
     if result.chosen is None:
         print("No plan is predicted to meet the requirement.")
         _write_observability(observability, args)
@@ -454,9 +442,7 @@ def _cmd_frontier_multiway(args: argparse.Namespace) -> int:
             scenario.tau_good * 2,
         }
     )
-    sweep = planner.frontier(
-        tau_goods, scenario.tau_bad, prune=not args.no_prune
-    )
+    sweep = planner.frontier(tau_goods, scenario.tau_bad)
     print(
         f"Multiway frontier for {scenario.name}: "
         f"{scenario.graph.describe()} (τb={scenario.tau_bad})"
@@ -487,7 +473,6 @@ def _cmd_frontier(args: argparse.Namespace) -> int:
         plans,
         costs=task.costs,
         observability=observability,
-        prune=not args.no_prune,
     )
     print(
         format_frontier(
@@ -983,7 +968,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--execute", action="store_true", help="also run the chosen plan"
     )
     _add_scenario_argument(optimize)
-    _add_prune_argument(optimize)
     _add_resilience_arguments(optimize)
     _add_observability_arguments(optimize)
     _add_testbed_arguments(optimize)
@@ -1004,7 +988,6 @@ def build_parser() -> argparse.ArgumentParser:
         "frontier", help="Pareto frontier of achievable (time, quality) points"
     )
     _add_scenario_argument(frontier)
-    _add_prune_argument(frontier)
     _add_observability_arguments(frontier)
     _add_testbed_arguments(frontier)
     _add_logging_arguments(frontier)

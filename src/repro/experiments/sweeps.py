@@ -73,34 +73,30 @@ def quality_frontier(
         0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.65, 0.8, 1.0,
     ),
     observability: Optional[ObservabilityContext] = None,
-    prune: bool = True,
 ) -> List[FrontierPoint]:
     """Pareto frontier over (time ↓, good ↑) across plans × efforts.
 
     Points are returned sorted by time; by construction their good-tuple
     counts are strictly increasing along the list.
 
-    With ``prune`` on (default), plans whose guaranteed good-tuple
-    ceiling is zero are skipped before any model is built: the frontier
-    only keeps points with ``n_good > 0``, so such plans cannot
-    contribute and the result is identical to the unpruned sweep.
+    Plans whose guaranteed good-tuple ceiling is zero are skipped before
+    any model is built: the frontier only keeps points with
+    ``n_good > 0``, so such plans cannot contribute and the result is
+    identical to the sweep over every plan.
     """
     obs = ensure_observability(observability)
     optimizer = JoinOptimizer(catalog, costs=costs, observability=observability)
-    plans = list(plans)
-    if prune:
-        before = optimizer.pruning.as_dict()
-        survivors = []
-        for plan in plans:
-            bounds = optimizer.plan_bounds(plan)
-            if bounds is not None and bounds.good_upper <= 0.0:
-                optimizer.pruning.infeasible_bound += 1
-                continue
-            survivors.append(plan)
-        optimizer._publish_pruning(before)
-        plans = survivors
-    candidates: List[FrontierPoint] = []
+    before = optimizer.pruning.as_dict()
+    survivors = []
     for plan in plans:
+        bounds = optimizer.plan_bounds(plan)
+        if bounds is not None and bounds.good_upper <= 0.0:
+            optimizer.pruning.infeasible_bound += 1
+            continue
+        survivors.append(plan)
+    optimizer._publish_pruning(before)
+    candidates: List[FrontierPoint] = []
+    for plan in survivors:
         with obs.span(SpanKind.EXPERIMENT, "frontier", plan=plan.describe()):
             candidates.extend(
                 _frontier_candidates(optimizer, plan, effort_fractions)

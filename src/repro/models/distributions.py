@@ -120,37 +120,6 @@ def thinned_hypergeom_pmf(
     return weights @ pmf_matrix
 
 
-def thinned_hypergeom_pmf_batch(
-    population: int,
-    draws: int,
-    occurrences: np.ndarray,
-    rate: float,
-    l_values: np.ndarray,
-) -> np.ndarray:
-    """:func:`thinned_hypergeom_pmf` for many occurrence counts at once.
-
-    Returns a matrix ``P[i, j] = Pr{l_values[j] extracted | occurrences[i]
-    occurrences}`` — one vectorized evaluation instead of a Python loop
-    over values with distinct frequencies.
-    """
-    if not 0.0 <= rate <= 1.0:
-        raise ValueError("rate must be within [0, 1]")
-    if rate < 1e-12:
-        rate = 0.0
-    draws = min(draws, population)
-    occ = np.asarray(occurrences, dtype=int)
-    l_grid = np.asarray(l_values, dtype=int)
-    if occ.size == 0:
-        return np.zeros((0, l_grid.size))
-    unique, inverse = np.unique(occ, return_inverse=True)
-    k = np.arange(int(unique[-1]) + 1)
-    # weights[u, k] = Hyper(population, draws, unique[u], k), with the
-    # out-of-support entries k > unique[u] exactly zero.
-    weights = _hypergeom_pmf_table(population, draws, unique, k)
-    pmf_matrix = stats.binom.pmf(l_grid[None, :], k[:, None], rate)
-    return (weights @ pmf_matrix)[inverse]
-
-
 def thinned_hypergeom_mean(
     population: int, draws: int, occurrences: int, rate: float
 ) -> float:
@@ -255,26 +224,6 @@ class NoneExtractedBatch:
         result = weights @ pows
         result = np.where(self.zero_mask, 1.0, result)
         return result[self.inverse].reshape(self.shape)
-
-
-def none_extracted_lower_bound(
-    population: int, draws: int, occurrences: ArrayLike, rate: float
-) -> ArrayLike:
-    """Guaranteed lower bound on :func:`probability_none_extracted`.
-
-    ``E[(1-rate)^K] >= (1-rate)^{E[K]}`` by Jensen's inequality (the map
-    ``k -> (1-rate)^k`` is convex), with ``E[K] = occurrences·draws/population``
-    the hypergeometric mean.  Closed form — no pmf evaluation — so bound
-    oracles can call it per value without paying for the exact tail sum.
-    A property test asserts dominance against the exact kernel.
-    """
-    if not 0.0 <= rate <= 1.0:
-        raise ValueError("rate must be within [0, 1]")
-    occ = np.asarray(occurrences, dtype=float)
-    if population <= 0:
-        return np.ones_like(occ)
-    draws = min(draws, population)
-    return (1.0 - rate) ** (occ * (draws / float(population)))
 
 
 def issue_probability_ceiling(

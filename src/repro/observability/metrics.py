@@ -201,19 +201,6 @@ class MetricsRegistry:
         }
         self._types.pop(name, None)
 
-    def totals(self) -> Dict[str, float]:
-        """Flat ``name{labels} -> value`` map of counters and gauges."""
-        flat: Dict[str, float] = {}
-        for name, kind, labels, instrument in self.families():
-            if kind == "histogram":
-                flat[f"{name}_sum{_format_labels(labels)}"] = instrument.total
-                flat[f"{name}_count{_format_labels(labels)}"] = float(
-                    instrument.count
-                )
-            else:
-                flat[f"{name}{_format_labels(labels)}"] = instrument.value
-        return flat
-
     # -- rendering ------------------------------------------------------------
 
     def render(self) -> str:

@@ -28,8 +28,6 @@ from typing import Any, Dict, List, Optional
 class SpanKind:
     """The span taxonomy (DESIGN §6.3) — one constant per unit of work."""
 
-    #: one candidate plan assessed against a requirement
-    PLAN_EVALUATION = "plan.evaluate"
     #: one plan's effort curve built by the evaluation engine
     PLAN_CURVE = "plan.curve"
     #: one full optimize() pass over the plan space

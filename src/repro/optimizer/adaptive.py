@@ -516,7 +516,6 @@ class AdaptiveJoinExecutor:
             costs=self.environment.costs,
             feasibility_margin=self.feasibility_margin,
             observability=observability,
-            prune=True,
         )
 
     # -- cross-validation ---------------------------------------------------------

@@ -181,22 +181,21 @@ class OptimizationResult:
 class JoinOptimizer:
     """Evaluates candidate plans with the analytical models."""
 
+    #: bisection resolution floor: at least 64 cells per effort axis, one
+    #: per unit of effort on longer axes (capped at 2**16 cells)
+    EFFORT_RESOLUTION = 64
+
     def __init__(
         self,
         catalog: StatisticsCatalog,
         costs: Optional[CostModel] = None,
-        effort_resolution: int = 64,
         feasibility_margin: float = 0.0,
         observability: Optional[ObservabilityContext] = None,
-        prune: bool = False,
     ) -> None:
         self.catalog = catalog
         self.costs = costs or CostModel()
         #: tracing/metrics context; defaults to the no-op context
         self.observability = ensure_observability(observability)
-        if effort_resolution < 2:
-            raise ValueError("effort_resolution must be at least 2")
-        self.effort_resolution = effort_resolution
         if feasibility_margin < 0.0:
             raise ValueError("feasibility_margin must be non-negative")
         #: Overprovisioning factor on τg: the optimizer plans for
@@ -219,17 +218,8 @@ class JoinOptimizer:
         # Constructed analytical models per plan, kept so telemetry can
         # scrape their passive cache tallies (OIJN issue-probability LRU).
         self._models: Dict[JoinPlanSpec, object] = {}
+        #: drift telemetry's effort curves (``curve_points``) only
         self._engine = PlanEvaluationEngine(self)
-        #: bound-based pruning (DESIGN §6.7): discard plans whose quality
-        #: ceilings prove them infeasible before building their models,
-        #: and run requirement evaluation as a joint bisection descent
-        #: that drops provably-dominated or provably-τb-infeasible plans
-        #: between levels.  Results are equivalent to the unpruned path
-        #: (identical chosen plan, byte-identical surviving evaluations);
-        #: pruned plans are marked instead of fully predicted.  Off by
-        #: default so existing consumers (service plan responses, drift
-        #: telemetry) keep their full evaluation sets.
-        self.prune = prune
         self.pruning = PruningTallies()
         self._bounds_cache: Dict[JoinPlanSpec, Optional[PlanBounds]] = {}
         #: probe triples effort -> (n_good, n_bad, time) imported from a
@@ -249,56 +239,7 @@ class JoinOptimizer:
         #: re-checked against the held reference before reuse)
         self._runtimes: Dict[int, _PlanRuntime] = {}
 
-    # -- per-plan evaluation ------------------------------------------------------
-
-    def evaluate(
-        self, plan: JoinPlanSpec, requirement: QualityRequirement
-    ) -> PlanEvaluation:
-        """Find the plan's cheapest operating point meeting (τg, τb).
-
-        Plans whose strategies lack the needed offline parameters (an AQG
-        side without query statistics, an FS side without a classifier
-        profile) are reported infeasible rather than crashing the sweep.
-        """
-        observability = self.observability
-        if not observability.enabled:
-            return self._evaluate(plan, requirement)
-        with observability.span(
-            SpanKind.PLAN_EVALUATION,
-            f"evaluate.{plan.join.value.lower()}",
-            plan=plan.describe(),
-        ) as span:
-            evaluation = self._evaluate(plan, requirement)
-            span.set(
-                feasible=evaluation.feasible,
-                effort_fraction=evaluation.effort_fraction,
-            )
-            if evaluation.prediction is not None:
-                span.set(predicted_time=evaluation.predicted_time)
-        observability.metrics.counter(
-            "repro_plan_evaluations_total", feasible=evaluation.feasible
-        ).inc()
-        return evaluation
-
-    def _evaluate(
-        self, plan: JoinPlanSpec, requirement: QualityRequirement
-    ) -> PlanEvaluation:
-        try:
-            predictor, max_effort = self._cached_predictor(plan)
-        except ValueError:
-            return PlanEvaluation(plan=plan, feasible=False, prediction=None)
-        target_good = requirement.tau_good * (1.0 + self.feasibility_margin)
-        fraction = self._engine.minimal_fraction(plan, target_good)
-        if fraction is None:
-            return PlanEvaluation(plan=plan, feasible=False, prediction=None)
-        prediction = predictor(fraction * max_effort)
-        feasible = prediction.meets(requirement.tau_good, requirement.tau_bad)
-        return PlanEvaluation(
-            plan=plan,
-            feasible=feasible,
-            prediction=prediction,
-            effort_fraction=fraction,
-        )
+    # -- per-plan models ---------------------------------------------------------
 
     def _cached_predictor(
         self, plan: JoinPlanSpec
@@ -373,7 +314,7 @@ class JoinOptimizer:
 
     def _bisection_steps(self, max_effort: float) -> int:
         steps = 1
-        while (1 << steps) < max(self.effort_resolution, int(max_effort)):
+        while (1 << steps) < max(self.EFFORT_RESOLUTION, int(max_effort)):
             steps += 1
         return min(steps, 16)
 
@@ -457,7 +398,7 @@ class JoinOptimizer:
         runtime.triples[effort] = triple
         return triple
 
-    def _evaluate_pruned(
+    def _evaluate_plans(
         self,
         plans: Sequence[JoinPlanSpec],
         requirement: QualityRequirement,
@@ -708,17 +649,15 @@ class JoinOptimizer:
         self,
         plans: Sequence[JoinPlanSpec],
         requirement: QualityRequirement,
-        prune: Optional[bool] = None,
     ) -> OptimizationResult:
         """Assess all candidates; choose the fastest feasible one.
 
-        ``prune`` overrides the constructor's pruning default for this
-        call.  The pruned path picks the identical plan at the identical
-        operating point; provably-dominated or provably-τb-infeasible
-        candidates come back with ``pruned=True`` instead of a full
-        prediction.
+        Candidates run the bound-pruned lockstep descent
+        (:meth:`_evaluate_plans`): provably-dominated or
+        provably-τb-infeasible plans come back with ``pruned=True``
+        instead of a full prediction.  Sweeping many requirements through
+        one optimizer shares its bounds, models and memoized probes.
         """
-        effective_prune = self.prune if prune is None else prune
         observability = self.observability
         with observability.span(
             SpanKind.OPTIMIZE,
@@ -727,30 +666,24 @@ class JoinOptimizer:
             tau_good=requirement.tau_good,
             tau_bad=requirement.tau_bad,
         ) as span:
-            if effective_prune:
-                before = self.pruning.as_dict()
-                evaluations = self._evaluate_pruned(list(plans), requirement)
-                self._publish_pruning(before)
-                if observability.enabled:
-                    # One batched inc per label value, not one label-key
-                    # resolution per evaluation: sweeps call optimize()
-                    # once per tau and the per-call lookup cost dominates
-                    # the enabled-path overhead.
-                    feasible = sum(1 for e in evaluations if e.feasible)
-                    infeasible = len(evaluations) - feasible
-                    if feasible:
-                        observability.metrics.counter(
-                            "repro_plan_evaluations_total", feasible=True
-                        ).inc(feasible)
-                    if infeasible:
-                        observability.metrics.counter(
-                            "repro_plan_evaluations_total", feasible=False
-                        ).inc(infeasible)
-            else:
-                evaluations = [
-                    self.evaluate(plan, requirement) for plan in plans
-                ]
+            before = self.pruning.as_dict()
+            evaluations = self._evaluate_plans(list(plans), requirement)
+            self._publish_pruning(before)
             feasible = [e for e in evaluations if e.feasible]
+            if observability.enabled:
+                # One batched inc per label value, not one label-key
+                # resolution per evaluation: sweeps call optimize() once
+                # per tau and the per-call lookup cost dominates the
+                # enabled-path overhead.
+                infeasible = len(evaluations) - len(feasible)
+                if feasible:
+                    observability.metrics.counter(
+                        "repro_plan_evaluations_total", feasible=True
+                    ).inc(len(feasible))
+                if infeasible:
+                    observability.metrics.counter(
+                        "repro_plan_evaluations_total", feasible=False
+                    ).inc(infeasible)
             chosen = (
                 min(feasible, key=lambda e: e.predicted_time)
                 if feasible
@@ -766,31 +699,6 @@ class JoinOptimizer:
             chosen=chosen,
             evaluations=tuple(evaluations),
         )
-
-    def optimize_many(
-        self,
-        plans: Sequence[JoinPlanSpec],
-        requirements: Sequence[QualityRequirement],
-        prune: Optional[bool] = True,
-    ) -> List[OptimizationResult]:
-        """Answer many (τg, τb) requirements over one shared plan space.
-
-        This is the tau-sweep entry point: with pruning on (the default
-        here; pass ``None`` to inherit the constructor setting), all
-        requirements share one set of tier-A bounds, one model
-        per plan, and one pool of memoized effort probes — a requirement
-        whose descent revisits an effort another requirement already
-        probed pays a dict lookup instead of a model prediction, so the
-        whole sweep approaches one frontier pass over the shared curves.
-        Results are position-matched to *requirements* and each is
-        identical to ``optimize(plans, requirement)`` called alone.
-        """
-        effective_prune = self.prune if prune is None else prune
-        plans = list(plans)
-        return [
-            self.optimize(plans, requirement, prune=effective_prune)
-            for requirement in requirements
-        ]
 
     # -- telemetry helpers -------------------------------------------------------
 
@@ -830,11 +738,11 @@ class JoinOptimizer:
     ]:
         """The plan's predicted effort curve (fractions, good, bad).
 
-        Built on first use (the pruned path never warms the engine's
-        curve cache, and drift telemetry still wants the chosen plan's
-        shape); None when the plan's models cannot be built — drift
-        snapshots attach it so a refit records the shape the optimizer
-        believed, not just the point estimate.
+        Built on first use (the descent never samples a grid curve, and
+        drift telemetry still wants the chosen plan's shape); None when
+        the plan's models cannot be built — drift snapshots attach it so
+        a refit records the shape the optimizer believed, not just the
+        point estimate.
         """
         try:
             curve = self._engine.curve(plan)

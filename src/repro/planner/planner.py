@@ -143,7 +143,7 @@ class MultiwayPlanner:
         self.model = GraphCompositionModel(graph, catalog, costs=costs, t_join=t_join)
         self.feasibility_margin = feasibility_margin
         self._clock = clock
-        self._structure_count: Dict[bool, int] = {}
+        self._structure_count: Optional[int] = None
         #: the naive left-deep tree: the tree of the naive baseline plan,
         #: and the placeholder of every assignment the DP never orders
         self._left_deep_tree = naive_left_deep_tree(graph)
@@ -162,12 +162,11 @@ class MultiwayPlanner:
         ]
         return [tuple(combo) for combo in itertools.product(*per_relation)]
 
-    def structure_count(self, bushy: bool = True) -> int:
-        cached = self._structure_count.get(bushy)
-        if cached is None:
-            cached = count_subplans(self.graph, bushy=bushy)
-            self._structure_count[bushy] = cached
-        return cached
+    def structure_count(self) -> int:
+        """Subplans a bushy enumeration examines per assignment (counted once)."""
+        if self._structure_count is None:
+            self._structure_count = count_subplans(self.graph)
+        return self._structure_count
 
     def target_good(self, requirement: QualityRequirement) -> float:
         return requirement.tau_good * (1.0 + self.feasibility_margin)
@@ -178,18 +177,17 @@ class MultiwayPlanner:
         self,
         requirement: QualityRequirement,
         prune: bool = True,
-        bushy: bool = True,
     ) -> PlannerResult:
         started = self._clock()
         tallies = PlannerTallies()
-        structure = self.structure_count(bushy)
+        structure = self.structure_count()
         target = self.target_good(requirement)
         evaluations: List[PlannedEvaluation] = []
         for assignment in self.assignments():
             tallies.assignments += 1
             evaluations.append(
                 self._evaluate_assignment(
-                    assignment, requirement, target, structure, prune, bushy, tallies
+                    assignment, requirement, target, structure, prune, tallies
                 )
             )
         tallies.plan_space = tallies.assignments * structure
@@ -215,7 +213,6 @@ class MultiwayPlanner:
         target: float,
         structure: int,
         prune: bool,
-        bushy: bool,
         tallies: PlannerTallies,
     ) -> PlannedEvaluation:
         configs = {config.name: config for config in assignment}
@@ -258,7 +255,7 @@ class MultiwayPlanner:
                 )
             return self._full_evaluation(
                 assignment, configs, index, 1.0, efforts, good, total - good,
-                feasible=False, reason="tau_good", bushy=bushy, tallies=tallies,
+                feasible=False, reason="tau_good", tallies=tallies,
             )
         efforts = self.model.balanced_efforts(configs, fraction)
         total, good = self.model.curve_point(index, fraction)
@@ -282,11 +279,11 @@ class MultiwayPlanner:
                 )
             return self._full_evaluation(
                 assignment, configs, index, fraction, efforts, good, bad,
-                feasible=False, reason="tau_bad", bushy=bushy, tallies=tallies,
+                feasible=False, reason="tau_bad", tallies=tallies,
             )
         return self._full_evaluation(
             assignment, configs, index, fraction, efforts, good, bad,
-            feasible=True, reason="", bushy=bushy, tallies=tallies,
+            feasible=True, reason="", tallies=tallies,
         )
 
     def _full_evaluation(
@@ -300,7 +297,6 @@ class MultiwayPlanner:
         bad: float,
         feasible: bool,
         reason: str,
-        bushy: bool,
         tallies: PlannerTallies,
     ) -> PlannedEvaluation:
         def size_of(subset: FrozenSet[str]) -> float:
@@ -308,7 +304,7 @@ class MultiwayPlanner:
 
         enumeration = EnumerationTallies()
         tree, _ = best_tree(
-            self.graph, size_of, self.model.t_join, bushy=bushy, tallies=enumeration
+            self.graph, size_of, self.model.t_join, tallies=enumeration
         )
         tallies.subplans_enumerated += enumeration.subplans
         tallies.subplans_dominated += enumeration.dominated
@@ -393,10 +389,9 @@ class MultiwayPlanner:
         self,
         tau_goods: Sequence[int],
         tau_bad: int,
-        prune: bool = True,
     ) -> List[Tuple[int, PlannerResult]]:
         """Planning results across a sweep of τg targets."""
         return [
-            (tau_good, self.optimize(QualityRequirement(tau_good, tau_bad), prune=prune))
+            (tau_good, self.optimize(QualityRequirement(tau_good, tau_bad)))
             for tau_good in tau_goods
         ]

@@ -3,9 +3,9 @@
 The optimizer picks one quality-optimal plan per
 ``(task signature, store generation, requirement)`` — so concurrent
 requests that agree on all three are asking for the *same* answer, and
-computing it once is enough.  PR 7's ``optimize_many`` amortized shared
-work across the requirements of a single request; this module applies
-the same move **across requests**: the first arrival (the *leader*)
+computing it once is enough.  One optimizer answering a sweep amortizes
+shared work across the requirements of a single request; this module
+applies the same move **across requests**: the first arrival (the *leader*)
 starts the computation, duplicates that arrive while it is in flight
 attach as *waiters*, and all of them receive the one resolved result.
 

@@ -1056,7 +1056,6 @@ class JoinService:
                 catalog,
                 costs=task.costs,
                 feasibility_margin=self.margin,
-                prune=True,
             )
             space = BinaryPlanSpace(
                 optimizer,

@@ -28,8 +28,8 @@ implementations of the same math — the IDJN, OIJN and ZGJN array paths vs
 their scalar references, the AQG prefix-sum reach vs its reference loop,
 the grid-matmul MLE class fit vs its per-β loop — must agree to
 accumulation-order rounding (≤ 1e-9 relative), since both paths consume
-identical float64 inputs; the shared-curve plan engine must reproduce the
-per-requirement bisection byte for byte.  The references live in this
+identical float64 inputs; the bound-pruned optimizer must choose exactly
+what the unpruned per-plan bisection chooses.  The references live in this
 module (the ``reference_*`` functions and :class:`ReferenceJoinOptimizer`);
 nothing on the production path calls them.
 
@@ -79,8 +79,7 @@ from ..models.scheme import (
 )
 from ..models.simulate import simulate_idjn
 from ..models.zgjn_model import ZGJNModel
-from ..optimizer import JoinOptimizer, enumerate_plans
-from ..optimizer.engine import PlanEvaluationEngine
+from ..optimizer import JoinOptimizer, PlanEvaluation, enumerate_plans
 from ..retrieval.scan import ScanRetriever
 from .invariants import InvariantChecker, install_checker
 
@@ -731,28 +730,51 @@ def reference_minimal_fraction(
     return hi
 
 
-class _BisectionEngine(PlanEvaluationEngine):
-    """Answers feasibility with :func:`reference_minimal_fraction`."""
-
-    def minimal_fraction(
-        self, plan: JoinPlanSpec, tau_good: float
-    ) -> Optional[float]:
-        predictor, max_effort = self._optimizer._cached_predictor(plan)
-        return reference_minimal_fraction(
-            predictor,
-            max_effort,
-            tau_good,
-            self._optimizer._bisection_steps(max_effort),
-        )
-
-
 class BisectionJoinOptimizer(JoinOptimizer):
-    """The optimizer with a per-requirement bisection for feasibility
-    instead of the shared plan curves; same models, same predictions."""
+    """The optimizer without pruning: every plan bisects on its own.
 
-    def __init__(self, *args: Any, **kwargs: Any) -> None:
-        super().__init__(*args, **kwargs)
-        self._engine = _BisectionEngine(self)
+    Each plan gets a fresh :func:`reference_minimal_fraction` per
+    requirement and, when it reaches τg, a full prediction at that point
+    — the unpruned answer the bound-pruned descent must reproduce.  Same
+    models, same memoized predictions.
+    """
+
+    def _evaluate_plans(
+        self,
+        plans: Sequence[JoinPlanSpec],
+        requirement: QualityRequirement,
+    ) -> List[PlanEvaluation]:
+        target_good = requirement.tau_good * (1.0 + self.feasibility_margin)
+        evaluations: List[PlanEvaluation] = []
+        for plan in plans:
+            try:
+                predictor, max_effort = self._cached_predictor(plan)
+            except ValueError:
+                fraction = None
+            else:
+                fraction = reference_minimal_fraction(
+                    predictor,
+                    max_effort,
+                    target_good,
+                    self._bisection_steps(max_effort),
+                )
+            if fraction is None:
+                evaluations.append(
+                    PlanEvaluation(plan=plan, feasible=False, prediction=None)
+                )
+                continue
+            prediction = predictor(fraction * max_effort)
+            evaluations.append(
+                PlanEvaluation(
+                    plan=plan,
+                    feasible=prediction.meets(
+                        requirement.tau_good, requirement.tau_bad
+                    ),
+                    prediction=prediction,
+                    effort_fraction=fraction,
+                )
+            )
+        return evaluations
 
 
 class ReferenceJoinOptimizer(BisectionJoinOptimizer):
@@ -925,48 +947,6 @@ def check_aqg_reach_differential(
                 )
 
 
-def check_engine_differential(
-    report: ValidationReport,
-    task: JoinTask,
-    requirements: Optional[Sequence[Tuple[float, float]]] = None,
-) -> None:
-    """Shared plan curves vs the per-requirement bisection — byte identity.
-
-    Both optimizers run the same models; the engine locates each
-    requirement's transition on a precomputed dyadic curve, the reference
-    bisects afresh.  Every evaluation's ``repr`` must match.
-    """
-    plans = enumerate_plans(task.extractor1.name, task.extractor2.name)
-    if requirements is None:
-        requirements = [
-            (good, bad) for good in (2.0, 15.0, 40.0, 80.0)
-            for bad in (30.0, 100000.0)
-        ]
-    engine = JoinOptimizer(task.catalog(), costs=task.costs)
-    bisection = BisectionJoinOptimizer(task.catalog(), costs=task.costs)
-    for tau_good, tau_bad in requirements:
-        requirement = QualityRequirement(tau_good=tau_good, tau_bad=tau_bad)
-        got = engine.optimize(plans, requirement)
-        want = bisection.optimize(plans, requirement)
-        differing = sum(
-            repr(a) != repr(b)
-            for a, b in zip(got.evaluations, want.evaluations)
-        )
-        report.add(
-            CheckResult(
-                name=f"engine-diff/{task.name}/tg{tau_good:g}-tb{tau_bad:g}",
-                ok=repr(got) == repr(want),
-                observed=float(differing),
-                expected=0.0,
-                band=0.0,
-                detail=(
-                    f"{len(plans)} plan evaluations, repr byte-equality "
-                    "with the per-requirement bisection"
-                ),
-            )
-        )
-
-
 def check_pruning_differential(
     report: ValidationReport,
     task: JoinTask,
@@ -988,14 +968,14 @@ def check_pruning_differential(
             for good in (2.0, 18.0, 42.0, 90.0)
             for bad in (100.0, 100000.0)
         ]
-    pruned_opt = JoinOptimizer(task.catalog(), costs=task.costs, prune=True)
-    reference_opt = JoinOptimizer(task.catalog(), costs=task.costs)
+    pruned_opt = JoinOptimizer(task.catalog(), costs=task.costs)
+    reference_opt = BisectionJoinOptimizer(task.catalog(), costs=task.costs)
     irrelevance_violations = 0
     pruned_total = 0
     for tau_good, tau_bad in requirements:
         requirement = QualityRequirement(tau_good=tau_good, tau_bad=tau_bad)
         fast = pruned_opt.optimize(plans, requirement)
-        slow = reference_opt.optimize(plans, requirement, prune=False)
+        slow = reference_opt.optimize(plans, requirement)
         label = f"pruning-diff/{task.name}/tg{tau_good:g}-tb{tau_bad:g}"
         fast_time = (
             fast.chosen.predicted_time if fast.chosen is not None else -1.0
@@ -1599,7 +1579,6 @@ def run_validation(
             check_oijn_differential(report, task, theta=theta)
             check_zgjn_differential(report, task, theta=theta)
             check_aqg_reach_differential(report, task, theta=theta)
-            check_engine_differential(report, task)
             check_pruning_differential(report, task)
         check_mle_fit_differential(report, seed=sim_seed)
         if multiway:
@@ -1645,7 +1624,6 @@ __all__ = [
     "ValidationReport",
     "check_aqg_reach_differential",
     "check_approximate_models_vs_executor",
-    "check_engine_differential",
     "check_idjn_vs_executor",
     "check_kernel_differential",
     "check_mle_fit_differential",

@@ -181,44 +181,6 @@ class InvariantChecker:
                     )
                 previous = float(value)
 
-    def check_bracket(
-        self,
-        where: str,
-        n_good: Sequence[float],
-        tau_good: float,
-        hi_index: int,
-        width: int,
-    ) -> None:
-        """A located transition bracket really brackets the answer.
-
-        The engine's ``searchsorted`` shortcut promises the bisection
-        postcondition: the predicate holds at ``hi_index`` and fails at
-        ``hi_index - width`` (or the bracket is the never-probed leftmost
-        interval ``(0, width]``).
-        """
-        self.check(
-            0 < hi_index < len(n_good),
-            where,
-            f"bracket index {hi_index} outside the curve grid",
-        )
-        if not 0 < hi_index < len(n_good):
-            return
-        self.check(
-            float(n_good[hi_index]) >= tau_good,
-            where,
-            f"curve value {n_good[hi_index]!r} at the bracket's upper edge "
-            f"does not reach tau_good={tau_good!r}",
-        )
-        lo_index = hi_index - width
-        if lo_index > 0:
-            self.check(
-                float(n_good[lo_index]) < tau_good,
-                where,
-                f"curve value {n_good[lo_index]!r} at the bracket's lower "
-                f"edge already reaches tau_good={tau_good!r} — the bracket "
-                "is not minimal",
-            )
-
     # -- executors ------------------------------------------------------------
 
     def check_conservation(

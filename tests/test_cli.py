@@ -24,6 +24,23 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["optimize"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["optimize", "--tau-good", "50", "--tau-bad", "1000"],
+            ["optimize", "--scenario", "star3", "--tau-good", "40",
+             "--tau-bad", "120"],
+            ["frontier"],
+            ["frontier", "--scenario", "star3"],
+        ],
+    )
+    def test_no_prune_flag_is_gone(self, argv, capsys):
+        # The bound-pruned descent is the only evaluation path.
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(argv + ["--no-prune"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_characterize(self, capsys, scale_args):

@@ -19,6 +19,7 @@ from repro.experiments import (
     run_table2,
 )
 from repro.optimizer import enumerate_plans
+from repro.validation.differential import BisectionJoinOptimizer
 
 
 class TestTestbed:
@@ -181,6 +182,29 @@ class TestTable2:
         )
         text = format_table2_rows(rows, "Table II")
         assert "tau_g" in text and "chosen plan" in text
+
+    def test_table2_independent_of_evaluation_path(self, hq_ex_task):
+        """The pruned descent and the unpruned per-plan bisection print
+        the same Table II over the whole grid and plan space."""
+        plans = enumerate_plans(
+            hq_ex_task.extractor1.name, hq_ex_task.extractor2.name
+        )
+        trajectories = build_trajectories(hq_ex_task, plans)
+        pruned = run_table2(hq_ex_task, plans=plans, trajectories=trajectories)
+        unpruned = run_table2(
+            hq_ex_task,
+            plans=plans,
+            trajectories=trajectories,
+            optimizer=BisectionJoinOptimizer(
+                hq_ex_task.catalog(),
+                costs=hq_ex_task.costs,
+                feasibility_margin=0.15,
+            ),
+        )
+        assert len(pruned) == len(TABLE2_REQUIREMENTS)
+        assert format_table2_rows(pruned, "Table II") == format_table2_rows(
+            unpruned, "Table II"
+        )
 
     def test_requirement_grid_covers_paper_range(self):
         taus = [tg for tg, _ in TABLE2_REQUIREMENTS]

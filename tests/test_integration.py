@@ -64,7 +64,7 @@ class TestContractLifecycle:
             RetrievalKind.SCAN,
         )
         optimizer = JoinOptimizer(hq_ex_task.catalog(), costs=hq_ex_task.costs)
-        evaluation = optimizer.evaluate(plan, requirement)
+        evaluation = optimizer.optimize([plan], requirement).evaluations[0]
         executor = bind_plan(hq_ex_task.environment(0.4, 0.4), plan)
         execution = executor.run(requirement=requirement)
         assert execution.report.time.total == pytest.approx(

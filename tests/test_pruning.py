@@ -4,7 +4,8 @@ The pruning contract (DESIGN §6.7) is absolute: pruning may only change
 *how much work* the optimizer does, never *what it answers*.  These tests
 pin that contract on the seeded testbed grid — the pruned optimizer must
 choose the identical plan at the identical operating point as the
-unpruned reference, every fully-evaluated plan must match byte-for-byte,
+unpruned per-plan bisection (:class:`BisectionJoinOptimizer`), every
+fully-evaluated plan must match byte-for-byte,
 and every pruned-away plan must be provably irrelevant in the reference
 (infeasible, or strictly slower than the chosen plan).  The underlying
 bound kernels carry their own dominance property tests, and the persisted
@@ -21,13 +22,13 @@ from repro.core import QualityRequirement
 from repro.experiments import quality_frontier
 from repro.models.distributions import (
     issue_probability_ceiling,
-    none_extracted_lower_bound,
     probability_none_extracted,
 )
 from repro.optimizer import JoinOptimizer, enumerate_plans
 from repro.optimizer.bounds import BOUND_SLACK, PlanBounds
 from repro.service.shards import decode_journal_record, encode_journal_record
 from repro.service.store import StatisticsStore
+from repro.validation.differential import BisectionJoinOptimizer
 
 #: the seeded validation grid: dense enough to exercise tier-A prunes,
 #: τb-infeasible prunes, and dominance prunes at the session scale
@@ -45,18 +46,22 @@ def plan_space(hq_ex_task):
     )
 
 
-def _optimizer(task, **kwargs) -> JoinOptimizer:
-    return JoinOptimizer(task.catalog(), costs=task.costs, **kwargs)
+def _optimizer(task) -> JoinOptimizer:
+    return JoinOptimizer(task.catalog(), costs=task.costs)
+
+
+def _sweep(optimizer, plans):
+    """One optimizer answering every requirement of the grid in turn."""
+    return [optimizer.optimize(plans, requirement) for requirement in GRID]
 
 
 @pytest.fixture(scope="module")
 def reference(hq_ex_task, plan_space):
-    """Unpruned grid results from the default (engine) path."""
-    optimizer = _optimizer(hq_ex_task)
-    return [
-        optimizer.optimize(plan_space, requirement, prune=False)
-        for requirement in GRID
-    ]
+    """Unpruned grid results from the per-plan bisection."""
+    return _sweep(
+        BisectionJoinOptimizer(hq_ex_task.catalog(), costs=hq_ex_task.costs),
+        plan_space,
+    )
 
 
 def assert_equivalent(pruned_results, reference_results) -> None:
@@ -100,19 +105,19 @@ def assert_equivalent(pruned_results, reference_results) -> None:
 
 class TestPrunedExactness:
     def test_seeded_grid_identical(self, hq_ex_task, plan_space, reference):
-        optimizer = _optimizer(hq_ex_task, prune=True)
-        results = optimizer.optimize_many(plan_space, GRID)
+        optimizer = _optimizer(hq_ex_task)
+        results = _sweep(optimizer, plan_space)
         assert_equivalent(results, reference)
         # The sweep must actually have pruned something, or the test
         # proves nothing about the pruning layer.
         assert optimizer.pruning.plans_pruned > 0
 
-    def test_prune_flag_on_optimize_overrides_constructor(
+    def test_fresh_optimizer_per_requirement_identical(
         self, hq_ex_task, plan_space, reference
     ):
-        optimizer = _optimizer(hq_ex_task, prune=False)
+        """No answer depends on probes an earlier requirement memoized."""
         results = [
-            optimizer.optimize(plan_space, requirement, prune=True)
+            _optimizer(hq_ex_task).optimize(plan_space, requirement)
             for requirement in GRID
         ]
         assert_equivalent(results, reference)
@@ -121,7 +126,7 @@ class TestPrunedExactness:
         self, hq_ex_task, plan_space, reference
     ):
         """Looser (still sound) bounds prune less but answer the same."""
-        optimizer = _optimizer(hq_ex_task, prune=True)
+        optimizer = _optimizer(hq_ex_task)
         for plan in plan_space:
             bounds = optimizer.plan_bounds(plan)
             if bounds is None:
@@ -131,7 +136,7 @@ class TestPrunedExactness:
                 good_upper=bounds.good_upper * 10.0 + 1.0,
                 bad_upper=bounds.bad_upper * 10.0 + 1.0,
             )
-        results = optimizer.optimize_many(plan_space, GRID)
+        results = _sweep(optimizer, plan_space)
         assert_equivalent(results, reference)
 
     def test_tightened_bounds_identical(
@@ -139,8 +144,8 @@ class TestPrunedExactness:
     ):
         """The tightest sound bound — the actual full-effort prediction —
         prunes the most aggressively and still answers the same."""
-        optimizer = _optimizer(hq_ex_task, prune=True)
-        tightened = _optimizer(hq_ex_task, prune=True)
+        optimizer = _optimizer(hq_ex_task)
+        tightened = _optimizer(hq_ex_task)
         for plan in plan_space:
             prediction = optimizer.predict_full_effort(plan)
             if prediction is None:
@@ -150,7 +155,7 @@ class TestPrunedExactness:
                 good_upper=prediction.n_good,
                 bad_upper=prediction.n_bad,
             )
-        results = tightened.optimize_many(plan_space, GRID)
+        results = _sweep(tightened, plan_space)
         assert_equivalent(results, reference)
 
 
@@ -160,26 +165,6 @@ class TestPrunedExactness:
 
 
 class TestBoundSoundness:
-    def test_jensen_lower_bound_dominated(self):
-        """``(1-rate)^{E[K]}`` never exceeds the exact ``E[(1-rate)^K]``."""
-        rng = np.random.default_rng(7)
-        for _ in range(200):
-            population = int(rng.integers(1, 400))
-            draws = int(rng.integers(0, population + 1))
-            occurrences = int(rng.integers(0, min(population, 40) + 1))
-            rate = float(rng.uniform(0.0, 1.0))
-            exact = probability_none_extracted(
-                population, draws, occurrences, rate
-            )
-            bound = float(
-                none_extracted_lower_bound(
-                    population, draws, occurrences, rate
-                )
-            )
-            assert bound <= exact + 1e-12, (
-                population, draws, occurrences, rate,
-            )
-
     def test_issue_ceiling_dominates_every_effort(self):
         """The full-retrieval point caps Pr{extracted} at any draw count."""
         rng = np.random.default_rng(13)
@@ -203,7 +188,7 @@ class TestBoundSoundness:
     def test_tier_a_bound_caps_full_effort_prediction(
         self, hq_ex_task, plan_space
     ):
-        optimizer = _optimizer(hq_ex_task, prune=True)
+        optimizer = _optimizer(hq_ex_task)
         bounded = 0
         for plan in plan_space:
             bounds = optimizer.plan_bounds(plan)
@@ -231,8 +216,8 @@ class TestCurvePersistence:
     def test_round_trip_identical_results(
         self, tmp_path, hq_ex_task, plan_space, reference
     ):
-        warm = _optimizer(hq_ex_task, prune=True)
-        warm_results = warm.optimize_many(plan_space, GRID)
+        warm = _optimizer(hq_ex_task)
+        warm_results = _sweep(warm, plan_space)
         payload = warm.export_probes()
         assert warm.probe_count() > 0
 
@@ -250,10 +235,10 @@ class TestCurvePersistence:
         assert record is not None
         assert record["plans"] == payload
 
-        cold = _optimizer(hq_ex_task, prune=True)
+        cold = _optimizer(hq_ex_task)
         loaded = cold.import_probes(record["plans"], plan_space)
         assert loaded > 0
-        results = cold.optimize_many(plan_space, GRID)
+        results = _sweep(cold, plan_space)
         assert_equivalent(results, reference)
         assert_equivalent(results, warm_results)
         # The imported probes must actually have been consumed: the cold
@@ -272,7 +257,7 @@ class TestCurvePersistence:
         assert store.generation == before
 
     def test_generation_invalidation(self, tmp_path, hq_ex_task, plan_space):
-        optimizer = _optimizer(hq_ex_task, prune=True)
+        optimizer = _optimizer(hq_ex_task)
         optimizer.optimize(plan_space, GRID[0])
         store = StatisticsStore(str(tmp_path))
         databases = self._databases(hq_ex_task)
@@ -359,13 +344,17 @@ class TestJournalCurveRecords:
 
 
 class TestFrontierIdentity:
-    def test_frontier_prune_matches_unpruned(self, hq_ex_task, plan_space):
+    def test_frontier_prune_matches_unpruned(
+        self, hq_ex_task, plan_space, monkeypatch
+    ):
         catalog = hq_ex_task.catalog()
-        pruned = quality_frontier(
-            catalog, plan_space, costs=hq_ex_task.costs, prune=True
+        pruned = quality_frontier(catalog, plan_space, costs=hq_ex_task.costs)
+        # Unknown bounds skip no plan: the frontier over the whole space.
+        monkeypatch.setattr(
+            JoinOptimizer, "plan_bounds", lambda self, plan: None
         )
         unpruned = quality_frontier(
-            catalog, plan_space, costs=hq_ex_task.costs, prune=False
+            catalog, plan_space, costs=hq_ex_task.costs
         )
         assert len(pruned) == len(unpruned)
         for a, b in zip(pruned, unpruned):

@@ -129,20 +129,6 @@ class TestStructuralChecks:
         checker.check_curve("w", [0, 2, 1], [0, 0, 0], [0, 0, 0])
         assert any("decreases" in v.message for v in checker.violations)
 
-    def test_check_bracket_postcondition(self, checker):
-        curve = [0.0, 1.0, 2.0, 3.0, 4.0]
-        checker.check_bracket("w", curve, tau_good=2.5, hi_index=3, width=1)
-        assert checker.violations == []
-        # Upper edge below tau: the bracket does not bracket.
-        checker.check_bracket("w", curve, tau_good=3.5, hi_index=3, width=1)
-        assert len(checker.violations) == 1
-
-    def test_check_bracket_minimality(self, checker):
-        curve = [0.0, 1.0, 2.0, 3.0]
-        # Lower edge already reaches tau → not minimal.
-        checker.check_bracket("w", curve, tau_good=0.5, hi_index=2, width=1)
-        assert any("not minimal" in v.message for v in checker.violations)
-
     def test_check_conservation(self, checker):
         checker.check_conservation("w", 10, 6, 4, 6)
         assert checker.violations == []
