@@ -4,9 +4,10 @@ Scales the seeded multiway world to star joins of ``n`` alias relations
 (cycling the three extractors over the three hosted corpora, all joined
 on ``Company``) and, per arity, measures the planner three ways:
 
-* **pruned vs exhaustive wall clock** — one ``optimize(prune=True)`` and
-  one ``optimize(prune=False)``, each on a fresh planner (a planner
-  memoizes its effort curves), over the full theta/access-path
+* **pruned vs exhaustive wall clock** — one ``MultiwayPlanner.optimize``
+  and one run of the exhaustive reference (``ExhaustiveMultiwayPlanner``
+  from ``repro.validation.differential``), each on a fresh planner (a
+  planner memoizes its effort curves), over the full theta/access-path
   assignment space, with the requirement pinned *between* the two
   highest tier-A theta-class ceilings so every weaker theta class is
   bound-pruned while the strongest class stays feasible;
@@ -57,6 +58,10 @@ from repro.planner import (
     MultiwayPlanner,
     RelationConfig,
     RelationNode,
+)
+from repro.validation.differential import (
+    ExhaustiveMultiwayPlanner,
+    naive_evaluation,
 )
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -129,14 +134,12 @@ def run_planner_bench(testbed, ns: Sequence[int]) -> List[dict]:
         # curves the first one built.  The catalog (per-relation
         # statistics, not planner work) is warm for both.
         start = time.perf_counter()
-        pruned = MultiwayPlanner(scenario.graph, catalog).optimize(
-            requirement, prune=True
-        )
+        pruned = MultiwayPlanner(scenario.graph, catalog).optimize(requirement)
         seconds_pruned = time.perf_counter() - start
         start = time.perf_counter()
-        exhaustive = MultiwayPlanner(scenario.graph, catalog).optimize(
-            requirement, prune=False
-        )
+        exhaustive = ExhaustiveMultiwayPlanner(
+            scenario.graph, catalog
+        ).optimize(requirement)
         seconds_exhaustive = time.perf_counter() - start
 
         identical = (pruned.chosen is None) == (exhaustive.chosen is None)
@@ -147,7 +150,7 @@ def run_planner_bench(testbed, ns: Sequence[int]) -> List[dict]:
                 and pruned.chosen.effort_fraction
                 == exhaustive.chosen.effort_fraction
             )
-        naive = planner.naive_evaluation(requirement)
+        naive = naive_evaluation(planner, requirement)
         speedup_vs_naive = None
         if (
             pruned.chosen is not None

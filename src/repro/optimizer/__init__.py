@@ -18,7 +18,6 @@ from .binder import (
     budgets_from_evaluation,
 )
 from .catalog import StatisticsCatalog
-from .engine import PlanCurve, PlanEvaluationEngine
 from .enumerator import EXPLICIT_KINDS, enumerate_plans
 from .optimizer import (
     JoinOptimizer,
@@ -34,9 +33,7 @@ __all__ = [
     "JoinOptimizer",
     "OptimizationResult",
     "PilotWarmStart",
-    "PlanCurve",
     "PlanEvaluation",
-    "PlanEvaluationEngine",
     "PosteriorQuality",
     "TuplePosterior",
     "StatisticsCatalog",

@@ -25,10 +25,7 @@ from ..validation.invariants import active_checker
 class PlanCurve:
     """One plan's effort curve sampled on the dyadic fraction grid."""
 
-    plan: JoinPlanSpec
-    max_effort: float
-    #: grid resolution: fractions are j / 2**grid_m, j = 0..2**grid_m
-    grid_m: int
+    #: effort fractions j / 2**m, j = 0..2**m (m from ``CURVE_M``)
     fractions: np.ndarray
     n_good: np.ndarray
     n_bad: np.ndarray
@@ -77,9 +74,6 @@ class PlanEvaluationEngine:
                     for fraction in fractions
                 ]
             curve = PlanCurve(
-                plan=plan,
-                max_effort=max_effort,
-                grid_m=grid_m,
                 fractions=fractions,
                 n_good=np.array([p.n_good for p in predictions]),
                 n_bad=np.array([p.n_bad for p in predictions]),

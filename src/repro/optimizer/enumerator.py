@@ -32,28 +32,25 @@ def enumerate_plans(
     extractor2: str,
     thetas1: Sequence[float] = (0.4, 0.8),
     thetas2: Sequence[float] = (0.4, 0.8),
-    retrieval_kinds: Sequence[RetrievalKind] = EXPLICIT_KINDS,
-    include_idjn: bool = True,
-    include_oijn: bool = True,
-    include_zgjn: bool = True,
-    oijn_outer_sides: Sequence[int] = (1, 2),
 ) -> List[JoinPlanSpec]:
-    """All candidate join execution plans over the configuration space."""
+    """All candidate join execution plans over the configuration space.
+
+    Per (θ1, θ2) pair: the 9 IDJN plans over every pair of explicit
+    retrieval strategies, the 6 OIJN plans (either side outer, with each
+    strategy on it), and the one ZGJN plan.
+    """
     plans: List[JoinPlanSpec] = []
     configs1 = [ExtractorConfig(extractor1, theta) for theta in thetas1]
     configs2 = [ExtractorConfig(extractor2, theta) for theta in thetas2]
     for e1 in configs1:
         for e2 in configs2:
-            if include_idjn:
-                for x1 in retrieval_kinds:
-                    for x2 in retrieval_kinds:
-                        plans.append(idjn_plan(e1, e2, x1, x2))
-            if include_oijn:
-                for outer in oijn_outer_sides:
-                    for kind in retrieval_kinds:
-                        plans.append(
-                            oijn_plan(e1, e2, outer_retrieval=kind, outer=outer)
-                        )
-            if include_zgjn:
-                plans.append(zgjn_plan(e1, e2))
+            for x1 in EXPLICIT_KINDS:
+                for x2 in EXPLICIT_KINDS:
+                    plans.append(idjn_plan(e1, e2, x1, x2))
+            for outer in (1, 2):
+                for kind in EXPLICIT_KINDS:
+                    plans.append(
+                        oijn_plan(e1, e2, outer_retrieval=kind, outer=outer)
+                    )
+            plans.append(zgjn_plan(e1, e2))
     return plans

@@ -34,6 +34,7 @@ from ..models.predictions import QualityPrediction
 from ..models.zgjn_model import ZGJNModel
 from ..observability.context import ObservabilityContext, ensure_observability
 from ..observability.tracer import SpanKind
+from ..validation.invariants import active_checker
 from .bounds import PlanBounds, plan_bounds
 from .catalog import StatisticsCatalog
 from .engine import PlanEvaluationEngine
@@ -424,7 +425,10 @@ class JoinOptimizer:
         Monotonicity of (n_good, n_bad, time) in effort is the model
         contract the τb/dominance rules lean on; a guard cross-checks
         every probed bracket and permanently exempts any violating plan
-        from pruning (it then completes its full descent).
+        from pruning (it then completes its full descent).  With an
+        enabled :class:`~repro.validation.invariants.InvariantChecker`
+        active, each trip is also recorded as a violation naming the plan
+        (``--selfcheck`` raises on it).
         """
         tally = self.pruning
         target_good = requirement.tau_good * (1.0 + self.feasibility_margin)
@@ -525,6 +529,15 @@ class JoinOptimizer:
                         runtime.non_monotone = True
                         tally.monotonicity_fallbacks += 1
                         self._non_monotone.add(runtime.plan)
+                        checker = active_checker()
+                        if checker.enabled:
+                            checker.violation(
+                                f"optimizer.descent[{runtime.plan.describe()}]",
+                                "(n_good, n_bad, time) is not non-decreasing "
+                                f"in effort: {lo_vals} at {state.lo!r}, "
+                                f"{probed} at {mid!r}, {above} at "
+                                f"{state.hi!r}",
+                            )
                 if probed[0] >= target_good:
                     state.hi, state.hi_vals = mid, probed
                 else:

@@ -15,11 +15,9 @@ from .binder import MultiwayEnvironment, bind_multiway_plan
 from .catalog import PlannerCatalog, RelationEntry
 from .enumerator import (
     EnumerationTallies,
-    all_trees,
     best_tree,
     count_subplans,
     naive_left_deep_tree,
-    tree_cost,
 )
 from .graph import JoinEdge, JoinGraph, RelationNode
 from .model import (
@@ -61,7 +59,6 @@ __all__ = [
     "RelationEntry",
     "RelationNode",
     "SimulationSummary",
-    "all_trees",
     "best_tree",
     "bind_multiway_plan",
     "compose_factors",
@@ -70,5 +67,4 @@ __all__ = [
     "profile_keys",
     "simulate_composition",
     "subset_attributes",
-    "tree_cost",
 ]

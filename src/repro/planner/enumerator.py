@@ -3,8 +3,7 @@
 The DP walks connected subgraphs by increasing size and, for each,
 considers every connected-subgraph/complement split (csg-cmp pair),
 which on an acyclic graph enumerates exactly the cross-product-free
-binary join trees — bushy by default, optionally restricted to
-left-deep shapes.  Cost is the classic recurrence
+binary join trees of every shape.  Cost is the classic recurrence
 
     cost(S)  = min over splits (S1, S2) of S:
                cost(S1) + cost(S2) + t_join · E[|result(S)|]
@@ -12,13 +11,13 @@ left-deep shapes.  Cost is the classic recurrence
 with E[|result(S)|] supplied by the compositional model and shared by
 every split of S, so the DP's work per subset is dominated by one model
 evaluation.  Ties break on the tree's description string so that the DP
-and the brute-force reference (``all_trees`` + ``tree_cost``) pick the
-byte-identical plan.
+and the brute-force reference (``all_trees`` + ``tree_cost`` in
+:mod:`repro.validation.differential`) pick the byte-identical plan.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from .graph import JoinGraph
@@ -81,7 +80,7 @@ class _Bitmap:
         return masks
 
 
-def _splits(bitmap: _Bitmap, mask: int, bushy: bool) -> Iterator[Tuple[int, int]]:
+def _splits(bitmap: _Bitmap, mask: int) -> Iterator[Tuple[int, int]]:
     """Canonical csg-cmp pairs of *mask*: the half holding its lowest bit
     comes first, so each unordered split is produced exactly once."""
     low = mask & -mask
@@ -90,12 +89,11 @@ def _splits(bitmap: _Bitmap, mask: int, bushy: bool) -> Iterator[Tuple[int, int]
         if sub & low:
             rest = mask ^ sub
             if rest and bitmap.connected(sub) and bitmap.connected(rest):
-                if bushy or bin(sub).count("1") == 1 or bin(rest).count("1") == 1:
-                    yield sub, rest
+                yield sub, rest
         sub = (sub - 1) & mask
 
 
-def count_subplans(graph: JoinGraph, bushy: bool = True) -> int:
+def count_subplans(graph: JoinGraph) -> int:
     """Number of csg-cmp candidates a full enumeration examines.
 
     Depends only on the graph topology, so the planner can account for
@@ -107,7 +105,7 @@ def count_subplans(graph: JoinGraph, bushy: bool = True) -> int:
     for mask in bitmap.connected_masks():
         if bin(mask).count("1") < 2:
             continue
-        total += sum(1 for _ in _splits(bitmap, mask, bushy))
+        total += sum(1 for _ in _splits(bitmap, mask))
     return total
 
 
@@ -115,7 +113,6 @@ def best_tree(
     graph: JoinGraph,
     size_of: SizeOf,
     t_join: float,
-    bushy: bool = True,
     tallies: Optional[EnumerationTallies] = None,
 ) -> Tuple[PlanTree, float]:
     """The cheapest join tree and its join cost (side costs excluded)."""
@@ -130,7 +127,7 @@ def best_tree(
         tallies.subsets += 1
         weight = t_join * size_of(bitmap.to_set(mask))
         incumbent: Optional[Tuple[float, PlanTree]] = None
-        for sub, rest in _splits(bitmap, mask, bushy):
+        for sub, rest in _splits(bitmap, mask):
             tallies.subplans += 1
             left_cost, left_tree = best[sub]
             right_cost, right_tree = best[rest]
@@ -150,39 +147,6 @@ def best_tree(
         assert incumbent is not None, "connected subset without a split"
         best[mask] = incumbent
     return best[bitmap.full][1], best[bitmap.full][0]
-
-
-def all_trees(graph: JoinGraph, bushy: bool = True) -> List[PlanTree]:
-    """Brute-force enumeration of every cross-product-free join tree."""
-    bitmap = _Bitmap(graph)
-    memo: Dict[int, List[PlanTree]] = {}
-    for name in bitmap.names:
-        memo[bitmap.bit[name]] = [PlanTree.leaf(name)]
-    for mask in bitmap.connected_masks():
-        if bin(mask).count("1") < 2:
-            continue
-        trees: List[PlanTree] = []
-        for sub, rest in _splits(bitmap, mask, bushy):
-            for left in memo[sub]:
-                for right in memo[rest]:
-                    trees.append(PlanTree.node(left, right))
-        memo[mask] = trees
-    return memo[bitmap.full]
-
-
-def tree_cost(tree: PlanTree, size_of: SizeOf, t_join: float) -> float:
-    """Recursive join cost of one tree — the brute-force reference.
-
-    Computed bottom-up with the same association order as the DP so a
-    tree's cost is bit-identical whichever path produced it.
-    """
-    if tree.is_leaf:
-        return 0.0
-    return (
-        tree_cost(tree.left, size_of, t_join)
-        + tree_cost(tree.right, size_of, t_join)
-        + t_join * size_of(tree.subset)
-    )
 
 
 def naive_left_deep_tree(graph: JoinGraph, order: Optional[Sequence[str]] = None) -> PlanTree:

@@ -9,9 +9,11 @@
    assignment — and every join order under it — is pruned without a
    single effort-curve evaluation.
 2. **Join orders** — for surviving assignments, the balanced operating
-   point t* is found by bisection, per-subset intermediate sizes are
-   evaluated at t*, and the Selinger DP picks the cheapest tree; the
-   fully-interleaved n-ary strategy is costed as one more candidate.
+   point t* is found by bisection.  An assignment that cannot reach τg,
+   or exceeds τb at t*, is infeasible and never ordered.  For the rest,
+   per-subset intermediate sizes are evaluated at t* and the Selinger
+   DP picks the cheapest join tree of any shape; the fully-interleaved n-ary
+   strategy is costed as one more candidate.
 
 Every composition is read from the model's memoized effort curves,
 which do not depend on the requirement: a planner kept across requests
@@ -20,8 +22,11 @@ once, and a repeated requirement composes nothing.
 
 Pruning never changes the outcome: a bound-pruned assignment cannot
 reach τg at any effort, so exhaustive enumeration rejects it as
-infeasible too — the chosen plan is byte-identical with and without
-pruning (asserted by tests and the benchmark).
+infeasible too.  The exhaustive reference — no tier-A screen, every
+assignment ordered by the DP — is
+:class:`repro.validation.differential.ExhaustiveMultiwayPlanner`;
+``repro validate``, the tests and ``benchmarks/bench_planner.py`` check
+that it chooses the byte-identical plan.
 """
 
 from __future__ import annotations
@@ -144,8 +149,8 @@ class MultiwayPlanner:
         self.feasibility_margin = feasibility_margin
         self._clock = clock
         self._structure_count: Optional[int] = None
-        #: the naive left-deep tree: the tree of the naive baseline plan,
-        #: and the placeholder of every assignment the DP never orders
+        #: the naive left-deep tree: the placeholder of every assignment
+        #: the DP never orders
         self._left_deep_tree = naive_left_deep_tree(graph)
 
     # ------------------------------------------------------------------
@@ -163,7 +168,7 @@ class MultiwayPlanner:
         return [tuple(combo) for combo in itertools.product(*per_relation)]
 
     def structure_count(self) -> int:
-        """Subplans a bushy enumeration examines per assignment (counted once)."""
+        """Subplans the DP examines per assignment (counted once)."""
         if self._structure_count is None:
             self._structure_count = count_subplans(self.graph)
         return self._structure_count
@@ -173,24 +178,16 @@ class MultiwayPlanner:
 
     # ------------------------------------------------------------------
 
-    def optimize(
-        self,
-        requirement: QualityRequirement,
-        prune: bool = True,
-    ) -> PlannerResult:
+    def optimize(self, requirement: QualityRequirement) -> PlannerResult:
         started = self._clock()
         tallies = PlannerTallies()
-        structure = self.structure_count()
-        target = self.target_good(requirement)
         evaluations: List[PlannedEvaluation] = []
         for assignment in self.assignments():
             tallies.assignments += 1
             evaluations.append(
-                self._evaluate_assignment(
-                    assignment, requirement, target, structure, prune, tallies
-                )
+                self._evaluate_assignment(assignment, requirement, tallies)
             )
-        tallies.plan_space = tallies.assignments * structure
+        tallies.plan_space = tallies.assignments * self.structure_count()
         feasible = [e for e in evaluations if e.feasible]
         chosen = (
             min(feasible, key=lambda e: (e.total_time, e.plan.describe()))
@@ -206,80 +203,71 @@ class MultiwayPlanner:
             elapsed=self._clock() - started,
         )
 
+    def _unordered_plan(self, assignment: Tuple[RelationConfig, ...]) -> MultiwayPlan:
+        """The plan of an assignment the DP never orders (left-deep placeholder)."""
+        return MultiwayPlan(
+            strategy=ExecutionStrategy.PIPELINE,
+            configs=assignment,
+            tree=self._left_deep_tree,
+        )
+
     def _evaluate_assignment(
         self,
         assignment: Tuple[RelationConfig, ...],
         requirement: QualityRequirement,
-        target: float,
-        structure: int,
-        prune: bool,
         tallies: PlannerTallies,
     ) -> PlannedEvaluation:
+        """Screen one assignment and run the join-order DP if it survives.
+
+        Only a feasible assignment is ordered: one that fails the tier-A
+        bound, cannot reach τg, or exceeds τb at its balanced operating
+        point is reported with the left-deep placeholder tree and its
+        subplans are counted without being enumerated.
+        """
         configs = {config.name: config for config in assignment}
         index = self.model.assignment_index(configs)
-        if prune:
-            bounds = self.model.bounds(configs)
-            if bounds.cannot_reach(target):
-                tallies.assignments_pruned_bound += 1
-                tallies.subplans_pruned_bound += structure
-                return PlannedEvaluation(
-                    plan=MultiwayPlan(
-                        strategy=ExecutionStrategy.PIPELINE,
-                        configs=assignment,
-                        tree=self._left_deep_tree,
-                    ),
-                    feasible=False,
-                    pruned=True,
-                    reason="bound",
-                    bound_good=bounds.good_upper,
-                )
+        target = self.target_good(requirement)
+        structure = self.structure_count()
+        bounds = self.model.bounds(configs)
+        if bounds.cannot_reach(target):
+            tallies.assignments_pruned_bound += 1
+            tallies.subplans_pruned_bound += structure
+            return PlannedEvaluation(
+                plan=self._unordered_plan(assignment),
+                feasible=False,
+                pruned=True,
+                reason="bound",
+                bound_good=bounds.good_upper,
+            )
         fraction = self.model.balanced_effort_fraction(configs, target)
         if fraction is None:
             tallies.assignments_infeasible_good += 1
+            tallies.subplans_skipped_infeasible += structure
             efforts = self.model.balanced_efforts(configs, 1.0)
             total, good = self.model.curve_point(index, 1.0)
-            if prune:
-                tallies.subplans_skipped_infeasible += structure
-                return PlannedEvaluation(
-                    plan=MultiwayPlan(
-                        strategy=ExecutionStrategy.PIPELINE,
-                        configs=assignment,
-                        tree=self._left_deep_tree,
-                    ),
-                    feasible=False,
-                    reason="tau_good",
-                    effort_fraction=1.0,
-                    efforts=efforts,
-                    good=good,
-                    bad=total - good,
-                )
-            return self._full_evaluation(
-                assignment, configs, index, 1.0, efforts, good, total - good,
-                feasible=False, reason="tau_good", tallies=tallies,
+            return PlannedEvaluation(
+                plan=self._unordered_plan(assignment),
+                feasible=False,
+                reason="tau_good",
+                effort_fraction=1.0,
+                efforts=efforts,
+                good=good,
+                bad=total - good,
             )
         efforts = self.model.balanced_efforts(configs, fraction)
         total, good = self.model.curve_point(index, fraction)
         bad = total - good
         if bad > requirement.tau_bad:
             tallies.assignments_infeasible_bad += 1
-            if prune:
-                tallies.subplans_skipped_infeasible += structure
-                return PlannedEvaluation(
-                    plan=MultiwayPlan(
-                        strategy=ExecutionStrategy.PIPELINE,
-                        configs=assignment,
-                        tree=self._left_deep_tree,
-                    ),
-                    feasible=False,
-                    reason="tau_bad",
-                    effort_fraction=fraction,
-                    efforts=efforts,
-                    good=good,
-                    bad=bad,
-                )
-            return self._full_evaluation(
-                assignment, configs, index, fraction, efforts, good, bad,
-                feasible=False, reason="tau_bad", tallies=tallies,
+            tallies.subplans_skipped_infeasible += structure
+            return PlannedEvaluation(
+                plan=self._unordered_plan(assignment),
+                feasible=False,
+                reason="tau_bad",
+                effort_fraction=fraction,
+                efforts=efforts,
+                good=good,
+                bad=bad,
             )
         return self._full_evaluation(
             assignment, configs, index, fraction, efforts, good, bad,
@@ -335,55 +323,6 @@ class MultiwayPlanner:
         return min(candidates, key=lambda e: (e.total_time, e.plan.describe()))
 
     # ------------------------------------------------------------------
-
-    def naive_evaluation(
-        self, requirement: QualityRequirement
-    ) -> Optional[PlannedEvaluation]:
-        """The naive baseline: default knobs, graph-order left-deep tree.
-
-        Picks each relation's first theta and first access path, finds its
-        own balanced operating point, and pays the left-deep pipeline's
-        join cost — the plan a planner-less executor would run.
-        """
-        assignment = tuple(
-            RelationConfig(
-                name=node.name,
-                theta=node.thetas[0],
-                retrieval=node.access_paths[0],
-            )
-            for node in self.graph.relations
-        )
-        configs = {config.name: config for config in assignment}
-        index = self.model.assignment_index(configs)
-        fraction = self.model.balanced_effort_fraction(
-            configs, self.target_good(requirement)
-        )
-        if fraction is None:
-            return None
-        efforts = self.model.balanced_efforts(configs, fraction)
-        total, good = self.model.curve_point(index, fraction)
-        plan = MultiwayPlan(
-            strategy=ExecutionStrategy.PIPELINE,
-            configs=assignment,
-            tree=self._left_deep_tree,
-        )
-        join_time, intermediates = self.model.join_time(
-            plan,
-            configs,
-            efforts,
-            size_of=lambda subset: self.model.curve_point(index, fraction, subset)[0],
-        )
-        return PlannedEvaluation(
-            plan=plan,
-            feasible=(total - good) <= requirement.tau_bad,
-            effort_fraction=fraction,
-            efforts=dict(efforts),
-            good=good,
-            bad=total - good,
-            side_time=self.model.side_time(configs, efforts).total,
-            join_time=join_time,
-            intermediates=intermediates,
-        )
 
     def frontier(
         self,

@@ -2,9 +2,10 @@
 
 A *plan space* answers any (τg, τb) requirement over statistics fixed
 when it was built: the binary :class:`~repro.optimizer.optimizer.JoinOptimizer`
-over one task's plan list (effort curves answered by a searchsorted), or
-the n-ary :class:`~repro.planner.planner.MultiwayPlanner` over one join
-graph (memoized catalog and structure counts).  A serving front end should
+over one task's plan list (each requirement answered by the bound-pruned
+descent over memoized model probes), or the n-ary
+:class:`~repro.planner.planner.MultiwayPlanner` over one join graph
+(memoized effort curves and structure counts).  A serving front end should
 never rebuild a space whose statistics have not changed — and must never
 reuse one whose statistics have.
 

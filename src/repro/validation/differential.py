@@ -29,8 +29,10 @@ their scalar references, the AQG prefix-sum reach vs its reference loop,
 the grid-matmul MLE class fit vs its per-β loop — must agree to
 accumulation-order rounding (≤ 1e-9 relative), since both paths consume
 identical float64 inputs; the bound-pruned optimizer must choose exactly
-what the unpruned per-plan bisection chooses.  The references live in this
-module (the ``reference_*`` functions and :class:`ReferenceJoinOptimizer`);
+what the unpruned per-plan bisection chooses, and the bound-pruned n-ary
+planner exactly what the exhaustive one chooses.  The references live in
+this module (the ``reference_*`` functions, :class:`ReferenceJoinOptimizer`,
+:class:`ExhaustiveMultiwayPlanner`, ``all_trees`` and ``tree_cost``);
 nothing on the production path calls them.
 
 OIJN/ZGJN executor comparisons reuse the repo's *documented* accuracy
@@ -46,11 +48,12 @@ emits a machine-readable ``validation_report.json``.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import pathlib
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -80,6 +83,16 @@ from ..models.scheme import (
 from ..models.simulate import simulate_idjn
 from ..models.zgjn_model import ZGJNModel
 from ..optimizer import JoinOptimizer, PlanEvaluation, enumerate_plans
+from ..planner.enumerator import SizeOf, best_tree, naive_left_deep_tree
+from ..planner.graph import JoinGraph
+from ..planner.plan import (
+    ExecutionStrategy,
+    MultiwayPlan,
+    PlannedEvaluation,
+    PlanTree,
+    RelationConfig,
+)
+from ..planner.planner import MultiwayPlanner, PlannerTallies
 from ..retrieval.scan import ScanRetriever
 from .invariants import InvariantChecker, install_checker
 
@@ -1074,6 +1087,147 @@ def check_mle_fit_differential(
 
 
 # ---------------------------------------------------------------------------
+# multiway planner references
+# ---------------------------------------------------------------------------
+
+
+class ExhaustiveMultiwayPlanner(MultiwayPlanner):
+    """The n-ary planner without pruning: every assignment is ordered.
+
+    No tier-A screen, and an assignment that misses τg (costed at full
+    effort) or τb still gets the full join-order DP — the exhaustive run
+    the bound-pruned :meth:`MultiwayPlanner.optimize` must reproduce.
+    Same model, same memoized effort curves.
+    """
+
+    def _evaluate_assignment(
+        self,
+        assignment: Tuple[RelationConfig, ...],
+        requirement: QualityRequirement,
+        tallies: PlannerTallies,
+    ) -> PlannedEvaluation:
+        configs = {config.name: config for config in assignment}
+        index = self.model.assignment_index(configs)
+        fraction = self.model.balanced_effort_fraction(
+            configs, self.target_good(requirement)
+        )
+        reason = ""
+        if fraction is None:
+            tallies.assignments_infeasible_good += 1
+            fraction, reason = 1.0, "tau_good"
+        efforts = self.model.balanced_efforts(configs, fraction)
+        total, good = self.model.curve_point(index, fraction)
+        bad = total - good
+        if not reason and bad > requirement.tau_bad:
+            tallies.assignments_infeasible_bad += 1
+            reason = "tau_bad"
+        return self._full_evaluation(
+            assignment, configs, index, fraction, efforts, good, bad,
+            feasible=not reason, reason=reason, tallies=tallies,
+        )
+
+
+def naive_evaluation(
+    planner: MultiwayPlanner, requirement: QualityRequirement
+) -> Optional[PlannedEvaluation]:
+    """The naive baseline: default knobs, graph-order left-deep tree.
+
+    Picks each relation's first theta and first access path, finds its
+    own balanced operating point, and pays the left-deep pipeline's
+    join cost — the plan a planner-less executor would run.
+    """
+    model = planner.model
+    assignment = tuple(
+        RelationConfig(
+            name=node.name,
+            theta=node.thetas[0],
+            retrieval=node.access_paths[0],
+        )
+        for node in planner.graph.relations
+    )
+    configs = {config.name: config for config in assignment}
+    index = model.assignment_index(configs)
+    fraction = model.balanced_effort_fraction(
+        configs, planner.target_good(requirement)
+    )
+    if fraction is None:
+        return None
+    efforts = model.balanced_efforts(configs, fraction)
+    total, good = model.curve_point(index, fraction)
+    plan = MultiwayPlan(
+        strategy=ExecutionStrategy.PIPELINE,
+        configs=assignment,
+        tree=naive_left_deep_tree(planner.graph),
+    )
+    join_time, intermediates = model.join_time(
+        plan,
+        configs,
+        efforts,
+        size_of=lambda subset: model.curve_point(index, fraction, subset)[0],
+    )
+    return PlannedEvaluation(
+        plan=plan,
+        feasible=(total - good) <= requirement.tau_bad,
+        effort_fraction=fraction,
+        efforts=dict(efforts),
+        good=good,
+        bad=total - good,
+        side_time=model.side_time(configs, efforts).total,
+        join_time=join_time,
+        intermediates=intermediates,
+    )
+
+
+def all_trees(graph: JoinGraph) -> List[PlanTree]:
+    """Brute-force enumeration of every cross-product-free join tree.
+
+    Independent of the DP's bitmap splits: each subset is cut into two
+    connected halves by plain combinations, with the half holding the
+    subset's first relation (graph order) on the left — the DP's
+    orientation, so both describe a tree by the same string.
+    """
+    memo: Dict[FrozenSet[str], List[PlanTree]] = {}
+
+    def trees(subset: FrozenSet[str]) -> List[PlanTree]:
+        if subset not in memo:
+            first, *rest = [name for name in graph.names if name in subset]
+            found = [PlanTree.leaf(first)] if not rest else []
+            for size in range(len(rest)):
+                for others in itertools.combinations(rest, size):
+                    left = frozenset((first, *others))
+                    right = subset - left
+                    if not (
+                        graph.subset_connected(left)
+                        and graph.subset_connected(right)
+                    ):
+                        continue
+                    found.extend(
+                        PlanTree.node(a, b)
+                        for a in trees(left)
+                        for b in trees(right)
+                    )
+            memo[subset] = found
+        return memo[subset]
+
+    return trees(frozenset(graph.names))
+
+
+def tree_cost(tree: PlanTree, size_of: SizeOf, t_join: float) -> float:
+    """Recursive join cost of one tree — the brute-force reference.
+
+    Computed bottom-up with the same association order as the DP so a
+    tree's cost is bit-identical whichever path produced it.
+    """
+    if tree.is_leaf:
+        return 0.0
+    return (
+        tree_cost(tree.left, size_of, t_join)
+        + tree_cost(tree.right, size_of, t_join)
+        + t_join * size_of(tree.subset)
+    )
+
+
+# ---------------------------------------------------------------------------
 # multiway planner differentials
 # ---------------------------------------------------------------------------
 
@@ -1295,8 +1449,6 @@ def _check_multiway_chain_reference(report, scenario, model, configs, efforts):
 
 def _check_multiway_enumeration(report, scenario, planner, configs, efforts):
     """Selinger DP vs brute-force tree enumeration — byte-identical plan."""
-    from ..planner.enumerator import all_trees, best_tree, tree_cost
-
     model = planner.model
 
     def size_of(subset):
@@ -1328,7 +1480,8 @@ def _check_multiway_enumeration(report, scenario, planner, configs, efforts):
 
 
 def _check_multiway_pruning(report, scenario, planner):
-    """Pruned vs unpruned planner sweeps — identity, like the binary case."""
+    """Pruned vs exhaustive planner sweeps — identity, like the binary case."""
+    exhaustive = ExhaustiveMultiwayPlanner(planner.graph, planner.catalog)
     requirements = [
         (scenario.tau_good, scenario.tau_bad),
         (_MULTIWAY_PRUNING_TAUS[scenario.name], 10**9),
@@ -1337,8 +1490,8 @@ def _check_multiway_pruning(report, scenario, planner):
     pruned_total = 0
     for tau_good, tau_bad in requirements:
         requirement = QualityRequirement(tau_good=tau_good, tau_bad=tau_bad)
-        fast = planner.optimize(requirement, prune=True)
-        slow = planner.optimize(requirement, prune=False)
+        fast = planner.optimize(requirement)
+        slow = exhaustive.optimize(requirement)
         label = (
             f"multiway-diff/{scenario.name}/pruning"
             f"/tg{tau_good:g}-tb{tau_bad:g}"
@@ -1396,25 +1549,17 @@ def check_multiway_differential(
     Six cross-checks: the array composition kernel vs the dict message
     passing (exact), tree message passing vs the chain DP (exact), the
     Selinger DP vs brute-force tree enumeration (byte-identical), the
-    pruned vs unpruned planner sweep (identity, tier-A soundness), the
+    pruned vs exhaustive planner sweep (identity, tier-A soundness), the
     composition model vs its Monte-Carlo simulator (CLT bands), and the
     n-ary executor vs both the simulated outcome bracket and an exact
     recomposition of the *realized* per-side factors (integer identity).
     """
     from ..experiments.testbed import build_multiway_testbed
     from ..planner import (
-        MultiwayPlanner,
         bind_multiway_plan,
         compose_factors,
         simulate_composition,
     )
-    from ..planner.plan import (
-        ExecutionStrategy,
-        MultiwayPlan,
-        PlannedEvaluation,
-        RelationConfig,
-    )
-    from ..planner.enumerator import naive_left_deep_tree
 
     testbed = build_multiway_testbed()
     for scenario_name in scenarios:

@@ -31,11 +31,12 @@ class TestEnumeration:
         assert len(plans) == 64
 
     def test_subsets(self):
-        only_idjn = enumerate_plans(
-            "e1", "e2", include_oijn=False, include_zgjn=False
-        )
-        assert len(only_idjn) == 36
-        assert all(p.join is JoinKind.IDJN for p in only_idjn)
+        plans = enumerate_plans("e1", "e2")
+        # Per θ-combo: 9 IDJN, 6 OIJN (either side outer), 1 ZGJN.
+        counts = {kind: 0 for kind in JoinKind}
+        for plan in plans:
+            counts[plan.join] += 1
+        assert counts == {JoinKind.IDJN: 36, JoinKind.OIJN: 24, JoinKind.ZGJN: 4}
 
     def test_single_theta(self):
         plans = enumerate_plans("e1", "e2", thetas1=(0.4,), thetas2=(0.4,))

@@ -8,11 +8,12 @@ Three layers are pinned here:
 * **Enumeration** — a property test drives the Selinger DP against the
   brute-force reference (``all_trees`` + ``tree_cost``) over random
   seeded trees of up to four relations: the best plan must be
-  byte-identical and its cost bit-equal, bushy and left-deep alike.
-* **Planning** — the pruned and unpruned planner sweeps must choose the
-  identical plan at the identical operating point on the seeded multiway
-  scenarios, and every bound-pruned assignment must be infeasible in the
-  unpruned reference (the tier-A soundness contract).
+  byte-identical and its cost bit-equal.
+* **Planning** — the pruned planner and the exhaustive reference
+  (``ExhaustiveMultiwayPlanner``) must choose the identical plan at the
+  identical operating point on the seeded multiway scenarios, and every
+  bound-pruned assignment must be infeasible in the exhaustive run (the
+  tier-A soundness contract).
 * **Composition** — the array kernel equals the per-key dict reference
   exactly over random trees, and the planner composes each point of an
   assignment's effort curve once, whatever the requirement.
@@ -37,17 +38,21 @@ from repro.planner import (
     JoinGraph,
     MultiwayPlanner,
     RelationNode,
-    all_trees,
     best_tree,
     count_subplans,
     naive_left_deep_tree,
-    tree_cost,
 )
 from repro.planner import compose_factors
 from repro.planner.enumerator import EnumerationTallies
 from repro.planner.model import GraphCompositionModel
 from repro.planner.plan import RelationConfig
-from repro.validation.differential import reference_compose_factors
+from repro.validation.differential import (
+    ExhaustiveMultiwayPlanner,
+    all_trees,
+    naive_evaluation,
+    reference_compose_factors,
+    tree_cost,
+)
 
 HQ = RelationNode(name="HQ", attributes=("Company", "Location"))
 EX = RelationNode(name="EX", attributes=("Company", "CEO"))
@@ -246,39 +251,26 @@ def tree_cases(draw):
     n = draw(st.integers(min_value=2, max_value=4))
     parents = [draw(st.integers(0, i - 1)) for i in range(1, n)]
     seed = draw(st.integers(0, 10**6))
-    bushy = draw(st.booleans())
-    return n, parents, seed, bushy
+    return n, parents, seed
 
 
 class TestEnumerator:
     @given(tree_cases())
     @settings(max_examples=120, deadline=None)
     def test_dp_matches_brute_force(self, case):
-        n, parents, seed, bushy = case
+        n, parents, seed = case
         graph = _random_tree_graph(n, parents)
         size_of = _seeded_sizes(seed)
         tallies = EnumerationTallies()
-        tree, cost = best_tree(
-            graph, size_of, t_join=0.1, bushy=bushy, tallies=tallies
-        )
+        tree, cost = best_tree(graph, size_of, t_join=0.1, tallies=tallies)
         reference = min(
-            all_trees(graph, bushy=bushy),
+            all_trees(graph),
             key=lambda t: (tree_cost(t, size_of, 0.1), t.describe()),
         )
         assert tree.describe() == reference.describe()
         assert cost == tree_cost(reference, size_of, 0.1)
         # The DP examined exactly the csg-cmp count the topology predicts.
-        assert tallies.subplans == count_subplans(graph, bushy=bushy)
-
-    @given(tree_cases())
-    @settings(max_examples=60, deadline=None)
-    def test_left_deep_never_beats_bushy(self, case):
-        n, parents, seed, _ = case
-        graph = _random_tree_graph(n, parents)
-        size_of = _seeded_sizes(seed)
-        _, bushy_cost = best_tree(graph, size_of, t_join=0.1, bushy=True)
-        _, left_cost = best_tree(graph, size_of, t_join=0.1, bushy=False)
-        assert bushy_cost <= left_cost + 1e-12
+        assert tallies.subplans == count_subplans(graph)
 
     def test_naive_left_deep_follows_graph_order(self):
         tree = naive_left_deep_tree(star3())
@@ -298,7 +290,7 @@ class TestEnumerator:
 
 
 # ---------------------------------------------------------------------------
-# planning: pruned vs unpruned identity on the seeded scenarios
+# planning: pruned vs exhaustive identity on the seeded scenarios
 # ---------------------------------------------------------------------------
 
 #: per scenario: a meetable requirement, a bound-pruning requirement
@@ -318,6 +310,11 @@ def scenario(request):
 @pytest.fixture(scope="module")
 def planner(scenario):
     return MultiwayPlanner(scenario.graph, scenario.catalog())
+
+
+@pytest.fixture(scope="module")
+def exhaustive(scenario):
+    return ExhaustiveMultiwayPlanner(scenario.graph, scenario.catalog())
 
 
 class TestMultiwayPlanner:
@@ -342,11 +339,13 @@ class TestMultiwayPlanner:
         assert summary["plan_space"] > 0
         assert summary["chosen"]["plan"] == result.chosen.plan.describe()
 
-    def test_pruned_matches_unpruned_identically(self, scenario, planner):
+    def test_pruned_matches_unpruned_identically(
+        self, scenario, planner, exhaustive
+    ):
         for tau_good, tau_bad in REQUIREMENTS[scenario.name]:
             requirement = QualityRequirement(tau_good, tau_bad)
-            fast = planner.optimize(requirement, prune=True)
-            slow = planner.optimize(requirement, prune=False)
+            fast = planner.optimize(requirement)
+            slow = exhaustive.optimize(requirement)
             label = f"{scenario.name}@tg{tau_good}"
             if slow.chosen is None:
                 assert fast.chosen is None, label
@@ -360,12 +359,12 @@ class TestMultiwayPlanner:
             assert fast.chosen.total_time == slow.chosen.total_time
 
     def test_bound_pruned_assignments_are_infeasible_in_reference(
-        self, scenario, planner
+        self, scenario, planner, exhaustive
     ):
         tau_good, tau_bad = REQUIREMENTS[scenario.name][1]
         requirement = QualityRequirement(tau_good, tau_bad)
-        fast = planner.optimize(requirement, prune=True)
-        slow = planner.optimize(requirement, prune=False)
+        fast = planner.optimize(requirement)
+        slow = exhaustive.optimize(requirement)
         assert fast.tallies.assignments_pruned_bound > 0
         assert fast.tallies.subplans_pruned_bound > 0
         # Assignments enumerate in deterministic order, so evaluations align.
@@ -387,7 +386,7 @@ class TestMultiwayPlanner:
     def test_naive_baseline_is_never_faster(self, scenario, planner):
         requirement = QualityRequirement(scenario.tau_good, scenario.tau_bad)
         chosen = planner.optimize(requirement).chosen
-        naive = planner.naive_evaluation(requirement)
+        naive = naive_evaluation(planner, requirement)
         assert naive is not None
         assert chosen.total_time <= naive.total_time + 1e-9
 
@@ -559,16 +558,17 @@ class TestCurveMemo:
         monkeypatch.setattr(planner.model, "compose", counting)
         return calls
 
-    def test_repeated_requirement_composes_nothing(self, scenario, monkeypatch):
+    def test_repeated_requirement_composes_nothing(
+        self, scenario, exhaustive, monkeypatch
+    ):
         planner = MultiwayPlanner(scenario.graph, scenario.catalog())
         requirement = QualityRequirement(scenario.tau_good, scenario.tau_bad)
         first = planner.optimize(requirement)
         calls = self._record_compositions(planner, monkeypatch)
         again = planner.optimize(requirement)
-        unpruned = planner.optimize(requirement, prune=False)
         assert calls == []
         assert repr(again.evaluations) == repr(first.evaluations)
-        assert unpruned.chosen == first.chosen
+        assert exhaustive.optimize(requirement).chosen == first.chosen
 
     def test_frontier_composes_each_curve_point_once(self, scenario, monkeypatch):
         planner = MultiwayPlanner(scenario.graph, scenario.catalog())
@@ -596,12 +596,14 @@ _HASH_SEED_PROBE = """
 import dataclasses
 from repro.core.preferences import QualityRequirement
 from repro.experiments import build_multiway_testbed
-from repro.planner import MultiwayPlanner
+from repro.validation.differential import ExhaustiveMultiwayPlanner
 
 scenario = build_multiway_testbed().scenario("star3")
-planner = MultiwayPlanner(scenario.graph, scenario.catalog(), feasibility_margin=0.3)
+planner = ExhaustiveMultiwayPlanner(
+    scenario.graph, scenario.catalog(), feasibility_margin=0.3
+)
 for tau_good in (10, 40):
-    result = planner.optimize(QualityRequirement(tau_good, 120), prune=False)
+    result = planner.optimize(QualityRequirement(tau_good, 120))
     for evaluation in result.evaluations:
         described = dataclasses.replace(evaluation, plan=evaluation.plan.describe())
         print(repr(described))

@@ -15,6 +15,8 @@ perturbing a single float.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,11 @@ from repro.optimizer.bounds import BOUND_SLACK, PlanBounds
 from repro.service.shards import decode_journal_record, encode_journal_record
 from repro.service.store import StatisticsStore
 from repro.validation.differential import BisectionJoinOptimizer
+from repro.validation.invariants import (
+    InvariantChecker,
+    active_checker,
+    install_checker,
+)
 
 #: the seeded validation grid: dense enough to exercise tier-A prunes,
 #: τb-infeasible prunes, and dominance prunes at the session scale
@@ -348,18 +355,100 @@ class TestFrontierIdentity:
         self, hq_ex_task, plan_space, monkeypatch
     ):
         catalog = hq_ex_task.catalog()
-        pruned = quality_frontier(catalog, plan_space, costs=hq_ex_task.costs)
-        # Unknown bounds skip no plan: the frontier over the whole space.
-        monkeypatch.setattr(
-            JoinOptimizer, "plan_bounds", lambda self, plan: None
+        build = catalog.side_builder1
+
+        def silent_at_08(theta):
+            # Side 1's extractor emits no good tuple at θ=0.8, so every
+            # plan with that knob has a zero good-tuple ceiling.
+            side = build(theta)
+            return dataclasses.replace(side, tp=0.0) if theta == 0.8 else side
+
+        silent = dataclasses.replace(catalog, side_builder1=silent_at_08)
+        bounds = JoinOptimizer(silent).plan_bounds
+        zero_ceiling = {
+            plan for plan in plan_space if bounds(plan).good_upper <= 0.0
+        }
+        assert len(zero_ceiling) == len(plan_space) // 2
+        built = []
+        cached_predictor = JoinOptimizer._cached_predictor
+
+        def recording(self, plan):
+            built.append(plan)
+            return cached_predictor(self, plan)
+
+        monkeypatch.setattr(JoinOptimizer, "_cached_predictor", recording)
+        for case in (catalog, silent):
+            built.clear()
+            pruned = quality_frontier(case, plan_space, costs=hq_ex_task.costs)
+            skipped = set(plan_space) - set(built)
+            # Unknown bounds skip no plan: the frontier over the whole space.
+            with monkeypatch.context() as unknown:
+                unknown.setattr(
+                    JoinOptimizer, "plan_bounds", lambda self, plan: None
+                )
+                built.clear()
+                unpruned = quality_frontier(
+                    case, plan_space, costs=hq_ex_task.costs
+                )
+            assert set(built) == set(plan_space)
+            assert skipped == (zero_ceiling if case is silent else set())
+            assert len(pruned) == len(unpruned)
+            for a, b in zip(pruned, unpruned):
+                assert a.plan == b.plan
+                assert a.effort_fraction == b.effort_fraction
+                assert a.n_good == b.n_good
+                assert a.n_bad == b.n_bad
+                assert a.time == b.time
+
+
+# ---------------------------------------------------------------------------
+# the descent's monotonicity guard
+# ---------------------------------------------------------------------------
+
+
+class TestMonotonicityGuard:
+    def test_guard_trip_is_reported_to_the_checker(
+        self, hq_ex_task, plan_space, monkeypatch
+    ):
+        predictor = JoinOptimizer._predictor
+
+        def non_monotone(self, plan):
+            predict, max_effort = predictor(self, plan)
+
+            def shrinking_bad(effort):
+                # Bad tuples that fall as effort grows break the contract.
+                prediction = predict(effort)
+                composition = prediction.composition
+                return dataclasses.replace(
+                    prediction,
+                    composition=dataclasses.replace(
+                        composition,
+                        bad_bad=composition.bad_bad
+                        + 1e9 * (1.0 - effort / max_effort),
+                    ),
+                )
+
+            return shrinking_bad, max_effort
+
+        monkeypatch.setattr(JoinOptimizer, "_predictor", non_monotone)
+        plan = plan_space[0]
+        requirement = QualityRequirement(tau_good=10, tau_bad=10**12)
+        checker = InvariantChecker(enabled=True, raise_on_violation=False)
+        previous = install_checker(checker)
+        try:
+            optimizer = _optimizer(hq_ex_task)
+            result = optimizer.optimize([plan], requirement)
+        finally:
+            install_checker(previous)
+        assert result.evaluations[0].prediction is not None
+        assert optimizer.pruning.monotonicity_fallbacks == 1
+        assert [v.where for v in checker.violations] == [
+            f"optimizer.descent[{plan.describe()}]"
+        ]
+        assert "not non-decreasing" in checker.violations[0].message
+        # A disabled checker records nothing and the descent still answers.
+        quiet = _optimizer(hq_ex_task).optimize([plan], requirement)
+        assert quiet.evaluations[0].effort_fraction == (
+            result.evaluations[0].effort_fraction
         )
-        unpruned = quality_frontier(
-            catalog, plan_space, costs=hq_ex_task.costs
-        )
-        assert len(pruned) == len(unpruned)
-        for a, b in zip(pruned, unpruned):
-            assert a.plan == b.plan
-            assert a.effort_fraction == b.effort_fraction
-            assert a.n_good == b.n_good
-            assert a.n_bad == b.n_bad
-            assert a.time == b.time
+        assert active_checker().violations == []
