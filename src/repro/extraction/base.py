@@ -12,7 +12,9 @@ fp(θ).  All extractors here implement :class:`Extractor`:
 * extraction must be *monotone* in θ: raising the threshold can only drop
   tuples.  The characterization harness and the analytical models rely on
   this (the set of tuples extractable "across all knob configurations" is
-  the θ=0 output).
+  the θ=0 output);
+* a knob-characterized extractor must also keep the *threshold contract*
+  of :meth:`Extractor.with_theta`, which makes it monotone.
 """
 
 from __future__ import annotations
@@ -48,7 +50,18 @@ class Extractor(abc.ABC):
 
     @abc.abstractmethod
     def with_theta(self, theta: float) -> "Extractor":
-        """A copy of this system configured at a different knob setting."""
+        """A copy of this system configured at a different knob setting.
+
+        Threshold contract: a candidate's ``confidence`` does not depend on
+        θ, and the copy at θ extracts from a document exactly the tuples
+        the copy at θ=0 extracts whose ``confidence`` is ≥ θ.
+        :func:`~repro.extraction.characterization.characterize`
+        measures a whole tp(θ)/fp(θ) curve from one θ=0 pass on the strength
+        of it.  :class:`SnowballExtractor` and :class:`WindowExtractor`
+        keep it (``if score < self.theta: continue``); the
+        :class:`OracleExtractor`, whose knob curves are known in closed
+        form, decides by a per-θ rate instead and is never characterized.
+        """
 
     def describe(self) -> str:
         return f"{self.name}⟨θ={self.theta:g}⟩ -> {self.relation}"

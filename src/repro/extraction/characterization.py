@@ -12,6 +12,12 @@ measured at *occurrence* granularity — one (document, tuple) pair counts
 once — matching how the Section V models consume them (each retrieved
 document yields an occurrence independently with probability tp(θ)).
 
+The knob thresholds a θ-independent confidence (the threshold contract of
+:meth:`Extractor.with_theta`), so an occurrence survives θ exactly when
+its best confidence over the document is ≥ θ.  One θ=0 pass therefore
+measures the whole curve: the per-θ extraction loop survives only as
+``reference_characterize`` in :mod:`repro.validation.differential`.
+
 This is the offline profiling step of the paper's setup: characterization
 runs on the training database, and the resulting curves parameterize the
 quality models for the (unseen) target databases.
@@ -21,7 +27,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..textdb.database import TextDatabase
 from .base import Extractor
@@ -145,9 +151,9 @@ def characterize(
     """Measure tp(θ)/fp(θ) by running the extractor over *database*.
 
     ``sample_size`` restricts profiling to a prefix of the database's scan
-    order — the cheap offline variant the optimizer uses.  The reference
-    sets are the θ=0 occurrences; each grid point then re-runs the
-    extractor and counts surviving occurrences.
+    order — the cheap offline variant the optimizer uses.  The extractor
+    runs once, at θ=0: its occurrences are the reference sets, and an
+    occurrence counts at grid point θ when its best confidence is ≥ θ.
     """
     if thetas is None:
         thetas = [i / 20 for i in range(21)]
@@ -158,33 +164,32 @@ def characterize(
         database.scan(0, sample_size) if sample_size else list(database.documents)
     )
     reference = extractor.with_theta(0.0)
-    good_ref: set = set()
-    bad_ref: set = set()
+    #: (document, values) -> best confidence, one table per class
+    good_best: Dict[Tuple[int, Tuple[str, ...]], float] = {}
+    bad_best: Dict[Tuple[int, Tuple[str, ...]], float] = {}
     good_confidences: List[float] = []
     bad_confidences: List[float] = []
     for doc in documents:
         for tup in reference.extract(doc):
             key = (tup.document_id, tup.values)
             if tup.is_good:
-                if key not in good_ref:
-                    good_confidences.append(tup.confidence)
-                good_ref.add(key)
+                best, confidences = good_best, good_confidences
             else:
-                if key not in bad_ref:
-                    bad_confidences.append(tup.confidence)
-                bad_ref.add(key)
-    tp_curve: List[float] = []
-    fp_curve: List[float] = []
-    for theta in thetas:
-        configured = extractor.with_theta(theta)
-        good_seen: set = set()
-        bad_seen: set = set()
-        for doc in documents:
-            for tup in configured.extract(doc):
-                key = (tup.document_id, tup.values)
-                (good_seen if tup.is_good else bad_seen).add(key)
-        tp_curve.append(len(good_seen) / len(good_ref) if good_ref else 0.0)
-        fp_curve.append(len(bad_seen) / len(bad_ref) if bad_ref else 0.0)
+                best, confidences = bad_best, bad_confidences
+            seen = best.get(key)
+            if seen is None:
+                confidences.append(tup.confidence)
+                best[key] = tup.confidence
+            elif tup.confidence > seen:
+                best[key] = tup.confidence
+    good_sorted = sorted(good_best.values())
+    bad_sorted = sorted(bad_best.values())
+
+    def surviving(ranked: List[float], theta: float) -> float:
+        if not ranked:
+            return 0.0
+        return (len(ranked) - bisect_left(ranked, theta)) / len(ranked)
+
     confidences = None
     if good_confidences and bad_confidences:
         confidences = ConfidenceReference.from_samples(
@@ -194,9 +199,9 @@ def characterize(
         system_name=extractor.name,
         relation=extractor.relation,
         thetas=tuple(thetas),
-        tp=tuple(tp_curve),
-        fp=tuple(fp_curve),
-        n_good_reference=len(good_ref),
-        n_bad_reference=len(bad_ref),
+        tp=tuple(surviving(good_sorted, theta) for theta in thetas),
+        fp=tuple(surviving(bad_sorted, theta) for theta in thetas),
+        n_good_reference=len(good_best),
+        n_bad_reference=len(bad_best),
         confidences=confidences,
     )

@@ -16,20 +16,32 @@ paper's models depend on:
   threshold θ trade true-positive rate against false-positive rate;
 * document-level trigger terms whose planting rates determine the
   Filtered-Scan classifier's Ctp/Cfp.
+
+Weighted draws (background tokens, salience-weighted facts) go through
+:class:`~repro.textdb.vocabulary.WeightedDraw`, and uniform pattern-token
+picks through ``rng.integers``: each consumes the seeded stream exactly as
+the ``Generator.choice`` call it stands for and returns the same index, so
+a corpus is a function of its seed alone (``tests/test_corpus_digest.py``
+pins the canonical and multiway corpora bit for bit).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
 from ..core.types import Fact
 from .database import TextDatabase
 from .document import Document, Mention
-from .vocabulary import BackgroundSampler, pattern_tokens, trigger_tokens
+from .vocabulary import (
+    BackgroundSampler,
+    WeightedDraw,
+    pattern_tokens,
+    trigger_tokens,
+)
 from .world import World
 
 
@@ -105,6 +117,11 @@ class CorpusGenerator:
         self._rng = np.random.default_rng(config.seed)
         self._pyrng = random.Random(config.seed ^ 0x5EED)
         self._background = BackgroundSampler(self._rng)
+        #: (relation, want_true) -> (eligible fact indexes, their draw)
+        self._fact_draws: Dict[
+            Tuple[str, bool], Tuple[List[int], Optional[WeightedDraw]]
+        ] = {}
+        self._patterns: Dict[str, List[str]] = {}
 
     def build(self) -> TextDatabase:
         """Generate all documents and wrap them in a database."""
@@ -198,21 +215,18 @@ class CorpusGenerator:
         """
         relation = hosted.relation
         facts = self.world.facts[relation]
-        weights = self.world.fact_weights[relation]
-        eligible = [i for i, f in enumerate(facts) if f.is_true == want_true]
-        if not eligible:
+        eligible, draw = self._fact_draw(relation, want_true)
+        if draw is None:
             if count:
                 raise RuntimeError(
                     f"no {'true' if want_true else 'false'} facts for {relation}"
                 )
             return
-        probs = weights[eligible]
-        probs = probs / probs.sum()
         planted = 0
         attempts = 0
         while planted < count and attempts < 20 * max(count, 1):
             attempts += 1
-            fact = facts[eligible[int(self._rng.choice(len(eligible), p=probs))]]
+            fact = facts[eligible[draw.draw_one(self._rng)]]
             join_value = fact.value_of(0)
             if join_value in used_join_values:
                 continue
@@ -228,17 +242,39 @@ class CorpusGenerator:
             )
             planted += 1
 
+    def _fact_draw(
+        self, relation: str, want_true: bool
+    ) -> Tuple[List[int], Optional[WeightedDraw]]:
+        """The (true|false) facts of *relation* and their salience draw,
+        built once per generator (None when there are no such facts)."""
+        key = (relation, want_true)
+        cached = self._fact_draws.get(key)
+        if cached is None:
+            facts = self.world.facts[relation]
+            eligible = [
+                i for i, f in enumerate(facts) if f.is_true == want_true
+            ]
+            draw = None
+            if eligible:
+                probs = self.world.fact_weights[relation][eligible]
+                draw = WeightedDraw(probs / probs.sum())
+            cached = self._fact_draws[key] = (eligible, draw)
+        return cached
+
     def _render_mention(
         self, fact: Fact, style: MentionStyle
     ) -> Tuple[List[str], Tuple[int, int]]:
         """Render one mention sentence: entity1, context tokens, entity2."""
         alpha, beta = style.good_clarity if fact.is_true else style.bad_clarity
-        clarity = float(self._rng.beta(alpha, beta))
-        vocab = pattern_tokens(fact.relation)
+        rng = self._rng
+        clarity = float(rng.beta(alpha, beta))
+        vocab = self._patterns.get(fact.relation)
+        if vocab is None:
+            vocab = self._patterns[fact.relation] = pattern_tokens(fact.relation)
         context: List[str] = []
         for _ in range(style.context_length):
-            if self._rng.random() < clarity:
-                context.append(str(self._rng.choice(vocab)))
+            if rng.random() < clarity:
+                context.append(vocab[int(rng.integers(0, len(vocab)))])
             else:
                 context.extend(self._background.sample(1))
         sentence = [fact.value_of(0), *context, fact.value_of(1)]

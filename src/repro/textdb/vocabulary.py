@@ -13,6 +13,13 @@ property of the relation, not of the collection.
 * **trigger tokens** — document-level topical words ("merger", "executive")
   that a Filtered-Scan classifier keys on.
 * **background tokens** — a global Zipf-distributed noise vocabulary.
+
+Draws are identical to ``Generator.choice``: with ``replace=True`` and
+``p`` given, ``rng.choice(n, size, p=p)`` is exactly
+``cdf = p.cumsum(); cdf /= cdf[-1]; cdf.searchsorted(rng.random(size),
+side="right")``.  :class:`WeightedDraw` computes that CDF once and draws
+the same indices from the same stream, without re-validating and
+re-summing the weights on every call.
 """
 
 from __future__ import annotations
@@ -46,16 +53,37 @@ def background_tokens() -> List[str]:
     return [f"bg{j:05d}" for j in range(BACKGROUND_VOCAB_SIZE)]
 
 
+class WeightedDraw:
+    """``rng.choice(len(weights), p=weights)`` with the CDF computed once."""
+
+    def __init__(self, weights: np.ndarray) -> None:
+        cdf = np.asarray(weights, dtype=float).cumsum()
+        cdf /= cdf[-1]
+        self._cdf = cdf
+
+    def draw(self, rng: np.random.Generator, count: int) -> List[int]:
+        """*count* indices, as ``rng.choice(..., size=count, p=weights)``."""
+        return self._cdf.searchsorted(rng.random(count), side="right").tolist()
+
+    def draw_one(self, rng: np.random.Generator) -> int:
+        """One index, as ``int(rng.choice(..., p=weights))``."""
+        return int(self._cdf.searchsorted(rng.random(), side="right"))
+
+
 class BackgroundSampler:
-    """Zipf-weighted sampler over the background vocabulary."""
+    """Zipf-weighted sampler over the background vocabulary.
+
+    Returns the vocabulary's own ``str`` objects, so sentences share their
+    background tokens instead of holding a copy per occurrence.
+    """
 
     def __init__(self, rng: np.random.Generator) -> None:
         self._rng = rng
-        self._tokens = np.array(background_tokens())
-        self._weights = zipf_weights(
-            BACKGROUND_VOCAB_SIZE, BACKGROUND_ZIPF_EXPONENT
+        self._tokens = background_tokens()
+        self._draw = WeightedDraw(
+            zipf_weights(BACKGROUND_VOCAB_SIZE, BACKGROUND_ZIPF_EXPONENT)
         )
 
     def sample(self, count: int) -> List[str]:
-        idx = self._rng.choice(len(self._tokens), size=count, p=self._weights)
-        return [str(t) for t in self._tokens[idx]]
+        tokens = self._tokens
+        return [tokens[i] for i in self._draw.draw(self._rng, count)]

@@ -29,9 +29,11 @@ their scalar references, the AQG prefix-sum reach vs its reference loop,
 the grid-matmul MLE class fit vs its per-β loop — must agree to
 accumulation-order rounding (≤ 1e-9 relative), since both paths consume
 identical float64 inputs; the bound-pruned optimizer must choose exactly
-what the unpruned per-plan bisection chooses, and the bound-pruned n-ary
-planner exactly what the exhaustive one chooses.  The references live in
-this module (the ``reference_*`` functions, :class:`ReferenceJoinOptimizer`,
+what the unpruned per-plan bisection chooses, the bound-pruned n-ary
+planner exactly what the exhaustive one chooses, and the one-pass knob
+characterization exactly what re-running the extractor at every grid θ
+measures.  The references live in this module (the ``reference_*``
+functions, :class:`ReferenceJoinOptimizer`,
 :class:`ExhaustiveMultiwayPlanner`, ``all_trees`` and ``tree_cost``);
 nothing on the production path calls them.
 
@@ -65,7 +67,17 @@ from ..experiments.figures import (
     run_figure11,
     task_statistics,
 )
-from ..experiments.testbed import JoinTask, TestbedConfig, build_testbed
+from ..experiments.testbed import (
+    JoinTask,
+    TestbedConfig,
+    build_multiway_testbed,
+    build_testbed,
+)
+from ..extraction.base import Extractor
+from ..extraction.characterization import (
+    ConfidenceReference,
+    KnobCharacterization,
+)
 from ..joins.base import Budgets
 from ..joins.idjn import IndependentJoin
 from ..models.distributions import probability_none_extracted
@@ -94,6 +106,7 @@ from ..planner.plan import (
 )
 from ..planner.planner import MultiwayPlanner, PlannerTallies
 from ..retrieval.scan import ScanRetriever
+from ..textdb.database import TextDatabase
 from .invariants import InvariantChecker, install_checker
 
 #: default CLT z for model-vs-simulation bands; two-sided miss probability
@@ -1087,6 +1100,128 @@ def check_mle_fit_differential(
 
 
 # ---------------------------------------------------------------------------
+# knob characterization reference
+# ---------------------------------------------------------------------------
+
+
+def reference_characterize(
+    extractor: Extractor,
+    database: TextDatabase,
+    thetas: Optional[Sequence[float]] = None,
+    sample_size: Optional[int] = None,
+) -> KnobCharacterization:
+    """``characterize`` by re-running the extractor at every grid θ.
+
+    The reference sets are the θ=0 occurrences; each grid point then runs
+    the extractor configured at θ and counts the surviving occurrences.
+    Relies on monotonicity alone, not on the threshold contract the
+    one-pass production path uses.
+    """
+    if thetas is None:
+        thetas = [i / 20 for i in range(21)]
+    thetas = sorted(thetas)
+    if not thetas or thetas[0] < 0 or thetas[-1] > 1:
+        raise ValueError("thetas must lie within [0, 1]")
+    documents = (
+        database.scan(0, sample_size) if sample_size else list(database.documents)
+    )
+    reference = extractor.with_theta(0.0)
+    good_ref: set = set()
+    bad_ref: set = set()
+    good_confidences: List[float] = []
+    bad_confidences: List[float] = []
+    for doc in documents:
+        for tup in reference.extract(doc):
+            key = (tup.document_id, tup.values)
+            if tup.is_good:
+                if key not in good_ref:
+                    good_confidences.append(tup.confidence)
+                good_ref.add(key)
+            else:
+                if key not in bad_ref:
+                    bad_confidences.append(tup.confidence)
+                bad_ref.add(key)
+    tp_curve: List[float] = []
+    fp_curve: List[float] = []
+    for theta in thetas:
+        configured = extractor.with_theta(theta)
+        good_seen: set = set()
+        bad_seen: set = set()
+        for doc in documents:
+            for tup in configured.extract(doc):
+                key = (tup.document_id, tup.values)
+                (good_seen if tup.is_good else bad_seen).add(key)
+        tp_curve.append(len(good_seen) / len(good_ref) if good_ref else 0.0)
+        fp_curve.append(len(bad_seen) / len(bad_ref) if bad_ref else 0.0)
+    confidences = None
+    if good_confidences and bad_confidences:
+        confidences = ConfidenceReference.from_samples(
+            good_confidences, bad_confidences
+        )
+    return KnobCharacterization(
+        system_name=extractor.name,
+        relation=extractor.relation,
+        thetas=tuple(thetas),
+        tp=tuple(tp_curve),
+        fp=tuple(fp_curve),
+        n_good_reference=len(good_ref),
+        n_bad_reference=len(bad_ref),
+        confidences=confidences,
+    )
+
+
+#: the measured fields a characterization must reproduce exactly
+CHARACTERIZATION_FIELDS: Tuple[str, ...] = (
+    "tp",
+    "fp",
+    "n_good_reference",
+    "n_bad_reference",
+    "confidences",
+)
+
+
+def check_characterization_differential(
+    report: ValidationReport, label: str, testbed: Any
+) -> None:
+    """One-pass characterization vs the per-θ reference — identity.
+
+    *testbed* is a canonical or multiway testbed: every extractor it
+    characterized on its training database is re-measured by
+    :func:`reference_characterize` over the same grid, and each of
+    :data:`CHARACTERIZATION_FIELDS` must be equal, not merely close.
+    """
+    for relation, extractor in sorted(testbed.extractors.items()):
+        production = testbed.characterizations[relation]
+        reference = reference_characterize(
+            extractor, testbed.training, thetas=production.thetas
+        )
+        mismatched = [
+            name
+            for name in CHARACTERIZATION_FIELDS
+            if getattr(production, name) != getattr(reference, name)
+        ]
+        report.add(
+            CheckResult(
+                name=f"characterize-diff/{label}/{relation}",
+                ok=not mismatched,
+                observed=float(len(mismatched)),
+                expected=0.0,
+                band=0.0,
+                detail=(
+                    f"mismatched {', '.join(mismatched)}"
+                    if mismatched
+                    else (
+                        f"{len(production.thetas)} grid points, "
+                        f"{production.n_good_reference} good and "
+                        f"{production.n_bad_reference} bad reference "
+                        "occurrences"
+                    )
+                ),
+            )
+        )
+
+
+# ---------------------------------------------------------------------------
 # multiway planner references
 # ---------------------------------------------------------------------------
 
@@ -1554,7 +1689,6 @@ def check_multiway_differential(
     n-ary executor vs both the simulated outcome bracket and an exact
     recomposition of the *realized* per-side factors (integer identity).
     """
-    from ..experiments.testbed import build_multiway_testbed
     from ..planner import (
         bind_multiway_plan,
         compose_factors,
@@ -1702,6 +1836,7 @@ def run_validation(
     previous = install_checker(checker)
     try:
         testbed = build_testbed(TestbedConfig(seed=seed, scale=scale))
+        check_characterization_differential(report, "canonical", testbed)
         for relation1, relation2 in tasks:
             task = testbed.task(relation1=relation1, relation2=relation2)
             check_model_vs_simulation(
@@ -1727,6 +1862,9 @@ def run_validation(
             check_pruning_differential(report, task)
         check_mle_fit_differential(report, seed=sim_seed)
         if multiway:
+            check_characterization_differential(
+                report, "multiway", build_multiway_testbed()
+            )
             check_multiway_differential(
                 report,
                 theta=theta,
@@ -1764,11 +1902,13 @@ __all__ = [
     "ABS_SLACK",
     "DEFAULT_Z",
     "BisectionJoinOptimizer",
+    "CHARACTERIZATION_FIELDS",
     "CheckResult",
     "ReferenceJoinOptimizer",
     "ValidationReport",
     "check_aqg_reach_differential",
     "check_approximate_models_vs_executor",
+    "check_characterization_differential",
     "check_idjn_vs_executor",
     "check_kernel_differential",
     "check_mle_fit_differential",
@@ -1779,6 +1919,7 @@ __all__ = [
     "check_zgjn_differential",
     "reference_aqg_class_mix",
     "reference_aqg_reach",
+    "reference_characterize",
     "reference_fit_single_class",
     "reference_idjn_predict",
     "reference_minimal_fraction",

@@ -19,7 +19,8 @@ from repro.extraction import (
     label_candidate,
     learn_pattern_terms,
 )
-from repro.textdb import Document, Mention, pattern_tokens
+from repro.extraction.window import WindowExtractor
+from repro.textdb import Document, Mention, TextDatabase, pattern_tokens
 from repro.core.types import Fact
 from repro.experiments import (
     TestbedConfig,
@@ -33,6 +34,10 @@ from repro.extraction.memo import (
 )
 from repro.robustness.faults import FaultInjectingDatabase, FaultProfile
 from repro.service import JoinRequest, JoinService
+from repro.validation.differential import (
+    CHARACTERIZATION_FIELDS,
+    reference_characterize,
+)
 
 HQ = RelationSchema("HQ", ("Company", "Location"))
 DICTS = {
@@ -274,6 +279,107 @@ class TestCharacterization:
     def test_invalid_theta_grid(self, mini_extractor1, mini_db1):
         with pytest.raises(ValueError):
             characterize(mini_extractor1, mini_db1, thetas=[-0.5, 0.5])
+
+
+#: a grid holding scores the extractors attain exactly: Snowball's k/10 over
+#: a 10-token context (0.3, 0.5, 1.0) and the window proximity 1/(1+gap/5)
+#: at gaps 5 and 0 (0.5, 1.0), so ``confidence >= θ`` is pinned at equality
+EXACT_GRID = (0.0, 0.1, 0.25, 0.3, 0.5, 0.75, 0.8, 1.0)
+
+
+def assert_matches_reference(extractor, database, thetas, sample_size=None):
+    ours = characterize(extractor, database, thetas, sample_size=sample_size)
+    reference = reference_characterize(
+        extractor, database, thetas, sample_size=sample_size
+    )
+    for name in CHARACTERIZATION_FIELDS:
+        assert getattr(ours, name) == getattr(reference, name), name
+    assert ours == reference
+    return ours
+
+
+def duplicate_key_database():
+    """The key (acme, boston) occurs twice per document with different
+    scores: first low then high in doc 0, first high then low in doc 2."""
+    low = ["headquartered", "lorem", "lorem", "lorem"]  # 0.25
+    high = ["headquartered", "based", "offices", "lorem"]  # 0.75
+
+    def doc(doc_id, company, location, contexts, is_true):
+        sentences = [[company, *c, location] for c in contexts]
+        sentences.append(["ipsum", "dolor"])
+        fact = Fact("HQ", (company, location), is_true=is_true)
+        return Document(
+            doc_id=doc_id,
+            sentences=sentences,
+            mentions=[Mention(fact, 0, (0, len(sentences[0]) - 1))],
+        )
+
+    return TextDatabase(
+        "dupes",
+        [
+            doc(0, "acme", "boston", [low, high], True),
+            doc(1, "globex", "tokyo", [["based", "lorem"], ["lorem"]], False),
+            doc(2, "acme", "boston", [high, low], True),
+            doc(3, "globex", "boston", [low], False),
+        ],
+    )
+
+
+class TestCharacterizationMatchesReference:
+    """The one-pass characterization equals re-running at every grid θ."""
+
+    def window(self, mini_world, patterns=()):
+        return WindowExtractor(
+            mini_world.schemas["HQ"],
+            mini_world.entity_dictionary("HQ"),
+            pattern_terms=list(patterns),
+        )
+
+    def test_grid_holds_attained_scores(self, mini_extractor1, mini_db1):
+        scores = {
+            tup.confidence
+            for doc in mini_db1.documents
+            for tup in mini_extractor1.with_theta(0.0).extract(doc)
+        }
+        assert {0.3, 0.5, 1.0} <= scores
+
+    def test_snowball(self, mini_extractor1, mini_db1):
+        assert_matches_reference(mini_extractor1, mini_db1, EXACT_GRID)
+
+    @pytest.mark.parametrize("patterns", [(), ("HQ",)])
+    def test_window(self, mini_world, mini_db1, patterns):
+        vocab = [t for r in patterns for t in pattern_tokens(r)]
+        assert_matches_reference(
+            self.window(mini_world, vocab), mini_db1, EXACT_GRID
+        )
+
+    @pytest.mark.parametrize("sample_size", [1, 50, 10_000])
+    def test_sample_size_prefix(
+        self, mini_world, mini_extractor1, mini_db1, sample_size
+    ):
+        for extractor in (mini_extractor1, self.window(mini_world)):
+            assert_matches_reference(
+                extractor, mini_db1, EXACT_GRID, sample_size=sample_size
+            )
+
+    def test_key_in_two_sentences_counts_its_best_score(self):
+        database = duplicate_key_database()
+        snowball = SnowballExtractor(HQ, DICTS, PATTERNS)
+        char = assert_matches_reference(snowball, database, EXACT_GRID)
+        assert char.n_good_reference == 2 and char.n_bad_reference == 2
+        at = dict(zip(char.thetas, char.tp))
+        # Both good keys survive up to their best score, 0.75.
+        assert at[0.5] == at[0.75] == 1.0 and at[0.8] == 0.0
+        window = WindowExtractor(HQ, DICTS, pattern_terms=PATTERNS)
+        assert_matches_reference(window, database, EXACT_GRID)
+
+    @pytest.mark.parametrize("relation", ["HQ", "EX", "MG"])
+    def test_canonical_testbed(self, testbed, relation):
+        ours = testbed.characterizations[relation]
+        reference = reference_characterize(
+            testbed.extractors[relation], testbed.training, ours.thetas
+        )
+        assert ours == reference
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,12 @@
 """Tests for the document-retrieval strategies and query machinery."""
 
+import random
+
 import pytest
 
-from repro.core import DocumentClass
+from repro.core import DocumentClass, Fact
+from repro.experiments import build_multiway_testbed
+from repro.retrieval import classifier as classifier_module
 from repro.retrieval import (
     AQGRetriever,
     FilteredScanRetriever,
@@ -15,6 +19,7 @@ from repro.retrieval import (
     measure_query,
     offline_query_stats,
 )
+from repro.textdb import Document, Mention, TextDatabase
 
 
 class TestScanRetriever:
@@ -79,8 +84,127 @@ class TestRuleClassifier:
 
     def test_training_needs_good_docs(self, mini_db1):
         # mini_db1 hosts HQ only; training EX on it has no good EX docs.
-        with pytest.raises(RuntimeError):
+        with pytest.raises(RuntimeError, match="no good documents"):
             RuleClassifier.train(mini_db1, "EX")
+        with pytest.raises(RuntimeError, match="no good documents"):
+            list_train(mini_db1, "EX")
+
+
+def list_train(database, relation, max_rules=10, beta=0.5, min_df=3):
+    """Reference trainer: the rule selection of ``RuleClassifier.train``
+    over per-document lists of booleans instead of bitmasks."""
+    docs = list(database.documents)
+    labels = [doc.classify(relation) is DocumentClass.GOOD for doc in docs]
+    n_good = sum(labels)
+    if n_good == 0:
+        raise RuntimeError(
+            f"training database has no good documents for {relation!r}"
+        )
+    token_sets = [doc.token_set() for doc in docs]
+
+    def fbeta(accepted):
+        tp = sum(1 for a, g in zip(accepted, labels) if a and g)
+        fp = sum(1 for a, g in zip(accepted, labels) if a and not g)
+        if tp == 0:
+            return 0.0
+        precision = tp / (tp + fp)
+        recall = tp / n_good
+        b2 = beta * beta
+        return (1 + b2) * precision * recall / (b2 * precision + recall)
+
+    scored = []
+    for token in classifier_module._candidate_tokens(database, min_df):
+        score = fbeta([token in ts for ts in token_sets])
+        if score > 0:
+            scored.append((score, token))
+    scored.sort(reverse=True)
+
+    rules = []
+    accepted = [False] * len(docs)
+    best = 0.0
+    for _, token in scored[: max_rules * 5]:
+        trial = [a or (token in ts) for a, ts in zip(accepted, token_sets)]
+        trial_score = fbeta(trial)
+        if trial_score > best:
+            rules.append(token)
+            accepted = trial
+            best = trial_score
+        if len(rules) >= max_rules:
+            break
+    if not rules:
+        raise RuntimeError(f"no informative rule tokens found for {relation!r}")
+    return RuleClassifier(relation=relation, rules=rules)
+
+
+def training_outcome(train, database, relation, **kwargs):
+    """The rule set and training-set profile, or the error raised."""
+    try:
+        classifier = train(database, relation, **kwargs)
+    except RuntimeError as error:
+        return ("error", str(error))
+    return ("rules", classifier.rules, classifier.measure(database))
+
+
+def random_database(seed):
+    """A small labelled database over a tiny vocabulary: many candidate
+    tokens tie on F-beta, and some classes may be missing entirely.  Every
+    fifth seed gives good documents only a token of their own, so no
+    candidate at ``min_df=3`` is informative."""
+    rng = random.Random(seed)
+    vocab = [f"w{i}" for i in range(rng.randint(3, 9))]
+    documents = []
+    for doc_id in range(rng.randint(4, 40)):
+        sentences = [
+            rng.sample(vocab, rng.randint(1, len(vocab)))
+            for _ in range(rng.randint(1, 3))
+        ]
+        mentions = []
+        kind = rng.random()
+        if kind < 0.6:
+            fact = Fact("HQ", (f"c{doc_id}", "x"), is_true=kind < 0.35)
+            mentions.append(Mention(fact, 0, (0, 1)))
+            if fact.is_true and seed % 5 == 0:
+                sentences = [[f"own{doc_id}"]]
+        documents.append(Document(doc_id, sentences, mentions))
+    return TextDatabase(f"random{seed}", documents)
+
+
+class TestBitmaskTrainingMatchesListReference:
+    @pytest.mark.parametrize("relation", ["HQ", "EX"])
+    def test_canonical_training_database(self, testbed, relation):
+        ours = training_outcome(RuleClassifier.train, testbed.training, relation)
+        assert ours[0] == "rules"
+        assert ours == training_outcome(list_train, testbed.training, relation)
+
+    @pytest.mark.parametrize("relation", ["HQ", "EX", "MG"])
+    def test_multiway_training_database(self, relation):
+        training = build_multiway_testbed().training
+        ours = training_outcome(RuleClassifier.train, training, relation)
+        assert ours[0] == "rules"
+        assert ours == training_outcome(list_train, training, relation)
+
+    def test_random_databases_with_ties_and_absent_tokens(self, monkeypatch):
+        candidates = classifier_module._candidate_tokens
+        # Candidate tokens no document holds must score zero, not fail.
+        monkeypatch.setattr(
+            classifier_module,
+            "_candidate_tokens",
+            lambda database, min_df: (
+                ["absent_a", *candidates(database, min_df), "absent_b"]
+            ),
+        )
+        kinds = set()
+        for seed in range(120):
+            database = random_database(seed)
+            for kwargs in ({}, {"min_df": 1, "max_rules": 2, "beta": 1.0}):
+                ours = training_outcome(
+                    RuleClassifier.train, database, "HQ", **kwargs
+                )
+                assert ours == training_outcome(
+                    list_train, database, "HQ", **kwargs
+                ), (seed, kwargs)
+                kinds.add(ours[0] if ours[0] == "rules" else ours[1][:14])
+        assert kinds == {"rules", "training datab", "no informative"}
 
 
 class TestFilteredScanRetriever:
