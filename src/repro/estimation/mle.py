@@ -44,12 +44,13 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
-from scipy import optimize, stats
 
 from ..extraction.characterization import ConfidenceReference
 from ..joins.stats_collector import RelationObservations
+from ..models.distributions import binom_pmf
 from ..textdb.stats import FrequencyHistogram
 from ..validation.invariants import active_checker
+from .bounded import minimize_bounded
 from .powerlaw import PowerLawModel
 
 #: Documented priors for degenerate pilots.  A sample carrying no usable
@@ -141,9 +142,9 @@ def _class_log_pmf(
     law = PowerLawModel(beta=beta, k_max=k_max)
     g = law.support()
     prior = law.pmf()
-    pmf_matrix = stats.binom.pmf(s_values[None, :], g[:, None], p_obs)
+    pmf_matrix = binom_pmf(s_values[None, :], g[:, None], p_obs)
     marginal = prior @ pmf_matrix
-    p_zero = float(prior @ stats.binom.pmf(0, g, p_obs))
+    p_zero = float(prior @ binom_pmf(0, g, p_obs))
     p_seen = max(1.0 - p_zero, 1e-12)
     return np.log(np.clip(marginal, 1e-300, None)), p_seen
 
@@ -159,12 +160,12 @@ def _class_log_pmf_grid(
     Returns ``(log_pmf[β, s], p_seen[β])``.
     """
     g = np.arange(1, k_max + 1)
-    pmf_matrix = stats.binom.pmf(s_values[None, :], g[:, None], p_obs)
+    pmf_matrix = binom_pmf(s_values[None, :], g[:, None], p_obs)
     betas = np.asarray(beta_grid, dtype=float)
     weights = g.astype(float)[None, :] ** (-betas[:, None])
     priors = weights / weights.sum(axis=1, keepdims=True)
     marginal = priors @ pmf_matrix
-    p_zero = priors @ stats.binom.pmf(0, g, p_obs)
+    p_zero = priors @ binom_pmf(0, g, p_obs)
     p_seen = np.maximum(1.0 - p_zero, 1e-12)
     return np.log(np.clip(marginal, 1e-300, None)), p_seen
 
@@ -391,10 +392,8 @@ def _confidence_split(
         mix = lam * np.exp(log_pg) + (1.0 - lam) * np.exp(log_pb)
         return -float(np.sum(counts * np.log(np.clip(mix, 1e-300, None))))
 
-    result = optimize.minimize_scalar(
-        negative, bounds=(1e-3, 1.0 - 1e-3), method="bounded"
-    )
-    lam = float(result.x)
+    lam, fun = minimize_bounded(negative, (1e-3, 1.0 - 1e-3))
+    lam = float(lam)
     posterior: Dict[str, float] = {}
     log_lam, log_one_minus = math.log(lam), math.log(1.0 - lam)
     for value, indices in per_value_bins.items():
@@ -407,7 +406,7 @@ def _confidence_split(
     return _ConfidenceSplit(
         occurrence_share=lam,
         posterior=posterior,
-        log_likelihood=-float(result.fun),
+        log_likelihood=-float(fun),
     )
 
 
@@ -452,11 +451,9 @@ def _fit_blind_mixture(
                     np.sum(s_counts * np.log(np.clip(mix, 1e-300, None)))
                 )
 
-            res = optimize.minimize_scalar(
-                negative, bounds=(1e-3, 1.0 - 1e-3), method="bounded"
-            )
-            w = float(res.x)
-            loglik = -float(res.fun)
+            w, fun = minimize_bounded(negative, (1e-3, 1.0 - 1e-3))
+            w = float(w)
+            loglik = -float(fun)
             if best is None or loglik > best[4]:
                 best = (
                     float(beta_g),

@@ -20,10 +20,10 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import stats
 
 from ..extraction.characterization import ConfidenceReference, KnobCharacterization
 from ..joins.stats_collector import RelationObservations
+from ..models.distributions import binom_pmf
 from ..models.parameters import SideStatistics, ValueOverlapModel
 from ..retrieval.classifier import ClassifierProfile
 from ..retrieval.queries import QueryStats
@@ -47,7 +47,7 @@ def class_seen_probability(law: PowerLawModel, p_obs: float) -> float:
     """
     g = law.support()
     prior = law.pmf()
-    p_zero = float(prior @ stats.binom.pmf(0, g, p_obs))
+    p_zero = float(prior @ binom_pmf(0, g, p_obs))
     return max(1.0 - p_zero, 1e-12)
 
 

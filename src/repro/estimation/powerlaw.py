@@ -16,9 +16,9 @@ from dataclasses import dataclass
 from typing import Dict, Mapping, Sequence
 
 import numpy as np
-from scipy import optimize
 
 from ..textdb.stats import FrequencyHistogram
+from .bounded import minimize_bounded
 
 
 @dataclass(frozen=True)
@@ -97,7 +97,5 @@ def fit_power_law(
         log_norm = np.log(np.sum(support ** (-beta)))
         return float(np.sum(counts * (beta * np.log(ks) + log_norm)))
 
-    result = optimize.minimize_scalar(
-        negative_log_likelihood, bounds=beta_bounds, method="bounded"
-    )
-    return PowerLawModel(beta=float(result.x), k_max=k_max)
+    beta, _ = minimize_bounded(negative_log_likelihood, beta_bounds)
+    return PowerLawModel(beta=float(beta), k_max=k_max)

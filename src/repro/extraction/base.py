@@ -60,7 +60,8 @@ class Extractor(abc.ABC):
         of it.  :class:`SnowballExtractor` and :class:`WindowExtractor`
         keep it (``if score < self.theta: continue``); the
         :class:`OracleExtractor`, whose knob curves are known in closed
-        form, decides by a per-θ rate instead and is never characterized.
+        form, decides by a per-θ rate instead, and ``characterize``
+        refuses it.
         """
 
     def describe(self) -> str:

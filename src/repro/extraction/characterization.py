@@ -31,6 +31,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..textdb.database import TextDatabase
 from .base import Extractor
+from .oracle import OracleExtractor
 
 
 @dataclass(frozen=True)
@@ -154,7 +155,18 @@ def characterize(
     order — the cheap offline variant the optimizer uses.  The extractor
     runs once, at θ=0: its occurrences are the reference sets, and an
     occurrence counts at grid point θ when its best confidence is ≥ θ.
+    That needs the threshold contract of
+    :meth:`~repro.extraction.base.Extractor.with_theta`, which the
+    :class:`OracleExtractor` breaks (it keeps a mention by a per-θ rate
+    but reports an unrelated confidence), so it is refused with a
+    ``ValueError`` rather than given wrong curves.
     """
+    if isinstance(extractor, OracleExtractor):
+        raise ValueError(
+            f"cannot characterize {extractor.name!r} from one pass: its "
+            "confidences do not decide what it extracts at each θ "
+            "(the threshold contract of Extractor.with_theta)"
+        )
     if thetas is None:
         thetas = [i / 20 for i in range(21)]
     thetas = sorted(thetas)

@@ -10,7 +10,14 @@ The paper's document-retrieval analysis composes two stages:
 The composed law ``Pr{l extracted | f occurrences, n of N docs retrieved}``
 = Σ_k Hyper(N, n, f, k) · Bnm(k, l, r) is what the MLE inverts; its mean
 ``r · f · n / N`` is what the expectation models use.  Everything here is
-vectorized with numpy/scipy for the model sweeps.
+vectorized with numpy for the model sweeps.
+
+The binomial and hypergeometric pmfs are :func:`binom_pmf` and
+:func:`_hypergeom_pmf`: ``scipy.stats``' ``rv_discrete.pmf`` argument
+checks, support mask and clipping around the same Boost kernels
+(``scipy.special._ufuncs``) that ``binom.pmf`` and ``hypergeom.pmf``
+call, so every float is the one scipy returns while ``scipy.stats``
+itself is never imported (DESIGN §6.2).
 """
 
 from __future__ import annotations
@@ -19,13 +26,66 @@ from functools import lru_cache
 from typing import Union
 
 import numpy as np
-from scipy import stats
-from scipy.special import gammaln
+from scipy.special import _ufuncs, gammaln
 
 ArrayLike = Union[float, np.ndarray]
 
 
 _GAMMALN_TABLE = gammaln(np.arange(256, dtype=float))
+
+#: ``rv_discrete.pmf`` shifts *k* by ``loc``, a 0-d int array; subtracting
+#: it keeps scipy's quantile dtype promotion, and so its kernel loop
+_NO_SHIFT = np.asarray(0)
+
+
+def _discrete_pmf(kernel, k, args, valid, lower, upper):
+    """``rv_discrete.pmf`` around a Boost pmf *kernel*, value for value.
+
+    NaN where the shape arguments fail their check (*valid*) or *k* is
+    NaN, 0 off the integer support ``[lower, upper]``, and the clipped
+    kernel value on the entries inside it; a 0-d result is a scalar.
+    """
+    inside = valid & (k >= lower) & (k <= upper) & (np.floor(k) == k)
+    output = np.zeros(np.shape(inside))
+    np.place(output, ~valid | np.isnan(k), np.nan)
+    if np.any(inside):
+        picked = [np.broadcast_to(a, inside.shape)[inside] for a in (k, *args)]
+        np.place(output, inside, np.clip(kernel(*picked), 0, 1))
+    if output.ndim == 0:
+        return output[()]
+    return output
+
+
+def _is_integral(x: np.ndarray) -> np.ndarray:
+    return x == np.round(x)
+
+
+def binom_pmf(k: ArrayLike, n: ArrayLike, p: ArrayLike) -> ArrayLike:
+    """Bnm(n, p) at *k*: exactly ``scipy.stats.binom.pmf(k, n, p)``."""
+    k = np.asarray(np.asarray(k) - _NO_SHIFT)
+    n, p = np.asarray(n), np.asarray(p)
+    valid = (n >= 0) & _is_integral(n) & (p >= 0) & (p <= 1)
+    return _discrete_pmf(_ufuncs._binom_pmf, k, (n, p), valid, 0, n)
+
+
+def _hypergeom_pmf(
+    k: ArrayLike, total: ArrayLike, successes: ArrayLike, draws: ArrayLike
+) -> ArrayLike:
+    """Hyper at *k*: exactly ``scipy.stats.hypergeom.pmf(k, total,
+    successes, draws)``, NaN for out-of-model arguments included."""
+    k = np.asarray(np.asarray(k) - _NO_SHIFT)
+    total, successes, draws = map(np.asarray, (total, successes, draws))
+    valid = (total > 0) & (successes >= 0) & (draws >= 0)
+    valid &= (successes <= total) & (draws <= total)
+    valid &= _is_integral(total) & _is_integral(successes) & _is_integral(draws)
+    return _discrete_pmf(
+        _ufuncs._hypergeom_pmf,
+        k,
+        (successes, draws, total),
+        valid,
+        np.maximum(draws - (total - successes), 0),
+        np.minimum(successes, draws),
+    )
 
 
 def _gammaln_table(limit: int) -> np.ndarray:
@@ -48,17 +108,16 @@ def _hypergeom_pmf_table(
     """Matrix ``P[i, j] = Hyper(population, draws, successes[i], k[j])``.
 
     Direct log-gamma evaluation of ``C(n,k)·C(M-n,N-k)/C(M,N)`` — the
-    same quantity ``scipy.stats.hypergeom.pmf`` computes (and agrees with
-    to ~1e-13 relative), minus the frozen-distribution dispatch overhead
-    that dominates the models' inner loops.  Out-of-support entries are
+    same quantity :func:`_hypergeom_pmf` computes (and agrees with to
+    ~1e-13 relative), minus the per-entry Boost evaluation that dominates
+    the models' inner loops.  Out-of-support entries are
     exactly zero.
     """
     if np.any(successes > population):
         # Out-of-model input (more occurrences than documents): defer to
-        # scipy, which flags it with NaNs, rather than mis-index the table.
-        return stats.hypergeom.pmf(
-            k[None, :], population, successes[:, None], draws
-        )
+        # the checked pmf, which flags it with NaNs, rather than mis-index
+        # the table.
+        return _hypergeom_pmf(k[None, :], population, successes[:, None], draws)
     n = successes.astype(np.int64)[:, None]
     kk = k.astype(np.int64)[None, :]
     total = int(population)
@@ -90,7 +149,7 @@ def hypergeom_pmf(
     """Pr{k of *successes* land in a size-*draws* sample of *population*}."""
     if draws > population:
         raise ValueError("draws cannot exceed population")
-    return stats.hypergeom.pmf(k, population, successes, draws)
+    return _hypergeom_pmf(k, population, successes, draws)
 
 
 def thinned_hypergeom_pmf(
@@ -116,7 +175,7 @@ def thinned_hypergeom_pmf(
     weights = hypergeom_pmf(population, draws, occurrences, k)
     l_grid = np.asarray(l_values, dtype=int)
     # pmf_matrix[i, j] = Bnm(k_i, l_j, rate)
-    pmf_matrix = stats.binom.pmf(l_grid[None, :], k[:, None], rate)
+    pmf_matrix = binom_pmf(l_grid[None, :], k[:, None], rate)
     return weights @ pmf_matrix
 
 
@@ -173,7 +232,7 @@ class NoneExtractedBatch:
             self.k = np.zeros(1, dtype=np.int64)
         self.zero_mask = self.unique == 0
         # population -> (n column, draws-independent log-pmf column), or
-        # "scipy" when the counts exceed the population (out-of-model)
+        # "checked" when the counts exceed the population (out-of-model)
         self._col: dict = {}
         # rate -> (1 - rate) ** k
         self._pows: dict = {}
@@ -188,7 +247,7 @@ class NoneExtractedBatch:
         col = self._col.get(total)
         if col is None:
             if bool(self.unique[-1] > total):
-                col = "scipy"
+                col = "checked"
             else:
                 table = _gammaln_table(total + 1)
                 n = self.unique[:, None]
@@ -198,8 +257,8 @@ class NoneExtractedBatch:
         if pows is None:
             pows = (1.0 - rate) ** self.k
             self._pows[rate] = pows
-        if col == "scipy":
-            weights = stats.hypergeom.pmf(
+        if col == "checked":
+            weights = _hypergeom_pmf(
                 self.k[None, :], total, self.unique[:, None], sample
             )
         else:
@@ -258,5 +317,5 @@ def expected_distinct_sampled(
     """
     draws = min(draws, population)
     f = np.asarray(frequencies, dtype=int)
-    p_unseen = stats.hypergeom.pmf(0, population, f, draws)
+    p_unseen = _hypergeom_pmf(0, population, f, draws)
     return float(np.sum(1.0 - p_unseen))

@@ -11,6 +11,7 @@ bound-pruned descent, which probes the same memoized predictor.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -38,7 +39,9 @@ class PlanEvaluationEngine:
     Owned by a :class:`~repro.optimizer.optimizer.JoinOptimizer`; curve
     probes go through the optimizer's memoized predictor, so every effort
     the curve touches is also a warm cache entry for the descent and for
-    ``optimize_within_time``'s budget bisection.
+    ``optimize_within_time``'s budget bisection.  The engine holds its
+    optimizer weakly, so a retired optimizer and everything it built are
+    freed by reference counting, without waiting for a full collection.
     """
 
     #: cap on the curve grid exponent: each grid point costs a model
@@ -47,7 +50,7 @@ class PlanEvaluationEngine:
     CURVE_M = 4
 
     def __init__(self, optimizer) -> None:
-        self._optimizer = optimizer
+        self._optimizer = weakref.proxy(optimizer)
         self._curves: Dict[JoinPlanSpec, PlanCurve] = {}
 
     def cached_curve(self, plan: JoinPlanSpec) -> Optional[PlanCurve]:

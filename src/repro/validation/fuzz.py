@@ -18,6 +18,7 @@ it finds is immediately a pinned regression test.
 from __future__ import annotations
 
 import copy
+import functools
 import json
 import pathlib
 import random
@@ -443,12 +444,21 @@ def _checkpoint_payload() -> Dict[str, Any]:
     return _SNAPSHOT_CACHE
 
 
-def _fresh_executor():
+@functools.lru_cache(maxsize=None)
+def _fuzz_task():
+    """The canonical join task, bound once per process: binding retrains
+    classifiers and re-profiles databases, which no trial changes."""
     from ..experiments.testbed import TestbedConfig, build_testbed
+
+    return build_testbed(TestbedConfig()).task()
+
+
+def _fresh_executor():
+    """A new IDJN executor (and retrievers) over the shared task."""
     from ..joins.idjn import IndependentJoin
     from ..retrieval.scan import ScanRetriever
 
-    task = build_testbed(TestbedConfig()).task()
+    task = _fuzz_task()
     inputs = task.inputs(0.4, 0.4)
     return IndependentJoin(
         inputs,

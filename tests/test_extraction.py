@@ -190,6 +190,17 @@ class TestOracleExtractor:
         extracted = sum(len(oracle.extract(d)) for d in docs)
         assert extracted / 600 == pytest.approx(0.2, abs=0.06)
 
+    def test_characterize_refuses_oracle(self, mini_db1):
+        # The oracle's confidences do not decide what it extracts at θ, so
+        # a one-pass characterization would report wrong tp/fp curves.
+        oracle = self.make()
+        with pytest.raises(ValueError, match="threshold contract"):
+            characterize(oracle, mini_db1, thetas=[0.0, 0.2, 1.0])
+        # the per-θ reference still measures it: tp(0.2) near 1 - 0.6·0.2
+        curves = reference_characterize(oracle, mini_db1, thetas=[0.0, 0.2, 1.0])
+        assert curves.tp[0] == 1.0
+        assert curves.tp[1] == pytest.approx(0.88, abs=0.06)
+
     def test_linear_knob_validation(self):
         with pytest.raises(ValueError):
             LinearKnob(0.9, 1.0)  # at1 > at0
