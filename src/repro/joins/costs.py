@@ -35,18 +35,26 @@ class SideCosts:
 
     def charge(
         self,
+        time: TimeBreakdown,
         retrieved: int = 0,
         processed: int = 0,
         filtered: int = 0,
         queries: int = 0,
-    ) -> TimeBreakdown:
-        """Time for a batch of events on this side."""
-        return TimeBreakdown(
-            retrieval=retrieved * self.t_retrieve,
-            extraction=processed * self.t_extract,
-            filtering=filtered * self.t_filter,
-            querying=queries * self.t_query,
-        )
+    ) -> float:
+        """Add a batch of events on this side to *time*; return its total.
+
+        Works in place: executors charge every document, so no breakdown
+        is allocated per event.
+        """
+        retrieval = retrieved * self.t_retrieve
+        extraction = processed * self.t_extract
+        filtering = filtered * self.t_filter
+        querying = queries * self.t_query
+        time.retrieval += retrieval
+        time.extraction += extraction
+        time.filtering += filtering
+        time.querying += querying
+        return retrieval + extraction + filtering + querying
 
 
 @dataclass(frozen=True)

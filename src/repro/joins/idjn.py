@@ -150,23 +150,22 @@ class IndependentJoin(JoinAlgorithm):
     ) -> None:
         """Retrieve and process one document on one side."""
         retriever = self._retrievers[side]
-        before = retriever.counters.snapshot()
+        counters = retriever.counters
+        retrieved_before = counters.retrieved
+        queries_before = counters.queries_issued
         doc = retriever.next_document()
-        delta_retrieved = retriever.counters.retrieved - before.retrieved
-        delta_queries = retriever.counters.queries_issued - before.queries_issued
+        retrieved = counters.retrieved - retrieved_before
         costs = self.costs.side(side)
-        filtered = delta_retrieved if retriever.filters_documents else 0
-        time.add(
-            costs.charge(
-                retrieved=delta_retrieved,
-                queries=delta_queries,
-                filtered=filtered,
-            )
+        costs.charge(
+            time,
+            retrieved=retrieved,
+            queries=counters.queries_issued - queries_before,
+            filtered=retrieved if retriever.filters_documents else 0,
         )
         if doc is None:
             return
         tuples = self.inputs.extractor(side).extract(doc)
-        time.add(costs.charge(processed=1))
+        costs.charge(time, processed=1)
         processed[side] += 1
         collector.record(side, tuples)
         if side == 1:

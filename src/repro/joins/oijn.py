@@ -119,25 +119,23 @@ class OuterInnerJoin(JoinAlgorithm):
             if not outer_open():
                 break
             # -- one outer document ------------------------------------------
-            before = self._outer_retriever.counters.snapshot()
-            doc = self._outer_retriever.next_document()
             counters = self._outer_retriever.counters
-            delta_retrieved = counters.retrieved - before.retrieved
-            time.add(
-                outer_costs.charge(
-                    retrieved=delta_retrieved,
-                    queries=counters.queries_issued - before.queries_issued,
-                    filtered=(
-                        delta_retrieved
-                        if self._outer_retriever.filters_documents
-                        else 0
-                    ),
-                )
+            retrieved_before = counters.retrieved
+            queries_before = counters.queries_issued
+            doc = self._outer_retriever.next_document()
+            retrieved = counters.retrieved - retrieved_before
+            outer_costs.charge(
+                time,
+                retrieved=retrieved,
+                queries=counters.queries_issued - queries_before,
+                filtered=(
+                    retrieved if self._outer_retriever.filters_documents else 0
+                ),
             )
             if doc is None:
                 break
             outer_tuples = self.inputs.extractor(outer).extract(doc)
-            time.add(outer_costs.charge(processed=1))
+            outer_costs.charge(time, processed=1)
             processed[outer] += 1
             collector.record(outer, outer_tuples)
             self._add(state, outer, outer_tuples)
@@ -157,14 +155,14 @@ class OuterInnerJoin(JoinAlgorithm):
                     # value can retry it, and the s(a) sample frequencies
                     # see nothing.
                     continue
-                time.add(inner_costs.charge(queries=1, retrieved=len(fresh)))
+                inner_costs.charge(time, queries=1, retrieved=len(fresh))
                 inner_extractor = self.inputs.extractor(inner)
                 for inner_doc in fresh:
                     cap = budgets.max_documents(inner)
                     if cap is not None and processed[inner] >= cap:
                         break
                     inner_tuples = inner_extractor.extract(inner_doc)
-                    time.add(inner_costs.charge(processed=1))
+                    inner_costs.charge(time, processed=1)
                     processed[inner] += 1
                     collector.record(inner, inner_tuples)
                     self._add(state, inner, inner_tuples)

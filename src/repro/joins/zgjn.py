@@ -187,7 +187,7 @@ class ZigZagJoin(JoinAlgorithm):
             if self._query_failures[key] < self.MAX_QUERY_FAILURES:
                 queues[side].append(query)
             return
-        time.add(costs.charge(queries=1, retrieved=len(fresh)))
+        costs.charge(time, queries=1, retrieved=len(fresh))
         extractor = self.inputs.extractor(side)
         new_tuples: List[ExtractedTuple] = []
         for doc in fresh:
@@ -195,7 +195,7 @@ class ZigZagJoin(JoinAlgorithm):
             if cap is not None and processed[side] >= cap:
                 break
             tuples = extractor.extract(doc)
-            time.add(costs.charge(processed=1))
+            costs.charge(time, processed=1)
             processed[side] += 1
             collector.record(side, tuples)
             new_tuples.extend(tuples)

@@ -218,7 +218,10 @@ class NoneExtractedBatch:
     call.
     """
 
-    __slots__ = ("shape", "unique", "inverse", "k", "zero_mask", "_col", "_pows")
+    __slots__ = (
+        "shape", "unique", "inverse", "k", "zero_mask", "all_zero", "_col",
+        "_pows",
+    )
 
     def __init__(self, occurrences: np.ndarray) -> None:
         occ = np.asarray(occurrences, dtype=np.int64)
@@ -231,6 +234,9 @@ class NoneExtractedBatch:
             self.inverse = np.zeros(0, dtype=np.int64)
             self.k = np.zeros(1, dtype=np.int64)
         self.zero_mask = self.unique == 0
+        #: no occurrence at all (or an empty array): nothing can be
+        #: extracted, so every operating point answers all ones
+        self.all_zero = bool(self.zero_mask.all())
         # population -> (n column, draws-independent log-pmf column), or
         # "checked" when the counts exceed the population (out-of-model)
         self._col: dict = {}
@@ -239,7 +245,7 @@ class NoneExtractedBatch:
 
     def evaluate(self, population: int, draws: int, rate: float) -> np.ndarray:
         """Pr{none extracted} per occurrence count at one operating point."""
-        if self.unique.size == 0 or population <= 0:
+        if self.all_zero or population <= 0:
             return np.ones(self.shape)
         draws = min(draws, population)
         total = int(population)

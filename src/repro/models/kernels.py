@@ -29,6 +29,7 @@ evaluated over the same catalog entry shares one set of arrays.
 
 from __future__ import annotations
 
+import weakref
 from typing import Dict, Tuple
 
 import numpy as np
@@ -45,17 +46,23 @@ class SideKernel:
     """Frequency arrays for one side, in a fixed (sorted) value order."""
 
     __slots__ = (
-        "side",
+        "tp",
+        "fp",
         "good_values",
         "bad_values",
         "g",
         "bg",
         "bb",
         "_pairs",
+        "__weakref__",
     )
 
     def __init__(self, side: SideStatistics) -> None:
-        self.side = side
+        # The kernel keeps the values it reads, never the side itself: the
+        # side caches its kernel, and a back reference would make every
+        # statistics catalog a cycle that only the collector frees.
+        self.tp = side.tp
+        self.fp = side.fp
         self.good_values: Tuple[str, ...] = tuple(sorted(side.good_frequency))
         self.bad_values: Tuple[str, ...] = tuple(sorted(side.bad_frequency))
         self.g = np.array(
@@ -71,18 +78,23 @@ class SideKernel:
             )
             - self.bg
         )
-        #: composition kernels against other sides, keyed by their identity
-        self._pairs: Dict[int, Tuple["SideKernel", "CompositionKernel"]] = {}
+        #: composition kernels against other sides, keyed by their identity;
+        #: each entry holds a weak reference to that side's kernel, to tell
+        #: a reused id from the same kernel without keeping it (or, in a
+        #: self-join, this kernel) alive
+        self._pairs: Dict[
+            int, Tuple["weakref.ref[SideKernel]", "CompositionKernel"]
+        ] = {}
 
     # -- factor arrays (aligned to good_values / bad_values) -------------------
 
     def good_factors(self, rho_good: float) -> np.ndarray:
         """E[gr(a)] = tp · g(a) · ρg for every good value."""
-        return self.side.tp * rho_good * self.g
+        return self.tp * rho_good * self.g
 
     def bad_factors(self, rho_good: float, rho_bad: float) -> np.ndarray:
         """E[br(a)] = fp · (b_good(a)·ρg + b_bad(a)·ρb) for every bad value."""
-        return self.side.fp * (self.bg * rho_good + self.bb * rho_bad)
+        return self.fp * (self.bg * rho_good + self.bb * rho_bad)
 
 
 def side_kernel(side: SideStatistics) -> SideKernel:
@@ -129,8 +141,10 @@ class CompositionKernel:
     """
 
     __slots__ = (
-        "k1",
-        "k2",
+        "tp1",
+        "fp1",
+        "tp2",
+        "fp2",
         "gg1",
         "gg2",
         "gb1",
@@ -151,8 +165,8 @@ class CompositionKernel:
     )
 
     def __init__(self, k1: SideKernel, k2: SideKernel) -> None:
-        self.k1 = k1
-        self.k2 = k2
+        self.tp1, self.fp1 = k1.tp, k1.fp
+        self.tp2, self.fp2 = k2.tp, k2.fp
         self.gg1, self.gg2 = _align(k1.good_values, k2.good_values)
         self.gb1, self.gb2 = _align(k1.good_values, k2.bad_values)
         self.bg1, self.bg2 = _align(k1.bad_values, k2.good_values)
@@ -184,8 +198,8 @@ class CompositionKernel:
         :func:`~repro.models.scheme.occurrence_factors` of both sides,
         reduced to closed form in the coverage fractions.
         """
-        tp1, fp1 = self.k1.side.tp, self.k1.side.fp
-        tp2, fp2 = self.k2.side.tp, self.k2.side.fp
+        tp1, fp1 = self.tp1, self.fp1
+        tp2, fp2 = self.tp2, self.fp2
         good = tp1 * tp2 * rho_good1 * rho_good2 * self.s_gg
         good_bad = (
             tp1
@@ -250,8 +264,8 @@ def composition_kernel(
     """The pair's composition kernel, cached on side1's kernel."""
     k1, k2 = side_kernel(side1), side_kernel(side2)
     entry = k1._pairs.get(id(k2))
-    if entry is None or entry[0] is not k2:
-        entry = (k2, CompositionKernel(k1, k2))
+    if entry is None or entry[0]() is not k2:
+        entry = (weakref.ref(k2), CompositionKernel(k1, k2))
         k1._pairs[id(k2)] = entry
     return entry[1]
 

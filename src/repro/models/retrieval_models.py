@@ -59,7 +59,14 @@ class RetrievalModel(abc.ABC):
     """Expected behaviour of one strategy on one side."""
 
     def __init__(self, side: SideStatistics) -> None:
-        self.side = side
+        # The model keeps the counts it reads, never the side itself: a
+        # shared model is cached on its side (build_retrieval_model), and a
+        # back reference would make every catalog a reference cycle.
+        self.n_documents = side.n_documents
+        self.n_good_docs = side.n_good_docs
+        self.n_bad_docs = side.n_bad_docs
+        self.n_empty_docs = side.n_empty_docs
+        self.top_k = side.top_k
         self._mix_cache: Dict[float, ClassMix] = {}
 
     @property
@@ -90,15 +97,15 @@ class RetrievalModel(abc.ABC):
 
     def good_fraction_processed(self, effort: float) -> float:
         """E[|Dgr|] / |Dg| — the good-document coverage at *effort*."""
-        if self.side.n_good_docs == 0:
+        if self.n_good_docs == 0:
             return 0.0
-        return min(1.0, self.class_mix(effort).good / self.side.n_good_docs)
+        return min(1.0, self.class_mix(effort).good / self.n_good_docs)
 
     def bad_fraction_processed(self, effort: float) -> float:
         """E[|Dbr|] / |Db| — the bad-document coverage at *effort*."""
-        if self.side.n_bad_docs == 0:
+        if self.n_bad_docs == 0:
             return 0.0
-        return min(1.0, self.class_mix(effort).bad / self.side.n_bad_docs)
+        return min(1.0, self.class_mix(effort).bad / self.n_bad_docs)
 
 
 class ScanModel(RetrievalModel):
@@ -106,18 +113,18 @@ class ScanModel(RetrievalModel):
 
     @property
     def max_effort(self) -> int:
-        return self.side.n_documents
+        return self.n_documents
 
     def _class_mix(self, effort: float) -> ClassMix:
         effort = min(effort, self.max_effort)
-        n = self.side.n_documents
+        n = self.n_documents
         if n == 0:
             return ClassMix(0.0, 0.0, 0.0)
         share = effort / n
         return ClassMix(
-            good=share * self.side.n_good_docs,
-            bad=share * self.side.n_bad_docs,
-            empty=share * self.side.n_empty_docs,
+            good=share * self.n_good_docs,
+            bad=share * self.n_bad_docs,
+            empty=share * self.n_empty_docs,
         )
 
     def events(self, effort: float) -> EffortEvents:
@@ -136,18 +143,18 @@ class FilteredScanModel(RetrievalModel):
 
     @property
     def max_effort(self) -> int:
-        return self.side.n_documents
+        return self.n_documents
 
     def _class_mix(self, effort: float) -> ClassMix:
         effort = min(effort, self.max_effort)
-        n = self.side.n_documents
+        n = self.n_documents
         if n == 0:
             return ClassMix(0.0, 0.0, 0.0)
         share = effort / n
         return ClassMix(
-            good=share * self.side.n_good_docs * self.classifier.c_tp,
-            bad=share * self.side.n_bad_docs * self.classifier.c_fp,
-            empty=share * self.side.n_empty_docs * self.classifier.c_ep,
+            good=share * self.n_good_docs * self.classifier.c_tp,
+            bad=share * self.n_bad_docs * self.classifier.c_fp,
+            empty=share * self.n_empty_docs * self.classifier.c_ep,
         )
 
     def events(self, effort: float) -> EffortEvents:
@@ -187,20 +194,20 @@ class AQGModel(RetrievalModel):
         """Per-class (reach per query, prefix log-miss) arrays."""
         if self._tables is None:
             hits = np.array([q.hits for q in self.queries], dtype=float)
-            retrieved = np.minimum(hits, self.side.top_k)
+            retrieved = np.minimum(hits, self.top_k)
             denominator = np.maximum(hits, 1)
             tables: dict = {}
             per_class = {
                 "good": (
-                    self.side.n_good_docs,
+                    self.n_good_docs,
                     np.array([q.good_hits for q in self.queries], dtype=float),
                 ),
                 "bad": (
-                    self.side.n_bad_docs,
+                    self.n_bad_docs,
                     np.array([q.bad_hits for q in self.queries], dtype=float),
                 ),
                 "empty": (
-                    self.side.n_empty_docs,
+                    self.n_empty_docs,
                     np.array(
                         [q.hits * q.empty_fraction for q in self.queries],
                         dtype=float,
@@ -246,9 +253,9 @@ class AQGModel(RetrievalModel):
 
     def _class_mix(self, effort: float) -> ClassMix:
         return ClassMix(
-            good=self._reach_fast(effort, self.side.n_good_docs, "good"),
-            bad=self._reach_fast(effort, self.side.n_bad_docs, "bad"),
-            empty=self._reach_fast(effort, self.side.n_empty_docs, "empty"),
+            good=self._reach_fast(effort, self.n_good_docs, "good"),
+            bad=self._reach_fast(effort, self.n_bad_docs, "bad"),
+            empty=self._reach_fast(effort, self.n_empty_docs, "empty"),
         )
 
     def events(self, effort: float) -> EffortEvents:

@@ -146,25 +146,24 @@ class MultiwayIndependentJoin:
         the totals once.
         """
         side = self.sides[index]
-        counters = side.retriever.counters
-        before = counters.snapshot()
-        doc = side.retriever.next_document()
-        delta_retrieved = counters.retrieved - before.retrieved
-        retrieval_charge = side.costs.charge(
-            retrieved=delta_retrieved,
-            queries=counters.queries_issued - before.queries_issued,
-            filtered=(
-                delta_retrieved if side.retriever.filters_documents else 0
-            ),
+        retriever = side.retriever
+        counters = retriever.counters
+        retrieved_before = counters.retrieved
+        queries_before = counters.queries_issued
+        doc = retriever.next_document()
+        retrieved = counters.retrieved - retrieved_before
+        self.side_time[index + 1] += side.costs.charge(
+            self.time,
+            retrieved=retrieved,
+            queries=counters.queries_issued - queries_before,
+            filtered=retrieved if retriever.filters_documents else 0,
         )
-        self.time.add(retrieval_charge)
-        self.side_time[index + 1] += retrieval_charge.total
         if doc is None:
             return
         tuples = side.extractor.extract(doc)
-        processing_charge = side.costs.charge(processed=1)
-        self.time.add(processing_charge)
-        self.side_time[index + 1] += processing_charge.total
+        self.side_time[index + 1] += side.costs.charge(
+            self.time, processed=1
+        )
         self.processed[index + 1] += 1
         self.observations[index].record_document(tuples)
         self.state.add(index + 1, tuples)

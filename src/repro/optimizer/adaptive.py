@@ -77,7 +77,9 @@ class TuplePosterior:
         theta: float = 0.0,
     ) -> None:
         self.good_share = min(max(good_share, 1e-6), 1.0 - 1e-6)
-        self._reference = reference
+        #: the posterior of each confidence bin, or None without a reference
+        self._by_bin: Optional[List[float]] = None
+        self._n_bins = 0
         if reference is not None:
             good = reference.good_at(theta)
             bad = reference.bad_at(theta)
@@ -86,13 +88,15 @@ class TuplePosterior:
                 (lam * g) / max(lam * g + (1.0 - lam) * b, 1e-12)
                 for g, b in zip(good, bad)
             ]
-        else:
-            self._by_bin = None
+            self._n_bins = reference.n_bins
 
     def __call__(self, confidence: float) -> float:
-        if self._by_bin is None:
+        by_bin = self._by_bin
+        if by_bin is None:
             return self.good_share
-        return self._by_bin[self._reference.bin_of(confidence)]
+        # The reference's bin_of, inline: this runs once per join result.
+        index = int(confidence * self._n_bins)
+        return by_bin[min(max(index, 0), self._n_bins - 1)]
 
 
 class PosteriorQuality:

@@ -156,6 +156,7 @@ def _tree_schedule(graph: JoinGraph, subset: FrozenSet[str]) -> Tuple[_Visit, ..
         visits.append(_Visit(name, attributes, tuple(children), parent_slot))
 
     visit(next(name for name in graph.names if name in subset), None)
+    del visit  # the recursive closure is a cycle through its own cell
     return tuple(visits)
 
 

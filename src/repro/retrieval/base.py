@@ -20,18 +20,16 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterator, Optional, TypeVar
+from typing import TYPE_CHECKING, Iterator, Optional
 
 from ..observability.context import ObservabilityContext, ensure_observability
 from ..robustness.context import ResilienceContext
-from ..robustness.degradation import access_path
+from ..robustness.degradation import FETCH, access_path
 from ..textdb.database import TextDatabase
 from ..textdb.document import Document
 
 if TYPE_CHECKING:
     from .queries import QueryProbe
-
-T = TypeVar("T")
 
 
 @dataclass
@@ -43,16 +41,9 @@ class RetrievalCounters:
     rejected: int = 0
     queries_issued: int = 0
     #: Database calls attempted (fetches, and an AQG probe's searches;
-    #: retries inside one call count once).  Not checkpointed or
-    #: snapshotted: it counts this retriever object's own calls.
+    #: retries inside one call count once).  Not checkpointed: it counts
+    #: this retriever object's own calls.
     accesses: int = 0
-
-    def snapshot(self) -> "RetrievalCounters":
-        return RetrievalCounters(
-            retrieved=self.retrieved,
-            rejected=self.rejected,
-            queries_issued=self.queries_issued,
-        )
 
 
 class DocumentRetriever(abc.ABC):
@@ -79,9 +70,10 @@ class DocumentRetriever(abc.ABC):
         self.resilience = resilience
         #: tracing/metrics context; defaults to the no-op context
         self.observability = ensure_observability(observability)
+        self._fetch_path = access_path(database.name, FETCH)
 
-    def _access(self, operation: str, fn: Callable[[], T]) -> T:
-        """One database access, via the resilience context when present.
+    def _fetch(self, doc_id: int) -> Document:
+        """Fetch one document, via the resilience context when present.
 
         With a context, a retryable fault may surface as
         :class:`~repro.robustness.context.AccessFailedError` (retries
@@ -92,10 +84,8 @@ class DocumentRetriever(abc.ABC):
         """
         self.counters.accesses += 1
         if self.resilience is None:
-            return fn()
-        return self.resilience.call(
-            access_path(self.database.name, operation), fn
-        )
+            return self.database.get(doc_id)
+        return self.resilience.call(self._fetch_path, self.database.get, doc_id)
 
     @abc.abstractmethod
     def next_document(self) -> Optional[Document]:

@@ -56,18 +56,23 @@ class FilteredScanRetriever(DocumentRetriever):
 
     def next_document(self) -> Optional[Document]:
         """Next accepted document; rejected ones are counted, not returned."""
-        while self._position < len(self._order):
-            doc_id = self._order[self._position]
+        # Most fetched documents are rejected, so the loop runs several
+        # times per returned document: its lookups are hoisted.
+        order = self._order
+        counters = self.counters
+        classify = self.classifier.classify
+        while self._position < len(order):
+            doc_id = order[self._position]
             try:
-                doc = self._access("fetch", lambda: self.database.get(doc_id))
+                doc = self._fetch(doc_id)
             except AccessFailedError:
                 self._position += 1
                 if self.resilience is not None:
                     self.resilience.documents_lost += 1
                 continue
             self._position += 1
-            self.counters.retrieved += 1
-            if self.classifier.classify(doc):
+            counters.retrieved += 1
+            if classify(doc):
                 return doc
-            self.counters.rejected += 1
+            counters.rejected += 1
         return None

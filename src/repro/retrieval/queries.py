@@ -11,12 +11,14 @@ statistics the models need — hit count ``H(q)`` and precision ``P(q)``
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import (
+    Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple,
+)
 
 from ..core.types import DocumentClass
 from ..observability.metrics import MetricsRegistry
 from ..robustness.context import AccessFailedError, ResilienceContext
-from ..robustness.degradation import access_path
+from ..robustness.degradation import FETCH, SEARCH, access_path
 from ..textdb.database import TextDatabase
 from ..textdb.document import Document
 
@@ -126,6 +128,8 @@ class QueryProbe:
         self.accesses = 0
         self.resilience = resilience
         self._issued: Set[Tuple[str, ...]] = set()
+        self._search_path = access_path(database.name, SEARCH)
+        self._fetch_path = access_path(database.name, FETCH)
 
     def already_issued(self, query: Query) -> bool:
         return query.tokens in self._issued
@@ -139,13 +143,12 @@ class QueryProbe:
         """Replace the issued-query memory (checkpoint restore)."""
         self._issued = {tuple(tokens) for tokens in issued}
 
-    def _access(self, operation: str, fn):
+    def _access(self, path: str, fn: Callable[[Any], Any], arg: Any) -> Any:
+        """``fn(arg)``, via the resilience context when present."""
         self.accesses += 1
         if self.resilience is None:
-            return fn()
-        return self.resilience.call(
-            access_path(self.database.name, operation), fn
-        )
+            return fn(arg)
+        return self.resilience.call(path, fn, arg)
 
     def issue(self, query: Query) -> List[Document]:
         """Issue *query*; return the unseen documents among its top-k.
@@ -156,7 +159,7 @@ class QueryProbe:
         (a successful query that matched nothing new).
         """
         match_ids = self._access(
-            "search", lambda: self.database.search(query.tokens)
+            self._search_path, self.database.search, query.tokens
         )
         # Only a search that actually answered counts as issued.
         self.queries_issued += 1
@@ -166,7 +169,7 @@ class QueryProbe:
             if doc_id in self.seen:
                 continue
             try:
-                doc = self._access("fetch", lambda: self.database.get(doc_id))
+                doc = self._access(self._fetch_path, self.database.get, doc_id)
             except AccessFailedError:
                 if self.resilience is not None:
                     self.resilience.documents_lost += 1

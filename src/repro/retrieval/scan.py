@@ -54,7 +54,7 @@ class ScanRetriever(DocumentRetriever):
         while self._position < len(self._order):
             doc_id = self._order[self._position]
             try:
-                doc = self._access("fetch", lambda: self.database.get(doc_id))
+                doc = self._fetch(doc_id)
             except AccessFailedError:
                 # Unreachable document: skip it without counting it as
                 # retrieved — a failed access must never masquerade as a

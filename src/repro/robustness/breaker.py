@@ -48,7 +48,8 @@ class CircuitBreaker:
         if self.recovery_successes < 1:
             raise ValueError("recovery_successes must be at least 1")
         self.state = BreakerState.CLOSED
-        self._consecutive_failures = 0
+        #: failures since the last recorded success
+        self.consecutive_failures = 0
         self._rejections = 0
         self._probe_successes = 0
         #: lifetime CLOSED/HALF_OPEN -> OPEN transitions
@@ -72,7 +73,7 @@ class CircuitBreaker:
         return True  # HALF_OPEN: admit probes
 
     def record_success(self) -> None:
-        self._consecutive_failures = 0
+        self.consecutive_failures = 0
         if self.state is BreakerState.HALF_OPEN:
             self._probe_successes += 1
             if self._probe_successes >= self.recovery_successes:
@@ -84,12 +85,12 @@ class CircuitBreaker:
             self.ignored_successes += 1
 
     def record_failure(self) -> None:
-        self._consecutive_failures += 1
+        self.consecutive_failures += 1
         if self.state is BreakerState.HALF_OPEN:
             self._trip()
         elif (
             self.state is BreakerState.CLOSED
-            and self._consecutive_failures >= self.failure_threshold
+            and self.consecutive_failures >= self.failure_threshold
         ):
             self._trip()
 

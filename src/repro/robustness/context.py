@@ -18,22 +18,28 @@ context:
 One context is shared by every retriever/probe/executor of one logical
 execution (including adaptive re-planning across plan switches), so the
 final report covers the whole run.
+
+An access that answers on a CLOSED breaker -- every access of a run
+without faults -- costs the deadline check, one breaker-state read and an
+operation number; the retry machinery is built only after a fault.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Callable, Dict, List, Optional, TypeVar
+from typing import Any, Callable, Dict, List, Optional, Tuple, TypeVar
 
 from ..core.quality import ResilienceReport
 from ..observability.context import NULL_OBSERVABILITY
 from ..observability.tracer import SpanKind
-from .breaker import CircuitBreaker
+from .breaker import BreakerState, CircuitBreaker
 from .deadline import Deadline
 from .faults import RETRYABLE_ERRORS, FaultInjectingDatabase
 from .retry import RetryPolicy
 
 T = TypeVar("T")
+
+_CLOSED = BreakerState.CLOSED
 
 
 class AccessFailedError(RuntimeError):
@@ -105,97 +111,136 @@ class ResilienceContext:
         """Register a fault injector so its counts appear in reports."""
         self._injectors.append(database)
 
-    def call(self, path: str, fn: Callable[[], T]) -> T:
-        """Run one database access with breaker + retry protection.
+    def call(self, path: str, fn: Callable[..., T], *args: Any) -> T:
+        """Run one database access ``fn(*args)`` with breaker + retry
+        protection.
 
         Raises :class:`~repro.robustness.deadline.DeadlineExceeded` when
         the request's deadline (if any) has passed,
         :class:`AccessPathUnavailable` when the breaker rejects the call,
         :class:`AccessFailedError` when retries are exhausted, and
-        returns ``fn()``'s result otherwise.
+        returns ``fn(*args)``'s result otherwise.
+
+        Every access pays for the deadline check, one breaker-state read
+        and its operation number.  Everything else -- the jitter
+        generator, attempt and backoff accounting, breaker failure
+        records and the fault metrics -- is paid in :meth:`_retry`, which
+        only a retryable fault enters.
         """
         if self.deadline is not None:
             self.deadline.check(path)
-        observability = self.observability
-        breaker = self.breaker(path)
-        if not breaker.allow():
+        breaker = self._breakers.get(path)
+        if breaker is None:
+            breaker = self.breaker(path)
+        if breaker.state is not _CLOSED and not breaker.allow():
             raise AccessPathUnavailable(path)
-        self._operations += 1
-        delays = self.policy.delays(f"{path}|{self._operations}")
-        attempts = 0
+        self._operations = operation = self._operations + 1
+        try:
+            result = fn(*args)
+        except RETRYABLE_ERRORS as exc:
+            return self._retry(path, breaker, operation, exc, fn, args)
+        if breaker.state is not _CLOSED or breaker.consecutive_failures:
+            self._record_success(path, breaker)
+        return result
+
+    def _retry(
+        self,
+        path: str,
+        breaker: CircuitBreaker,
+        operation: int,
+        exc: BaseException,
+        fn: Callable[..., T],
+        args: Tuple[Any, ...],
+    ) -> T:
+        """Handle *exc*, the first fault of operation *operation*, then
+        retry ``fn(*args)`` under the policy until it answers or gives up.
+
+        Delays come from the operation's own jitter stream
+        (``policy.delays("<path>|<operation>")``), so a replayed execution
+        waits the same simulated seconds.
+        """
+        observability = self.observability
+        delays = self.policy.delays(f"{path}|{operation}")
+        attempts = 1
         spent = 0.0
         while True:
-            attempts += 1
-            try:
-                result = fn()
-            except RETRYABLE_ERRORS as exc:
-                self.faults[type(exc).__name__] += 1
-                was_open = breaker.is_open
-                breaker.record_failure()
-                if observability.enabled:
+            self.faults[type(exc).__name__] += 1
+            was_open = breaker.is_open
+            breaker.record_failure()
+            if observability.enabled:
+                observability.metrics.counter(
+                    "repro_faults_total", kind=type(exc).__name__
+                ).inc()
+                if breaker.is_open and not was_open:
                     observability.metrics.counter(
-                        "repro_faults_total", kind=type(exc).__name__
-                    ).inc()
-                    if breaker.is_open and not was_open:
-                        observability.metrics.counter(
-                            "repro_breaker_transitions_total", state="open"
-                        ).inc()
-                        observability.event(
-                            SpanKind.BREAKER_TRANSITION,
-                            name=path,
-                            path=path,
-                            state="open",
-                        )
-                if breaker.is_open:
-                    self.failed_operations += 1
-                    raise AccessPathUnavailable(path) from exc
-                if not self._may_retry(attempts, spent):
-                    self.failed_operations += 1
-                    raise AccessFailedError(path, exc) from exc
-                delay = next(delays)
-                if (
-                    self.policy.deadline is not None
-                    and spent + delay > self.policy.deadline
-                ):
-                    self.failed_operations += 1
-                    raise AccessFailedError(path, exc) from exc
-                spent += delay
-                self.backoff_time += delay
-                self.retries += 1
-                if self.retries_remaining is not None:
-                    self.retries_remaining -= 1
-                if observability.enabled:
-                    observability.metrics.counter("repro_retries_total").inc()
-                    observability.metrics.counter(
-                        "repro_backoff_seconds_total"
-                    ).inc(delay)
-            else:
-                before = breaker.state
-                breaker.record_success()
-                if observability.enabled and before.name == "OPEN":
-                    # The breaker ignores a success observed while OPEN
-                    # (see CircuitBreaker.record_success); count the
-                    # swallowed event so it shows up in /v1/metrics.
-                    observability.metrics.counter(
-                        "repro_swallowed_events_total",
-                        kind="breaker_open_success",
-                    ).inc()
-                if (
-                    observability.enabled
-                    and before is not breaker.state
-                    and breaker.state.name == "CLOSED"
-                ):
-                    # HALF_OPEN → CLOSED: the path recovered.
-                    observability.metrics.counter(
-                        "repro_breaker_transitions_total", state="closed"
+                        "repro_breaker_transitions_total", state="open"
                     ).inc()
                     observability.event(
                         SpanKind.BREAKER_TRANSITION,
                         name=path,
                         path=path,
-                        state="closed",
+                        state="open",
                     )
-                return result
+            if breaker.is_open:
+                self.failed_operations += 1
+                raise AccessPathUnavailable(path) from exc
+            if not self._may_retry(attempts, spent):
+                self.failed_operations += 1
+                raise AccessFailedError(path, exc) from exc
+            delay = next(delays)
+            if (
+                self.policy.deadline is not None
+                and spent + delay > self.policy.deadline
+            ):
+                self.failed_operations += 1
+                raise AccessFailedError(path, exc) from exc
+            spent += delay
+            self.backoff_time += delay
+            self.retries += 1
+            if self.retries_remaining is not None:
+                self.retries_remaining -= 1
+            if observability.enabled:
+                observability.metrics.counter("repro_retries_total").inc()
+                observability.metrics.counter(
+                    "repro_backoff_seconds_total"
+                ).inc(delay)
+            attempts += 1
+            try:
+                result = fn(*args)
+            except RETRYABLE_ERRORS as retried:
+                exc = retried
+                continue
+            self._record_success(path, breaker)
+            return result
+
+    def _record_success(self, path: str, breaker: CircuitBreaker) -> None:
+        """Record an answered access on *path*'s breaker."""
+        observability = self.observability
+        before = breaker.state
+        breaker.record_success()
+        if observability.enabled and before is BreakerState.OPEN:
+            # The breaker ignores a success observed while OPEN
+            # (see CircuitBreaker.record_success); count the
+            # swallowed event so it shows up in /v1/metrics.
+            observability.metrics.counter(
+                "repro_swallowed_events_total",
+                kind="breaker_open_success",
+            ).inc()
+        if (
+            observability.enabled
+            and before is not breaker.state
+            and breaker.state is _CLOSED
+        ):
+            # HALF_OPEN → CLOSED: the path recovered.
+            observability.metrics.counter(
+                "repro_breaker_transitions_total", state="closed"
+            ).inc()
+            observability.event(
+                SpanKind.BREAKER_TRANSITION,
+                name=path,
+                path=path,
+                state="closed",
+            )
 
     def _may_retry(self, attempts: int, spent: float) -> bool:
         if attempts >= self.policy.max_attempts:

@@ -50,7 +50,8 @@ requests through a fixed worker pool:
   permanent generation; no full collection on the request path walks
   them again (DESIGN §6.2);
 * **graceful drain** — :meth:`close` stops admissions, lets queued
-  requests finish, joins the workers and unfreezes the heap.
+  requests finish, joins the workers and, as the process's last live
+  service, unfreezes the heap.
 
 Determinism: request handling never reads wall-clock time or shared
 mutable execution state (the extraction memo holds only pure
@@ -234,6 +235,11 @@ class _PlanSource(NamedTuple):
     journal: Dict[str, Dict[str, Any]]
 
 
+#: services that froze the heap at boot and are not closed yet
+_frozen_services = 0
+_freeze_lock = threading.Lock()
+
+
 def _freeze_boot_heap() -> None:
     """Collect once, then exempt every surviving object from collection.
 
@@ -241,11 +247,24 @@ def _freeze_boot_heap() -> None:
     for its whole life.  A full collection over it costs tens of
     milliseconds even when it finds no garbage, so leaving it in the
     tracked generations lets the interpreter charge that walk to whichever
-    request happens to trigger it.  ``gc.freeze`` is process-wide:
-    :meth:`JoinService.close` undoes it with ``gc.unfreeze``.
+    request happens to trigger it.  ``gc.freeze`` is process-wide, so the
+    live frozen services are counted: :func:`_release_boot_heap`, called
+    by :meth:`JoinService.close`, unfreezes only when the last one closes.
     """
-    gc.collect()
-    gc.freeze()
+    global _frozen_services
+    with _freeze_lock:
+        gc.collect()
+        gc.freeze()
+        _frozen_services += 1
+
+
+def _release_boot_heap() -> None:
+    """Undo one :func:`_freeze_boot_heap`; the last live service unfreezes."""
+    global _frozen_services
+    with _freeze_lock:
+        _frozen_services -= 1
+        if _frozen_services == 0:
+            gc.unfreeze()
 
 
 class JoinService:
@@ -393,7 +412,8 @@ class JoinService:
 
     def close(self, wait: bool = True) -> None:
         """Stop admitting requests, drain the queue, join the workers,
-        and return the boot heap to the collector."""
+        and return the boot heap to the collector once no other service
+        of this process keeps it frozen."""
         if self._closed.is_set():
             return
         self._closed.set()
@@ -402,7 +422,7 @@ class JoinService:
         if wait:
             for worker in self._workers:
                 worker.join()
-        gc.unfreeze()
+        _release_boot_heap()
 
     @property
     def closed(self) -> bool:

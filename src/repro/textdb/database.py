@@ -55,6 +55,8 @@ class TextDatabase:
         rng.shuffle(self._scan_order)
         self._rank_seed = rank_seed
         self.index = InvertedIndex(self._documents.values())
+        #: (query tokens, limit) -> ranked top-k ids; see :meth:`search`
+        self._search_memo: Dict[Tuple[Tuple[str, ...], int], Tuple[int, ...]] = {}
 
     @property
     def rank_seed(self) -> int:
@@ -130,11 +132,25 @@ class TextDatabase:
 
         ``max_results`` overrides the interface default (but can never
         exceed it — the interface is the hard limit).
+
+        The ranking is a pure function of the query and this immutable
+        database, so each (query, limit) is ranked once and served from a
+        memo afterwards; every call returns a fresh list.  The memo sits
+        below the fault layer: a
+        :class:`~repro.robustness.faults.FaultInjectingDatabase` draws its
+        faults before it asks this method, so faults replay the same.
+        It holds at most one entry per distinct query the callers issue,
+        each at most ``max_results`` ids.  Two threads racing on one query
+        may both rank it; both store the same ids.
         """
         limit = self.max_results if max_results is None else min(
             max_results, self.max_results
         )
-        matches = self.index.search(tokens)
-        key = tuple(tokens)
-        matches.sort(key=lambda doc_id: self._query_rank(key, doc_id))
-        return matches[:limit]
+        query = tuple(tokens)
+        hits = self._search_memo.get((query, limit))
+        if hits is None:
+            matches = self.index.search(tokens)
+            matches.sort(key=lambda doc_id: self._query_rank(query, doc_id))
+            hits = tuple(matches[:limit])
+            self._search_memo[query, limit] = hits
+        return list(hits)

@@ -672,7 +672,7 @@ def reference_aqg_reach(
     whole = int(effort)
     log_miss = 0.0
     for stats in model.queries[:whole]:
-        retrieved = min(stats.hits, model.side.top_k)
+        retrieved = min(stats.hits, model.top_k)
         reach = per_query_hits(stats) / max(stats.hits, 1) * retrieved
         p = min(reach / class_size, 1.0)
         if p >= 1.0:
@@ -681,7 +681,7 @@ def reference_aqg_reach(
     frac = effort - whole
     if frac > 0 and whole < len(model.queries):
         stats = model.queries[whole]
-        retrieved = min(stats.hits, model.side.top_k)
+        retrieved = min(stats.hits, model.top_k)
         reach = per_query_hits(stats) / max(stats.hits, 1) * retrieved
         p = min(frac * reach / class_size, 1.0)
         if p >= 1.0:
@@ -692,18 +692,17 @@ def reference_aqg_reach(
 
 def reference_aqg_class_mix(model: AQGModel, effort: float) -> ClassMix:
     """:meth:`AQGModel.class_mix` through :func:`reference_aqg_reach`."""
-    side = model.side
     return ClassMix(
         good=reference_aqg_reach(
-            model, effort, side.n_good_docs, lambda s: s.good_hits
+            model, effort, model.n_good_docs, lambda s: s.good_hits
         ),
         bad=reference_aqg_reach(
-            model, effort, side.n_bad_docs, lambda s: s.bad_hits
+            model, effort, model.n_bad_docs, lambda s: s.bad_hits
         ),
         empty=reference_aqg_reach(
             model,
             effort,
-            side.n_empty_docs,
+            model.n_empty_docs,
             lambda s: s.hits * s.empty_fraction,
         ),
     )

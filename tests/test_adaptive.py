@@ -46,6 +46,14 @@ class TestTuplePosterior:
         posterior = TuplePosterior(reference, good_share=0.6)
         assert posterior(0.9) > posterior(0.45)
 
+    def test_direct_lookup_is_the_reference_bin(self, hq_ex_task):
+        reference = hq_ex_task.characterization1.confidences
+        for theta in (0.0, 0.4, 0.8):
+            posterior = TuplePosterior(reference, good_share=0.6, theta=theta)
+            for confidence in (-0.5, 0.0, 0.05, 0.4, 0.4999, 0.5, 0.99, 1.0, 7.0):
+                index = reference.bin_of(confidence)
+                assert posterior(confidence) == posterior._by_bin[index]
+
     def test_share_clamped(self):
         posterior = TuplePosterior(None, good_share=0.0)
         assert 0.0 < posterior(0.5) < 1.0

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import RelationSchema
+from repro.core.quality import TimeBreakdown
 from repro.core.types import ExtractedTuple
 from repro.joins import Budgets, CostModel, SideCosts
 from repro.joins.stats_collector import (
@@ -26,16 +27,47 @@ def tup(value, conf=0.8, good=True, doc=0):
 class TestSideCosts:
     def test_charge_components(self):
         costs = SideCosts(t_retrieve=1, t_extract=4, t_filter=0.5, t_query=2)
-        time = costs.charge(retrieved=10, processed=5, filtered=10, queries=3)
+        time = TimeBreakdown()
+        total = costs.charge(time, retrieved=10, processed=5, filtered=10, queries=3)
         assert time.retrieval == 10
         assert time.extraction == 20
         assert time.filtering == 5
         assert time.querying == 6
-        assert time.total == 41
+        assert time.total == 41 == total
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             SideCosts(t_retrieve=-1)
+
+    @given(
+        st.lists(
+            st.tuples(*[st.integers(0, 40)] * 4), min_size=1, max_size=20
+        ),
+        st.tuples(*[st.floats(0, 10, allow_nan=False)] * 4),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_charge_in_place_is_adding_a_breakdown_bit_for_bit(
+        self, batches, rates
+    ):
+        costs = SideCosts(*rates)
+        added, charged = TimeBreakdown(), TimeBreakdown()
+        for retrieved, processed, filtered, queries in batches:
+            batch = TimeBreakdown(
+                retrieval=retrieved * costs.t_retrieve,
+                extraction=processed * costs.t_extract,
+                filtering=filtered * costs.t_filter,
+                querying=queries * costs.t_query,
+            )
+            added.add(batch)
+            total = costs.charge(
+                charged,
+                retrieved=retrieved,
+                processed=processed,
+                filtered=filtered,
+                queries=queries,
+            )
+            assert total == batch.total
+        assert charged == added
 
     @given(
         st.integers(0, 100),
@@ -46,16 +78,20 @@ class TestSideCosts:
     @settings(max_examples=40, deadline=None)
     def test_charge_linear(self, retrieved, processed, filtered, queries):
         costs = SideCosts()
-        single = costs.charge(retrieved=1).total * retrieved
-        single += costs.charge(processed=1).total * processed
-        single += costs.charge(filtered=1).total * filtered
-        single += costs.charge(queries=1).total * queries
-        batch = costs.charge(
+
+        def charged(**events):
+            return costs.charge(TimeBreakdown(), **events)
+
+        single = charged(retrieved=1) * retrieved
+        single += charged(processed=1) * processed
+        single += charged(filtered=1) * filtered
+        single += charged(queries=1) * queries
+        batch = charged(
             retrieved=retrieved,
             processed=processed,
             filtered=filtered,
             queries=queries,
-        ).total
+        )
         assert batch == pytest.approx(single)
 
 

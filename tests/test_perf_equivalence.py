@@ -93,6 +93,22 @@ class TestDistributionKernels:
             )
             np.testing.assert_allclose(got, want, atol=TOL, rtol=TOL)
 
+    def test_all_zero_batch_shortcut_matches_the_table_path(self):
+        occurrences = np.zeros((3, 4), dtype=np.int64)
+        batch = NoneExtractedBatch(occurrences)
+        table = NoneExtractedBatch(occurrences)
+        table.all_zero = False  # force the gammaln-table path
+        assert batch.all_zero
+        for population, draws, rate in [
+            (200, 50, 0.7), (200, 200, 0.3), (40, 39, 1.0), (1, 0, 0.0),
+        ]:
+            got = batch.evaluate(population, draws, rate)
+            want = table.evaluate(population, draws, rate)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        assert not batch._col  # the shortcut built no table
+        assert not NoneExtractedBatch(np.array([0, 1])).all_zero
+
     def test_none_extracted_batch_empty_and_degenerate(self):
         assert NoneExtractedBatch(np.array([])).evaluate(10, 5, 0.5).size == 0
         np.testing.assert_array_equal(

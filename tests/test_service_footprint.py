@@ -2,8 +2,10 @@
 
 * the service, the testbed and the CLI never import ``scipy.stats``,
   ``scipy.optimize`` or ``scipy.signal`` (about 46 MB and 0.9 s);
-* boot ends by freezing the heap it built and ``close`` unfreezes it;
-* a plan space the cache retires is freed by reference counting alone.
+* boot ends by freezing the heap it built, and the last live service's
+  ``close`` unfreezes it;
+* a plan space the cache retires, a dropped statistics catalog and a
+  dropped planner catalog are freed by reference counting alone.
 """
 
 import gc
@@ -15,8 +17,11 @@ import weakref
 from pathlib import Path
 
 from repro.core.preferences import QualityRequirement
+from repro.experiments import build_multiway_testbed
+from repro.models.kernels import composition_kernel, side_kernel
 from repro.optimizer.enumerator import enumerate_plans
 from repro.optimizer.optimizer import JoinOptimizer
+from repro.planner.planner import MultiwayPlanner
 from repro.service import JoinRequest, JoinService
 from repro.service.plancache import BinaryPlanSpace, PlanCache, PlanCacheKey
 
@@ -64,6 +69,79 @@ def test_boot_freezes_and_close_unfreezes(hq_ex_task, tmp_path):
     finally:
         service.close()
     assert gc.get_freeze_count() == 0
+
+
+def test_only_the_last_close_unfreezes(hq_ex_task, tmp_path):
+    first = JoinService(hq_ex_task, str(tmp_path / "first"), workers=1)
+    second = JoinService(hq_ex_task, str(tmp_path / "second"), workers=1)
+    try:
+        first.close()
+        # the second service still runs on the frozen boot heap
+        assert gc.get_freeze_count() > 0
+        first.close()  # a repeated close releases nothing
+        assert gc.get_freeze_count() > 0
+    finally:
+        first.close()
+        second.close()
+    assert gc.get_freeze_count() == 0
+
+
+def _without_collector(body):
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        body()
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_dropped_catalog_dies_by_refcount(hq_ex_task):
+    plans = enumerate_plans(hq_ex_task.extractor1.name, hq_ex_task.extractor2.name)
+    requirement = QualityRequirement(tau_good=20, tau_bad=40)
+
+    def body():
+        catalog = hq_ex_task.catalog()
+        JoinOptimizer(catalog, costs=hq_ex_task.costs).optimize(plans, requirement)
+        sides = list(catalog._side_cache.values())
+        # the optimizer attached kernels and retrieval models to the sides
+        assert sides and all(vars(side).get("_kernel") for side in sides)
+        assert all(vars(side).get("_retrieval_cache") for side in sides)
+        refs = [weakref.ref(catalog)]
+        refs += [weakref.ref(side) for side in sides]
+        refs += [weakref.ref(side._kernel) for side in sides]
+        del catalog, sides
+        assert [ref() for ref in refs] == [None] * len(refs)
+
+    _without_collector(body)
+
+
+def test_self_join_kernel_dies_by_refcount(hq_ex_task):
+    def body():
+        side = hq_ex_task.catalog().at(0.4, 0.4).side1
+        composition_kernel(side, side)
+        kernel = weakref.ref(side_kernel(side))
+        del side
+        assert kernel() is None
+
+    _without_collector(body)
+
+
+def test_dropped_planner_catalog_dies_by_refcount():
+    scenario = build_multiway_testbed().scenario("star3")
+
+    def body():
+        catalog = scenario.catalog()
+        planner = MultiwayPlanner(scenario.graph, catalog)
+        assert planner.optimize(QualityRequirement(40, 250)).chosen is not None
+        sides = list(catalog._sides.values())
+        assert sides and all(vars(side).get("_retrieval_cache") for side in sides)
+        refs = [weakref.ref(catalog), weakref.ref(planner)]
+        refs += [weakref.ref(side) for side in sides]
+        del catalog, planner, sides
+        assert [ref() for ref in refs] == [None] * len(refs)
+
+    _without_collector(body)
 
 
 def test_retired_binary_space_dies_by_refcount(hq_ex_task):
