@@ -321,11 +321,13 @@ def _cmd_optimize_multiway(args: argparse.Namespace) -> int:
     if args.execute:
         environment = scenario.environment()
         environment.observability = observability
+        environment = _maybe_harden(environment, args)
         executor = bind_multiway_plan(
             environment, scenario.graph, chosen, model=planner.model
         )
         report = executor.run(requirement).report
         print(f"Actual:    {report.summary()}")
+        _log_resilience(report)
         print(f"Requirement met: {report.check(requirement)}")
     _write_observability(observability, args)
     return 0

@@ -118,17 +118,17 @@ class JoinTask:
     def environment(
         self, theta1: float = 0.4, theta2: float = 0.4
     ) -> ExecutionEnvironment:
+        """Live bindings of sides 1 and 2."""
         return ExecutionEnvironment(
-            database1=self.database1,
-            database2=self.database2,
-            extractor1=self.extractor1.with_theta(theta1),
-            extractor2=self.extractor2.with_theta(theta2),
-            classifier1=self.classifier1,
-            classifier2=self.classifier2,
-            learned_queries1=self.learned_queries1,
-            learned_queries2=self.learned_queries2,
+            databases={1: self.database1, 2: self.database2},
+            extractors={
+                1: self.extractor1.with_theta(theta1),
+                2: self.extractor2.with_theta(theta2),
+            },
+            classifiers={1: self.classifier1, 2: self.classifier2},
+            learned_queries={1: self.learned_queries1, 2: self.learned_queries2},
+            costs={1: self.costs.side1, 2: self.costs.side2},
             seed_queries=self.seed_queries,
-            costs=self.costs,
         )
 
     def catalog(self) -> StatisticsCatalog:
@@ -339,8 +339,7 @@ def build_testbed(config: Optional[TestbedConfig] = None) -> Testbed:
 # 3-relation chain are each extractable from three distinct databases.
 
 from ..core.plan import RetrievalKind  # noqa: E402  (keeps the canonical
-from ..models.parameters import SideStatistics  # noqa: E402  imports above
-from ..planner.binder import MultiwayEnvironment  # noqa: E402  untouched)
+from ..models.parameters import SideStatistics  # noqa: E402  imports above untouched)
 from ..planner.catalog import PlannerCatalog, RelationEntry  # noqa: E402
 from ..planner.graph import JoinGraph, RelationNode  # noqa: E402
 from ..planner.profile import profile_keys  # noqa: E402
@@ -419,9 +418,9 @@ class MultiwayScenario:
             )
         return PlannerCatalog(entries=entries)
 
-    def environment(self) -> MultiwayEnvironment:
+    def environment(self) -> ExecutionEnvironment:
         """Live bindings for executing planned multiway plans."""
-        return MultiwayEnvironment(
+        return ExecutionEnvironment(
             databases={
                 alias: self.testbed.databases[db]
                 for alias, (_, db) in self.bindings.items()

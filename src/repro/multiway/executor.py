@@ -102,6 +102,9 @@ class MultiwayIndependentJoin:
         if len(sides) < 2:
             raise ValueError("a multiway join needs at least two sides")
         self.sides = list(sides)
+        #: the fault-handling context the sides' retrievers share (one per
+        #: bound environment); its report rides on the execution report
+        self.resilience = self.sides[0].retriever.resilience
         self.estimator = estimator or ActualMultiQuality()
         if state is None:
             state = TreeJoinState.star(
@@ -246,6 +249,9 @@ class MultiwayIndependentJoin:
                 else requirement.satisfied_by(comp.n_good, comp.n_bad)
             ),
             exhausted=all(side.retriever.exhausted for side in self.sides),
+            resilience=(
+                self.resilience.report() if self.resilience is not None else None
+            ),
         )
         return MultiwayExecution(
             state=self.state, report=report, observations=self.observations

@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from ..core.plan import JoinPlanSpec
+from ..core.plan import JoinPlanSpec, RetrievalKind
 from ..core.preferences import QualityRequirement
 from ..core.relation import JoinState
 from ..extraction.characterization import KnobCharacterization
@@ -52,7 +52,6 @@ from ..joins.stats_collector import ObservationCollector, RelationObservations
 from ..models.parameters import ValueOverlapModel
 from ..observability.context import ObservabilityContext, ensure_observability
 from ..observability.tracer import SpanKind
-from ..retrieval.scan import ScanRetriever
 from ..robustness.checkpoint import checkpoint_execution, restore_execution
 from ..robustness.context import AccessPathUnavailable
 from ..robustness.deadline import Deadline, DeadlineExceeded
@@ -366,25 +365,17 @@ class AdaptiveJoinExecutor:
     def _pilot_executor(self) -> IndependentJoin:
         env = self.environment
         inputs = JoinInputs(
-            database1=env.database1,
-            database2=env.database2,
+            database1=env.database(1),
+            database2=env.database(2),
             extractor1=env.extractor_at(1, self.pilot_theta),
             extractor2=env.extractor_at(2, self.pilot_theta),
             join_attribute=env.join_attribute,
         )
         return IndependentJoin(
             inputs,
-            retriever1=ScanRetriever(
-                env.database1,
-                resilience=env.resilience,
-                observability=env.observability,
-            ),
-            retriever2=ScanRetriever(
-                env.database2,
-                resilience=env.resilience,
-                observability=env.observability,
-            ),
-            costs=env.costs,
+            retriever1=env.retriever(1, RetrievalKind.SCAN),
+            retriever2=env.retriever(2, RetrievalKind.SCAN),
+            costs=env.cost_model(),
             resilience=env.resilience,
             observability=env.observability,
         )
@@ -517,7 +508,7 @@ class AdaptiveJoinExecutor:
         )
         return JoinOptimizer(
             catalog,
-            costs=self.environment.costs,
+            costs=self.environment.cost_model(),
             feasibility_margin=self.feasibility_margin,
             observability=observability,
         )
@@ -894,10 +885,9 @@ class AdaptiveJoinExecutor:
     def _side_of_path(self, path: str) -> int:
         """Which join side an access path belongs to (by database name)."""
         name, _ = split_path(path)
-        if name == self.environment.database1.name:
-            return 1
-        if name == self.environment.database2.name:
-            return 2
+        for side in (1, 2):
+            if name == self.environment.database(side).name:
+                return side
         raise ValueError(f"access path {path!r} matches neither database")
 
     def _reoptimize(self, plans, requirement, estimates, pilot):

@@ -3,10 +3,13 @@
 The optimizer reasons over :class:`~repro.core.plan.JoinPlanSpec`
 descriptors; this module turns a chosen descriptor into a runnable join
 executor against concrete databases, extractors, classifiers, learned
-queries, and seed queries.  It also converts a plan evaluation's predicted
-operating point into executor :class:`~repro.joins.base.Budgets` (with a
-slack factor — the estimate-driven stopping condition does the fine-grained
-halt; budgets are the safety net).
+queries, and seed queries.  Those live bindings are one
+:class:`ExecutionEnvironment` keyed by relation, which the n-ary binder
+(:func:`repro.planner.binder.bind_multiway_plan`) binds too.  It also
+converts a plan evaluation's predicted operating point into executor
+:class:`~repro.joins.base.Budgets` (with a slack factor — the
+estimate-driven stopping condition does the fine-grained halt; budgets are
+the safety net).
 """
 
 from __future__ import annotations
@@ -14,13 +17,13 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Mapping, Optional, Sequence
 
 from ..core.plan import JoinKind, JoinPlanSpec, RetrievalKind
 from ..extraction.base import Extractor
 from ..extraction.memo import ExtractionMemo
 from ..joins.base import Budgets, JoinAlgorithm, JoinInputs, QualityEstimator
-from ..joins.costs import CostModel
+from ..joins.costs import CostModel, SideCosts
 from ..joins.idjn import IndependentJoin
 from ..joins.oijn import OuterInnerJoin
 from ..joins.zgjn import ZigZagJoin
@@ -36,20 +39,27 @@ from ..textdb.database import TextDatabase
 from .optimizer import PlanEvaluation
 
 
+#: how an environment names a relation: the side number (1, 2) of a
+#: binary task, the alias of a join graph's relation
+RelationKey = Hashable
+
+
 @dataclass
 class ExecutionEnvironment:
-    """Everything needed to run any plan of the space."""
+    """Live bindings for every relation a plan can touch, keyed by relation.
 
-    database1: TextDatabase
-    database2: TextDatabase
-    extractor1: Extractor
-    extractor2: Extractor
-    classifier1: Optional[RuleClassifier] = None
-    classifier2: Optional[RuleClassifier] = None
-    learned_queries1: Sequence[LearnedQuery] = ()
-    learned_queries2: Sequence[LearnedQuery] = ()
+    A binary task binds sides 1 and 2; a join graph binds its aliases.
+    """
+
+    databases: Mapping[RelationKey, TextDatabase]
+    extractors: Mapping[RelationKey, Extractor]
+    classifiers: Mapping[RelationKey, RuleClassifier] = field(default_factory=dict)
+    learned_queries: Mapping[RelationKey, Sequence[LearnedQuery]] = field(
+        default_factory=dict
+    )
+    costs: Mapping[RelationKey, SideCosts] = field(default_factory=dict)
+    #: keyword seeds of a binary ZGJN
     seed_queries: Sequence[Query] = ()
-    costs: CostModel = field(default_factory=CostModel)
     join_attribute: Optional[str] = None
     #: shared fault-handling context (installed by
     #: :func:`repro.robustness.environment.harden`); None = raw access
@@ -57,27 +67,44 @@ class ExecutionEnvironment:
     #: shared tracing/metrics context; None = the no-op path
     observability: Optional[ObservabilityContext] = None
 
-    def database(self, side: int) -> TextDatabase:
-        return self.database1 if side == 1 else self.database2
-
     def memoized(self, memo: ExtractionMemo) -> "ExecutionEnvironment":
         """A copy whose extractors and classifiers read and fill *memo*
         (bind before :func:`~repro.robustness.environment.harden` wraps
         the databases)."""
         return dataclasses.replace(
             self,
-            extractor1=memo.extractor(self.extractor1, self.database1),
-            extractor2=memo.extractor(self.extractor2, self.database2),
-            classifier1=memo.classifier(self.classifier1, self.database1),
-            classifier2=memo.classifier(self.classifier2, self.database2),
+            extractors={
+                key: memo.extractor(extractor, self.databases[key])
+                for key, extractor in self.extractors.items()
+            },
+            classifiers={
+                key: memo.classifier(classifier, self.databases[key])
+                for key, classifier in self.classifiers.items()
+            },
         )
 
-    def extractor_at(self, side: int, theta: float) -> Extractor:
-        base = self.extractor1 if side == 1 else self.extractor2
+    def database(self, key: RelationKey) -> TextDatabase:
+        try:
+            return self.databases[key]
+        except KeyError:
+            raise ValueError(f"no database bound for relation {key!r}") from None
+
+    def extractor_at(self, key: RelationKey, theta: float) -> Extractor:
+        try:
+            base = self.extractors[key]
+        except KeyError:
+            raise ValueError(f"no extractor bound for relation {key!r}") from None
         return base.with_theta(theta)
 
-    def retriever(self, side: int, kind: RetrievalKind) -> DocumentRetriever:
-        database = self.database(side)
+    def side_costs(self, key: RelationKey) -> SideCosts:
+        return self.costs.get(key, SideCosts())
+
+    def cost_model(self) -> CostModel:
+        """The binary executors' costs: sides 1 and 2."""
+        return CostModel(self.side_costs(1), self.side_costs(2))
+
+    def retriever(self, key: RelationKey, kind: RetrievalKind) -> DocumentRetriever:
+        database = self.database(key)
         if kind is RetrievalKind.SCAN:
             return ScanRetriever(
                 database,
@@ -85,9 +112,9 @@ class ExecutionEnvironment:
                 observability=self.observability,
             )
         if kind is RetrievalKind.FILTERED_SCAN:
-            classifier = self.classifier1 if side == 1 else self.classifier2
+            classifier = self.classifiers.get(key)
             if classifier is None:
-                raise ValueError(f"no classifier bound for side {side}")
+                raise ValueError(f"no classifier bound for relation {key!r}")
             return FilteredScanRetriever(
                 database,
                 classifier,
@@ -95,11 +122,9 @@ class ExecutionEnvironment:
                 observability=self.observability,
             )
         if kind is RetrievalKind.AQG:
-            queries = (
-                self.learned_queries1 if side == 1 else self.learned_queries2
-            )
+            queries = self.learned_queries.get(key) or ()
             if not queries:
-                raise ValueError(f"no learned queries bound for side {side}")
+                raise ValueError(f"no learned queries bound for relation {key!r}")
             return AQGRetriever(
                 database,
                 queries,
@@ -116,18 +141,19 @@ def bind_plan(
 ) -> JoinAlgorithm:
     """Build a single-use executor for *plan*."""
     inputs = JoinInputs(
-        database1=environment.database1,
-        database2=environment.database2,
+        database1=environment.database(1),
+        database2=environment.database(2),
         extractor1=environment.extractor_at(1, plan.extractor1.theta),
         extractor2=environment.extractor_at(2, plan.extractor2.theta),
         join_attribute=environment.join_attribute,
     )
+    costs = environment.cost_model()
     if plan.join is JoinKind.IDJN:
         return IndependentJoin(
             inputs,
             retriever1=environment.retriever(1, plan.retrieval1),
             retriever2=environment.retriever(2, plan.retrieval2),
-            costs=environment.costs,
+            costs=costs,
             estimator=estimator,
             resilience=environment.resilience,
             observability=environment.observability,
@@ -138,7 +164,7 @@ def bind_plan(
             outer_retriever=environment.retriever(
                 plan.outer, plan.outer_retrieval
             ),
-            costs=environment.costs,
+            costs=costs,
             estimator=estimator,
             outer=plan.outer,
             resilience=environment.resilience,
@@ -149,7 +175,7 @@ def bind_plan(
     return ZigZagJoin(
         inputs,
         seed_queries=environment.seed_queries,
-        costs=environment.costs,
+        costs=costs,
         estimator=estimator,
         resilience=environment.resilience,
         observability=environment.observability,

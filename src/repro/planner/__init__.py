@@ -11,7 +11,7 @@ join orders under tier-A bound pruning — choosing between a pipelined
 join tree and the fully-interleaved n-ary strategy.
 """
 
-from .binder import MultiwayEnvironment, bind_multiway_plan
+from .binder import bind_multiway_plan
 from .catalog import PlannerCatalog, RelationEntry
 from .enumerator import (
     EnumerationTallies,
@@ -47,7 +47,6 @@ __all__ = [
     "JoinEdge",
     "JoinGraph",
     "KeyProfile",
-    "MultiwayEnvironment",
     "MultiwayPlan",
     "MultiwayPlanner",
     "PlanTree",

@@ -1,22 +1,26 @@
 """Hardening an execution environment against access failures.
 
-:func:`harden` is the one-call entry point used by the CLI, tests, and
-benchmarks: it wraps an
-:class:`~repro.optimizer.binder.ExecutionEnvironment`'s databases in
-deterministic fault injectors (when a fault profile is given) and installs
-a shared :class:`~repro.robustness.context.ResilienceContext` that the
-whole execution stack — retrieval strategies, query probes, join
+:func:`harden` is the one-call entry point used by the service, the CLI,
+tests, and benchmarks, for binary and n-ary executes alike: it wraps
+every database an :class:`~repro.optimizer.binder.ExecutionEnvironment`
+binds in a deterministic fault injector (when a fault profile is given)
+and installs a shared :class:`~repro.robustness.context.ResilienceContext`
+that the whole execution stack — retrieval strategies, query probes, join
 executors, the adaptive optimizer — consults on every database access.
 
+Each relation's injector draws from its own sub-seed, so the databases
+do not fail in lockstep: the relation at position ``i`` of the sorted
+relation keys gets ``seed * n + i`` for ``n`` bound relations (sides 1
+and 2 of a binary task get ``seed * 2`` and ``seed * 2 + 1``).
+
 With ``profile=None`` (or a disabled profile) the databases are left
-untouched; passing ``resilience=None`` *and* no profile returns the
-environment unchanged, preserving the raw zero-overhead path.
+untouched; the environment still gets a fresh context.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional, Tuple
+from typing import Optional
 
 from .context import ResilienceContext
 from .faults import FaultInjectingDatabase, FaultProfile
@@ -44,33 +48,19 @@ def harden(
         cooldown=cooldown,
         recovery_successes=recovery_successes,
     )
-    observability = getattr(environment, "observability", None)
-    if observability is not None:
-        context.observability = observability
-    replacements = {"resilience": context}
-    if profile is not None and not profile.disabled:
-        database1, database2 = _wrap_databases(
-            environment.database1, environment.database2, profile, context
+    if environment.observability is not None:
+        context.observability = environment.observability
+    if profile is None or profile.disabled:
+        return dataclasses.replace(environment, resilience=context)
+    databases = {}
+    keys = sorted(environment.databases)
+    for offset, key in enumerate(keys):
+        injector = FaultInjectingDatabase(
+            environment.databases[key],
+            dataclasses.replace(profile, seed=profile.seed * len(keys) + offset),
         )
-        replacements["database1"] = database1
-        replacements["database2"] = database2
-    return dataclasses.replace(environment, **replacements)
-
-
-def _wrap_databases(
-    database1,
-    database2,
-    profile: FaultProfile,
-    context: ResilienceContext,
-) -> Tuple[FaultInjectingDatabase, FaultInjectingDatabase]:
-    # Derive a distinct sub-seed per side so the two databases do not fail
-    # in lockstep.
-    wrapped = []
-    for offset, database in enumerate((database1, database2)):
-        side_profile = dataclasses.replace(
-            profile, seed=profile.seed * 2 + offset
-        )
-        injector = FaultInjectingDatabase(database, side_profile)
         context.attach_injector(injector)
-        wrapped.append(injector)
-    return wrapped[0], wrapped[1]
+        databases[key] = injector
+    return dataclasses.replace(
+        environment, databases=databases, resilience=context
+    )

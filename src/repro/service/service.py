@@ -86,13 +86,13 @@ from ..observability.profiler import ProfileResult, SamplingProfiler
 from ..observability.slo import DEFAULT_SLO_SPEC, SLOConfig, SLOTracker
 from ..observability.tracer import SpanKind
 from ..optimizer.adaptive import AdaptiveJoinExecutor, AdaptiveResult
+from ..optimizer.binder import ExecutionEnvironment
 from ..optimizer.enumerator import enumerate_plans
 from ..optimizer.optimizer import JoinOptimizer
 from ..planner.binder import bind_multiway_plan
 from ..planner.graph import DEFAULT_THETAS, JoinGraph
 from ..planner.planner import MultiwayPlanner
 from ..robustness.checkpoint import CheckpointManager
-from ..robustness.context import ResilienceContext
 from ..robustness.deadline import Deadline, DeadlineExceeded
 from ..robustness.environment import harden
 from ..robustness.faults import SWALLOWED_EXCEPTIONS, FaultProfile
@@ -843,6 +843,25 @@ class JoinService:
             now=finished,
         )
 
+    def _environment(
+        self,
+        bindings,
+        deadline: Optional[Deadline],
+        observability: Optional[ObservabilityContext],
+    ) -> ExecutionEnvironment:
+        """One execute request's environment over *bindings* (the task or
+        the multiway scenario), for binary and n-ary requests alike."""
+        environment = bindings.environment().memoized(self.extraction_memo)
+        environment.observability = observability
+        # A fresh per-request resilience context: breaker state and fault
+        # accounting never leak between requests, and the service's fault
+        # profile reaches every path.
+        environment = harden(environment, profile=self.fault_profile)
+        # Every database access flows through the resilience context, so
+        # the deadline bounds overrun to at most one access.
+        environment.resilience.deadline = deadline
+        return environment
+
     def _handle_execute(
         self,
         request_id: int,
@@ -872,18 +891,8 @@ class JoinService:
                 plan_key=source.key,
                 plan_factory=source.factory,
             )
-        environment = self.task.environment().memoized(self.extraction_memo)
-        environment.observability = observability
-        # A fresh per-request resilience context: breaker state and fault
-        # accounting never leak between requests.
-        environment = harden(environment, profile=self.fault_profile)
-        if deadline is not None and environment.resilience is not None:
-            # Every database access flows through the resilience context,
-            # so installing the deadline there bounds overrun to at most
-            # one access beyond the budget.
-            environment.resilience.deadline = deadline
         driver = AdaptiveJoinExecutor(
-            environment=environment,
+            environment=self._environment(self.task, deadline, observability),
             characterization1=self.task.characterization1,
             characterization2=self.task.characterization2,
             plans=self.plans,
@@ -1211,8 +1220,9 @@ class JoinService:
         """Plan an n-ary execute request, then bind and run its plan.
 
         The chosen plan runs against the scenario's live databases under
-        the (τg, τb) stopping condition, with a fresh per-request
-        resilience context carrying the request's deadline.
+        the (τg, τb) stopping condition, in an environment built the way a
+        binary execute's is (:meth:`_environment`): the service's fault
+        profile and the request's deadline apply to both.
         """
         response, space, result = self._handle_plan(request)
         chosen = result.chosen
@@ -1224,19 +1234,12 @@ class JoinService:
             except DeadlineExceeded as expired:
                 expired.attach("optimize", plan=chosen.plan.describe())
                 raise
-        environment = self.multiway.environment().memoized(
-            self.extraction_memo
-        )
-        environment.observability = observability
-        # Every database access flows through the resilience context,
-        # so the deadline bounds overrun to at most one access.
-        environment.resilience = ResilienceContext()
-        environment.resilience.deadline = deadline
-        if observability is not None:
-            environment.resilience.observability = observability
         graph = request.graph
         executor = bind_multiway_plan(
-            environment, graph, chosen, model=space.planner.model
+            self._environment(self.multiway, deadline, observability),
+            graph,
+            chosen,
+            model=space.planner.model,
         )
         with ensure_observability(observability).span(
             SpanKind.SERVICE_REQUEST,

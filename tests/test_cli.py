@@ -155,6 +155,32 @@ class TestMultiwayCommands:
         assert "Chosen: PIPE" in out
         assert "Requirement met: True" in out
 
+    def test_optimize_scenario_execute_applies_the_fault_profile(self, capsys):
+        code = main(
+            [
+                "optimize",
+                "--scenario",
+                "star3",
+                "--tau-good",
+                "40",
+                "--tau-bad",
+                "120",
+                "--execute",
+                "--fault-profile",
+                "0.1",
+            ]
+        )
+        assert code == 0
+        captured = capsys.readouterr()
+        assert "Requirement met:" in captured.out
+        (line,) = [
+            line
+            for line in captured.err.splitlines()
+            if line.startswith("Resilience:")
+        ]
+        faults = int(line.split()[1])
+        assert faults > 0, line
+
     def test_optimize_scenario_reports_pruning(self, capsys):
         # τg far above what weak assignments can ever compose: the tier-A
         # bound prunes them, and the pruning shows in the CLI accounting.

@@ -408,20 +408,16 @@ SERVED_THETAS = (
 
 def served_sides(task, scenario):
     """(database, extractor, classifier) of every served relation."""
-    environment = task.environment()
-    sides = [
-        (environment.database1, environment.extractor1,
-         environment.classifier1),
-        (environment.database2, environment.extractor2,
-         environment.classifier2),
+    bound = (
+        (task.environment(), (1, 2)),
+        (scenario.environment(), scenario.graph.names),
+    )
+    return [
+        (environment.databases[key], environment.extractors[key],
+         environment.classifiers[key])
+        for environment, keys in bound
+        for key in keys
     ]
-    star3 = scenario.environment()
-    for alias in scenario.graph.names:
-        sides.append(
-            (star3.databases[alias], star3.extractors[alias],
-             star3.classifiers[alias])
-        )
-    return sides
 
 
 @pytest.fixture(scope="module")
@@ -458,7 +454,7 @@ class TestExtractionMemo:
         binary = hq_ex_task.environment().memoized(memo)
         assert isinstance(binary.extractor_at(1, 0.8), MemoizedExtractor)
         assert binary.extractor_at(2, 0.8).theta == 0.8
-        assert isinstance(binary.classifier1, MemoizedClassifier)
+        assert isinstance(binary.classifiers[1], MemoizedClassifier)
         star3 = star3_scenario.environment().memoized(memo)
         assert all(
             isinstance(star3.extractor_at(alias, 0.4), MemoizedExtractor)

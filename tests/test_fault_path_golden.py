@@ -30,7 +30,6 @@ fault handling) with::
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import pathlib
 import sys
@@ -142,23 +141,9 @@ def binary_run(task, spec: str) -> Dict[str, object]:
 
 def star3_run(scenario, spec: str) -> Dict[str, object]:
     """One planned star3 execute whose databases inject *spec*'s faults."""
-    observability = ObservabilityContext()
-    context = ResilienceContext()
-    context.observability = observability
     environment = scenario.environment()
-    databases = {}
-    for offset, (alias, database) in enumerate(sorted(environment.databases.items())):
-        injector = FaultInjectingDatabase(
-            database, FaultProfile.parse(spec, seed=offset)
-        )
-        context.attach_injector(injector)
-        databases[alias] = injector
-    environment = dataclasses.replace(
-        environment,
-        databases=databases,
-        resilience=context,
-        observability=observability,
-    )
+    environment.observability = ObservabilityContext()
+    environment = harden(environment, profile=FaultProfile.parse(spec))
     requirement = QualityRequirement(*STAR3_REQUIREMENT)
     planner = MultiwayPlanner(scenario.graph, scenario.catalog())
     chosen = planner.optimize(requirement).chosen
@@ -168,7 +153,9 @@ def star3_run(scenario, spec: str) -> Dict[str, object]:
     execution = executor.run(requirement)
     facts: Dict[str, object] = {"plan": chosen.plan.describe()}
     facts.update(report_facts(execution.report))
-    facts.update(resilience_facts(context, observability))
+    facts.update(
+        resilience_facts(environment.resilience, environment.observability)
+    )
     return facts
 
 

@@ -94,7 +94,7 @@ class TestExecutionEnvironment:
 
     def test_missing_classifier_raises(self, hq_ex_task):
         environment = hq_ex_task.environment()
-        environment.classifier1 = None
+        del environment.classifiers[1]
         with pytest.raises(ValueError):
             environment.retriever(1, RetrievalKind.FILTERED_SCAN)
 
@@ -102,5 +102,6 @@ class TestExecutionEnvironment:
         environment = hq_ex_task.environment()
         extractor = environment.extractor_at(1, 0.75)
         assert extractor.theta == 0.75
-        # The bound base extractor is unchanged.
-        assert environment.extractor1.theta != 0.75 or True
+        # The bound base extractor keeps its θ.
+        assert environment.extractors[1].theta == 0.4
+        assert environment.extractor_at(1, 0.4).theta == 0.4

@@ -426,9 +426,55 @@ class TestDeterminismAndOverhead:
     ):
         environment = hq_ex_task.environment()
         hardened = harden(environment, profile=FaultProfile())
-        assert hardened.database1 is environment.database1
-        assert hardened.database2 is environment.database2
+        for side in (1, 2):
+            assert hardened.database(side) is environment.database(side)
         assert hardened.resilience is not None
+
+
+class TestHardenEveryRelation:
+    """One hardening path: every bound database gets its own sub-seed."""
+
+    @pytest.fixture(scope="class")
+    def star3(self):
+        from repro.experiments import build_multiway_testbed
+
+        return build_multiway_testbed().scenario("star3")
+
+    def test_sub_seeds_follow_the_sorted_relation_keys(self, hq_ex_task, star3):
+        profile = FaultProfile(transient=0.1, seed=3)
+        binary = harden(hq_ex_task.environment(), profile=profile)
+        graph = harden(star3.environment(), profile=profile)
+        # seed * n + position among the n sorted keys
+        assert {
+            side: binary.database(side).profile.seed for side in (1, 2)
+        } == {1: 6, 2: 7}
+        assert {
+            alias: graph.database(alias).profile.seed
+            for alias in star3.graph.names
+        } == {"EX": 9, "HQ": 10, "MG": 11}
+        for alias in star3.graph.names:
+            assert raw_database(graph.database(alias)) is star3.database_of(
+                alias
+            )
+
+    def test_nary_report_carries_the_context_report(self, star3):
+        from repro.planner import MultiwayPlanner, bind_multiway_plan
+
+        requirement = QualityRequirement(tau_good=40, tau_bad=250)
+        planner = MultiwayPlanner(star3.graph, star3.catalog())
+        chosen = planner.optimize(requirement).chosen
+        environment = harden(
+            star3.environment(), profile=FaultProfile(transient=0.1)
+        )
+        report = bind_multiway_plan(
+            environment, star3.graph, chosen, model=planner.model
+        ).run(requirement).report
+        assert report.resilience == environment.resilience.report()
+        assert report.resilience.total_faults > 0
+        unhardened = bind_multiway_plan(
+            star3.environment(), star3.graph, chosen, model=planner.model
+        ).run(requirement).report
+        assert unhardened.resilience is None
 
 
 class TestAdaptiveUnderFaults:
@@ -483,10 +529,7 @@ class TestAdaptiveUnderFaults:
         assert report.check(requirement)
         assert report.resilience.breaker_opens >= 1
         # The final plan must not touch any degraded path.
-        names = {
-            environment.database1.name: 1,
-            environment.database2.name: 2,
-        }
+        names = {environment.database(side).name: side for side in (1, 2)}
         for path in result.degraded_paths:
             name, operation = split_path(path)
             assert not plan_uses_path(

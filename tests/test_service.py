@@ -2005,11 +2005,7 @@ class TestExtractionMemoUnderFaults:
                     )
                     for side in (1, 2):
                         database = environment.database(side)
-                        classifier = (
-                            environment.classifier1
-                            if side == 1
-                            else environment.classifier2
-                        )
+                        classifier = environment.classifiers[side]
                         extractors = [
                             environment.extractor_at(side, theta)
                             for theta in (0.4, 0.8)

@@ -16,7 +16,8 @@ import pytest
 from repro.experiments import build_multiway_testbed
 from repro.multiway.executor import MultiwayIndependentJoin
 from repro.planner.planner import MultiwayPlanner
-from repro.robustness import DeadlineExceeded
+from repro.robustness import DeadlineExceeded, FaultProfile
+from repro.robustness.context import AccessPathUnavailable
 from repro.service import JoinRequest, JoinService, ServiceBusyError
 from repro.service.admission import SHED, AdmissionDecision
 from repro.service.asyncio_frontend import serve_async, shutdown_async
@@ -551,3 +552,52 @@ class TestMultiwayDeadlines:
         )
         assert expired.phase == "execute"
         assert event["phase"] == "execute"
+
+
+class TestMultiwayUnderFaults:
+    """The service's fault profile reaches a star3 execute as it reaches
+    a binary one: both run in the environment the service hardens."""
+
+    @staticmethod
+    def _service(hq_ex_task, tmp_path, scenario, profile):
+        return JoinService(
+            hq_ex_task,
+            str(tmp_path / "store"),
+            workers=1,
+            pilot_documents=60,
+            multiway=scenario,
+            fault_profile=profile,
+        )
+
+    def test_dead_databases_fail_star3_like_binary(
+        self, hq_ex_task, tmp_path, multiway_service
+    ):
+        _, scenario, _ = multiway_service
+        dead = FaultProfile(transient=1.0)
+        with self._service(hq_ex_task, tmp_path, scenario, dead) as service:
+            with pytest.raises(AccessPathUnavailable):
+                service.execute(JoinRequest(tau_good=TAU_GOOD, tau_bad=1000))
+            with pytest.raises(AccessPathUnavailable):
+                service.execute(
+                    JoinRequest.from_payload(star3_payload(mode="execute"))
+                )
+            (event,) = service.debug_requests(
+                mode="execute", signature=scenario.graph.signature()
+            )
+        assert event["outcome"] == "error"
+
+    def test_star3_faults_reach_the_resilience_metrics(
+        self, hq_ex_task, tmp_path, multiway_service
+    ):
+        _, scenario, _ = multiway_service
+        flaky = FaultProfile(transient=0.1)
+        with self._service(hq_ex_task, tmp_path, scenario, flaky) as service:
+            reply = service.execute(
+                JoinRequest.from_payload(star3_payload(mode="execute"))
+            )
+            metrics = service.metrics
+            assert metrics.value(
+                "repro_faults_total", kind="TransientAccessError"
+            ) > 0
+            assert metrics.value("repro_retries_total") > 0
+        assert reply["multiway"] is True
