@@ -109,8 +109,8 @@ for document in paper.documents:
 state = JoinState(
     mergers_extractor.schema, executives_extractor.schema
 )
-state.add_left(mergers)
-state.add_right(executives)
+state.add(1, mergers)
+state.add(2, executives)
 
 print("\nJoin results (Company, MergedWith, CEO):")
 for joined in state.results:

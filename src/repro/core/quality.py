@@ -9,10 +9,10 @@ plus the simulated execution-time breakdown used throughout Section V.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple, Union
 
 from .preferences import QualityRequirement
-from .relation import JoinComposition
+from .relation import JoinComposition, MultiJoinComposition
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,9 @@ class QualityMetrics:
 
     @classmethod
     def from_composition(
-        cls, comp: JoinComposition, reachable_good: Optional[int] = None
+        cls,
+        comp: Union[JoinComposition, MultiJoinComposition],
+        reachable_good: Optional[int] = None,
     ) -> "QualityMetrics":
         return cls(
             n_good=comp.n_good, n_bad=comp.n_bad, reachable_good=reachable_good
@@ -114,16 +116,19 @@ class ResilienceReport:
 class ExecutionReport:
     """Everything a finished join execution reports back.
 
-    ``documents_retrieved``/``documents_processed``/``queries_issued`` are
-    per-relation counts keyed by 1 and 2; ``satisfied`` records whether the
-    user's quality requirement was met (None when no requirement given).
+    ``composition`` is the join state's own: a binary join's good x bad
+    split (:class:`JoinComposition`), an n-ary join's good and bad totals
+    (:class:`MultiJoinComposition`).  ``documents_retrieved``,
+    ``documents_processed``, ``queries_issued`` and ``tuples_extracted``
+    are per-relation counts keyed by side, 1 to n in the join's relation
+    order; ``satisfied`` records whether the user's quality requirement
+    was met (None when no requirement given).
     """
 
-    composition: JoinComposition
+    composition: Union[JoinComposition, MultiJoinComposition]
     time: TimeBreakdown
     documents_retrieved: Dict[int, int] = field(default_factory=dict)
     documents_processed: Dict[int, int] = field(default_factory=dict)
-    documents_filtered: Dict[int, int] = field(default_factory=dict)
     queries_issued: Dict[int, int] = field(default_factory=dict)
     tuples_extracted: Dict[int, int] = field(default_factory=dict)
     satisfied: Optional[bool] = None
@@ -142,9 +147,13 @@ class ExecutionReport:
 
     def summary(self) -> str:
         c = self.composition
-        return (
-            f"good={c.n_good} bad={c.n_bad} "
+        split = (
             f"(gb={c.n_good_bad}, bg={c.n_bad_good}, bb={c.n_bad_bad}) "
+            if isinstance(c, JoinComposition)
+            else ""
+        )
+        return (
+            f"good={c.n_good} bad={c.n_bad} {split}"
             f"time={self.time.total:.1f}s docs={dict(self.documents_processed)} "
             f"queries={dict(self.queries_issued)}"
         )

@@ -133,12 +133,28 @@ class JoinComposition:
         return self.n_good + self.n_bad
 
 
+@dataclass(frozen=True)
+class MultiJoinComposition:
+    """Good/bad breakdown of an n-way join result.
+
+    A result is good iff every constituent tuple is; an n-way join has no
+    single good x bad split, so bad results are counted as one total.
+    """
+
+    n_good: int = 0
+    n_bad: int = 0
+
+    @property
+    def n_total(self) -> int:
+        return self.n_good + self.n_bad
+
+
 class JoinState:
     """Incrementally maintained natural join of two extracted relations.
 
     This is the shared machinery of all three join algorithms (Section IV):
-    whenever either side gains new tuples, ``add_left``/``add_right`` join
-    them against the *other* side's accumulated tuples — the ripple-join
+    whenever either side gains new tuples, :meth:`add` joins them against
+    the *other* side's accumulated tuples — the ripple-join
     update ``(t1 ⋈ Tr2) ∪ (Tr1 ⋈ t2) ∪ (t1 ⋈ t2)`` of Figure 3 — and keep
     the good/bad composition up to date.
     """
@@ -201,17 +217,19 @@ class JoinState:
                 best[key] = joined
         return list(best.values())
 
-    def add_left(self, tuples: Iterable[ExtractedTuple]) -> List[JoinTuple]:
-        """Insert new left tuples; return the join tuples they produced."""
-        return self._add(tuples, left_side=True)
+    @property
+    def join_indexes(self) -> List[int]:
+        """The join attribute's index per side (for observations)."""
+        return [self.left_index, self.right_index]
 
-    def add_right(self, tuples: Iterable[ExtractedTuple]) -> List[JoinTuple]:
-        """Insert new right tuples; return the join tuples they produced."""
-        return self._add(tuples, left_side=False)
+    def relation(self, side: int) -> ExtractedRelation:
+        """Side 1 (left) or 2 (right), as :class:`TreeJoinState` numbers them."""
+        return self.left if side == 1 else self.right
 
-    def _add(
-        self, tuples: Iterable[ExtractedTuple], left_side: bool
-    ) -> List[JoinTuple]:
+    def add(self, side: int, tuples: Iterable[ExtractedTuple]) -> List[JoinTuple]:
+        """Insert new tuples of *side* (1 = left, 2 = right); return the
+        join tuples they produced."""
+        left_side = side == 1
         relation = self.left if left_side else self.right
         own_index = self.left_index if left_side else self.right_index
         own_by_value = self._left_by_value if left_side else self._right_by_value

@@ -1,8 +1,10 @@
 """Join algorithms over extracted relations: IDJN, OIJN, ZGJN (Section IV).
 
-All executors share ripple-join result maintenance, estimate-driven
-stopping on (τg, τb), simulated-time accounting, and online observation
-collection for the optimizer's parameter estimation.
+All executors, these three and the n-ary joins of :mod:`repro.multiway`,
+are :class:`JoinAlgorithm` subclasses and share its ripple-join result
+maintenance, estimate-driven stopping on (τg, τb), simulated-time
+accounting, and online observation collection for the optimizer's
+parameter estimation.
 """
 
 from .base import (

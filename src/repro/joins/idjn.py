@@ -19,15 +19,14 @@ queries and documents once per run, and
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from ..core.preferences import QualityRequirement
-from ..core.quality import TimeBreakdown
 from ..retrieval.base import DocumentRetriever
 from .base import (
     UNLIMITED,
+    BinaryJoin,
     Budgets,
-    JoinAlgorithm,
     JoinExecution,
     JoinInputs,
     QualityEstimator,
@@ -35,7 +34,7 @@ from .base import (
 from .costs import CostModel
 
 
-class IndependentJoin(JoinAlgorithm):
+class IndependentJoin(BinaryJoin):
     """IDJN executor over two pre-built retrievers (resumable)."""
 
     algorithm = "idjn"
@@ -72,103 +71,15 @@ class IndependentJoin(JoinAlgorithm):
     ) -> JoinExecution:
         session = self.session
         state = session.state
-        collector = session.collector
-        time = session.time
-        processed = session.processed
-        filtered: Dict[int, int] = {1: 0, 2: 0}
-
-        def side_open(side: int) -> bool:
-            cap = budgets.max_documents(side)
-            if cap is not None and processed[side] >= cap:
-                return False
-            retriever = self._retrievers[side]
-            rcap = budgets.max_retrieved(side)
-            if rcap is not None and retriever.counters.retrieved >= rcap:
-                return False
-            qcap = budgets.max_queries(side)
-            if qcap is not None and retriever.counters.queries_issued >= qcap:
-                return False
-            return not retriever.exhausted
-
+        caps = {side: budgets.caps(side) for side in (1, 2)}
         tally = self._tally()
-        while True:
-            est_good, est_bad = self.estimator.estimate(state)
-            if self._should_stop(requirement, est_good, est_bad):
-                break
-            if not side_open(1) and not side_open(2):
-                break
+        while not self._stopped(requirement) and (
+            self._side_open(1, caps[1]) or self._side_open(2, caps[2])
+        ):
             for side in (1, 2):
                 for _ in range(self._rates[side]):
-                    if not side_open(side):
+                    if not self._side_open(side, caps[side]):
                         break
-                    self._step(side, state, collector, time, processed)
-            self._report_progress(state, time)
-            # Re-check quality between rounds happens at loop top.
-
-        for side in (1, 2):
-            if self._retrievers[side].filters_documents:
-                filtered[side] = self._retrievers[side].counters.retrieved
-        exhausted = (
-            self._retrievers[1].exhausted and self._retrievers[2].exhausted
-        )
-        return self._finish(
-            state=state,
-            time=time,
-            requirement=requirement,
-            collector=collector,
-            documents_retrieved={
-                side: self._retrievers[side].counters.retrieved for side in (1, 2)
-            },
-            documents_processed=dict(processed),
-            documents_filtered=dict(filtered),
-            queries_issued={
-                side: self._retrievers[side].counters.queries_issued
-                for side in (1, 2)
-            },
-            exhausted=exhausted,
-            tally=tally,
-        )
-
-    def _query_probes(self):
-        return [retriever.probe for retriever in self._retrievers.values()]
-
-    def work_counters(self) -> Dict[str, float]:
-        counters = [retriever.counters for retriever in self._retrievers.values()]
-        return self._work(
-            accesses=sum(c.accesses for c in counters),
-            retrieved=sum(c.retrieved for c in counters),
-            rejected=sum(c.rejected for c in counters),
-        )
-
-    def _step(
-        self,
-        side: int,
-        state,
-        collector,
-        time: TimeBreakdown,
-        processed: Dict[int, int],
-    ) -> None:
-        """Retrieve and process one document on one side."""
-        retriever = self._retrievers[side]
-        counters = retriever.counters
-        retrieved_before = counters.retrieved
-        queries_before = counters.queries_issued
-        doc = retriever.next_document()
-        retrieved = counters.retrieved - retrieved_before
-        costs = self.costs.side(side)
-        costs.charge(
-            time,
-            retrieved=retrieved,
-            queries=counters.queries_issued - queries_before,
-            filtered=retrieved if retriever.filters_documents else 0,
-        )
-        if doc is None:
-            return
-        tuples = self.inputs.extractor(side).extract(doc)
-        costs.charge(time, processed=1)
-        processed[side] += 1
-        collector.record(side, tuples)
-        if side == 1:
-            state.add_left(tuples)
-        else:
-            state.add_right(tuples)
+                    self._step(side)
+            self._report_progress(state, session.time)
+        return self._finish(requirement, tally)

@@ -17,18 +17,17 @@ its query probes' queries and documents once per probe, and
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from ..core.preferences import QualityRequirement
-from ..core.quality import TimeBreakdown
 from ..core.types import ExtractedTuple
 from ..retrieval.base import DocumentRetriever
 from ..retrieval.queries import Query, QueryProbe
 from ..robustness.context import AccessFailedError
 from .base import (
     UNLIMITED,
+    BinaryJoin,
     Budgets,
-    JoinAlgorithm,
     JoinExecution,
     JoinInputs,
     QualityEstimator,
@@ -36,7 +35,7 @@ from .base import (
 from .costs import CostModel
 
 
-class OuterInnerJoin(JoinAlgorithm):
+class OuterInnerJoin(BinaryJoin):
     """OIJN executor (resumable; resume granularity = one outer document).
 
     ``outer`` selects which side plays the outer role; ``outer_retriever``
@@ -63,20 +62,22 @@ class OuterInnerJoin(JoinAlgorithm):
         self.inner = 2 if outer == 1 else 1
         if outer_retriever.database is not inputs.database(outer):
             raise ValueError("outer_retriever must read from the outer database")
-        self._outer_retriever = outer_retriever
-        self._probe = QueryProbe(
-            inputs.database(self.inner), resilience=resilience
-        )
+        self._retrievers = {outer: outer_retriever}
+        self._probes = {
+            self.inner: QueryProbe(
+                inputs.database(self.inner), resilience=resilience
+            )
+        }
 
     @property
     def outer_retriever(self) -> DocumentRetriever:
         """The outer side's retriever (checkpointing)."""
-        return self._outer_retriever
+        return self._retrievers[self.outer]
 
     @property
     def probe(self) -> QueryProbe:
         """The inner side's query probe (checkpointing)."""
-        return self._probe
+        return self._probes[self.inner]
 
     def run(
         self,
@@ -85,143 +86,41 @@ class OuterInnerJoin(JoinAlgorithm):
     ) -> JoinExecution:
         session = self.session
         state = session.state
-        collector = session.collector
-        time = session.time
-        processed = session.processed
         outer, inner = self.outer, self.inner
-        outer_costs = self.costs.side(outer)
-        inner_costs = self.costs.side(inner)
-        outer_join_index = state.left_index if outer == 1 else state.right_index
-
-        def outer_open() -> bool:
-            cap = budgets.max_documents(outer)
-            if cap is not None and processed[outer] >= cap:
-                return False
-            counters = self._outer_retriever.counters
-            rcap = budgets.max_retrieved(outer)
-            if rcap is not None and counters.retrieved >= rcap:
-                return False
-            qcap = budgets.max_queries(outer)
-            if qcap is not None and counters.queries_issued >= qcap:
-                return False
-            return not self._outer_retriever.exhausted
-
-        def stop_now() -> bool:
-            est_good, est_bad = self.estimator.estimate(state)
-            return self._should_stop(requirement, est_good, est_bad)
-
+        outer_caps = budgets.caps(outer)
+        outer_join_index = state.join_indexes[outer - 1]
+        probe = self._probes[inner]
         tally = self._tally()
         stopped = False
         while not stopped:
-            if stop_now():
-                stopped = True
+            if self._stopped(requirement) or not self._side_open(outer, outer_caps):
                 break
-            if not outer_open():
+            outer_tuples = self._step(outer)
+            if outer_tuples is None:
                 break
-            # -- one outer document ------------------------------------------
-            counters = self._outer_retriever.counters
-            retrieved_before = counters.retrieved
-            queries_before = counters.queries_issued
-            doc = self._outer_retriever.next_document()
-            retrieved = counters.retrieved - retrieved_before
-            outer_costs.charge(
-                time,
-                retrieved=retrieved,
-                queries=counters.queries_issued - queries_before,
-                filtered=(
-                    retrieved if self._outer_retriever.filters_documents else 0
-                ),
-            )
-            if doc is None:
-                break
-            outer_tuples = self.inputs.extractor(outer).extract(doc)
-            outer_costs.charge(time, processed=1)
-            processed[outer] += 1
-            collector.record(outer, outer_tuples)
-            self._add(state, outer, outer_tuples)
-            self._report_progress(state, time)
+            self._report_progress(state, session.time)
             # -- probe the inner relation for each new join value -------------
             for query in self._queries_from(outer_tuples, outer_join_index):
-                if stop_now():
-                    stopped = True
-                    break
-                if not self._inner_budget_open(budgets, processed):
+                stopped = self._stopped(requirement)
+                if stopped or not self._probe_open(inner, budgets):
                     break
                 try:
-                    fresh = self._probe.issue(query)
+                    fresh = probe.issue(query)
                 except AccessFailedError:
                     # Failed access ≠ empty probe: no tQ charge, the query
                     # stays un-issued so a later outer tuple with the same
                     # value can retry it, and the s(a) sample frequencies
                     # see nothing.
                     continue
-                inner_costs.charge(time, queries=1, retrieved=len(fresh))
-                inner_extractor = self.inputs.extractor(inner)
-                for inner_doc in fresh:
-                    cap = budgets.max_documents(inner)
-                    if cap is not None and processed[inner] >= cap:
-                        break
-                    inner_tuples = inner_extractor.extract(inner_doc)
-                    inner_costs.charge(time, processed=1)
-                    processed[inner] += 1
-                    collector.record(inner, inner_tuples)
-                    self._add(state, inner, inner_tuples)
-                self._report_progress(state, time)
-
-        if self._outer_retriever.filters_documents:
-            documents_filtered = {
-                outer: self._outer_retriever.counters.retrieved,
-                inner: 0,
-            }
-        else:
-            documents_filtered = {1: 0, 2: 0}
-        return self._finish(
-            state=state,
-            time=time,
-            requirement=requirement,
-            collector=collector,
-            documents_retrieved={
-                outer: self._outer_retriever.counters.retrieved,
-                inner: self._probe.documents_retrieved,
-            },
-            documents_processed=dict(processed),
-            documents_filtered=documents_filtered,
-            queries_issued={
-                outer: self._outer_retriever.counters.queries_issued,
-                inner: self._probe.queries_issued,
-            },
-            exhausted=self._outer_retriever.exhausted,
-            tally=tally,
-        )
-
-    def _query_probes(self):
-        return [self._outer_retriever.probe, self._probe]
-
-    def work_counters(self) -> Dict[str, float]:
-        counters = self._outer_retriever.counters
-        return self._work(
-            accesses=counters.accesses + self._probe.accesses,
-            retrieved=counters.retrieved + self._probe.documents_retrieved,
-            rejected=counters.rejected,
-        )
-
-    # -- helpers --------------------------------------------------------------
-
-    def _inner_budget_open(
-        self, budgets: Budgets, processed: Dict[int, int]
-    ) -> bool:
-        qcap = budgets.max_queries(self.inner)
-        if qcap is not None and self._probe.queries_issued >= qcap:
-            return False
-        dcap = budgets.max_documents(self.inner)
-        if dcap is not None and processed[self.inner] >= dcap:
-            return False
-        return True
+                self._process_fetched(inner, fresh, budgets)
+                self._report_progress(state, session.time)
+        return self._finish(requirement, tally)
 
     def _queries_from(
         self, tuples: Sequence[ExtractedTuple], join_index: int
     ) -> List[Query]:
         """One keyword query per new join value among *tuples*."""
+        probe = self._probes[self.inner]
         queries: List[Query] = []
         seen: set = set()
         for tup in tuples:
@@ -230,12 +129,6 @@ class OuterInnerJoin(JoinAlgorithm):
                 continue
             seen.add(value)
             query = Query.of(value)
-            if not self._probe.already_issued(query):
+            if not probe.already_issued(query):
                 queries.append(query)
         return queries
-
-    def _add(self, state, side: int, tuples: Sequence[ExtractedTuple]) -> None:
-        if side == 1:
-            state.add_left(tuples)
-        else:
-            state.add_right(tuples)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Sequence
 
 from ..core.types import ExtractedTuple
 
@@ -80,19 +80,25 @@ class RelationObservations:
 
 
 class ObservationCollector:
-    """Per-side observations of a two-relation join execution."""
+    """Per-side observations of a join execution, sides numbered 1 to n.
+
+    ``attribute_indexes`` gives each relation's join-attribute index (all
+    0 when omitted).
+    """
 
     def __init__(
-        self,
-        relation1: str,
-        relation2: str,
-        attribute_index1: int = 0,
-        attribute_index2: int = 0,
+        self, *relations: str, attribute_indexes: Sequence[int] = ()
     ) -> None:
+        indexes = attribute_indexes or (0,) * len(relations)
         self._sides: Dict[int, RelationObservations] = {
-            1: RelationObservations(relation1, attribute_index1),
-            2: RelationObservations(relation2, attribute_index2),
+            side: RelationObservations(relation, index)
+            for side, (relation, index) in enumerate(
+                zip(relations, indexes), start=1
+            )
         }
+
+    def __len__(self) -> int:
+        return len(self._sides)
 
     def side(self, index: int) -> RelationObservations:
         return self._sides[index]

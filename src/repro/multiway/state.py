@@ -41,20 +41,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from ..core.relation import ExtractedRelation
+from ..core.relation import ExtractedRelation, MultiJoinComposition
 from ..core.types import ExtractedTuple, RelationSchema
-
-
-@dataclass(frozen=True)
-class MultiJoinComposition:
-    """Good/bad breakdown of an n-way join result."""
-
-    n_good: int = 0
-    n_bad: int = 0
-
-    @property
-    def n_total(self) -> int:
-        return self.n_good + self.n_bad
 
 
 @dataclass(frozen=True)

@@ -920,8 +920,8 @@ class AdaptiveJoinExecutor:
         old_state = old_executor.session.state
         old_time = old_executor.session.time
         executor = self._build_executor(chosen.plan, estimates)
-        executor.session.state.add_left(list(old_state.left))
-        executor.session.state.add_right(list(old_state.right))
+        executor.session.state.add(1, list(old_state.left))
+        executor.session.state.add(2, list(old_state.right))
         executor.session.time.add(old_time)
         return executor
 

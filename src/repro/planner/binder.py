@@ -20,9 +20,9 @@ from __future__ import annotations
 import math
 from typing import Dict, Optional
 
+from ..joins.base import QualityEstimator
 from ..multiway.executor import (
     InterleavedNaryJoin,
-    MultiQualityEstimator,
     MultiwayIndependentJoin,
     MultiwaySide,
 )
@@ -38,7 +38,7 @@ def bind_multiway_plan(
     graph: JoinGraph,
     evaluation: PlannedEvaluation,
     model: Optional[GraphCompositionModel] = None,
-    estimator: Optional[MultiQualityEstimator] = None,
+    estimator: Optional[QualityEstimator] = None,
     slack: float = 1.5,
 ) -> MultiwayIndependentJoin:
     """Build a single-use n-ary executor for a planned evaluation."""

@@ -303,12 +303,8 @@ def _restore_checked(
     session = executor.session
     # Re-adding the base tuples in their original insertion order rebuilds
     # the ripple-join results and composition deterministically.
-    session.state.add_left(
-        [_tuple_from_dict(d) for d in snapshot["left"]]
-    )
-    session.state.add_right(
-        [_tuple_from_dict(d) for d in snapshot["right"]]
-    )
+    session.state.add(1, [_tuple_from_dict(d) for d in snapshot["left"]])
+    session.state.add(2, [_tuple_from_dict(d) for d in snapshot["right"]])
     session.processed.update(
         {int(k): v for k, v in snapshot["processed"].items()}
     )

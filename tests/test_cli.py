@@ -181,6 +181,29 @@ class TestMultiwayCommands:
         faults = int(line.split()[1])
         assert faults > 0, line
 
+    def test_optimize_scenario_execute_prints_no_binary_split(self, capsys):
+        code = main(
+            [
+                "optimize",
+                "--scenario",
+                "star3",
+                "--tau-good",
+                "40",
+                "--tau-bad",
+                "120",
+                "--execute",
+            ]
+        )
+        assert code == 0
+        (line,) = [
+            line
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith("Actual:")
+        ]
+        # An n-way join's bad tuples have no good x bad split to print.
+        assert line.startswith("Actual:    good=42 bad=36 time=642.0s "), line
+        assert "gb=" not in line
+
     def test_optimize_scenario_reports_pruning(self, capsys):
         # τg far above what weak assignments can ever compose: the tier-A
         # bound prunes them, and the pruning shows in the CLI accounting.

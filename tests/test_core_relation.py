@@ -157,25 +157,25 @@ class TestJoinState:
             tup("EX", ("b", "q"), True, 2),
             tup("EX", ("a", "r"), False, 3),
         ]
-        state.add_left(left[:2])
-        state.add_right(right[:1])
-        state.add_left(left[2:])
-        state.add_right(right[1:])
+        state.add(1, left[:2])
+        state.add(2, right[:1])
+        state.add(1, left[2:])
+        state.add(2, right[1:])
         batch = compose_join(state.left, state.right, "Company")
         assert state.composition.n_good == batch.n_good
         assert state.composition.n_bad == batch.n_bad
 
     def test_results_since(self):
         state = JoinState(HQ, EX)
-        state.add_left([tup("HQ", ("a", "x"), True, 1)])
-        state.add_right([tup("EX", ("a", "p"), True, 1)])
+        state.add(1, [tup("HQ", ("a", "x"), True, 1)])
+        state.add(2, [tup("EX", ("a", "p"), True, 1)])
         assert len(state.results_since(0)) == 1
         assert state.results_since(1) == []
 
     def test_produced_tuples_reported(self):
         state = JoinState(HQ, EX)
-        state.add_left([tup("HQ", ("a", "x"), True, 1)])
-        produced = state.add_right([tup("EX", ("a", "p"), False, 1)])
+        state.add(1, [tup("HQ", ("a", "x"), True, 1)])
+        produced = state.add(2, [tup("EX", ("a", "p"), False, 1)])
         assert len(produced) == 1
         assert not produced[0].is_good
 
@@ -220,8 +220,8 @@ class TestCompositionProperties:
     def test_incremental_join_state_matches_compose(self, pair):
         r1, r2 = pair
         state = JoinState(HQ, EX)
-        state.add_left(list(r1))
-        state.add_right(list(r2))
+        state.add(1, list(r1))
+        state.add(2, list(r2))
         comp = compose_join(r1, r2, "Company")
         assert state.composition.n_good == comp.n_good
         assert state.composition.n_bad == comp.n_bad

@@ -48,7 +48,7 @@ class TestEmptyAndDegenerateJoins:
 
     def test_join_with_one_empty_side(self):
         state = JoinState(HQ, EX)
-        state.add_left([tup("HQ", ("a", "x"), True, 1)])
+        state.add(1, [tup("HQ", ("a", "x"), True, 1)])
         assert len(state) == 0
 
     def test_compose_join_empty(self):
@@ -59,8 +59,8 @@ class TestEmptyAndDegenerateJoins:
 
     def test_no_shared_values(self):
         state = JoinState(HQ, EX)
-        state.add_left([tup("HQ", ("a", "x"), True, 1)])
-        state.add_right([tup("EX", ("b", "p"), True, 1)])
+        state.add(1, [tup("HQ", ("a", "x"), True, 1)])
+        state.add(2, [tup("EX", ("b", "p"), True, 1)])
         assert len(state) == 0
 
 

@@ -335,6 +335,21 @@ class TestMultiwayExecutor:
             >= first.report.composition.n_good
         )
 
+    def test_report_carries_the_state_composition(self, three_way):
+        _, databases, extractors = three_way
+        sides = [
+            MultiwaySide(db, ex, ScanRetriever(db))
+            for db, ex in zip(databases, extractors)
+        ]
+        execution = MultiwayIndependentJoin(sides).run()
+        report = execution.report
+        composition = execution.state.composition
+        assert composition.n_bad > 0
+        assert report.composition == composition
+        assert report.summary().startswith(
+            f"good={composition.n_good} bad={composition.n_bad} time="
+        )
+
     def test_retriever_validation(self, three_way):
         _, databases, extractors = three_way
         with pytest.raises(ValueError):
@@ -356,9 +371,12 @@ class TestInterleavedNaryJoin:
         stepped = []
         step = join._step
 
-        def recording_step(index):
-            stepped.append((index, dict(join.side_time), dict(join.processed)))
-            step(index)
+        def recording_step(side):
+            session = join.session
+            stepped.append(
+                (side - 1, dict(session.side_time), dict(session.processed))
+            )
+            return step(side)
 
         join._step = recording_step
         execution = join.run(QualityRequirement(tau_good=10**9, tau_bad=10**9))

@@ -76,8 +76,8 @@ class TestDistinctResults:
             return ExtractedTuple(rel, tuple(values), doc, 1.0, good)
 
         state = JoinState(HQ, EX)
-        state.add_left([tup("HQ", ("a", "x"), False, 1),
-                        tup("HQ", ("a", "x"), True, 2)])
-        state.add_right([tup("EX", ("a", "p"), True, 1)])
+        state.add(1, [tup("HQ", ("a", "x"), False, 1),
+                      tup("HQ", ("a", "x"), True, 2)])
+        state.add(2, [tup("EX", ("a", "p"), True, 1)])
         [distinct] = state.distinct_results()
         assert distinct.is_good  # the all-good derivation wins
