@@ -1,10 +1,11 @@
-"""Core types: tuples, relations, join composition, plans, preferences.
+"""Core types: tuples, relations, the join state, plans, preferences.
 
 This package implements the paper's Section III machinery — the vocabulary
 every other subsystem (extraction, retrieval, joins, models, optimizer)
 speaks.
 """
 
+from .join_state import TreeEdge, TreeJoinState, TreeJoinTuple
 from .plan import (
     ExtractorConfig,
     JoinKind,
@@ -23,7 +24,6 @@ from .quality import ExecutionReport, QualityMetrics, TimeBreakdown
 from .relation import (
     ExtractedRelation,
     JoinComposition,
-    JoinState,
     ValueOverlap,
     compose_join,
 )
@@ -31,7 +31,6 @@ from .types import (
     DocumentClass,
     ExtractedTuple,
     Fact,
-    JoinTuple,
     RelationSchema,
     TupleLabel,
 )
@@ -46,13 +45,14 @@ __all__ = [
     "JoinComposition",
     "JoinKind",
     "JoinPlanSpec",
-    "JoinState",
-    "JoinTuple",
     "QualityMetrics",
     "QualityRequirement",
     "RelationSchema",
     "RetrievalKind",
     "TimeBreakdown",
+    "TreeEdge",
+    "TreeJoinState",
+    "TreeJoinTuple",
     "TupleLabel",
     "ValueOverlap",
     "compose_join",

@@ -122,35 +122,3 @@ class ExtractedTuple:
 
     def value_of(self, index: int) -> str:
         return self.values[index]
-
-
-@dataclass(frozen=True)
-class JoinTuple:
-    """A result tuple of ``R1 ⋈ R2``.
-
-    A join tuple is good exactly when *both* constituent base tuples are good
-    (Section III-C): any combination involving a bad base tuple is bad.
-    """
-
-    left: ExtractedTuple
-    right: ExtractedTuple
-    join_value: str
-    right_join_index: int = 0
-
-    @property
-    def is_good(self) -> bool:
-        return self.left.is_good and self.right.is_good
-
-    @property
-    def label(self) -> TupleLabel:
-        return TupleLabel.GOOD if self.is_good else TupleLabel.BAD
-
-    @property
-    def values(self) -> Tuple[str, ...]:
-        """Concatenated output values with the join value stated once."""
-        right_rest = tuple(
-            v
-            for i, v in enumerate(self.right.values)
-            if i != self.right_join_index
-        )
-        return self.left.values + right_rest

@@ -2,7 +2,7 @@
 
 Generalizes IDJN (Figure 3) to n relations: every side retrieves documents
 through its own strategy, extracted tuples ripple into the shared
-:class:`~repro.multiway.state.TreeJoinState`, and execution stops when the
+:class:`~repro.core.join_state.TreeJoinState`, and execution stops when the
 estimated quality meets the (τg, τb) contract, per-side document caps
 bind, or every side is exhausted.  The executors are
 :class:`~repro.joins.base.JoinAlgorithm` subclasses, so the document
@@ -34,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
+from ..core.join_state import TreeJoinState
 from ..core.preferences import QualityRequirement
 from ..extraction.base import Extractor
 from ..joins.base import UNLIMITED, JoinAlgorithm, JoinExecution, QualityEstimator
@@ -41,7 +42,6 @@ from ..joins.costs import SideCosts
 from ..observability.context import ObservabilityContext
 from ..retrieval.base import DocumentRetriever
 from ..textdb.database import TextDatabase
-from .state import TreeJoinState
 
 
 @dataclass(frozen=True)

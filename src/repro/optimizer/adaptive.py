@@ -36,7 +36,7 @@ from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tu
 
 from ..core.plan import JoinPlanSpec, RetrievalKind
 from ..core.preferences import QualityRequirement
-from ..core.relation import JoinState
+from ..core.join_state import TreeJoinState
 from ..extraction.characterization import KnobCharacterization
 from ..estimation.mle import EstimatedParameters, ObservationContext
 from ..estimation.online import (
@@ -93,7 +93,7 @@ class TuplePosterior:
         by_bin = self._by_bin
         if by_bin is None:
             return self.good_share
-        # The reference's bin_of, inline: this runs once per join result.
+        # The reference's bin_of, inline: this runs once per extracted tuple.
         index = int(confidence * self._n_bins)
         return by_bin[min(max(index, 0), self._n_bins - 1)]
 
@@ -102,9 +102,14 @@ class PosteriorQuality:
     """Join-quality estimator from per-tuple confidence posteriors.
 
     A join tuple is good iff both constituent occurrences are good; the
-    estimator scores each result ``p1(left) · p2(right)`` from the sides'
-    occurrence-level posteriors — never touching ground-truth labels —
-    and accumulates expected good/bad counts incrementally.
+    estimator scores each result ``p1(t1) · p2(t2)`` from the sides'
+    occurrence-level posteriors — never touching ground-truth labels.
+    That sum factors per join value v: with ``W_side[v]`` the sum of a
+    side's posteriors on v, a new tuple t of one side adds
+    ``p(t) · W_other[v]``.  So each extracted tuple is scored once, and
+    no join result is materialized.  The bad estimate is the join's
+    result count less the good estimate.  A fresh estimator (after a
+    checkpoint restore) catches up from the state on its first call.
     """
 
     def __init__(
@@ -114,18 +119,28 @@ class PosteriorQuality:
     ) -> None:
         self.side1 = side1
         self.side2 = side2
-        self._cursor = 0
+        #: per side: tuples of its relation scored so far
+        self._cursors = [0, 0]
+        #: per side: join value -> sum of its tuples' posteriors
+        self._weights: List[Dict[str, float]] = [{}, {}]
         self._good = 0.0
 
-    def estimate(self, state: JoinState) -> Tuple[float, float]:
-        fresh = state.results_since(self._cursor)
-        self._cursor += len(fresh)
-        for joined in fresh:
-            p1 = self.side1(joined.left.confidence)
-            p2 = self.side2(joined.right.confidence)
-            self._good += p1 * p2
-        total = float(self._cursor)
-        return self._good, total - self._good
+    def estimate(self, state: TreeJoinState) -> Tuple[float, float]:
+        good = self._good
+        join_indexes = state.join_indexes
+        for side, posterior in ((1, self.side1), (2, self.side2)):
+            fresh = state.relation(side).since(self._cursors[side - 1])
+            self._cursors[side - 1] += len(fresh)
+            own = self._weights[side - 1]
+            other = self._weights[2 - side]
+            index = join_indexes[side - 1]
+            for tup in fresh:
+                value = tup.values[index]
+                p = posterior(tup.confidence)
+                good += p * other.get(value, 0.0)
+                own[value] = own.get(value, 0.0) + p
+        self._good = good
+        return good, state.composition.n_total - good
 
 
 #: one refit of a pilot: both sides' estimates and the overlap classes
@@ -338,7 +353,7 @@ class AdaptiveJoinExecutor:
     def _attach_progress(
         error: DeadlineExceeded,
         phase: str,
-        state: JoinState,
+        state: TreeJoinState,
         observations: ObservationCollector,
         seconds: float,
         checkpoint: Optional[Dict[str, Any]],
@@ -351,7 +366,7 @@ class AdaptiveJoinExecutor:
             plan=plan,
             good=composition.n_good,
             bad=composition.n_bad,
-            results=len(state),
+            results=composition.n_total,
             documents_processed={
                 str(side): observations.side(side).documents_processed
                 for side in (1, 2)
@@ -920,8 +935,8 @@ class AdaptiveJoinExecutor:
         old_state = old_executor.session.state
         old_time = old_executor.session.time
         executor = self._build_executor(chosen.plan, estimates)
-        executor.session.state.add(1, list(old_state.left))
-        executor.session.state.add(2, list(old_state.right))
+        for side in (1, 2):
+            executor.session.state.add(side, old_state.relation(side).tuples)
         executor.session.time.add(old_time)
         return executor
 

@@ -20,13 +20,13 @@ from __future__ import annotations
 import math
 from typing import Dict, Optional
 
+from ..core.join_state import TreeEdge, TreeJoinState
 from ..joins.base import QualityEstimator
 from ..multiway.executor import (
     InterleavedNaryJoin,
     MultiwayIndependentJoin,
     MultiwaySide,
 )
-from ..multiway.state import TreeEdge, TreeJoinState
 from ..optimizer.binder import ExecutionEnvironment
 from .graph import JoinGraph
 from .model import GraphCompositionModel

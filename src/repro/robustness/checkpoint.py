@@ -2,11 +2,12 @@
 
 An interrupted join execution has already paid for document retrieval and
 extraction; resuming from scratch re-pays all of it.  This module
-serializes everything a :class:`~repro.joins.base.JoinAlgorithm` session
-holds — the ripple cursor (retriever positions / probe state / query
-queues), accumulated relations, per-side processed counts, simulated time,
-and :class:`~repro.joins.stats_collector.ObservationCollector` counts —
-into a JSON-compatible dict, and restores it into a freshly constructed
+serializes everything a binary :class:`~repro.joins.base.JoinAlgorithm`
+session holds — the ripple cursor (retriever positions / probe state /
+query queues), the join state's two relations (under the keys ``"left"``
+and ``"right"``), per-side processed counts, simulated time, and
+:class:`~repro.joins.stats_collector.ObservationCollector` counts — into
+a JSON-compatible dict, and restores it into a freshly constructed
 executor of the same shape.
 
 The contract: for a deterministic execution, ``run→checkpoint→restore→run``
@@ -16,7 +17,7 @@ uninterrupted run (same join composition, counters, and simulated time).
 Quality estimators are not serialized.  The built-in estimators
 (:class:`~repro.joins.base.ActualQuality`,
 :class:`~repro.optimizer.adaptive.PosteriorQuality`) re-derive their
-accumulators from the restored join state on their first ``estimate``
+accumulators from the restored relations on their first ``estimate``
 call, so they need no state of their own in the snapshot.
 """
 
@@ -229,8 +230,8 @@ def checkpoint_execution(executor: JoinAlgorithm) -> Dict[str, Any]:
             "filtering": session.time.filtering,
             "querying": session.time.querying,
         },
-        "left": [_tuple_to_dict(t) for t in state.left],
-        "right": [_tuple_to_dict(t) for t in state.right],
+        "left": [_tuple_to_dict(t) for t in state.relation(1)],
+        "right": [_tuple_to_dict(t) for t in state.relation(2)],
         "observations": {
             str(side): _observations_to_dict(session.collector.side(side))
             for side in (1, 2)
@@ -302,7 +303,7 @@ def _restore_checked(
         raise CheckpointError("restore target must be an unstarted executor")
     session = executor.session
     # Re-adding the base tuples in their original insertion order rebuilds
-    # the ripple-join results and composition deterministically.
+    # the relations and the composition deterministically.
     session.state.add(1, [_tuple_from_dict(d) for d in snapshot["left"]])
     session.state.add(2, [_tuple_from_dict(d) for d in snapshot["right"]])
     session.processed.update(

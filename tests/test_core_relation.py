@@ -1,4 +1,10 @@
-"""Unit and property tests for relations and join composition."""
+"""Unit and property tests for relations and join composition.
+
+The incremental join of two relations is a two-relation
+:class:`~repro.core.join_state.TreeJoinState`; its good x bad split is
+:func:`~repro.core.relation.compose_join` (Equation 1), which a binary
+executor's report carries.
+"""
 
 import pytest
 from hypothesis import given, settings
@@ -7,8 +13,8 @@ from hypothesis import strategies as st
 from repro.core import (
     ExtractedRelation,
     ExtractedTuple,
-    JoinState,
     RelationSchema,
+    TreeJoinState,
     ValueOverlap,
     compose_join,
 )
@@ -55,12 +61,13 @@ class TestExtractedRelation:
         with pytest.raises(ValueError):
             rel.add(tup("HQ", ("a",), True, 1))
 
-    def test_good_bad_split(self):
+    def test_since_reads_from_a_cursor(self):
         rel = ExtractedRelation(HQ)
         rel.add(tup("HQ", ("a", "x"), True, 1))
         rel.add(tup("HQ", ("b", "y"), False, 2))
-        assert len(rel.good_tuples()) == 1
-        assert len(rel.bad_tuples()) == 1
+        assert [t.document_id for t in rel.since(0)] == [1, 2]
+        assert [t.document_id for t in rel.since(1)] == [2]
+        assert rel.since(2) == []
 
     def test_occurrence_counts(self):
         rel = ExtractedRelation(HQ)
@@ -75,8 +82,9 @@ class TestExtractedRelation:
         rel = ExtractedRelation(HQ)
         rel.add(tup("HQ", ("a", "x"), True, 1))
         rel.add(tup("HQ", ("a", "z"), False, 3))
-        assert "a" in rel.good_values(0)
-        assert "a" in rel.bad_values(0)
+        good, bad = rel.occurrence_counts(0)
+        assert "a" in good
+        assert "a" in bad
 
     def test_extend_returns_new_count(self):
         rel = ExtractedRelation(HQ)
@@ -88,13 +96,6 @@ class TestExtractedRelation:
             ]
         )
         assert added == 2
-
-    def test_tuples_by_value(self):
-        rel = ExtractedRelation(HQ)
-        rel.add(tup("HQ", ("a", "x"), True, 1))
-        rel.add(tup("HQ", ("a", "y"), True, 2))
-        index = rel.tuples_by_value(0)
-        assert len(index["a"]) == 2
 
 
 class TestFigure2Example:
@@ -127,26 +128,36 @@ class TestFigure2Example:
 
     def test_value_overlap_classes(self):
         r1, r2 = self.build()
-        overlap = ValueOverlap.from_relations(r1, r2, "Company")
+        overlap = ValueOverlap.from_value_sets(
+            *r1.occurrence_counts(0), *r2.occurrence_counts(0)
+        )
         assert overlap.agg == frozenset({"a"})
         assert overlap.agb == frozenset({"c"})
         assert overlap.abg == frozenset({"b"})
         assert overlap.abb == frozenset({"e"})
 
 
+def two_relation_state(left=HQ, right=EX, join_attribute=None):
+    """The join state a binary executor starts from."""
+    return TreeJoinState.star((left, right), join_attribute)
+
+
 class TestJoinState:
+    """The two-relation join state of the binary executors."""
+
     def test_join_attribute_inferred(self):
-        state = JoinState(HQ, EX)
-        assert state.join_attribute == "Company"
+        state = two_relation_state()
+        assert state.edges[0].left_attribute == "Company"
+        assert state.join_indexes == [0, 0]
 
     def test_ambiguous_attribute_requires_explicit(self):
         with pytest.raises(ValueError):
-            JoinState(HQ, HQ)
-        state = JoinState(HQ, HQ, join_attribute="Company")
-        assert state.join_attribute == "Company"
+            two_relation_state(HQ, HQ)
+        state = two_relation_state(HQ, HQ, join_attribute="Company")
+        assert state.edges[0].left_attribute == "Company"
 
     def test_incremental_matches_batch_composition(self):
-        state = JoinState(HQ, EX)
+        state = two_relation_state()
         left = [
             tup("HQ", ("a", "x"), True, 1),
             tup("HQ", ("b", "y"), False, 2),
@@ -161,23 +172,22 @@ class TestJoinState:
         state.add(2, right[:1])
         state.add(1, left[2:])
         state.add(2, right[1:])
-        batch = compose_join(state.left, state.right, "Company")
+        batch = compose_join(state.relation(1), state.relation(2), "Company")
         assert state.composition.n_good == batch.n_good
         assert state.composition.n_bad == batch.n_bad
 
-    def test_results_since(self):
-        state = JoinState(HQ, EX)
-        state.add(1, [tup("HQ", ("a", "x"), True, 1)])
-        state.add(2, [tup("EX", ("a", "p"), True, 1)])
-        assert len(state.results_since(0)) == 1
-        assert state.results_since(1) == []
-
     def test_produced_tuples_reported(self):
-        state = JoinState(HQ, EX)
-        state.add(1, [tup("HQ", ("a", "x"), True, 1)])
-        produced = state.add(2, [tup("EX", ("a", "p"), False, 1)])
-        assert len(produced) == 1
-        assert not produced[0].is_good
+        state = two_relation_state()
+        assert state.add(1, [tup("HQ", ("a", "x"), True, 1)]) == 1
+        assert state.composition.n_total == 0
+        added = state.add(
+            2, [tup("EX", ("a", "p"), False, 1), tup("EX", ("a", "p"), False, 1)]
+        )
+        assert added == 1  # the per-document duplicate is dropped
+        assert (state.composition.n_good, state.composition.n_bad) == (0, 1)
+        [joined] = state.iter_results()
+        assert not joined.is_good
+        assert [part.relation for part in joined.parts] == ["HQ", "EX"]
 
 
 @st.composite
@@ -215,14 +225,25 @@ class TestCompositionProperties:
         assert comp.n_good == good
         assert comp.n_bad == bad
 
-    @given(relation_pair())
+    @given(relation_pair(), st.randoms(use_true_random=False))
     @settings(max_examples=60, deadline=None)
-    def test_incremental_join_state_matches_compose(self, pair):
+    def test_incremental_join_state_matches_compose(self, pair, rng):
+        """Tuples rippling in from both sides, in any interleaving, give
+        Equation 1's composition; the split sums to the state's bad count."""
         r1, r2 = pair
-        state = JoinState(HQ, EX)
-        state.add(1, list(r1))
-        state.add(2, list(r2))
-        comp = compose_join(r1, r2, "Company")
+        arrivals = [(1, t) for t in r1] + [(2, t) for t in r2]
+        rng.shuffle(arrivals)
+        state = two_relation_state()
+        for side, t in arrivals:
+            state.add(side, [t])
+        comp = compose_join(state.relation(1), state.relation(2), "Company")
         assert state.composition.n_good == comp.n_good
         assert state.composition.n_bad == comp.n_bad
-        assert len(state) == comp.n_total
+        materialized = list(state.iter_results())
+        assert len(materialized) == comp.n_total
+        split = [0, 0, 0, 0]
+        for joined in materialized:
+            left, right = joined.parts
+            assert joined.is_good == (left.is_good and right.is_good)
+            split[2 * (not left.is_good) + (not right.is_good)] += 1
+        assert split == [comp.n_good, comp.n_good_bad, comp.n_bad_good, comp.n_bad_bad]

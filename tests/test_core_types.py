@@ -6,7 +6,6 @@ from repro.core import (
     DocumentClass,
     ExtractedTuple,
     Fact,
-    JoinTuple,
     RelationSchema,
     TupleLabel,
 )
@@ -77,47 +76,6 @@ class TestExtractedTuple:
         tup = make_tuple()
         with pytest.raises(AttributeError):
             tup.confidence = 0.1
-
-
-class TestJoinTuple:
-    def _join(self, good_left, good_right):
-        left = make_tuple("HQ", ("acme", "boston"), good=good_left)
-        right = ExtractedTuple(
-            relation="EX",
-            values=("acme", "jones"),
-            document_id=7,
-            confidence=0.8,
-            is_good=good_right,
-        )
-        return JoinTuple(left=left, right=right, join_value="acme")
-
-    def test_good_only_when_both_good(self):
-        assert self._join(True, True).is_good
-        assert not self._join(True, False).is_good
-        assert not self._join(False, True).is_good
-        assert not self._join(False, False).is_good
-
-    def test_label(self):
-        assert self._join(True, True).label is TupleLabel.GOOD
-        assert self._join(False, True).label is TupleLabel.BAD
-
-    def test_values_states_join_value_once(self):
-        joined = self._join(True, True)
-        assert joined.values == ("acme", "boston", "jones")
-
-    def test_values_respects_right_join_index(self):
-        left = make_tuple("HQ", ("acme", "boston"))
-        right = ExtractedTuple(
-            relation="EX",
-            values=("jones", "acme"),
-            document_id=7,
-            confidence=0.8,
-            is_good=True,
-        )
-        joined = JoinTuple(
-            left=left, right=right, join_value="acme", right_join_index=1
-        )
-        assert joined.values == ("acme", "boston", "jones")
 
 
 class TestDocumentClass:

@@ -4,10 +4,10 @@ import pytest
 
 from repro.core import (
     ExtractedRelation,
-    JoinState,
     QualityRequirement,
     RelationSchema,
     RetrievalKind,
+    TreeJoinState,
     compose_join,
 )
 from repro.core.types import ExtractedTuple
@@ -41,15 +41,15 @@ def tup(rel, values, good, doc):
 
 class TestEmptyAndDegenerateJoins:
     def test_join_of_empty_relations(self):
-        state = JoinState(HQ, EX)
-        assert len(state) == 0
+        state = TreeJoinState.star((HQ, EX))
         assert state.composition.n_total == 0
-        assert state.distinct_results() == []
+        assert list(state.iter_results()) == []
 
     def test_join_with_one_empty_side(self):
-        state = JoinState(HQ, EX)
+        state = TreeJoinState.star((HQ, EX))
         state.add(1, [tup("HQ", ("a", "x"), True, 1)])
-        assert len(state) == 0
+        assert state.composition.n_total == 0
+        assert list(state.iter_results()) == []
 
     def test_compose_join_empty(self):
         comp = compose_join(
@@ -58,10 +58,12 @@ class TestEmptyAndDegenerateJoins:
         assert comp.n_total == 0
 
     def test_no_shared_values(self):
-        state = JoinState(HQ, EX)
+        state = TreeJoinState.star((HQ, EX))
         state.add(1, [tup("HQ", ("a", "x"), True, 1)])
         state.add(2, [tup("EX", ("b", "p"), True, 1)])
-        assert len(state) == 0
+        assert state.composition.n_total == 0
+        comp = compose_join(state.relation(1), state.relation(2), "Company")
+        assert comp.n_total == 0
 
 
 class TestDegenerateKnobs:

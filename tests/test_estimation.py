@@ -147,7 +147,7 @@ class TestEstimateParameters:
         assert estimate.n_good_docs == pytest.approx(
             mini_profile1.n_good_docs, rel=0.8
         )
-        assert 0 < estimate.n_good_docs <= len(pilot_run.state.left.schema.attributes) * 10**6
+        assert 0 < estimate.n_good_docs <= len(pilot_run.state.relation(1).schema.attributes) * 10**6
 
     def test_blind_fallback_runs(self, pilot_run, context1):
         observations = pilot_run.observations.side(1)

@@ -48,7 +48,7 @@ from repro.joins import (
     ZigZagJoin,
 )
 from repro.multiway import InterleavedNaryJoin, MultiwayIndependentJoin, MultiwaySide
-from repro.multiway.state import TreeEdge, TreeJoinState
+from repro.core import TreeEdge, TreeJoinState
 from repro.observability import ObservabilityContext
 from repro.robustness.checkpoint import checkpoint_execution
 

@@ -39,7 +39,7 @@ class TestIndependentJoin:
             inputs, ScanRetriever(inputs.database1), ScanRetriever(inputs.database2)
         ).run()
         state = execution.state
-        offline = compose_join(state.left, state.right, "Company")
+        offline = compose_join(state.relation(1), state.relation(2), "Company")
         assert state.composition.n_good == offline.n_good
         assert state.composition.n_bad == offline.n_bad
         assert execution.report.exhausted
@@ -160,8 +160,8 @@ class TestOuterInnerJoin:
         assert report.documents_processed[2] > 0
         # Every inner document was retrieved by a query for an outer join
         # value, so it must contain at least one such value token.
-        outer_values = {t.value_of(0) for t in execution.state.left}
-        for tup in execution.state.right:
+        outer_values = {t.value_of(0) for t in execution.state.relation(1)}
+        for tup in execution.state.relation(2):
             doc = inputs.database2.get(tup.document_id)
             assert doc.token_set() & outer_values
 
@@ -175,7 +175,7 @@ class TestOuterInnerJoin:
         execution = OuterInnerJoin(
             inputs, ScanRetriever(inputs.database1), outer=1
         ).run(budgets=Budgets(max_documents1=120))
-        outer_values = {t.value_of(0) for t in execution.state.left}
+        outer_values = {t.value_of(0) for t in execution.state.relation(1)}
         assert execution.report.queries_issued[2] <= len(outer_values)
 
     def test_inner_query_budget(self, inputs):
@@ -262,7 +262,7 @@ class TestZigZagJoin:
             budgets=Budgets(max_queries1=15, max_queries2=15)
         )
         state = execution.state
-        offline = compose_join(state.left, state.right, "Company")
+        offline = compose_join(state.relation(1), state.relation(2), "Company")
         assert state.composition.n_good == offline.n_good
         assert state.composition.n_bad == offline.n_bad
 

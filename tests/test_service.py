@@ -1736,8 +1736,8 @@ class TestRefitMemo:
             assert report.resilience is None
             stored = _warm_start(service, hq_ex_task).snapshot
             state = memo.execution.state
-            assert len(state.left) == len(stored["left"])
-            assert len(state.right) == len(stored["right"])
+            assert len(state.relation(1)) == len(stored["left"])
+            assert len(state.relation(2)) == len(stored["right"])
             assert report.documents_processed == {
                 int(side): count for side, count in stored["processed"].items()
             }

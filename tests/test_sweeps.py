@@ -47,37 +47,3 @@ class TestQualityFrontier:
         text = format_frontier(frontier[:3], "Frontier")
         assert "Frontier" in text
         assert "precision" in text
-
-
-class TestDistinctResults:
-    def test_join_state_distinct(self, hq_ex_task):
-        from repro.joins import Budgets, IndependentJoin
-        from repro.retrieval import ScanRetriever
-
-        inputs = hq_ex_task.inputs()
-        execution = IndependentJoin(
-            inputs,
-            ScanRetriever(inputs.database1),
-            ScanRetriever(inputs.database2),
-        ).run(budgets=Budgets(max_documents1=150, max_documents2=150))
-        state = execution.state
-        distinct = state.distinct_results()
-        assert len(distinct) <= len(state.results)
-        assert len({d.values for d in distinct}) == len(distinct)
-
-    def test_distinct_prefers_good_derivation(self):
-        from repro.core import JoinState, RelationSchema
-        from repro.core.types import ExtractedTuple
-
-        HQ = RelationSchema("HQ", ("Company", "Location"))
-        EX = RelationSchema("EX", ("Company", "CEO"))
-
-        def tup(rel, values, good, doc):
-            return ExtractedTuple(rel, tuple(values), doc, 1.0, good)
-
-        state = JoinState(HQ, EX)
-        state.add(1, [tup("HQ", ("a", "x"), False, 1),
-                      tup("HQ", ("a", "x"), True, 2)])
-        state.add(2, [tup("EX", ("a", "p"), True, 1)])
-        [distinct] = state.distinct_results()
-        assert distinct.is_good  # the all-good derivation wins

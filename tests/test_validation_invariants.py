@@ -163,8 +163,8 @@ class TestSelfcheckTransparency:
             budgets=Budgets(max_documents1=120, max_documents2=120)
         )
         return (
-            sorted(t.values for t in result.state.left),
-            sorted(t.values for t in result.state.right),
+            sorted(t.values for t in result.state.relation(1)),
+            sorted(t.values for t in result.state.relation(2)),
             result.observations.side(1).documents_processed,
             result.observations.side(2).documents_processed,
         )
