@@ -129,7 +129,7 @@ class _TotalCount:
         self.target = target
 
     def estimate(self, state):
-        total = len(state)
+        total = state.composition.n_total
         return (float(total), 0.0) if total >= self.target else (0.0, 0.0)
 
 
