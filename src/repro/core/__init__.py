@@ -24,7 +24,6 @@ from .quality import ExecutionReport, QualityMetrics, TimeBreakdown
 from .relation import (
     ExtractedRelation,
     JoinComposition,
-    ValueOverlap,
     compose_join,
 )
 from .types import (
@@ -54,7 +53,6 @@ __all__ = [
     "TreeJoinState",
     "TreeJoinTuple",
     "TupleLabel",
-    "ValueOverlap",
     "compose_join",
     "idjn_plan",
     "oijn_plan",

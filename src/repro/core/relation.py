@@ -15,8 +15,8 @@ comes from :func:`compose_join`.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import FrozenSet, Iterable, Iterator, List, Set, Tuple
+from dataclasses import dataclass
+from typing import Iterable, Iterator, List, Set, Tuple
 
 from .types import ExtractedTuple, RelationSchema
 
@@ -156,30 +156,3 @@ def compose_join(
         bg += b1.get(a, 0) * g2.get(a, 0)
         bb += b1.get(a, 0) * b2.get(a, 0)
     return JoinComposition(n_good=gg, n_good_bad=gb, n_bad_good=bg, n_bad_bad=bb)
-
-
-@dataclass(frozen=True)
-class ValueOverlap:
-    """The four join-attribute value classes Agg, Agb, Abg, Abb (Table I)."""
-
-    agg: FrozenSet[str] = field(default_factory=frozenset)
-    agb: FrozenSet[str] = field(default_factory=frozenset)
-    abg: FrozenSet[str] = field(default_factory=frozenset)
-    abb: FrozenSet[str] = field(default_factory=frozenset)
-
-    @classmethod
-    def from_value_sets(
-        cls,
-        ag1: Iterable[str],
-        ab1: Iterable[str],
-        ag2: Iterable[str],
-        ab2: Iterable[str],
-    ) -> "ValueOverlap":
-        ag1, ab1 = frozenset(ag1), frozenset(ab1)
-        ag2, ab2 = frozenset(ag2), frozenset(ab2)
-        return cls(
-            agg=ag1 & ag2,
-            agb=ag1 & ab2,
-            abg=ab1 & ag2,
-            abb=ab1 & ab2,
-        )

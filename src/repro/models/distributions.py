@@ -102,43 +102,38 @@ def _gammaln_table(limit: int) -> np.ndarray:
     return _GAMMALN_TABLE
 
 
-def _hypergeom_pmf_table(
-    population: int, draws: int, successes: np.ndarray, k: np.ndarray
-) -> np.ndarray:
-    """Matrix ``P[i, j] = Hyper(population, draws, successes[i], k[j])``.
+def _hypergeom_weights(population: int, draws: int, width: int) -> np.ndarray:
+    """Matrix ``P[n, k] = Hyper(population, draws, n, k)``, ``n, k < width``.
 
     Direct log-gamma evaluation of ``C(n,k)·C(M-n,N-k)/C(M,N)`` — the
     same quantity :func:`_hypergeom_pmf` computes (and agrees with to
     ~1e-13 relative), minus the per-entry Boost evaluation that dominates
-    the models' inner loops.  Out-of-support entries are
-    exactly zero.
+    the models' inner loops.  Out-of-support entries are exactly zero.
     """
-    if np.any(successes > population):
-        # Out-of-model input (more occurrences than documents): defer to
-        # the checked pmf, which flags it with NaNs, rather than mis-index
-        # the table.
-        return _hypergeom_pmf(k[None, :], population, successes[:, None], draws)
-    n = successes.astype(np.int64)[:, None]
-    kk = k.astype(np.int64)[None, :]
     total = int(population)
     sample = int(draws)
+    grid = np.arange(width, dtype=np.int64)
+    if width - 1 > total:
+        # Out-of-model rows (more occurrences than documents): defer to
+        # the checked pmf, which flags them with NaNs, rather than
+        # mis-index the table.
+        return _hypergeom_pmf(grid[None, :], total, grid[:, None], sample)
+    table = _gammaln_table(total + 1)
+    n = grid[:, None]
+    kk = grid[None, :]
     lower = np.maximum(0, sample + n - total)
     upper = np.minimum(n, sample)
     valid = (kk >= lower) & (kk <= upper)
     # Clamp masked-out entries into the support so every table index
     # stays in range; their values are discarded by the mask below.
-    kc = np.clip(kk, lower, np.maximum(upper, lower))
-    table = _gammaln_table(total + 1)
+    kc = np.minimum(np.maximum(kk, lower), np.maximum(upper, lower))
     logp = (
-        table[n + 1]
+        (table[n + 1] + table[total - n + 1] - table[total + 1])
+        + (table[sample + 1] + table[total - sample + 1])
         - table[kc + 1]
         - table[n - kc + 1]
-        + table[total - n + 1]
         - table[sample - kc + 1]
         - table[total - n - sample + kc + 1]
-        + table[sample + 1]
-        + table[total - sample + 1]
-        - table[total + 1]
     )
     return np.where(valid, np.exp(logp), 0.0)
 
@@ -197,8 +192,9 @@ def probability_none_extracted(
 
     Uses the hypergeometric probability-generating identity
     ``E[(1-rate)^K]`` with K ~ Hyper; evaluated by the exact finite sum.
-    Memoized: models call it per (value, effort) pair and distinct
-    frequencies are few.
+    The scalar reference for :class:`NoneExtractedBatch`: the differential
+    references and the tests call it per (value, effort) pair, so it is
+    memoized.
     """
     if occurrences == 0 or population <= 0:
         return 1.0
@@ -208,87 +204,58 @@ def probability_none_extracted(
     return float(np.sum(weights * (1.0 - rate) ** k))
 
 
+#: Bound on the shared none-extracted tables.  A binary optimizer pass
+#: over one catalog reads a few hundred distinct operating points, and
+#: each table holds one float per occurrence count.
+_NONE_EXTRACTED_TABLES = 4096
+
+
+@lru_cache(maxsize=_NONE_EXTRACTED_TABLES)
+def _none_extracted_table(
+    population: int, draws: int, rate: float, width: int
+) -> np.ndarray:
+    """Pr{none extracted} for the occurrence counts ``0 .. width-1``.
+
+    A pure function of its key, shared by every batch and model in the
+    process: a table is never grown or patched in place, so its floats do
+    not depend on which batches asked first.  The array is read-only.
+    """
+    pows = (1.0 - rate) ** np.arange(width, dtype=np.int64)
+    table = _hypergeom_weights(population, draws, width) @ pows
+    table[0] = 1.0  # no occurrence: nothing can be extracted
+    table.flags.writeable = False
+    return table
+
+
 class NoneExtractedBatch:
     """``probability_none_extracted`` over a *fixed* occurrence array.
 
     Models evaluate the same occurrence array at many (draws, rate)
-    operating points — every bisection probe, every curve grid point — so
-    the array's unique counts, inverse mapping, and support grid are
-    precomputed once here and only the hypergeometric table varies per
-    call.
+    operating points — every bisection probe, every curve grid point.  The
+    batch holds only the array and its table width (largest count + 1);
+    each operating point reads the process-wide table of
+    :func:`_none_extracted_table` and gathers its entries by count.
     """
 
-    __slots__ = (
-        "shape", "unique", "inverse", "k", "zero_mask", "all_zero", "_col",
-        "_pows",
-    )
+    __slots__ = ("occurrences", "width", "all_zero")
 
     def __init__(self, occurrences: np.ndarray) -> None:
         occ = np.asarray(occurrences, dtype=np.int64)
-        self.shape = occ.shape
-        if occ.size:
-            self.unique, self.inverse = np.unique(occ, return_inverse=True)
-            self.k = np.arange(int(self.unique[-1]) + 1, dtype=np.int64)
-        else:
-            self.unique = np.zeros(0, dtype=np.int64)
-            self.inverse = np.zeros(0, dtype=np.int64)
-            self.k = np.zeros(1, dtype=np.int64)
-        self.zero_mask = self.unique == 0
+        self.occurrences = occ
+        self.width = int(occ.max()) + 1 if occ.size else 1
         #: no occurrence at all (or an empty array): nothing can be
         #: extracted, so every operating point answers all ones
-        self.all_zero = bool(self.zero_mask.all())
-        # population -> (n column, draws-independent log-pmf column), or
-        # "checked" when the counts exceed the population (out-of-model)
-        self._col: dict = {}
-        # rate -> (1 - rate) ** k
-        self._pows: dict = {}
+        self.all_zero = self.width == 1
 
     def evaluate(self, population: int, draws: int, rate: float) -> np.ndarray:
         """Pr{none extracted} per occurrence count at one operating point."""
         if self.all_zero or population <= 0:
-            return np.ones(self.shape)
+            return np.ones(self.occurrences.shape)
         draws = min(draws, population)
-        total = int(population)
-        sample = int(draws)
-        col = self._col.get(total)
-        if col is None:
-            if bool(self.unique[-1] > total):
-                col = "checked"
-            else:
-                table = _gammaln_table(total + 1)
-                n = self.unique[:, None]
-                col = (n, table[n + 1] + table[total - n + 1] - table[total + 1])
-            self._col[total] = col
-        pows = self._pows.get(rate)
-        if pows is None:
-            pows = (1.0 - rate) ** self.k
-            self._pows[rate] = pows
-        if col == "checked":
-            weights = _hypergeom_pmf(
-                self.k[None, :], total, self.unique[:, None], sample
-            )
-        else:
-            n, base = col
-            table = _gammaln_table(total + 1)
-            kk = self.k[None, :]
-            lower = np.maximum(0, sample + n - total)
-            upper = np.minimum(n, sample)
-            valid = (kk >= lower) & (kk <= upper)
-            # minimum/maximum instead of np.clip: same result, skips the
-            # np.clip dispatch wrapper that shows up at this call rate
-            kc = np.minimum(np.maximum(kk, lower), np.maximum(upper, lower))
-            logp = (
-                base
-                + (table[sample + 1] + table[total - sample + 1])
-                - table[kc + 1]
-                - table[n - kc + 1]
-                - table[sample - kc + 1]
-                - table[total - n - sample + kc + 1]
-            )
-            weights = np.where(valid, np.exp(logp), 0.0)
-        result = weights @ pows
-        result = np.where(self.zero_mask, 1.0, result)
-        return result[self.inverse].reshape(self.shape)
+        table = _none_extracted_table(
+            int(population), int(draws), float(rate), self.width
+        )
+        return table[self.occurrences]
 
 
 def issue_probability_ceiling(

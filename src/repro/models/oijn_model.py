@@ -27,6 +27,7 @@ documents they retrieve.
 from __future__ import annotations
 
 import math
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -126,8 +127,8 @@ def _occurrence_arrays(
 
     Counts go through ``int(...)`` exactly as the scalar reference in
     :mod:`repro.validation.differential` converts them, and are wrapped as
-    :class:`NoneExtractedBatch` so their unique/inverse decompositions are
-    computed once rather than per effort probe.
+    :class:`NoneExtractedBatch`, which reads the shared none-extracted
+    tables at every effort probe.
     """
     occ_good = np.array(
         [int(side.good_frequency.get(v, 0)) for v in values], dtype=int
@@ -148,22 +149,23 @@ def _occurrence_arrays(
 class _OIJNVectors:
     """Effort-independent arrays behind the OIJN model's evaluation.
 
-    Everything here is a pure function of the statistics bundle: value
-    orderings, occurrence counts (for issuance), own-query reach per inner
-    value, and the alignment of the inner value union onto the side
-    kernel's good/bad orderings.  Built once per model, shared across all
-    effort levels and requirements.
+    Everything here is a pure function of the (outer side, inner side,
+    overlap) triple: value orderings, occurrence counts (for issuance),
+    own-query reach per inner value, and the alignment of the inner value
+    union onto the side kernel's good/bad orderings.  :func:`oijn_vectors`
+    builds one per triple and attaches it to the outer side, so the SC, FS
+    and AQG plans over one catalog entry share it across all effort levels
+    and requirements.  It holds neither side: a self-join side must still
+    die by reference counting.
     """
 
     def __init__(
         self,
-        statistics: JoinStatistics,
-        outer: int,
+        outer_side: SideStatistics,
+        inner_side: SideStatistics,
         inner: int,
         overlap: Optional[ValueOverlapModel],
     ) -> None:
-        outer_side = statistics.side(outer)
-        inner_side = statistics.side(inner)
         self.outer_values = sorted(
             set(outer_side.good_frequency) | set(outer_side.bad_frequency)
         )
@@ -238,11 +240,52 @@ class _OIJNVectors:
             self.share_bad_b = min(from_bad_b / population_bad, 1.0)
 
 
+def oijn_vectors(
+    statistics: JoinStatistics,
+    outer: int,
+    overlap: Optional[ValueOverlapModel],
+) -> _OIJNVectors:
+    """The OIJN vectors of one side pair, built once and attached to the
+    outer side.
+
+    Keyed by the inner side's identity, the outer index and the overlap
+    counts; each entry holds the inner side by weak reference only, to
+    tell a reused id from the same side without keeping it (or, in a
+    self-join, the outer side itself) alive.
+    """
+    inner = 2 if outer == 1 else 1
+    outer_side = statistics.side(outer)
+    inner_side = statistics.side(inner)
+    pairs = vars(outer_side).get("_oijn_vectors")
+    if pairs is None:
+        pairs = {}
+        object.__setattr__(outer_side, "_oijn_vectors", pairs)
+    key = (id(inner_side), outer, overlap)
+    entry = pairs.get(key)
+    if entry is None or entry[0]() is not inner_side:
+        entry = (
+            weakref.ref(inner_side),
+            _OIJNVectors(outer_side, inner_side, inner, overlap),
+        )
+        pairs[key] = entry
+    return entry[1]
+
+
 class OIJNModel:
     """Predicts output quality and time of OIJN plans.
 
     ``outer`` is the side index (1 or 2) playing the outer role, retrieved
     with ``outer_retrieval``; the other side is probed by query.
+
+    The effort-independent arrays are the side pair's shared
+    :class:`_OIJNVectors`, and every p_issue evaluation reads the
+    process-wide none-extracted tables.  What stays per model are three
+    bounded LRU caches keyed by the integer draws ``(good, bad)`` of an
+    outer class mix: the class-mean issuance (aggregate mode, with the
+    hit/miss tallies the optimizer scrapes), and the p_issue arrays of
+    the inner and the outer values.  The plans that share the vectors
+    probe different efforts and so seldom reach the same draws; these
+    caches stay with the model.
     """
 
     def __init__(
@@ -273,7 +316,7 @@ class OIJNModel:
             self.overlap = overlap or ValueOverlapModel.from_side_values(
                 statistics.side1, statistics.side2
             )
-        self._issue_cache: "OrderedDict[Tuple[float, float], Tuple[float, float]]" = (
+        self._issue_cache: "OrderedDict[Tuple[int, int], Tuple[float, float]]" = (
             OrderedDict()
         )
         # Passive LRU hit/miss tallies, scraped into the metrics registry
@@ -301,8 +344,8 @@ class OIJNModel:
 
     def _vec(self) -> _OIJNVectors:
         if self._vectors is None:
-            self._vectors = _OIJNVectors(
-                self.statistics, self.outer, self.inner, self.overlap
+            self._vectors = oijn_vectors(
+                self.statistics, self.outer, self.overlap
             )
         return self._vectors
 
@@ -335,12 +378,12 @@ class OIJNModel:
         vec = self._vec()
         mean_good = (
             float(np.mean(self._issue_batch(vec.mean_good_occ, mix)))
-            if vec.mean_good_occ[0].shape[0]
+            if vec.mean_good_occ[0].occurrences.size
             else 0.0
         )
         mean_bad = (
             float(np.mean(self._issue_batch(vec.mean_bad_occ, mix)))
-            if vec.mean_bad_occ[0].shape[0]
+            if vec.mean_bad_occ[0].occurrences.size
             else 0.0
         )
         return mean_good, mean_bad
@@ -348,10 +391,11 @@ class OIJNModel:
     def _mean_issue_cache(self, mix: ClassMix) -> Tuple[float, float]:
         """Bounded LRU over the class-mean issuance probabilities.
 
-        Keyed on the (rounded) mix so that bisection probes alternating
-        between effort levels hit instead of thrashing.
+        Keyed on the integer draws :meth:`_issue_batch` reads, so every
+        mix that rounds to the same draws hits, and bisection probes
+        alternating between effort levels do not thrash.
         """
-        key = (round(mix.good, 6), round(mix.bad, 6))
+        key = (int(round(mix.good)), int(round(mix.bad)))
         cache = self._issue_cache
         found = cache.get(key)
         if found is not None:

@@ -6,6 +6,9 @@ The incremental join of two relations is a two-relation
 executor's report carries.
 """
 
+from dataclasses import dataclass, field
+from typing import FrozenSet, Iterable
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,9 +18,41 @@ from repro.core import (
     ExtractedTuple,
     RelationSchema,
     TreeJoinState,
-    ValueOverlap,
     compose_join,
 )
+
+
+@dataclass(frozen=True)
+class ValueOverlap:
+    """The four join-attribute value classes Agg, Agb, Abg, Abb (Table I).
+
+    The models take only the class sizes
+    (:class:`repro.models.parameters.ValueOverlapModel`); the sets
+    themselves pin the Figure 2 example.
+    """
+
+    agg: FrozenSet[str] = field(default_factory=frozenset)
+    agb: FrozenSet[str] = field(default_factory=frozenset)
+    abg: FrozenSet[str] = field(default_factory=frozenset)
+    abb: FrozenSet[str] = field(default_factory=frozenset)
+
+    @classmethod
+    def from_value_sets(
+        cls,
+        ag1: Iterable[str],
+        ab1: Iterable[str],
+        ag2: Iterable[str],
+        ab2: Iterable[str],
+    ) -> "ValueOverlap":
+        ag1, ab1 = frozenset(ag1), frozenset(ab1)
+        ag2, ab2 = frozenset(ag2), frozenset(ab2)
+        return cls(
+            agg=ag1 & ag2,
+            agb=ag1 & ab2,
+            abg=ab1 & ag2,
+            abb=ab1 & ab2,
+        )
+
 
 HQ = RelationSchema("HQ", ("Company", "Location"))
 EX = RelationSchema("EX", ("Company", "CEO"))

@@ -23,15 +23,18 @@ from repro.estimation.mle import _fit_single_class
 from repro.experiments.figures import task_statistics
 from repro.models.distributions import (
     NoneExtractedBatch,
-    _hypergeom_pmf_table,
+    _hypergeom_weights,
+    _none_extracted_table,
     probability_none_extracted,
 )
 from repro.models.generating import GeneratingFunction
 from repro.models.idjn_model import IDJNModel
+from repro.models import oijn_model
 from repro.models.oijn_model import OIJNModel
-from repro.models.retrieval_models import AQGModel
+from repro.models.retrieval_models import AQGModel, ClassMix
 from repro.models.zgjn_model import ZGJNModel
 from repro.optimizer import enumerate_plans
+from repro.optimizer.optimizer import JoinOptimizer
 from repro.validation.differential import (
     BisectionJoinOptimizer,
     ReferenceJoinOptimizer,
@@ -55,7 +58,7 @@ class TestDistributionKernels:
         population, draws = 500, 120
         successes = np.array([0, 1, 3, 17, 60, 499, 500])
         k = np.arange(0, 130)
-        ours = _hypergeom_pmf_table(population, draws, successes, k)
+        ours = _hypergeom_weights(population, draws, 501)[successes][:, k]
         scipys = stats.hypergeom.pmf(
             k[None, :], population, successes[:, None], draws
         )
@@ -64,9 +67,7 @@ class TestDistributionKernels:
     def test_hypergeom_table_out_of_model_defers_to_scipy(self):
         # successes > population is out of model; both paths must agree
         # (scipy flags the bad rows with NaN).
-        ours = _hypergeom_pmf_table(
-            10, 4, np.array([3, 12]), np.arange(5)
-        )
+        ours = _hypergeom_weights(10, 4, 13)[[3, 12]][:, :5]
         scipys = stats.hypergeom.pmf(
             np.arange(5)[None, :], 10, np.array([3, 12])[:, None], 4
         )
@@ -96,18 +97,55 @@ class TestDistributionKernels:
     def test_all_zero_batch_shortcut_matches_the_table_path(self):
         occurrences = np.zeros((3, 4), dtype=np.int64)
         batch = NoneExtractedBatch(occurrences)
-        table = NoneExtractedBatch(occurrences)
-        table.all_zero = False  # force the gammaln-table path
         assert batch.all_zero
+        _none_extracted_table.cache_clear()
         for population, draws, rate in [
             (200, 50, 0.7), (200, 200, 0.3), (40, 39, 1.0), (1, 0, 0.0),
         ]:
             got = batch.evaluate(population, draws, rate)
-            want = table.evaluate(population, draws, rate)
+            # the table path, computed without entering the shared memo
+            table = _none_extracted_table.__wrapped__(
+                population, draws, rate, batch.width
+            )
+            want = table[occurrences]
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
-        assert not batch._col  # the shortcut built no table
+        # the shortcut built no shared table
+        assert _none_extracted_table.cache_info().currsize == 0
         assert not NoneExtractedBatch(np.array([0, 1])).all_zero
+
+    def test_none_extracted_tables_do_not_depend_on_order(self):
+        first = NoneExtractedBatch(np.array([0, 3, 1, 3, 7]))
+        second = NoneExtractedBatch(np.array([[2, 0], [5, 5]]))
+        points = [(200, 50, 0.7), (200, 200, 0.3), (9, 4, 0.5), (3, 2, 0.9)]
+
+        def run(batches):
+            _none_extracted_table.cache_clear()
+            return {
+                (name, point): batch.evaluate(*point).tobytes()
+                for name, batch in batches
+                for point in points
+            }
+
+        forward = run([("A", first), ("B", second)])
+        backward = run([("B", second), ("A", first)])
+        assert forward == backward
+        # an out-of-model point (counts above the population) included
+        assert np.isnan(first.evaluate(*points[-1])).any()
+
+    def test_none_extracted_tables_are_shared_and_read_only(self):
+        _none_extracted_table.cache_clear()
+        a = NoneExtractedBatch(np.array([4, 1]))
+        b = NoneExtractedBatch(np.array([[0, 1], [4, 3]]))
+        np.testing.assert_array_equal(
+            a.evaluate(50, 10, 0.4), b.evaluate(50, 10, 0.4)[[1, 0], [0, 1]]
+        )
+        info = _none_extracted_table.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        table = _none_extracted_table(50, 10, 0.4, 5)
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[1] = 0.0
 
     def test_none_extracted_batch_empty_and_degenerate(self):
         assert NoneExtractedBatch(np.array([])).evaluate(10, 5, 0.5).size == 0
@@ -204,6 +242,70 @@ class TestModelEquivalence:
     def test_class_mix_is_memoized(self, statistics, hq_ex_task):
         model = AQGModel(statistics.side1, hq_ex_task.query_stats1)
         assert model.class_mix(2.0) is model.class_mix(2.0)
+
+
+class TestOIJNSharing:
+    """One set of OIJN vectors per side pair, shared by every outer plan."""
+
+    @pytest.mark.parametrize("per_value", [True, False])
+    def test_outer_plans_share_one_vectors_object(self, statistics, per_value):
+        for outer in (1, 2):
+            models = [
+                OIJNModel(statistics, kind, outer=outer, per_value=per_value)
+                for kind in (
+                    RetrievalKind.SCAN,
+                    RetrievalKind.FILTERED_SCAN,
+                    RetrievalKind.AQG,
+                )
+            ]
+            first = models[0]._vec()
+            assert all(model._vec() is first for model in models)
+            other = OIJNModel(
+                statistics,
+                RetrievalKind.SCAN,
+                outer=outer,
+                per_value=not per_value,
+            )
+            assert other._vec() is not first
+
+    def test_one_vectors_build_per_side_pair(self, hq_ex_task, monkeypatch):
+        builds = []
+        original = oijn_model._OIJNVectors.__init__
+
+        def counting(self, *args, **kwargs):
+            builds.append(args[:2])
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(oijn_model._OIJNVectors, "__init__", counting)
+        plans = enumerate_plans(
+            hq_ex_task.extractor1.name, hq_ex_task.extractor2.name
+        )
+        optimizer = JoinOptimizer(hq_ex_task.catalog(), costs=hq_ex_task.costs)
+        optimizer.optimize(plans, QualityRequirement(tau_good=20, tau_bad=40))
+        models = [
+            model
+            for model in optimizer._models.values()
+            if isinstance(model, OIJNModel)
+        ]
+        # 2 outer choices x 3 outer retrievals x 4 extractor (θ1, θ2)
+        # pairs, over 8 distinct (outer side, inner side) pairs
+        assert len(models) == 24
+        assert len(builds) == 8
+        assert len({(id(a), id(b)) for a, b in builds}) == 8
+
+    def test_mixes_with_the_same_draws_hit_the_class_mean_memo(
+        self, statistics
+    ):
+        model = OIJNModel(
+            statistics, RetrievalKind.SCAN, outer=1, per_value=False
+        )
+        # both mixes round to 10 good and 3 bad documents drawn
+        first = model._mean_issue_cache(ClassMix(10.2, 3.4, 0.0))
+        second = model._mean_issue_cache(ClassMix(9.6, 2.6, 7.0))
+        assert second is first
+        assert (model._issue_cache_hits, model._issue_cache_misses) == (1, 1)
+        model._mean_issue_cache(ClassMix(10.6, 3.4, 0.0))
+        assert model._issue_cache_misses == 2
 
 
 class TestMLEEquivalence:

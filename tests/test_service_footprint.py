@@ -16,9 +16,12 @@ import sys
 import weakref
 from pathlib import Path
 
+from repro.core.plan import RetrievalKind
 from repro.core.preferences import QualityRequirement
 from repro.experiments import build_multiway_testbed
 from repro.models.kernels import composition_kernel, side_kernel
+from repro.models.oijn_model import OIJNModel
+from repro.models.parameters import JoinStatistics
 from repro.optimizer.enumerator import enumerate_plans
 from repro.optimizer.optimizer import JoinOptimizer
 from repro.planner.planner import MultiwayPlanner
@@ -123,6 +126,26 @@ def test_self_join_kernel_dies_by_refcount(hq_ex_task):
         kernel = weakref.ref(side_kernel(side))
         del side
         assert kernel() is None
+
+    _without_collector(body)
+
+
+def test_self_join_oijn_side_dies_by_refcount(hq_ex_task):
+    def body():
+        side = hq_ex_task.catalog().at(0.4, 0.4).side1
+        statistics = JoinStatistics(side1=side, side2=side)
+        vectors = []
+        for per_value in (True, False):
+            model = OIJNModel(
+                statistics, RetrievalKind.SCAN, outer=1, per_value=per_value
+            )
+            model.predict(0.5 * model.max_effort)
+            vectors.append(weakref.ref(model._vec()))
+        # the side holds its OIJN vectors, which do not hold it back
+        assert len(vars(side)["_oijn_vectors"]) == 2
+        refs = [weakref.ref(side), *vectors]
+        del side, statistics, model
+        assert [ref() for ref in refs] == [None] * len(refs)
 
     _without_collector(body)
 
