@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..textdb.database import TextDatabase
 from .base import Extractor
-from .oracle import OracleExtractor
+from .oracle import require_threshold_contract
 
 
 @dataclass(frozen=True)
@@ -157,16 +157,10 @@ def characterize(
     occurrence counts at grid point θ when its best confidence is ≥ θ.
     That needs the threshold contract of
     :meth:`~repro.extraction.base.Extractor.with_theta`, which the
-    :class:`OracleExtractor` breaks (it keeps a mention by a per-θ rate
-    but reports an unrelated confidence), so it is refused with a
-    ``ValueError`` rather than given wrong curves.
+    :class:`~repro.extraction.oracle.OracleExtractor` breaks, so it is
+    refused with a ``ValueError`` rather than given wrong curves.
     """
-    if isinstance(extractor, OracleExtractor):
-        raise ValueError(
-            f"cannot characterize {extractor.name!r} from one pass: its "
-            "confidences do not decide what it extracts at each θ "
-            "(the threshold contract of Extractor.with_theta)"
-        )
+    require_threshold_contract(extractor, "characterize")
     if thetas is None:
         thetas = [i / 20 for i in range(21)]
     thetas = sorted(thetas)

@@ -2,18 +2,28 @@
 
 The paper treats an IE system as a blackbox whose output on a document
 depends only on that document and the knob θ (Section III-A); the FS
-classifier's verdict depends only on the document.  A service answers
-many execute requests over the same immutable databases, so it computes
-each (document, θ) output once and serves repeats from an
-:class:`ExtractionMemo`.  The cost model still charges tE for every
-processed document: the memo saves wall time, not simulated time.
+classifier's verdict depends only on the document.  Here the knob is a
+threshold on a θ-independent score (the threshold contract of
+:meth:`~repro.extraction.base.Extractor.with_theta`), so the output at
+any θ is the θ=0 output filtered by ``confidence >= θ``.  A service
+answers many execute requests over the same immutable databases, so it
+extracts each document once, at θ=0, and serves every θ from an
+:class:`ExtractionMemo` by filtering on read.  The cost model still
+charges tE for every processed document: the memo saves wall time, not
+simulated time.
 
 The contract:
 
-* **Purity.**  Only functions of one document are memoized: an extractor
-  at a fixed θ and a trained classifier.  An extraction system is named
-  by ``(name, relation)`` plus θ, as the statistics store names it; a
-  classifier by its relation and rule set.
+* **Purity.**  Only functions of one document are memoized: an
+  extractor's θ=0 pass and a trained classifier.  An extraction system
+  is named by ``(name, relation)``, as the statistics store names it; a
+  classifier by its relation and rule set.  An extractor that breaks the
+  threshold contract is refused with a ``ValueError``, by the same check
+  :func:`~repro.extraction.characterization.characterize` makes.
+* **One table per system.**  A (database, system) table serves every θ in
+  [0, 1]: a multiway client may name any θ, and it is served from, and
+  fills, the same table.  :meth:`MemoizedExtractor.with_theta` returns a
+  wrapper over that table without consulting the memo.
 * **Identity.**  A table belongs to one :class:`TextDatabase`, and an
   entry is stored and served only for the very document object that
   database holds.  A different object with the same ``doc_id`` -- a
@@ -23,34 +33,29 @@ The contract:
   and :meth:`ExtractionMemo.classifier` fill the memo; the service binds
   them to its execute environments alone.  Set-up (knob characterization,
   classifier training and measurement) uses the bare systems.
-* **A fixed θ set.**  A memo is built with the θ values it may store,
-  known before any request arrives (the service passes its plan grid and
-  pilot θ).  An extractor at any other θ -- a multiway client may name
-  any θ in [0, 1] -- is handed back bare, so varied θ values in requests
-  never open new tables.
-* **No aliasing.**  An extraction hit returns a fresh list; callers
+* **No aliasing.**  An extraction read returns a fresh list; callers
   append its tuples into their join state.
 * **Threads.**  Tables are plain dicts whose reads and writes are atomic
   under the GIL.  Two workers racing on one document may both compute it
   and both store it, but a stored value is always the output for that
   very document.
 
-Memory is bounded by the documents of the served databases times the
-memo's θ set (plus one bool per classified document); tuples are shared
-with no copy, since :class:`~repro.core.types.ExtractedTuple` is frozen.
+Memory is bounded by the documents of the served databases times their
+extraction systems (plus one bool per classified document); tuples are
+shared with no copy, since :class:`~repro.core.types.ExtractedTuple` is
+frozen.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import (
-    TYPE_CHECKING, Any, Dict, Hashable, Iterable, List, Optional, Tuple,
-)
+from typing import TYPE_CHECKING, Any, Dict, Hashable, List, Optional, Tuple
 
 from ..core.types import ExtractedTuple
 from ..textdb.database import TextDatabase
 from ..textdb.document import Document
 from .base import Extractor
+from .oracle import require_threshold_contract
 
 if TYPE_CHECKING:
     from ..retrieval.classifier import RuleClassifier
@@ -82,17 +87,14 @@ class _DocumentTable:
 
 
 class MemoizedExtractor(Extractor):
-    """An extractor whose per-document output is read from a memo."""
+    """An extractor at θ reading its system's θ=0 output from a memo."""
 
     def __init__(
-        self,
-        inner: Extractor,
-        memo: "ExtractionMemo",
-        table: _DocumentTable,
+        self, inner: Extractor, table: _DocumentTable, theta: float
     ) -> None:
-        super().__init__(inner.schema, inner.theta)
+        super().__init__(inner.schema, theta)
+        #: the system (at any θ); its copy at θ=0 fills the table
         self.inner = inner
-        self._memo = memo
         self._table = table
 
     @property
@@ -102,14 +104,15 @@ class MemoizedExtractor(Extractor):
     def extract(self, document: Document) -> List[ExtractedTuple]:
         stored = self._table.get(document)
         if stored is None:
-            stored = tuple(self.inner.extract(document))
+            stored = tuple(self.inner.with_theta(0.0).extract(document))
             self._table.put(document, stored)
-        return list(stored)
+        if not stored:  # most documents: skip the filter's set-up
+            return []
+        theta = self.theta
+        return [tup for tup in stored if tup.confidence >= theta]
 
     def with_theta(self, theta: float) -> Extractor:
-        return self._memo.extractor(
-            self.inner.with_theta(theta), self._table.database
-        )
+        return MemoizedExtractor(self.inner, self._table, theta)
 
 
 class MemoizedClassifier:
@@ -129,15 +132,10 @@ class MemoizedClassifier:
 
 
 class ExtractionMemo:
-    """Per-(database, system, θ) tables of per-document output.
+    """Per-(database, system) tables of per-document output: one per
+    extraction system, filtered by θ on read, and one per classifier."""
 
-    *thetas* is the fixed set of θ values whose extraction output may be
-    stored; the number of tables is bounded by the databases times
-    ``len(thetas) + 1`` (the classifier's).
-    """
-
-    def __init__(self, thetas: Iterable[float]) -> None:
-        self.thetas = frozenset(float(theta) for theta in thetas)
+    def __init__(self) -> None:
         self._tables: Dict[Tuple[Hashable, ...], _DocumentTable] = {}
         self._lock = threading.Lock()
 
@@ -158,13 +156,14 @@ class ExtractionMemo:
 
     def extractor(
         self, extractor: Extractor, database: TextDatabase
-    ) -> Extractor:
-        """*extractor* reading and filling this memo for *database*, or
-        *extractor* itself when its θ is outside :attr:`thetas`."""
-        if extractor.theta not in self.thetas:
-            return extractor
-        key = ("extract", extractor.name, extractor.relation, extractor.theta)
-        return MemoizedExtractor(extractor, self, self._table(database, key))
+    ) -> MemoizedExtractor:
+        """*extractor*, at its θ, reading and filling this memo for
+        *database*."""
+        require_threshold_contract(extractor, "memoize")
+        key = ("extract", extractor.name, extractor.relation)
+        return MemoizedExtractor(
+            extractor, self._table(database, key), extractor.theta
+        )
 
     def classifier(
         self, classifier: Optional["RuleClassifier"], database: TextDatabase
@@ -177,7 +176,7 @@ class ExtractionMemo:
 
     @property
     def tables(self) -> int:
-        """Tables opened so far (one per database, system and θ)."""
+        """Tables opened so far (one per database and system)."""
         with self._lock:
             return len(self._tables)
 

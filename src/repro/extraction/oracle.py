@@ -110,3 +110,19 @@ class OracleExtractor(Extractor):
                     )
                 )
         return tuples
+
+
+def require_threshold_contract(extractor: Extractor, use: str) -> None:
+    """Refuse (``ValueError``) to *use* an extractor from its θ=0 output.
+
+    One θ=0 pass stands for every θ only under the threshold contract of
+    :meth:`~repro.extraction.base.Extractor.with_theta`; the
+    :class:`OracleExtractor` breaks it (it keeps a mention by a per-θ
+    rate but reports an unrelated confidence).
+    """
+    if isinstance(extractor, OracleExtractor):
+        raise ValueError(
+            f"cannot {use} {extractor.name!r} from one θ=0 pass: its "
+            "confidences do not decide what it extracts at each θ "
+            "(the threshold contract of Extractor.with_theta)"
+        )

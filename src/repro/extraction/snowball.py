@@ -14,18 +14,19 @@ where the knob operates.
 Similarity is the fraction of a candidate's context tokens that belong to
 the system's pattern term set — a normalized overlap, the same family of
 measure Snowball uses between a tuple's context vector and its patterns.
+The candidate loop and the threshold live in
+:class:`~repro.extraction.base.PairExtractor`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Optional, Sequence, Tuple
 
-from ..core.types import ExtractedTuple, RelationSchema
-from ..textdb.document import Document
-from .base import Extractor, label_candidate
+from ..core.types import RelationSchema
+from .base import PairExtractor
 
 
-class SnowballExtractor(Extractor):
+class SnowballExtractor(PairExtractor):
     """Pattern-overlap extractor with a ``min_sim`` knob."""
 
     def __init__(
@@ -37,89 +38,23 @@ class SnowballExtractor(Extractor):
         system_name: str = "snowball",
         label_oracle: Optional[Callable[[Tuple[str, ...]], bool]] = None,
     ) -> None:
-        super().__init__(schema, theta)
-        if schema.arity != 2:
-            raise ValueError("SnowballExtractor handles binary relations")
-        missing = [a for a in schema.attributes if a not in entity_dictionaries]
-        if missing:
-            raise KeyError(f"no entity dictionary for attributes {missing}")
+        super().__init__(
+            schema, entity_dictionaries, pattern_terms, theta, system_name,
+            label_oracle,
+        )
         if not pattern_terms:
             raise ValueError("pattern_terms must be non-empty")
-        self._dictionaries = {
-            attr: frozenset(entity_dictionaries[attr]) for attr in schema.attributes
-        }
-        self._patterns = frozenset(pattern_terms)
-        self._system_name = system_name
-        #: Optional gold-set verifier for real text without planted
-        #: mentions (the paper verifies tuples against a web gold set).
-        #: Used only to annotate evaluation labels, never to extract.
-        self._label_oracle = label_oracle
 
-    @property
-    def name(self) -> str:
-        return self._system_name
-
-    @property
-    def pattern_terms(self) -> FrozenSet[str]:
-        return self._patterns
-
-    def with_theta(self, theta: float) -> "SnowballExtractor":
-        return SnowballExtractor(
-            schema=self.schema,
-            entity_dictionaries=self._dictionaries,
-            pattern_terms=self._patterns,
-            theta=theta,
-            system_name=self._system_name,
-            label_oracle=self._label_oracle,
-        )
-
-    def similarity(self, context: Sequence[str]) -> float:
-        """Pattern overlap of a candidate's context (1.0 when no context)."""
+    def score(self, sentence: Sequence[str], first: int, second: int) -> float:
+        """Pattern overlap of the sentence's non-entity tokens (1.0 when
+        there are none)."""
+        first_entities, second_entities = self._entities
+        context = [
+            t
+            for t in sentence
+            if t not in first_entities and t not in second_entities
+        ]
         if not context:
             return 1.0
         hits = sum(1 for token in context if token in self._patterns)
         return hits / len(context)
-
-    def extract(self, document: Document) -> List[ExtractedTuple]:
-        first_dict = self._dictionaries[self.schema.attributes[0]]
-        second_dict = self._dictionaries[self.schema.attributes[1]]
-        tuples: List[ExtractedTuple] = []
-        for sentence in document.sentences:
-            firsts = [
-                (i, t) for i, t in enumerate(sentence) if t in first_dict
-            ]
-            seconds = [
-                (i, t) for i, t in enumerate(sentence) if t in second_dict
-            ]
-            if not firsts or not seconds:
-                continue
-            for i1, e1 in firsts:
-                for i2, e2 in seconds:
-                    if i1 == i2:
-                        continue
-                    context = [
-                        t
-                        for i, t in enumerate(sentence)
-                        if i != i1 and i != i2 and t not in first_dict
-                        and t not in second_dict
-                    ]
-                    score = self.similarity(context)
-                    if score < self.theta:
-                        continue
-                    values = (e1, e2)
-                    if self._label_oracle is not None:
-                        is_good = self._label_oracle(values)
-                    else:
-                        is_good = label_candidate(
-                            document, self.relation, values
-                        )
-                    tuples.append(
-                        ExtractedTuple(
-                            relation=self.relation,
-                            values=values,
-                            document_id=document.doc_id,
-                            confidence=score,
-                            is_good=is_good,
-                        )
-                    )
-        return tuples

@@ -9,22 +9,23 @@ pattern-term evidence:
     confidence = w·proximity + (1-w)·pattern_overlap        (w = 1 if no patterns)
     proximity  = 1 / (1 + gap/scale)   where gap = tokens between the pair
 
-The θ knob thresholds the confidence, so all the Section III-A machinery
-(characterization, quality models, the optimizer) applies unchanged.
-Labels come from planted mentions when present or from a user gold set via
-``label_oracle`` — the real-text workflow of ``examples/real_text_demo.py``.
+The θ knob thresholds the confidence in the candidate loop of
+:class:`~repro.extraction.base.PairExtractor`, so all the Section III-A
+machinery (characterization, quality models, the optimizer) applies
+unchanged.  Labels come from planted mentions when present or from a user
+gold set via ``label_oracle`` — the real-text workflow of
+``examples/real_text_demo.py``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Optional, Sequence, Tuple
 
-from ..core.types import ExtractedTuple, RelationSchema
-from ..textdb.document import Document
-from .base import Extractor, label_candidate
+from ..core.types import RelationSchema
+from .base import PairExtractor
 
 
-class WindowExtractor(Extractor):
+class WindowExtractor(PairExtractor):
     """Proximity(+pattern) scored co-occurrence extractor."""
 
     def __init__(
@@ -38,45 +39,23 @@ class WindowExtractor(Extractor):
         system_name: str = "window",
         label_oracle: Optional[Callable[[Tuple[str, ...]], bool]] = None,
     ) -> None:
-        super().__init__(schema, theta)
-        if schema.arity != 2:
-            raise ValueError("WindowExtractor handles binary relations")
-        missing = [a for a in schema.attributes if a not in entity_dictionaries]
-        if missing:
-            raise KeyError(f"no entity dictionary for attributes {missing}")
+        super().__init__(
+            schema, entity_dictionaries, pattern_terms, theta, system_name,
+            label_oracle,
+        )
         if proximity_scale <= 0:
             raise ValueError("proximity_scale must be positive")
         if not 0.0 <= pattern_weight <= 1.0:
             raise ValueError("pattern_weight must be within [0, 1]")
-        self._dictionaries = {
-            attr: frozenset(entity_dictionaries[attr])
-            for attr in schema.attributes
-        }
-        self._patterns = frozenset(pattern_terms)
         self.proximity_scale = proximity_scale
         self.pattern_weight = pattern_weight if pattern_terms else 0.0
-        self._system_name = system_name
-        self._label_oracle = label_oracle
 
-    @property
-    def name(self) -> str:
-        return self._system_name
-
-    def with_theta(self, theta: float) -> "WindowExtractor":
-        return WindowExtractor(
-            schema=self.schema,
-            entity_dictionaries=self._dictionaries,
-            pattern_terms=self._patterns,
-            theta=theta,
-            proximity_scale=self.proximity_scale,
-            pattern_weight=self.pattern_weight,
-            system_name=self._system_name,
-            label_oracle=self._label_oracle,
-        )
-
-    def confidence(self, gap: int, context: Sequence[str]) -> float:
-        """Blend proximity with optional pattern-term evidence."""
-        proximity = 1.0 / (1.0 + max(gap, 0) / self.proximity_scale)
+    def score(self, sentence: Sequence[str], first: int, second: int) -> float:
+        """Blend proximity with optional pattern-term evidence over the
+        tokens between the pair."""
+        lo, hi = sorted((first, second))
+        proximity = 1.0 / (1.0 + (hi - lo - 1) / self.proximity_scale)
+        context = sentence[lo + 1:hi]
         if not self._patterns or not context:
             return proximity
         overlap = sum(1 for t in context if t in self._patterns) / len(context)
@@ -84,45 +63,3 @@ class WindowExtractor(Extractor):
             (1.0 - self.pattern_weight) * proximity
             + self.pattern_weight * overlap
         )
-
-    def extract(self, document: Document) -> List[ExtractedTuple]:
-        first_dict = self._dictionaries[self.schema.attributes[0]]
-        second_dict = self._dictionaries[self.schema.attributes[1]]
-        tuples: List[ExtractedTuple] = []
-        for sentence in document.sentences:
-            firsts = [(i, t) for i, t in enumerate(sentence) if t in first_dict]
-            seconds = [
-                (i, t) for i, t in enumerate(sentence) if t in second_dict
-            ]
-            if not firsts or not seconds:
-                continue
-            for i1, e1 in firsts:
-                for i2, e2 in seconds:
-                    if i1 == i2:
-                        continue
-                    gap = abs(i1 - i2) - 1
-                    context = [
-                        t
-                        for i, t in enumerate(sentence)
-                        if min(i1, i2) < i < max(i1, i2)
-                    ]
-                    score = self.confidence(gap, context)
-                    if score < self.theta:
-                        continue
-                    values = (e1, e2)
-                    if self._label_oracle is not None:
-                        is_good = self._label_oracle(values)
-                    else:
-                        is_good = label_candidate(
-                            document, self.relation, values
-                        )
-                    tuples.append(
-                        ExtractedTuple(
-                            relation=self.relation,
-                            values=values,
-                            document_id=document.doc_id,
-                            confidence=score,
-                            is_good=is_good,
-                        )
-                    )
-        return tuples

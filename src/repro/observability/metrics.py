@@ -82,13 +82,6 @@ class Histogram:
         if exemplar is not None:
             self.exemplars[index] = (str(exemplar), value)
 
-    def exemplar_for(self, value: float) -> Optional[Tuple[str, float]]:
-        """The exemplar of the bucket *value* would fall into, or None."""
-        for i, bound in enumerate(self.buckets):
-            if value <= bound:
-                return self.exemplars[i]
-        return self.exemplars[-1]
-
 
 class _NullInstrument:
     """Shared no-op counter/gauge/histogram for disabled registries."""

@@ -40,10 +40,10 @@ requests through a fixed worker pool:
   invalidates the affected entries;
 * **extraction memo** — every execute environment is bound through the
   service's :class:`~repro.extraction.memo.ExtractionMemo`, so a
-  document is extracted (and FS-classified) once per θ per service, at
-  the θ values fixed when the service is built; the memo serves only
-  the document objects its databases hold, so truncated payloads under
-  a fault profile are extracted fresh;
+  document is extracted (at θ=0, every request θ filtering that one
+  output on read) and FS-classified once per system per service; the
+  memo serves only the document objects its databases hold, so
+  truncated payloads under a fault profile are extracted fresh;
 * **frozen boot heap** — the corpus, characterizations and models built
   before the workers start live as long as the service, so boot ends
   with one full collection and moves the survivors to the collector's
@@ -90,7 +90,7 @@ from ..optimizer.binder import ExecutionEnvironment
 from ..optimizer.enumerator import enumerate_plans
 from ..optimizer.optimizer import JoinOptimizer
 from ..planner.binder import bind_multiway_plan
-from ..planner.graph import DEFAULT_THETAS, JoinGraph
+from ..planner.graph import JoinGraph
 from ..planner.planner import MultiwayPlanner
 from ..robustness.checkpoint import CheckpointManager
 from ..robustness.deadline import Deadline, DeadlineExceeded
@@ -334,18 +334,10 @@ class JoinService:
         self.plans = enumerate_plans(
             task.extractor1.name, task.extractor2.name
         )
-        #: per-document extraction and FS verdicts, filled by this
-        #: service's executes only, at the θ values fixed here: the
-        #: binary plan grid, the n-ary default grid and the pilot θ
-        #: (DESIGN §6.4)
-        self.extraction_memo = ExtractionMemo(
-            [pilot_theta, *DEFAULT_THETAS]
-            + [
-                config.theta
-                for plan in self.plans
-                for config in (plan.extractor1, plan.extractor2)
-            ]
-        )
+        #: per-document extraction (one θ=0 pass per system, filtered by
+        #: θ on read) and FS verdicts, filled by this service's executes
+        #: only (DESIGN §6.4)
+        self.extraction_memo = ExtractionMemo()
         #: wide-event flight recorder: every request lands in the ring,
         #: tail sampling decides which keep their spans and are spilled
         self.recorder = FlightRecorder(

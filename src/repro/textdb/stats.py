@@ -21,9 +21,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Tuple
-
-import numpy as np
+from typing import Dict, FrozenSet, List
 
 from ..core.types import DocumentClass
 from .database import TextDatabase
@@ -44,14 +42,6 @@ class FrequencyHistogram:
     def n_values(self) -> int:
         return sum(self.counts.values())
 
-    @property
-    def max_frequency(self) -> int:
-        return max(self.counts) if self.counts else 0
-
-    @property
-    def total_occurrences(self) -> int:
-        return sum(k * n for k, n in self.counts.items())
-
     def probability(self, k: int) -> float:
         """Pr{frequency = k} over the values of this histogram."""
         total = self.n_values
@@ -61,13 +51,6 @@ class FrequencyHistogram:
 
     def support(self) -> List[int]:
         return sorted(self.counts)
-
-    def as_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """(frequencies, probabilities) arrays over the support."""
-        ks = np.array(self.support(), dtype=int)
-        total = self.n_values
-        ps = np.array([self.counts[k] / total for k in ks], dtype=float)
-        return ks, ps
 
     @classmethod
     def from_counter(cls, per_value: Counter) -> "FrequencyHistogram":
@@ -118,11 +101,6 @@ class DatabaseProfile:
 
     def bad_histogram(self) -> FrequencyHistogram:
         return FrequencyHistogram.from_counter(self.bad_frequency)
-
-    @property
-    def good_fraction(self) -> float:
-        """|Dg| / |D|."""
-        return self.n_good_docs / self.n_documents if self.n_documents else 0.0
 
 
 def profile_database(

@@ -32,8 +32,9 @@ identical float64 inputs; the bound-pruned optimizer must choose exactly
 what the unpruned per-plan bisection chooses, the bound-pruned n-ary
 planner exactly what the exhaustive one chooses, and the one-pass knob
 characterization exactly what re-running the extractor at every grid θ
-measures.  The references live in this module (the ``reference_*``
-functions, :class:`ReferenceJoinOptimizer`,
+measures, and the extraction memo's θ-filtered read what the extractor
+at that θ returns, document by document.  The references live in this
+module (the ``reference_*`` functions, :class:`ReferenceJoinOptimizer`,
 :class:`ExhaustiveMultiwayPlanner`, ``all_trees`` and ``tree_cost``);
 nothing on the production path calls them.
 
@@ -78,6 +79,7 @@ from ..extraction.characterization import (
     ConfidenceReference,
     KnobCharacterization,
 )
+from ..extraction.memo import ExtractionMemo
 from ..joins.base import Budgets
 from ..joins.idjn import IndependentJoin
 from ..models.distributions import probability_none_extracted
@@ -1182,12 +1184,18 @@ CHARACTERIZATION_FIELDS: Tuple[str, ...] = (
 def check_characterization_differential(
     report: ValidationReport, label: str, testbed: Any
 ) -> None:
-    """One-pass characterization vs the per-θ reference — identity.
+    """One θ=0 pass vs re-running the extractor at every θ — identity.
 
-    *testbed* is a canonical or multiway testbed: every extractor it
-    characterized on its training database is re-measured by
-    :func:`reference_characterize` over the same grid, and each of
-    :data:`CHARACTERIZATION_FIELDS` must be equal, not merely close.
+    *testbed* is a canonical or multiway testbed.  Per relation, two
+    checks over its characterization grid:
+
+    * every extractor it characterized on its training database is
+      re-measured by :func:`reference_characterize`, and each of
+      :data:`CHARACTERIZATION_FIELDS` must be equal, not merely close;
+    * on every document of the training and served databases, the
+      :class:`~repro.extraction.memo.ExtractionMemo`'s θ-filtered read
+      must equal the extractor's own output at θ (the threshold contract
+      the memo serves every θ on).
     """
     for relation, extractor in sorted(testbed.extractors.items()):
         production = testbed.characterizations[relation]
@@ -1215,6 +1223,34 @@ def check_characterization_differential(
                         f"{production.n_bad_reference} bad reference "
                         "occurrences"
                     )
+                ),
+            )
+        )
+        memo = ExtractionMemo()
+        databases = [testbed.training, *testbed.databases.values()]
+        differing = 0
+        for database in databases:
+            memoized = memo.extractor(extractor, database)
+            for theta in production.thetas:
+                read = memoized.with_theta(theta)
+                bare = extractor.with_theta(theta)
+                differing += sum(
+                    read.extract(document) != bare.extract(document)
+                    for document in database.documents
+                )
+        report.add(
+            CheckResult(
+                name=f"memo-contract/{label}/{relation}",
+                ok=not differing,
+                observed=float(differing),
+                expected=0.0,
+                band=0.0,
+                detail=(
+                    f"memo read vs extraction at each of "
+                    f"{len(production.thetas)} grid θ on "
+                    f"{sum(len(database) for database in databases)} "
+                    f"documents of {len(databases)} databases: "
+                    f"{differing} differ"
                 ),
             )
         )

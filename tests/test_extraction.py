@@ -196,6 +196,9 @@ class TestOracleExtractor:
         oracle = self.make()
         with pytest.raises(ValueError, match="threshold contract"):
             characterize(oracle, mini_db1, thetas=[0.0, 0.2, 1.0])
+        # nor may the extraction memo serve every θ from its θ=0 output
+        with pytest.raises(ValueError, match="threshold contract"):
+            ExtractionMemo().extractor(oracle, mini_db1)
         # the per-θ reference still measures it: tp(0.2) near 1 - 0.6·0.2
         curves = reference_characterize(oracle, mini_db1, thetas=[0.0, 0.2, 1.0])
         assert curves.tp[0] == 1.0
@@ -398,12 +401,16 @@ class TestCharacterizationMatchesReference:
 # ---------------------------------------------------------------------------
 
 
-#: every θ a service binds: the plan grid (0.4, 0.8) and the pilot θ
-SERVED_THETAS = (
+#: every θ a service binds -- the plan grid (0.4, 0.8) and the pilot θ --
+#: and off-grid values a multiway client may name
+REQUEST_THETAS = sorted({
+    0.0,
     0.4,
+    0.41,
     0.8,
+    1.0,
     inspect.signature(JoinService).parameters["pilot_theta"].default,
-)
+})
 
 
 def served_sides(task, scenario):
@@ -429,12 +436,12 @@ class TestExtractionMemo:
     def test_hits_equal_fresh_calls_on_every_served_document(
         self, hq_ex_task, star3_scenario
     ):
-        memo = ExtractionMemo(SERVED_THETAS)
+        memo = ExtractionMemo()
         for database, extractor, classifier in served_sides(
             hq_ex_task, star3_scenario
         ):
             memoized_classifier = memo.classifier(classifier, database)
-            for theta in sorted(set(SERVED_THETAS)):
+            for theta in REQUEST_THETAS:
                 fresh = extractor.with_theta(theta)
                 memoized = memo.extractor(fresh, database)
                 for document in database.documents:
@@ -450,7 +457,7 @@ class TestExtractionMemo:
     def test_environments_bind_memoized_systems(
         self, hq_ex_task, star3_scenario
     ):
-        memo = ExtractionMemo(SERVED_THETAS)
+        memo = ExtractionMemo()
         binary = hq_ex_task.environment().memoized(memo)
         assert isinstance(binary.extractor_at(1, 0.8), MemoizedExtractor)
         assert binary.extractor_at(2, 0.8).theta == 0.8
@@ -467,7 +474,7 @@ class TestExtractionMemo:
     ):
         database = hq_ex_task.database1
         extractor = hq_ex_task.extractor1.with_theta(0.4)
-        memoized = ExtractionMemo(SERVED_THETAS).extractor(extractor, database)
+        memoized = ExtractionMemo().extractor(extractor, database)
         document = next(
             doc for doc in database.documents if extractor.extract(doc)
         )
@@ -481,7 +488,7 @@ class TestExtractionMemo:
     def test_truncated_copy_is_neither_served_nor_stored(self, hq_ex_task):
         database = hq_ex_task.database1
         extractor = hq_ex_task.extractor1.with_theta(0.4)
-        memo = ExtractionMemo(SERVED_THETAS)
+        memo = ExtractionMemo()
         memoized = memo.extractor(extractor, database)
         classifier = memo.classifier(hq_ex_task.classifier1, database)
         truncating = FaultInjectingDatabase(database, FaultProfile(truncate=1.0))
@@ -507,26 +514,35 @@ class TestExtractionMemo:
         assert memoized.extract(document) == full
         assert len(memo) == 2
         # Nor is a truncated copy stored when the entry is empty.
-        fresh_memo = ExtractionMemo(SERVED_THETAS)
+        fresh_memo = ExtractionMemo()
         fresh_memo.extractor(extractor, database).extract(truncated)
         fresh_memo.classifier(hq_ex_task.classifier1, database).classify(
             truncated
         )
         assert len(fresh_memo) == 0
 
-    def test_theta_outside_the_set_is_handed_back_bare(self, hq_ex_task):
-        memo = ExtractionMemo(SERVED_THETAS)
+    def test_off_grid_theta_is_served_from_the_one_table(self, hq_ex_task):
+        memo = ExtractionMemo()
         database = hq_ex_task.database1
-        extractor = hq_ex_task.extractor1.with_theta(0.41)
-        assert memo.extractor(extractor, database) is extractor
-        memoized = memo.extractor(hq_ex_task.extractor1.with_theta(0.4), database)
-        assert isinstance(memoized, MemoizedExtractor)
-        off_grid = memoized.with_theta(0.41)
-        assert not isinstance(off_grid, MemoizedExtractor)
+        documents = list(database.documents)[:50]
+        off_grid = memo.extractor(
+            hq_ex_task.extractor1.with_theta(0.41), database
+        )
+        assert isinstance(off_grid, MemoizedExtractor)
         assert off_grid.theta == 0.41
-        for document in list(database.documents)[:50]:
+        for document in documents:
             off_grid.extract(document)
-        assert len(memo) == 0
+        assert len(memo) == len(documents)  # the off-grid θ filled it
+        # Every θ, bound through the memo or through with_theta, reads
+        # that table: no new table and no new entry.
+        on_grid = memo.extractor(
+            hq_ex_task.extractor1.with_theta(0.4), database
+        )
+        for memoized in (on_grid, on_grid.with_theta(0.8), off_grid):
+            bare = hq_ex_task.extractor1.with_theta(memoized.theta)
+            for document in documents:
+                assert memoized.extract(document) == bare.extract(document)
+        assert len(memo) == len(documents)
         assert memo.tables == 1
 
     def test_memo_binds_only_to_an_immutable_database(self, hq_ex_task):
@@ -534,12 +550,12 @@ class TestExtractionMemo:
             hq_ex_task.database1, FaultProfile(truncate=0.5)
         )
         with pytest.raises(TypeError):
-            ExtractionMemo(SERVED_THETAS).extractor(hq_ex_task.extractor1, wrapped)
+            ExtractionMemo().extractor(hq_ex_task.extractor1, wrapped)
 
     def test_racing_threads_store_only_correct_entries(self, hq_ex_task):
         database = hq_ex_task.database2
         extractor = hq_ex_task.extractor2.with_theta(0.8)
-        memoized = ExtractionMemo(SERVED_THETAS).extractor(extractor, database)
+        memoized = ExtractionMemo().extractor(extractor, database)
         documents = list(database.documents)[:400]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -567,7 +583,6 @@ class TestExtractionMemo:
         )
         try:
             memo = service.extraction_memo
-            assert memo.thetas == frozenset(SERVED_THETAS)
             graph = star3_scenario.graph
             tables = []
             for step in range(12):
@@ -592,8 +607,9 @@ class TestExtractionMemo:
                     tau_good=40, tau_bad=120, mode="execute", graph=graph
                 )
             )
+            # one extraction and one classifier table per database
             databases = len(graph.names)
-            assert memo.tables <= databases * (len(memo.thetas) + 1)
+            assert memo.tables <= databases * 2
         finally:
             service.close()
 
