@@ -67,8 +67,8 @@ class PlanEvaluation:
 class PruningTallies:
     """Plain-int pruning/reuse tallies (zero observability coupling).
 
-    Scraped into ``repro_plans_pruned_total`` / ``repro_curve_cache_hits_total``
-    counters after each pruned optimization when observability is on.
+    Scraped into ``repro_plans_pruned_total`` counters after each pruned
+    optimization when observability is on.
     """
 
     __slots__ = (
@@ -76,7 +76,6 @@ class PruningTallies:
         "infeasible_tau_bad",
         "dominated",
         "descent_probes",
-        "curve_import_hits",
         "monotonicity_fallbacks",
     )
 
@@ -85,7 +84,6 @@ class PruningTallies:
         self.infeasible_tau_bad = 0
         self.dominated = 0
         self.descent_probes = 0
-        self.curve_import_hits = 0
         self.monotonicity_fallbacks = 0
 
     def as_dict(self) -> Dict[str, int]:
@@ -113,7 +111,6 @@ class _PlanRuntime:
         "steps",
         "memo",
         "triples",
-        "imported",
         "error",
         "non_monotone",
     )
@@ -126,10 +123,8 @@ class _PlanRuntime:
         self.steps = 0
         self.memo: Dict[float, QualityPrediction] = {}
         #: effort -> (n_good, n_bad, time); every probe this optimizer has
-        #: answered, whatever the source — the descent's fast path
+        #: answered — the descent's fast path
         self.triples: Dict[float, Tuple[float, float, float]] = {}
-        #: persisted triples not yet promoted into :attr:`triples`
-        self.imported: Dict[float, Tuple[float, float, float]] = {}
         self.error = False
         #: mirror of the optimizer's non-monotone registry so the hot
         #: loop reads a slot instead of hashing the plan into a set
@@ -223,15 +218,6 @@ class JoinOptimizer:
         self._engine = PlanEvaluationEngine(self)
         self.pruning = PruningTallies()
         self._bounds_cache: Dict[JoinPlanSpec, Optional[PlanBounds]] = {}
-        #: probe triples effort -> (n_good, n_bad, time) imported from a
-        #: persisted curve store; consulted by the descent before paying
-        #: for a raw model prediction
-        self._probe_triples: Dict[
-            JoinPlanSpec, Dict[float, Tuple[float, float, float]]
-        ] = {}
-        #: raw imported payload (plan.describe() keyed), kept so exports
-        #: round-trip records for plans this session never evaluated
-        self._imported_payload: Dict[str, dict] = {}
         #: plans whose observed probes violated the monotone-curve model
         #: contract; they are never pruned again (deterministic fallback)
         self._non_monotone: set = set()
@@ -367,7 +353,6 @@ class JoinOptimizer:
         runtime.max_effort = float(max_effort)
         runtime.steps = self._bisection_steps(max_effort)
         runtime.memo = self._prediction_memo[runtime.plan]
-        runtime.imported = self._probe_triples.setdefault(runtime.plan, {})
         return True
 
     def _probe(
@@ -376,11 +361,10 @@ class JoinOptimizer:
         """(n_good, n_bad, time) at a fraction of the plan's effort axis.
 
         Resolution order: this optimizer's own probe triples (free), the
-        exact-effort prediction memo, imported persisted triples (skips
-        the raw model entirely; counted as a curve-cache hit on first
-        use), then one raw prediction.  Effort keys are the same
-        ``fraction * max_effort`` floats the reference bisection produces,
-        so every answer is byte-identical to a fresh probe.
+        exact-effort prediction memo, then one raw prediction.  Effort
+        keys are the same ``fraction * max_effort`` floats the reference
+        bisection produces, so every answer is byte-identical to a fresh
+        probe.
         """
         effort = fraction * runtime.max_effort
         triple = runtime.triples.get(effort)
@@ -388,11 +372,6 @@ class JoinOptimizer:
             return triple
         prediction = runtime.memo.get(effort)
         if prediction is None:
-            triple = runtime.imported.get(effort)
-            if triple is not None:
-                self.pruning.curve_import_hits += 1
-                runtime.triples[effort] = triple
-                return triple
             prediction = runtime.predictor(effort)
             self.pruning.descent_probes += 1
         triple = (prediction.n_good, prediction.n_bad, prediction.total_time)
@@ -560,101 +539,6 @@ class JoinOptimizer:
                 metrics.counter(
                     "repro_plans_pruned_total", reason=reason
                 ).inc(delta)
-        delta = after["curve_import_hits"] - before.get("curve_import_hits", 0)
-        if delta:
-            metrics.counter(
-                "repro_curve_cache_hits_total", source="store"
-            ).inc(delta)
-
-    # -- persisted probe curves ---------------------------------------------------
-
-    def export_probes(self) -> Dict[str, dict]:
-        """Every known probe triple, keyed by plan signature.
-
-        Payload shape (JSON-serializable; floats round-trip exactly):
-        ``{plan.describe(): {"max_effort": float,
-        "probes": [[effort, n_good, n_bad, time], ...]}}``.  Merges this
-        session's predictions with any imported payload, so re-persisting
-        never loses probes for plans the session didn't touch.
-        """
-        merged: Dict[str, Tuple[float, Dict[float, Tuple[float, float, float]]]] = {}
-        for key, record in self._imported_payload.items():
-            probes = {
-                float(row[0]): (float(row[1]), float(row[2]), float(row[3]))
-                for row in record.get("probes", ())
-            }
-            merged[key] = (float(record.get("max_effort", 0.0)), probes)
-        for plan, (_, max_effort) in self._predictors.items():
-            key = plan.describe()
-            entry = merged.get(key)
-            if entry is None or entry[0] != float(max_effort):
-                entry = (float(max_effort), {})
-            probes = entry[1]
-            for effort, triple in self._probe_triples.get(plan, {}).items():
-                probes.setdefault(effort, triple)
-            for effort, prediction in self._prediction_memo.get(plan, {}).items():
-                probes[effort] = (
-                    prediction.n_good,
-                    prediction.n_bad,
-                    prediction.total_time,
-                )
-            merged[key] = (entry[0], probes)
-        return {
-            key: {
-                "max_effort": max_effort,
-                "probes": [
-                    [effort, *triple]
-                    for effort, triple in sorted(probes.items())
-                ],
-            }
-            for key, (max_effort, probes) in merged.items()
-        }
-
-    def probe_count(self) -> int:
-        """Total distinct probe triples an export would carry."""
-        return sum(
-            len(record["probes"]) for record in self.export_probes().values()
-        )
-
-    def import_probes(
-        self, payload: Dict[str, dict], plans: Sequence[JoinPlanSpec]
-    ) -> int:
-        """Seed the descent with persisted probe triples; returns count loaded.
-
-        Entries are matched to *plans* by ``describe()`` signature; probes
-        are keyed by absolute effort, so statistics drift cannot cause a
-        stale hit (staleness is additionally gated by the store's
-        generation check before the payload ever reaches here).  Unmatched
-        records are retained for re-export.
-        """
-        by_key = {plan.describe(): plan for plan in plans}
-        loaded = 0
-        for key, record in payload.items():
-            if not isinstance(record, dict):
-                continue
-            rows = record.get("probes", ())
-            self._imported_payload[key] = {
-                "max_effort": record.get("max_effort", 0.0),
-                "probes": [list(row) for row in rows],
-            }
-            plan = by_key.get(key)
-            if plan is None:
-                continue
-            triples = self._probe_triples.setdefault(plan, {})
-            for row in rows:
-                try:
-                    effort, n_good, n_bad, time = (
-                        float(row[0]),
-                        float(row[1]),
-                        float(row[2]),
-                        float(row[3]),
-                    )
-                except (TypeError, ValueError, IndexError):
-                    continue
-                if effort not in triples:
-                    triples[effort] = (n_good, n_bad, time)
-                    loaded += 1
-        return loaded
 
     # -- full optimization -------------------------------------------------------
 

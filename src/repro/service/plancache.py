@@ -23,10 +23,14 @@ reuse one whose statistics have.
   is never served while one is dead; n-ary keys leave it empty.
 
 Within one live key the cache memoizes each requirement's answer, so a
-repeated (space, τg, τb) costs a dict lookup.  Tallies already published
-as metrics live on the entry, and each space remembers how much of its
-journal payload the store already holds, so eviction drops that state
-together with the space.
+repeated (space, τg, τb) costs a dict lookup.  Each entry also keeps the
+*answer journal* both kinds persist: :func:`journal_key` → the answer's
+:meth:`PlanSpace.facts`, one line per requirement it answered.  An
+answer is a pure function of (space, generation, requirement), so the
+journal is all a restarted service needs to reply again without
+planning.  Tallies already published as metrics, the journal and how
+much of it was last exported live on the entry, so eviction drops that
+state together with the space.
 """
 
 from __future__ import annotations
@@ -64,40 +68,26 @@ class PlanSpace(Protocol):
         """Search tallies summed over every answer (monotone)."""
 
     def facts(self, result: Any) -> Dict[str, Any]:
-        """*result* as a response body, without task, mode and τ."""
-
-    def export(self) -> Tuple[Dict[str, Any], bool]:
-        """The store's journal payload, and whether it grew since the last
-        export (or since the space was built)."""
+        """*result* as a response body, without task, mode and τ (what
+        the answer journal holds)."""
 
     def samples(self, delta: Dict[str, int]) -> List[Sample]:
         """The metric increments a growth of :meth:`tallies` stands for."""
 
 
 class BinaryPlanSpace:
-    """The binary optimizer over one task's plans, seeded with stored probes.
+    """The binary optimizer over one task's plans.
 
-    Its journal payload is the optimizer's probe triples
-    (:meth:`JoinOptimizer.export_probes`); the store hands them back to
-    the next space built over the same statistics generation.  It also
-    memoizes the warm execute path's restored pilot and its refit
-    (:attr:`pilot`), so a store write, which changes the key, can never
-    serve a stale one, and eviction drops it with the entry.
+    It also memoizes the warm execute path's restored pilot and its
+    refit (:attr:`pilot`), so a store write, which changes the key, can
+    never serve a stale one, and eviction drops it with the entry.
     """
 
     def __init__(
-        self,
-        optimizer: JoinOptimizer,
-        plans: Sequence[JoinPlanSpec],
-        probes: Optional[Dict[str, dict]] = None,
+        self, optimizer: JoinOptimizer, plans: Sequence[JoinPlanSpec]
     ) -> None:
         self.optimizer = optimizer
         self.plans = list(plans)
-        #: probe triples loaded from the store (0: it held none)
-        self.imported = (
-            optimizer.import_probes(probes, self.plans) if probes else 0
-        )
-        self._exported = optimizer.probe_count()
         #: this generation's stored pilot as the adaptive driver restored
         #: it, with its refit (a read-only ``PilotMemo``), set by the
         #: first fully-warm run
@@ -131,58 +121,31 @@ class BinaryPlanSpace:
             )
         return facts
 
-    def export(self) -> Tuple[Dict[str, Any], bool]:
-        payload = self.optimizer.export_probes()
-        count = sum(len(record["probes"]) for record in payload.values())
-        grew = count > self._exported
-        self._exported = count
-        return payload, grew
-
     def samples(self, delta: Dict[str, int]) -> List[Sample]:
         reasons = ("infeasible_bound", "infeasible_tau_bad", "dominated")
-        samples = [
+        return [
             ("repro_plans_pruned_total", {"reason": reason}, delta[reason])
             for reason in reasons
             if delta.get(reason)
         ]
-        if delta.get("curve_import_hits"):
-            samples.append(
-                (
-                    "repro_curve_cache_hits_total",
-                    {"source": "store"},
-                    delta["curve_import_hits"],
-                )
-            )
-        return samples
 
 
 def journal_key(requirement: QualityRequirement) -> str:
-    """A requirement's key in an n-ary space's journal: ``"τg|τb"``."""
+    """A requirement's key in the answer journal: ``"τg|τb"``."""
     return f"{requirement.tau_good}|{requirement.tau_bad}"
 
 
 class MultiwayPlanSpace:
-    """The n-ary planner over one join graph, plus its journaled answers.
+    """The n-ary planner over one join graph."""
 
-    The journal maps :func:`journal_key` to an answer's :meth:`facts`; it
-    starts as whatever the store held for this space and grows with every
-    freshly planned requirement, so a restarted service can answer known
-    requirements from disk without replanning.
-    """
-
-    def __init__(
-        self, planner: MultiwayPlanner, journal: Dict[str, Dict[str, Any]]
-    ) -> None:
+    def __init__(self, planner: MultiwayPlanner) -> None:
         self.planner = planner
-        self.journal = dict(journal)
-        self._exported = len(self.journal)
         self._tallies: Dict[str, int] = {}
 
     def answer(self, requirement: QualityRequirement) -> PlannerResult:
         result = self.planner.optimize(requirement)
         for name, value in result.tallies.as_counters().items():
             self._tallies[name] = self._tallies.get(name, 0) + int(value)
-        self.journal[journal_key(requirement)] = self.facts(result)
         return result
 
     def tallies(self) -> Dict[str, int]:
@@ -219,11 +182,6 @@ class MultiwayPlanSpace:
                 }
             )
         return facts
-
-    def export(self) -> Tuple[Dict[str, Any], bool]:
-        grew = len(self.journal) > self._exported
-        self._exported = len(self.journal)
-        return dict(self.journal), grew
 
     def samples(self, delta: Dict[str, int]) -> List[Sample]:
         return [
@@ -266,6 +224,10 @@ class _Entry:
         self.results: Dict[Tuple[float, float], Any] = {}
         #: tallies already handed out by :meth:`PlanCache.unpublished`
         self.published: Dict[str, int] = {}
+        #: :func:`journal_key` -> facts of every answer computed here
+        self.journal: Dict[str, Dict[str, Any]] = {}
+        #: journal size at the last :meth:`PlanCache.unexported` hand-out
+        self.exported = 0
 
 
 class PlanCache:
@@ -338,6 +300,7 @@ class PlanCache:
             self.misses += 1
             result = entry.space.answer(requirement)
             entry.results[requirement_key] = result
+            entry.journal[journal_key(requirement)] = entry.space.facts(result)
             return entry.space, result, False
 
     def _retire(self, entry: _Entry) -> None:
@@ -394,17 +357,17 @@ class PlanCache:
             return entry.space.samples(delta) if delta else []
 
     def unexported(self, key: PlanCacheKey) -> Optional[Dict[str, Any]]:
-        """*key*'s journal payload if it grew since the last export, else None.
+        """*key*'s answer journal if it grew since the last call, else None.
 
-        The payload counts as exported from then on; the caller writes it
-        to the store.
+        The journal counts as exported from then on; the caller merges it
+        into the store's record.  A size check, so a hit costs O(1).
         """
         with self._lock:
             entry = self._entries.get(key)
-            if entry is None:
+            if entry is None or len(entry.journal) <= entry.exported:
                 return None
-            payload, grew = entry.space.export()
-            return payload if grew else None
+            entry.exported = len(entry.journal)
+            return dict(entry.journal)
 
     def aggregate_counters(self) -> Dict[str, int]:
         """Tallies summed over all spaces ever cached.

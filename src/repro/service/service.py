@@ -37,7 +37,9 @@ requests through a fixed worker pool:
   planner: repeated τ levels cost a dict lookup, a fully-warm execute
   reuses its generation's restored pilot and refit memoized on the
   binary space, and any statistics update or breaker-driven degradation
-  invalidates the affected entries;
+  invalidates the affected entries.  Every answer a healthy key computes
+  is journaled to the store, so a restarted service replies to a known
+  plan request from disk (``warm_planned``) without planning;
 * **extraction memo** — every execute environment is bound through the
   service's :class:`~repro.extraction.memo.ExtractionMemo`, so a
   document is extracted (at θ=0, every request θ filtering that one
@@ -231,7 +233,7 @@ class _PlanSource(NamedTuple):
     databases: Tuple[Any, ...]
     factory: Callable[[], PlanSpace]
     #: answers the store's journal record already holds, by ``"τg|τb"``
-    #: (always empty for the binary space, whose journal holds probes)
+    #: (empty under a degraded key, which never reads the record)
     journal: Dict[str, Dict[str, Any]]
 
 
@@ -1046,20 +1048,41 @@ class JoinService:
         databases = tuple(
             self.multiway.database_of(alias) for alias in graph.names
         )
+
+        def build() -> MultiwayPlanSpace:
+            return MultiwayPlanSpace(
+                MultiwayPlanner(graph, catalog, feasibility_margin=self.margin)
+            )
+
         with self._store_lock:
-            key = self._plan_key(request)
+            return self._journaled_source(
+                self._plan_key(request), databases, build
+            )
+
+    def _journaled_source(
+        self,
+        key: PlanCacheKey,
+        databases: Tuple[Any, ...],
+        build: Callable[[], PlanSpace],
+    ) -> _PlanSource:
+        """*key*'s plan source with the store's answer journal for it.
+
+        The one journal read for both kinds; the caller holds
+        ``_store_lock``.  A degraded key (unavailable paths) reads no
+        record: the journal is stored under the bare signature, so its
+        answers may use a path that is now dead.
+        """
+        record = None
+        if not key.unavailable_paths:
             record = self.store.curves_for(
                 key.signature, databases, key.generation
             )
-        journal = record["plans"] if record is not None else {}
 
-        def factory() -> MultiwayPlanSpace:
+        def factory() -> PlanSpace:
             self._count_curve_store(hit=record is not None)
-            planner = MultiwayPlanner(
-                graph, catalog, feasibility_margin=self.margin
-            )
-            return MultiwayPlanSpace(planner, journal)
+            return build()
 
+        journal = record["plans"] if record is not None else {}
         return _PlanSource(key, databases, factory, journal)
 
     def _binary_source(
@@ -1069,15 +1092,11 @@ class JoinService:
 
         Shared by plan mode and warm execute mode.  The caller holds
         ``_store_lock``, so the key's generation, the unavailable paths
-        and the persisted probes describe the same statistics as *stored*.
+        and the journal describe the same statistics as *stored*.
         """
-        key = self._plan_key(request)
         databases = (self.task.database1, self.task.database2)
-        record = self.store.curves_for(
-            key.signature, databases, key.generation
-        )
 
-        def factory() -> BinaryPlanSpace:
+        def build() -> BinaryPlanSpace:
             # For an unchanged corpus the stored statistics are the exact
             # values the warm-started driver would refit, so this catalog
             # is the one an execute-mode request would optimize over.
@@ -1101,15 +1120,11 @@ class JoinService:
                 costs=task.costs,
                 feasibility_margin=self.margin,
             )
-            space = BinaryPlanSpace(
-                optimizer,
-                self.plans,
-                record["plans"] if record is not None else None,
-            )
-            self._count_curve_store(hit=space.imported > 0)
-            return space
+            return BinaryPlanSpace(optimizer, self.plans)
 
-        return _PlanSource(key, databases, factory, {})
+        return self._journaled_source(
+            self._plan_key(request), databases, build
+        )
 
     def _count_curve_store(self, hit: bool) -> None:
         """Tally whether a new plan space found a stored journal record.
@@ -1151,13 +1166,18 @@ class JoinService:
         return self._plan_response(request, space.facts(result)), space, result
 
     def _persist(self, source: _PlanSource) -> None:
-        """Merge the cached space's journal payload into the store's record.
+        """Merge the cached entry's answer journal into the store's record.
 
-        Only when the payload grew since its last export — repeated
-        requirements over a warm store are read-only, so their responses
-        stay independent of request order.
+        Only when the journal grew since its last export and the merge
+        changes the record — repeated requirements over a warm store are
+        read-only, so their responses stay independent of request order.
+        A degraded key never writes: the record is keyed by the bare
+        signature, and a healthy restart must not serve an answer planned
+        while a path was dead.
         """
         key = source.key
+        if key.unavailable_paths:
+            return
         payload = self.plan_cache.unexported(key)
         if payload is None:
             return  # nothing new, or evicted since the optimization
@@ -1170,7 +1190,10 @@ class JoinService:
                 key.signature, source.databases, key.generation
             )
             if record is not None:
-                payload = {**record["plans"], **payload}
+                merged = {**record["plans"], **payload}
+                if merged == record["plans"]:
+                    return  # every answer was journaled already
+                payload = merged
             self.store.record_curves(
                 key.signature, source.databases, key.generation, payload
             )

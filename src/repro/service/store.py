@@ -12,9 +12,10 @@ estimated.  The :class:`StatisticsStore` is the service's memory:
   checkpoint (the exact observations a warm start resumes from), the
   estimated overlap-class sizes |Agg|/|Agb|/|Abg|/|Abb|, the convergence
   round count, the chosen plan, and the run's drift snapshots;
-* **curve records** — per task or join-graph identity: the optimizer's
-  effort-curve probes (or the n-ary planner's answers), valid only at
-  the statistics generation they were computed under.
+* **curve records** — per task or join-graph identity: the plan cache's
+  answer journal (``"τg|τb"`` → the answer's response facts), valid
+  only at the statistics generation it was computed under.  Both plan
+  spaces, binary and n-ary, journal the same way.
 
 Every record carries **corpus fingerprints**.  A fingerprint digests
 the database's identity, scan permutation seed, and every document's id
@@ -96,9 +97,9 @@ _TASK_SCHEMA: Dict[str, type] = {
     "rounds": int,
     "created_at": float,
 }
-#: persisted plan effort-curve probes: per task signature, the probe
-#: triples every plan's optimizer descent computed, valid only at the
-#: exact statistics generation they were computed under
+#: persisted plan answers: per task signature or join-graph key, the
+#: answer journal, valid only at the exact statistics generation it was
+#: computed under
 _CURVE_SCHEMA: Dict[str, type] = {
     "fingerprints": list,
     "generation": int,
@@ -317,8 +318,8 @@ class StatisticsStore:
         self._saved_generation = 0
         self.sides: Dict[str, Dict[str, Any]] = {}
         self.tasks: Dict[str, Dict[str, Any]] = {}
-        #: task signature -> persisted plan curve probes (advisory cache:
-        #: recording or dropping them never bumps the generation)
+        #: plan-space identity -> persisted answer journal (advisory cache:
+        #: recording or dropping one never bumps the generation)
         self.curves: Dict[str, Dict[str, Any]] = {}
         #: shard key -> canonical JSON of its last persisted records,
         #: for dirty detection (clean shards are skipped on save)
@@ -720,7 +721,7 @@ class StatisticsStore:
             rounds=record["rounds"],
         )
 
-    # -- curve records (persisted plan effort probes) --------------------------
+    # -- curve records (persisted plan answers) --------------------------------
 
     def record_curves(
         self,
@@ -730,13 +731,14 @@ class StatisticsStore:
         plans: Dict[str, Any],
         now: Optional[float] = None,
     ) -> str:
-        """Persist the optimizer's computed probe triples for a task.
+        """Persist a plan space's answer journal.
 
-        ``plans`` is :meth:`JoinOptimizer.export_probes` output.  The
+        ``plans`` maps ``"τg|τb"`` to an answer's response facts
+        (:meth:`~repro.service.plancache.PlanCache.unexported`).  The
         record is keyed to the *exact* statistics generation it was
-        computed under — curve shapes are functions of the stored
-        statistics, so any later mutation makes them unusable.  Recording
-        curves deliberately does **not** bump the generation: it is a
+        computed under — answers are functions of the stored statistics,
+        so any later mutation makes them unusable.  Recording
+        deliberately does **not** bump the generation: the journal is a
         derived cache, and bumping would invalidate the very plan-cache
         entries it exists to warm.
         """
@@ -754,12 +756,12 @@ class StatisticsStore:
         databases: Tuple[TextDatabase, TextDatabase],
         generation: int,
     ) -> Optional[Dict[str, Any]]:
-        """Stored probe triples for (signature, generation), or None.
+        """The stored answer journal for (signature, generation), or None.
 
         A record written under a different generation or a corpus whose
         fingerprint has changed is deleted rather than served: a stale
-        probe answered as current would silently corrupt the byte-identity
-        guarantee of the pruned optimizer.
+        answer served as current would be a plan over statistics the
+        store no longer holds.
         """
         record = self.curves.get(signature)
         if record is None:
@@ -844,11 +846,6 @@ class StatisticsStore:
                     "generation": record["generation"],
                     "created_at": record["created_at"],
                     "plans": len(record["plans"]),
-                    "probes": sum(
-                        len(entry.get("probes", ()))
-                        for entry in record["plans"].values()
-                        if isinstance(entry, dict)
-                    ),
                 }
                 for key, record in sorted(self.curves.items())
             },

@@ -5,7 +5,8 @@ cold execute, star3 plan mode over a grid (fresh plans, then the same
 requests on a service restarted over that store, answered
 ``warm_planned`` from the journal), and one degraded reply of each kind.
 Every reply is compared as canonical ``response_json`` text against
-``tests/plan_golden.json``.
+``tests/plan_golden.json``.  A second restart answers the binary grid
+from the same journal, each reply the golden one plus ``warm_planned``.
 
 The golden file is regenerated (only when a change is *meant* to alter
 plan answers) with::
@@ -20,6 +21,8 @@ import pathlib
 import sys
 import tempfile
 from typing import Dict
+
+import pytest
 
 from repro.service import AdmissionController, JoinRequest, JoinService
 from repro.service.admission import DEGRADE, AdmissionDecision
@@ -92,12 +95,19 @@ def plan_replies(task, scenario, root: str) -> Dict[str, str]:
     return replies
 
 
-def test_plan_replies_match_the_golden_file(hq_ex_task, tmp_path):
+@pytest.fixture(scope="module")
+def golden_run(hq_ex_task, tmp_path_factory):
+    """(the golden replies, the store they left behind)."""
     from repro.experiments import build_multiway_testbed
 
     scenario = build_multiway_testbed().scenario("star3")
+    root = str(tmp_path_factory.mktemp("plan-golden") / "store")
+    return plan_replies(hq_ex_task, scenario, root), root
+
+
+def test_plan_replies_match_the_golden_file(golden_run):
     expected = json.loads(GOLDEN.read_text())
-    actual = plan_replies(hq_ex_task, scenario, str(tmp_path / "store"))
+    actual, _ = golden_run
     assert sorted(actual) == sorted(expected)
     for key, reply in expected.items():
         assert actual[key] == reply, key
@@ -108,6 +118,18 @@ def test_plan_replies_match_the_golden_file(hq_ex_task, tmp_path):
     ]
     assert len(restarted) == len(MULTIWAY_GRID)
     assert all(reply["warm_planned"] is True for reply in restarted)
+
+
+def test_restarted_service_answers_binary_plans_from_the_journal(
+    hq_ex_task, golden_run
+):
+    replies, root = golden_run
+    with JoinService(hq_ex_task, root, workers=1) as restarted:
+        for good, bad in BINARY_GRID:
+            reply = restarted.execute(JoinRequest(good, bad, mode="plan"))
+            first = json.loads(replies[f"binary:plan:{good}:{bad}"])
+            assert reply == {**first, "warm_planned": True}, (good, bad)
+        assert restarted.plan_cache.stats()["misses"] == 0
 
 
 def main() -> None:

@@ -9,7 +9,7 @@ fully-evaluated plan must match byte-for-byte,
 and every pruned-away plan must be provably irrelevant in the reference
 (infeasible, or strictly slower than the chosen plan).  The underlying
 bound kernels carry their own dominance property tests, and the persisted
-curve cache must round-trip through the statistics store without
+answer journal must round-trip through the statistics store without
 perturbing a single float.
 """
 
@@ -209,49 +209,29 @@ class TestBoundSoundness:
 
 
 # ---------------------------------------------------------------------------
-# persisted curves: store round-trip and invalidation
+# persisted answer journal: store round-trip and invalidation
 # ---------------------------------------------------------------------------
 
 
 SIGNATURE = "hq-ex/test-signature"
+#: an answer journal as the service persists it: ``"τg|τb"`` -> facts
+ANSWERS = {
+    "40|1000000": {
+        "candidates": 64,
+        "feasible": 2,
+        "plan": "IDJN θ1=0.4 θ2=0.4 X1=AQG X2=AQG",
+        "predicted_good": 59.97,
+        "predicted_bad": 33.616,
+        "predicted_time": 603.745,
+        "effort_fraction": 0.15625,
+    },
+    "600|15": {"candidates": 64, "feasible": 0, "plan": None},
+}
 
 
 class TestCurvePersistence:
     def _databases(self, task):
         return (task.database1, task.database2)
-
-    def test_round_trip_identical_results(
-        self, tmp_path, hq_ex_task, plan_space, reference
-    ):
-        warm = _optimizer(hq_ex_task)
-        warm_results = _sweep(warm, plan_space)
-        payload = warm.export_probes()
-        assert warm.probe_count() > 0
-
-        store = StatisticsStore(str(tmp_path))
-        databases = self._databases(hq_ex_task)
-        store.record_curves(
-            SIGNATURE, databases, store.generation, payload
-        )
-        generation = store.generation
-        store.save()
-
-        reloaded = StatisticsStore(str(tmp_path))
-        assert reloaded.generation == 0
-        record = reloaded.curves_for(SIGNATURE, databases, generation)
-        assert record is not None
-        assert record["plans"] == payload
-
-        cold = _optimizer(hq_ex_task)
-        loaded = cold.import_probes(record["plans"], plan_space)
-        assert loaded > 0
-        results = _sweep(cold, plan_space)
-        assert_equivalent(results, reference)
-        assert_equivalent(results, warm_results)
-        # The imported probes must actually have been consumed: the cold
-        # optimizer answers from the store, not from fresh model calls.
-        assert cold.pruning.curve_import_hits > 0
-        assert cold.pruning.descent_probes < warm.pruning.descent_probes
 
     def test_record_curves_does_not_bump_generation(
         self, tmp_path, hq_ex_task
@@ -259,18 +239,14 @@ class TestCurvePersistence:
         store = StatisticsStore(str(tmp_path))
         before = store.generation
         store.record_curves(
-            SIGNATURE, self._databases(hq_ex_task), before, {"plans": {}}
+            SIGNATURE, self._databases(hq_ex_task), before, ANSWERS
         )
         assert store.generation == before
 
-    def test_generation_invalidation(self, tmp_path, hq_ex_task, plan_space):
-        optimizer = _optimizer(hq_ex_task)
-        optimizer.optimize(plan_space, GRID[0])
+    def test_generation_invalidation(self, tmp_path, hq_ex_task):
         store = StatisticsStore(str(tmp_path))
         databases = self._databases(hq_ex_task)
-        store.record_curves(
-            SIGNATURE, databases, store.generation, optimizer.export_probes()
-        )
+        store.record_curves(SIGNATURE, databases, store.generation, ANSWERS)
         stale = store.generation + 1
         assert store.curves_for(SIGNATURE, databases, stale) is None
         # The stale record is dropped, not retried on the next lookup.
@@ -281,26 +257,24 @@ class TestCurvePersistence:
     def test_fingerprint_invalidation(self, tmp_path, hq_ex_task):
         store = StatisticsStore(str(tmp_path))
         databases = self._databases(hq_ex_task)
-        store.record_curves(
-            SIGNATURE, databases, store.generation, {"some-plan": {}}
-        )
+        store.record_curves(SIGNATURE, databases, store.generation, ANSWERS)
         swapped = (databases[1], databases[0])
         assert store.curves_for(
             SIGNATURE, swapped, store.generation
         ) is None
 
     def test_sharded_store_round_trips_curves(self, tmp_path, hq_ex_task):
-        payload = {"plan-sig": {"max_effort": 10.0, "probes": [[1.0, 2.0, 3.0, 4.0]]}}
         databases = self._databases(hq_ex_task)
         store = StatisticsStore(str(tmp_path))
-        store.record_curves(SIGNATURE, databases, store.generation, payload)
+        store.record_curves(SIGNATURE, databases, store.generation, ANSWERS)
         generation = store.generation
         store.save()
 
         reloaded = StatisticsStore(str(tmp_path))
+        assert reloaded.generation == 0
         record = reloaded.curves_for(SIGNATURE, databases, generation)
         assert record is not None
-        assert record["plans"] == payload
+        assert record["plans"] == ANSWERS
 
 
 # ---------------------------------------------------------------------------

@@ -429,18 +429,51 @@ class TestJoinService:
         assert "repro_plans_pruned_total" in text
         assert "repro_service_curve_store" in text
 
-        # A fresh service over the same store imports the persisted
-        # curves: its descent answers from the store, and says so.
+        # A fresh service over the same store answers the journaled
+        # requirement from disk, and says so.
         with JoinService(
             hq_ex_task, str(service.store.root), workers=1
         ) as revived:
             again = revived.execute(
                 JoinRequest(tau_good=TAU_GOOD, tau_bad=TAU_BAD, mode="plan")
             )
-            assert again["plan"] == plan["plan"]
+            assert again == {**plan, "warm_planned": True}
             curve_stats = revived.stats()["curve_store"]
             assert curve_stats["hits"] >= 1
-            assert "repro_curve_cache_hits_total" in revived.render_metrics()
+
+    def test_degraded_key_neither_reads_nor_writes_the_journal(
+        self, hq_ex_task, tmp_path
+    ):
+        plan = JoinRequest(tau_good=TAU_GOOD, tau_bad=TAU_BAD, mode="plan")
+        databases = (hq_ex_task.database1, hq_ex_task.database2)
+        with JoinService(
+            hq_ex_task, str(tmp_path), workers=1, pilot_documents=PILOT
+        ) as service:
+            service.execute(JoinRequest(tau_good=TAU_GOOD, tau_bad=TAU_BAD))
+            service.execute(plan)  # journaled under the healthy key
+            generation = service.store.generation
+            journaled = dict(
+                service.store.curves_for(
+                    service.signature, databases, generation
+                )["plans"]
+            )
+            # The search interface dies: the next execute degrades
+            # around it, and later keys carry the dead paths.
+            service.fault_profile = FaultProfile(break_search_after=1)
+            degraded = service.execute(
+                JoinRequest(tau_good=TAU_GOOD, tau_bad=TAU_BAD)
+            )
+            assert degraded["degraded_paths"]
+            assert service.store.generation == generation
+            exports = service.stats()["curve_store"]["exports"]
+            for request in (plan, replace(plan, tau_good=20, tau_bad=60)):
+                reply = service.execute(request)
+                assert "warm_planned" not in reply, reply
+            assert service.stats()["curve_store"]["exports"] == exports
+            record = service.store.curves_for(
+                service.signature, databases, generation
+            )
+            assert record["plans"] == journaled
 
     def test_stats_and_health_and_metrics(self, warmed_service, hq_ex_task):
         service, _ = warmed_service
@@ -515,9 +548,6 @@ class _StubSpace:
 
     def facts(self, result):
         return {"answer": list(result)}
-
-    def export(self):
-        return {}, False
 
     def samples(self, delta):
         return [(name, {}, value) for name, value in sorted(delta.items())]

@@ -291,6 +291,12 @@ class TestMultiwayService:
         )
         try:
             warm = second.execute(JoinRequest.from_payload(star3_payload()))
+            # An execute replans the journaled requirement; the merged
+            # journal equals the stored record, so nothing is written.
+            second.execute(
+                JoinRequest.from_payload(star3_payload(mode="execute"))
+            )
+            assert second.stats()["curve_store"]["exports"] == 0
         finally:
             second.close()
         assert warm["warm_planned"] is True
