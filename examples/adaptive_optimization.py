@@ -58,7 +58,7 @@ for estimate, profile in (
 print(f"\nPilot rounds (cross-validation): {result.rounds}")
 print(f"Chosen plan: {result.chosen.plan.describe()}")
 
-report = result.execution.report
+report = result.report
 print(f"\nExecution:   {report.summary()}")
 print(f"Requirement actually met: {report.check(requirement)}")
 print(f"Total simulated time (pilot + execution): {result.total_time:.0f}s")

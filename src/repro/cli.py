@@ -512,7 +512,7 @@ def _cmd_adaptive(args: argparse.Namespace) -> int:
         return 1
     print(f"Pilot rounds: {result.rounds}")
     print(f"Chosen: {result.chosen.plan.describe()}")
-    report = result.execution.report
+    report = result.report
     print(f"Actual: {report.summary()}")
     _log_resilience(report)
     if result.degraded_paths:

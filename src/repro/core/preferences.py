@@ -40,6 +40,16 @@ class QualityRequirement:
     def bad_exceeded(self, n_bad: float) -> bool:
         return n_bad > self.tau_bad
 
+    def stops(self, est_good: float, est_bad: float) -> bool:
+        """The Figures 3/5/7 stopping condition on estimated quality: the
+        good tuples reach τg or the bad tuples exceed τb."""
+        return self.good_met(est_good) or self.bad_exceeded(est_bad)
+
+
+#: the requirement of a run with no quality target: it stops only on
+#: budgets or exhaustion
+UNLIMITED = QualityRequirement(tau_good=2**62, tau_bad=2**62)
+
 
 def requirement_from_precision(
     min_precision: float, k: int

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Set, Tuple
+from typing import Iterable, Iterator, List, Optional, Set, Tuple
 
 from .types import ExtractedTuple, RelationSchema
 
@@ -77,15 +77,18 @@ class ExtractedRelation:
 
     # -- attribute-value occurrence accounting (Section V-A) ---------------
 
-    def occurrence_counts(self, attribute_index: int) -> Tuple[Counter, Counter]:
+    def occurrence_counts(
+        self, attribute_index: int, end: Optional[int] = None
+    ) -> Tuple[Counter, Counter]:
         """Per-value counts of good and bad occurrences of an attribute.
 
         Returns ``(good, bad)`` Counters mapping attribute value -> number
         of occurrences, where each tuple contributes one occurrence of its
         value, labelled by the tuple's own label.  These are the observed
-        ``gr_i(a)`` and ``br_i(a)`` quantities of the analysis.
+        ``gr_i(a)`` and ``br_i(a)`` quantities of the analysis.  *end*
+        counts only the first *end* tuples (the relation as it was then).
         """
-        tuples = self._tuples
+        tuples = self._tuples if end is None else self._tuples[:end]
         good = Counter([t.values[attribute_index] for t in tuples if t.is_good])
         bad = Counter([t.values[attribute_index] for t in tuples if not t.is_good])
         return good, bad
@@ -134,6 +137,7 @@ def compose_join(
     left: ExtractedRelation,
     right: ExtractedRelation,
     join_attribute: str,
+    prefix: Tuple[Optional[int], Optional[int]] = (None, None),
 ) -> JoinComposition:
     """One-shot good/bad composition of ``left ⋈ right`` (Figure 2).
 
@@ -143,12 +147,14 @@ def compose_join(
         |Tgood⋈| = Σ_{a ∈ Agg} gr1(a) · gr2(a)
 
     and analogously for the bad components over Agb, Abg, Abb — the
-    closed-form Equation 1 that the analytical models estimate.
+    closed-form Equation 1 that the analytical models estimate.  *prefix*
+    joins only the first that many tuples of each relation (a recorded
+    run's relations at an earlier point).
     """
     li = left.schema.index_of(join_attribute)
     ri = right.schema.index_of(join_attribute)
-    g1, b1 = left.occurrence_counts(li)
-    g2, b2 = right.occurrence_counts(ri)
+    g1, b1 = left.occurrence_counts(li, prefix[0])
+    g2, b2 = right.occurrence_counts(ri, prefix[1])
     gg = gb = bg = bb = 0
     for a in set(g1) | set(b1):
         gg += g1.get(a, 0) * g2.get(a, 0)

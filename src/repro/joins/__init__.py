@@ -20,6 +20,7 @@ from .costs import CostModel, SideCosts
 from .idjn import IndependentJoin
 from .oijn import OuterInnerJoin
 from .stats_collector import ObservationCollector, RelationObservations
+from .trajectory import RunPoint, Trajectory, keep_recorded
 from .zgjn import ZigZagJoin
 
 __all__ = [
@@ -35,6 +36,9 @@ __all__ = [
     "OuterInnerJoin",
     "QualityEstimator",
     "RelationObservations",
+    "RunPoint",
     "SideCosts",
+    "Trajectory",
     "ZigZagJoin",
+    "keep_recorded",
 ]

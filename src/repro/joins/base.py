@@ -23,7 +23,12 @@ traversal order in ``run()``.  Everything else is here, once:
 * the run epilogue (:meth:`JoinAlgorithm._finish`): invariant checks,
   metrics and the :class:`~repro.core.quality.ExecutionReport`, whose
   composition is a fresh value per run (a binary report's good x bad
-  split is Equation 1 over the two relations, :func:`compose_join`).
+  split is Equation 1 over the two relations, :func:`compose_join`);
+* recording (:meth:`JoinAlgorithm.record`): a run that keeps a
+  :class:`~repro.joins.trajectory.RunPoint` at every stopping check and
+  at its end, so one run answers every requirement that stops on it
+  (:mod:`repro.joins.trajectory`).  The report itself is built from the
+  end point.
 
 Executors count their work instead of spanning it: no span per round,
 document or keyword query; processed documents, held tuples and each
@@ -40,6 +45,7 @@ point.  An n-ary side carries its own document cap.
 from __future__ import annotations
 
 import abc
+import functools
 from dataclasses import dataclass
 from typing import (
     Any,
@@ -51,13 +57,12 @@ from typing import (
     Protocol,
     Sequence,
     Tuple,
-    Union,
 )
 
-from ..core.preferences import QualityRequirement
+from ..core.preferences import UNLIMITED, QualityRequirement
 from ..core.quality import ExecutionReport, TimeBreakdown
 from ..core.join_state import TreeJoinState
-from ..core.relation import JoinComposition, MultiJoinComposition, compose_join
+from ..core.relation import ExtractedRelation, compose_join
 from ..core.types import ExtractedTuple
 from ..extraction.base import Extractor
 from ..observability.context import ObservabilityContext, ensure_observability
@@ -74,10 +79,13 @@ from ..textdb.document import Document
 from ..validation.invariants import active_checker
 from .costs import CostModel, SideCosts
 from .stats_collector import ObservationCollector
-
-#: one side's caps on (documents processed, documents retrieved, queries
-#: issued); None means uncapped
-Caps = Tuple[Optional[int], Optional[int], Optional[int]]
+from .trajectory import (
+    Caps,
+    Composition,
+    RunPoint,
+    Trajectory,
+    publish_join_gauges,
+)
 
 
 class QualityEstimator(Protocol):
@@ -152,8 +160,9 @@ class Budgets:
             self.max_queries(side),
         )
 
-
-UNLIMITED = QualityRequirement(tau_good=2**62, tau_bad=2**62)
+    def per_side(self) -> Tuple[Caps, Caps]:
+        """Both sides' caps, side 1 first (a trajectory's cap rule)."""
+        return self.caps(1), self.caps(2)
 
 
 @dataclass
@@ -195,21 +204,14 @@ class RunTally(NamedTuple):
     probes: ProbeTally
 
 
-def publish_join_gauges(
-    metrics: Any,
-    composition: Union[JoinComposition, MultiJoinComposition],
-    seconds: float,
-    collector: ObservationCollector,
-) -> None:
-    """Set the gauges a finished run leaves in *metrics*: its good/bad
-    join tuples, simulated seconds and per-side productive fraction."""
-    metrics.gauge("repro_join_tuples", label="good").set(composition.n_good)
-    metrics.gauge("repro_join_tuples", label="bad").set(composition.n_bad)
-    metrics.gauge("repro_simulated_seconds", component="total").set(seconds)
-    for side in range(1, len(collector) + 1):
-        metrics.gauge("repro_productive_fraction", side=side).set(
-            collector.side(side).productive_fraction
-        )
+class _Recording:
+    """The points a recorded run kept (see :meth:`JoinAlgorithm.record`)."""
+
+    def __init__(self) -> None:
+        self.points: List[RunPoint] = []
+        #: whether the latest stopping check stopped the run
+        self.stopped = False
+        self.end: Optional[RunPoint] = None
 
 
 class JoinAlgorithm(abc.ABC):
@@ -252,6 +254,7 @@ class JoinAlgorithm(abc.ABC):
             Callable[[TreeJoinState, TimeBreakdown], None]
         ] = None
         self._session: Optional[JoinSession] = None
+        self._recording: Optional[_Recording] = None
 
     @property
     def started(self) -> bool:
@@ -370,7 +373,12 @@ class JoinAlgorithm(abc.ABC):
     def _stopped(self, requirement: QualityRequirement) -> bool:
         """The Figures 3/5/7 stopping condition on the estimated quality."""
         est_good, est_bad = self.estimator.estimate(self._session.state)
-        return requirement.good_met(est_good) or requirement.bad_exceeded(est_bad)
+        stopped = requirement.stops(est_good, est_bad)
+        recording = self._recording
+        if recording is not None:
+            recording.points.append(self._point(est_good, est_bad))
+            recording.stopped = stopped
+        return stopped
 
     def _exhausted(self) -> bool:
         """Whether the join has nothing left to retrieve: every retriever
@@ -380,6 +388,72 @@ class JoinAlgorithm(abc.ABC):
     def _report_progress(self, state: TreeJoinState, time: TimeBreakdown) -> None:
         if self.on_progress is not None:
             self.on_progress(state, time)
+
+    # -- recording ------------------------------------------------------------
+
+    def record(self) -> None:
+        """Keep a :class:`RunPoint` at every stopping check of the next
+        run and at its end; :meth:`trajectory` hands them out.  Only a
+        fresh executor records: a trajectory starts from an empty join."""
+        if self.started:
+            raise RuntimeError("only a fresh executor records its run")
+        self._recording = _Recording()
+
+    def trajectory(self, caps: Sequence[Caps]) -> Trajectory:
+        """The recorded run under *caps* (one per side): its points up to
+        the first that reached a cap, and its end point when it ended by
+        exhaustion below them."""
+        recording = self._recording
+        if recording is None or recording.end is None:
+            raise RuntimeError("no recorded run has finished")
+        points = []
+        for point in recording.points:
+            if not point.below(caps):
+                break
+            points.append(point)
+        end = recording.end
+        complete = (
+            len(points) == len(recording.points)
+            and not recording.stopped
+            and end.below(caps)
+        )
+        return Trajectory(tuple(points), end if complete else None, self._composer())
+
+    def _point(self, good: Optional[float], bad: Optional[float]) -> RunPoint:
+        """The session's counts now, with the estimator's (*good*, *bad*)."""
+        session = self.session
+        state = session.state
+        time = session.time
+        access = []
+        accesses = rejected = 0
+        for side, retriever in self._retrievers.items():
+            counters = retriever.counters
+            access.append((side, counters.retrieved, counters.queries_issued))
+            accesses += counters.accesses
+            rejected += counters.rejected
+        for side, probe in self._probes.items():
+            access.append((side, probe.documents_retrieved, probe.queries_issued))
+            accesses += probe.accesses
+        collector = session.collector
+        return RunPoint(
+            good,
+            bad,
+            tuple(session.processed.values()),
+            tuple([len(relation) for relation in state.relations]),
+            tuple(
+                [collector.side(side).productive_fraction for side in session.processed]
+            ),
+            tuple(access),
+            accesses,
+            rejected,
+            (time.retrieval, time.extraction, time.filtering, time.querying),
+            self._exhausted(),
+            state.composition,
+        )
+
+    def _composer(self) -> Callable[[RunPoint], Composition]:
+        """A point's report composition: the state's own, as it was then."""
+        return _state_composition
 
     # -- work accounting and the run epilogue ---------------------------------
 
@@ -409,43 +483,22 @@ class JoinAlgorithm(abc.ABC):
         :class:`ExecutionReport`; accesses and FS rejections come from
         the retrievers' and probes' counters.
         """
-        counters = [retriever.counters for retriever in self._retrievers.values()]
-        probes = self._probes.values()
-        held = self._held().values()
-        return {
-            "accesses": float(
-                sum(c.accesses for c in counters) + sum(p.accesses for p in probes)
-            ),
-            "documents_retrieved": float(
-                sum(c.retrieved for c in counters)
-                + sum(p.documents_retrieved for p in probes)
-            ),
-            "documents_rejected": float(sum(c.rejected for c in counters)),
-            "documents_processed": float(sum(d for d, _ in held)),
-            "tuples_extracted": float(sum(t for _, t in held)),
-        }
+        return self._point(None, None).work()
 
     def _finish(
         self, requirement: QualityRequirement, tally: RunTally
     ) -> JoinExecution:
-        """The run's report; *tally* is :meth:`_tally` at the run's start."""
+        """The run's report, from its end point; *tally* is :meth:`_tally`
+        at the run's start."""
         session = self._session
         state = session.state
         collector = session.collector
-        time = session.time
-        retrieved = {
-            side: retriever.counters.retrieved
-            for side, retriever in self._retrievers.items()
-        }
-        queries = {
-            side: retriever.counters.queries_issued
-            for side, retriever in self._retrievers.items()
-        }
-        for side, probe in self._probes.items():
-            retrieved[side] = probe.documents_retrieved
-            queries[side] = probe.queries_issued
+        point = self._point(None, None)
+        if self._recording is not None:
+            self._recording.end = point
         checker = active_checker()
         if checker.enabled:
+            retrieved = {side: count for side, count, _ in point.access}
             for side in session.processed:
                 obs = collector.side(side)
                 checker.check_conservation(
@@ -460,10 +513,15 @@ class JoinAlgorithm(abc.ABC):
                     "documents_retrieved",
                     float(retrieved.get(side, 0)),
                 )
-        composition = self._composition()
+        composition = self._composer()(point)
+        report = point.report(
+            composition,
+            requirement,
+            self.resilience.report() if self.resilience is not None else None,
+        )
         observability = self.observability
         if observability.enabled:
-            # The report's composition comes from ``_composition()``: the
+            # The report's composition comes from ``_composer()``: the
             # state's own counts for an n-ary join, Equation 1 over the two
             # relations for a binary one. So the good/bad gauges are
             # available whenever labels exist in the corpus (telemetry only
@@ -484,38 +542,24 @@ class JoinAlgorithm(abc.ABC):
                         "repro_tuples_extracted_total", side=side
                     ).inc(extracted)
             publish_probe_work(metrics, tally.probes)
-            publish_join_gauges(metrics, composition, time.total, collector)
-        report = ExecutionReport(
-            composition=composition,
-            # Snapshot: the session's time keeps accumulating across
-            # resumed runs, but each report must be immutable history.
-            time=TimeBreakdown(
-                retrieval=time.retrieval,
-                extraction=time.extraction,
-                filtering=time.filtering,
-                querying=time.querying,
-            ),
-            documents_retrieved=retrieved,
-            documents_processed=dict(session.processed),
-            queries_issued=queries,
-            tuples_extracted={
-                side: len(state.relation(side)) for side in session.processed
-            },
-            satisfied=(
-                None
-                if requirement is UNLIMITED
-                else requirement.satisfied_by(composition.n_good, composition.n_bad)
-            ),
-            exhausted=self._exhausted(),
-            resilience=(
-                self.resilience.report() if self.resilience is not None else None
-            ),
-        )
+            publish_join_gauges(
+                metrics, composition, report.time.total, point.productive
+            )
         return JoinExecution(state=state, report=report, observations=collector)
 
-    def _composition(self) -> Union[JoinComposition, MultiJoinComposition]:
-        """The composition a run's report carries: the state's own."""
-        return self._session.state.composition
+
+def _state_composition(point: RunPoint) -> Composition:
+    return point.composition
+
+
+def _compose_prefix(
+    left: ExtractedRelation,
+    right: ExtractedRelation,
+    attribute: str,
+    point: RunPoint,
+) -> Composition:
+    """Equation 1 over the prefixes *point* held of a binary join."""
+    return compose_join(left, right, attribute, point.tuples)
 
 
 class BinaryJoin(JoinAlgorithm):
@@ -545,11 +589,15 @@ class BinaryJoin(JoinAlgorithm):
             self.inputs.join_attribute,
         )
 
-    def _composition(self) -> JoinComposition:
-        """The report's good x bad split, by Equation 1 over both relations."""
-        state = self._session.state
-        return compose_join(
-            state.relation(1), state.relation(2), state.edges[0].left_attribute
+    def _composer(self) -> Callable[[RunPoint], Composition]:
+        """A point's good x bad split, by Equation 1 over both relations'
+        prefixes then (relations only grow)."""
+        state = self.session.state
+        return functools.partial(
+            _compose_prefix,
+            state.relation(1),
+            state.relation(2),
+            state.edges[0].left_attribute,
         )
 
     @abc.abstractmethod

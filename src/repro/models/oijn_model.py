@@ -146,6 +146,39 @@ def _occurrence_arrays(
     )
 
 
+class _OuterVectors:
+    """The OIJN arrays that depend on the outer side alone: the
+    occurrence counts of its values in sorted order (per-value issuance)
+    and the class-mean issuance inputs (aggregate mode).
+
+    Built once per outer side by :func:`outer_vectors` and shared by every
+    inner side it is paired with; it holds no side.
+    """
+
+    def __init__(self, outer_side: SideStatistics) -> None:
+        values = sorted(
+            set(outer_side.good_frequency) | set(outer_side.bad_frequency)
+        )
+        self.occ = _occurrence_arrays(outer_side, values)
+        good_values = list(outer_side.good_frequency)
+        bad_only = [
+            v
+            for v in outer_side.bad_frequency
+            if v not in outer_side.good_frequency
+        ]
+        self.mean_good_occ = _occurrence_arrays(outer_side, good_values)
+        self.mean_bad_occ = _occurrence_arrays(outer_side, bad_only)
+
+
+def outer_vectors(outer_side: SideStatistics) -> _OuterVectors:
+    """*outer_side*'s :class:`_OuterVectors`, built once and attached to it."""
+    vectors = vars(outer_side).get("_oijn_outer")
+    if vectors is None:
+        vectors = _OuterVectors(outer_side)
+        object.__setattr__(outer_side, "_oijn_outer", vectors)
+    return vectors
+
+
 class _OIJNVectors:
     """Effort-independent arrays behind the OIJN model's evaluation.
 
@@ -155,8 +188,9 @@ class _OIJNVectors:
     union onto the side kernel's good/bad orderings.  :func:`oijn_vectors`
     builds one per triple and attaches it to the outer side, so the SC, FS
     and AQG plans over one catalog entry share it across all effort levels
-    and requirements.  It holds neither side: a self-join side must still
-    die by reference counting.
+    and requirements; the arrays of the outer side alone come from its
+    :func:`outer_vectors`, shared by every inner side.  It holds neither
+    side: a self-join side must still die by reference counting.
     """
 
     def __init__(
@@ -166,10 +200,10 @@ class _OIJNVectors:
         inner: int,
         overlap: Optional[ValueOverlapModel],
     ) -> None:
-        self.outer_values = sorted(
-            set(outer_side.good_frequency) | set(outer_side.bad_frequency)
-        )
-        self.outer_occ = _occurrence_arrays(outer_side, self.outer_values)
+        outer_only = outer_vectors(outer_side)
+        self.outer_occ = outer_only.occ
+        self.mean_good_occ = outer_only.mean_good_occ
+        self.mean_bad_occ = outer_only.mean_bad_occ
         self.inner_values = sorted(
             set(inner_side.good_frequency) | set(inner_side.bad_frequency)
         )
@@ -199,15 +233,6 @@ class _OIJNVectors:
         )
         self.good_matches = np.where(matched, good_matches, 0.0)
         self.bad_matches = np.where(matched, hits - good_matches, 0.0)
-        # class-mean issuance inputs (aggregate mode)
-        good_values = list(outer_side.good_frequency)
-        bad_only = [
-            v
-            for v in outer_side.bad_frequency
-            if v not in outer_side.good_frequency
-        ]
-        self.mean_good_occ = _occurrence_arrays(outer_side, good_values)
-        self.mean_bad_occ = _occurrence_arrays(outer_side, bad_only)
         # alignment of the union ordering onto the inner kernel's orderings
         self.inner_kernel = side_kernel(inner_side)
         index_of = {value: i for i, value in enumerate(self.inner_values)}

@@ -45,17 +45,18 @@ from ..estimation.online import (
     estimate_side,
     estimated_catalog,
 )
-from ..joins.base import Budgets, JoinAlgorithm, JoinExecution, publish_join_gauges
+from ..core.quality import ExecutionReport
+from ..joins.base import Budgets, JoinAlgorithm, JoinExecution, JoinInputs
 from ..joins.idjn import IndependentJoin
-from ..joins.base import JoinInputs
 from ..joins.stats_collector import ObservationCollector, RelationObservations
+from ..joins.trajectory import Trajectory, keep_recorded, publish_join_gauges
 from ..models.parameters import ValueOverlapModel
 from ..observability.context import ObservabilityContext, ensure_observability
 from ..observability.tracer import SpanKind
 from ..robustness.checkpoint import checkpoint_execution, restore_execution
 from ..robustness.context import AccessPathUnavailable
 from ..robustness.deadline import Deadline, DeadlineExceeded
-from ..robustness.degradation import split_path, surviving_plans
+from ..robustness.degradation import plans_without
 from .binder import ExecutionEnvironment, bind_plan, budgets_from_evaluation
 from .optimizer import JoinOptimizer, OptimizationResult, PlanEvaluation
 
@@ -185,8 +186,10 @@ class PilotWarmStart:
     #: side-2 parameters, overlap classes), and the serving layer's
     #: :class:`~repro.service.plancache.PlanCache` with the key and factory
     #: of the binary plan space built on them.  A run that restores the
-    #: pilot whole answers its first round through that space and memoizes
-    #: the restored pilot with its refit there (:class:`PilotMemo`)
+    #: pilot whole answers its first round through that space, memoizes
+    #: the restored pilot with its refit there (:class:`PilotMemo`), and
+    #: executes through the space's recorded runs
+    #: (:class:`~repro.joins.trajectory.Trajectory`, DESIGN §6.4)
     statistics: Optional[
         Tuple[EstimatedParameters, EstimatedParameters, ValueOverlapModel]
     ] = None
@@ -202,7 +205,10 @@ class AdaptiveResult:
     requirement: QualityRequirement
     chosen: Optional[PlanEvaluation]
     optimization: Optional[OptimizationResult]
-    execution: Optional[JoinExecution]
+    #: the chosen plan's execution report; None when no plan was feasible.
+    #: Only the report: an execute served from a recorded run
+    #: (DESIGN §6.4) has no join state of its own
+    report: Optional[ExecutionReport]
     pilot: JoinExecution
     estimates: Tuple[SideEstimate, SideEstimate]
     #: the overlap classes the final pilot refit derived with
@@ -229,17 +235,17 @@ class AdaptiveResult:
     #: was built with ``snapshot_pilot=True`` so callers (the service's
     #: statistics store) can warm-start later runs
     pilot_snapshot: Optional[Dict[str, Any]] = None
-    #: work totals of the executor whose report :attr:`execution` is
-    #: (:meth:`~repro.joins.base.JoinAlgorithm.work_counters`); empty when
-    #: no plan ran.  Pilot work is not in them: its fresh documents are
-    #: :attr:`pilot_fresh_documents`
+    #: work totals of the execution :attr:`report` describes
+    #: (:meth:`~repro.joins.base.JoinAlgorithm.work_counters`, or a
+    #: recorded point's); empty when no plan ran.  Pilot work is not in
+    #: them: its fresh documents are :attr:`pilot_fresh_documents`
     work: Dict[str, float] = field(default_factory=dict)
 
     @property
     def total_time(self) -> float:
         time = self.pilot.report.time.total
-        if self.execution is not None:
-            time += self.execution.report.time.total
+        if self.report is not None:
+            time += self.report.time.total
         return time
 
 
@@ -702,7 +708,10 @@ class AdaptiveJoinExecutor:
                     self.observability.metrics,
                     pilot.state.composition,
                     pilot.report.time.total,
-                    pilot.observations,
+                    [
+                        pilot.observations.side(side).productive_fraction
+                        for side in (1, 2)
+                    ],
                 )
         elif warm is not None:
             pilot, pilot_executor, documents = self._warm_pilot(warm)
@@ -717,6 +726,8 @@ class AdaptiveJoinExecutor:
         optimization: Optional[OptimizationResult] = None
         # Only the first round of a pilot restored whole may share.
         shared = self._restored_whole(warm) and warm.plan_cache is not None
+        #: the shared space's recorded runs, while the last round shared
+        trajectories: Optional[Dict[JoinPlanSpec, Trajectory]] = None
         while True:
             rounds += 1
             try:
@@ -761,6 +772,7 @@ class AdaptiveJoinExecutor:
                     space, optimization, _ = warm.plan_cache.optimize(
                         warm.plan_key, requirement, warm.plan_factory
                     )
+                trajectories = space.trajectories
                 if space.pilot is None:
                     # A racing fill stores an equal pilot and refit.
                     space.pilot = PilotMemo(
@@ -779,6 +791,7 @@ class AdaptiveJoinExecutor:
                     factory=warm.plan_factory,
                 )
             else:
+                trajectories = None
                 optimizer = self._optimizer(
                     (estimate1, estimate2),
                     overlap,
@@ -812,7 +825,7 @@ class AdaptiveJoinExecutor:
                 requirement=requirement,
                 chosen=None,
                 optimization=optimization,
-                execution=None,
+                report=None,
                 pilot=pilot,
                 estimates=(estimate1, estimate2),
                 overlap=overlap,
@@ -829,16 +842,26 @@ class AdaptiveJoinExecutor:
         target_good = int(
             math.ceil(requirement.tau_good * (1.0 + self.feasibility_margin))
         )
-        execution, executor, chosen, switches, degraded, wasted = (
-            self._execute(
-                requirement, target_good, chosen, (estimate1, estimate2), pilot
-            )
+        resilience = self.environment.resilience
+        if self.reoptimization_points or (
+            resilience is not None and resilience.injects_faults
+        ):
+            # Milestones re-plan mid-run and injected faults change what
+            # a run sees: neither run is a prefix of the recorded one.
+            trajectories = None
+        report, work, chosen, switches, degraded, wasted = self._execute(
+            requirement,
+            target_good,
+            chosen,
+            (estimate1, estimate2),
+            pilot,
+            trajectories,
         )
         return AdaptiveResult(
             requirement=requirement,
             chosen=chosen,
             optimization=optimization,
-            execution=execution,
+            report=report,
             pilot=pilot,
             estimates=(estimate1, estimate2),
             overlap=overlap,
@@ -850,7 +873,7 @@ class AdaptiveJoinExecutor:
             pilot_fresh_documents=self._pilot_fresh_documents,
             pilot_size=documents,
             pilot_snapshot=pilot_snapshot,
-            work=executor.work_counters(),
+            work=work,
         )
 
     # -- execution (with optional mid-flight re-optimization) -------------------
@@ -897,14 +920,6 @@ class AdaptiveJoinExecutor:
             merged.append(combined)
         return self._estimate_sides(merged)
 
-    def _side_of_path(self, path: str) -> int:
-        """Which join side an access path belongs to (by database name)."""
-        name, _ = split_path(path)
-        for side in (1, 2):
-            if name == self.environment.database(side).name:
-                return side
-        raise ValueError(f"access path {path!r} matches neither database")
-
     def _reoptimize(self, plans, requirement, estimates, pilot):
         """Optimize *plans* under the current estimates.
 
@@ -940,13 +955,53 @@ class AdaptiveJoinExecutor:
         executor.session.time.add(old_time)
         return executor
 
-    def _execute(self, requirement, target_good, chosen, estimates, pilot):
+    @staticmethod
+    def _budgets(chosen: PlanEvaluation) -> Budgets:
+        """The executor's safety budgets at *chosen*'s operating point."""
+        return budgets_from_evaluation(chosen.plan, chosen, slack=3.0)
+
+    def _serve(
+        self,
+        trajectories: Dict[JoinPlanSpec, Trajectory],
+        requirement: QualityRequirement,
+        chosen: PlanEvaluation,
+    ) -> Optional[Tuple[ExecutionReport, Dict[str, float]]]:
+        """The report and work of a fresh run of *chosen* to the stopping
+        target *requirement*, read off the plan's recorded run, or None
+        when that run cannot tell (DESIGN §6.4)."""
+        trajectory = trajectories.get(chosen.plan)
+        if trajectory is None:
+            return None
+        point = trajectory.stop_point(
+            requirement, self._budgets(chosen).per_side()
+        )
+        if point is None:
+            return None
+        observability = self.observability
+        with observability.phase("execute"), observability.span(
+            SpanKind.EXECUTE,
+            f"execute.{chosen.plan.join.value.lower()}",
+            plan=chosen.plan.describe(),
+            milestone=requirement.tau_good,
+        ):
+            return trajectory.answer(
+                point, requirement, self.environment.resilience, observability
+            )
+
+    def _execute(
+        self, requirement, target_good, chosen, estimates, pilot, trajectories=None
+    ):
         """Run the chosen plan, optionally re-optimizing at milestones.
 
-        Returns (final execution, its executor, final evaluation, number
+        Returns (final report, its work counters, final evaluation, number
         of plan switches, degraded access paths, wasted time).  On a switch, the
         produced base tuples are carried into the new plan's executor —
         the Section VI "build on the current execution" option.
+
+        With *trajectories*, the recorded runs of the shared plan space
+        (only without milestones), a target that stops on the chosen
+        plan's recorded run is answered from it, and any other run is
+        recorded and kept when it is the plan's longest (DESIGN §6.4).
 
         When a circuit breaker opens (an executor raises
         :class:`AccessPathUnavailable`), the optimizer *degrades*: it
@@ -956,7 +1011,19 @@ class AdaptiveJoinExecutor:
         (and reported as ``wasted_time``), so degradation never makes a
         run look cheaper than it was.
         """
+        if trajectories is not None:
+            served = self._serve(
+                trajectories,
+                QualityRequirement(
+                    tau_good=target_good, tau_bad=requirement.tau_bad
+                ),
+                chosen,
+            )
+            if served is not None:
+                return (*served, chosen, 0, [], 0.0)
         executor = self._build_executor(chosen.plan, estimates)
+        if trajectories is not None:
+            executor.record()
         switches = 0
         degraded: List[str] = []
         wasted = 0.0
@@ -982,10 +1049,7 @@ class AdaptiveJoinExecutor:
                     milestone=milestone,
                 ):
                     execution = executor.run(
-                        requirement=partial,
-                        budgets=budgets_from_evaluation(
-                            chosen.plan, chosen, slack=3.0
-                        ),
+                        requirement=partial, budgets=self._budgets(chosen)
                     )
             except DeadlineExceeded as expired:
                 self._attach_partial(
@@ -995,9 +1059,11 @@ class AdaptiveJoinExecutor:
             except AccessPathUnavailable as failure:
                 if len(degraded) >= self.max_degradations:
                     raise
-                side = self._side_of_path(failure.path)
-                _, operation = split_path(failure.path)
-                plans = surviving_plans(plans, side, operation)
+                plans = plans_without(
+                    plans,
+                    [failure.path],
+                    [self.environment.database(side).name for side in (1, 2)],
+                )
                 result = None
                 if plans:
                     result, _ = self._reoptimize(
@@ -1031,4 +1097,19 @@ class AdaptiveJoinExecutor:
             chosen = result.chosen
             estimates = new_estimates
             executor = self._carry_over(executor, chosen, estimates)
-        return execution, executor, chosen, switches, degraded, wasted
+        if trajectories is not None and not degraded:
+            # (A degraded run finished on a carried-over executor.)
+            keep_recorded(
+                trajectories,
+                chosen.plan,
+                executor.trajectory(self._budgets(chosen).per_side()),
+                self.observability,
+            )
+        return (
+            execution.report,
+            executor.work_counters(),
+            chosen,
+            switches,
+            degraded,
+            wasted,
+        )

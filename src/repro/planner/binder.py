@@ -18,10 +18,11 @@ condition does the fine-grained halt, the caps are the safety net, as in
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional
+from typing import List, Optional, Tuple
 
 from ..core.join_state import TreeEdge, TreeJoinState
 from ..joins.base import QualityEstimator
+from ..joins.trajectory import Caps
 from ..multiway.executor import (
     InterleavedNaryJoin,
     MultiwayIndependentJoin,
@@ -33,6 +34,30 @@ from .model import GraphCompositionModel
 from .plan import ExecutionStrategy, MultiwayPlan, PlannedEvaluation
 
 
+def multiway_caps(
+    graph: JoinGraph,
+    evaluation: PlannedEvaluation,
+    model: Optional[GraphCompositionModel] = None,
+    slack: float = 1.5,
+) -> Tuple[Caps, ...]:
+    """Each side's (documents, retrieved, queries) caps, in graph order,
+    for the executor :func:`bind_multiway_plan` binds: a document cap
+    from the predicted events at the plan's operating point (none
+    without a model)."""
+    if slack < 1.0:
+        raise ValueError("slack must be at least 1")
+    plan: MultiwayPlan = evaluation.plan
+    caps: List[Caps] = []
+    for name in graph.names:
+        documents: Optional[int] = None
+        if model is not None and evaluation.efforts:
+            config = plan.config_for(name)
+            events = model.retrieval_model(config).events(evaluation.efforts[name])
+            documents = max(1, int(math.ceil(events.processed * slack)))
+        caps.append((documents, None, None))
+    return tuple(caps)
+
+
 def bind_multiway_plan(
     environment: ExecutionEnvironment,
     graph: JoinGraph,
@@ -42,29 +67,22 @@ def bind_multiway_plan(
     slack: float = 1.5,
 ) -> MultiwayIndependentJoin:
     """Build a single-use n-ary executor for a planned evaluation."""
-    if slack < 1.0:
-        raise ValueError("slack must be at least 1")
+    caps = multiway_caps(graph, evaluation, model, slack)
     plan: MultiwayPlan = evaluation.plan
     extractors = [
         environment.extractor_at(name, plan.config_for(name).theta)
         for name in graph.names
     ]
     schemas = [extractor.schema for extractor in extractors]
-    caps: Dict[str, Optional[int]] = {name: None for name in graph.names}
-    if model is not None and evaluation.efforts:
-        for name in graph.names:
-            config = plan.config_for(name)
-            events = model.retrieval_model(config).events(evaluation.efforts[name])
-            caps[name] = max(1, int(math.ceil(events.processed * slack)))
     sides = [
         MultiwaySide(
             database=environment.database(name),
             extractor=extractor,
             retriever=environment.retriever(name, plan.config_for(name).retrieval),
             costs=environment.side_costs(name),
-            max_documents=caps[name],
+            max_documents=side_caps[0],
         )
-        for name, extractor in zip(graph.names, extractors)
+        for name, extractor, side_caps in zip(graph.names, extractors, caps)
     ]
     index_of = {name: i for i, name in enumerate(graph.names)}
     state = TreeJoinState(

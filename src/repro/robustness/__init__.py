@@ -35,6 +35,7 @@ from .degradation import (
     SEARCH,
     access_path,
     plan_uses_path,
+    plans_without,
     split_path,
     surviving_plans,
 )
@@ -99,6 +100,7 @@ __all__ = [
     "harden",
     "load_checkpoint",
     "plan_uses_path",
+    "plans_without",
     "raw_database",
     "restore_execution",
     "save_checkpoint",

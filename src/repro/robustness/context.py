@@ -111,6 +111,13 @@ class ResilienceContext:
         """Register a fault injector so its counts appear in reports."""
         self._injectors.append(database)
 
+    @property
+    def injects_faults(self) -> bool:
+        """Whether any database behind this context injects faults (a
+        :func:`~repro.robustness.environment.harden` profile that can
+        fire), so a run here may differ from a fault-free one."""
+        return bool(self._injectors)
+
     def call(self, path: str, fn: Callable[..., T], *args: Any) -> T:
         """Run one database access ``fn(*args)`` with breaker + retry
         protection.

@@ -12,7 +12,7 @@ specs that need it.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from ..core.plan import JoinKind, JoinPlanSpec, RetrievalKind
 
@@ -63,3 +63,29 @@ def surviving_plans(
 ) -> List[JoinPlanSpec]:
     """The plans that stay executable with (*side*, *operation*) down."""
     return [p for p in plans if not plan_uses_path(p, side, operation)]
+
+
+def side_of_path(path: str, database_names: Sequence[str]) -> int:
+    """Which join side (1 to n, in *database_names* order) *path*
+    belongs to, by its database name."""
+    name, _ = split_path(path)
+    for side, database_name in enumerate(database_names, start=1):
+        if name == database_name:
+            return side
+    raise ValueError(f"access path {path!r} matches no joined database")
+
+
+def plans_without(
+    plans: Iterable[JoinPlanSpec],
+    paths: Iterable[str],
+    database_names: Sequence[str],
+) -> List[JoinPlanSpec]:
+    """The plans that stay executable with every access path in *paths*
+    down, over the databases named *database_names* (side order)."""
+    survivors = list(plans)
+    for path in paths:
+        _, operation = split_path(path)
+        survivors = surviving_plans(
+            survivors, side_of_path(path, database_names), operation
+        )
+    return survivors

@@ -20,7 +20,8 @@ reuse one whose statistics have.
   chosen under superseded statistics are unreachable by construction;
 * the **paths** list binary access paths currently unavailable (breakers
   open, degradation in effect), so a plan chosen while all were healthy
-  is never served while one is dead; n-ary keys leave it empty.
+  is never served while one is dead, and the service builds such a
+  key's space over the surviving plans only; n-ary keys leave it empty.
 
 Within one live key the cache memoizes each requirement's answer, so a
 repeated (space, τg, τb) costs a dict lookup.  Each entry also keeps the
@@ -31,6 +32,11 @@ journal is all a restarted service needs to reply again without
 planning.  Tallies already published as metrics, the journal and how
 much of it was last exported live on the entry, so eviction drops that
 state together with the space.
+
+Each space also holds ``trajectories``: per executed plan, its longest
+recorded run (:mod:`repro.joins.trajectory`), which answers later
+executes that stop on it.  Like the binary space's pilot memo it
+describes the key's generation only, so it dies with the space.
 """
 
 from __future__ import annotations
@@ -51,7 +57,9 @@ from typing import (
 
 from ..core.plan import JoinPlanSpec
 from ..core.preferences import QualityRequirement
+from ..joins.trajectory import Trajectory
 from ..optimizer.optimizer import JoinOptimizer, OptimizationResult
+from ..planner.plan import MultiwayPlan
 from ..planner.planner import MultiwayPlanner, PlannerResult
 
 #: one counter increment: (metric name, labels, amount)
@@ -79,8 +87,9 @@ class BinaryPlanSpace:
     """The binary optimizer over one task's plans.
 
     It also memoizes the warm execute path's restored pilot and its
-    refit (:attr:`pilot`), so a store write, which changes the key, can
-    never serve a stale one, and eviction drops it with the entry.
+    refit (:attr:`pilot`) and the recorded run of each executed plan
+    (:attr:`trajectories`), so a store write, which changes the key, can
+    never serve a stale one, and eviction drops them with the entry.
     """
 
     def __init__(
@@ -92,6 +101,8 @@ class BinaryPlanSpace:
         #: it, with its refit (a read-only ``PilotMemo``), set by the
         #: first fully-warm run
         self.pilot: Optional[Any] = None
+        #: plan -> its longest recorded warm execute (DESIGN §6.4)
+        self.trajectories: Dict[JoinPlanSpec, Trajectory] = {}
 
     def answer(self, requirement: QualityRequirement) -> OptimizationResult:
         return self.optimizer.optimize(self.plans, requirement)
@@ -136,11 +147,14 @@ def journal_key(requirement: QualityRequirement) -> str:
 
 
 class MultiwayPlanSpace:
-    """The n-ary planner over one join graph."""
+    """The n-ary planner over one join graph, and the recorded run of
+    each executed plan (:attr:`trajectories`)."""
 
     def __init__(self, planner: MultiwayPlanner) -> None:
         self.planner = planner
         self._tallies: Dict[str, int] = {}
+        #: plan -> its longest recorded execute (DESIGN §6.4)
+        self.trajectories: Dict[MultiwayPlan, Trajectory] = {}
 
     def answer(self, requirement: QualityRequirement) -> PlannerResult:
         result = self.planner.optimize(requirement)

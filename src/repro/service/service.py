@@ -36,8 +36,10 @@ requests through a fixed worker pool:
   built from *stored* statistics — the binary optimizer or the n-ary
   planner: repeated τ levels cost a dict lookup, a fully-warm execute
   reuses its generation's restored pilot and refit memoized on the
-  binary space, and any statistics update or breaker-driven degradation
-  invalidates the affected entries.  Every answer a healthy key computes
+  binary space, a warm execute that stops on its plan's recorded run is
+  answered from it without running the join (DESIGN §6.4), and any
+  statistics update or breaker-driven degradation invalidates the
+  affected entries.  Every answer a healthy key computes
   is journaled to the store, so a restarted service replies to a known
   plan request from disk (``warm_planned``) without planning;
 * **extraction memo** — every execute environment is bound through the
@@ -80,6 +82,7 @@ from ..core.preferences import QualityRequirement
 from ..estimation.mle import EstimatedParameters
 from ..estimation.online import estimated_catalog
 from ..extraction.memo import ExtractionMemo
+from ..joins.trajectory import OUTCOMES, keep_recorded
 from ..models.parameters import ValueOverlapModel
 from ..observability.context import ObservabilityContext, ensure_observability
 from ..observability.events import FlightRecorder, TailSampler, WideEvent
@@ -91,11 +94,12 @@ from ..optimizer.adaptive import AdaptiveJoinExecutor, AdaptiveResult
 from ..optimizer.binder import ExecutionEnvironment
 from ..optimizer.enumerator import enumerate_plans
 from ..optimizer.optimizer import JoinOptimizer
-from ..planner.binder import bind_multiway_plan
+from ..planner.binder import bind_multiway_plan, multiway_caps
 from ..planner.graph import JoinGraph
 from ..planner.planner import MultiwayPlanner
 from ..robustness.checkpoint import CheckpointManager
 from ..robustness.deadline import Deadline, DeadlineExceeded
+from ..robustness.degradation import plans_without
 from ..robustness.environment import harden
 from ..robustness.faults import SWALLOWED_EXCEPTIONS, FaultProfile
 from .admission import DEGRADE, SHED, AdmissionController
@@ -986,11 +990,9 @@ class JoinService:
             ),
             "feasible": result.chosen is not None,
         }
-        if result.execution is not None:
+        if result.report is not None:
             response.update(
-                _execution_facts(
-                    result.execution.report, request.requirement, str
-                )
+                _execution_facts(result.report, request.requirement, str)
             )
             response["total_time"] = round(result.total_time, 6)
         if result.degraded_paths:
@@ -1095,6 +1097,7 @@ class JoinService:
         and the journal describe the same statistics as *stored*.
         """
         databases = (self.task.database1, self.task.database2)
+        key = self._plan_key(request)
 
         def build() -> BinaryPlanSpace:
             # For an unchanged corpus the stored statistics are the exact
@@ -1120,11 +1123,15 @@ class JoinService:
                 costs=task.costs,
                 feasibility_margin=self.margin,
             )
-            return BinaryPlanSpace(optimizer, self.plans)
+            # A degraded key plans only over the plans its paths allow.
+            plans = plans_without(
+                self.plans,
+                key.unavailable_paths,
+                [database.name for database in databases],
+            )
+            return BinaryPlanSpace(optimizer, plans)
 
-        return self._journaled_source(
-            self._plan_key(request), databases, build
-        )
+        return self._journaled_source(key, databases, build)
 
     def _count_curve_store(self, hit: bool) -> None:
         """Tally whether a new plan space found a stored journal record.
@@ -1250,13 +1257,18 @@ class JoinService:
                 expired.attach("optimize", plan=chosen.plan.describe())
                 raise
         graph = request.graph
-        executor = bind_multiway_plan(
-            self._environment(self.multiway, deadline, observability),
-            graph,
-            chosen,
-            model=space.planner.model,
-        )
-        with ensure_observability(observability).span(
+        environment = self._environment(self.multiway, deadline, observability)
+        context = ensure_observability(observability)
+        model = space.planner.model
+        caps = multiway_caps(graph, chosen, model=model)
+        # A run under injected faults is no prefix of the recorded one.
+        trajectories = trajectory = point = None
+        if not environment.resilience.injects_faults:
+            trajectories = space.trajectories
+            trajectory = trajectories.get(chosen.plan)
+        if trajectory is not None:
+            point = trajectory.stop_point(request.requirement, caps)
+        with context.span(
             SpanKind.SERVICE_REQUEST,
             "multiway-join",
             request_id=request_id,
@@ -1264,13 +1276,34 @@ class JoinService:
             tau_bad=request.tau_bad,
             graph=graph.describe(),
         ) as span:
-            try:
-                execution = executor.run(request.requirement)
-            except DeadlineExceeded as expired:
-                expired.attach("execute", plan=chosen.plan.describe())
-                raise
+            if point is not None:
+                answer = trajectory.answer(
+                    point,
+                    request.requirement,
+                    environment.resilience,
+                    context,
+                )
+            else:
+                executor = bind_multiway_plan(
+                    environment, graph, chosen, model=model
+                )
+                if trajectories is not None:
+                    executor.record()
+                try:
+                    execution = executor.run(request.requirement)
+                except DeadlineExceeded as expired:
+                    expired.attach("execute", plan=chosen.plan.describe())
+                    raise
+                if trajectories is not None:
+                    keep_recorded(
+                        trajectories,
+                        chosen.plan,
+                        executor.trajectory(caps),
+                        context,
+                    )
+                answer = execution.report, executor.work_counters()
+            report, work = answer
             # Per-access work is counted, never spanned (DESIGN §6.3).
-            work = executor.work_counters()
             span.set(**work)
         if observability is not None:
             observability.work.update(work)
@@ -1278,7 +1311,7 @@ class JoinService:
                 self.metrics.merge(observability.metrics.export_state())
         response.update(
             _execution_facts(
-                execution.report,
+                report,
                 request.requirement,
                 lambda side: graph.names[side - 1],
             )
@@ -1439,6 +1472,7 @@ class JoinService:
         "repro_service_queue_depth": "Requests currently queued.",
         "repro_service_workers": "Worker threads serving the pool.",
         "repro_planner_events_total": "Multiway planner search-space events (assignments, subplans enumerated/pruned, plan space), by event.",
+        OUTCOMES: "Warm executes by what they did with their plan's recorded run (served from it, extended it, or ran live beside it).",
         "repro_build_info": "Constant 1; build/runtime facts live in the labels.",
     }
 

@@ -92,15 +92,15 @@ class TestAdaptiveExecutor:
         requirement = QualityRequirement(tau_good=60, tau_bad=10**6)
         result = adaptive_factory().run(requirement)
         assert result.chosen is not None
-        assert result.execution is not None
-        assert result.execution.report.composition.n_good >= 60
+        assert result.report is not None
+        assert result.report.composition.n_good >= 60
 
     def test_impossible_requirement_returns_no_plan(self, adaptive_factory):
         result = adaptive_factory(cross_validate=False).run(
             QualityRequirement(tau_good=10**8, tau_bad=10**8)
         )
         assert result.chosen is None
-        assert result.execution is None
+        assert result.report is None
         assert result.pilot is not None
 
     def test_rounds_bounded(self, adaptive_factory):
@@ -119,7 +119,7 @@ class TestAdaptiveExecutor:
         result = adaptive_factory(cross_validate=False).run(
             QualityRequirement(tau_good=40, tau_bad=10**6)
         )
-        assert result.total_time > result.execution.report.time.total
+        assert result.total_time > result.report.time.total
 
     def test_estimates_exposed(self, adaptive_factory):
         result = adaptive_factory(cross_validate=False).run(
@@ -145,8 +145,8 @@ class TestAdaptiveExecutor:
             feasibility_margin=0.3,
             reoptimization_points=(0.4, 0.7),
         ).run(QualityRequirement(tau_good=80, tau_bad=10**6))
-        assert result.execution is not None
-        assert result.execution.report.composition.n_good >= 80
+        assert result.report is not None
+        assert result.report.composition.n_good >= 80
         assert result.plan_switches >= 0  # switching is possible, not forced
 
     def test_switch_carries_tuples_forward(self, hq_ex_task):
@@ -177,7 +177,7 @@ class TestAdaptiveExecutor:
             reoptimization_points=(0.25, 0.5, 0.75),
         )
         result = executor.run(QualityRequirement(tau_good=120, tau_bad=10**6))
-        assert result.execution is not None
+        assert result.report is not None
         # Whether or not a switch occurred, the accumulated result set is
         # consistent and the contract's good bound is met.
-        assert result.execution.report.composition.n_good >= 120
+        assert result.report.composition.n_good >= 120

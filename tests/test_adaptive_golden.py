@@ -103,8 +103,8 @@ def run(driver: AdaptiveJoinExecutor, requirement):
             for snapshot in observability.drift.snapshots
         ],
     }
-    if result.execution is not None:
-        report = result.execution.report
+    if result.report is not None:
+        report = result.report
         facts["composition"] = repr(report.composition)
         facts["time"] = repr(report.time.total)
         facts["documents"] = {

@@ -131,8 +131,8 @@ def binary_run(task, spec: str) -> Dict[str, object]:
         "degraded_paths": list(result.degraded_paths),
         "wasted_time": repr(result.wasted_time),
     }
-    if result.execution is not None:
-        facts.update(report_facts(result.execution.report))
+    if result.report is not None:
+        facts.update(report_facts(result.report))
     facts.update(
         resilience_facts(environment.resilience, environment.observability)
     )

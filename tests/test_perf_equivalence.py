@@ -293,6 +293,65 @@ class TestOIJNSharing:
         assert len(builds) == 8
         assert len({(id(a), id(b)) for a, b in builds}) == 8
 
+    def test_outer_batches_build_once_per_outer_side(
+        self, hq_ex_task, monkeypatch
+    ):
+        arrays = []
+        original = oijn_model._occurrence_arrays
+
+        def counting(side, values):
+            arrays.append(side)
+            return original(side, values)
+
+        monkeypatch.setattr(oijn_model, "_occurrence_arrays", counting)
+        outers = []
+        build = oijn_model._OuterVectors.__init__
+
+        def counting_outer(self, side):
+            outers.append(side)
+            build(self, side)
+
+        monkeypatch.setattr(oijn_model._OuterVectors, "__init__", counting_outer)
+        plans = enumerate_plans(
+            hq_ex_task.extractor1.name, hq_ex_task.extractor2.name
+        )
+        optimizer = JoinOptimizer(hq_ex_task.catalog(), costs=hq_ex_task.costs)
+        optimizer.optimize(plans, QualityRequirement(tau_good=20, tau_bad=40))
+        models = [
+            model
+            for model in optimizer._models.values()
+            if isinstance(model, OIJNModel)
+        ]
+        # 8 side pairs over 4 distinct outer sides (2 sides x 2 θ): three
+        # outer batches per outer side and one inner batch per pair, where
+        # building the outer batches per pair took 4 x 8 = 32
+        assert len({id(side) for side in outers}) == len(outers) == 4
+        assert len(arrays) == 3 * 4 + 8 < 4 * 8
+        for model in models:
+            vec = model._vec()
+            outer_side = model.statistics.side(model.outer)
+            values = sorted(
+                set(outer_side.good_frequency) | set(outer_side.bad_frequency)
+            )
+            good_values = list(outer_side.good_frequency)
+            bad_only = [
+                v
+                for v in outer_side.bad_frequency
+                if v not in outer_side.good_frequency
+            ]
+            for batches, expected_values in (
+                (vec.outer_occ, values),
+                (vec.mean_good_occ, good_values),
+                (vec.mean_bad_occ, bad_only),
+            ):
+                expected = original(outer_side, expected_values)
+                for batch, reference in zip(batches, expected):
+                    np.testing.assert_array_equal(
+                        batch.occurrences, reference.occurrences
+                    )
+            # the pair's vectors read the outer side's one set of batches
+            assert vec.outer_occ is oijn_model.outer_vectors(outer_side).occ
+
     def test_mixes_with_the_same_draws_hit_the_class_mean_memo(
         self, statistics
     ):

@@ -503,8 +503,8 @@ class TestAdaptiveUnderFaults:
         adaptive = self._build(hq_ex_task, environment)
         requirement = QualityRequirement(tau_good=40, tau_bad=99999)
         result = adaptive.run(requirement)
-        assert result.execution is not None
-        report = result.execution.report
+        assert result.report is not None
+        report = result.report
         assert report.check(requirement)
         assert report.resilience is not None
         assert report.resilience.total_faults > 0
@@ -525,7 +525,7 @@ class TestAdaptiveUnderFaults:
         result = adaptive.run(requirement)
         assert result.degraded_paths
         assert result.wasted_time >= 0.0
-        report = result.execution.report
+        report = result.report
         assert report.check(requirement)
         assert report.resilience.breaker_opens >= 1
         # The final plan must not touch any degraded path.

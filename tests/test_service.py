@@ -309,8 +309,8 @@ class TestWarmStart:
             warm.chosen.plan.describe() == cold_result.chosen.plan.describe()
         )
         assert (
-            warm.execution.report.composition
-            == cold_result.execution.report.composition
+            warm.report.composition
+            == cold_result.report.composition
         )
         assert warm.estimates[0].parameters == cold_result.estimates[0].parameters
 
@@ -474,6 +474,33 @@ class TestJoinService:
                 service.signature, databases, generation
             )
             assert record["plans"] == journaled
+
+    def test_degraded_key_plans_only_over_live_paths(
+        self, hq_ex_task, tmp_path
+    ):
+        with JoinService(
+            hq_ex_task,
+            str(tmp_path),
+            workers=1,
+            pilot_documents=PILOT,
+            fault_profile=FaultProfile(break_search_after=1),
+        ) as service:
+            degraded = service.execute(
+                JoinRequest(tau_good=TAU_GOOD, tau_bad=TAU_BAD)
+            )
+            assert degraded["degraded_paths"] == [
+                "nyt96:search",
+                "nyt95:search",
+            ]
+            reply = service.execute(
+                JoinRequest(tau_good=TAU_GOOD, tau_bad=TAU_BAD, mode="plan")
+            )
+        # Both search interfaces are dead: no AQG side, no query-driven
+        # join, as the degraded execute itself chose.
+        assert reply["plan"] != "IDJN θ1=0.4 θ2=0.4 X1=AQG X2=AQG"
+        assert reply["plan"] == degraded["plan"]
+        assert reply["plan"].startswith("IDJN") and "AQG" not in reply["plan"]
+        assert reply["candidates"] < len(service.plans)
 
     def test_stats_and_health_and_metrics(self, warmed_service, hq_ex_task):
         service, _ = warmed_service
