@@ -19,7 +19,7 @@
 import pytest
 
 from repro.core import JoinKind, QualityRequirement, RetrievalKind
-from repro.experiments import build_trajectories, format_table
+from repro.experiments import build_trajectories, format_table, time_to_meet
 from repro.joins import Budgets, IndependentJoin
 from repro.models import IDJNModel
 from repro.models.parameters import ValueOverlapModel
@@ -143,7 +143,7 @@ def test_feasibility_margin_near_ceiling(
         t for p, t in trajectories.items()
         if RetrievalKind.AQG in (p.retrieval1, p.retrieval2)
     ]
-    ceiling = max(t.goods[-1] for t in capped)
+    ceiling = max(t.end.composition.n_good for t in capped)
     requirement = QualityRequirement(int(ceiling * 0.9), 10**9)
 
     def run():
@@ -156,7 +156,7 @@ def test_feasibility_margin_near_ceiling(
             met = (
                 None
                 if chosen is None
-                else trajectories[chosen.plan].time_to_meet(requirement)
+                else time_to_meet(trajectories[chosen.plan], requirement)
             )
             outcome[label] = (chosen, met)
         return outcome

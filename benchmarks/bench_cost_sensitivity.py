@@ -18,9 +18,8 @@ per-plan trajectories executed under the same costs.
 
 import pytest
 
-from repro.core import QualityRequirement, RetrievalKind
-from repro.experiments import build_trajectories, format_table
-from repro.experiments.table2 import PlanTrajectory, record_trajectory
+from repro.core import QualityRequirement
+from repro.experiments import build_trajectories, format_table, time_to_meet
 from repro.joins import CostModel, SideCosts
 from repro.optimizer import JoinOptimizer, enumerate_plans
 
@@ -64,15 +63,18 @@ def test_cost_regimes_move_the_crossover(benchmark, task, plans, report_sink):
                     requirement = QualityRequirement(tau_good, tau_bad)
                     chosen = optimizer.optimize(plans, requirement).chosen
                     actual = (
-                        trajectories[chosen.plan].time_to_meet(requirement)
+                        time_to_meet(trajectories[chosen.plan], requirement)
                         if chosen
                         else None
                     )
                     best = min(
                         (
-                            t.time_to_meet(requirement)
-                            for t in trajectories.values()
-                            if t.time_to_meet(requirement) is not None
+                            time
+                            for time in (
+                                time_to_meet(t, requirement)
+                                for t in trajectories.values()
+                            )
+                            if time is not None
                         ),
                         default=None,
                     )

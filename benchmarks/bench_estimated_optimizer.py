@@ -14,7 +14,7 @@ import pytest
 from repro.core import QualityRequirement
 from repro import estimation
 from repro.estimation import ObservationContext, estimate_overlap, estimate_side
-from repro.experiments import build_trajectories, format_table
+from repro.experiments import build_trajectories, format_table, time_to_meet
 from repro.joins import Budgets, IndependentJoin
 from repro.optimizer import JoinOptimizer, enumerate_plans
 from repro.retrieval import ScanRetriever
@@ -92,9 +92,12 @@ def test_estimated_vs_truth_informed_choice(
             requirement = QualityRequirement(tau_good, tau_bad)
             actual_best = min(
                 (
-                    t.time_to_meet(requirement)
-                    for t in trajectories.values()
-                    if t.time_to_meet(requirement) is not None
+                    time
+                    for time in (
+                        time_to_meet(t, requirement)
+                        for t in trajectories.values()
+                    )
+                    if time is not None
                 ),
                 default=None,
             )
@@ -106,7 +109,7 @@ def test_estimated_vs_truth_informed_choice(
                 result = optimizer.optimize(plans, requirement)
                 chosen = result.chosen
                 actual_time = (
-                    trajectories[chosen.plan].time_to_meet(requirement)
+                    time_to_meet(trajectories[chosen.plan], requirement)
                     if chosen is not None
                     else None
                 )

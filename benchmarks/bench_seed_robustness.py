@@ -21,6 +21,7 @@ from repro.experiments import (
     build_trajectories,
     format_table,
     run_figure9,
+    time_to_meet,
 )
 from repro.optimizer import JoinOptimizer, enumerate_plans
 
@@ -49,15 +50,18 @@ def test_headlines_across_seeds(benchmark, report_sink):
                 requirement = QualityRequirement(tau_good, tau_bad)
                 chosen = optimizer.optimize(plans, requirement).chosen
                 actual = (
-                    trajectories[chosen.plan].time_to_meet(requirement)
+                    time_to_meet(trajectories[chosen.plan], requirement)
                     if chosen
                     else None
                 )
                 best = min(
                     (
-                        t.time_to_meet(requirement)
-                        for t in trajectories.values()
-                        if t.time_to_meet(requirement) is not None
+                        time
+                        for time in (
+                            time_to_meet(t, requirement)
+                            for t in trajectories.values()
+                        )
+                        if time is not None
                     ),
                     default=None,
                 )

@@ -20,11 +20,11 @@ from .reporting import (
 from .sweeps import FrontierPoint, format_frontier, quality_frontier
 from .table2 import (
     TABLE2_REQUIREMENTS,
-    PlanTrajectory,
     Table2Row,
     build_trajectories,
     record_trajectory,
     run_table2,
+    time_to_meet,
 )
 from .testbed import (
     CHARACTERIZATION_THETAS,
@@ -50,7 +50,6 @@ __all__ = [
     "MultiwayConfig",
     "MultiwayScenario",
     "MultiwayTestbed",
-    "PlanTrajectory",
     "TABLE2_REQUIREMENTS",
     "Table2Row",
     "Testbed",
@@ -74,5 +73,6 @@ __all__ = [
     "run_figure12",
     "run_table2",
     "task_statistics",
+    "time_to_meet",
     "write_report",
 ]

@@ -5,73 +5,49 @@ chose, how many candidate plans *actually* meet the requirement, how many
 of those are faster/slower than the chosen plan, and the relative-time
 ranges of both groups.
 
-Actual per-plan behaviour is obtained from a single exhaustive execution
-per plan: the progress hook records the (time, good, bad) trajectory, and
-the earliest requirement-satisfying point yields the plan's actual time at
-any (τg, τb) — both quality counts are monotone in execution progress, so
-one trajectory serves every requirement row.
+Actual per-plan behaviour comes from one recorded exhaustive run per
+plan (:meth:`~repro.joins.base.JoinAlgorithm.record`): a requirement's
+run stops at the first recorded stopping check that meets τg or exceeds
+τb (:meth:`~repro.joins.trajectory.Trajectory.serve`), and the plan's
+actual time is that run's time when it met the requirement.  Both quality
+counts only grow as a run goes on, so one trajectory serves every row.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.plan import JoinPlanSpec
 from ..core.preferences import QualityRequirement
-from ..joins.base import JoinExecution
+from ..joins.base import Budgets
+from ..joins.trajectory import Trajectory
 from ..optimizer.binder import bind_plan
 from ..optimizer.enumerator import enumerate_plans
-from ..optimizer.optimizer import JoinOptimizer, OptimizationResult
+from ..optimizer.optimizer import JoinOptimizer
 from .testbed import JoinTask
 
-
-@dataclass
-class PlanTrajectory:
-    """The quality/time trajectory of one plan run to exhaustion."""
-
-    plan: JoinPlanSpec
-    times: List[float]
-    goods: List[int]
-    bads: List[int]
-    final: JoinExecution
-
-    def time_to_meet(self, requirement: QualityRequirement) -> Optional[float]:
-        """Earliest execution time satisfying (τg, τb), or None.
-
-        ``goods`` is non-decreasing, so the first point reaching τg is
-        found by bisection; if the bad count at that point already exceeds
-        τb, no later point can repair it (bads are non-decreasing too).
-        """
-        index = bisect_left(self.goods, requirement.tau_good)
-        if index >= len(self.goods):
-            return None
-        if self.bads[index] > requirement.tau_bad:
-            return None
-        return self.times[index]
+#: no caps on either side: a Table II run goes to exhaustion
+UNCAPPED = Budgets().per_side()
 
 
-def record_trajectory(task: JoinTask, plan: JoinPlanSpec) -> PlanTrajectory:
-    """Run *plan* to exhaustion, recording its quality/time trajectory."""
+def record_trajectory(task: JoinTask, plan: JoinPlanSpec) -> Trajectory:
+    """Run *plan* to exhaustion and return its recorded run."""
     executor = bind_plan(
         task.environment(plan.extractor1.theta, plan.extractor2.theta), plan
     )
-    times: List[float] = [0.0]
-    goods: List[int] = [0]
-    bads: List[int] = [0]
+    executor.record()
+    executor.run()
+    return executor.trajectory(UNCAPPED)
 
-    def observe(state, time) -> None:
-        times.append(time.total)
-        goods.append(state.composition.n_good)
-        bads.append(state.composition.n_bad)
 
-    executor.on_progress = observe
-    final = executor.run()
-    times.append(final.report.time.total)
-    goods.append(final.report.composition.n_good)
-    bads.append(final.report.composition.n_bad)
-    return PlanTrajectory(plan=plan, times=times, goods=goods, bads=bads, final=final)
+def time_to_meet(
+    trajectory: Trajectory, requirement: QualityRequirement
+) -> Optional[float]:
+    """The time a run of *trajectory*'s plan takes to meet (τg, τb), or
+    None when it stops without meeting it."""
+    report, _ = trajectory.serve(requirement, UNCAPPED)
+    return report.time.total if report.satisfied else None
 
 
 @dataclass(frozen=True)
@@ -108,7 +84,7 @@ def run_table2(
     requirements: Sequence[Tuple[int, int]] = TABLE2_REQUIREMENTS,
     plans: Optional[Sequence[JoinPlanSpec]] = None,
     optimizer: Optional[JoinOptimizer] = None,
-    trajectories: Optional[Dict[JoinPlanSpec, PlanTrajectory]] = None,
+    trajectories: Optional[Dict[JoinPlanSpec, Trajectory]] = None,
 ) -> List[Table2Row]:
     """Reproduce Table II over a requirement grid.
 
@@ -124,14 +100,14 @@ def run_table2(
             task.catalog(), costs=task.costs, feasibility_margin=0.15
         )
     if trajectories is None:
-        trajectories = {plan: record_trajectory(task, plan) for plan in plans}
+        trajectories = build_trajectories(task, plans)
     rows: List[Table2Row] = []
     for tau_good, tau_bad in requirements:
         requirement = QualityRequirement(tau_good=tau_good, tau_bad=tau_bad)
         result = optimizer.optimize(list(plans), requirement)
         chosen_plan = result.chosen.plan if result.chosen else None
         actual_times = {
-            plan: trajectory.time_to_meet(requirement)
+            plan: time_to_meet(trajectory, requirement)
             for plan, trajectory in trajectories.items()
         }
         feasible = {
@@ -171,6 +147,7 @@ def run_table2(
 
 def build_trajectories(
     task: JoinTask, plans: Sequence[JoinPlanSpec]
-) -> Dict[JoinPlanSpec, PlanTrajectory]:
-    """Exhaustive executions of every plan (reusable across Table II rows)."""
+) -> Dict[JoinPlanSpec, Trajectory]:
+    """Recorded exhaustive runs of every plan (reusable across Table II
+    rows)."""
     return {plan: record_trajectory(task, plan) for plan in plans}

@@ -48,7 +48,6 @@ import abc
 import functools
 from dataclasses import dataclass
 from typing import (
-    Any,
     Callable,
     Dict,
     List,
@@ -246,13 +245,6 @@ class JoinAlgorithm(abc.ABC):
         #: tracing/metrics context shared with this executor's retrievers
         #: and probes; defaults to the no-op context (zero overhead)
         self.observability = ensure_observability(observability)
-        #: Optional hook called after each unit of work with the live
-        #: (state, time).  Lets experiment harnesses record quality/time
-        #: trajectories from a single exhaustive run instead of re-running
-        #: a plan per requirement level.
-        self.on_progress: Optional[
-            Callable[[TreeJoinState, TimeBreakdown], None]
-        ] = None
         self._session: Optional[JoinSession] = None
         self._recording: Optional[_Recording] = None
 
@@ -384,10 +376,6 @@ class JoinAlgorithm(abc.ABC):
         """Whether the join has nothing left to retrieve: every retriever
         is exhausted (ZGJN overrides this with its query queues)."""
         return all(retriever.exhausted for retriever in self._retrievers.values())
-
-    def _report_progress(self, state: TreeJoinState, time: TimeBreakdown) -> None:
-        if self.on_progress is not None:
-            self.on_progress(state, time)
 
     # -- recording ------------------------------------------------------------
 

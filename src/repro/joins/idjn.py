@@ -69,8 +69,6 @@ class IndependentJoin(BinaryJoin):
         requirement: QualityRequirement = UNLIMITED,
         budgets: Budgets = Budgets(),
     ) -> JoinExecution:
-        session = self.session
-        state = session.state
         caps = {side: budgets.caps(side) for side in (1, 2)}
         tally = self._tally()
         while not self._stopped(requirement) and (
@@ -81,5 +79,4 @@ class IndependentJoin(BinaryJoin):
                     if not self._side_open(side, caps[side]):
                         break
                     self._step(side)
-            self._report_progress(state, session.time)
         return self._finish(requirement, tally)

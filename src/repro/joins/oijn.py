@@ -84,8 +84,7 @@ class OuterInnerJoin(BinaryJoin):
         requirement: QualityRequirement = UNLIMITED,
         budgets: Budgets = Budgets(),
     ) -> JoinExecution:
-        session = self.session
-        state = session.state
+        state = self.session.state
         outer, inner = self.outer, self.inner
         outer_caps = budgets.caps(outer)
         outer_join_index = state.join_indexes[outer - 1]
@@ -98,7 +97,6 @@ class OuterInnerJoin(BinaryJoin):
             outer_tuples = self._step(outer)
             if outer_tuples is None:
                 break
-            self._report_progress(state, session.time)
             # -- probe the inner relation for each new join value -------------
             for query in self._queries_from(outer_tuples, outer_join_index):
                 stopped = self._stopped(requirement)
@@ -113,7 +111,6 @@ class OuterInnerJoin(BinaryJoin):
                     # see nothing.
                     continue
                 self._process_fetched(inner, fresh, budgets)
-                self._report_progress(state, session.time)
         return self._finish(requirement, tally)
 
     def _queries_from(

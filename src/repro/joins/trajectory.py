@@ -26,6 +26,8 @@ checks, and a :class:`Trajectory` keeps that sequence (DESIGN §6.4):
   not the fresh run to the larger target.  :func:`keep_recorded` replaces
   a plan's stored trajectory only with a longer one.
 
+:func:`serve_or_record` is the one path that serves or records.
+
 Points and trajectories are immutable once recorded, so readers share
 them without a lock.
 """
@@ -189,6 +191,19 @@ class Trajectory:
         end = self.end
         return end if end is not None and end.below(caps) else None
 
+    def serve(
+        self,
+        requirement: QualityRequirement,
+        caps: Sequence[Caps],
+        resilience: Optional[ResilienceContext] = None,
+        observability: Optional[ObservabilityContext] = None,
+    ) -> Optional[Tuple[ExecutionReport, Dict[str, float]]]:
+        """:meth:`answer` at :meth:`stop_point`, or None (run it live)."""
+        point = self.stop_point(requirement, caps)
+        if point is not None:
+            return self.answer(point, requirement, resilience, observability)
+        return None
+
     def answer(
         self,
         point: RunPoint,
@@ -244,6 +259,32 @@ def keep_recorded(
     ).inc()
 
 
+def serve_or_record(
+    trajectories: MutableMapping[Any, Trajectory],
+    plan: Any,
+    requirement: QualityRequirement,
+    caps: Sequence[Caps],
+    bind: Callable[[], Any],
+    run: Callable[[Any], Any],
+    resilience: Optional[ResilienceContext],
+    observability: ObservabilityContext,
+) -> Tuple[ExecutionReport, Dict[str, float]]:
+    """The report and work counters of a fresh run of *plan* under
+    *requirement* and *caps*: served from the plan's stored trajectory
+    when it stops there, else from the executor *bind* makes, recorded
+    while *run* runs it (the caller's failure handling) and kept."""
+    trajectory = trajectories.get(plan)
+    if trajectory is not None:
+        served = trajectory.serve(requirement, caps, resilience, observability)
+        if served is not None:
+            return served
+    executor = bind()
+    executor.record()
+    execution = run(executor)
+    keep_recorded(trajectories, plan, executor.trajectory(caps), observability)
+    return execution.report, executor.work_counters()
+
+
 __all__ = [
     "OUTCOMES",
     "Caps",
@@ -252,4 +293,5 @@ __all__ = [
     "Trajectory",
     "keep_recorded",
     "publish_join_gauges",
+    "serve_or_record",
 ]

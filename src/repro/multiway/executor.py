@@ -112,7 +112,6 @@ class MultiwayIndependentJoin(JoinAlgorithm):
         return open_sides
 
     def run(self, requirement: QualityRequirement = UNLIMITED) -> JoinExecution:
-        session = self.session
         tally = self._tally()
         while not self._stopped(requirement):
             open_sides = [
@@ -123,7 +122,6 @@ class MultiwayIndependentJoin(JoinAlgorithm):
                 break
             for side in self._round_sides(open_sides):
                 self._step(side)
-            self._report_progress(self.state, session.time)
         return self._finish(requirement, tally)
 
 

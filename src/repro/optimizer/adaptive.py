@@ -49,7 +49,7 @@ from ..core.quality import ExecutionReport
 from ..joins.base import Budgets, JoinAlgorithm, JoinExecution, JoinInputs
 from ..joins.idjn import IndependentJoin
 from ..joins.stats_collector import ObservationCollector, RelationObservations
-from ..joins.trajectory import Trajectory, keep_recorded, publish_join_gauges
+from ..joins.trajectory import Trajectory, publish_join_gauges, serve_or_record
 from ..models.parameters import ValueOverlapModel
 from ..observability.context import ObservabilityContext, ensure_observability
 from ..observability.tracer import SpanKind
@@ -773,6 +773,8 @@ class AdaptiveJoinExecutor:
                         warm.plan_key, requirement, warm.plan_factory
                     )
                 trajectories = space.trajectories
+                # Its cross-validation is of the stored pilot: the space's.
+                verdicts = space.verdicts
                 if space.pilot is None:
                     # A racing fill stores an equal pilot and refit.
                     space.pilot = PilotMemo(
@@ -791,7 +793,7 @@ class AdaptiveJoinExecutor:
                     factory=warm.plan_factory,
                 )
             else:
-                trajectories = None
+                trajectories, verdicts = None, {}
                 optimizer = self._optimizer(
                     (estimate1, estimate2),
                     overlap,
@@ -808,9 +810,12 @@ class AdaptiveJoinExecutor:
                 break
             if not self.cross_validate or rounds >= self.max_rounds:
                 break
-            if self._stable_choice(
-                pilot, requirement, optimization.chosen.plan
-            ):
+            stable = verdicts.get(requirement)
+            if stable is None:
+                stable = verdicts[requirement] = self._stable_choice(
+                    pilot, requirement, optimization.chosen.plan
+                )
+            if stable:
                 break
             documents *= 2
             pilot, pilot_executor = self._run_pilot(documents)
@@ -843,20 +848,21 @@ class AdaptiveJoinExecutor:
             math.ceil(requirement.tau_good * (1.0 + self.feasibility_margin))
         )
         resilience = self.environment.resilience
-        if self.reoptimization_points or (
-            resilience is not None and resilience.injects_faults
+        # Milestones re-plan mid-run and injected faults change what a
+        # run sees: neither run is a prefix of the recorded one.
+        if (
+            trajectories is not None
+            and not self.reoptimization_points
+            and not (resilience is not None and resilience.injects_faults)
         ):
-            # Milestones re-plan mid-run and injected faults change what
-            # a run sees: neither run is a prefix of the recorded one.
-            trajectories = None
-        report, work, chosen, switches, degraded, wasted = self._execute(
-            requirement,
-            target_good,
-            chosen,
-            (estimate1, estimate2),
-            pilot,
-            trajectories,
-        )
+            report, work = self._serve_or_record(
+                trajectories, requirement, target_good, chosen, (estimate1, estimate2)
+            )
+            switches, degraded, wasted = 0, [], 0.0
+        else:
+            report, work, chosen, switches, degraded, wasted = self._execute(
+                requirement, target_good, chosen, (estimate1, estimate2), pilot
+            )
         return AdaptiveResult(
             requirement=requirement,
             chosen=chosen,
@@ -960,48 +966,55 @@ class AdaptiveJoinExecutor:
         """The executor's safety budgets at *chosen*'s operating point."""
         return budgets_from_evaluation(chosen.plan, chosen, slack=3.0)
 
-    def _serve(
+    def _serve_or_record(
         self,
         trajectories: Dict[JoinPlanSpec, Trajectory],
         requirement: QualityRequirement,
+        target_good: int,
         chosen: PlanEvaluation,
-    ) -> Optional[Tuple[ExecutionReport, Dict[str, float]]]:
-        """The report and work of a fresh run of *chosen* to the stopping
-        target *requirement*, read off the plan's recorded run, or None
-        when that run cannot tell (DESIGN §6.4)."""
-        trajectory = trajectories.get(chosen.plan)
-        if trajectory is None:
-            return None
-        point = trajectory.stop_point(
-            requirement, self._budgets(chosen).per_side()
-        )
-        if point is None:
-            return None
+        estimates,
+    ) -> Tuple[ExecutionReport, Dict[str, float]]:
+        """The report and work of a fresh run of *chosen* to *target_good*,
+        served or recorded (DESIGN §6.4).  It has no degradation: with no
+        injected fault no breaker opens."""
+        plan = chosen.plan
+        budgets = self._budgets(chosen)
+        stop = QualityRequirement(tau_good=target_good, tau_bad=requirement.tau_bad)
+
+        def run(executor: JoinAlgorithm) -> JoinExecution:
+            try:
+                return executor.run(requirement=stop, budgets=budgets)
+            except DeadlineExceeded as expired:
+                self._attach_partial(
+                    expired, "execute", executor, plan=plan.describe()
+                )
+                raise
+
         observability = self.observability
         with observability.phase("execute"), observability.span(
             SpanKind.EXECUTE,
-            f"execute.{chosen.plan.join.value.lower()}",
-            plan=chosen.plan.describe(),
-            milestone=requirement.tau_good,
+            f"execute.{plan.join.value.lower()}",
+            plan=plan.describe(),
+            milestone=target_good,
         ):
-            return trajectory.answer(
-                point, requirement, self.environment.resilience, observability
+            return serve_or_record(
+                trajectories,
+                plan,
+                stop,
+                budgets.per_side(),
+                functools.partial(self._build_executor, plan, estimates),
+                run,
+                self.environment.resilience,
+                observability,
             )
 
-    def _execute(
-        self, requirement, target_good, chosen, estimates, pilot, trajectories=None
-    ):
+    def _execute(self, requirement, target_good, chosen, estimates, pilot):
         """Run the chosen plan, optionally re-optimizing at milestones.
 
         Returns (final report, its work counters, final evaluation, number
         of plan switches, degraded access paths, wasted time).  On a switch, the
         produced base tuples are carried into the new plan's executor —
         the Section VI "build on the current execution" option.
-
-        With *trajectories*, the recorded runs of the shared plan space
-        (only without milestones), a target that stops on the chosen
-        plan's recorded run is answered from it, and any other run is
-        recorded and kept when it is the plan's longest (DESIGN §6.4).
 
         When a circuit breaker opens (an executor raises
         :class:`AccessPathUnavailable`), the optimizer *degrades*: it
@@ -1011,19 +1024,7 @@ class AdaptiveJoinExecutor:
         (and reported as ``wasted_time``), so degradation never makes a
         run look cheaper than it was.
         """
-        if trajectories is not None:
-            served = self._serve(
-                trajectories,
-                QualityRequirement(
-                    tau_good=target_good, tau_bad=requirement.tau_bad
-                ),
-                chosen,
-            )
-            if served is not None:
-                return (*served, chosen, 0, [], 0.0)
         executor = self._build_executor(chosen.plan, estimates)
-        if trajectories is not None:
-            executor.record()
         switches = 0
         degraded: List[str] = []
         wasted = 0.0
@@ -1097,14 +1098,6 @@ class AdaptiveJoinExecutor:
             chosen = result.chosen
             estimates = new_estimates
             executor = self._carry_over(executor, chosen, estimates)
-        if trajectories is not None and not degraded:
-            # (A degraded run finished on a carried-over executor.)
-            keep_recorded(
-                trajectories,
-                chosen.plan,
-                executor.trajectory(self._budgets(chosen).per_side()),
-                self.observability,
-            )
         return (
             execution.report,
             executor.work_counters(),

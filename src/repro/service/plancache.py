@@ -87,9 +87,10 @@ class BinaryPlanSpace:
     """The binary optimizer over one task's plans.
 
     It also memoizes the warm execute path's restored pilot and its
-    refit (:attr:`pilot`) and the recorded run of each executed plan
-    (:attr:`trajectories`), so a store write, which changes the key, can
-    never serve a stale one, and eviction drops them with the entry.
+    refit (:attr:`pilot`), each requirement's cross-validation verdict on
+    that pilot (:attr:`verdicts`) and the recorded run of each executed
+    plan (:attr:`trajectories`), so a store write, which changes the key,
+    can never serve a stale one, and eviction drops them with the entry.
     """
 
     def __init__(
@@ -101,6 +102,9 @@ class BinaryPlanSpace:
         #: it, with its refit (a read-only ``PilotMemo``), set by the
         #: first fully-warm run
         self.pilot: Optional[Any] = None
+        #: requirement -> whether value-split halves of that pilot agree
+        #: with this space's choice (the driver's cross-validation)
+        self.verdicts: Dict[QualityRequirement, bool] = {}
         #: plan -> its longest recorded warm execute (DESIGN §6.4)
         self.trajectories: Dict[JoinPlanSpec, Trajectory] = {}
 

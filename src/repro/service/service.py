@@ -82,7 +82,7 @@ from ..core.preferences import QualityRequirement
 from ..estimation.mle import EstimatedParameters
 from ..estimation.online import estimated_catalog
 from ..extraction.memo import ExtractionMemo
-from ..joins.trajectory import OUTCOMES, keep_recorded
+from ..joins.trajectory import OUTCOMES, serve_or_record
 from ..models.parameters import ValueOverlapModel
 from ..observability.context import ObservabilityContext, ensure_observability
 from ..observability.events import FlightRecorder, TailSampler, WideEvent
@@ -1261,13 +1261,17 @@ class JoinService:
         context = ensure_observability(observability)
         model = space.planner.model
         caps = multiway_caps(graph, chosen, model=model)
-        # A run under injected faults is no prefix of the recorded one.
-        trajectories = trajectory = point = None
-        if not environment.resilience.injects_faults:
-            trajectories = space.trajectories
-            trajectory = trajectories.get(chosen.plan)
-        if trajectory is not None:
-            point = trajectory.stop_point(request.requirement, caps)
+
+        def bind():
+            return bind_multiway_plan(environment, graph, chosen, model=model)
+
+        def run(executor):
+            try:
+                return executor.run(request.requirement)
+            except DeadlineExceeded as expired:
+                expired.attach("execute", plan=chosen.plan.describe())
+                raise
+
         with context.span(
             SpanKind.SERVICE_REQUEST,
             "multiway-join",
@@ -1276,33 +1280,22 @@ class JoinService:
             tau_bad=request.tau_bad,
             graph=graph.describe(),
         ) as span:
-            if point is not None:
-                answer = trajectory.answer(
-                    point,
+            if environment.resilience.injects_faults:
+                # A run under injected faults is no prefix of the recorded one.
+                executor = bind()
+                report = run(executor).report
+                work = executor.work_counters()
+            else:
+                report, work = serve_or_record(
+                    space.trajectories,
+                    chosen.plan,
                     request.requirement,
+                    caps,
+                    bind,
+                    run,
                     environment.resilience,
                     context,
                 )
-            else:
-                executor = bind_multiway_plan(
-                    environment, graph, chosen, model=model
-                )
-                if trajectories is not None:
-                    executor.record()
-                try:
-                    execution = executor.run(request.requirement)
-                except DeadlineExceeded as expired:
-                    expired.attach("execute", plan=chosen.plan.describe())
-                    raise
-                if trajectories is not None:
-                    keep_recorded(
-                        trajectories,
-                        chosen.plan,
-                        executor.trajectory(caps),
-                        context,
-                    )
-                answer = execution.report, executor.work_counters()
-            report, work = answer
             # Per-access work is counted, never spanned (DESIGN §6.3).
             span.set(**work)
         if observability is not None:

@@ -17,10 +17,11 @@ over the star3 and chain3 scenarios (one FS side each).
 After each ``run()`` a case records the report (good and bad tuples, the
 good x bad split of a binary join, the four time components, documents
 retrieved and processed, queries, tuples, ``satisfied``, ``exhausted``),
-the metric deltas the run published, ``work_counters()``, how often
-``on_progress`` fired and a digest of what it saw, and for a binary
-executor a digest of ``checkpoint_execution``.  Everything is compared
-as text against ``tests/executor_golden.json``.
+the metric deltas the run published, ``work_counters()``, how many
+points the executor recorded in the run (``record()``) and a digest of
+their (good, bad, time), and for a binary executor a digest of
+``checkpoint_execution``.  Everything is compared as text against
+``tests/executor_golden.json``.
 
 The golden file is regenerated (only when a change is *meant* to alter
 what the executors do) with::
@@ -71,6 +72,8 @@ BINARY_BUDGETS = {
     "zgjn": Budgets(max_queries1=12, max_queries2=10, max_documents2=45),
 }
 NARY_BUDGETS = (60, 120, 90)
+#: no caps on any side: a recorded run's every point
+UNCAPPED = ((None, None, None),) * 3
 
 
 def _digest(value: object) -> str:
@@ -144,17 +147,11 @@ def _run_case(
     """Build an executor and record each of *runs* (``run()`` kwargs)."""
     observability = ObservabilityContext()
     executor = build(observability)
-    progress: List[list] = []
-
-    def on_progress(state, time) -> None:
-        composition = state.composition
-        progress.append([composition.n_good, composition.n_bad, repr(time.total)])
-
-    executor.on_progress = on_progress
+    executor.record()
+    recorded = 0
     facts = []
     for kwargs in runs:
         before = _metric_values(observability)
-        progress.clear()
         execution = executor.run(**kwargs)
         fact = _report_facts(execution.report, binary)
         fact["metrics"] = _metric_deltas(before, _metric_values(observability))
@@ -162,7 +159,12 @@ def _run_case(
             name: repr(value)
             for name, value in sorted(executor.work_counters().items())
         }
-        fact["progress"] = [len(progress), _digest(progress)]
+        points = executor.trajectory(UNCAPPED).points[recorded:]
+        recorded += len(points)
+        fact["recorded"] = [
+            len(points),
+            _digest([[p.good, p.bad, [repr(t) for t in p.time]] for p in points]),
+        ]
         if binary:
             fact["checkpoint"] = _digest(checkpoint_execution(executor))
         facts.append(fact)

@@ -1,5 +1,7 @@
 """Tests for the experiment harness: testbed, figure runners, Table II."""
 
+import pathlib
+
 import pytest
 
 from repro.core import JoinKind, QualityRequirement
@@ -17,9 +19,19 @@ from repro.experiments import (
     run_figure11,
     run_figure12,
     run_table2,
+    time_to_meet,
 )
 from repro.optimizer import enumerate_plans
 from repro.validation.differential import BisectionJoinOptimizer
+
+#: the committed Table II that ``benchmarks/bench_table2_optimizer.py``
+#: writes and ``repro table2 --scale 0.6`` prints row for row
+TABLE2_RESULTS = (
+    pathlib.Path(__file__).parents[1]
+    / "benchmarks"
+    / "results"
+    / "table2_optimizer.txt"
+)
 
 
 class TestTestbed:
@@ -112,23 +124,39 @@ class TestTable2:
     def trajectories(self, hq_ex_task, small_plan_space):
         return build_trajectories(hq_ex_task, small_plan_space)
 
+    @pytest.fixture(scope="class")
+    def full_plan_space(self, hq_ex_task):
+        return enumerate_plans(
+            hq_ex_task.extractor1.name, hq_ex_task.extractor2.name
+        )
+
+    @pytest.fixture(scope="class")
+    def full_trajectories(self, hq_ex_task, full_plan_space):
+        return build_trajectories(hq_ex_task, full_plan_space)
+
     def test_trajectory_monotone(self, hq_ex_task, small_plan_space):
         trajectory = record_trajectory(hq_ex_task, small_plan_space[0])
-        assert trajectory.goods == sorted(trajectory.goods)
-        assert trajectory.bads == sorted(trajectory.bads)
-        assert trajectory.times == sorted(trajectory.times)
+        # An exhaustive run ends by exhaustion, below no cap.
+        assert trajectory.end is not None
+        points = [*trajectory.points, trajectory.end]
+        goods = [point.composition.n_good for point in points]
+        bads = [point.composition.n_bad for point in points]
+        times = [sum(point.time) for point in points]
+        assert goods == sorted(goods)
+        assert bads == sorted(bads)
+        assert times == sorted(times)
 
     def test_time_to_meet(self, hq_ex_task, small_plan_space, trajectories):
         trajectory = next(iter(trajectories.values()))
-        final_good = trajectory.goods[-1]
+        final_good = trajectory.end.composition.n_good
         requirement = QualityRequirement(max(final_good // 2, 1), 10**9)
-        time = trajectory.time_to_meet(requirement)
+        time = time_to_meet(trajectory, requirement)
         assert time is not None
-        assert 0 < time <= trajectory.times[-1]
+        assert 0 < time <= sum(trajectory.end.time)
 
     def test_unreachable_requirement(self, trajectories):
         trajectory = next(iter(trajectories.values()))
-        assert trajectory.time_to_meet(QualityRequirement(10**9, 10**9)) is None
+        assert time_to_meet(trajectory, QualityRequirement(10**9, 10**9)) is None
 
     def test_rows_structure(self, hq_ex_task, small_plan_space, trajectories):
         rows = run_table2(
@@ -183,18 +211,18 @@ class TestTable2:
         text = format_table2_rows(rows, "Table II")
         assert "tau_g" in text and "chosen plan" in text
 
-    def test_table2_independent_of_evaluation_path(self, hq_ex_task):
+    def test_table2_independent_of_evaluation_path(
+        self, hq_ex_task, full_plan_space, full_trajectories
+    ):
         """The pruned descent and the unpruned per-plan bisection print
         the same Table II over the whole grid and plan space."""
-        plans = enumerate_plans(
-            hq_ex_task.extractor1.name, hq_ex_task.extractor2.name
+        pruned = run_table2(
+            hq_ex_task, plans=full_plan_space, trajectories=full_trajectories
         )
-        trajectories = build_trajectories(hq_ex_task, plans)
-        pruned = run_table2(hq_ex_task, plans=plans, trajectories=trajectories)
         unpruned = run_table2(
             hq_ex_task,
-            plans=plans,
-            trajectories=trajectories,
+            plans=full_plan_space,
+            trajectories=full_trajectories,
             optimizer=BisectionJoinOptimizer(
                 hq_ex_task.catalog(),
                 costs=hq_ex_task.costs,
@@ -205,6 +233,19 @@ class TestTable2:
         assert format_table2_rows(pruned, "Table II") == format_table2_rows(
             unpruned, "Table II"
         )
+
+    def test_table2_matches_the_committed_results(
+        self, hq_ex_task, full_plan_space, full_trajectories
+    ):
+        """Every row of the committed Table II, reproduced exactly."""
+        committed = TABLE2_RESULTS.read_text().splitlines()
+        rows = run_table2(
+            hq_ex_task, plans=full_plan_space, trajectories=full_trajectories
+        )
+        reproduced = format_table2_rows(rows, committed[0]).splitlines()
+        assert len(reproduced) == len(committed)
+        for line, expected in zip(reproduced, committed):
+            assert line == expected
 
     def test_requirement_grid_covers_paper_range(self):
         taus = [tg for tg, _ in TABLE2_REQUIREMENTS]

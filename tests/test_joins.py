@@ -139,16 +139,6 @@ class TestIndependentJoin:
         assert side.distinct_values > 0
         assert side.value_confidences
 
-    def test_progress_hook_called(self, inputs):
-        calls = []
-        join = IndependentJoin(
-            inputs, ScanRetriever(inputs.database1), ScanRetriever(inputs.database2)
-        )
-        join.on_progress = lambda state, time: calls.append(time.total)
-        join.run(budgets=Budgets(max_documents1=10, max_documents2=10))
-        assert len(calls) >= 10
-        assert calls == sorted(calls)
-
 
 class TestOuterInnerJoin:
     def test_probes_inner_for_outer_values(self, inputs):

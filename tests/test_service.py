@@ -1511,6 +1511,13 @@ def _tree_ids(nodes):
         yield from _tree_ids(node["children"])
 
 
+def _tree_kinds(nodes):
+    """Every record kind in a /v1/debug/requests/<id> span tree."""
+    for node in nodes:
+        yield node["kind"]
+        yield from _tree_kinds(node["children"])
+
+
 def _store_copy(service, target):
     """A private copy of *service*'s store directory."""
     shutil.copytree(service.store.root, target)
@@ -1845,6 +1852,40 @@ class TestRefitMemo:
             assert checkpoint == stored
             expirations.append((partial, checkpoint))
         assert expirations[0] == expirations[1]
+
+    def test_a_one_round_store_cross_validates_once_per_requirement(
+        self, hq_ex_task, tmp_path
+    ):
+        """A warm execute resumes the stored run's last round, so on a
+        store whose cold execute converged in one round it cross-validates
+        the stored pilot; the space keeps that verdict."""
+        root = str(tmp_path / "store")
+        with JoinService(
+            hq_ex_task, root, workers=1, pilot_documents=PILOT
+        ) as service:
+            cold = service.execute(JoinRequest(TAU_GOOD, TAU_BAD))
+            assert cold["rounds"] == 1
+        with JoinService(
+            hq_ex_task, root, workers=1, pilot_documents=PILOT, trace_sample=1
+        ) as service:
+            answers = [
+                service.execute(JoinRequest(TAU_GOOD, TAU_BAD))
+                for _ in range(2)
+            ]
+            first, second = sorted(
+                service.debug_requests(mode="execute"), key=lambda e: e["id"]
+            )
+            kinds = [
+                set(_tree_kinds(service.debug_request(event["id"])["spans"]))
+                for event in (first, second)
+            ]
+            (key,) = list(service.plan_cache._entries)
+            verdicts = service.plan_cache.space_for(key).verdicts
+        assert response_json(answers[0]) == response_json(answers[1])
+        assert "adaptive.crossvalidate" in kinds[0]
+        assert "adaptive.crossvalidate" not in kinds[1]
+        assert "crossvalidate" not in second["phases"]
+        assert list(verdicts) == [QualityRequirement(TAU_GOOD, TAU_BAD)]
 
     @pytest.mark.parametrize("requirement", [(TAU_GOOD, TAU_BAD), (600, 15)])
     def test_memo_path_leaves_the_join_gauges(
