@@ -4,13 +4,14 @@ Scales the seeded multiway world to star joins of ``n`` alias relations
 (cycling the three extractors over the three hosted corpora, all joined
 on ``Company``) and, per arity, measures the planner three ways:
 
-* **pruned vs exhaustive wall clock** — one ``MultiwayPlanner.optimize``
-  and one run of the exhaustive reference (``ExhaustiveMultiwayPlanner``
-  from ``repro.validation.differential``), each on a fresh planner (a
-  planner memoizes its effort curves), over the full theta/access-path
-  assignment space, with the requirement pinned *between* the two
-  highest tier-A theta-class ceilings so every weaker theta class is
-  bound-pruned while the strongest class stays feasible;
+* **pruned vs exhaustive wall clock** — the median of
+  ``TIMED_RUNS`` ``MultiwayPlanner.optimize`` runs and of as many runs
+  of the exhaustive reference (``ExhaustiveMultiwayPlanner`` from
+  ``repro.validation.differential``), each on a fresh planner (a
+  planner memoizes its effort curves and orderings), over the full
+  theta/access-path assignment space, with the requirement pinned
+  *between* the two highest tier-A theta-class ceilings so every weaker
+  theta class is bound-pruned while the strongest class stays feasible;
 * **equivalence** — the pruned run must choose the byte-identical plan
   at the identical operating point (the pruning differential's identity,
   re-checked here at every arity the sweep visits);
@@ -42,8 +43,9 @@ import argparse
 import itertools
 import json
 import pathlib
+import statistics
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core import QualityRequirement
 from repro.core.plan import RetrievalKind
@@ -56,6 +58,7 @@ from repro.experiments.testbed import (
 from repro.planner import (
     JoinGraph,
     MultiwayPlanner,
+    PlannerResult,
     RelationConfig,
     RelationNode,
 )
@@ -72,6 +75,10 @@ BASES = [("HQ", "nyt96"), ("EX", "nyt95"), ("MG", "wsj")]
 
 #: loose enough that τb never binds — the sweep isolates τg pruning
 TAU_BAD = 10**15
+
+#: fresh-planner runs per timing; one run alone is noisy (the same n=6
+#: tree read 0.20 s and 0.33 s), so the bench reports their median
+TIMED_RUNS = 3
 
 
 def star_scenario(testbed, n: int) -> MultiwayScenario:
@@ -120,6 +127,16 @@ def pruning_requirement(planner: MultiwayPlanner) -> QualityRequirement:
     )
 
 
+def median_seconds(run: Callable[[], PlannerResult]) -> Tuple[float, PlannerResult]:
+    """Median wall clock of ``TIMED_RUNS`` calls and the last call's result."""
+    seconds = []
+    for _ in range(TIMED_RUNS):
+        start = time.perf_counter()
+        result = run()
+        seconds.append(time.perf_counter() - start)
+    return statistics.median(seconds), result
+
+
 def run_planner_bench(testbed, ns: Sequence[int]) -> List[dict]:
     """One record per arity: timings, pruning tallies, equivalence."""
     records = []
@@ -130,17 +147,17 @@ def run_planner_bench(testbed, ns: Sequence[int]) -> List[dict]:
         requirement = pruning_requirement(planner)
 
         # Each timed run gets a fresh planner: a planner memoizes its
-        # effort curves, so a second run on the same one would read the
-        # curves the first one built.  The catalog (per-relation
-        # statistics, not planner work) is warm for both.
-        start = time.perf_counter()
-        pruned = MultiwayPlanner(scenario.graph, catalog).optimize(requirement)
-        seconds_pruned = time.perf_counter() - start
-        start = time.perf_counter()
-        exhaustive = ExhaustiveMultiwayPlanner(
-            scenario.graph, catalog
-        ).optimize(requirement)
-        seconds_exhaustive = time.perf_counter() - start
+        # effort curves and orderings, so a second run on the same one
+        # would read what the first one built.  The catalog (per-relation
+        # statistics, not planner work) is warm for every run.
+        seconds_pruned, pruned = median_seconds(
+            lambda: MultiwayPlanner(scenario.graph, catalog).optimize(requirement)
+        )
+        seconds_exhaustive, exhaustive = median_seconds(
+            lambda: ExhaustiveMultiwayPlanner(scenario.graph, catalog).optimize(
+                requirement
+            )
+        )
 
         identical = (pruned.chosen is None) == (exhaustive.chosen is None)
         if pruned.chosen is not None and exhaustive.chosen is not None:

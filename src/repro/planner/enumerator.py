@@ -109,6 +109,17 @@ def count_subplans(graph: JoinGraph) -> int:
     return total
 
 
+def join_subsets(graph: JoinGraph) -> Tuple[FrozenSet[str], ...]:
+    """Every subset whose size :func:`best_tree` asks for, in DP order:
+    the connected subsets of two relations or more."""
+    bitmap = _Bitmap(graph)
+    return tuple(
+        bitmap.to_set(mask)
+        for mask in bitmap.connected_masks()
+        if bin(mask).count("1") >= 2
+    )
+
+
 def best_tree(
     graph: JoinGraph,
     size_of: SizeOf,

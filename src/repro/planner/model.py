@@ -13,23 +13,30 @@ layer-by-layer chain DP (``validation.differential.chain_expected_composition``)
 generalized from paths to arbitrary trees; on a star it degenerates to
 the product-of-factors sum Σ_a Π_i (E[gr_i(a)] + E[br_i(a)]).
 
-One array kernel does every composition.  Each (relation, attributes)
-has one key table, built once in sorted key order: a join-value code
-array per attribute slot (codes from one vocabulary per model) and the
-good, bad-in-good and bad-in-bad counts.  Factors at an effort are array
-expressions over the table, a message to the parent is ``np.bincount``
-over the parent slot's codes, and children are gathered by code.
-``np.bincount`` adds in input order, so every result is bit-for-bit the
-per-key dict message passing that ``validation.differential``
-keeps as the reference; sorted keys make it independent of the string
-hash seed.
+One array kernel does every composition, with a row axis: one call
+composes a subset for a batch of (assignment, effort) rows.  Each
+(relation, attributes) has one key table, built once in sorted key
+order: a join-value code array per attribute slot (codes from one
+vocabulary per model) and the good, bad-in-good and bad-in-bad counts.
+Factors are rows × keys arrays built from per-row (tp, fp, ρg, ρb)
+column vectors over the table, a message to the parent is one
+``np.bincount(row · bins + code)`` over the parent slot's codes, and
+children are gathered by code.  ``np.bincount`` adds in input order, so
+each row's bins sum their keys in key order and every result is
+bit-for-bit the per-key dict message passing that
+``validation.differential`` keeps as the reference, whatever else is in
+the batch; sorted keys make it independent of the string hash seed.
+A one-row call is the single composition (``compose``,
+``compose_factors``).
 
 An assignment's effort → (E[total], E[good]) curve does not depend on
 the requirement, so the model memoizes every composed point by
-(assignment index, dyadic fraction, subset).  The bisection, the chosen
-operating point, the join-order DP's intermediate sizes and the tier-A
-ceiling read that memo, and a model reused across requirements (the
-service keeps one per plan-cache entry) composes each point once.
+(assignment index, dyadic fraction, subset; ``None`` for the full
+subset).  The bisection, the chosen operating point, the join-order
+DP's intermediate sizes and the tier-A ceiling read that memo, and a
+model reused across requirements (the service keeps one per plan-cache
+entry) composes each point once.  Points are composed in batches: the
+bisection runs every assignment in lockstep, one kernel call per depth.
 
 The model also produces the tier-A quality ceiling of an assignment:
 setting every coverage factor ρ to its cap 1 bounds each per-key factor
@@ -44,7 +51,17 @@ comparison against float noise).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
@@ -65,8 +82,12 @@ DEFAULT_T_JOIN = 0.1
 
 #: factors_for(name, attributes) -> per-key (total, good) factor pairs
 FactorSource = Callable[[str, Tuple[str, ...]], KeyFactors]
-#: one relation's kernel input: (code array per key slot, total, good)
+#: one relation's kernel input: (code array per key slot, total, good),
+#: the factor arrays shaped rows × keys
 NodeFactors = Tuple[Tuple[np.ndarray, ...], np.ndarray, np.ndarray]
+#: one composition of a batch: configs by name and efforts by name, or
+#: None for the ρ=1 factor caps
+Row = Tuple[Mapping[str, RelationConfig], Optional[Mapping[str, float]]]
 
 
 def subset_attributes(
@@ -92,9 +113,9 @@ def compose_factors(
 ) -> Tuple[float, float]:
     """(E[total], E[good]) of joining *subset* given per-relation factors.
 
-    A dict-to-array adapter over the model's composition kernel: each
-    relation's ``key → (total, good)`` mapping becomes a code table in
-    the mapping's iteration order.  Over a
+    A dict-to-array adapter over the model's composition kernel, one
+    row: each relation's ``key → (total, good)`` mapping becomes a code
+    table in the mapping's iteration order.  Over a
     :class:`~repro.multiway.TreeJoinState`'s exact key factors it
     reproduces the state's delta-maintained counters exactly; its
     reference is the per-key dict message passing
@@ -105,11 +126,14 @@ def compose_factors(
     def node_factors(name: str, attributes: Tuple[str, ...]) -> NodeFactors:
         factors = factors_for(name, attributes)
         codes = _encode(factors, len(attributes), vocabulary)
-        total = np.array([pair[0] for pair in factors.values()], dtype=float)
-        good = np.array([pair[1] for pair in factors.values()], dtype=float)
+        total = np.array([[pair[0] for pair in factors.values()]], dtype=float)
+        good = np.array([[pair[1] for pair in factors.values()]], dtype=float)
         return codes, total, good
 
-    return _compose_tree(_tree_schedule(graph, subset), node_factors, vocabulary)
+    total, good = _compose_tree(
+        _tree_schedule(graph, subset), node_factors, vocabulary
+    )
+    return float(total[0]), float(good[0])
 
 
 @dataclass(frozen=True)
@@ -164,18 +188,20 @@ def _compose_tree(
     schedule: Tuple[_Visit, ...],
     node_factors: Callable[[str, Tuple[str, ...]], NodeFactors],
     vocabulary: Mapping[str, int],
-) -> Tuple[float, float]:
+) -> Tuple[np.ndarray, np.ndarray]:
     """The composition kernel: upward message passing over code arrays.
 
     ``node_factors(name, attributes)`` gives a relation's key table as
-    one join-value code array per attribute slot plus per-key (total,
-    good) factor arrays; codes index *vocabulary*.  A message is a pair
-    of arrays indexed by join-value code, built by ``np.bincount`` —
-    which adds sequentially in key order — so every sum and product
-    happens in the same order as a per-key dict loop would do them.  A
-    value missing from a child's subtree has an all-zero bin there,
-    which zeroes the parent's key.  The root sends every key to bin 0,
-    so its message is the subset's aggregate.
+    one join-value code array per attribute slot plus (total, good)
+    factor arrays shaped rows × keys; codes index *vocabulary*, and each
+    row is one composition.  A message is a pair of rows × codes arrays
+    built by one ``np.bincount(row · bins + code)`` — which adds
+    sequentially in input order, so each bin sums its row's keys in key
+    order and every sum and product happens in the same order as a
+    per-key dict loop would do them.  A value missing from a child's
+    subtree has an all-zero bin there, which zeroes the parent's key.
+    The root sends every key to bin 0, so its message is each row's
+    aggregate.  Returns the (total, good) arrays, one entry per row.
     """
     tables = [node_factors(visit.name, visit.attributes) for visit in schedule]
     size = len(vocabulary)
@@ -183,20 +209,24 @@ def _compose_tree(
     for visit, (codes, total, good) in zip(schedule, tables):
         for position, slot in visit.children:
             child_total, child_good = messages[position]
-            total = total * child_total[codes[slot]]
-            good = good * child_good[codes[slot]]
+            total = total * child_total[:, codes[slot]]
+            good = good * child_good[:, codes[slot]]
+        rows, keys = total.shape
         if visit.parent_slot is None:
-            out_codes, bins = np.zeros(len(total), dtype=np.intp), 1
+            out_codes, bins = np.zeros(keys, dtype=np.intp), 1
         else:
             out_codes, bins = codes[visit.parent_slot], size
+        index = (np.arange(rows)[:, None] * bins + out_codes).ravel()
         messages.append(
             (
-                np.bincount(out_codes, weights=total, minlength=bins),
-                np.bincount(out_codes, weights=good, minlength=bins),
+                np.bincount(index, weights=total.ravel(), minlength=rows * bins)
+                .reshape(rows, bins),
+                np.bincount(index, weights=good.ravel(), minlength=rows * bins)
+                .reshape(rows, bins),
             )
         )
     total, good = messages[-1]
-    return float(total[0]), float(good[0])
+    return total[:, 0], good[:, 0]
 
 
 def _encode(
@@ -318,28 +348,41 @@ class GraphCompositionModel:
 
     def factor_arrays(
         self,
-        config: RelationConfig,
+        name: str,
         attributes: Tuple[str, ...],
-        effort: Optional[float],
+        rows: Sequence[Tuple[RelationConfig, Optional[float]]],
     ) -> NodeFactors:
-        """Key codes and per-key (E[total], E[good]) arrays at *effort*.
+        """Key codes and (E[total], E[good]) arrays, one row per (config, effort).
 
-        ``E[gr] = tp·g·ρg`` and ``E[br] = fp·(bg·ρg + bb·ρb)`` over the
-        key table; ``effort=None`` replaces the coverage factors by their
+        ``E[gr] = tp·g·ρg`` and ``E[br] = fp·(bg·ρg + bb·ρb)`` over
+        *name*'s key table, with each row's tp, fp, ρg and ρb as column
+        vectors; ``effort=None`` replaces the coverage factors by their
         cap 1, which upper-bounds every factor for every access path at
         any effort — the tier-A ceiling ingredient.
         """
-        table = self.key_table(config.name, attributes)
+        table = self.key_table(name, attributes)
+        tp, fp, rho_good, rho_bad = (
+            np.array(column, dtype=float)[:, None]
+            for column in zip(*(self._row_parameters(*row) for row in rows))
+        )
+        good = tp * table.good * rho_good
+        bad = fp * (table.bad_in_good * rho_good + table.bad_in_bad * rho_bad)
+        return table.codes, good + bad, good
+
+    def _row_parameters(
+        self, config: RelationConfig, effort: Optional[float]
+    ) -> Tuple[float, float, float, float]:
+        """(tp, fp, ρg, ρb) of one relation at *effort* (None: ρ caps)."""
         side = self.catalog.side(config.name, config.theta)
         if effort is None:
-            rho_good = rho_bad = 1.0
-        else:
-            model = self.retrieval_model(config)
-            rho_good = model.good_fraction_processed(effort)
-            rho_bad = model.bad_fraction_processed(effort)
-        good = side.tp * table.good * rho_good
-        bad = side.fp * (table.bad_in_good * rho_good + table.bad_in_bad * rho_bad)
-        return table.codes, good + bad, good
+            return side.tp, side.fp, 1.0, 1.0
+        model = self.retrieval_model(config)
+        return (
+            side.tp,
+            side.fp,
+            model.good_fraction_processed(effort),
+            model.bad_fraction_processed(effort),
+        )
 
     def key_factors(
         self,
@@ -348,12 +391,38 @@ class GraphCompositionModel:
         effort: Optional[float],
     ) -> KeyFactors:
         """Per-key (E[total], E[good]) at *effort* as a dict (uncached)."""
-        _, total, good = self.factor_arrays(config, attributes, effort)
+        _, total, good = self.factor_arrays(config.name, attributes, [(config, effort)])
         keys = self.key_table(config.name, attributes).keys
-        return dict(zip(keys, zip(total.tolist(), good.tolist())))
+        return dict(zip(keys, zip(total[0].tolist(), good[0].tolist())))
 
     # ------------------------------------------------------------------
     # Composition (tree message passing)
+
+    def compose_rows(
+        self, rows: Sequence[Row], subset: Optional[FrozenSet[str]] = None
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """(E[total], E[good]) arrays of joining *subset*, one entry per row.
+
+        Each row is (configs, efforts) over every relation; efforts
+        ``None`` composes the ρ=1 factor caps — the tier-A ceiling of
+        the subset.  One kernel call composes the whole batch.
+        """
+        names = subset if subset is not None else frozenset(self.graph.names)
+        schedule = self._schedules.get(names)
+        if schedule is None:
+            schedule = self._schedules[names] = _tree_schedule(self.graph, names)
+
+        def node_factors(name: str, attributes: Tuple[str, ...]) -> NodeFactors:
+            return self.factor_arrays(
+                name,
+                attributes,
+                [
+                    (configs[name], None if efforts is None else efforts[name])
+                    for configs, efforts in rows
+                ],
+            )
+
+        return _compose_tree(schedule, node_factors, self._vocabulary)
 
     def compose(
         self,
@@ -363,22 +432,11 @@ class GraphCompositionModel:
     ) -> Tuple[float, float]:
         """(E[total], E[good]) of joining *subset* (default: all relations).
 
-        ``efforts=None`` composes the ρ=1 factor caps — the tier-A
-        ceiling of the subset.
+        A one-row :meth:`compose_rows`; ``efforts=None`` composes the
+        ρ=1 factor caps.
         """
-        names = subset if subset is not None else frozenset(self.graph.names)
-        schedule = self._schedules.get(names)
-        if schedule is None:
-            schedule = self._schedules[names] = _tree_schedule(self.graph, names)
-
-        def node_factors(name: str, attributes: Tuple[str, ...]) -> NodeFactors:
-            return self.factor_arrays(
-                configs[name],
-                attributes,
-                None if efforts is None else efforts[name],
-            )
-
-        return _compose_tree(schedule, node_factors, self._vocabulary)
+        total, good = self.compose_rows([(configs, efforts)], subset)
+        return float(total[0]), float(good[0])
 
     def assignment_index(self, configs: Mapping[str, RelationConfig]) -> int:
         """Stable index of an assignment in this model's curve memo."""
@@ -390,33 +448,51 @@ class GraphCompositionModel:
             self._assignment_ids[assignment] = index
         return index
 
+    def curve_points(
+        self,
+        points: Sequence[Tuple[int, Optional[float]]],
+        subset: Optional[FrozenSet[str]] = None,
+    ) -> List[Tuple[float, float]]:
+        """Memoized (E[total], E[good]) of each (assignment index, fraction).
+
+        The effort → composition curve of an assignment does not depend
+        on the requirement, so one memo answers every (τg, τb): the
+        bisection, the chosen operating point, the join-order DP's
+        intermediate sizes and (``fraction=None``) the tier-A ceiling.
+        Every point not yet in the memo is composed in one kernel call.
+        Bisection probes are exact dyadic floats, so a requirement that
+        revisits a fraction hits the memo; the full subset is keyed as
+        ``None``.  Not thread-safe: the service keeps one model per
+        plan-cache entry and mutates the memo only inside
+        ``PlanCache.optimize``, under the cache's lock.
+        """
+        if subset is not None and len(subset) == self.graph.arity:
+            subset = None
+        missing = [point for point in points if (*point, subset) not in self._curves]
+        if missing:
+            missing = list(dict.fromkeys(missing))
+            rows = []
+            for index, fraction in missing:
+                configs = self._assignments[index]
+                efforts = (
+                    None
+                    if fraction is None
+                    else self.balanced_efforts(configs, fraction)
+                )
+                rows.append((configs, efforts))
+            total, good = self.compose_rows(rows, subset)
+            for point, pair in zip(missing, zip(total.tolist(), good.tolist())):
+                self._curves[(*point, subset)] = pair
+        return [self._curves[(*point, subset)] for point in points]
+
     def curve_point(
         self,
         index: int,
         fraction: Optional[float],
         subset: Optional[FrozenSet[str]] = None,
     ) -> Tuple[float, float]:
-        """Memoized (E[total], E[good]) of assignment *index* at *fraction*.
-
-        The effort → composition curve of an assignment does not depend
-        on the requirement, so one memo answers every (τg, τb): the
-        bisection, the chosen operating point, the join-order DP's
-        intermediate sizes and (``fraction=None``) the tier-A ceiling.
-        Bisection probes are exact dyadic floats, so a requirement that
-        revisits a fraction hits the memo.  Not thread-safe: the service
-        keeps one model per plan-cache entry and mutates the memo only
-        inside ``PlanCache.optimize``, under the cache's lock.
-        """
-        memo_key = (index, fraction, subset)
-        point = self._curves.get(memo_key)
-        if point is None:
-            configs = self._assignments[index]
-            efforts = (
-                None if fraction is None else self.balanced_efforts(configs, fraction)
-            )
-            point = self.compose(configs, efforts, subset)
-            self._curves[memo_key] = point
-        return point
+        """One memoized point of :meth:`curve_points`."""
+        return self.curve_points([(index, fraction)], subset)[0]
 
     # ------------------------------------------------------------------
     # Bounds, effort curves, time
@@ -434,34 +510,50 @@ class GraphCompositionModel:
             for name in self.graph.names
         }
 
+    def balanced_effort_fractions(
+        self,
+        indices: Sequence[int],
+        target_good: float,
+        steps: int = 14,
+    ) -> List[Optional[float]]:
+        """Smallest common effort fraction t with E[good] ≥ target, per assignment.
+
+        The square-traversal heuristic generalized to n relations: every
+        side advances along the same fraction of its own effort axis.
+        An assignment gets None when even full effort cannot reach the
+        target.  The assignments bisect in lockstep: one kernel call
+        composes every full-effort point, then one per step composes
+        every assignment's midpoint that is not in the memo.  Each
+        assignment probes the same fractions it would probe alone.
+        """
+        brackets = {
+            index: [0.0, 1.0]
+            for index, (_, good) in zip(
+                indices, self.curve_points([(index, 1.0) for index in indices])
+            )
+            if good >= target_good
+        }
+        for _ in range(steps):
+            probes = [(index, (lo + hi) / 2) for index, (lo, hi) in brackets.items()]
+            for (index, mid), (_, good) in zip(probes, self.curve_points(probes)):
+                if good >= target_good:
+                    brackets[index][1] = mid
+                else:
+                    brackets[index][0] = mid
+        return [
+            brackets[index][1] if index in brackets else None for index in indices
+        ]
+
     def balanced_effort_fraction(
         self,
         configs: Mapping[str, RelationConfig],
         target_good: float,
         steps: int = 14,
     ) -> Optional[float]:
-        """Smallest common effort fraction t with E[good] ≥ target.
-
-        The square-traversal heuristic generalized to n relations: every
-        side advances along the same fraction of its own effort axis.
-        Returns None when even full effort cannot reach the target.
-        Every probe is read from the assignment's memoized curve.
-        """
-        index = self.assignment_index(configs)
-
-        def good_at(fraction: float) -> float:
-            return self.curve_point(index, fraction)[1]
-
-        if good_at(1.0) < target_good:
-            return None
-        lo, hi = 0.0, 1.0
-        for _ in range(steps):
-            mid = (lo + hi) / 2
-            if good_at(mid) >= target_good:
-                hi = mid
-            else:
-                lo = mid
-        return hi
+        """:meth:`balanced_effort_fractions` of one assignment."""
+        return self.balanced_effort_fractions(
+            [self.assignment_index(configs)], target_good, steps
+        )[0]
 
     def side_time(
         self,

@@ -15,10 +15,25 @@
    DP picks the cheapest join tree of any shape; the fully-interleaved n-ary
    strategy is costed as one more candidate.
 
-Every composition is read from the model's memoized effort curves,
-which do not depend on the requirement: a planner kept across requests
-(one per plan-cache entry in the service) composes each curve point
-once, and a repeated requirement composes nothing.
+Both spaces are searched for every assignment at once: one kernel call
+composes all tier-A ceilings, the bisections run in lockstep (one call
+per depth for every assignment still bisecting), and the DP's
+intermediates are composed one subset at a time for every assignment
+to be ordered.  Every composition is read from the model's memoized
+effort curves, which do not depend on the requirement: a planner kept
+across requests (one per plan-cache entry in the service) composes each
+curve point once, and a repeated requirement composes nothing.
+
+The ordering memo does the same for join orders.  The DP's tree and
+tallies, the side time and both strategies' join times and
+intermediates depend on the operating point (assignment, fraction)
+alone, and the fraction on τg alone; τb enters only the feasibility
+test.  So the planner orders each (assignment index, fraction) once,
+and a requirement whose τg was seen before runs no DP.  Each
+requirement is still charged the DP's tallies for every assignment it
+orders, so its ``PlannerTallies`` match a fresh planner's.  Like the
+curve memo, it is mutated only inside ``optimize``, which the service
+calls under the plan cache's lock.
 
 Pruning never changes the outcome: a bound-pruned assignment cannot
 reach τg at any effort, so exhaustive enumeration rejects it as
@@ -31,6 +46,7 @@ that it chooses the byte-identical plan.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import time as _time
 from dataclasses import dataclass
@@ -43,10 +59,11 @@ from .enumerator import (
     EnumerationTallies,
     best_tree,
     count_subplans,
+    join_subsets,
     naive_left_deep_tree,
 )
 from .graph import JoinGraph
-from .model import DEFAULT_T_JOIN, GraphCompositionModel
+from .model import DEFAULT_T_JOIN, GraphBounds, GraphCompositionModel
 from .plan import (
     ExecutionStrategy,
     MultiwayPlan,
@@ -129,6 +146,31 @@ class PlannerResult:
         return body
 
 
+@dataclass(frozen=True)
+class _Ordering:
+    """The requirement-independent verdict on one ordered operating point.
+
+    The cheaper strategy's evaluation (tree from the DP, side and join
+    times, intermediates) and the DP's tallies; τb enters only the
+    feasibility test.
+    """
+
+    best: PlannedEvaluation
+    subplans: int
+    dominated: int
+
+    def evaluation(self, reason: str, tallies: PlannerTallies) -> PlannedEvaluation:
+        """The evaluation for one requirement, charging the DP's tallies."""
+        tallies.subplans_enumerated += self.subplans
+        tallies.subplans_dominated += self.dominated
+        return dataclasses.replace(
+            self.best,
+            feasible=not reason,
+            reason=reason,
+            efforts=dict(self.best.efforts),
+        )
+
+
 class MultiwayPlanner:
     """DP join-order planner over one join graph."""
 
@@ -152,6 +194,21 @@ class MultiwayPlanner:
         #: the naive left-deep tree: the placeholder of every assignment
         #: the DP never orders
         self._left_deep_tree = naive_left_deep_tree(graph)
+        #: curve-memo index → (assignment, configs by name), in
+        #: :meth:`assignments` order
+        self._registry: Dict[
+            int, Tuple[Tuple[RelationConfig, ...], Dict[str, RelationConfig]]
+        ] = {}
+        for assignment in self.assignments():
+            configs = {config.name: config for config in assignment}
+            self._registry[self.model.assignment_index(configs)] = (
+                assignment,
+                configs,
+            )
+        #: the subsets the join-order DP prices
+        self._join_subsets = join_subsets(graph)
+        #: (assignment index, fraction) → the ordering at that point
+        self._orderings: Dict[Tuple[int, float], _Ordering] = {}
 
     # ------------------------------------------------------------------
 
@@ -180,13 +237,8 @@ class MultiwayPlanner:
 
     def optimize(self, requirement: QualityRequirement) -> PlannerResult:
         started = self._clock()
-        tallies = PlannerTallies()
-        evaluations: List[PlannedEvaluation] = []
-        for assignment in self.assignments():
-            tallies.assignments += 1
-            evaluations.append(
-                self._evaluate_assignment(assignment, requirement, tallies)
-            )
+        tallies = PlannerTallies(assignments=len(self._registry))
+        evaluations = self._evaluate(requirement, tallies)
         tallies.plan_space = tallies.assignments * self.structure_count()
         feasible = [e for e in evaluations if e.feasible]
         chosen = (
@@ -203,6 +255,79 @@ class MultiwayPlanner:
             elapsed=self._clock() - started,
         )
 
+    def _evaluate(
+        self, requirement: QualityRequirement, tallies: PlannerTallies
+    ) -> List[PlannedEvaluation]:
+        """Screen every assignment and order the feasible ones.
+
+        Only a feasible assignment is ordered: one that fails the tier-A
+        bound, cannot reach τg, or exceeds τb at its balanced operating
+        point is reported with the left-deep placeholder tree and its
+        subplans are counted without being enumerated.  The ceilings,
+        each bisection depth and each DP subset are composed for every
+        assignment at once.
+        """
+        model = self.model
+        target = self.target_good(requirement)
+        structure = self.structure_count()
+        ceilings = dict(
+            zip(self._registry, model.curve_points([(i, None) for i in self._registry]))
+        )
+        survivors = [
+            index
+            for index, (total, good) in ceilings.items()
+            if not GraphBounds(good, total).cannot_reach(target)
+        ]
+        fractions = dict(
+            zip(survivors, model.balanced_effort_fractions(survivors, target))
+        )
+        evaluations: List[PlannedEvaluation] = []
+        # (position in evaluations, operating point) of each feasible
+        # assignment, ordered once the loop has found them all
+        feasible: List[Tuple[int, Tuple[int, float]]] = []
+        for index, (assignment, configs) in self._registry.items():
+            if index not in fractions:
+                tallies.assignments_pruned_bound += 1
+                tallies.subplans_pruned_bound += structure
+                evaluations.append(
+                    PlannedEvaluation(
+                        plan=self._unordered_plan(assignment),
+                        feasible=False,
+                        pruned=True,
+                        reason="bound",
+                        bound_good=ceilings[index][1],
+                    )
+                )
+                continue
+            fraction, reason = fractions[index], ""
+            if fraction is None:
+                tallies.assignments_infeasible_good += 1
+                fraction, reason = 1.0, "tau_good"
+            total, good = model.curve_point(index, fraction)
+            if not reason and total - good > requirement.tau_bad:
+                tallies.assignments_infeasible_bad += 1
+                reason = "tau_bad"
+            if not reason:
+                feasible.append((len(evaluations), (index, fraction)))
+                evaluations.append(None)
+                continue
+            tallies.subplans_skipped_infeasible += structure
+            evaluations.append(
+                PlannedEvaluation(
+                    plan=self._unordered_plan(assignment),
+                    feasible=False,
+                    reason=reason,
+                    effort_fraction=fraction,
+                    efforts=model.balanced_efforts(configs, fraction),
+                    good=good,
+                    bad=total - good,
+                )
+            )
+        self._order([point for _, point in feasible])
+        for position, point in feasible:
+            evaluations[position] = self._orderings[point].evaluation("", tallies)
+        return evaluations
+
     def _unordered_plan(self, assignment: Tuple[RelationConfig, ...]) -> MultiwayPlan:
         """The plan of an assignment the DP never orders (left-deep placeholder)."""
         return MultiwayPlan(
@@ -211,116 +336,57 @@ class MultiwayPlanner:
             tree=self._left_deep_tree,
         )
 
-    def _evaluate_assignment(
-        self,
-        assignment: Tuple[RelationConfig, ...],
-        requirement: QualityRequirement,
-        tallies: PlannerTallies,
-    ) -> PlannedEvaluation:
-        """Screen one assignment and run the join-order DP if it survives.
+    def _order(self, points: Sequence[Tuple[int, float]]) -> None:
+        """Order every (assignment index, fraction) not yet in the memo.
 
-        Only a feasible assignment is ordered: one that fails the tier-A
-        bound, cannot reach τg, or exceeds τb at its balanced operating
-        point is reported with the left-deep placeholder tree and its
-        subplans are counted without being enumerated.
+        The join tree, the DP tallies, the side time and both
+        strategies' join times and intermediates do not depend on the
+        requirement, so a requirement that revisits an operating point
+        runs no DP.  The intermediates of the new points are composed
+        one subset at a time, each for all of them in one kernel call.
         """
-        configs = {config.name: config for config in assignment}
-        index = self.model.assignment_index(configs)
-        target = self.target_good(requirement)
-        structure = self.structure_count()
-        bounds = self.model.bounds(configs)
-        if bounds.cannot_reach(target):
-            tallies.assignments_pruned_bound += 1
-            tallies.subplans_pruned_bound += structure
-            return PlannedEvaluation(
-                plan=self._unordered_plan(assignment),
-                feasible=False,
-                pruned=True,
-                reason="bound",
-                bound_good=bounds.good_upper,
-            )
-        fraction = self.model.balanced_effort_fraction(configs, target)
-        if fraction is None:
-            tallies.assignments_infeasible_good += 1
-            tallies.subplans_skipped_infeasible += structure
-            efforts = self.model.balanced_efforts(configs, 1.0)
-            total, good = self.model.curve_point(index, 1.0)
-            return PlannedEvaluation(
-                plan=self._unordered_plan(assignment),
-                feasible=False,
-                reason="tau_good",
-                effort_fraction=1.0,
-                efforts=efforts,
-                good=good,
-                bad=total - good,
-            )
-        efforts = self.model.balanced_efforts(configs, fraction)
-        total, good = self.model.curve_point(index, fraction)
-        bad = total - good
-        if bad > requirement.tau_bad:
-            tallies.assignments_infeasible_bad += 1
-            tallies.subplans_skipped_infeasible += structure
-            return PlannedEvaluation(
-                plan=self._unordered_plan(assignment),
-                feasible=False,
-                reason="tau_bad",
-                effort_fraction=fraction,
-                efforts=efforts,
-                good=good,
-                bad=bad,
-            )
-        return self._full_evaluation(
-            assignment, configs, index, fraction, efforts, good, bad,
-            feasible=True, reason="", tallies=tallies,
-        )
+        model = self.model
+        missing = [point for point in points if point not in self._orderings]
+        for subset in self._join_subsets:
+            model.curve_points(missing, subset)
+        for index, fraction in missing:
+            assignment, configs = self._registry[index]
 
-    def _full_evaluation(
-        self,
-        assignment: Tuple[RelationConfig, ...],
-        configs: Mapping[str, RelationConfig],
-        index: int,
-        fraction: float,
-        efforts: Mapping[str, float],
-        good: float,
-        bad: float,
-        feasible: bool,
-        reason: str,
-        tallies: PlannerTallies,
-    ) -> PlannedEvaluation:
-        def size_of(subset: FrozenSet[str]) -> float:
-            return self.model.curve_point(index, fraction, subset)[0]
+            def size_of(subset: FrozenSet[str]) -> float:
+                return model.curve_point(index, fraction, subset)[0]
 
-        enumeration = EnumerationTallies()
-        tree, _ = best_tree(
-            self.graph, size_of, self.model.t_join, tallies=enumeration
-        )
-        tallies.subplans_enumerated += enumeration.subplans
-        tallies.subplans_dominated += enumeration.dominated
-        side_time = self.model.side_time(configs, efforts).total
-        candidates: List[PlannedEvaluation] = []
-        for strategy, shaped in (
-            (ExecutionStrategy.PIPELINE, tree),
-            (ExecutionStrategy.INTERLEAVED, None),
-        ):
-            plan = MultiwayPlan(strategy=strategy, configs=assignment, tree=shaped)
-            join_time, intermediates = self.model.join_time(
-                plan, configs, efforts, size_of=size_of
-            )
-            candidates.append(
-                PlannedEvaluation(
-                    plan=plan,
-                    feasible=feasible,
-                    reason=reason,
-                    effort_fraction=fraction,
-                    efforts=dict(efforts),
-                    good=good,
-                    bad=bad,
-                    side_time=side_time,
-                    join_time=join_time,
-                    intermediates=intermediates,
+            enumeration = EnumerationTallies()
+            tree, _ = best_tree(self.graph, size_of, model.t_join, tallies=enumeration)
+            efforts = model.balanced_efforts(configs, fraction)
+            total, good = model.curve_point(index, fraction)
+            side_time = model.side_time(configs, efforts).total
+            candidates: List[PlannedEvaluation] = []
+            for strategy, shaped in (
+                (ExecutionStrategy.PIPELINE, tree),
+                (ExecutionStrategy.INTERLEAVED, None),
+            ):
+                plan = MultiwayPlan(strategy=strategy, configs=assignment, tree=shaped)
+                join_time, intermediates = model.join_time(
+                    plan, configs, efforts, size_of=size_of
                 )
+                candidates.append(
+                    PlannedEvaluation(
+                        plan=plan,
+                        feasible=True,
+                        effort_fraction=fraction,
+                        efforts=efforts,
+                        good=good,
+                        bad=total - good,
+                        side_time=side_time,
+                        join_time=join_time,
+                        intermediates=intermediates,
+                    )
+                )
+            self._orderings[(index, fraction)] = _Ordering(
+                best=min(candidates, key=lambda e: (e.total_time, e.plan.describe())),
+                subplans=enumeration.subplans,
+                dominated=enumeration.dominated,
             )
-        return min(candidates, key=lambda e: (e.total_time, e.plan.describe()))
 
     # ------------------------------------------------------------------
 

@@ -1267,34 +1267,35 @@ class ExhaustiveMultiwayPlanner(MultiwayPlanner):
     No tier-A screen, and an assignment that misses τg (costed at full
     effort) or τb still gets the full join-order DP — the exhaustive run
     the bound-pruned :meth:`MultiwayPlanner.optimize` must reproduce.
-    Same model, same memoized effort curves.
+    Same model, same memoized effort curves and orderings, same lockstep
+    bisection.
     """
 
-    def _evaluate_assignment(
-        self,
-        assignment: Tuple[RelationConfig, ...],
-        requirement: QualityRequirement,
-        tallies: PlannerTallies,
-    ) -> PlannedEvaluation:
-        configs = {config.name: config for config in assignment}
-        index = self.model.assignment_index(configs)
-        fraction = self.model.balanced_effort_fraction(
-            configs, self.target_good(requirement)
+    def _evaluate(
+        self, requirement: QualityRequirement, tallies: PlannerTallies
+    ) -> List[PlannedEvaluation]:
+        model = self.model
+        fractions = model.balanced_effort_fractions(
+            list(self._registry), self.target_good(requirement)
         )
-        reason = ""
-        if fraction is None:
-            tallies.assignments_infeasible_good += 1
-            fraction, reason = 1.0, "tau_good"
-        efforts = self.model.balanced_efforts(configs, fraction)
-        total, good = self.model.curve_point(index, fraction)
-        bad = total - good
-        if not reason and bad > requirement.tau_bad:
-            tallies.assignments_infeasible_bad += 1
-            reason = "tau_bad"
-        return self._full_evaluation(
-            assignment, configs, index, fraction, efforts, good, bad,
-            feasible=not reason, reason=reason, tallies=tallies,
-        )
+        points = [
+            (index, 1.0 if fraction is None else fraction)
+            for index, fraction in zip(self._registry, fractions)
+        ]
+        self._order(points)
+        evaluations = []
+        for point, fraction in zip(points, fractions):
+            reason = ""
+            if fraction is None:
+                tallies.assignments_infeasible_good += 1
+                reason = "tau_good"
+            else:
+                total, good = model.curve_point(*point)
+                if total - good > requirement.tau_bad:
+                    tallies.assignments_infeasible_bad += 1
+                    reason = "tau_bad"
+            evaluations.append(self._orderings[point].evaluation(reason, tallies))
+        return evaluations
 
 
 def naive_evaluation(

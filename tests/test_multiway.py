@@ -48,8 +48,48 @@ def star_state():
     return TreeJoinState.star([HQ, EX, MG])
 
 
-class TestMultiJoinState:
-    """The star form of :class:`TreeJoinState` (one shared attribute)."""
+def _graph_of(state):
+    """The planner's :class:`JoinGraph` over a state's schemas and edges."""
+    names = [schema.name for schema in state.schemas]
+    return JoinGraph(
+        tuple(
+            RelationNode(name=schema.name, attributes=schema.attributes)
+            for schema in state.schemas
+        ),
+        tuple(
+            JoinEdge(
+                names[edge.left],
+                edge.left_attribute,
+                names[edge.right],
+                edge.right_attribute,
+            )
+            for edge in state.edges
+        ),
+    )
+
+
+# Four relations around B, a degree-3 node keyed on two attributes
+# (x towards A and C, z towards D).
+A4 = RelationSchema("A", ("x", "a"))
+B4 = RelationSchema("B", ("x", "z", "b"))
+C4 = RelationSchema("C", ("c", "x"))
+D4 = RelationSchema("D", ("z", "d"))
+CHAIN_RES = RelationSchema("RES", ("CEO", "City"))
+
+SHAPES = {
+    "star3": ([HQ, EX, MG], [TreeEdge(0, "Company", 1, "Company"),
+                             TreeEdge(0, "Company", 2, "Company")]),
+    "chain3": ([MG, EX, CHAIN_RES], [TreeEdge(0, "Company", 1, "Company"),
+                                     TreeEdge(1, "CEO", 2, "CEO")]),
+    "tree4": ([A4, B4, C4, D4], [TreeEdge(0, "x", 1, "x"),
+                                 TreeEdge(1, "x", 2, "x"),
+                                 TreeEdge(1, "z", 3, "z")]),
+}
+
+
+class TestTreeJoinState:
+    """The star form's counts (one shared attribute), and delta-rule
+    counters against materialization and the planner DP."""
 
     def test_join_attribute_inferred(self):
         state = star_state()
@@ -125,49 +165,6 @@ class TestMultiJoinState:
         recount = state.verify_composition()
         assert state.composition.n_good == recount.n_good
         assert state.composition.n_bad == recount.n_bad
-
-
-def _graph_of(state):
-    """The planner's :class:`JoinGraph` over a state's schemas and edges."""
-    names = [schema.name for schema in state.schemas]
-    return JoinGraph(
-        tuple(
-            RelationNode(name=schema.name, attributes=schema.attributes)
-            for schema in state.schemas
-        ),
-        tuple(
-            JoinEdge(
-                names[edge.left],
-                edge.left_attribute,
-                names[edge.right],
-                edge.right_attribute,
-            )
-            for edge in state.edges
-        ),
-    )
-
-
-# Four relations around B, a degree-3 node keyed on two attributes
-# (x towards A and C, z towards D).
-A4 = RelationSchema("A", ("x", "a"))
-B4 = RelationSchema("B", ("x", "z", "b"))
-C4 = RelationSchema("C", ("c", "x"))
-D4 = RelationSchema("D", ("z", "d"))
-CHAIN_RES = RelationSchema("RES", ("CEO", "City"))
-
-SHAPES = {
-    "star3": ([HQ, EX, MG], [TreeEdge(0, "Company", 1, "Company"),
-                             TreeEdge(0, "Company", 2, "Company")]),
-    "chain3": ([MG, EX, CHAIN_RES], [TreeEdge(0, "Company", 1, "Company"),
-                                     TreeEdge(1, "CEO", 2, "CEO")]),
-    "tree4": ([A4, B4, C4, D4], [TreeEdge(0, "x", 1, "x"),
-                                 TreeEdge(1, "x", 2, "x"),
-                                 TreeEdge(1, "z", 3, "z")]),
-}
-
-
-class TestTreeJoinState:
-    """Delta-rule counters against materialization and the planner DP."""
 
     def test_degree_three_node_keys_on_both_attributes(self):
         state = TreeJoinState(*SHAPES["tree4"])

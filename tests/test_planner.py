@@ -509,24 +509,26 @@ class TestCompositionKernel:
         self._assert_matches_reference(graph, _seeded_factors(seed, set(empty)))
 
     def test_scenario_model_matches_reference_exactly(self, scenario):
-        model = GraphCompositionModel(scenario.graph, scenario.catalog())
-        configs = {
-            node.name: RelationConfig(
-                name=node.name,
-                theta=node.thetas[-1],
-                retrieval=node.access_paths[-1],
-            )
-            for node in scenario.graph.relations
-        }
-        for fraction in (None, 0.3, 1.0):
+        """One batch mixing assignments and fractions: every row equals its
+        one-row composition and the dict reference, bit for bit."""
+        graph = scenario.graph
+        model = GraphCompositionModel(graph, scenario.catalog())
+        assignments = MultiwayPlanner(graph, scenario.catalog()).assignments()
+        fractions = (None, 1.0, 0.5, 0.3, 0.75, 0.375, 0.0625, 0.99993896484375)
+        rows = []
+        for k, assignment in enumerate(assignments[::3]):
+            configs = {config.name: config for config in assignment}
+            fraction = fractions[k % len(fractions)]
             efforts = (
-                None
-                if fraction is None
-                else model.balanced_efforts(configs, fraction)
+                None if fraction is None else model.balanced_efforts(configs, fraction)
             )
-            for subset in _connected_subsets(scenario.graph):
+            rows.append((configs, efforts))
+        assert len({tuple(c.values()) for c, _ in rows}) == len(rows) > len(fractions)
+        for subset in _connected_subsets(graph):
+            total, good = model.compose_rows(rows, subset)
+            for row, (configs, efforts) in enumerate(rows):
                 expected = reference_compose_factors(
-                    scenario.graph,
+                    graph,
                     subset,
                     lambda name, attributes: model.key_factors(
                         configs[name],
@@ -535,6 +537,7 @@ class TestCompositionKernel:
                     ),
                 )
                 assert model.compose(configs, efforts, subset) == expected
+                assert (float(total[row]), float(good[row])) == expected
 
 
 class TestCurveMemo:
@@ -542,21 +545,23 @@ class TestCurveMemo:
 
     @staticmethod
     def _record_compositions(planner, monkeypatch):
-        calls = []
-        compose = planner.model.compose
+        """One entry per composed row of the batched kernel."""
+        rows_composed = []
+        compose_rows = planner.model.compose_rows
 
-        def counting(configs, efforts, subset=None):
-            calls.append(
+        def counting(rows, subset=None):
+            rows_composed.extend(
                 (
                     tuple(configs[name] for name in planner.graph.names),
                     None if efforts is None else tuple(sorted(efforts.items())),
                     subset,
                 )
+                for configs, efforts in rows
             )
-            return compose(configs, efforts, subset)
+            return compose_rows(rows, subset)
 
-        monkeypatch.setattr(planner.model, "compose", counting)
-        return calls
+        monkeypatch.setattr(planner.model, "compose_rows", counting)
+        return rows_composed
 
     def test_repeated_requirement_composes_nothing(
         self, scenario, exhaustive, monkeypatch
@@ -570,6 +575,28 @@ class TestCurveMemo:
         assert repr(again.evaluations) == repr(first.evaluations)
         assert exhaustive.optimize(requirement).chosen == first.chosen
 
+    def test_seen_tau_good_with_new_tau_bad_orders_nothing(
+        self, scenario, monkeypatch
+    ):
+        planner = MultiwayPlanner(scenario.graph, scenario.catalog())
+        loose = planner.optimize(QualityRequirement(scenario.tau_good, 10**9))
+        bads = sorted(e.bad for e in loose.evaluations if e.feasible)
+        trees = []
+        monkeypatch.setattr(
+            "repro.planner.planner.best_tree",
+            lambda *args, **kwargs: trees.append(args) or best_tree(*args, **kwargs),
+        )
+        calls = self._record_compositions(planner, monkeypatch)
+        # A τb at the median bad count: about half the assignments ordered
+        # under the loose τb become τb-infeasible.
+        requirement = QualityRequirement(scenario.tau_good, int(bads[len(bads) // 2]))
+        warm = planner.optimize(requirement)
+        assert trees == [] and calls == []
+        assert 0 < warm.tallies.assignments_infeasible_bad < len(bads)
+        assert warm.chosen is not None
+        fresh = MultiwayPlanner(scenario.graph, scenario.catalog())
+        assert repr(warm.evaluations) == repr(fresh.optimize(requirement).evaluations)
+
     def test_frontier_composes_each_curve_point_once(self, scenario, monkeypatch):
         planner = MultiwayPlanner(scenario.graph, scenario.catalog())
         calls = self._record_compositions(planner, monkeypatch)
@@ -578,6 +605,8 @@ class TestCurveMemo:
         assert len(calls) == len(set(calls))
         curve_points = {(a, e) for a, e, subset in calls if subset is None}
         assert len(curve_points) == sum(1 for *_, subset in calls if subset is None)
+        full = frozenset(scenario.graph.names)
+        assert all(subset != full for *_, subset in calls)
         # Sharing: four levels cost fewer compositions than four cold runs.
         cold = MultiwayPlanner(scenario.graph, scenario.catalog())
         cold_calls = self._record_compositions(cold, monkeypatch)
